@@ -7,6 +7,11 @@ the entry at (x^alpha, (i, delta)) is the coefficient of x^alpha in
 x^delta * f_i, and the right-hand side holds g's coefficients.  Consistency
 of that system is exactly certificate existence at degree d.
 
+nulla_prove is the one degree loop: per degree it assembles the system once,
+optionally collapses it to orbits of a variable symmetry group (see
+nullcert.symmetry), solves it, lifts the solution back onto the full
+columns, and extracts and re-verifies the certificate.
+
 Pruning modes:
   "none"        rows are all monomials of degree <= q+d (q = max input degree),
                 plus any target monomials outside that range
@@ -24,12 +29,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.graphs import Graph
 from nullcert.linsolve import SparseSystem, solve_multi_rhs
 from nullcert.poly import Monomial, PolySystem, Polynomial
+
+if TYPE_CHECKING:
+    from nullcert.symmetry import PermutationSet
 
 _EXPANDED_CACHE: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
 
@@ -103,12 +111,15 @@ class NullaOutcome:
     verdict "infeasible" carries the verified certificate and the degree at
     which it was found; "no_certificate_up_to" carries the largest degree
     tried and no certificate.  Feasibility is NOT decided in the latter case.
+    orbit_inconclusive records an inconsistent orbit solve whose group order
+    is not known coprime to p, which proves nothing at that degree.
     """
 
     verdict: str
     certificate: Optional[Certificate]
     degree: int
     per_degree: Tuple[DegreeStats, ...]
+    orbit_inconclusive: bool = False
 
 
 # Internal form: shifts and row monomials as expanded index tuples, no
@@ -125,7 +136,7 @@ class _RawAssembly:
 def _parse_pruning(pruning: str) -> Tuple[str, Optional[int]]:
     if pruning == "none":
         return "none", None
-    if pruning in ("occurring", "occurring-rows"):
+    if pruning == "occurring":
         return "occurring", None
     if pruning.startswith("graded:"):
         text = pruning[len("graded:"):]
@@ -347,13 +358,20 @@ def nulla_prove(
     pruning: str = "occurring",
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
+    perms: Optional[PermutationSet] = None,
+    fallback_full: bool = False,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
     Each degree assembles one matrix and tests every target candidate as a
-    separate right-hand side in one elimination pass.  An "infeasible"
-    verdict is returned only after the extracted certificate re-verifies by
-    expansion; failure there is a solver bug and raises.
+    separate right-hand side in one elimination pass.  With perms, F and
+    every target must be invariant under the group; the matrix is collapsed
+    to orbits before the solve and an orbit solution is lifted back onto the
+    full columns.  An inconsistent orbit solve is conclusive only when the
+    group order is coprime to p; otherwise orbit_inconclusive is set and,
+    with fallback_full, the full matrix of that degree is solved too.  An
+    "infeasible" verdict is returned only after the extracted certificate
+    re-verifies by expansion; failure there is a solver bug and raises.
     """
     schedule = list(schedule)
     if not schedule:
@@ -361,26 +379,48 @@ def nulla_prove(
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = list(g_candidates) if g_candidates else [Polynomial.one(F.field, F.n_vars)]
+    if perms is not None:
+        # symmetry builds on this module, so it is imported on use
+        from nullcert.symmetry import _check_invariant, _collapse, _coprime, group_order
 
-    base_prov = dict(provenance or {})
-    base_prov.setdefault("symmetry", None)
+        maps = _check_invariant(F, targets, perms)
+        conclusive = _coprime(group_order(perms), F.field.p)
+        sym_desc = [list(images) for images in perms.generators]
+
     per_degree: List[DegreeStats] = []
+    inconclusive = False
     for d in schedule:
         t0 = time.perf_counter()
         raw, rhs_list = _assemble_targets(F, d, targets, pruning, memory_budget)
-        results = solve_multi_rhs(raw.system, rhs_list)
-        millis = int((time.perf_counter() - t0) * 1000)
-        hit = next((idx for idx, r in enumerate(results) if r.consistent), None)
-        status = "consistent" if hit is not None else "inconsistent"
-        per_degree.append(
-            DegreeStats(d, raw.system.n_rows, raw.system.n_cols, raw.system.nnz, status, millis)
-        )
-        if hit is not None:
-            prov = dict(base_prov)
-            prov["degree"] = d
-            prov["pruning"] = pruning
+        # (system, right-hand sides, full column -> solved column or None)
+        attempts = [(raw.system, rhs_list, None)]
+        if perms is not None:
+            orb = _collapse(raw, rhs_list, perms, maps, memory_budget)
+            attempts = [(orb.system, orb.rhs_list, orb.col_orbit_index)]
+            if fallback_full and not conclusive:
+                attempts.append((raw.system, rhs_list, None))
+        for system, rhs_set, col_orbit in attempts:
+            results = solve_multi_rhs(system, rhs_set)
+            millis = int((time.perf_counter() - t0) * 1000)
+            t0 = time.perf_counter()
+            hit = next((idx for idx, r in enumerate(results) if r.consistent), None)
+            status = "consistent" if hit is not None else "inconsistent"
+            per_degree.append(
+                DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis)
+            )
+            if hit is None:
+                inconclusive = inconclusive or (col_orbit is not None and not conclusive)
+                continue
             sol = results[hit].solution
             assert sol is not None
+            if col_orbit is not None:
+                sol = tuple(sol[o] for o in col_orbit)
+            prov = {
+                **(provenance or {}),
+                "symmetry": sym_desc if col_orbit is not None else None,
+                "degree": d,
+                "pruning": pruning,
+            }
             n = F.n_vars
             support = (
                 (i, Monomial.from_vars(delta, n), sol[j])
@@ -392,8 +432,10 @@ def nulla_prove(
                 raise AssembleError(
                     "internal error: extracted certificate failed re-verification"
                 )
-            return NullaOutcome("infeasible", cert, d, tuple(per_degree))
-    return NullaOutcome("no_certificate_up_to", None, schedule[-1], tuple(per_degree))
+            return NullaOutcome("infeasible", cert, d, tuple(per_degree), inconclusive)
+    return NullaOutcome(
+        "no_certificate_up_to", None, schedule[-1], tuple(per_degree), inconclusive
+    )
 
 
 def isolate_subgraph(cert: Certificate, g: Graph) -> Graph:

@@ -1,5 +1,8 @@
 """Command-line front end: prove, verify, stats, encode, and graph generation.
 
+Each subcommand reads its argparse namespace directly; prove hands the whole
+search, symmetry reduction included, to one nulla_prove call.
+
 Exit codes: 0 success (prove: infeasibility certified; verify: certificate
 valid), 1 verification failure, 2 usage or input errors, 10 no certificate
 up to the degree cap (feasibility stays undecided).
@@ -10,11 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-import time
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from nullcert.assemble import DegreeStats, extract_certificate, nulla_prove, stats
+from nullcert.assemble import nulla_prove, stats
 from nullcert.certificate import CertificateError, read_cert, verify, write_cert
 from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
 from nullcert.graphs import (
@@ -27,7 +28,6 @@ from nullcert.graphs import (
     parse_dimacs,
     write_dimacs,
 )
-from nullcert.linsolve import solve
 from nullcert.poly import (
     FieldSpec,
     PolySystem,
@@ -36,7 +36,12 @@ from nullcert.poly import (
     parse_monomial,
     parse_poly,
 )
-from nullcert.symmetry import assemble_orbit, lift_solution, parse_generators
+from nullcert.symmetry import parse_generators
+
+# unused here, but perfbench/tracing.py wraps these names on this module
+from nullcert.assemble import extract_certificate
+from nullcert.linsolve import solve
+from nullcert.symmetry import assemble_orbit, lift_solution
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -46,33 +51,6 @@ EXIT_NO_CERT = 10
 
 class CliError(ValueError):
     """Raised for bad flag combinations or malformed specs; maps to exit 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    gen_spec: Optional[str] = None
-    system_path: Optional[str] = None
-    p: int = 2
-    k: int = 3
-    max_degree: int = 4
-    schedule: Optional[List[int]] = None
-    pruning: Optional[str] = None
-    cutters: str = "none"
-    alt_g: str = "none"
-    symmetry_path: Optional[str] = None
-    preprocess: Optional[bool] = None
-    force: bool = False
-    fallback_full: bool = False
-    origin: int = 1
-    cert_out: Optional[str] = None
-    memory_budget: Optional[int] = None
-    threads: int = 1
-    seed: Optional[int] = None
-    degree: int = 1
-    out_path: Optional[str] = None
-    cert_path: Optional[str] = None
 
 
 def parse_gen_spec(spec: str, seed: Optional[int]) -> Tuple[Graph, str]:
@@ -105,13 +83,13 @@ def _fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_graph(cfg: RunConfig) -> Tuple[Graph, dict]:
-    if cfg.gen_spec:
-        graph, canon = parse_gen_spec(cfg.gen_spec, cfg.seed)
+def load_graph(args: argparse.Namespace) -> Tuple[Graph, dict]:
+    if args.gen:
+        graph, canon = parse_gen_spec(args.gen, args.seed)
         meta = {"kind": "gen", "spec": canon, "sha256": _fingerprint(write_dimacs(graph))}
         return graph, meta
-    assert cfg.input_path is not None
-    with open(cfg.input_path) as fh:
+    assert args.input is not None
+    with open(args.input) as fh:
         graph = parse_dimacs(fh.read())
     return graph, {"kind": "dimacs", "sha256": _fingerprint(write_dimacs(graph))}
 
@@ -146,159 +124,117 @@ def load_system_file(path: str, p: int) -> Tuple[PolySystem, dict]:
     return F, {"kind": "system", "sha256": _fingerprint(canonical)}
 
 
-def build_system(cfg: RunConfig, default_preprocess: bool) -> Tuple[PolySystem, Optional[Graph], dict, bool]:
+def build_system(args: argparse.Namespace, default_preprocess: bool) -> Tuple[PolySystem, Optional[Graph], dict, bool]:
     """Produce the polynomial system from exactly one input source.
 
     Returns (system, graph or None, input fingerprint, is-coloring-encoding).
     """
-    sources = [s for s in (cfg.gen_spec, cfg.input_path, cfg.system_path) if s]
+    sources = [s for s in (args.gen, args.input, args.system) if s]
     if len(sources) != 1:
         raise CliError("exactly one of --gen, --input, --system is required")
-    if cfg.system_path:
-        F, meta = load_system_file(cfg.system_path, cfg.p)
+    if args.system:
+        F, meta = load_system_file(args.system, args.p)
         return F, None, meta, False
-    graph, meta = load_graph(cfg)
-    preprocess = cfg.preprocess if cfg.preprocess is not None else default_preprocess
+    graph, meta = load_graph(args)
+    preprocess = args.preprocess if args.preprocess is not None else default_preprocess
     opts = EncodingOptions(
-        k=cfg.k, field=FieldSpec(cfg.p), preprocess=preprocess, cutters=cfg.cutters
+        k=args.k, field=FieldSpec(args.p), preprocess=preprocess, cutters=args.cutters
     )
-    F = encode_coloring(graph, opts, origin=cfg.origin)
+    F = encode_coloring(graph, opts, origin=args.origin)
     return F, graph, meta, True
 
 
-def build_targets(cfg: RunConfig, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
-    if cfg.alt_g == "none":
+def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
+    if args.alt_g == "none":
         return None
-    if cfg.alt_g.startswith("auto:"):
-        digits = cfg.alt_g[len("auto:"):]
+    if args.alt_g.startswith("auto:"):
+        digits = args.alt_g[len("auto:"):]
         if not digits.isdigit() or int(digits) < 1:
-            raise CliError(f"bad --alt-g {cfg.alt_g!r}: expected auto:<positive degree>")
+            raise CliError(f"bad --alt-g {args.alt_g!r}: expected auto:<positive degree>")
         candidates = alt_g_candidates(n_vars, int(digits))
         return [Polynomial.one(field, n_vars)] + [
             Polynomial.from_monomial(m, field) for m in candidates
         ]
-    mono = parse_monomial(cfg.alt_g, n_vars)
+    mono = parse_monomial(args.alt_g, n_vars)
     return [Polynomial.from_monomial(mono, field)]
 
 
-def build_schedule(cfg: RunConfig, coloring: bool, pruning: str) -> List[int]:
-    if cfg.schedule:
-        return cfg.schedule
-    if cfg.max_degree < 1:
+def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
+    if text is None:
+        return None
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise CliError(f"bad --schedule {text!r}: expected comma-separated integers") from None
+
+
+def build_schedule(args: argparse.Namespace, coloring: bool, pruning: str) -> List[int]:
+    if args.max_degree < 1:
         raise CliError("--max-degree must be >= 1")
     if coloring and pruning.startswith("graded:"):
         # under the mod-k grading only multiplier degrees == 1 mod k add columns
-        return [d for d in range(1, cfg.max_degree + 1) if d % cfg.k == 1 % cfg.k]
-    return list(range(1, cfg.max_degree + 1))
+        return [d for d in range(1, args.max_degree + 1) if d % args.k == 1 % args.k]
+    return list(range(1, args.max_degree + 1))
 
 
-def _stats_line(ds: DegreeStats) -> str:
-    return (
-        f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
-        f"nnz={ds.nnz} status={ds.status} millis={ds.millis}"
-    )
-
-
-def _emit_certificate(cfg: RunConfig, cert) -> None:
-    text = write_cert(cert)
-    if cfg.cert_out:
-        with open(cfg.cert_out, "w") as fh:
-            fh.write(text)
-        print(f"certificate written to {cfg.cert_out}")
-    else:
-        sys.stdout.write(text)
-
-
-def _validate_prove_flags(cfg: RunConfig) -> None:
-    if cfg.threads < 1:
-        raise CliError("--threads must be >= 1")
-    if cfg.symmetry_path:
-        if cfg.preprocess is True and not cfg.force:
+def _validate_prove_flags(args: argparse.Namespace) -> None:
+    if args.symmetry:
+        if args.preprocess is True and not args.force:
             raise CliError(
                 "--symmetry with --preprocess usually breaks invariance "
                 "(preprocessing singles out one vertex); pass --force to combine them"
             )
-        if cfg.alt_g != "none":
+        if args.alt_g != "none":
             raise CliError("--alt-g is not supported together with --symmetry")
 
 
-def cmd_prove(cfg: RunConfig) -> int:
-    _validate_prove_flags(cfg)
-    default_preprocess = not cfg.symmetry_path
-    F, graph, meta, coloring = build_system(cfg, default_preprocess)
-    pruning = cfg.pruning or (f"graded:{cfg.k}" if coloring else "occurring")
-    schedule = build_schedule(cfg, coloring, pruning)
-    if cfg.symmetry_path:
-        return _prove_orbit(cfg, F, meta, pruning, schedule)
-    targets = build_targets(cfg, F.field, F.n_vars)
+def cmd_prove(args: argparse.Namespace) -> int:
+    explicit_schedule = _parse_schedule(args.schedule)
+    _validate_prove_flags(args)
+    F, graph, meta, coloring = build_system(args, default_preprocess=not args.symmetry)
+    pruning = args.pruning or (f"graded:{args.k}" if coloring else "occurring")
+    schedule = explicit_schedule or build_schedule(args, coloring, pruning)
+    perms = None
+    if args.symmetry:
+        with open(args.symmetry) as fh:
+            perms = parse_generators(fh.read(), F.n_vars)
     out = nulla_prove(
         F,
         schedule,
-        targets,
+        build_targets(args, F.field, F.n_vars),
         pruning=pruning,
-        memory_budget=cfg.memory_budget,
-        provenance={"input": meta, "symmetry": None},
+        memory_budget=args.memory_budget,
+        provenance={"input": meta},
+        perms=perms,
+        fallback_full=args.fallback_full,
     )
     for ds in out.per_degree:
-        print(_stats_line(ds))
-    if out.verdict == "infeasible":
-        print("The system of equations F is infeasible.")
-        _emit_certificate(cfg, out.certificate)
-        return EXIT_OK
-    print(f"no certificate up to degree {out.degree}; feasibility not decided")
-    return EXIT_NO_CERT
-
-
-def _prove_orbit(cfg: RunConfig, F: PolySystem, meta: dict, pruning: str, schedule: List[int]) -> int:
-    with open(cfg.symmetry_path) as fh:
-        perms = parse_generators(fh.read(), F.n_vars)
-    g = Polynomial.one(F.field, F.n_vars)
-    sym_desc = [list(images) for images in perms.generators]
-    warned = False
-    for d in schedule:
-        t0 = time.perf_counter()
-        orb = assemble_orbit(F, d, g, perms, pruning, cfg.memory_budget)
-        res = solve(orb.system)
-        millis = int((time.perf_counter() - t0) * 1000)
-        status = "consistent" if res.consistent else "inconsistent"
         print(
-            f"degree={d} rows={orb.system.n_rows} cols={orb.system.n_cols} "
-            f"nnz={orb.system.nnz} status={status} millis={millis}"
+            f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
+            f"nnz={ds.nnz} status={ds.status} millis={ds.millis}"
         )
-        if res.consistent:
-            y = lift_solution(orb, res.solution)
-            prov = {"input": meta, "symmetry": sym_desc, "degree": d, "pruning": pruning}
-            cert = extract_certificate(F, orb.full_col_keys, y, g, prov)
-            if not verify(cert):
-                raise CliError("internal error: lifted certificate failed verification")
-            print("The system of equations F is infeasible.")
-            _emit_certificate(cfg, cert)
-            return EXIT_OK
-        if not orb.coprime_verified:
-            if not warned:
-                warned = True
-                print(
-                    "note: group order unknown or shares a factor with the field "
-                    "characteristic; an inconsistent orbit system is not conclusive"
-                )
-            if cfg.fallback_full:
-                out = nulla_prove(
-                    F, [d], None, pruning=pruning, memory_budget=cfg.memory_budget,
-                    provenance={"input": meta, "symmetry": None},
-                )
-                for ds in out.per_degree:
-                    print(_stats_line(ds))
-                if out.verdict == "infeasible":
-                    print("The system of equations F is infeasible.")
-                    _emit_certificate(cfg, out.certificate)
-                    return EXIT_OK
-    print(f"no certificate up to degree {schedule[-1]}; feasibility not decided")
-    return EXIT_NO_CERT
+    if out.orbit_inconclusive:
+        print(
+            "note: group order unknown or shares a factor with the field "
+            "characteristic; an inconsistent orbit system is not conclusive"
+        )
+    if out.verdict != "infeasible":
+        print(f"no certificate up to degree {out.degree}; feasibility not decided")
+        return EXIT_NO_CERT
+    print("The system of equations F is infeasible.")
+    text = write_cert(out.certificate)
+    if args.cert_out:
+        with open(args.cert_out, "w") as fh:
+            fh.write(text)
+        print(f"certificate written to {args.cert_out}")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(cfg.cert_path) as fh:
+        with open(args.cert_path) as fh:
             text = fh.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -315,10 +251,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_INVALID
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    F, graph, meta, coloring = build_system(cfg, default_preprocess=True)
-    pruning = cfg.pruning or (f"graded:{cfg.k}" if coloring else "occurring")
-    st = stats(F, cfg.degree, pruning=pruning, memory_budget=cfg.memory_budget)
+def cmd_stats(args: argparse.Namespace) -> int:
+    F, graph, meta, coloring = build_system(args, default_preprocess=True)
+    pruning = args.pruning or (f"graded:{args.k}" if coloring else "occurring")
+    st = stats(F, args.degree, pruning=pruning, memory_budget=args.memory_budget)
     print(
         f"n_vars={st.n_vars} polys={st.n_polys} monomials={st.monomial_total} "
         f"pruning={pruning}"
@@ -331,20 +267,20 @@ def cmd_stats(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_encode(cfg: RunConfig) -> int:
-    F, graph, meta, coloring = build_system(cfg, default_preprocess=False)
+def cmd_encode(args: argparse.Namespace) -> int:
+    F, graph, meta, coloring = build_system(args, default_preprocess=False)
     for tag, poly in zip(F.tags, F.polys):
         print(f"{tag} {format_poly(poly)}")
     return EXIT_OK
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    graph, _ = parse_gen_spec(cfg.gen_spec, cfg.seed)
+def cmd_gen(args: argparse.Namespace) -> int:
+    graph, _ = parse_gen_spec(args.gen, args.seed)
     text = write_dimacs(graph)
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
+    if args.out_path:
+        with open(args.out_path, "w") as fh:
             fh.write(text)
-        print(f"wrote {cfg.out_path}")
+        print(f"wrote {args.out_path}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -358,6 +294,8 @@ def _add_input_opts(sp: argparse.ArgumentParser, with_system: bool) -> None:
             "--system", metavar="FILE",
             help="generic polynomial system, one 'tag polynomial' per line",
         )
+    else:
+        sp.set_defaults(system=None)
     sp.add_argument("--p", type=int, default=2, help="field characteristic (prime, default 2)")
     sp.add_argument("--k", type=int, default=3, help="number of colors (default 3)")
     sp.add_argument("--origin", type=int, default=1, help="vertex kept by preprocessing (default 1)")
@@ -397,76 +335,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--cert", dest="cert_out", metavar="FILE", help="write the certificate here (default: stdout)")
     pv.add_argument("--memory-budget", type=int, help="matrix memory cap in bytes")
-    pv.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; the solver is single-threaded",
-    )
+    pv.set_defaults(run=cmd_prove)
 
     vf = sub.add_parser("verify", help="check a certificate file by re-expansion")
     vf.add_argument("cert_path", metavar="CERT", help="certificate JSON file")
+    vf.set_defaults(run=cmd_verify)
 
     st = sub.add_parser("stats", help="predicted and actual system sizes")
     _add_input_opts(st, with_system=True)
     st.add_argument("--degree", type=int, default=1)
     st.add_argument("--pruning", help="none | occurring | graded:<k>")
     st.add_argument("--memory-budget", type=int)
+    st.set_defaults(run=cmd_stats)
 
     en = sub.add_parser("encode", help="print the polynomial encoding of a graph")
     _add_input_opts(en, with_system=False)
+    en.set_defaults(run=cmd_encode)
 
     gn = sub.add_parser("gen", help="emit a generated graph as DIMACS")
-    gn.add_argument("gen_spec", metavar="SPEC", help="complete:N | wheel:RIM | kneser:T,R | mycielski:K | random:N,PROB[,SEED]")
+    gn.add_argument("gen", metavar="SPEC", help="complete:N | wheel:RIM | kneser:T,R | mycielski:K | random:N,PROB[,SEED]")
     gn.add_argument("--out", dest="out_path", metavar="FILE")
     gn.add_argument("--seed", type=int)
+    gn.set_defaults(run=cmd_gen)
 
     return parser
-
-
-def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
-    if text is None:
-        return None
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise CliError(f"bad --schedule {text!r}: expected comma-separated integers") from None
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    return RunConfig(
-        command=args.command,
-        input_path=get("input"),
-        gen_spec=get("gen") or get("gen_spec"),
-        system_path=get("system"),
-        p=get("p", 2),
-        k=get("k", 3),
-        max_degree=get("max_degree", 4),
-        schedule=_parse_schedule(get("schedule")),
-        pruning=get("pruning"),
-        cutters=get("cutters", "none"),
-        alt_g=get("alt_g", "none"),
-        symmetry_path=get("symmetry"),
-        preprocess=get("preprocess"),
-        force=get("force", False),
-        fallback_full=get("fallback_full", False),
-        origin=get("origin", 1),
-        cert_out=get("cert_out"),
-        memory_budget=get("memory_budget"),
-        threads=get("threads", 1),
-        seed=get("seed"),
-        degree=get("degree", 1),
-        out_path=get("out_path"),
-        cert_path=get("cert_path"),
-    )
-
-
-_DISPATCH = {
-    "prove": cmd_prove,
-    "verify": cmd_verify,
-    "stats": cmd_stats,
-    "encode": cmd_encode,
-    "gen": cmd_gen,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -476,8 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return args.run(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,15 +36,12 @@ class EncodingOptions:
     """Options for the colorability encoding.
 
     cutters: "none", "triangles" (k = 3), or "cliques" ((k-1)-cliques, k > 3).
-    alt_g: "none", "auto:<degree>", or an explicit monomial like "x1*x8*x9";
-    consumed by the proving pipeline, not by encode_coloring itself.
     """
 
     k: int = 3
     field: FieldSpec = dc_field(default_factory=lambda: FieldSpec(2))
     preprocess: bool = False
     cutters: str = "none"
-    alt_g: str = "none"
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -60,8 +57,6 @@ class EncodingOptions:
             raise EncodeError("triangle cutters apply to k=3 only; use cliques")
         if self.cutters == "cliques" and self.k == 3:
             raise EncodeError("for k=3 the (k-1)-clique cutters are the triangle cutters")
-        if self.alt_g != "none" and not self.alt_g.startswith("auto:") and "x" not in self.alt_g:
-            raise EncodeError(f"alt_g must be none, auto:<degree>, or a monomial, got {self.alt_g!r}")
 
 
 def _vertex_poly(v: int, k: int, field: FieldSpec, n_vars: int) -> Polynomial:

@@ -247,36 +247,6 @@ def solve(sys: SparseSystem) -> SolveResult:
     return solve_multi_rhs(sys, [sys.rhs])[0]
 
 
-def dump_coordinate(sys: SparseSystem) -> str:
-    """Coordinate text dump: `<rows> <cols> <p>` header, then `r c v` triples
-    (0-based indices, row-major).  The right-hand side is not included."""
-    lines = [f"{sys.n_rows} {sys.n_cols} {sys.field.p}"]
-    for r, row in enumerate(sys.rows):
-        lines.extend(f"{r} {c} {v}" for c, v in row)
-    return "\n".join(lines) + "\n"
-
-
-def parse_coordinate(text: str) -> SparseSystem:
-    """Inverse of dump_coordinate; the right-hand side parses as all zeros."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise LinsolveError("empty coordinate text")
-    try:
-        n_rows, n_cols, p = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise LinsolveError(f"bad header {lines[0]!r}") from None
-    rows: List[List[Tuple[int, int]]] = [[] for _ in range(n_rows)]
-    for ln in lines[1:]:
-        try:
-            r, c, v = (int(t) for t in ln.split())
-        except ValueError:
-            raise LinsolveError(f"bad entry line {ln!r}") from None
-        if not 0 <= r < n_rows:
-            raise LinsolveError(f"row {r} out of range")
-        rows[r].append((c, v))
-    return SparseSystem.make(FieldSpec(p), n_rows, n_cols, [sorted(r) for r in rows], [0] * n_rows)
-
-
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
     "LinsolveError",
@@ -286,6 +256,4 @@ __all__ = [
     "packed_bytes",
     "solve",
     "solve_multi_rhs",
-    "dump_coordinate",
-    "parse_coordinate",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -40,41 +39,13 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field GF(p); carries the residue arithmetic for the field."""
+    """A prime field GF(p)."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise PolyError(f"field modulus must be prime, got {self.p!r}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise PolyError("inverse of zero")
-        return pow(a, -1, self.p)
-
-
-def field_ops(field: FieldSpec) -> FieldSpec:
-    """Return the arithmetic contract (add, sub, mul, neg, inv) for a field.
-
-    FieldSpec itself carries the operations; this accessor exists so callers
-    that only need arithmetic can name the capability.
-    """
-    if not isinstance(field, FieldSpec):
-        raise PolyError("field_ops expects a FieldSpec")
-    return field
 
 
 @functools.total_ordering
@@ -138,12 +109,6 @@ class Monomial:
         if self.n_vars != other.n_vars:
             raise PolyError("monomial n_vars mismatch")
         return Monomial.make(list(self.exponents) + list(other.exponents), self.n_vars)
-
-    def exponent_of(self, var: int) -> int:
-        for v, e in self.exponents:
-            if v == var:
-                return e
-        return 0
 
     def __lt__(self, other: "Monomial") -> bool:
         if not isinstance(other, Monomial):
@@ -221,15 +186,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def term_map(self) -> Dict[Monomial, int]:
-        return dict(self.terms)
-
-    def coeff(self, mono: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     def monomials(self) -> Tuple[Monomial, ...]:
         return tuple(m for m, _ in self.terms)
 
@@ -237,83 +193,18 @@ class Polynomial:
         return format_poly(self)
 
 
-def _check_compatible(a: Polynomial, b: Polynomial) -> None:
-    if a.field != b.field:
-        raise PolyError("field mismatch")
-    if a.n_vars != b.n_vars:
-        raise PolyError("n_vars mismatch")
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    _check_compatible(a, b)
-    acc = dict(a.terms)
-    p = a.field.p
-    for mono, coeff in b.terms:
-        acc[mono] = (acc.get(mono, 0) + coeff) % p
-    return Polynomial.make(a.field, a.n_vars, acc)
-
-
-def negate(a: Polynomial) -> Polynomial:
-    p = a.field.p
-    return Polynomial.make(a.field, a.n_vars, [(m, p - c) for m, c in a.terms])
-
-
-def poly_scale(a: Polynomial, c: int) -> Polynomial:
-    return Polynomial.make(a.field, a.n_vars, [(m, co * c) for m, co in a.terms])
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    _check_compatible(a, b)
-    p = a.field.p
-    acc: Dict[Monomial, int] = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            m = ma.mul(mb)
-            acc[m] = (acc.get(m, 0) + ca * cb) % p
-    return Polynomial.make(a.field, a.n_vars, acc)
-
-
-def poly_eval(a: Polynomial, point: Sequence[int]) -> int:
-    """Evaluate at a point given as a length-n_vars vector of residues."""
-    if len(point) != a.n_vars:
-        raise PolyError(f"point length {len(point)} != n_vars {a.n_vars}")
-    p = a.field.p
-    total = 0
-    for mono, coeff in a.terms:
-        v = coeff
-        for var, exp in mono.exponents:
-            v = (v * pow(point[var] % p, exp, p)) % p
-        total = (total + v) % p
-    return total
-
-
-def monomials_up_to(
-    n_vars: int,
-    d: int,
-    residue_filter: Optional[Tuple[int, int]] = None,
-) -> list[Monomial]:
+def monomials_up_to(n_vars: int, d: int) -> list[Monomial]:
     """All monomials of total degree <= d in graded-lexicographic order.
 
-    residue_filter = (r, k) keeps only degrees congruent to r mod k.
-    The full list has exactly C(n_vars + d, d) elements.
+    The list has exactly C(n_vars + d, d) elements.
     """
     if d < 0:
         raise PolyError("degree bound must be nonnegative")
     out: list[Monomial] = []
     for deg in range(d + 1):
-        if residue_filter is not None:
-            r, k = residue_filter
-            if k <= 0:
-                raise PolyError("residue_filter modulus must be positive")
-            if deg % k != r % k:
-                continue
         for tup in itertools.combinations_with_replacement(range(n_vars), deg):
             out.append(Monomial.from_vars(tup, n_vars))
     return out
-
-
-def count_monomials_up_to(n_vars: int, d: int) -> int:
-    return math.comb(n_vars + d, d)
 
 
 def format_monomial(mono: Monomial, coeff: int = 1) -> str:
@@ -451,14 +342,7 @@ __all__ = [
     "PolySystem",
     "PolyError",
     "PolyParseError",
-    "field_ops",
-    "poly_add",
-    "poly_mul",
-    "poly_eval",
-    "poly_scale",
-    "negate",
     "monomials_up_to",
-    "count_monomials_up_to",
     "format_monomial",
     "format_poly",
     "parse_poly",

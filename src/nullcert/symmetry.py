@@ -11,6 +11,9 @@ certificate that verifies), with no assumption on the group order.  The
 converse, full consistency implying orbit consistency, needs |G| coprime to
 the field characteristic; coprime_verified records whether that was checked,
 so an inconsistent orbit system is conclusive only when it is true.
+
+assemble.nulla_prove applies the collapse inside its degree loop;
+assemble_orbit exposes one degree of it with Monomial row and column keys.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nullcert.assemble import ColumnKey, _assemble_targets
+from nullcert.assemble import ColumnKey, _RawAssembly, _assemble_targets
 from nullcert.linsolve import SparseSystem
 from nullcert.poly import Monomial, PolySystem, Polynomial
 
@@ -190,21 +193,11 @@ def _union(parent: List[int], a: int, b: int) -> None:
     parent[rb] = ra
 
 
-def assemble_orbit(
-    F: PolySystem,
-    d: int,
-    g: Polynomial,
-    perms: PermutationSet,
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-    group_cap: int = DEFAULT_GROUP_CAP,
-) -> OrbitSystem:
-    """Assemble the degree-d system and collapse it to orbits.
-
-    Requires F invariant under every generator and g fixed by every
-    generator.  The full matrix is materialized first (assembly is cheap
-    relative to elimination; the savings are in the solve).
-    """
+def _check_invariant(
+    F: PolySystem, targets: Sequence[Polynomial], perms: PermutationSet
+) -> List[List[int]]:
+    """Per-generator poly index maps; raises unless F and every target are
+    invariant under every generator."""
     if perms.n != F.n_vars:
         raise SymmetryError("permutation ground set does not match variable count")
     maps, violation = _poly_maps(F, perms)
@@ -215,11 +208,37 @@ def assemble_orbit(
             "outside the system"
         )
     for images in perms.generators:
-        if _apply_poly(images, g) != g:
-            raise SymmetryError("target polynomial is not fixed by the group")
+        for g in targets:
+            if _apply_poly(images, g) != g:
+                raise SymmetryError("target polynomial is not fixed by the group")
+    return maps
 
-    raw, rhs_list = _assemble_targets(F, d, [g], pruning, memory_budget)
-    rhs = rhs_list[0]
+
+def _coprime(order: Optional[int], p: int) -> bool:
+    return order is not None and gcd(order, p) == 1
+
+
+@dataclass(frozen=True)
+class _Collapsed:
+    system: SparseSystem
+    rhs_list: List[List[int]]
+    row_reps: List[int]
+    col_reps: List[int]
+    col_orbit_index: Tuple[int, ...]
+
+
+def _collapse(
+    raw: _RawAssembly,
+    rhs_list: Sequence[Sequence[int]],
+    perms: PermutationSet,
+    maps: Sequence[Sequence[int]],
+    memory_budget: Optional[int],
+) -> _Collapsed:
+    """Fold an assembled system to one row/column per orbit.
+
+    Entries are summed over column-orbit members at each row representative;
+    every right-hand side is read at the row representatives.
+    """
     n_rows, n_cols = raw.system.n_rows, raw.system.n_cols
     col_pos = {key: j for j, key in enumerate(raw.col_keys)}
     row_pos = {mono: r for r, mono in enumerate(raw.row_keys)}
@@ -241,39 +260,58 @@ def assemble_orbit(
 
     row_reps = sorted({_find(row_parent, r) for r in range(n_rows)})
     col_reps = sorted({_find(col_parent, j) for j in range(n_cols)})
-    row_orbit_of = {rep: pos for pos, rep in enumerate(row_reps)}
     col_orbit_of = {rep: pos for pos, rep in enumerate(col_reps)}
     col_orbit_index = tuple(col_orbit_of[_find(col_parent, j)] for j in range(n_cols))
 
-    p = F.field.p
+    field = raw.system.field
+    p = field.p
     orbit_rows: List[List[Tuple[int, int]]] = []
-    orbit_rhs: List[int] = []
     for rep in row_reps:
         acc: Dict[int, int] = {}
         for c, v in raw.system.rows[rep]:
             oc = col_orbit_index[c]
             acc[oc] = (acc.get(oc, 0) + v) % p
         orbit_rows.append(sorted((oc, v) for oc, v in acc.items() if v))
-        orbit_rhs.append(rhs[rep])
+    orbit_rhs = [[rhs[rep] for rep in row_reps] for rhs in rhs_list]
+    system = SparseSystem.make(
+        field, len(row_reps), len(col_reps), orbit_rows, orbit_rhs[0],
+        memory_budget=memory_budget,
+    )
+    return _Collapsed(system, orbit_rhs, row_reps, col_reps, col_orbit_index)
 
-    order = group_order(perms, group_cap)
+
+def assemble_orbit(
+    F: PolySystem,
+    d: int,
+    g: Polynomial,
+    perms: PermutationSet,
+    pruning: str = "occurring",
+    memory_budget: Optional[int] = None,
+) -> OrbitSystem:
+    """Assemble the degree-d system and collapse it to orbits.
+
+    Requires F invariant under every generator and g fixed by every
+    generator.  The full matrix is materialized first (assembly is cheap
+    relative to elimination; the savings are in the solve).
+    """
+    maps = _check_invariant(F, [g], perms)
+    raw, rhs_list = _assemble_targets(F, d, [g], pruning, memory_budget)
+    col = _collapse(raw, rhs_list, perms, maps, memory_budget)
+    order = group_order(perms)
     n = F.n_vars
     return OrbitSystem(
-        system=SparseSystem.make(
-            F.field, len(row_reps), len(col_reps), orbit_rows, orbit_rhs,
-            memory_budget=memory_budget,
-        ),
-        row_orbits=tuple(Monomial.from_vars(raw.row_keys[r], n) for r in row_reps),
+        system=col.system,
+        row_orbits=tuple(Monomial.from_vars(raw.row_keys[r], n) for r in col.row_reps),
         col_orbits=tuple(
             ColumnKey(i, Monomial.from_vars(delta, n))
-            for i, delta in (raw.col_keys[j] for j in col_reps)
+            for i, delta in (raw.col_keys[j] for j in col.col_reps)
         ),
         group_order=order,
-        coprime_verified=order is not None and gcd(order, p) == 1,
+        coprime_verified=_coprime(order, F.field.p),
         full_col_keys=tuple(
             ColumnKey(i, Monomial.from_vars(delta, n)) for i, delta in raw.col_keys
         ),
-        col_orbit_index=col_orbit_index,
+        col_orbit_index=col.col_orbit_index,
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared test-only oracles: GF(4) evaluation and dense reference eliminators.
+"""Shared test-only oracles: polynomial product and evaluation, GF(4)
+evaluation, and dense reference eliminators.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.
@@ -7,7 +8,36 @@ they can serve as independent cross-checks.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from nullcert.poly import PolyError, Polynomial
+
+# ---------------------------------------------------------------------------
+# Polynomial product and evaluation over GF(p), term by term.
+
+
+def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    p = a.field.p
+    acc: Dict = {}
+    for ma, ca in a.terms:
+        for mb, cb in b.terms:
+            m = ma.mul(mb)
+            acc[m] = (acc.get(m, 0) + ca * cb) % p
+    return Polynomial.make(a.field, a.n_vars, acc)
+
+
+def poly_eval(a: Polynomial, point: Sequence[int]) -> int:
+    """Evaluate at a point given as a length-n_vars vector of residues."""
+    if len(point) != a.n_vars:
+        raise PolyError(f"point length {len(point)} != n_vars {a.n_vars}")
+    p = a.field.p
+    total = 0
+    for mono, coeff in a.terms:
+        v = coeff
+        for var, exp in mono.exponents:
+            v = (v * pow(point[var] % p, exp, p)) % p
+        total = (total + v) % p
+    return total
 
 # ---------------------------------------------------------------------------
 # GF(4) = GF(2)[a] / (a^2 + a + 1), elements as pairs (c0, c1) = c0 + c1*a.

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_dense_system, ref_solve_dense
+from helpers import poly_mul, random_dense_system, ref_solve_dense
 from nullcert.assemble import assemble, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
@@ -33,7 +33,6 @@ from nullcert.poly import (
     Polynomial,
     format_poly,
     parse_poly,
-    poly_mul,
 )
 from nullcert.symmetry import PermutationSet, assemble_orbit, lift_solution
 

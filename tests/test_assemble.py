@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from helpers import poly_mul
 from nullcert.assemble import (
     AssembleError,
     assemble,
@@ -24,7 +25,6 @@ from nullcert.poly import (
     Polynomial,
     monomials_up_to,
     parse_poly,
-    poly_mul,
 )
 
 GF2 = FieldSpec(2)
@@ -115,13 +115,6 @@ def test_none_pruning_row_universe():
     assert asys.system.n_rows == len(monomials_up_to(3, 3)) == 20
     assert asys.system.n_cols == 16
     assert solve(asys.system).consistent
-
-
-def test_occurring_rows_alias():
-    F = small_system()
-    a = assemble(F, 1, Polynomial.one(GF3, 3), pruning="occurring")
-    b = assemble(F, 1, Polynomial.one(GF3, 3), pruning="occurring-rows")
-    assert a.row_keys == b.row_keys and a.col_keys == b.col_keys
 
 
 def test_graded_rejects_mixed_degree_poly():

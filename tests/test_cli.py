@@ -72,11 +72,6 @@ def test_prove_custom_schedule_and_origin(capsys):
     assert any(e.tag == "vertex:2" for e in cert.entries)
 
 
-def test_prove_threads_flag_accepted(capsys):
-    rc, _, _ = run(capsys, "prove", "--gen", "complete:4", "--threads", "2")
-    assert rc == 0
-
-
 def test_prove_memory_budget_exhausted(capsys):
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--memory-budget", "64")
     assert rc == 2
@@ -375,11 +370,16 @@ def test_colors_must_be_coprime_to_field(capsys):
     assert rc == 2 and "relatively prime" in err
 
 
-def test_bad_schedule_and_cap(capsys):
+def test_bad_schedule_and_cap(rotation_file, capsys):
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--schedule", "1,x")
     assert rc == 2
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--schedule", "2,1")
     assert rc == 2
+    # the orbit path validates the schedule the same way
+    rc, _, err = run(
+        capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file, "--schedule", "2,1"
+    )
+    assert rc == 2 and "ascending" in err
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--max-degree", "0")
     assert rc == 2
 

@@ -9,9 +9,7 @@ from nullcert.linsolve import (
     LinsolveError,
     MemoryBudgetError,
     SparseSystem,
-    dump_coordinate,
     packed_bytes,
-    parse_coordinate,
     solve,
     solve_multi_rhs,
 )
@@ -155,21 +153,3 @@ class TestMultiRhs:
         sys_ = from_dense(F2, [[1]], [0])
         with pytest.raises(LinsolveError):
             solve_multi_rhs(sys_, [[0, 1]])
-
-
-class TestCoordinateDump:
-    def test_round_trip(self):
-        sys_ = from_dense(F3, [[1, 0, 2], [0, 1, 0]], [0, 0])
-        text = dump_coordinate(sys_)
-        assert text.splitlines()[0] == "2 3 3"
-        back = parse_coordinate(text)
-        assert back.rows == sys_.rows
-        assert back.n_cols == 3 and back.field == F3
-
-    def test_parse_errors(self):
-        with pytest.raises(LinsolveError):
-            parse_coordinate("")
-        with pytest.raises(LinsolveError):
-            parse_coordinate("1 1\n")
-        with pytest.raises(LinsolveError):
-            parse_coordinate("1 1 2\n5 0 1\n")
