@@ -13,10 +13,9 @@ nullcert.symmetry), solves it, lifts the solution back onto the full
 columns, and extracts and re-verifies the certificate.
 
 Pruning modes:
-  "none"        rows are all monomials of degree <= q+d (q = max input degree),
-                plus any target monomials outside that range
-  "occurring"   rows restricted to monomials that actually occur in some
-                x^delta * f_i or in g (default; never changes consistency)
+  "occurring"   rows are the monomials that occur in some x^delta * f_i or
+                in g (default); a monomial occurring nowhere would only add
+                a zero row, so this never changes consistency
   "graded:<k>"  additionally drop columns (i, delta) unless
                 deg(delta) + deg-class(f_i) == 0 mod k; requires every f_i
                 homogeneous modulo k and every g degree == 0 mod k.  Sound and
@@ -32,7 +31,6 @@ from math import comb
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
-from nullcert.graphs import Graph
 from nullcert.linsolve import SparseSystem, solve_multi_rhs
 from nullcert.poly import Monomial, PolySystem, Polynomial
 
@@ -110,16 +108,15 @@ class NullaOutcome:
 
     verdict "infeasible" carries the verified certificate and the degree at
     which it was found; "no_certificate_up_to" carries the largest degree
-    tried and no certificate.  Feasibility is NOT decided in the latter case.
-    orbit_inconclusive records an inconsistent orbit solve whose group order
-    is not known coprime to p, which proves nothing at that degree.
+    tried and no certificate.  Feasibility is NOT decided in the latter case;
+    every degree in per_degree was decided, by the full matrix whenever an
+    orbit solve alone could not be.
     """
 
     verdict: str
     certificate: Optional[Certificate]
     degree: int
     per_degree: Tuple[DegreeStats, ...]
-    orbit_inconclusive: bool = False
 
 
 # Internal form: shifts and row monomials as expanded index tuples, no
@@ -133,16 +130,15 @@ class _RawAssembly:
     degree: int
 
 
-def _parse_pruning(pruning: str) -> Tuple[str, Optional[int]]:
-    if pruning == "none":
-        return "none", None
+def _graded_modulus(pruning: str) -> Optional[int]:
+    """k for "graded:<k>", None for "occurring"."""
     if pruning == "occurring":
-        return "occurring", None
+        return None
     if pruning.startswith("graded:"):
         text = pruning[len("graded:"):]
         if not text.isdigit() or int(text) < 2:
             raise AssembleError(f"bad graded pruning modulus in {pruning!r}")
-        return "graded", int(text)
+        return int(text)
     raise AssembleError(f"unknown pruning mode {pruning!r}")
 
 
@@ -183,11 +179,9 @@ def _assemble_targets(
             raise AssembleError("target field or n_vars mismatch")
         if g.is_zero():
             raise AssembleError("zero target gives a vacuous identity")
-    mode, k = _parse_pruning(pruning)
+    k = _graded_modulus(pruning)
 
-    classes: Optional[List[int]] = None
-    if mode == "graded":
-        assert k is not None
+    if k is not None:
         classes = _degree_classes(F, k)
         for g in targets:
             bad = [m for m, _ in g.terms if m.degree % k != 0]
@@ -204,11 +198,7 @@ def _assemble_targets(
     col_keys_raw: List[Tuple[int, Tuple[int, ...]]] = []
     col_products: List[List[Tuple[Tuple[int, ...], int]]] = []
     for i, terms in enumerate(poly_terms):
-        if mode == "graded":
-            assert classes is not None and k is not None
-            start, step = (-classes[i]) % k, k
-        else:
-            start, step = 0, 1
+        start, step = ((-classes[i]) % k, k) if k is not None else (0, 1)
         for deg in range(start, d + 1, step):
             for delta in _expanded_monomials(n, deg):
                 col_keys_raw.append((i, delta))
@@ -217,14 +207,9 @@ def _assemble_targets(
                 )
 
     row_set = {m.expanded() for g in targets for m, _ in g.terms}
-    if mode == "none":
-        q = max(F.max_degree, 0)
-        for deg in range(q + d + 1):
-            row_set.update(_expanded_monomials(n, deg))
-    else:
-        for prod in col_products:
-            for m, _ in prod:
-                row_set.add(m)
+    for prod in col_products:
+        for m, _ in prod:
+            row_set.add(m)
     row_list = sorted(row_set, key=lambda t: (len(t), t))
     row_index = {m: r for r, m in enumerate(row_list)}
 
@@ -359,19 +344,19 @@ def nulla_prove(
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
-    fallback_full: bool = False,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
     Each degree assembles one matrix and tests every target candidate as a
     separate right-hand side in one elimination pass.  With perms, F and
-    every target must be invariant under the group; the matrix is collapsed
-    to orbits before the solve and an orbit solution is lifted back onto the
-    full columns.  An inconsistent orbit solve is conclusive only when the
-    group order is coprime to p; otherwise orbit_inconclusive is set and,
-    with fallback_full, the full matrix of that degree is solved too.  An
-    "infeasible" verdict is returned only after the extracted certificate
-    re-verifies by expansion; failure there is a solver bug and raises.
+    every target must be invariant under the group (SymmetryError
+    otherwise); the matrix is collapsed to orbits before the solve and an
+    orbit solution is lifted back onto the full columns.  An inconsistent
+    orbit solve is conclusive only when the group order is coprime to p;
+    otherwise the full matrix already assembled at that degree is solved
+    too, with its own DegreeStats entry.  An "infeasible" verdict is
+    returned only after the extracted certificate re-verifies by expansion;
+    failure there is a solver bug and raises.
     """
     schedule = list(schedule)
     if not schedule:
@@ -388,7 +373,6 @@ def nulla_prove(
         sym_desc = [list(images) for images in perms.generators]
 
     per_degree: List[DegreeStats] = []
-    inconclusive = False
     for d in schedule:
         t0 = time.perf_counter()
         raw, rhs_list = _assemble_targets(F, d, targets, pruning, memory_budget)
@@ -397,7 +381,7 @@ def nulla_prove(
         if perms is not None:
             orb = _collapse(raw, rhs_list, perms, maps, memory_budget)
             attempts = [(orb.system, orb.rhs_list, orb.col_orbit_index)]
-            if fallback_full and not conclusive:
+            if not conclusive:
                 attempts.append((raw.system, rhs_list, None))
         for system, rhs_set, col_orbit in attempts:
             results = solve_multi_rhs(system, rhs_set)
@@ -409,7 +393,6 @@ def nulla_prove(
                 DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis)
             )
             if hit is None:
-                inconclusive = inconclusive or (col_orbit is not None and not conclusive)
                 continue
             sol = results[hit].solution
             assert sol is not None
@@ -432,33 +415,8 @@ def nulla_prove(
                 raise AssembleError(
                     "internal error: extracted certificate failed re-verification"
                 )
-            return NullaOutcome("infeasible", cert, d, tuple(per_degree), inconclusive)
-    return NullaOutcome(
-        "no_certificate_up_to", None, schedule[-1], tuple(per_degree), inconclusive
-    )
-
-
-def isolate_subgraph(cert: Certificate, g: Graph) -> Graph:
-    """Subgraph spanned by the edges whose multiplier is nonzero.
-
-    Certificate entries are matched by their "edge:u-v" tags; the returned
-    graph keeps original vertex labels (vertex count = largest endpoint).
-    """
-    edges = []
-    for e in cert.entries:
-        if not e.tag.startswith("edge:"):
-            continue
-        u_txt, _, v_txt = e.tag[len("edge:"):].partition("-")
-        if not u_txt.isdigit() or not v_txt.isdigit():
-            raise AssembleError(f"malformed edge tag {e.tag!r}")
-        u, v = int(u_txt), int(v_txt)
-        if not (1 <= u < v <= g.n_vertices) or (u, v) not in g.edges:
-            raise AssembleError(f"certificate edge {e.tag!r} is not an edge of the graph")
-        edges.append((u, v))
-    if not edges:
-        raise AssembleError("certificate has no edge-tagged entries to isolate")
-    n = max(v for _, v in edges)
-    return Graph.make(n, edges)
+            return NullaOutcome("infeasible", cert, d, tuple(per_degree))
+    return NullaOutcome("no_certificate_up_to", None, schedule[-1], tuple(per_degree))
 
 
 __all__ = [
@@ -470,7 +428,6 @@ __all__ = [
     "SystemStats",
     "assemble",
     "extract_certificate",
-    "isolate_subgraph",
     "nulla_prove",
     "stats",
 ]

@@ -177,20 +177,8 @@ def build_schedule(args: argparse.Namespace, coloring: bool, pruning: str) -> Li
     return list(range(1, args.max_degree + 1))
 
 
-def _validate_prove_flags(args: argparse.Namespace) -> None:
-    if args.symmetry:
-        if args.preprocess is True and not args.force:
-            raise CliError(
-                "--symmetry with --preprocess usually breaks invariance "
-                "(preprocessing singles out one vertex); pass --force to combine them"
-            )
-        if args.alt_g != "none":
-            raise CliError("--alt-g is not supported together with --symmetry")
-
-
 def cmd_prove(args: argparse.Namespace) -> int:
     explicit_schedule = _parse_schedule(args.schedule)
-    _validate_prove_flags(args)
     F, graph, meta, coloring = build_system(args, default_preprocess=not args.symmetry)
     pruning = args.pruning or (f"graded:{args.k}" if coloring else "occurring")
     schedule = explicit_schedule or build_schedule(args, coloring, pruning)
@@ -206,17 +194,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
         memory_budget=args.memory_budget,
         provenance={"input": meta},
         perms=perms,
-        fallback_full=args.fallback_full,
     )
     for ds in out.per_degree:
         print(
             f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
             f"nnz={ds.nnz} status={ds.status} millis={ds.millis}"
-        )
-    if out.orbit_inconclusive:
-        print(
-            "note: group order unknown or shares a factor with the field "
-            "characteristic; an inconsistent orbit system is not conclusive"
         )
     if out.verdict != "infeasible":
         print(f"no certificate up to degree {out.degree}; feasibility not decided")
@@ -322,17 +304,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_input_opts(pv, with_system=True)
     pv.add_argument("--max-degree", type=int, default=4, help="degree cap (default 4)")
     pv.add_argument("--schedule", help="comma-separated degrees overriding the default schedule")
-    pv.add_argument("--pruning", help="none | occurring | graded:<k> (default depends on input)")
+    pv.add_argument("--pruning", help="occurring | graded:<k> (default depends on input)")
     pv.add_argument(
         "--alt-g", default="none",
         help="certificate target: none (g=1) | auto:<degree> | a monomial like x1*x8*x9",
     )
     pv.add_argument("--symmetry", metavar="FILE", help="permutation generators, cycle notation, one per line")
-    pv.add_argument("--force", action="store_true", help="allow --symmetry together with --preprocess")
-    pv.add_argument(
-        "--fallback-full", action="store_true",
-        help="solve the full system when an orbit solve is inconclusive",
-    )
     pv.add_argument("--cert", dest="cert_out", metavar="FILE", help="write the certificate here (default: stdout)")
     pv.add_argument("--memory-budget", type=int, help="matrix memory cap in bytes")
     pv.set_defaults(run=cmd_prove)
@@ -344,7 +321,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="predicted and actual system sizes")
     _add_input_opts(st, with_system=True)
     st.add_argument("--degree", type=int, default=1)
-    st.add_argument("--pruning", help="none | occurring | graded:<k>")
+    st.add_argument("--pruning", help="occurring | graded:<k>")
     st.add_argument("--memory-budget", type=int)
     st.set_defaults(run=cmd_stats)
 

@@ -12,8 +12,13 @@ converse, full consistency implying orbit consistency, needs |G| coprime to
 the field characteristic; coprime_verified records whether that was checked,
 so an inconsistent orbit system is conclusive only when it is true.
 
-assemble.nulla_prove applies the collapse inside its degree loop;
-assemble_orbit exposes one degree of it with Monomial row and column keys.
+Invariance is checked, never assumed: a generator that maps a polynomial of
+the system outside it, or moves a target, raises SymmetryError.
+
+assemble.nulla_prove applies the collapse inside its degree loop and, when
+the group order is not coprime to p, solves the full matrix after an
+inconsistent orbit solve; assemble_orbit exposes one degree of the collapse
+with Monomial row and column keys.
 """
 
 from __future__ import annotations
@@ -107,36 +112,6 @@ def _apply_poly(images: Sequence[int], f: Polynomial) -> Polynomial:
     return Polynomial.make(f.field, f.n_vars, terms)
 
 
-def _poly_maps(F: PolySystem, perms: PermutationSet):
-    """Per-generator map poly index -> index of its image in F.
-
-    Returns (maps, None) on success, (None, (gen_pos, poly_pos)) when some
-    image is not a member of F.  Duplicate polynomials map to their first
-    occurrence.
-    """
-    pool: Dict[Polynomial, int] = {}
-    for i, f in enumerate(F.polys):
-        pool.setdefault(f, i)
-    maps: List[List[int]] = []
-    for gen_pos, images in enumerate(perms.generators):
-        row: List[int] = []
-        for i, f in enumerate(F.polys):
-            j = pool.get(_apply_poly(images, f))
-            if j is None:
-                return None, (gen_pos, i)
-            row.append(j)
-        maps.append(row)
-    return maps, None
-
-
-def check_invariance(F: PolySystem, perms: PermutationSet) -> bool:
-    """True iff every generator maps every member of F back into F."""
-    if perms.n != F.n_vars:
-        raise SymmetryError("permutation ground set does not match variable count")
-    _, violation = _poly_maps(F, perms)
-    return violation is None
-
-
 def group_order(perms: PermutationSet, cap: int = DEFAULT_GROUP_CAP) -> Optional[int]:
     """Order of the generated group by breadth-first closure; None above cap."""
     if cap < 1:
@@ -196,18 +171,28 @@ def _union(parent: List[int], a: int, b: int) -> None:
 def _check_invariant(
     F: PolySystem, targets: Sequence[Polynomial], perms: PermutationSet
 ) -> List[List[int]]:
-    """Per-generator poly index maps; raises unless F and every target are
-    invariant under every generator."""
+    """Per-generator map poly index -> index of its image in F.
+
+    Raises unless every generator maps every member of F into F and fixes
+    every target.  Duplicate polynomials map to their first occurrence.
+    """
     if perms.n != F.n_vars:
         raise SymmetryError("permutation ground set does not match variable count")
-    maps, violation = _poly_maps(F, perms)
-    if violation is not None:
-        gen_pos, poly_pos = violation
-        raise SymmetryError(
-            f"system is not invariant: generator {gen_pos} maps {F.tags[poly_pos]} "
-            "outside the system"
-        )
-    for images in perms.generators:
+    pool: Dict[Polynomial, int] = {}
+    for i, f in enumerate(F.polys):
+        pool.setdefault(f, i)
+    maps: List[List[int]] = []
+    for gen_pos, images in enumerate(perms.generators):
+        row: List[int] = []
+        for i, f in enumerate(F.polys):
+            j = pool.get(_apply_poly(images, f))
+            if j is None:
+                raise SymmetryError(
+                    f"system is not invariant: generator {gen_pos} maps {F.tags[i]} "
+                    "outside the system"
+                )
+            row.append(j)
+        maps.append(row)
         for g in targets:
             if _apply_poly(images, g) != g:
                 raise SymmetryError("target polynomial is not fixed by the group")
@@ -328,7 +313,6 @@ __all__ = [
     "PermutationSet",
     "SymmetryError",
     "assemble_orbit",
-    "check_invariance",
     "group_order",
     "lift_solution",
     "parse_generators",

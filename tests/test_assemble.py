@@ -1,4 +1,4 @@
-"""Tests for linear-system assembly, the degree loop, and subgraph isolation."""
+"""Tests for linear-system assembly, the degree loop, and the certificate support."""
 
 import random
 import time
@@ -10,7 +10,6 @@ from nullcert.assemble import (
     AssembleError,
     assemble,
     extract_certificate,
-    isolate_subgraph,
     nulla_prove,
     stats,
 )
@@ -108,15 +107,6 @@ def test_degenerate_constant_system():
     assert out.verdict == "infeasible" and verify(out.certificate)
 
 
-def test_none_pruning_row_universe():
-    F = small_system()
-    asys = assemble(F, 1, Polynomial.one(GF3, 3), pruning="none")
-    # all monomials of degree <= max_degree + d = 3 in three variables
-    assert asys.system.n_rows == len(monomials_up_to(3, 3)) == 20
-    assert asys.system.n_cols == 16
-    assert solve(asys.system).consistent
-
-
 def test_graded_rejects_mixed_degree_poly():
     polys = [parse_poly("x1^3+1", GF2, 2), parse_poly("x1^2+x2", GF2, 2)]
     F = PolySystem.make(GF2, 2, polys, tags=("vertex:1", "odd:one"))
@@ -133,7 +123,7 @@ def test_graded_rejects_bad_target_degree():
 def test_bad_pruning_strings():
     F = small_system()
     g = Polynomial.one(GF3, 3)
-    for bad in ("graded:", "graded:1", "graded:x", "gradual", ""):
+    for bad in ("graded:", "graded:1", "graded:x", "gradual", "", "none"):
         with pytest.raises(AssembleError):
             assemble(F, 1, g, pruning=bad)
 
@@ -181,7 +171,7 @@ def test_stats_pruned_never_exceeds_predictions():
     for _ in range(20):
         g = gen_random(6, 0.5, rng.randrange(10**6))
         F = encode_coloring(g, EncodingOptions(preprocess=True))
-        for pruning in ("none", "occurring", "graded:3"):
+        for pruning in ("occurring", "graded:3"):
             st = stats(F, 1, pruning=pruning)
             assert st.actual_cols <= st.predicted_cols
             assert st.actual_nnz <= st.predicted_nnz
@@ -298,11 +288,21 @@ def test_infeasible_implies_not_colorable_many_seeds():
     assert infeasible > 10
 
 
+def support_subgraph(cert):
+    """Graph on the edges named by the certificate's "edge:u-v" tags."""
+    edges = [
+        tuple(int(v) for v in e.tag[len("edge:"):].split("-"))
+        for e in cert.entries
+        if e.tag.startswith("edge:")
+    ]
+    return Graph.make(max(v for _, v in edges), edges)
+
+
 def test_isolate_k4_certificate():
     k4 = gen_complete(4)
     F = encode_coloring(k4, EncodingOptions(preprocess=True))
     out = nulla_prove(F, [1], pruning="graded:3")
-    sub = isolate_subgraph(out.certificate, k4)
+    sub = support_subgraph(out.certificate)
     assert sub.edges <= k4.edges
     assert len(sub.edges) >= 1
 
@@ -315,23 +315,9 @@ def test_isolate_ignores_disjoint_component():
     F = encode_coloring(g, EncodingOptions(preprocess=True), origin=1)
     out = nulla_prove(F, [1], pruning="graded:3")
     assert out.verdict == "infeasible"
-    sub = isolate_subgraph(out.certificate, g)
+    sub = support_subgraph(out.certificate)
     assert all(v <= 4 for e in sub.edges for v in e)
     assert not oracle_colorable(sub, 3)
-
-
-def test_isolate_requires_edge_tags():
-    out = nulla_prove(small_system(), [1])
-    with pytest.raises(AssembleError, match="edge"):
-        isolate_subgraph(out.certificate, gen_complete(3))
-
-
-def test_isolate_rejects_foreign_edges():
-    k4 = gen_complete(4)
-    F = encode_coloring(k4, EncodingOptions(preprocess=True))
-    out = nulla_prove(F, [1], pruning="graded:3")
-    with pytest.raises(AssembleError, match="not an edge"):
-        isolate_subgraph(out.certificate, Graph.make(4, [(1, 2)]))
 
 
 def test_multi_target_row_universe_covers_all_candidates():

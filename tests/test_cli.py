@@ -11,7 +11,7 @@ import pytest
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.graphs import parse_dimacs
-from nullcert.poly import Polynomial
+from nullcert.poly import Polynomial, format_poly
 
 
 def run(capsys, *argv):
@@ -296,49 +296,79 @@ def test_symmetry_prove_full_encoding(rotation_file, tmp_path, capsys):
     assert cert.provenance["symmetry"] == [[0, 2, 3, 1]]
 
 
-def test_symmetry_rejects_preprocess_without_force(rotation_file, capsys):
+@pytest.fixture
+def swap_file(tmp_path):
+    path = tmp_path / "swap.txt"
+    path.write_text("(1,2)\n")
+    return str(path)
+
+
+def test_symmetry_preprocess_rejects_moved_origin(swap_file, capsys):
+    # the swap moves vertex 1, the one vertex polynomial preprocessing keeps
     rc, _, err = run(
-        capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file, "--preprocess"
+        capsys, "prove", "--gen", "complete:4", "--symmetry", swap_file, "--preprocess"
     )
-    assert rc == 2 and "--force" in err
+    assert rc == 2
+    assert err == "error: system is not invariant: generator 0 maps vertex:1 outside the system\n"
 
 
 def test_symmetry_preprocess_forced(rotation_file, capsys):
     # the rotation fixes vertex 1, so the preprocessed system stays invariant
     rc, out, _ = run(
-        capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file,
-        "--preprocess", "--force",
+        capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file, "--preprocess",
     )
     assert rc == 0
     assert out.splitlines()[0].startswith("degree=1 rows=9 cols=9 ")
 
 
 def test_symmetry_rejects_alt_g(rotation_file, capsys):
+    # auto:3 also tries x1^2*x2, which the rotation moves
     rc, _, err = run(
         capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file,
         "--alt-g", "auto:3",
     )
-    assert rc == 2 and "--alt-g" in err
+    assert rc == 2 and "not fixed by the group" in err
 
 
-def test_symmetry_noncoprime_warns_and_falls_back(tmp_path, capsys):
-    # K2 with the swap: group order 2 equals the characteristic, so an
-    # inconsistent orbit solve proves nothing and the note must say so
-    swap = tmp_path / "swap.txt"
-    swap.write_text("(1,2)\n")
+def test_symmetry_invariant_alt_g(rotation_file, tmp_path, capsys):
+    cert_path = tmp_path / "g.json"
     rc, out, _ = run(
-        capsys, "prove", "--gen", "complete:2", "--symmetry", str(swap),
+        capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file,
+        "--alt-g", "x2*x3*x4", "--cert", str(cert_path),
+    )
+    assert rc == 0
+    cert = read_cert(cert_path.read_text())
+    assert verify(cert) and format_poly(cert.target) == "x2*x3*x4"
+
+
+def test_symmetry_noncoprime_k4_falls_back_to_full(swap_file, tmp_path, capsys):
+    # group order 2 equals the characteristic: the orbit system at degree 1
+    # is inconsistent, but the full matrix of the same degree certifies
+    cert_path = tmp_path / "k4.json"
+    rc, out, _ = run(
+        capsys, "prove", "--gen", "complete:4", "--symmetry", swap_file,
+        "--cert", str(cert_path),
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert [l.split()[0] for l in lines[:2]] == ["degree=1", "degree=1"]
+    assert "status=inconsistent" in lines[0] and "status=consistent" in lines[1]
+    assert not lines[2].startswith("degree=")
+    cert = read_cert(cert_path.read_text())
+    assert verify(cert)
+    assert cert.provenance["symmetry"] is None
+
+
+def test_symmetry_noncoprime_falls_back(swap_file, capsys):
+    # K2 with the swap: the orbit solve proves nothing, so the full degree-1
+    # matrix is solved too (a second stats line) and decides the degree
+    rc, out, _ = run(
+        capsys, "prove", "--gen", "complete:2", "--symmetry", swap_file,
         "--max-degree", "1",
     )
     assert rc == 10
-    assert "not conclusive" in out
-    rc, out, _ = run(
-        capsys, "prove", "--gen", "complete:2", "--symmetry", str(swap),
-        "--max-degree", "1", "--fallback-full",
-    )
-    assert rc == 10
-    # fallback prints a second stats line for the uncollapsed solve
     assert sum(1 for l in out.splitlines() if l.startswith("degree=1 ")) == 2
+    assert "note:" not in out
 
 
 def test_symmetry_invalid_generator_file(tmp_path, capsys):
@@ -382,6 +412,12 @@ def test_bad_schedule_and_cap(rotation_file, capsys):
     assert rc == 2 and "ascending" in err
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--max-degree", "0")
     assert rc == 2
+
+
+def test_unknown_pruning_mode(capsys):
+    rc, out, err = run(capsys, "prove", "--gen", "complete:4", "--pruning", "none")
+    assert rc == 2 and out == ""
+    assert err == "error: unknown pruning mode 'none'\n"
 
 
 def test_missing_input_file(capsys):
