@@ -1,12 +1,14 @@
 """Exact sparse linear algebra over GF(p) with a bit-packed GF(2) fast path.
 
-GF(2) rows live in Python ints (bit c = column c, right-hand sides appended
-above the column range), so row reduction is one big XOR.  Elimination is
-online: each row reduces against the pivots found so far and either claims a
-new pivot at its lowest surviving column, vanishes, or certifies an
-inconsistency.  The pivot column set this produces is the canonical
-column-order rank-jump set, and solutions set every free variable to zero,
-so results are deterministic regardless of internal processing order.
+GF(2) rows live in Python ints relative to their lowest column (bit b =
+column low + b), with the right-hand-side bits (bit j = right-hand side j)
+in a separate small int, so an XOR costs what the row spans, not the column
+count.  Elimination is online: each row reduces against the pivots found so
+far and either claims a new pivot at its lowest surviving column, vanishes,
+or certifies an inconsistency.  The pivot column set this produces is the
+canonical column-order rank-jump set, and solutions set every free variable
+to zero, so results are deterministic regardless of internal processing
+order or row representation.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from nullcert.poly import FieldSpec
 
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_LOW_WORD = (1 << 64) - 1
 
 
 class LinsolveError(ValueError):
@@ -38,8 +42,10 @@ class MemoryBudgetError(LinsolveError):
 
 
 def packed_bytes(n_rows: int, n_cols: int, p: int, n_rhs: int = 1) -> int:
-    """Estimated eliminator working set: bit-packed words for GF(2), one
-    byte per dense-equivalent entry otherwise."""
+    """Dense-width estimate of the eliminator working set: every row as
+    bit-packed words of the full width for GF(2), an upper bound on the rows
+    stored relative to their lowest column; one byte per dense-equivalent
+    entry otherwise.  The memory budget is checked against this figure."""
     width = n_cols + n_rhs
     if p == 2:
         return n_rows * ((width + 63) // 64) * 8
@@ -112,45 +118,52 @@ class SolveResult:
 
 def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
     """One elimination pass; returns (pivot_cols, per-rhs solution bitset or None)."""
-    n_cols = sys.n_cols
-    shift = n_cols
-    packed = []
+    # pivots[c] = (row bits relative to column c, rhs bits); bit 0 is set
+    pivots: Dict[int, Tuple[int, int]] = {}
+    bad = 0  # OR of rhs bits left on rows whose matrix part reduced to zero
     for i, row in enumerate(sys.rows):
-        r = 0
-        for c, _ in row:
-            r |= 1 << c
+        rb = 0
         for j, rhs in enumerate(rhs_list):
             if rhs[i] & 1:
-                r |= 1 << (shift + j)
-        packed.append(r)
-
-    pivots: Dict[int, int] = {}
-    bad = 0  # OR of fully reduced rows that kept right-hand-side bits
-    for r in packed:
-        while r:
-            c = (r & -r).bit_length() - 1
-            if c >= n_cols:
-                bad |= r
-                break
-            piv = pivots.get(c)
+                rb |= 1 << j
+        if not row:
+            bad |= rb
+            continue
+        low = row[0][0]
+        r = 0
+        for c, _ in row:
+            r |= 1 << (c - low)
+        while True:
+            piv = pivots.get(low)
             if piv is None:
-                pivots[c] = r
+                pivots[low] = (r, rb)
                 break
-            r ^= piv
+            r ^= piv[0]
+            rb ^= piv[1]
+            if not r:
+                bad |= rb
+                break
+            # Bit 0 cancelled; the next lowest column becomes the offset.  It
+            # is nearly always in the low word, and & with a small int costs
+            # O(1) where r & -r costs two passes over r.
+            w = r & _LOW_WORD or r
+            tz = (w & -w).bit_length() - 1
+            r >>= tz
+            low += tz
 
     pivot_cols = sorted(pivots)
     solutions: List[Optional[int]] = []
     for j in range(len(rhs_list)):
-        if (bad >> (shift + j)) & 1:
+        if (bad >> j) & 1:
             solutions.append(None)
             continue
         x = 0
-        # Descending pivot order: each pivot row's lowest bit is its column,
-        # every other matrix bit is a higher column already decided (free
-        # columns stay zero, so row & x only meets pivot bits).
+        # Descending pivot order: each pivot row's bit 0 is its own column,
+        # every other bit is a higher column already decided (free columns
+        # stay zero, so the row only meets pivot bits of x).
         for c in reversed(pivot_cols):
-            row = pivots[c]
-            if ((row >> (shift + j)) & 1) ^ ((row & x).bit_count() & 1):
+            r, rb = pivots[c]
+            if ((rb >> j) & 1) ^ ((r & (x >> c)).bit_count() & 1):
                 x |= 1 << c
         solutions.append(x)
     return pivot_cols, solutions
@@ -226,7 +239,10 @@ def solve_multi_rhs(sys: SparseSystem, rhs_set: Sequence[Sequence[int]]) -> List
             if x is None:
                 out.append(SolveResult("inconsistent", None, pivot_tuple))
             else:
-                sol = tuple((x >> c) & 1 for c in range(sys.n_cols))
+                # bit c of x is character c of the reversed binary string (the
+                # slice drops the lone "0" that format gives a zero width)
+                bits = format(x, f"0{sys.n_cols}b")[::-1][: sys.n_cols]
+                sol = tuple(bits.encode().translate(_BIT_VALUES))
                 out.append(SolveResult("consistent", sol, pivot_tuple))
         return out
     pivot_cols, raw = _eliminate_gfp(sys, rhs_set)

@@ -327,10 +327,6 @@ class PolySystem:
     ) -> "PolySystem":
         return cls(field_spec, n_vars, tuple(polys), tuple(tags) if tags is not None else ())
 
-    @property
-    def max_degree(self) -> int:
-        return max(p.degree for p in self.polys)
-
     def __len__(self) -> int:
         return len(self.polys)
 

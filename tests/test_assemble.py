@@ -8,6 +8,7 @@ import pytest
 from helpers import poly_mul
 from nullcert.assemble import (
     AssembleError,
+    _assemble_targets,
     assemble,
     extract_certificate,
     nulla_prove,
@@ -15,7 +16,7 @@ from nullcert.assemble import (
 )
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
-from nullcert.graphs import Graph, gen_complete, gen_random, oracle_colorable
+from nullcert.graphs import Graph, gen_complete, gen_random, gen_wheel, oracle_colorable
 from nullcert.linsolve import MemoryBudgetError, solve
 from nullcert.poly import (
     FieldSpec,
@@ -226,6 +227,37 @@ def test_extract_certificate_matches_prove_path():
     assert [(e.tag, e.multiplier) for e in cert.entries] == [
         (e.tag, e.multiplier) for e in out.certificate.entries
     ]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [gen_complete(4), gen_wheel(5), gen_random(8, 0.5, 4), gen_complete(3)],
+    ids=["K4", "wheel5", "random8", "K3"],
+)
+def test_gf2_shift_major_columns_agree_with_public_order(graph):
+    # nulla_prove solves GF(2) systems with shift-major columns; the public
+    # assemble() order is poly-major.  Sizes and verdicts must not differ.
+    F = encode_coloring(graph, EncodingOptions(preprocess=True))
+    g = Polynomial.one(GF2, graph.n_vertices)
+    for d in (1, 4):
+        asys = assemble(F, d, g, pruning="graded:3")
+        shifted, _ = _assemble_targets(F, d, [g], "graded:3", shift_major=True)
+        assert shifted.row_keys == tuple(m.expanded() for m in asys.row_keys)
+        public_cols = [(ck.poly_index, ck.shift.expanded()) for ck in asys.col_keys]
+        assert sorted(shifted.col_keys) == sorted(public_cols)
+        pos = {key: j for j, key in enumerate(public_cols)}
+        for row, public_row in zip(shifted.system.rows, asys.system.rows):
+            assert sorted((pos[shifted.col_keys[c]], v) for c, v in row) == list(public_row)
+
+        out = nulla_prove(F, [d], pruning="graded:3")
+        (st,) = out.per_degree
+        res = solve(asys.system)
+        assert (st.rows, st.cols, st.nnz, st.status) == (
+            asys.system.n_rows, asys.system.n_cols, asys.system.nnz, res.status
+        )
+        if res.consistent:
+            assert out.verdict == "infeasible" and verify(out.certificate)
+    assert (out.verdict == "infeasible") == (not oracle_colorable(graph, 3))
 
 
 def test_extract_certificate_length_check():

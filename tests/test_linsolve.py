@@ -92,11 +92,29 @@ class TestSolveExamples:
         assert res.solution == (2,)
 
 
+def random_windowed_system(rng, p, max_rows, max_cols, window=20):
+    """Wide sparse GF(2) rows: 3-6 ones inside a window at a random offset.
+
+    Narrow draws (n_cols near the window) make overdetermined systems, so
+    both verdicts occur.
+    """
+    n_rows = rng.randrange(max_rows // 2, max_rows + 1)
+    n_cols = rng.randrange(window, max_cols + 1)
+    matrix = []
+    for _ in range(n_rows):
+        low = rng.randrange(n_cols - window + 1)
+        row = [0] * n_cols
+        for c in rng.sample(range(low, low + window), rng.randrange(3, 7)):
+            row[c] = 1
+        matrix.append(row)
+    return matrix, [rng.randrange(2) for _ in range(n_rows)]
+
+
 class TestAgainstDenseReference:
-    def run_family(self, field, n_cases, seed, max_dim):
+    def run_family(self, field, n_cases, seed, max_rows, max_cols=None, make=random_dense_system):
         rng = random.Random(seed)
         for _ in range(n_cases):
-            matrix, rhs = random_dense_system(rng, field.p, max_dim, max_dim)
+            matrix, rhs = make(rng, field.p, max_rows, max_cols or max_rows)
             sys_ = from_dense(field, matrix, rhs)
             res = solve(sys_)
             status, ref_sol, ref_pivots = ref_solve_dense(matrix, rhs, field.p)
@@ -108,6 +126,10 @@ class TestAgainstDenseReference:
 
     def test_gf2(self):
         self.run_family(F2, 300, 1234, 24)
+
+    def test_gf2_wide_sparse(self):
+        # rows relative to their lowest column, reduced far from column 0
+        self.run_family(F2, 40, 4321, 60, 300, make=random_windowed_system)
 
     def test_gf3(self):
         self.run_family(F3, 100, 77, 16)
@@ -140,6 +162,23 @@ class TestMultiRhs:
             assert res == single
             if res.consistent:
                 check_satisfies(sys_, res.solution, b)
+
+    def test_row_reducing_to_rhs_bits_only(self):
+        # row 2 = row 0 + row 1 far from column 0: its matrix part vanishes
+        # and leaves b0 + b1 + b2, zero for the first rhs and not the second.
+        # The first reduction leaves a gap of 70 columns, past one 64-bit word.
+        rows = [[(100, 1), (170, 1)], [(170, 1), (240, 1)], [(100, 1), (240, 1)]]
+        sys_ = SparseSystem.make(F2, 3, 241, rows, [0, 0, 0])
+        good, bad = [1, 0, 1], [1, 0, 0]
+        r_good, r_bad = solve_multi_rhs(sys_, [good, bad])
+        assert r_good.status == "consistent" and r_bad.status == "inconsistent"
+        assert r_good.pivot_cols == r_bad.pivot_cols == (100, 170)
+        support = [c for c, v in enumerate(r_good.solution) if v]
+        assert support == [100]
+        check_satisfies(sys_, r_good.solution, good)
+        assert r_bad.solution is None
+        for b, res in ((good, r_good), (bad, r_bad)):
+            assert res == solve(SparseSystem.make(F2, 3, 241, rows, b))
 
     def test_matches_per_rhs_solve_gf3(self):
         rng = random.Random(10)

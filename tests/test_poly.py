@@ -179,7 +179,6 @@ class TestPolySystem:
     def test_default_tags(self):
         sys_ = PolySystem.make(F2, 1, [parse_poly("x1^3+1", F2, 1)])
         assert sys_.tags == ("user:0",)
-        assert sys_.max_degree == 3
         assert len(sys_) == 1
 
     def test_validation(self):
