@@ -22,6 +22,13 @@ on the order; the certificate does, through the free-variables-zero
 solution, and is deterministic for the fixed order.  GF(p) keeps poly-major,
 where shift-major did not speed up the dict eliminator.
 
+Inside the assembly a monomial is one int (_Packing): the total degree above
+one exponent field per variable, with fields wide enough that the product
+x^delta * t is the sum of the two ints, and packed ^ flip sorting exactly
+like Monomial.sort_key, so rows keep the graded order.  Keys are unpacked to
+Monomial only where they leave the module: assemble(), the orbit assembly
+and the certificate's multipliers.
+
 Pruning modes:
   "occurring"   rows are the monomials that occur in some x^delta * f_i or
                 in g (default); a monomial occurring nowhere would only add
@@ -36,7 +43,10 @@ Pruning modes:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,23 +57,65 @@ from nullcert.poly import Monomial, PolySystem, Polynomial
 if TYPE_CHECKING:
     from nullcert.symmetry import PermutationSet
 
-_EXPANDED_CACHE: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
-
 
 class AssembleError(ValueError):
     """Raised for invalid assembly requests (pruning misuse, bad targets)."""
 
 
-def _expanded_monomials(n_vars: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
-    """All expanded-form monomials of exact degree, ascending; cached."""
-    key = (n_vars, degree)
-    cached = _EXPANDED_CACHE.get(key)
-    if cached is None:
-        from itertools import combinations_with_replacement
+class _Packing:
+    """Monomials of n variables packed into one int.
 
-        cached = tuple(combinations_with_replacement(range(n_vars), degree))
-        _EXPANDED_CACHE[key] = cached
-    return cached
+    The total degree sits above n fields of b bits, one exponent each, with
+    variable 0 in the most significant field.  While every exponent fits in
+    b bits, a product is the sum of the packed factors.  Within one degree,
+    tuple order on expanded monomials is reverse numeric order on the
+    exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key.
+    """
+
+    __slots__ = ("n", "b", "flip")
+
+    def __init__(self, n: int, b: int) -> None:
+        self.n = n
+        self.b = b
+        self.flip = (1 << n * b) - 1  # every exponent field set
+
+    def _unit(self, v: int) -> int:
+        return (1 << self.n * self.b) | (1 << (self.n - 1 - v) * self.b)
+
+    def pack(self, m: Monomial) -> int:
+        return sum(e * self._unit(v) for v, e in m.exponents)
+
+    def monomials(self, degree: int) -> List[int]:
+        """All packed monomials of exact degree, in graded order."""
+        units = [self._unit(v) for v in range(self.n)]
+        return [sum(c) for c in combinations_with_replacement(units, degree)]
+
+    def _fields(self, x: int) -> List[Tuple[int, int]]:
+        """(bit offset, exponent) of each nonzero exponent field, highest
+        field first, i.e. variables ascending."""
+        b = self.b
+        x &= self.flip
+        out = []
+        while x:
+            shift = (x.bit_length() - 1) // b * b
+            e = x >> shift  # every higher field is already cleared
+            out.append((shift, e))
+            x ^= e << shift
+        return out
+
+    def unpack(self, x: int) -> Monomial:
+        last = self.n - 1
+        return Monomial(
+            tuple((last - shift // self.b, e) for shift, e in self._fields(x)), self.n
+        )
+
+    def permute(self, images: Sequence[int], x: int) -> int:
+        """The packed monomial with variable v renamed to images[v]."""
+        b, last = self.b, self.n - 1
+        out = x & ~self.flip
+        for shift, e in self._fields(x):
+            out |= e << (last - images[last - shift // b]) * b
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,15 +181,16 @@ class NullaOutcome:
     per_degree: Tuple[DegreeStats, ...]
 
 
-# Internal form: shifts and row monomials as expanded index tuples, no
+# Internal form: shifts and row monomials as ints packed by `packing`, no
 # Monomial wrappers.  Wrapping ~10^5 keys per degree costs more than the
-# degrees that find nothing; public APIs wrap at the boundary instead.
+# degrees that find nothing; public APIs unpack at the boundary instead.
 @dataclass(frozen=True)
 class _RawAssembly:
     system: SparseSystem
-    col_keys: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    row_keys: Tuple[Tuple[int, ...], ...]
+    col_keys: Tuple[Tuple[int, int], ...]
+    row_keys: Tuple[int, ...]
     degree: int
+    packing: _Packing
 
 
 def _graded_modulus(pruning: str) -> Optional[int]:
@@ -206,69 +259,67 @@ def _assemble_targets(
                     f"target has degree-{bad[0].degree} monomial"
                 )
 
-    poly_terms = [tuple((m.expanded(), c) for m, c in f.terms) for f in F.polys]
+    # No product exponent exceeds d + the top input degree; a target's own
+    # monomials are rows too, so they must fit as well.
+    top = max(f.degree for f in (*F.polys, *targets))
+    packing = _Packing(n, max(d + top, 1).bit_length())
+    poly_terms = [tuple((packing.pack(m), c) for m, c in f.terms) for f in F.polys]
 
-    # Enumerate columns in global order, poly-major or shift-major, then
-    # expand each product x^delta * f_i.  Graded pruning keeps the shift
-    # degrees with deg + class(f_i) == 0 mod k.
+    # Enumerate columns in global order, poly-major or shift-major.  Graded
+    # pruning keeps the shift degrees with deg + class(f_i) == 0 mod k.
     polys = range(len(poly_terms))
     polys_at = [
         [i for i in polys if k is None or (deg + classes[i]) % k == 0]
         for deg in range(d + 1)
     ]
+    shifts = [packing.monomials(deg) for deg in range(d + 1)]
     if shift_major:
-        col_keys_raw = [
+        col_keys = [
             (i, delta)
             for deg in range(d + 1)
             if polys_at[deg]
-            for delta in _expanded_monomials(n, deg)
+            for delta in shifts[deg]
             for i in polys_at[deg]
         ]
     else:
-        col_keys_raw = [
+        col_keys = [
             (i, delta)
             for i in polys
             for deg in range(d + 1)
             if i in polys_at[deg]
-            for delta in _expanded_monomials(n, deg)
+            for delta in shifts[deg]
         ]
-    col_products = [
-        [(tuple(sorted(delta + t)), c) for t, c in poly_terms[i]]
-        for i, delta in col_keys_raw
-    ]
 
-    row_set = {m.expanded() for g in targets for m, _ in g.terms}
-    for prod in col_products:
-        for m, _ in prod:
-            row_set.add(m)
-    row_list = sorted(row_set, key=lambda t: (len(t), t))
-    row_index = {m: r for r, m in enumerate(row_list)}
-
-    row_entries: List[List[Tuple[int, int]]] = [[] for _ in row_list]
-    for j, prod in enumerate(col_products):
-        for m, c in prod:
-            row_entries[row_index[m]].append((j, c))
+    # One pass files each product x^delta * t under its row monomial.
+    # Columns are visited in order and the terms of one f_i have distinct
+    # monomials, so each row's entries come out strictly increasing.  A row
+    # is filed flat (j, c, j, c, ...) and paired up one row at a time below,
+    # so that a row's pairs sit together in memory for the eliminator.
+    rows = defaultdict(list, {packing.pack(m): [] for g in targets for m, _ in g.terms})
+    for j, (i, delta) in enumerate(col_keys):
+        for t, c in poly_terms[i]:
+            rows[delta + t].extend((j, c))
+    order = packing.flip.__xor__
+    row_keys = sorted(rows, key=order)
 
     rhs_list: List[List[int]] = []
     for g in targets:
-        b = [0] * len(row_list)
+        b = [0] * len(row_keys)
         for m, c in g.terms:
-            b[row_index[m.expanded()]] = c
+            b[bisect_left(row_keys, order(packing.pack(m)), key=order)] = c
         rhs_list.append(b)
 
-    system = SparseSystem.make(
-        field,
-        len(row_list),
-        len(col_keys_raw),
-        row_entries,
-        rhs_list[0],
-        memory_budget=memory_budget,
-    )
+    entries = []
+    for m in row_keys:
+        flat = iter(rows[m])
+        entries.append(tuple(zip(flat, flat)))
+    system = SparseSystem._unchecked(field, len(col_keys), entries, rhs_list[0], memory_budget)
     raw = _RawAssembly(
         system=system,
-        col_keys=tuple(col_keys_raw),
-        row_keys=tuple(row_list),
+        col_keys=tuple(col_keys),
+        row_keys=tuple(row_keys),
         degree=d,
+        packing=packing,
     )
     return raw, rhs_list
 
@@ -282,11 +333,11 @@ def assemble(
 ) -> AssembledSystem:
     """Build the degree-d linear system for one target polynomial."""
     raw, _ = _assemble_targets(F, d, [g], pruning, memory_budget)
-    n = F.n_vars
+    unpack = raw.packing.unpack
     return AssembledSystem(
         system=raw.system,
-        col_keys=tuple(ColumnKey(i, Monomial.from_vars(delta, n)) for i, delta in raw.col_keys),
-        row_keys=tuple(Monomial.from_vars(m, n) for m in raw.row_keys),
+        col_keys=tuple(ColumnKey(i, unpack(delta)) for i, delta in raw.col_keys),
+        row_keys=tuple(map(unpack, raw.row_keys)),
         degree=d,
         target=g,
     )
@@ -438,9 +489,8 @@ def nulla_prove(
                 "degree": d,
                 "pruning": pruning,
             }
-            n = F.n_vars
             support = (
-                (i, Monomial.from_vars(delta, n), sol[j])
+                (i, raw.packing.unpack(delta), sol[j])
                 for j, (i, delta) in enumerate(raw.col_keys)
                 if sol[j]
             )

@@ -52,6 +52,15 @@ def packed_bytes(n_rows: int, n_cols: int, p: int, n_rhs: int = 1) -> int:
     return n_rows * width
 
 
+def _check_budget(
+    field: FieldSpec, n_rows: int, n_cols: int, memory_budget: Optional[int]
+) -> None:
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    predicted = packed_bytes(n_rows, n_cols, field.p)
+    if predicted > budget:
+        raise MemoryBudgetError(predicted, budget, n_rows, n_cols)
+
+
 @dataclass(frozen=True)
 class SparseSystem:
     """A sparse GF(p) linear system A y = rhs.
@@ -76,10 +85,7 @@ class SparseSystem:
         rhs: Sequence[int],
         memory_budget: Optional[int] = None,
     ) -> "SparseSystem":
-        budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-        predicted = packed_bytes(n_rows, n_cols, field.p)
-        if predicted > budget:
-            raise MemoryBudgetError(predicted, budget, n_rows, n_cols)
+        _check_budget(field, n_rows, n_cols, memory_budget)
         if len(rows) != n_rows or len(rhs) != n_rows:
             raise LinsolveError("row or rhs count mismatch")
         p = field.p
@@ -99,6 +105,20 @@ class SparseSystem:
             if not 0 <= b < p:
                 raise LinsolveError(f"rhs {i}: value {b} outside 0..{p - 1}")
         return cls(field, n_rows, n_cols, tuple(canon_rows), tuple(rhs))
+
+    @classmethod
+    def _unchecked(
+        cls,
+        field: FieldSpec,
+        n_cols: int,
+        rows: Sequence[Sequence[Tuple[int, int]]],
+        rhs: Sequence[int],
+        memory_budget: Optional[int],
+    ) -> "SparseSystem":
+        """make() for rows that are canonical by construction: only the
+        memory budget is checked, not each entry."""
+        _check_budget(field, len(rows), n_cols, memory_budget)
+        return cls(field, len(rows), n_cols, tuple(map(tuple, rows)), tuple(rhs))
 
     @property
     def nnz(self) -> int:

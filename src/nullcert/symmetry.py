@@ -100,13 +100,9 @@ def parse_generators(text: str, n: int) -> PermutationSet:
     return PermutationSet.make(n, gens)
 
 
-def _apply_expanded(images: Sequence[int], mono: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(sorted(images[v] for v in mono))
-
-
 def _apply_poly(images: Sequence[int], f: Polynomial) -> Polynomial:
     terms = [
-        (Monomial.from_vars([images[v] for v in m.expanded()], f.n_vars), c)
+        (Monomial.make([(images[v], e) for v, e in m.exponents], f.n_vars), c)
         for m, c in f.terms
     ]
     return Polynomial.make(f.field, f.n_vars, terms)
@@ -227,18 +223,21 @@ def _collapse(
     n_rows, n_cols = raw.system.n_rows, raw.system.n_cols
     col_pos = {key: j for j, key in enumerate(raw.col_keys)}
     row_pos = {mono: r for r, mono in enumerate(raw.row_keys)}
+    permute = raw.packing.permute
 
     row_parent = list(range(n_rows))
     col_parent = list(range(n_cols))
     for gen_pos, images in enumerate(perms.generators):
         pmap = maps[gen_pos]
         for r, mono in enumerate(raw.row_keys):
-            image = row_pos.get(_apply_expanded(images, mono))
+            image = row_pos.get(permute(images, mono))
             if image is None:
                 raise SymmetryError("row universe is not closed under the group")
             _union(row_parent, r, image)
+        # many columns share a shift; permute each shift once
+        shift_image = {delta: permute(images, delta) for delta in {d for _, d in raw.col_keys}}
         for j, (i, delta) in enumerate(raw.col_keys):
-            image = col_pos.get((pmap[i], _apply_expanded(images, delta)))
+            image = col_pos.get((pmap[i], shift_image[delta]))
             if image is None:
                 raise SymmetryError("column set is not closed under the group")
             _union(col_parent, j, image)
@@ -258,9 +257,8 @@ def _collapse(
             acc[oc] = (acc.get(oc, 0) + v) % p
         orbit_rows.append(sorted((oc, v) for oc, v in acc.items() if v))
     orbit_rhs = [[rhs[rep] for rep in row_reps] for rhs in rhs_list]
-    system = SparseSystem.make(
-        field, len(row_reps), len(col_reps), orbit_rows, orbit_rhs[0],
-        memory_budget=memory_budget,
+    system = SparseSystem._unchecked(
+        field, len(col_reps), orbit_rows, orbit_rhs[0], memory_budget
     )
     return _Collapsed(system, orbit_rhs, row_reps, col_reps, col_orbit_index)
 
@@ -283,19 +281,15 @@ def assemble_orbit(
     raw, rhs_list = _assemble_targets(F, d, [g], pruning, memory_budget)
     col = _collapse(raw, rhs_list, perms, maps, memory_budget)
     order = group_order(perms)
-    n = F.n_vars
+    unpack = raw.packing.unpack
+    full_col_keys = tuple(ColumnKey(i, unpack(delta)) for i, delta in raw.col_keys)
     return OrbitSystem(
         system=col.system,
-        row_orbits=tuple(Monomial.from_vars(raw.row_keys[r], n) for r in col.row_reps),
-        col_orbits=tuple(
-            ColumnKey(i, Monomial.from_vars(delta, n))
-            for i, delta in (raw.col_keys[j] for j in col.col_reps)
-        ),
+        row_orbits=tuple(unpack(raw.row_keys[r]) for r in col.row_reps),
+        col_orbits=tuple(full_col_keys[j] for j in col.col_reps),
         group_order=order,
         coprime_verified=_coprime(order, F.field.p),
-        full_col_keys=tuple(
-            ColumnKey(i, Monomial.from_vars(delta, n)) for i, delta in raw.col_keys
-        ),
+        full_col_keys=full_col_keys,
         col_orbit_index=col.col_orbit_index,
     )
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from helpers import poly_mul
 from nullcert.assemble import (
     AssembleError,
     _assemble_targets,
+    _Packing,
     assemble,
     extract_certificate,
     nulla_prove,
@@ -242,12 +244,14 @@ def test_gf2_shift_major_columns_agree_with_public_order(graph):
     for d in (1, 4):
         asys = assemble(F, d, g, pruning="graded:3")
         shifted, _ = _assemble_targets(F, d, [g], "graded:3", shift_major=True)
-        assert shifted.row_keys == tuple(m.expanded() for m in asys.row_keys)
-        public_cols = [(ck.poly_index, ck.shift.expanded()) for ck in asys.col_keys]
-        assert sorted(shifted.col_keys) == sorted(public_cols)
+        unpack = shifted.packing.unpack
+        assert tuple(map(unpack, shifted.row_keys)) == asys.row_keys
+        shifted_cols = [(i, unpack(delta)) for i, delta in shifted.col_keys]
+        public_cols = [(ck.poly_index, ck.shift) for ck in asys.col_keys]
+        assert sorted(shifted_cols) == sorted(public_cols)
         pos = {key: j for j, key in enumerate(public_cols)}
         for row, public_row in zip(shifted.system.rows, asys.system.rows):
-            assert sorted((pos[shifted.col_keys[c]], v) for c, v in row) == list(public_row)
+            assert sorted((pos[shifted_cols[c]], v) for c, v in row) == list(public_row)
 
         out = nulla_prove(F, [d], pruning="graded:3")
         (st,) = out.per_degree
@@ -258,6 +262,63 @@ def test_gf2_shift_major_columns_agree_with_public_order(graph):
         if res.consistent:
             assert out.verdict == "infeasible" and verify(out.certificate)
     assert (out.verdict == "infeasible") == (not oracle_colorable(graph, 3))
+
+
+def test_packed_monomials_match_monomial_arithmetic():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        packing = _Packing(n, rng.randint(1, 7))
+        top = (1 << packing.b) - 1  # the widest value a field holds
+
+        def split(total):
+            """Two monomials whose product has the given exponents."""
+            a = {v: rng.randint(0, e) for v, e in total.items()}
+            return (
+                Monomial.make(a, n),
+                Monomial.make({v: e - a[v] for v, e in total.items()}, n),
+            )
+
+        def exponents():
+            return {v: rng.randint(1, top) for v in range(n) if rng.random() < 0.4}
+
+        monos = [Monomial.make(exponents(), n) for _ in range(10)]
+        by_packed = sorted(monos, key=lambda m: packing.pack(m) ^ packing.flip)
+        assert [m.sort_key() for m in by_packed] == sorted(m.sort_key() for m in monos)
+
+        for m in monos:
+            assert packing.unpack(packing.pack(m)) == m
+            images = rng.sample(range(n), n)
+            renamed = Monomial.make([(images[v], e) for v, e in m.exponents], n)
+            assert packing.permute(images, packing.pack(m)) == packing.pack(renamed)
+
+        a, b = split(exponents())
+        assert packing.pack(a) + packing.pack(b) == packing.pack(a.mul(b))
+
+        # every field filled to the top: no carry into the neighbouring field
+        a, b = split({v: top for v in range(n)})
+        full = packing.unpack(packing.pack(a) + packing.pack(b))
+        assert full == a.mul(b)
+        assert full.exponents == tuple((v, top) for v in range(n))
+
+
+def test_large_exponent_assembles_in_small_memory():
+    # one row key per monomial, however large its exponents: no expanded
+    # variable tuple of length 2,000,000 is ever built
+    F = PolySystem.make(
+        GF2, 2, [parse_poly(t, GF2, 2) for t in ("x1^2000000+1", "x1+x2", "x2")]
+    )
+    g = Polynomial.one(GF2, 2)
+    tracemalloc.start()
+    try:
+        raw, _ = _assemble_targets(F, 1, [g])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    system = raw.system
+    assert (system.n_rows, system.n_cols, system.nnz) == (9, 9, 15)
+    assert raw.packing.unpack(raw.row_keys[-2]) == Monomial.make({0: 2000001}, 2)
+    assert peak < 1 << 20
 
 
 def test_extract_certificate_length_check():

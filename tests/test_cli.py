@@ -5,6 +5,7 @@ stdout/stderr can be asserted without spawning subprocesses.
 """
 
 import json
+import re
 
 import pytest
 
@@ -44,6 +45,37 @@ def test_prove_k3_exhausts_schedule(capsys):
     assert lines[1].startswith("degree=4 ")
     assert "status=inconsistent" in lines[0]
     assert lines[-1] == "no certificate up to degree 4; feasibility not decided"
+
+
+# perfbench/run.py reads each stats line with fullmatch on this pattern, so
+# a field added to the line would turn every benchmark prove into a failure
+STATS_LINE = re.compile(
+    r"degree=\d+ rows=\d+ cols=\d+ nnz=\d+ status=(consistent|inconsistent) millis=\d+"
+)
+
+
+def test_stats_line_format(tmp_path, capsys):
+    swap = tmp_path / "swap.txt"
+    swap.write_text("(1,2)\n")
+    system = tmp_path / "sys.txt"
+    system.write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
+    runs = [
+        ("--gen", "complete:4"),
+        ("--gen", "complete:3", "--max-degree", "4"),
+        ("--gen", "complete:2", "--symmetry", str(swap), "--max-degree", "1"),
+        ("--system", str(system), "--p", "3"),
+    ]
+    statuses = set()
+    for args in runs:
+        rc, out, _ = run(capsys, "prove", *args)
+        assert rc in (0, 10)
+        lines = [l for l in out.splitlines() if l.startswith("degree=")]
+        assert lines
+        for line in lines:
+            m = STATS_LINE.fullmatch(line)
+            assert m, line
+            statuses.add(m.group(1))
+    assert statuses == {"consistent", "inconsistent"}
 
 
 def test_prove_wheel5_infeasible(capsys):
