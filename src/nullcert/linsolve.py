@@ -1,11 +1,16 @@
-"""Exact sparse linear algebra over GF(p) with a bit-packed GF(2) fast path.
+"""Exact sparse linear algebra over GF(p), with bit-packed rows for p = 2, 3.
 
 GF(2) rows live in Python ints relative to their lowest column (bit b =
 column low + b), with the right-hand-side bits (bit j = right-hand side j)
 in a separate small int, so an XOR costs what the row spans, not the column
-count.  Elimination is online: each row reduces against the pivots found so
-far and either claims a new pivot at its lowest surviving column, vanishes,
-or certifies an inconsistency.  The pivot column set this produces is the
+count.  GF(3) rows are two disjoint bit-planes, plus for the +1 entries and
+minus for the -1 entries, with right-hand side j at bit n_cols + j, so a row
+addition is a few big-int operations (after Boothby & Bradshaw's bitsliced
+GF(3)).  Rows over GF(p) for p >= 5 are dicts from column to coefficient.
+
+Elimination is online: each row reduces against the pivots found so far and
+either claims a new pivot at its lowest surviving column, vanishes, or
+certifies an inconsistency.  The pivot column set this produces is the
 canonical column-order rank-jump set, and solutions set every free variable
 to zero, so results are deterministic regardless of internal processing
 order or row representation.
@@ -45,7 +50,9 @@ def packed_bytes(n_rows: int, n_cols: int, p: int, n_rhs: int = 1) -> int:
     """Dense-width estimate of the eliminator working set: every row as
     bit-packed words of the full width for GF(2), an upper bound on the rows
     stored relative to their lowest column; one byte per dense-equivalent
-    entry otherwise.  The memory budget is checked against this figure."""
+    entry otherwise, which for GF(3) bounds the two full-width bit-planes
+    (two bits per entry) from above.  The memory budget is checked against
+    this figure."""
     width = n_cols + n_rhs
     if p == 2:
         return n_rows * ((width + 63) // 64) * 8
@@ -136,6 +143,22 @@ class SolveResult:
         return self.status == "consistent"
 
 
+def _bit_bytes(x: int, n: int) -> bytes:
+    """Byte c is bit c of x (0 or 1), for c < n."""
+    # bit c of x is character c of the reversed binary string (the slice drops
+    # the lone "0" that format gives a zero width)
+    return format(x, f"0{n}b")[::-1][:n].encode().translate(_BIT_VALUES)
+
+
+def _trit_tuple(plus: int, minus: int, n: int) -> Tuple[int, ...]:
+    """Entry c is 1, 2 or 0 as bit c is set in plus, in minus, or in neither."""
+    # 0/1 bytes from each plane: plus + 2 * minus never carries between bytes
+    trits = int.from_bytes(_bit_bytes(plus, n), "big") + 2 * int.from_bytes(
+        _bit_bytes(minus, n), "big"
+    )
+    return tuple(trits.to_bytes(n, "big"))
+
+
 def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
     """One elimination pass; returns (pivot_cols, per-rhs solution bitset or None)."""
     # pivots[c] = (row bits relative to column c, rhs bits); bit 0 is set
@@ -186,6 +209,68 @@ def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
             if ((rb >> j) & 1) ^ ((r & (x >> c)).bit_count() & 1):
                 x |= 1 << c
         solutions.append(x)
+    return pivot_cols, solutions
+
+
+def _eliminate_gf3(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
+    """GF(3) elimination on bit-planes; returns (pivot_cols, per-rhs
+    (plus, minus) solution bitsets or None)."""
+    n_cols = sys.n_cols
+    # pivots[c] = (plus, minus) with bit c set in plus: the lead is +1
+    pivots: Dict[int, Tuple[int, int]] = {}
+    bad = 0  # rhs bits (shifted down to bit j) left on rows whose matrix part vanished
+    for i, row in enumerate(sys.rows):
+        P = M = 0
+        for c, v in row:
+            if v == 1:
+                P |= 1 << c
+            else:
+                M |= 1 << c
+        for j, rhs in enumerate(rhs_list):
+            v = rhs[i] % 3
+            if v == 1:
+                P |= 1 << (n_cols + j)
+            elif v:
+                M |= 1 << (n_cols + j)
+        while True:
+            nz = P | M
+            if not nz:
+                break
+            c = (nz & -nz).bit_length() - 1
+            if c >= n_cols:
+                bad |= nz >> n_cols
+                break
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = (P, M) if (P >> c) & 1 else (M, P)
+                break
+            # Cancel the lead: add the pivot to a -1 lead, add its negation
+            # (the planes swapped) to a +1 lead.
+            u, v = piv if (M >> c) & 1 else (piv[1], piv[0])
+            P, M = ((P ^ u) & ~(M | v)) | (M & v), ((M ^ v) & ~(P | u)) | (P & u)
+
+    pivot_cols = sorted(pivots)
+    solutions: List[Optional[Tuple[int, int]]] = []
+    for j in range(len(rhs_list)):
+        if (bad >> j) & 1:
+            solutions.append(None)
+            continue
+        rhs_bit = n_cols + j
+        xP = xM = 0
+        # Descending pivot order: the row's other matrix bits are higher
+        # columns already decided, and x is zero on free columns.
+        for c in reversed(pivot_cols):
+            P, M = pivots[c]
+            v = (
+                (P >> rhs_bit & 1) - (M >> rhs_bit & 1)
+                - (P & xP).bit_count() - (M & xM).bit_count()
+                + (P & xM).bit_count() + (M & xP).bit_count()
+            ) % 3
+            if v == 1:
+                xP |= 1 << c
+            elif v:
+                xM |= 1 << c
+        solutions.append((xP, xM))
     return pivot_cols, solutions
 
 
@@ -251,30 +336,22 @@ def solve_multi_rhs(sys: SparseSystem, rhs_set: Sequence[Sequence[int]]) -> List
     for b in rhs_set:
         if len(b) != sys.n_rows:
             raise LinsolveError(f"rhs length {len(b)} != n_rows {sys.n_rows}")
-    if sys.field.p == 2:
+    n = sys.n_cols
+    p = sys.field.p
+    if p == 2:
         pivot_cols, raw = _eliminate_gf2(sys, rhs_set)
-        pivot_tuple = tuple(pivot_cols)
-        out = []
-        for x in raw:
-            if x is None:
-                out.append(SolveResult("inconsistent", None, pivot_tuple))
-            else:
-                # bit c of x is character c of the reversed binary string (the
-                # slice drops the lone "0" that format gives a zero width)
-                bits = format(x, f"0{sys.n_cols}b")[::-1][: sys.n_cols]
-                sol = tuple(bits.encode().translate(_BIT_VALUES))
-                out.append(SolveResult("consistent", sol, pivot_tuple))
-        return out
-    pivot_cols, raw = _eliminate_gfp(sys, rhs_set)
+        sols = [None if x is None else tuple(_bit_bytes(x, n)) for x in raw]
+    elif p == 3:
+        pivot_cols, raw = _eliminate_gf3(sys, rhs_set)
+        sols = [None if x is None else _trit_tuple(*x, n) for x in raw]
+    else:
+        pivot_cols, raw = _eliminate_gfp(sys, rhs_set)
+        sols = [None if x is None else tuple(x.get(c, 0) for c in range(n)) for x in raw]
     pivot_tuple = tuple(pivot_cols)
-    out = []
-    for x in raw:
-        if x is None:
-            out.append(SolveResult("inconsistent", None, pivot_tuple))
-        else:
-            sol = tuple(x.get(c, 0) for c in range(sys.n_cols))
-            out.append(SolveResult("consistent", sol, pivot_tuple))
-    return out
+    return [
+        SolveResult("inconsistent" if x is None else "consistent", x, pivot_tuple)
+        for x in sols
+    ]
 
 
 def solve(sys: SparseSystem) -> SolveResult:

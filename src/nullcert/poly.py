@@ -99,11 +99,16 @@ class Monomial:
         return not self.exponents
 
     def expanded(self) -> Tuple[int, ...]:
-        """Sorted variable indices with multiplicity; the graded-order key."""
+        """Sorted variable indices with multiplicity, e.g. (0, 0, 1) for x1^2*x2."""
         return tuple(v for v, e in self.exponents for _ in range(e))
 
-    def sort_key(self) -> Tuple[int, Tuple[int, ...]]:
-        return (self.degree, self.expanded())
+    def sort_key(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        """The graded-order key: total degree, then ((var, -exp), ...)."""
+        # Within one total degree the pairs compare like expanded(): the first
+        # differing pair has the smaller variable, or the larger power of the
+        # same variable, on the earlier monomial.  Unlike expanded(), the key
+        # is as small as the exponent map however large the exponents are.
+        return (self.degree, tuple((v, -e) for v, e in self.exponents))
 
     def mul(self, other: "Monomial") -> "Monomial":
         if self.n_vars != other.n_vars:
@@ -118,8 +123,9 @@ class Monomial:
 
 # Term display order: total degree descending, then graded-lex within a
 # degree, so "x1^3+1" and "x1^2+x1*x2+x2^2" print in the conventional way.
-def _display_key(m: Monomial) -> Tuple[int, Tuple[int, ...]]:
-    return (-m.degree, m.expanded())
+def _display_key(m: Monomial) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    degree, key = m.sort_key()
+    return (-degree, key)
 
 
 @dataclass(frozen=True)

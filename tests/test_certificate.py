@@ -7,6 +7,7 @@ The frozen GF(3) identity below was expanded by hand:
 
 import ast
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -123,6 +124,30 @@ def test_round_trip_structural_equality():
         text = write_cert(cert)
         assert read_cert(text) == cert
         assert text == write_cert(read_cert(text))
+
+
+def test_large_exponent_round_trips_in_small_memory():
+    # 1*(x1^2000000+x2+1) + 2*(x1^2000000+x2) = 1 over GF(3)
+    cert = Certificate(
+        GF3,
+        2,
+        p3("1", 2),
+        (
+            CertEntry("user:0", p3("x1^2000000+x2+1", 2), p3("1", 2)),
+            CertEntry("user:1", p3("x1^2000000+x2", 2), p3("2", 2)),
+        ),
+    )
+    tracemalloc.start()
+    try:
+        text = write_cert(cert)
+        back = read_cert(text)
+        verified = verify(back)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == cert and verified
+    assert '"f": "x1^2000000+x2+1"' in text
+    assert peak < 1 << 20
 
 
 def test_written_form_is_deterministic():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import random_dense_system, ref_solve_dense
+import nullcert.linsolve as linsolve
 from nullcert.linsolve import (
     LinsolveError,
     MemoryBudgetError,
@@ -93,7 +94,8 @@ class TestSolveExamples:
 
 
 def random_windowed_system(rng, p, max_rows, max_cols, window=20):
-    """Wide sparse GF(2) rows: 3-6 ones inside a window at a random offset.
+    """Wide sparse rows: 3-6 nonzeros inside a window at a random offset,
+    all ones over GF(2) and drawn from 1..p-1 otherwise.
 
     Narrow draws (n_cols near the window) make overdetermined systems, so
     both verdicts occur.
@@ -105,24 +107,27 @@ def random_windowed_system(rng, p, max_rows, max_cols, window=20):
         low = rng.randrange(n_cols - window + 1)
         row = [0] * n_cols
         for c in rng.sample(range(low, low + window), rng.randrange(3, 7)):
-            row[c] = 1
+            row[c] = 1 if p == 2 else rng.randrange(1, p)
         matrix.append(row)
-    return matrix, [rng.randrange(2) for _ in range(n_rows)]
+    return matrix, [rng.randrange(p) for _ in range(n_rows)]
 
 
 class TestAgainstDenseReference:
     def run_family(self, field, n_cases, seed, max_rows, max_cols=None, make=random_dense_system):
         rng = random.Random(seed)
+        statuses = set()
         for _ in range(n_cases):
             matrix, rhs = make(rng, field.p, max_rows, max_cols or max_rows)
             sys_ = from_dense(field, matrix, rhs)
             res = solve(sys_)
             status, ref_sol, ref_pivots = ref_solve_dense(matrix, rhs, field.p)
+            statuses.add(status)
             assert res.status == status
             assert list(res.pivot_cols) == ref_pivots
             if status == "consistent":
                 assert list(res.solution) == ref_sol
                 check_satisfies(sys_, res.solution)
+        return statuses
 
     def test_gf2(self):
         self.run_family(F2, 300, 1234, 24)
@@ -130,6 +135,11 @@ class TestAgainstDenseReference:
     def test_gf2_wide_sparse(self):
         # rows relative to their lowest column, reduced far from column 0
         self.run_family(F2, 40, 4321, 60, 300, make=random_windowed_system)
+
+    def test_gf3_wide_sparse(self):
+        # entries 1 and 2 on the two bit-planes, far from column 0
+        statuses = self.run_family(F3, 40, 4322, 60, 300, make=random_windowed_system)
+        assert statuses == {"consistent", "inconsistent"}
 
     def test_gf3(self):
         self.run_family(F3, 100, 77, 16)
@@ -187,6 +197,46 @@ class TestMultiRhs:
         sys_ = from_dense(F3, matrix, [0] * 6)
         for b, res in zip(rhs_set, solve_multi_rhs(sys_, rhs_set)):
             assert res == solve(from_dense(F3, matrix, b))
+
+    def test_gf3_row_reducing_to_rhs_only(self):
+        # row 2 = 2 * row 0 + row 1: its matrix part cancels and leaves
+        # b2 - 2 b0 - b1, zero for the first rhs and 1 for the second.  The
+        # columns lie past one 64-bit word of each bit-plane.
+        rows = [[(100, 1), (170, 1)], [(170, 1), (240, 2)], [(100, 2), (240, 2)]]
+        sys_ = SparseSystem.make(F3, 3, 241, rows, [0, 0, 0])
+        good, bad = [1, 1, 0], [1, 1, 1]
+        r_good, r_bad = solve_multi_rhs(sys_, [good, bad])
+        assert r_good.status == "consistent" and r_bad.status == "inconsistent"
+        assert r_good.pivot_cols == r_bad.pivot_cols == (100, 170)
+        assert {c: v for c, v in enumerate(r_good.solution) if v} == {170: 1}
+        check_satisfies(sys_, r_good.solution, good)
+        for b, res in ((good, r_good), (bad, r_bad)):
+            assert res == solve(SparseSystem.make(F3, 3, 241, rows, b))
+
+    def test_gf3_minus_one_lead_is_normalized(self):
+        # -y1 + y4 = 1 claims pivot 1 and is stored as y1 - y4 = 2; row 1
+        # reduces against it and claims pivot 2.
+        sys_ = SparseSystem.make(F3, 2, 5, [[(1, 2), (4, 1)], [(1, 1), (2, 1), (4, 2)]], [1, 0])
+        res = solve(sys_)
+        assert res.pivot_cols == (1, 2)
+        assert res.solution == (0, 2, 1, 0, 0)
+        check_satisfies(sys_, res.solution)
+
+    def test_field_selects_eliminator(self, monkeypatch):
+        # GF(3) runs on bit-planes; p >= 5 keeps the dict eliminator
+        calls = []
+        for name in ("_eliminate_gf3", "_eliminate_gfp"):
+            real = getattr(linsolve, name)
+
+            def spy(sys_, rhs_list, real=real, name=name):
+                calls.append((name, sys_.field.p))
+                return real(sys_, rhs_list)
+
+            monkeypatch.setattr(linsolve, name, spy)
+        solve(from_dense(F3, [[1, 2]], [1]))
+        solve(from_dense(F5, [[1, 2]], [1]))
+        solve(from_dense(FieldSpec(7), [[3, 2]], [1]))
+        assert calls == [("_eliminate_gf3", 3), ("_eliminate_gfp", 5), ("_eliminate_gfp", 7)]
 
     def test_rhs_length_check(self):
         sys_ = from_dense(F2, [[1]], [0])

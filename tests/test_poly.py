@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestMonomial:
         for a in ms[:10]:
             for b in ms[:10]:
                 assert (a < b) + (b < a) + (a == b) == 1
+
+    def test_order_matches_expanded_tuples(self):
+        # monomials_up_to lists each degree in expanded-tuple order
+        ms = monomials_up_to(4, 4)
+        shuffled = ms[:]
+        random.Random(5).shuffle(shuffled)
+        assert sorted(shuffled) == ms
+        assert sorted(shuffled, key=Monomial.sort_key) == ms
 
     def test_mul(self):
         a = Monomial.from_vars((0,), 2)
@@ -162,6 +171,17 @@ class TestTextForm:
             for _ in range(40):
                 a = random_poly(rng, field, 3, 3)
                 assert parse_poly(format_poly(a), field, 3) == a
+
+    def test_large_exponent_parses_in_small_memory(self):
+        # ordering terms must not build a 2,000,000-entry expanded tuple
+        tracemalloc.start()
+        try:
+            a = parse_poly("x1^2000000+x2+1", F3, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert format_poly(a) == "x1^2000000+x2+1"
+        assert peak < 1 << 20
 
     def test_parse_monomial(self):
         m = parse_monomial("x1*x8*x9", 12)
