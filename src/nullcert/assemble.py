@@ -12,6 +12,20 @@ optionally collapses it to orbits of a variable symmetry group (see
 nullcert.symmetry), solves it, lifts the solution back onto the full
 columns, and extracts and re-verifies the certificate.
 
+Refuting a degree by a root (the weak Nullstellensatz direction the
+certificates rest on): if a is a common root of F over an extension field,
+the row vector z with z_alpha = a^alpha satisfies z^T A = 0, since column
+(i, delta) sums to (x^delta f_i)(a) = 0, while z^T b = g(a).  So g(a) != 0
+proves the degree-d system inconsistent for every d.  Over GF(2) a proper
+3-coloring gives such a point in GF(4), x_v = omega^(c_v); nulla_prove
+takes it as root and splits z into its two GF(2) coordinates, one vector
+per basis element of GF(4) over GF(2).  Each is checked by
+linsolve.refutes on the exact assembled matrix, and only a degree whose
+every target is refuted skips elimination.  The check alone carries
+soundness: a wrong coloring, or a point that is no root, fails it and the
+degree is eliminated as usual, so no verdict depends on the coloring
+search.
+
 Column order: assemble() and the orbit assembly number columns poly-major
 (poly index, shift degree, shift).  Over GF(2) nulla_prove numbers them
 shift-major (shift degree, shift, poly index) instead: the products
@@ -51,7 +65,7 @@ from math import comb
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
-from nullcert.linsolve import SparseSystem, solve_multi_rhs
+from nullcert.linsolve import SparseSystem, refutes, solve_multi_rhs
 from nullcert.poly import Monomial, PolySystem, Polynomial
 
 if TYPE_CHECKING:
@@ -72,12 +86,13 @@ class _Packing:
     exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key.
     """
 
-    __slots__ = ("n", "b", "flip")
+    __slots__ = ("n", "b", "flip", "ones")
 
     def __init__(self, n: int, b: int) -> None:
         self.n = n
         self.b = b
         self.flip = (1 << n * b) - 1  # every exponent field set
+        self.ones = self.flip // ((1 << b) - 1)  # a 1 in every exponent field
 
     def _unit(self, v: int) -> int:
         return (1 << self.n * self.b) | (1 << (self.n - 1 - v) * self.b)
@@ -108,6 +123,18 @@ class _Packing:
         return Monomial(
             tuple((last - shift // self.b, e) for shift, e in self._fields(x)), self.n
         )
+
+    def field_mask(self, variables: Iterable[int]) -> int:
+        """All bits of the exponent fields of the given distinct variables."""
+        field = (1 << self.b) - 1
+        return sum(field << (self.n - 1 - v) * self.b for v in variables)
+
+    def exponent_sum(self, x: int, mask: int) -> int:
+        """Sum of x's exponents over the fields that mask selects."""
+        # Times ones, the field at variable 0 collects the sum of every field
+        # at or below it.  No partial sum exceeds the total degree, which
+        # fits in one field, so nothing carries between fields.
+        return ((x & mask) * self.ones >> (self.n - 1) * self.b) & ((1 << self.b) - 1)
 
     def permute(self, images: Sequence[int], x: int) -> int:
         """The packed monomial with variable v renamed to images[v]."""
@@ -417,6 +444,25 @@ def extract_certificate(
     return _cert_from_support(F, support, target, provenance)
 
 
+def _root_refutes(raw: _RawAssembly, rhs_list: Sequence[Sequence[int]], root: Sequence[int]) -> bool:
+    """Whether the point x_v = omega^root[v] in GF(4) refutes every
+    right-hand side on raw's matrix, by refutes() (see the module doc)."""
+    pk = raw.packing
+    mask1 = pk.field_mask(v for v, c in enumerate(root) if c % 3 == 1)
+    mask2 = pk.field_mask(v for v, c in enumerate(root) if c % 3 == 2)
+    # x^e takes the value omega^(sum_v root[v] e_v); 1, omega and
+    # omega^2 = 1 + omega have coordinates (1, 0), (0, 1), (1, 1)
+    powers = [
+        (pk.exponent_sum(x, mask1) + 2 * pk.exponent_sum(x, mask2)) % 3 for x in raw.row_keys
+    ]
+    z0 = [int(e != 1) for e in powers]
+    left = [b for b, done in zip(rhs_list, refutes(raw.system, z0, rhs_list)) if not done]
+    if not left:
+        return True
+    z1 = [int(e != 0) for e in powers]
+    return all(refutes(raw.system, z1, left))
+
+
 def nulla_prove(
     F: PolySystem,
     schedule: Sequence[int],
@@ -426,6 +472,7 @@ def nulla_prove(
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
+    root: Optional[Sequence[int]] = None,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
@@ -440,6 +487,12 @@ def nulla_prove(
     too, with its own DegreeStats entry.  An "infeasible" verdict is
     returned only after the extracted certificate re-verifies by expansion;
     failure there is a solver bug and raises.
+
+    root, over GF(2) only, is a candidate common root of F with one
+    exponent per variable: x_v = omega^root[v], omega a cube root of unity
+    in GF(4).  A degree whose every target it refutes on the assembled
+    matrix is recorded inconsistent without elimination, orbit attempts
+    included; otherwise the degree is solved as without it.
     """
     schedule = list(schedule)
     if not schedule:
@@ -447,6 +500,8 @@ def nulla_prove(
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = list(g_candidates) if g_candidates else [Polynomial.one(F.field, F.n_vars)]
+    if root is not None and (F.field.p != 2 or len(root) != F.n_vars):
+        raise AssembleError("root needs GF(2) and one omega exponent per variable")
     if perms is not None:
         # symmetry builds on this module, so it is imported on use
         from nullcert.symmetry import _check_invariant, _collapse, _coprime, group_order
@@ -461,6 +516,9 @@ def nulla_prove(
         raw, rhs_list = _assemble_targets(
             F, d, targets, pruning, memory_budget, shift_major=F.field.p == 2
         )
+        # An orbit solution lifts to a full one, so a refuted full matrix
+        # refutes the orbit matrix too.
+        refuted = root is not None and _root_refutes(raw, rhs_list, root)
         # (system, right-hand sides, full column -> solved column or None)
         attempts = [(raw.system, rhs_list, None)]
         if perms is not None:
@@ -469,7 +527,7 @@ def nulla_prove(
             if not conclusive:
                 attempts.append((raw.system, rhs_list, None))
         for system, rhs_set, col_orbit in attempts:
-            results = solve_multi_rhs(system, rhs_set)
+            results = [] if refuted else solve_multi_rhs(system, rhs_set)
             millis = int((time.perf_counter() - t0) * 1000)
             t0 = time.perf_counter()
             hit = next((idx for idx, r in enumerate(results) if r.consistent), None)

@@ -20,6 +20,7 @@ from nullcert.certificate import CertificateError, read_cert, verify, write_cert
 from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
 from nullcert.graphs import (
     Graph,
+    find_coloring,
     gen_complete,
     gen_kneser,
     gen_mycielski,
@@ -186,6 +187,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.symmetry:
         with open(args.symmetry) as fh:
             perms = parse_generators(fh.read(), F.n_vars)
+    # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
+    # common root of the GF(2) encoding; nulla_prove checks it per degree.
+    root = find_coloring(graph, 3) if coloring and (args.k, args.p) == (3, 2) else None
     out = nulla_prove(
         F,
         schedule,
@@ -194,6 +198,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         memory_budget=args.memory_budget,
         provenance={"input": meta},
         perms=perms,
+        root=root,
     )
     for ds in out.per_degree:
         print(

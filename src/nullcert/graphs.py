@@ -1,4 +1,4 @@
-"""Graph model, DIMACS .col I/O, generator families, and a coloring oracle.
+"""Graph model, DIMACS .col I/O, generator families, and a bounded coloring search.
 
 Vertices are 1-based everywhere (the DIMACS convention); the algebraic
 encoding maps vertex i to variable index i-1.
@@ -256,35 +256,88 @@ def components(g: Graph) -> List[List[int]]:
     return out
 
 
-def oracle_colorable(g: Graph, k: int) -> bool:
-    """Exact backtracking test for a proper k-coloring.
+# Color placements find_coloring may try before it gives up.  The prover's
+# instances settle in a few hundred at most (kneser:8,3 and mycielski:7 are
+# refuted in under 100); the cap keeps a hard graph from costing more than
+# a fraction of a second.
+COLORING_NODE_BUDGET = 10_000
 
-    Vertices are tried in descending-degree order; a vertex may only open
-    one color beyond those already in use, which prunes color symmetry
-    without affecting exactness.  Intended for n up to ~20.
+
+def find_coloring(g: Graph, k: int) -> Optional[List[int]]:
+    """A proper k-coloring, color c_v in 0..k-1 of vertex v at index v-1, or
+    None when none exists or COLORING_NODE_BUDGET placements did not settle
+    the question.
+
+    DSATUR (Brelaz, CACM 1979) as a backtracking search with forward
+    checking: each step colors the uncolored vertex with the fewest colors
+    left (ties: most neighbors, then lowest index), and removes the color
+    from its uncolored neighbors, so a neighbor left without colors fails
+    the placement at once.  A vertex may open only one color beyond those in
+    use, which prunes color symmetry without losing exactness.
     """
+    return _dsatur(g, k, COLORING_NODE_BUDGET)[0]
+
+
+def _dsatur(g: Graph, k: int, budget: int) -> Tuple[Optional[List[int]], int]:
+    """find_coloring's search with the number of placements it tried, which
+    exceeds budget exactly when the search was cut."""
     if k < 1:
-        return False
-    adj = g.adjacency()
-    order = sorted(range(1, g.n_vertices + 1), key=lambda v: (-len(adj[v]), v))
-    color: Dict[int, int] = {}
-
-    def bt(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        banned = {color[u] for u in adj[v] if u in color}
-        limit = min(k, used + 1)
-        for c in range(1, limit + 1):
-            if c in banned:
+        return None, 0
+    n = g.n_vertices
+    nbrs: List[List[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u - 1].append(v - 1)
+        nbrs[v - 1].append(u - 1)
+    by_degree = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
+    domain = [(1 << k) - 1] * n  # bit c set: color c still allowed
+    color = [-1] * n
+    # one frame per placed vertex: [vertex, colors left to try, colors in
+    # use before it, neighbors that lost its color]
+    frames: List[list] = []
+    nodes = used = 0
+    while True:
+        v, fewest = -1, k + 1
+        for u in by_degree:
+            if color[u] < 0 and domain[u].bit_count() < fewest:
+                v, fewest = u, domain[u].bit_count()
+        if v < 0:
+            return color, nodes
+        frames.append([v, domain[v] & ((2 << min(used, k - 1)) - 1), used, []])
+        while frames:
+            frame = frames[-1]
+            v, options, used, pruned = frame
+            if color[v] >= 0:  # undo the placement this frame made last
+                bit = 1 << color[v]
+                for u in pruned:
+                    domain[u] |= bit
+                pruned.clear()
+                color[v] = -1
+            if not options:
+                frames.pop()
                 continue
-            color[v] = c
-            if bt(i + 1, max(used, c)):
-                return True
-            del color[v]
-        return False
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            bit = options & -options
+            frame[1] = options ^ bit
+            color[v] = bit.bit_length() - 1
+            for u in nbrs[v]:
+                if color[u] < 0 and domain[u] & bit:
+                    domain[u] ^= bit
+                    pruned.append(u)
+                    if not domain[u]:
+                        break
+            else:
+                used = max(used, color[v] + 1)
+                break
+        else:
+            return None, nodes
 
-    return bt(0, 0)
+
+def oracle_colorable(g: Graph, k: int) -> bool:
+    """Whether find_coloring finds a proper k-coloring: exact on every graph
+    whose search settles within the node budget."""
+    return find_coloring(g, k) is not None
 
 
 __all__ = [
@@ -302,5 +355,7 @@ __all__ = [
     "enumerate_cliques",
     "spanning_tree",
     "components",
+    "COLORING_NODE_BUDGET",
+    "find_coloring",
     "oracle_colorable",
 ]

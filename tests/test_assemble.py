@@ -1,11 +1,13 @@
 """Tests for linear-system assembly, the degree loop, and the certificate support."""
 
+import itertools
 import random
 import time
 import tracemalloc
 
 import pytest
 
+import nullcert.assemble as asm
 from helpers import poly_mul
 from nullcert.assemble import (
     AssembleError,
@@ -16,9 +18,16 @@ from nullcert.assemble import (
     nulla_prove,
     stats,
 )
-from nullcert.certificate import verify
+from nullcert.certificate import verify, write_cert
 from nullcert.encode import EncodingOptions, encode_coloring
-from nullcert.graphs import Graph, gen_complete, gen_random, gen_wheel, oracle_colorable
+from nullcert.graphs import (
+    Graph,
+    find_coloring,
+    gen_complete,
+    gen_random,
+    gen_wheel,
+    oracle_colorable,
+)
 from nullcert.linsolve import MemoryBudgetError, solve
 from nullcert.poly import (
     FieldSpec,
@@ -28,6 +37,7 @@ from nullcert.poly import (
     monomials_up_to,
     parse_poly,
 )
+from nullcert.symmetry import parse_generators
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -302,6 +312,22 @@ def test_packed_monomials_match_monomial_arithmetic():
         assert full.exponents == tuple((v, top) for v in range(n))
 
 
+def test_exponent_sum_matches_unpacked_exponents():
+    # holds while the total degree fits in one field, as it does for rows
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        packing = _Packing(n, rng.randint(1, 7))
+        exps = {}
+        for _ in range(rng.randint(0, (1 << packing.b) - 1)):
+            v = rng.randrange(n)
+            exps[v] = exps.get(v, 0) + 1
+        x = packing.pack(Monomial.make(exps, n))
+        chosen = [v for v in range(n) if rng.random() < 0.5]
+        expected = sum(exps.get(v, 0) for v in chosen)
+        assert packing.exponent_sum(x, packing.field_mask(chosen)) == expected
+
+
 def test_large_exponent_assembles_in_small_memory():
     # one row key per monomial, however large its exponents: no expanded
     # variable tuple of length 2,000,000 is ever built
@@ -421,3 +447,81 @@ def test_multi_target_row_universe_covers_all_candidates():
     assert out.verdict == "infeasible"
     assert verify(out.certificate)
     assert out.certificate.target in (g1, g2)
+
+
+def prove_counting_solves(monkeypatch, F, **kw):
+    """nulla_prove on schedule [1, 4] with graded:3 pruning; also returns
+    how many eliminations it ran."""
+    calls = []
+    real = asm.solve_multi_rhs
+    monkeypatch.setattr(asm, "solve_multi_rhs", lambda *a: calls.append(1) or real(*a))
+    out = nulla_prove(F, [1, 4], pruning="graded:3", **kw)
+    monkeypatch.setattr(asm, "solve_multi_rhs", real)
+    return out, len(calls)
+
+
+def outcome_shape(out):
+    stats = [(d.degree, d.rows, d.cols, d.nnz, d.status) for d in out.per_degree]
+    cert = write_cert(out.certificate) if out.certificate else None
+    return out.verdict, out.degree, stats, cert
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [gen_wheel(4), gen_wheel(6)] + [gen_random(12, 0.4, s) for s in (0, 3, 11)],
+    ids=["wheel4", "wheel6", "random12s0", "random12s3", "random12s11"],
+)
+def test_root_skips_elimination_with_identical_outcome(monkeypatch, graph):
+    F = encode_coloring(graph, EncodingOptions(preprocess=True))
+    plain, plain_solves = prove_counting_solves(monkeypatch, F)
+    rooted, rooted_solves = prove_counting_solves(monkeypatch, F, root=find_coloring(graph, 3))
+    assert outcome_shape(rooted) == outcome_shape(plain)
+    assert plain.verdict == "no_certificate_up_to"
+    assert (plain_solves, rooted_solves) == (2, 0)
+
+
+def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
+    graph = gen_wheel(6)
+    F = encode_coloring(graph, EncodingOptions())
+    perms = parse_generators("(1,2,3,4,5,6)", F.n_vars)
+    plain, plain_solves = prove_counting_solves(monkeypatch, F, perms=perms)
+    rooted, rooted_solves = prove_counting_solves(
+        monkeypatch, F, perms=perms, root=find_coloring(graph, 3)
+    )
+    assert outcome_shape(rooted) == outcome_shape(plain)
+    # order 6 is not coprime to 2: each degree has an orbit and a full entry
+    assert len(plain.per_degree) == 4
+    assert (plain_solves, rooted_solves) == (4, 0)
+
+
+def test_bad_root_cannot_change_a_result(monkeypatch):
+    # every point of {1, w, w^2}^5 on the colorable wheel:4: only proper
+    # colorings skip elimination, and no point changes the outcome
+    graph = gen_wheel(4)
+    F = encode_coloring(graph, EncodingOptions(preprocess=True))
+    plain, _ = prove_counting_solves(monkeypatch, F)
+    skipped = 0
+    for root in itertools.product(range(3), repeat=F.n_vars):
+        out, solves = prove_counting_solves(monkeypatch, F, root=root)
+        assert outcome_shape(out) == outcome_shape(plain), root
+        proper = all(root[u - 1] != root[v - 1] for u, v in graph.edges)
+        assert solves == (0 if proper else 2), root
+        skipped += proper
+    assert skipped == 6  # 3 hub colors, then 2 ways to color the 4-cycle rim
+    # on the non-colorable wheel:5 no point is a root; the certificate stands
+    F5 = encode_coloring(gen_wheel(5), EncodingOptions(preprocess=True))
+    plain5, _ = prove_counting_solves(monkeypatch, F5)
+    rng = random.Random(5)
+    for _ in range(40):
+        root = [rng.randrange(3) for _ in range(F5.n_vars)]
+        out, solves = prove_counting_solves(monkeypatch, F5, root=root)
+        assert outcome_shape(out) == outcome_shape(plain5) and solves == 1
+
+
+def test_root_validation():
+    F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
+    with pytest.raises(AssembleError):
+        nulla_prove(F, [1], pruning="graded:3", root=[0, 1])
+    with pytest.raises(AssembleError):
+        nulla_prove(small_system(), [1], root=[0, 1, 2])
+

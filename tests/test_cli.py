@@ -9,6 +9,8 @@ import re
 
 import pytest
 
+import nullcert.assemble as asm
+import nullcert.cli as cli
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.graphs import parse_dimacs
@@ -76,6 +78,34 @@ def test_stats_line_format(tmp_path, capsys):
             assert m, line
             statuses.add(m.group(1))
     assert statuses == {"consistent", "inconsistent"}
+
+
+def test_colorable_graph_exits_10_without_elimination(capsys, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("a proper 3-coloring refutes every degree")
+
+    monkeypatch.setattr(asm, "solve_multi_rhs", no_elimination)
+    rc, out, _ = run(capsys, "prove", "--gen", "wheel:4")
+    assert rc == 10
+    lines = out.splitlines()
+    assert [l.split(" millis=")[0] for l in lines[:2]] == [
+        "degree=1 rows=36 cols=41 nnz=122 status=inconsistent",
+        "degree=4 rows=246 cols=636 nnz=1872 status=inconsistent",
+    ]
+    assert all(STATS_LINE.fullmatch(l) for l in lines[:2])
+    assert lines[2:] == ["no certificate up to degree 4; feasibility not decided"]
+
+
+def test_coloring_search_only_for_k3_over_gf2(tmp_path, capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("no coloring search expected")
+
+    monkeypatch.setattr(cli, "find_coloring", no_search)
+    system = tmp_path / "sys.txt"
+    system.write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
+    assert run(capsys, "prove", "--system", str(system), "--p", "3")[0] == 0
+    assert run(capsys, "prove", "--gen", "wheel:4", "--k", "4", "--p", "3")[0] == 10
+    assert run(capsys, "prove", "--gen", "complete:2", "--k", "2", "--p", "3")[0] == 10
 
 
 def test_prove_wheel5_infeasible(capsys):

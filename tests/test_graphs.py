@@ -1,18 +1,21 @@
-"""Unit tests for the graph model, DIMACS I/O, generators, and the oracle."""
+"""Unit tests for the graph model, DIMACS I/O, generators, and the coloring search."""
 
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from nullcert.graphs import (
+    COLORING_NODE_BUDGET,
     DimacsError,
     Graph,
     GraphError,
     components,
     enumerate_cliques,
     enumerate_triangles,
+    find_coloring,
     gen_complete,
     gen_kneser,
     gen_mycielski,
@@ -23,6 +26,7 @@ from nullcert.graphs import (
     spanning_tree,
     write_dimacs,
 )
+from nullcert.graphs import _dsatur
 
 
 class TestGraphModel:
@@ -178,3 +182,36 @@ class TestOracle:
         for g in cases:
             for k in (1, 2, 3, 4):
                 assert oracle_colorable(g, k) == exhaustive(g, k), (g, k)
+
+
+class TestFindColoring:
+    def test_colorings_are_proper_on_random_graphs(self):
+        found = 0
+        for seed in range(100):
+            g = gen_random(16, 0.27, seed)
+            coloring = find_coloring(g, 3)
+            if coloring is None:
+                continue
+            found += 1
+            assert len(coloring) == g.n_vertices and set(coloring) <= {0, 1, 2}
+            assert all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges), seed
+        assert found == 40
+
+    @pytest.mark.parametrize(
+        "g", [gen_complete(4), gen_kneser(8, 3), gen_mycielski(7)], ids=["K4", "kneser83", "myc7"]
+    )
+    def test_refutes_within_budget(self, g):
+        t0 = time.perf_counter()
+        coloring, nodes = _dsatur(g, 3, COLORING_NODE_BUDGET)
+        elapsed = time.perf_counter() - t0
+        assert coloring is None
+        assert nodes <= 100  # settled, far inside the budget
+        assert elapsed < 0.25, elapsed  # ~1 ms on a 2-CPU host
+        assert find_coloring(g, 3) is None
+
+    def test_budget_cuts_the_search(self):
+        petersen = gen_kneser(5, 2)
+        assert find_coloring(petersen, 3) is not None
+        coloring, nodes = _dsatur(petersen, 3, 5)
+        assert coloring is None and nodes == 6
+
