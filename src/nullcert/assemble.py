@@ -12,19 +12,17 @@ optionally collapses it to orbits of a variable symmetry group (see
 nullcert.symmetry), solves it, lifts the solution back onto the full
 columns, and extracts and re-verifies the certificate.
 
-Refuting a degree by a root (the weak Nullstellensatz direction the
-certificates rest on): if a is a common root of F over an extension field,
-the row vector z with z_alpha = a^alpha satisfies z^T A = 0, since column
-(i, delta) sums to (x^delta f_i)(a) = 0, while z^T b = g(a).  So g(a) != 0
-proves the degree-d system inconsistent for every d.  Over GF(2) a proper
-3-coloring gives such a point in GF(4), x_v = omega^(c_v); nulla_prove
-takes it as root and splits z into its two GF(2) coordinates, one vector
-per basis element of GF(4) over GF(2).  Each is checked by
-linsolve.refutes on the exact assembled matrix, and only a degree whose
-every target is refuted skips elimination.  The check alone carries
-soundness: a wrong coloring, or a point that is no root, fails it and the
-degree is eliminated as usual, so no verdict depends on the coloring
-search.
+Refuting every degree by a root (the weak Nullstellensatz direction the
+certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i beta_i(a)
+f_i(a) = 0 at every common root a of F, over any extension field.  So a
+common root at which g does not vanish rules out a certificate at every
+degree, under any pruning or symmetry.  Over GF(2) a proper 3-coloring
+gives such a point in GF(4), x_v = omega^(c_v); nulla_prove takes it as
+root, evaluates F and the targets there once, before the degree loop, and
+if the point passes records every degree inconsistent without elimination.
+That evaluation alone carries soundness: a wrong coloring, or a point that
+is no root, fails it and the degrees are eliminated as usual, so no verdict
+depends on the coloring search or on the assembled matrices.
 
 Column order: assemble() and the orbit assembly number columns poly-major
 (poly index, shift degree, shift).  Over GF(2) nulla_prove numbers them
@@ -65,7 +63,7 @@ from math import comb
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
-from nullcert.linsolve import SparseSystem, refutes, solve_multi_rhs
+from nullcert.linsolve import SparseSystem, solve_multi_rhs
 from nullcert.poly import Monomial, PolySystem, Polynomial
 
 if TYPE_CHECKING:
@@ -86,13 +84,12 @@ class _Packing:
     exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key.
     """
 
-    __slots__ = ("n", "b", "flip", "ones")
+    __slots__ = ("n", "b", "flip")
 
     def __init__(self, n: int, b: int) -> None:
         self.n = n
         self.b = b
         self.flip = (1 << n * b) - 1  # every exponent field set
-        self.ones = self.flip // ((1 << b) - 1)  # a 1 in every exponent field
 
     def _unit(self, v: int) -> int:
         return (1 << self.n * self.b) | (1 << (self.n - 1 - v) * self.b)
@@ -123,18 +120,6 @@ class _Packing:
         return Monomial(
             tuple((last - shift // self.b, e) for shift, e in self._fields(x)), self.n
         )
-
-    def field_mask(self, variables: Iterable[int]) -> int:
-        """All bits of the exponent fields of the given distinct variables."""
-        field = (1 << self.b) - 1
-        return sum(field << (self.n - 1 - v) * self.b for v in variables)
-
-    def exponent_sum(self, x: int, mask: int) -> int:
-        """Sum of x's exponents over the fields that mask selects."""
-        # Times ones, the field at variable 0 collects the sum of every field
-        # at or below it.  No partial sum exceeds the total degree, which
-        # fits in one field, so nothing carries between fields.
-        return ((x & mask) * self.ones >> (self.n - 1) * self.b) & ((1 << self.b) - 1)
 
     def permute(self, images: Sequence[int], x: int) -> int:
         """The packed monomial with variable v renamed to images[v]."""
@@ -444,23 +429,18 @@ def extract_certificate(
     return _cert_from_support(F, support, target, provenance)
 
 
-def _root_refutes(raw: _RawAssembly, rhs_list: Sequence[Sequence[int]], root: Sequence[int]) -> bool:
-    """Whether the point x_v = omega^root[v] in GF(4) refutes every
-    right-hand side on raw's matrix, by refutes() (see the module doc)."""
-    pk = raw.packing
-    mask1 = pk.field_mask(v for v, c in enumerate(root) if c % 3 == 1)
-    mask2 = pk.field_mask(v for v, c in enumerate(root) if c % 3 == 2)
-    # x^e takes the value omega^(sum_v root[v] e_v); 1, omega and
-    # omega^2 = 1 + omega have coordinates (1, 0), (0, 1), (1, 1)
-    powers = [
-        (pk.exponent_sum(x, mask1) + 2 * pk.exponent_sum(x, mask2)) % 3 for x in raw.row_keys
-    ]
-    z0 = [int(e != 1) for e in powers]
-    left = [b for b, done in zip(rhs_list, refutes(raw.system, z0, rhs_list)) if not done]
-    if not left:
-        return True
-    z1 = [int(e != 0) for e in powers]
-    return all(refutes(raw.system, z1, left))
+def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
+    """GF(2) polynomial f at x_v = omega^root[v] in GF(4), as the coordinates
+    (c0, c1) of c0 + c1*omega.
+
+    f(a) = n_0 + n_1 omega + n_2 omega^2, n_e the parity of f's terms whose
+    monomial takes the value omega^e, and omega^2 = 1 + omega; so f(a) = 0
+    iff n_0 = n_1 = n_2.
+    """
+    n = [0, 0, 0]
+    for m, _ in f.terms:
+        n[sum(root[v] * e for v, e in m.exponents) % 3] ^= 1
+    return n[0] ^ n[2], n[1] ^ n[2]
 
 
 def nulla_prove(
@@ -490,9 +470,10 @@ def nulla_prove(
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
-    in GF(4).  A degree whose every target it refutes on the assembled
-    matrix is recorded inconsistent without elimination, orbit attempts
-    included; otherwise the degree is solved as without it.
+    in GF(4).  If every f_i vanishes there and no target does, no degree
+    has a certificate (see the module docstring), and every degree is
+    recorded inconsistent without elimination, orbit attempts included;
+    otherwise the degrees are solved as without it.
     """
     schedule = list(schedule)
     if not schedule:
@@ -502,6 +483,11 @@ def nulla_prove(
     targets = list(g_candidates) if g_candidates else [Polynomial.one(F.field, F.n_vars)]
     if root is not None and (F.field.p != 2 or len(root) != F.n_vars):
         raise AssembleError("root needs GF(2) and one omega exponent per variable")
+    refuted = (
+        root is not None
+        and not any(any(_gf4_value(f, root)) for f in F.polys)
+        and all(any(_gf4_value(g, root)) for g in targets)
+    )
     if perms is not None:
         # symmetry builds on this module, so it is imported on use
         from nullcert.symmetry import _check_invariant, _collapse, _coprime, group_order
@@ -516,9 +502,6 @@ def nulla_prove(
         raw, rhs_list = _assemble_targets(
             F, d, targets, pruning, memory_budget, shift_major=F.field.p == 2
         )
-        # An orbit solution lifts to a full one, so a refuted full matrix
-        # refutes the orbit matrix too.
-        refuted = root is not None and _root_refutes(raw, rhs_list, root)
         # (system, right-hand sides, full column -> solved column or None)
         attempts = [(raw.system, rhs_list, None)]
         if perms is not None:

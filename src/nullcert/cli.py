@@ -188,7 +188,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         with open(args.symmetry) as fh:
             perms = parse_generators(fh.read(), F.n_vars)
     # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
-    # common root of the GF(2) encoding; nulla_prove checks it per degree.
+    # common root of the GF(2) encoding; nulla_prove checks it once.
     root = find_coloring(graph, 3) if coloring and (args.k, args.p) == (3, 2) else None
     out = nulla_prove(
         F,

@@ -8,8 +8,9 @@ polynomials read x_i^3+1 and x_u^2+x_u*x_v+x_v^2.
 Also provides: removal of redundant vertex polynomials (one kept per
 connected component, justified by the telescoping identity
 (x_u^k - 1) = (x_v^k - 1) + (x_u - x_v) * edgepoly(u, v) along spanning-tree
-paths), degree-cutter polynomials over triangles or (k-1)-cliques, and
-alternative certificate targets (any nontrivial monomial works for
+paths), degree-cutter polynomials (sum of x_v^(k-1) over each k-clique,
+which vanishes because a proper coloring puts all k k-th roots of unity on
+it), and alternative certificate targets (any nontrivial monomial works for
 colorability, since a monomial root forces some x_i = 0 while roots of the
 vertex polynomials are nonzero).
 """
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional
+from typing import List
 
-from nullcert.graphs import Graph, GraphError, components, enumerate_cliques, enumerate_triangles
+from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
 from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, monomials_up_to
 
 
@@ -35,7 +36,8 @@ _CUTTER_MODES = ("none", "triangles", "cliques")
 class EncodingOptions:
     """Options for the colorability encoding.
 
-    cutters: "none", "triangles" (k = 3), or "cliques" ((k-1)-cliques, k > 3).
+    cutters: "none", "triangles" (k = 3), or "cliques" (k-cliques, k != 3),
+    one cutter sum_v x_v^(k-1) per clique (a triangle for k = 3).
     """
 
     k: int = 3
@@ -56,7 +58,7 @@ class EncodingOptions:
         if self.cutters == "triangles" and self.k != 3:
             raise EncodeError("triangle cutters apply to k=3 only; use cliques")
         if self.cutters == "cliques" and self.k == 3:
-            raise EncodeError("for k=3 the (k-1)-clique cutters are the triangle cutters")
+            raise EncodeError("for k=3 the k-clique cutters are the triangle cutters; use triangles")
 
 
 def _vertex_poly(v: int, k: int, field: FieldSpec, n_vars: int) -> Polynomial:
@@ -101,7 +103,7 @@ def encode_coloring(g: Graph, opts: EncodingOptions, origin: int = 1) -> PolySys
     if opts.preprocess:
         system = preprocess_vertex_polys(system, g, origin)
     if opts.cutters != "none":
-        cliques = _cutter_cliques(g, opts.k)
+        cliques = enumerate_cliques(g, opts.k)
         cutters = [_cutter_poly(c, opts.k, opts.field, n) for c in cliques]
         ctags = ["cutter:" + "-".join(map(str, c)) for c in cliques]
         system = PolySystem.make(
@@ -134,24 +136,9 @@ def preprocess_vertex_polys(sys: PolySystem, g: Graph, origin: int) -> PolySyste
     return PolySystem.make(sys.field, sys.n_vars, polys, tags)
 
 
-def _cutter_cliques(g: Graph, k: int) -> List[tuple]:
-    return enumerate_triangles(g) if k == 3 else enumerate_cliques(g, k - 1)
-
-
 def _cutter_poly(clique: tuple, k: int, field: FieldSpec, n_vars: int) -> Polynomial:
     terms = [(Monomial.make({v - 1: k - 1}, n_vars), 1) for v in clique]
     return Polynomial.make(field, n_vars, terms)
-
-
-def triangle_cutters(g: Graph, k: int, field: Optional[FieldSpec] = None) -> List[Polynomial]:
-    """Degree-cutter polynomials: for k=3 one x_u^2+x_v^2+x_w^2 per triangle
-    (vanishes exactly when three cube roots of unity are distinct); for k>3
-    one sum of x^(k-1) over each (k-1)-clique."""
-    if k < 3:
-        raise EncodeError("cutters need k >= 3")
-    if field is None:
-        field = FieldSpec(2)
-    return [_cutter_poly(c, k, field, g.n_vertices) for c in _cutter_cliques(g, k)]
 
 
 def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
@@ -166,6 +153,5 @@ __all__ = [
     "EncodeError",
     "encode_coloring",
     "preprocess_vertex_polys",
-    "triangle_cutters",
     "alt_g_candidates",
 ]

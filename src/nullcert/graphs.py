@@ -188,18 +188,6 @@ def gen_random(n: int, edge_prob: float, seed: int) -> Graph:
     return Graph.make(n, edges)
 
 
-def enumerate_triangles(g: Graph) -> List[Tuple[int, int, int]]:
-    """All triangles (u, v, w) with u < v < w, each reported once."""
-    adj = g.adjacency()
-    out = []
-    for u, v in g.sorted_edges():
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                out.append((u, v, w))
-    out.sort()
-    return out
-
-
 def enumerate_cliques(g: Graph, size: int) -> List[Tuple[int, ...]]:
     """All cliques of the given size, vertices ascending, lexicographic order."""
     if size < 1:
@@ -351,7 +339,6 @@ __all__ = [
     "gen_kneser",
     "gen_mycielski",
     "gen_random",
-    "enumerate_triangles",
     "enumerate_cliques",
     "spanning_tree",
     "components",

@@ -14,16 +14,11 @@ certifies an inconsistency.  The pivot column set this produces is the
 canonical column-order rank-jump set, and solutions set every free variable
 to zero, so results are deterministic regardless of internal processing
 order or row representation.
-
-refutes checks a given vector y instead of eliminating: y^T A = 0 with
-y^T b != 0 proves A x = b inconsistent (the Farkas-type alternative over a
-field), at the cost of one pass over the entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from nullcert.poly import FieldSpec
@@ -365,28 +360,6 @@ def solve(sys: SparseSystem) -> SolveResult:
     return solve_multi_rhs(sys, [sys.rhs])[0]
 
 
-def refutes(
-    sys: SparseSystem, y: Sequence[int], rhs_set: Sequence[Sequence[int]]
-) -> List[bool]:
-    """For each b in rhs_set, whether y proves A x = b inconsistent over
-    GF(p): y^T A = 0 and y^T b != 0.
-
-    Any solution x would give y^T b = y^T A x = 0, so True is a checked
-    certificate of inconsistency on this exact matrix; False decides nothing.
-    """
-    p = sys.field.p
-    if len(y) != sys.n_rows or any(len(b) != sys.n_rows for b in rhs_set):
-        raise LinsolveError(f"vector length differs from n_rows {sys.n_rows}")
-    column_sums = [0] * sys.n_cols
-    for yi, row in zip(y, sys.rows):
-        if yi % p:
-            for c, v in row:
-                column_sums[c] += yi * v
-    if any(s % p for s in column_sums):
-        return [False] * len(rhs_set)
-    return [sum(map(mul, y, b)) % p != 0 for b in rhs_set]
-
-
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
     "LinsolveError",
@@ -394,7 +367,6 @@ __all__ = [
     "SparseSystem",
     "SolveResult",
     "packed_bytes",
-    "refutes",
     "solve",
     "solve_multi_rhs",
 ]

@@ -192,9 +192,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(m for m, _ in self.terms)
-
     def __str__(self) -> str:
         return format_poly(self)
 

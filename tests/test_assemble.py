@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import nullcert.assemble as asm
-from helpers import poly_mul
+from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, poly_mul
 from nullcert.assemble import (
     AssembleError,
     _assemble_targets,
@@ -51,11 +51,11 @@ def small_system():
 
 def occurring_row_oracle(F, d, g):
     # independent row count: expand every x^delta * f_i with poly ops
-    seen = set(g.monomials())
+    seen = {m for m, _ in g.terms}
     for f in F.polys:
         for delta in monomials_up_to(F.n_vars, d):
             shifted = poly_mul(Polynomial.from_monomial(delta, F.field), f)
-            seen.update(shifted.monomials())
+            seen.update(m for m, _ in shifted.terms)
     return len(seen)
 
 
@@ -312,22 +312,6 @@ def test_packed_monomials_match_monomial_arithmetic():
         assert full.exponents == tuple((v, top) for v in range(n))
 
 
-def test_exponent_sum_matches_unpacked_exponents():
-    # holds while the total degree fits in one field, as it does for rows
-    rng = random.Random(21)
-    for _ in range(300):
-        n = rng.randint(1, 20)
-        packing = _Packing(n, rng.randint(1, 7))
-        exps = {}
-        for _ in range(rng.randint(0, (1 << packing.b) - 1)):
-            v = rng.randrange(n)
-            exps[v] = exps.get(v, 0) + 1
-        x = packing.pack(Monomial.make(exps, n))
-        chosen = [v for v in range(n) if rng.random() < 0.5]
-        expected = sum(exps.get(v, 0) for v in chosen)
-        assert packing.exponent_sum(x, packing.field_mask(chosen)) == expected
-
-
 def test_large_exponent_assembles_in_small_memory():
     # one row key per monomial, however large its exponents: no expanded
     # variable tuple of length 2,000,000 is ever built
@@ -516,6 +500,38 @@ def test_bad_root_cannot_change_a_result(monkeypatch):
         root = [rng.randrange(3) for _ in range(F5.n_vars)]
         out, solves = prove_counting_solves(monkeypatch, F5, root=root)
         assert outcome_shape(out) == outcome_shape(plain5) and solves == 1
+
+
+def test_gf4_value_matches_reference_evaluation():
+    rng = random.Random(8)
+    vanished = 0
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = {v: rng.randint(1, 5) for v in rng.sample(range(n), rng.randint(0, n))}
+            terms[Monomial.make(exps, n)] = 1
+        f = Polynomial.make(GF2, n, terms)
+        root = [rng.randrange(3) for _ in range(n)]
+        expected = eval_poly_gf4(f, [GF4_ROOTS[c] for c in root])
+        assert asm._gf4_value(f, root) == expected, (f, root)
+        vanished += expected == GF4_ZERO
+    assert 50 < vanished < 450
+
+
+def test_root_where_a_target_vanishes_still_solves(monkeypatch):
+    # x1^3+1 is the kept vertex polynomial, so it vanishes at every coloring
+    # and degree 1 certifies it; the root must not skip that solve
+    graph = gen_wheel(4)
+    F = encode_coloring(graph, EncodingOptions(preprocess=True))
+    target = parse_poly("x1^3+1", GF2, F.n_vars)
+    plain, plain_solves = prove_counting_solves(monkeypatch, F, g_candidates=[target])
+    rooted, rooted_solves = prove_counting_solves(
+        monkeypatch, F, g_candidates=[target], root=find_coloring(graph, 3)
+    )
+    assert outcome_shape(rooted) == outcome_shape(plain)
+    assert plain.verdict == "infeasible" and plain.degree == 1
+    assert (plain_solves, rooted_solves) == (1, 1)
 
 
 def test_root_validation():

@@ -84,7 +84,7 @@ def test_perturbed_pipeline_cert_fails():
     entry = cert.entries[-1]
     # flip the coefficient of x1 in one multiplier (0 -> 1 over GF(2))
     terms = dict(entry.multiplier.terms)
-    x1 = parse_poly("x1", GF2, cert.n_vars).monomials()[0]
+    x1 = parse_poly("x1", GF2, cert.n_vars).terms[0][0]
     terms[x1] = (terms.get(x1, 0) + 1) % 2
     perturbed = CertEntry(entry.tag, entry.source, Polynomial.make(GF2, cert.n_vars, terms))
     broken = Certificate(

@@ -96,6 +96,21 @@ def test_colorable_graph_exits_10_without_elimination(capsys, monkeypatch):
     assert lines[2:] == ["no certificate up to degree 4; feasibility not decided"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gen", "complete:2", "--k", "2", "--p", "3"),
+        ("--gen", "complete:4", "--k", "4", "--p", "3", "--max-degree", "6"),
+    ],
+    ids=["k2", "k4"],
+)
+def test_clique_cutters_keep_colorable_graphs_feasible(capsys, argv):
+    # K_k is k-colorable, so no certificate may exist at any degree
+    rc, out, _ = run(capsys, "prove", *argv, "--cutters", "cliques")
+    assert rc == 10
+    assert out.splitlines()[-1].startswith("no certificate up to degree")
+
+
 def test_coloring_search_only_for_k3_over_gf2(tmp_path, capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("no coloring search expected")

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, exhaustive_colorable
+from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, exhaustive_colorable, poly_eval
 from nullcert.encode import (
     EncodeError,
     EncodingOptions,
     alt_g_candidates,
     encode_coloring,
     preprocess_vertex_polys,
-    triangle_cutters,
 )
 from nullcert.graphs import Graph, GraphError, gen_complete, gen_kneser, gen_random, gen_wheel
 from nullcert.poly import FieldSpec, format_monomial, format_poly
@@ -113,22 +112,33 @@ class TestPreprocess:
             preprocess_vertex_polys(encode_coloring(g, EncodingOptions()), g, 9)
 
 
+def cutters(g, k=3, field=F2):
+    mode = "triangles" if k == 3 else "cliques"
+    F = encode_coloring(g, EncodingOptions(k=k, field=field, cutters=mode))
+    return [f for f, tag in zip(F.polys, F.tags) if tag.startswith("cutter:")]
+
+
+def proper_colorings(g, k):
+    for colors in itertools.product(range(k), repeat=g.n_vertices):
+        if all(colors[u - 1] != colors[v - 1] for u, v in g.edges):
+            yield colors
+
+
 class TestCutters:
     def test_triangle_form(self):
-        cutters = triangle_cutters(gen_complete(3), 3)
-        assert [format_poly(p) for p in cutters] == ["x1^2+x2^2+x3^2"]
+        assert [format_poly(p) for p in cutters(gen_complete(3))] == ["x1^2+x2^2+x3^2"]
 
     def test_petersen_empty(self):
-        assert triangle_cutters(gen_kneser(5, 2), 3) == []
+        assert cutters(gen_kneser(5, 2)) == []
 
     def test_k4_count(self):
-        assert len(triangle_cutters(gen_complete(4), 3)) == 4
+        assert len(cutters(gen_complete(4))) == 4
 
     def test_clique_generalization(self):
-        cutters = triangle_cutters(gen_complete(4), 4, F3)
-        # (k-1)-cliques of K4 for k=4 are its four triangles
-        assert len(cutters) == 4
-        assert format_poly(cutters[0]) == "x1^3+x2^3+x3^3"
+        # k = 4: one cutter per 4-clique, and K4 has exactly one
+        assert [format_poly(p) for p in cutters(gen_complete(4), 4, F3)] == [
+            "x1^3+x2^3+x3^3+x4^3"
+        ]
 
     def test_tags_in_encoding(self):
         sys_ = encode_coloring(gen_wheel(5), EncodingOptions(cutters="triangles"))
@@ -140,17 +150,30 @@ class TestCutters:
         # Map each proper 3-coloring onto the cube roots of unity; every
         # triangle cutter must evaluate to zero there.
         for g in (gen_complete(3), gen_complete(4), gen_wheel(5), gen_wheel(4)):
-            cutters = triangle_cutters(g, 3)
-            for assignment in itertools.product(range(3), repeat=g.n_vertices):
-                if not all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges):
-                    continue
-                point = [GF4_ROOTS[c] for c in assignment]
-                for cutter in cutters:
+            for colors in proper_colorings(g, 3):
+                point = [GF4_ROOTS[c] for c in colors]
+                for cutter in cutters(g):
                     assert eval_poly_gf4(cutter, point) == GF4_ZERO
+
+    @pytest.mark.parametrize(
+        "k, p, generator",
+        [(2, 3, 2), (4, 5, 2)],  # 2 has order k in GF(p)
+        ids=["k2p3", "k4p5"],
+    )
+    def test_clique_cutters_vanish_on_proper_colorings(self, k, p, generator):
+        # color c is the k-th root of unity generator^c; a proper coloring
+        # is a common root of the whole encoding, cutters included
+        field = FieldSpec(p)
+        assert len(cutters(gen_complete(k), k, field)) == 1
+        for g in (gen_complete(k), gen_wheel(4), Graph.make(5, [(1, 2), (2, 3), (3, 4), (4, 5)])):
+            F = encode_coloring(g, EncodingOptions(k=k, field=field, cutters="cliques"))
+            for colors in proper_colorings(g, k):
+                point = [pow(generator, c, p) for c in colors]
+                assert all(poly_eval(f, point) == 0 for f in F.polys), (g, colors)
 
     def test_k_validation(self):
         with pytest.raises(EncodeError):
-            triangle_cutters(gen_complete(3), 2)
+            EncodingOptions(k=2, field=F3, cutters="triangles")
 
 
 class TestAltG:

@@ -14,7 +14,6 @@ from nullcert.graphs import (
     GraphError,
     components,
     enumerate_cliques,
-    enumerate_triangles,
     find_coloring,
     gen_complete,
     gen_kneser,
@@ -114,7 +113,7 @@ class TestGenerators:
 
     def test_mycielski_triangle_free(self):
         for k in range(2, 7):
-            assert enumerate_triangles(gen_mycielski(k)) == []
+            assert enumerate_cliques(gen_mycielski(k), 3) == []
 
     def test_random_reproducible(self):
         a = gen_random(16, 0.27, 7)
@@ -132,9 +131,9 @@ class TestGenerators:
 
 class TestTrianglesAndCliques:
     def test_triangles(self):
-        assert len(enumerate_triangles(gen_complete(4))) == 4
-        assert enumerate_triangles(gen_kneser(5, 2)) == []  # Petersen, girth 5
-        tris = enumerate_triangles(gen_wheel(5))
+        assert len(enumerate_cliques(gen_complete(4), 3)) == 4
+        assert enumerate_cliques(gen_kneser(5, 2), 3) == []  # Petersen, girth 5
+        tris = enumerate_cliques(gen_wheel(5), 3)
         assert len(tris) == 5
         assert all(u < v < w for u, v, w in tris)
 

@@ -11,7 +11,6 @@ from nullcert.linsolve import (
     MemoryBudgetError,
     SparseSystem,
     packed_bytes,
-    refutes,
     solve,
     solve_multi_rhs,
 )
@@ -243,69 +242,3 @@ class TestMultiRhs:
         sys_ = from_dense(F2, [[1]], [0])
         with pytest.raises(LinsolveError):
             solve_multi_rhs(sys_, [[0, 1]])
-
-
-def planted_kernel_system(rng, p):
-    """A random dense system and a nonzero y with y^T A = 0: one row with a
-    nonzero weight is rewritten to cancel the weighted sum of the others."""
-    matrix, rhs = random_dense_system(rng, p, max_rows=12, max_cols=12)
-    y = [rng.randrange(p) for _ in matrix]
-    i = rng.randrange(len(matrix))
-    y[i] = rng.randrange(1, p)
-    inv = pow(y[i], -1, p)
-    for c in range(len(matrix[0])):
-        others = sum(y[r] * row[c] for r, row in enumerate(matrix) if r != i)
-        matrix[i][c] = -others * inv % p
-    return matrix, rhs, y
-
-
-class TestRefutes:
-    """refutes() against the dense reference, seeded like acceptance 9."""
-
-    @pytest.mark.parametrize("field", [F2, F3], ids=["gf2", "gf3"])
-    def test_planted_kernel_vector_refutes_exactly_when_rhs_weight_nonzero(self, field):
-        p = field.p
-        rng = random.Random(70 + p)
-        refuted = 0
-        for _ in range(400):
-            matrix, rhs, y = planted_kernel_system(rng, p)
-            other = [rng.randrange(p) for _ in rhs]
-            sys_ = from_dense(field, matrix, rhs)
-            got = refutes(sys_, y, [rhs, other])
-            for b, r in zip((rhs, other), got):
-                assert r == (sum(yi * bi for yi, bi in zip(y, b)) % p != 0)
-                if r:
-                    refuted += 1
-                    assert ref_solve_dense(matrix, b, p)[0] == "inconsistent"
-        assert refuted > 300
-
-    @pytest.mark.parametrize("field", [F2, F3], ids=["gf2", "gf3"])
-    def test_vector_outside_left_kernel_never_refutes(self, field):
-        p = field.p
-        rng = random.Random(80 + p)
-        outside = 0
-        for _ in range(400):
-            matrix, rhs = random_dense_system(rng, p, max_rows=12, max_cols=12)
-            y = [rng.randrange(p) for _ in matrix]
-            in_kernel = all(
-                sum(yi * row[c] for yi, row in zip(y, matrix)) % p == 0
-                for c in range(len(matrix[0]))
-            )
-            got = refutes(from_dense(field, matrix, rhs), y, [rhs, [1] * len(rhs)])
-            if not in_kernel:
-                outside += 1
-                assert got == [False, False]
-            for b, r in zip((rhs, [1] * len(rhs)), got):
-                if r:
-                    assert ref_solve_dense(matrix, b, p)[0] == "inconsistent"
-        assert outside > 300
-
-    def test_zero_vector_and_length_check(self):
-        sys_ = from_dense(F2, [[1, 0], [1, 0]], [0, 1])
-        assert refutes(sys_, [1, 1], [[0, 1], [1, 1]]) == [True, False]
-        assert refutes(sys_, [0, 0], [[0, 1]]) == [False]
-        with pytest.raises(LinsolveError):
-            refutes(sys_, [1], [[0, 1]])
-        with pytest.raises(LinsolveError):
-            refutes(sys_, [1, 1], [[0]])
-
