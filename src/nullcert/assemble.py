@@ -7,7 +7,8 @@ the entry at (x^alpha, (i, delta)) is the coefficient of x^alpha in
 x^delta * f_i, and the right-hand side holds g's coefficients.  Consistency
 of that system is exactly certificate existence at degree d.
 
-nulla_prove is the one degree loop: per degree it assembles the system once,
+nulla_prove is the one degree loop: per degree it assembles the system once
+(or only counts it, when a root refutes every degree; see below),
 optionally collapses it to orbits of a variable symmetry group (see
 nullcert.symmetry), solves it, lifts the solution back onto the full
 columns, and extracts and re-verifies the certificate.
@@ -20,9 +21,13 @@ degree, under any pruning or symmetry.  Over GF(2) a proper 3-coloring
 gives such a point in GF(4), x_v = omega^(c_v); nulla_prove takes it as
 root, evaluates F and the targets there once, before the degree loop, and
 if the point passes records every degree inconsistent without elimination.
-That evaluation alone carries soundness: a wrong coloring, or a point that
-is no root, fails it and the degrees are eliminated as usual, so no verdict
-depends on the coloring search or on the assembled matrices.
+Such a degree is counted, not assembled (_sizes): its stats carry the rows,
+columns and nonzeros its system would have, checked against the memory
+budget; only under a symmetry group, whose orbit stats need the collapse, is
+it still assembled.  That evaluation alone carries soundness: a wrong
+coloring, or a point that is no root, fails it and the degrees are
+eliminated as usual, so no verdict depends on the coloring search or on
+the matrices.
 
 Column order: assemble() and the orbit assembly number columns poly-major
 (poly index, shift degree, shift).  Over GF(2) nulla_prove numbers them
@@ -63,7 +68,7 @@ from math import comb
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
-from nullcert.linsolve import SparseSystem, solve_multi_rhs
+from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
 from nullcert.poly import Monomial, PolySystem, Polynomial
 
 if TYPE_CHECKING:
@@ -231,31 +236,19 @@ def _degree_classes(F: PolySystem, k: int) -> List[int]:
     return classes
 
 
-def _assemble_targets(
-    F: PolySystem,
-    d: int,
-    targets: Sequence[Polynomial],
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-    *,
-    shift_major: bool = False,
-) -> Tuple[_RawAssembly, List[List[int]]]:
-    """Build the degree-d system once, with one rhs vector per target.
-
-    The row universe covers every target's monomials, so the returned rhs
-    vectors are interchangeable on the same matrix.  Columns are poly-major
-    (poly index, shift degree, shift), the public order; shift_major orders
-    them (shift degree, shift, poly index) instead, which keeps each row's
-    columns close together (see nulla_prove).
-    """
+def _layout(
+    F: PolySystem, d: int, targets: Sequence[Polynomial], pruning: str
+) -> Tuple[_Packing, List[Tuple[Tuple[int, int], ...]], List[List[int]], List[List[int]]]:
+    """Check a degree-d request and lay out what both the assembly and the
+    count of its sizes read: the packing, each poly's packed terms, and per
+    shift degree the polys that pruning keeps and the packed shifts."""
     if d < 0:
         raise AssembleError("degree must be >= 0")
     if not targets:
         raise AssembleError("need at least one target polynomial")
     n = F.n_vars
-    field = F.field
     for g in targets:
-        if g.field != field or g.n_vars != n:
+        if g.field != F.field or g.n_vars != n:
             raise AssembleError("target field or n_vars mismatch")
         if g.is_zero():
             raise AssembleError("zero target gives a vacuous identity")
@@ -277,14 +270,60 @@ def _assemble_targets(
     packing = _Packing(n, max(d + top, 1).bit_length())
     poly_terms = [tuple((packing.pack(m), c) for m, c in f.terms) for f in F.polys]
 
-    # Enumerate columns in global order, poly-major or shift-major.  Graded
-    # pruning keeps the shift degrees with deg + class(f_i) == 0 mod k.
-    polys = range(len(poly_terms))
+    # Graded pruning keeps the shift degrees with deg + class(f_i) == 0 mod k.
     polys_at = [
-        [i for i in polys if k is None or (deg + classes[i]) % k == 0]
+        [i for i in range(len(poly_terms)) if k is None or (deg + classes[i]) % k == 0]
         for deg in range(d + 1)
     ]
     shifts = [packing.monomials(deg) for deg in range(d + 1)]
+    return packing, poly_terms, polys_at, shifts
+
+
+def _sizes(
+    F: PolySystem,
+    d: int,
+    targets: Sequence[Polynomial],
+    pruning: str = "occurring",
+    memory_budget: Optional[int] = None,
+) -> Tuple[int, int, int]:
+    """(rows, cols, nnz) of the system _assemble_targets would build, counted
+    without building it; the memory budget is checked on the counts.
+
+    A kept column (i, delta) holds one entry per term of f_i, since the
+    terms of one f_i have distinct monomials; the rows are the distinct
+    products delta + t and the target monomials.
+    """
+    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning)
+    rows = {packing.pack(m) for g in targets for m, _ in g.terms}
+    cols = nnz = 0
+    for kept, deltas in zip(polys_at, shifts):
+        cols += len(kept) * len(deltas)
+        nnz += sum(len(poly_terms[i]) for i in kept) * len(deltas)
+        for t in {t for i in kept for t, _ in poly_terms[i]}:
+            rows.update(map(t.__add__, deltas))
+    _check_budget(F.field, len(rows), cols, memory_budget)
+    return len(rows), cols, nnz
+
+
+def _assemble_targets(
+    F: PolySystem,
+    d: int,
+    targets: Sequence[Polynomial],
+    pruning: str = "occurring",
+    memory_budget: Optional[int] = None,
+    *,
+    shift_major: bool = False,
+) -> Tuple[_RawAssembly, List[List[int]]]:
+    """Build the degree-d system once, with one rhs vector per target.
+
+    The row universe covers every target's monomials, so the returned rhs
+    vectors are interchangeable on the same matrix.  Columns are poly-major
+    (poly index, shift degree, shift), the public order; shift_major orders
+    them (shift degree, shift, poly index) instead, which keeps each row's
+    columns close together (see nulla_prove).
+    """
+    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning)
+    # Enumerate columns in global order, poly-major or shift-major.
     if shift_major:
         col_keys = [
             (i, delta)
@@ -296,7 +335,7 @@ def _assemble_targets(
     else:
         col_keys = [
             (i, delta)
-            for i in polys
+            for i in range(len(poly_terms))
             for deg in range(d + 1)
             if i in polys_at[deg]
             for delta in shifts[deg]
@@ -325,7 +364,7 @@ def _assemble_targets(
     for m in row_keys:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem._unchecked(field, len(col_keys), entries, rhs_list[0], memory_budget)
+    system = SparseSystem._unchecked(F.field, len(col_keys), entries, rhs_list[0], memory_budget)
     raw = _RawAssembly(
         system=system,
         col_keys=tuple(col_keys),
@@ -365,14 +404,12 @@ def stats(
     """Closed-form size predictions next to actual post-pruning sizes.
 
     Predictions count the unpruned system: n_polys * C(n+d, d) columns and
-    one matrix entry per (input monomial, shift) pair.  Actuals come from a
-    dry assembly with the requested pruning.
+    one matrix entry per (input monomial, shift) pair.  Actuals are counted
+    with the requested pruning, without assembling the matrix.
     """
-    if d < 0:
-        raise AssembleError("degree must be >= 0")
     if g is None:
         g = Polynomial.one(F.field, F.n_vars)
-    raw, _ = _assemble_targets(F, d, [g], pruning, memory_budget)
+    rows, cols, nnz = _sizes(F, d, [g], pruning, memory_budget)
     shifts = comb(F.n_vars + d, d)
     monomial_total = sum(len(f.terms) for f in F.polys)
     return SystemStats(
@@ -382,9 +419,9 @@ def stats(
         degree=d,
         predicted_cols=len(F) * shifts,
         predicted_nnz=monomial_total * shifts,
-        actual_rows=raw.system.n_rows,
-        actual_cols=raw.system.n_cols,
-        actual_nnz=raw.system.nnz,
+        actual_rows=rows,
+        actual_cols=cols,
+        actual_nnz=nnz,
     )
 
 
@@ -472,8 +509,10 @@ def nulla_prove(
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
     in GF(4).  If every f_i vanishes there and no target does, no degree
     has a certificate (see the module docstring), and every degree is
-    recorded inconsistent without elimination, orbit attempts included;
-    otherwise the degrees are solved as without it.
+    recorded inconsistent without elimination, orbit attempts included.
+    Without perms such a degree is not assembled either: its DegreeStats
+    gives the sizes its system would have, and its millis covers only
+    counting them.  Otherwise the degrees are solved as without a root.
     """
     schedule = list(schedule)
     if not schedule:
@@ -499,6 +538,11 @@ def nulla_prove(
     per_degree: List[DegreeStats] = []
     for d in schedule:
         t0 = time.perf_counter()
+        if refuted and perms is None:
+            rows, cols, nnz = _sizes(F, d, targets, pruning, memory_budget)
+            millis = int((time.perf_counter() - t0) * 1000)
+            per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
+            continue
         raw, rhs_list = _assemble_targets(
             F, d, targets, pruning, memory_budget, shift_major=F.field.p == 2
         )

@@ -36,8 +36,9 @@ _CUTTER_MODES = ("none", "triangles", "cliques")
 class EncodingOptions:
     """Options for the colorability encoding.
 
-    cutters: "none", "triangles" (k = 3), or "cliques" (k-cliques, k != 3),
-    one cutter sum_v x_v^(k-1) per clique (a triangle for k = 3).
+    cutters: "none", "triangles" (k = 3), or "cliques" (k-cliques, k >= 4),
+    one cutter sum_v x_v^(k-1) per clique (a triangle for k = 3; for k = 2
+    it would repeat an edge polynomial).
     """
 
     k: int = 3
@@ -59,6 +60,8 @@ class EncodingOptions:
             raise EncodeError("triangle cutters apply to k=3 only; use cliques")
         if self.cutters == "cliques" and self.k == 3:
             raise EncodeError("for k=3 the k-clique cutters are the triangle cutters; use triangles")
+        if self.cutters == "cliques" and self.k == 2:
+            raise EncodeError("for k=2 each clique cutter x_u+x_v is its edge polynomial; use none")
 
 
 def _vertex_poly(v: int, k: int, field: FieldSpec, n_vars: int) -> Polynomial:

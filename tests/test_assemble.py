@@ -13,6 +13,7 @@ from nullcert.assemble import (
     AssembleError,
     _assemble_targets,
     _Packing,
+    _sizes,
     assemble,
     extract_certificate,
     nulla_prove,
@@ -532,6 +533,78 @@ def test_root_where_a_target_vanishes_still_solves(monkeypatch):
     assert outcome_shape(rooted) == outcome_shape(plain)
     assert plain.verdict == "infeasible" and plain.degree == 1
     assert (plain_solves, rooted_solves) == (1, 1)
+
+
+def random_graded_system(rng, field, n, k):
+    """Random polys whose term degrees agree mod k, so graded:k applies."""
+    polys = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.randrange(k)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            deg = r + k * rng.randint(0 if r else 1, 1)
+            exps = {}
+            for _ in range(deg):
+                v = rng.randrange(n)
+                exps[v] = exps.get(v, 0) + 1
+            terms[Monomial.make(exps, n)] = rng.randrange(1, field.p)
+        polys.append(Polynomial.make(field, n, terms))
+    return PolySystem.make(field, n, polys)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sizes_match_assembly(p):
+    field = FieldSpec(p)
+    rng = random.Random(p)
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        k = rng.choice([2, 3])
+        F = random_graded_system(rng, field, n, k)
+        top = max(f.degree for f in F.polys)
+        for d in range(5):
+            # x1^e lies above every product x^delta * t, so no column reaches it
+            e = k * (2 + (d + top) // k)
+            far = Polynomial.from_monomial(Monomial.make({0: e}, n), field)
+            near = Polynomial.make(field, n, {Monomial.make({n - 1: k}, n): 1})
+            targets = [Polynomial.one(field, n), near, far]
+            for pruning in ("occurring", f"graded:{k}"):
+                for shift_major in (False, True):
+                    raw, _ = _assemble_targets(F, d, targets, pruning, shift_major=shift_major)
+                    counted = _sizes(F, d, targets, pruning)
+                    assert counted == (raw.system.n_rows, raw.system.n_cols, raw.system.nnz)
+                # the unreached target monomial is one row of its own
+                assert _sizes(F, d, targets[:2], pruning)[0] == counted[0] - 1
+
+
+def test_sizes_keep_validation_and_budget():
+    F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
+    x1 = parse_poly("x1", GF2, F.n_vars)
+    for args in ((F, -1, [Polynomial.one(GF2, F.n_vars)]), (F, 1, []), (F, 1, [Polynomial.zero(GF2, F.n_vars)])):
+        with pytest.raises(AssembleError):
+            _sizes(*args)
+    with pytest.raises(AssembleError, match="target has degree-1 monomial"):
+        _sizes(F, 1, [x1], "graded:3")
+    with pytest.raises(MemoryBudgetError) as counted:
+        _sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+    with pytest.raises(MemoryBudgetError) as assembled:
+        _assemble_targets(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+    assert str(counted.value) == str(assembled.value)
+
+
+@pytest.mark.parametrize(
+    "graph", [gen_wheel(4), gen_random(16, 0.27, 0)], ids=["wheel4", "random16s0"]
+)
+def test_root_counts_degrees_without_assembly(monkeypatch, graph):
+    F = encode_coloring(graph, EncodingOptions(preprocess=True))
+    plain = nulla_prove(F, [1, 4], pruning="graded:3")
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a refuted degree is counted, not assembled")
+
+    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    rooted = nulla_prove(F, [1, 4], pruning="graded:3", root=find_coloring(graph, 3))
+    assert outcome_shape(rooted) == outcome_shape(plain)
+    assert plain.verdict == "no_certificate_up_to"
 
 
 def test_root_validation():

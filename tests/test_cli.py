@@ -96,19 +96,71 @@ def test_colorable_graph_exits_10_without_elimination(capsys, monkeypatch):
     assert lines[2:] == ["no certificate up to degree 4; feasibility not decided"]
 
 
+def no_assembly(*args, **kwargs):
+    raise AssertionError("a degree refuted by a coloring is counted, not assembled")
+
+
+def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
+    # random:16,0.27,0 is benchmark sweep16's first graph; these are the
+    # sizes of the systems the degrees would assemble
+    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    rc, out, _ = run(capsys, "prove", "--gen", "random:16,0.27,0")
+    assert rc == 10
+    lines = out.splitlines()
+    assert [l.split(" millis=")[0] for l in lines[:2]] == [
+        "degree=1 rows=520 cols=353 nnz=1058 status=inconsistent",
+        "degree=4 rows=54917 cols=86441 nnz=258506 status=inconsistent",
+    ]
+    assert all(STATS_LINE.fullmatch(l) for l in lines[:2])
+    assert lines[2:] == ["no certificate up to degree 4; feasibility not decided"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("--alt-g", "x1"),
+            "error: graded:3 pruning needs target degrees == 0 mod 3; "
+            "target has degree-1 monomial\n",
+        ),
+        (
+            ("--memory-budget", "64"),
+            "error: predicted working set 288 bytes for a 36 x 41 system "
+            "exceeds the 64 byte budget\n",
+        ),
+    ],
+    ids=["graded-target", "budget"],
+)
+def test_counted_degrees_keep_validation_and_budget(capsys, monkeypatch, argv, message):
+    # wheel:4 is 3-colorable, so its degrees are counted, never assembled
+    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    rc, out, err = run(capsys, "prove", "--gen", "wheel:4", *argv)
+    assert (rc, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--gen", "complete:2", "--k", "2", "--p", "3"),
+        ("--gen", "complete:5", "--k", "5", "--p", "2"),
         ("--gen", "complete:4", "--k", "4", "--p", "3", "--max-degree", "6"),
     ],
-    ids=["k2", "k4"],
+    ids=["k5", "k4"],
 )
 def test_clique_cutters_keep_colorable_graphs_feasible(capsys, argv):
     # K_k is k-colorable, so no certificate may exist at any degree
     rc, out, _ = run(capsys, "prove", *argv, "--cutters", "cliques")
     assert rc == 10
     assert out.splitlines()[-1].startswith("no certificate up to degree")
+
+
+def test_clique_cutters_rejected_for_two_colors(capsys):
+    # each 2-clique cutter x_u+x_v would repeat its edge polynomial
+    for command in ("encode", "prove"):
+        rc, out, err = run(
+            capsys, command, "--gen", "complete:3", "--k", "2", "--p", "3", "--cutters", "cliques"
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_coloring_search_only_for_k3_over_gf2(tmp_path, capsys, monkeypatch):
@@ -270,6 +322,14 @@ def test_stats_reports_predicted_and_actual(capsys):
     assert int(fields["rows"]) == 21 and int(fields["cols"]) == 25
     assert int(fields["cols"]) <= int(fields["predicted_cols"])
     assert int(fields["nnz"]) <= int(fields["predicted_nnz"])
+
+
+def test_stats_counts_without_assembly(capsys, monkeypatch):
+    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    rc, out, _ = run(capsys, "stats", "--gen", "random:16,0.27,0", "--degree", "4")
+    assert rc == 0
+    fields = dict(part.split("=") for part in out.splitlines()[1].split())
+    assert (fields["rows"], fields["cols"], fields["nnz"]) == ("54917", "86441", "258506")
 
 
 def test_stats_generic_system(tmp_path, capsys):

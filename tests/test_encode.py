@@ -157,8 +157,8 @@ class TestCutters:
 
     @pytest.mark.parametrize(
         "k, p, generator",
-        [(2, 3, 2), (4, 5, 2)],  # 2 has order k in GF(p)
-        ids=["k2p3", "k4p5"],
+        [(4, 5, 2), (5, 11, 4)],  # generator has order k in GF(p)
+        ids=["k4p5", "k5p11"],
     )
     def test_clique_cutters_vanish_on_proper_colorings(self, k, p, generator):
         # color c is the k-th root of unity generator^c; a proper coloring
@@ -174,6 +174,9 @@ class TestCutters:
     def test_k_validation(self):
         with pytest.raises(EncodeError):
             EncodingOptions(k=2, field=F3, cutters="triangles")
+        # a 2-clique cutter x_u+x_v would repeat its edge polynomial
+        with pytest.raises(EncodeError):
+            EncodingOptions(k=2, field=F3, cutters="cliques")
 
 
 class TestAltG:
