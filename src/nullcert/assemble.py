@@ -9,9 +9,20 @@ of that system is exactly certificate existence at degree d.
 
 nulla_prove is the one degree loop: per degree it assembles the system once
 (or only counts it, when a root refutes every degree; see below),
-optionally collapses it to orbits of a variable symmetry group (see
-nullcert.symmetry), solves it, lifts the solution back onto the full
-columns, and extracts and re-verifies the certificate.
+optionally collapses it to orbits of a variable symmetry group, solves it,
+lifts the solution back onto the full columns, and extracts and re-verifies
+the certificate.
+
+Orbit collapse: a permutation group on the variables (nullcert.symmetry)
+permutes the rows (monomials) and columns (shifted polynomials).  When F is
+invariant under the group and every target is fixed by it, solutions may be
+assumed constant on column orbits, so the system collapses to one row and
+one column per orbit, entries summed over column-orbit members.  An orbit
+solution always lifts to a full one, and so to a certificate that verifies.
+The converse, full consistency implying orbit consistency, needs |G| coprime
+to p; coprime_verified records that, so an inconsistent orbit system is
+conclusive only when it is true, and nulla_prove otherwise solves the full
+matrix of the same degree too.
 
 Refuting every degree by a root (the weak Nullstellensatz direction the
 certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i beta_i(a)
@@ -21,13 +32,12 @@ degree, under any pruning or symmetry.  Over GF(2) a proper 3-coloring
 gives such a point in GF(4), x_v = omega^(c_v); nulla_prove takes it as
 root, evaluates F and the targets there once, before the degree loop, and
 if the point passes records every degree inconsistent without elimination.
-Such a degree is counted, not assembled (_sizes): its stats carry the rows,
-columns and nonzeros its system would have, checked against the memory
-budget; only under a symmetry group, whose orbit stats need the collapse, is
-it still assembled.  That evaluation alone carries soundness: a wrong
-coloring, or a point that is no root, fails it and the degrees are
-eliminated as usual, so no verdict depends on the coloring search or on
-the matrices.
+Such a degree is counted, not assembled (_sizes), with or without a symmetry
+group: its stats carry the rows, columns and nonzeros its full system would
+have, checked against the memory budget.  That evaluation alone carries
+soundness: a wrong coloring, or a point that is no root, fails it and the
+degrees are eliminated as usual, so no verdict depends on the coloring
+search or on the matrices.
 
 Column order: assemble() and the orbit assembly number columns poly-major
 (poly index, shift degree, shift).  Over GF(2) nulla_prove numbers them
@@ -42,9 +52,9 @@ where shift-major did not speed up the dict eliminator.
 Inside the assembly a monomial is one int (_Packing): the total degree above
 one exponent field per variable, with fields wide enough that the product
 x^delta * t is the sum of the two ints, and packed ^ flip sorting exactly
-like Monomial.sort_key, so rows keep the graded order.  Keys are unpacked to
-Monomial only where they leave the module: assemble(), the orbit assembly
-and the certificate's multipliers.
+like Monomial.sort_key, so rows keep the graded order.  An AssembledSystem
+keeps its keys packed and unpacks them to Monomial only on first use of
+col_keys or row_keys; nulla_prove unpacks only the certificate's shifts.
 
 Pruning modes:
   "occurring"   rows are the monomials that occur in some x^delta * f_i or
@@ -63,16 +73,15 @@ import time
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from math import comb, gcd
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
 from nullcert.poly import Monomial, PolySystem, Polynomial
-
-if TYPE_CHECKING:
-    from nullcert.symmetry import PermutationSet
+from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, group_order
 
 
 class AssembleError(ValueError):
@@ -145,17 +154,68 @@ class ColumnKey:
 
 @dataclass(frozen=True)
 class AssembledSystem:
+    """The degree-d system with one right-hand side per target; system
+    carries rhs_list[0], the one of target.
+
+    Keys stay packed by packing: a column is (poly index, packed shift), a
+    row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
+    more than the degrees that find nothing, so col_keys and row_keys unpack
+    on first use, and nulla_prove never reads them.
+    """
+
     system: SparseSystem
-    col_keys: Tuple[ColumnKey, ...]
-    row_keys: Tuple[Monomial, ...]
+    rhs_list: List[List[int]]
+    packing: _Packing
+    packed_cols: Tuple[Tuple[int, int], ...]
+    packed_rows: Tuple[int, ...]
     degree: int
     target: Polynomial
 
     def __post_init__(self) -> None:
-        if self.system.n_cols != len(self.col_keys):
+        if self.system.n_cols != len(self.packed_cols):
             raise AssembleError("column key count does not match system width")
-        if self.system.n_rows != len(self.row_keys):
+        if self.system.n_rows != len(self.packed_rows):
             raise AssembleError("row key count does not match system height")
+
+    @cached_property
+    def col_keys(self) -> Tuple[ColumnKey, ...]:
+        unpack = self.packing.unpack
+        return tuple(ColumnKey(i, unpack(delta)) for i, delta in self.packed_cols)
+
+    @cached_property
+    def row_keys(self) -> Tuple[Monomial, ...]:
+        return tuple(map(self.packing.unpack, self.packed_rows))
+
+
+@dataclass(frozen=True)
+class OrbitSystem:
+    """An assembled system collapsed to orbits, with what lifting needs.
+
+    Representatives are the orbit members of least full-system index, listed
+    in that order; col_orbit_index maps each full column to its orbit
+    position.  coprime_verified: the group order is known and coprime to p.
+    """
+
+    system: SparseSystem
+    rhs_list: List[List[int]]
+    full: AssembledSystem
+    row_reps: Tuple[int, ...]
+    col_reps: Tuple[int, ...]
+    col_orbit_index: Tuple[int, ...]
+    group_order: Optional[int]
+    coprime_verified: bool
+
+    @property
+    def full_col_keys(self) -> Tuple[ColumnKey, ...]:
+        return self.full.col_keys
+
+    @cached_property
+    def row_orbits(self) -> Tuple[Monomial, ...]:
+        return tuple(self.full.row_keys[r] for r in self.row_reps)
+
+    @cached_property
+    def col_orbits(self) -> Tuple[ColumnKey, ...]:
+        return tuple(self.full_col_keys[j] for j in self.col_reps)
 
 
 @dataclass(frozen=True)
@@ -198,18 +258,6 @@ class NullaOutcome:
     per_degree: Tuple[DegreeStats, ...]
 
 
-# Internal form: shifts and row monomials as ints packed by `packing`, no
-# Monomial wrappers.  Wrapping ~10^5 keys per degree costs more than the
-# degrees that find nothing; public APIs unpack at the boundary instead.
-@dataclass(frozen=True)
-class _RawAssembly:
-    system: SparseSystem
-    col_keys: Tuple[Tuple[int, int], ...]
-    row_keys: Tuple[int, ...]
-    degree: int
-    packing: _Packing
-
-
 def _graded_modulus(pruning: str) -> Optional[int]:
     """k for "graded:<k>", None for "occurring"."""
     if pruning == "occurring":
@@ -237,11 +285,19 @@ def _degree_classes(F: PolySystem, k: int) -> List[int]:
 
 
 def _layout(
-    F: PolySystem, d: int, targets: Sequence[Polynomial], pruning: str
+    F: PolySystem,
+    d: int,
+    targets: Sequence[Polynomial],
+    pruning: str,
+    memory_budget: Optional[int],
 ) -> Tuple[_Packing, List[Tuple[Tuple[int, int], ...]], List[List[int]], List[List[int]]]:
     """Check a degree-d request and lay out what both the assembly and the
     count of its sizes read: the packing, each poly's packed terms, and per
-    shift degree the polys that pruning keeps and the packed shifts."""
+    shift degree the polys that pruning keeps and the packed shifts.
+
+    The memory budget is checked before any shift is listed, on the exact
+    column count and a lower bound on the rows, so that a degree far over
+    budget fails without enumerating its C(n+d, d) shifts."""
     if d < 0:
         raise AssembleError("degree must be >= 0")
     if not targets:
@@ -275,6 +331,13 @@ def _layout(
         [i for i in range(len(poly_terms)) if k is None or (deg + classes[i]) % k == 0]
         for deg in range(d + 1)
     ]
+    kept_shifts = [0] * len(poly_terms)
+    for deg, kept in enumerate(polys_at):
+        for i in kept:
+            kept_shifts[i] += comb(n + deg - 1, deg) if n else int(deg == 0)
+    # The shifts of one f_i times one of its terms are distinct rows.
+    rows = max((c for c, terms in zip(kept_shifts, poly_terms) if terms), default=0)
+    _check_budget(F.field, rows, sum(kept_shifts), memory_budget)
     shifts = [packing.monomials(deg) for deg in range(d + 1)]
     return packing, poly_terms, polys_at, shifts
 
@@ -293,7 +356,7 @@ def _sizes(
     terms of one f_i have distinct monomials; the rows are the distinct
     products delta + t and the target monomials.
     """
-    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning)
+    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     rows = {packing.pack(m) for g in targets for m, _ in g.terms}
     cols = nnz = 0
     for kept, deltas in zip(polys_at, shifts):
@@ -313,16 +376,16 @@ def _assemble_targets(
     memory_budget: Optional[int] = None,
     *,
     shift_major: bool = False,
-) -> Tuple[_RawAssembly, List[List[int]]]:
+) -> AssembledSystem:
     """Build the degree-d system once, with one rhs vector per target.
 
-    The row universe covers every target's monomials, so the returned rhs
-    vectors are interchangeable on the same matrix.  Columns are poly-major
+    The row universe covers every target's monomials, so the rhs vectors
+    are interchangeable on the same matrix.  Columns are poly-major
     (poly index, shift degree, shift), the public order; shift_major orders
     them (shift degree, shift, poly index) instead, which keeps each row's
     columns close together (see nulla_prove).
     """
-    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning)
+    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     # Enumerate columns in global order, poly-major or shift-major.
     if shift_major:
         col_keys = [
@@ -365,14 +428,9 @@ def _assemble_targets(
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
     system = SparseSystem._unchecked(F.field, len(col_keys), entries, rhs_list[0], memory_budget)
-    raw = _RawAssembly(
-        system=system,
-        col_keys=tuple(col_keys),
-        row_keys=tuple(row_keys),
-        degree=d,
-        packing=packing,
+    return AssembledSystem(
+        system, rhs_list, packing, tuple(col_keys), tuple(row_keys), d, targets[0]
     )
-    return raw, rhs_list
 
 
 def assemble(
@@ -383,15 +441,111 @@ def assemble(
     memory_budget: Optional[int] = None,
 ) -> AssembledSystem:
     """Build the degree-d linear system for one target polynomial."""
-    raw, _ = _assemble_targets(F, d, [g], pruning, memory_budget)
-    unpack = raw.packing.unpack
-    return AssembledSystem(
-        system=raw.system,
-        col_keys=tuple(ColumnKey(i, unpack(delta)) for i, delta in raw.col_keys),
-        row_keys=tuple(map(unpack, raw.row_keys)),
-        degree=d,
-        target=g,
+    return _assemble_targets(F, d, [g], pruning, memory_budget)
+
+
+def _find(parent: List[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: List[int], a: int, b: int) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return
+    if rb < ra:
+        ra, rb = rb, ra
+    # root stays the least member, so roots double as representatives
+    parent[rb] = ra
+
+
+def _collapse(
+    full: AssembledSystem,
+    perms: PermutationSet,
+    maps: Sequence[Sequence[int]],
+    order: Optional[int],
+    memory_budget: Optional[int],
+) -> OrbitSystem:
+    """Fold an assembled system to one row/column per orbit of perms.
+
+    maps[k][i] is the index of generator k's image of f_i (check_invariant);
+    order is the group order, None above the cap.  Entries are summed over
+    column-orbit members at each row representative; every right-hand side
+    is read at the row representatives.
+    """
+    n_rows, n_cols = full.system.n_rows, full.system.n_cols
+    col_pos = {key: j for j, key in enumerate(full.packed_cols)}
+    row_pos = {mono: r for r, mono in enumerate(full.packed_rows)}
+    permute = full.packing.permute
+
+    row_parent = list(range(n_rows))
+    col_parent = list(range(n_cols))
+    for gen_pos, images in enumerate(perms.generators):
+        pmap = maps[gen_pos]
+        for r, mono in enumerate(full.packed_rows):
+            image = row_pos.get(permute(images, mono))
+            if image is None:
+                raise SymmetryError("row universe is not closed under the group")
+            _union(row_parent, r, image)
+        # many columns share a shift; permute each shift once
+        shift_image = {delta: permute(images, delta) for delta in {d for _, d in full.packed_cols}}
+        for j, (i, delta) in enumerate(full.packed_cols):
+            image = col_pos.get((pmap[i], shift_image[delta]))
+            if image is None:
+                raise SymmetryError("column set is not closed under the group")
+            _union(col_parent, j, image)
+
+    row_reps = sorted({_find(row_parent, r) for r in range(n_rows)})
+    col_reps = sorted({_find(col_parent, j) for j in range(n_cols)})
+    col_orbit_of = {rep: pos for pos, rep in enumerate(col_reps)}
+    col_orbit_index = tuple(col_orbit_of[_find(col_parent, j)] for j in range(n_cols))
+
+    field = full.system.field
+    p = field.p
+    orbit_rows: List[List[Tuple[int, int]]] = []
+    for rep in row_reps:
+        acc: Dict[int, int] = {}
+        for c, v in full.system.rows[rep]:
+            oc = col_orbit_index[c]
+            acc[oc] = (acc.get(oc, 0) + v) % p
+        orbit_rows.append(sorted((oc, v) for oc, v in acc.items() if v))
+    orbit_rhs = [[rhs[rep] for rep in row_reps] for rhs in full.rhs_list]
+    system = SparseSystem._unchecked(
+        field, len(col_reps), orbit_rows, orbit_rhs[0], memory_budget
     )
+    coprime = order is not None and gcd(order, p) == 1
+    return OrbitSystem(
+        system, orbit_rhs, full, tuple(row_reps), tuple(col_reps), col_orbit_index, order, coprime
+    )
+
+
+def assemble_orbit(
+    F: PolySystem,
+    d: int,
+    g: Polynomial,
+    perms: PermutationSet,
+    pruning: str = "occurring",
+    memory_budget: Optional[int] = None,
+) -> OrbitSystem:
+    """Assemble the degree-d system and collapse it to orbits.
+
+    Requires F invariant under every generator and g fixed by every
+    generator (SymmetryError otherwise).  The full matrix is materialized
+    first (assembly is cheap relative to elimination; the savings are in
+    the solve).
+    """
+    maps = check_invariant(F, [g], perms)
+    full = _assemble_targets(F, d, [g], pruning, memory_budget)
+    return _collapse(full, perms, maps, group_order(perms), memory_budget)
+
+
+def lift_solution(orb: OrbitSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
+    """Expand an orbit solution to the full column set, constant on orbits."""
+    if len(ybar) != orb.system.n_cols:
+        raise SymmetryError("orbit solution length does not match orbit system")
+    return tuple(ybar[o] for o in orb.col_orbit_index)
 
 
 def stats(
@@ -508,11 +662,10 @@ def nulla_prove(
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
     in GF(4).  If every f_i vanishes there and no target does, no degree
-    has a certificate (see the module docstring), and every degree is
-    recorded inconsistent without elimination, orbit attempts included.
-    Without perms such a degree is not assembled either: its DegreeStats
-    gives the sizes its system would have, and its millis covers only
-    counting them.  Otherwise the degrees are solved as without a root.
+    has a certificate (see the module docstring), and no degree is
+    assembled, with or without perms: each gets one inconsistent
+    DegreeStats with the sizes of its full system, and its millis covers
+    only counting them.  Otherwise the degrees are solved as without a root.
     """
     schedule = list(schedule)
     if not schedule:
@@ -528,33 +681,28 @@ def nulla_prove(
         and all(any(_gf4_value(g, root)) for g in targets)
     )
     if perms is not None:
-        # symmetry builds on this module, so it is imported on use
-        from nullcert.symmetry import _check_invariant, _collapse, _coprime, group_order
-
-        maps = _check_invariant(F, targets, perms)
-        conclusive = _coprime(group_order(perms), F.field.p)
+        maps = check_invariant(F, targets, perms)
+        order = group_order(perms)
         sym_desc = [list(images) for images in perms.generators]
 
     per_degree: List[DegreeStats] = []
     for d in schedule:
         t0 = time.perf_counter()
-        if refuted and perms is None:
+        if refuted:
             rows, cols, nnz = _sizes(F, d, targets, pruning, memory_budget)
             millis = int((time.perf_counter() - t0) * 1000)
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
-        raw, rhs_list = _assemble_targets(
-            F, d, targets, pruning, memory_budget, shift_major=F.field.p == 2
-        )
-        # (system, right-hand sides, full column -> solved column or None)
-        attempts = [(raw.system, rhs_list, None)]
+        full = _assemble_targets(F, d, targets, pruning, memory_budget, shift_major=F.field.p == 2)
+        # (system, right-hand sides, orbit system to lift from or None)
+        attempts = [(full.system, full.rhs_list, None)]
         if perms is not None:
-            orb = _collapse(raw, rhs_list, perms, maps, memory_budget)
-            attempts = [(orb.system, orb.rhs_list, orb.col_orbit_index)]
-            if not conclusive:
-                attempts.append((raw.system, rhs_list, None))
-        for system, rhs_set, col_orbit in attempts:
-            results = [] if refuted else solve_multi_rhs(system, rhs_set)
+            orb = _collapse(full, perms, maps, order, memory_budget)
+            attempts = [(orb.system, orb.rhs_list, orb)]
+            if not orb.coprime_verified:
+                attempts.append((full.system, full.rhs_list, None))
+        for system, rhs_set, lift_from in attempts:
+            results = solve_multi_rhs(system, rhs_set)
             millis = int((time.perf_counter() - t0) * 1000)
             t0 = time.perf_counter()
             hit = next((idx for idx, r in enumerate(results) if r.consistent), None)
@@ -566,17 +714,17 @@ def nulla_prove(
                 continue
             sol = results[hit].solution
             assert sol is not None
-            if col_orbit is not None:
-                sol = tuple(sol[o] for o in col_orbit)
+            if lift_from is not None:
+                sol = lift_solution(lift_from, sol)
             prov = {
                 **(provenance or {}),
-                "symmetry": sym_desc if col_orbit is not None else None,
+                "symmetry": sym_desc if lift_from is not None else None,
                 "degree": d,
                 "pruning": pruning,
             }
             support = (
-                (i, raw.packing.unpack(delta), sol[j])
-                for j, (i, delta) in enumerate(raw.col_keys)
+                (i, full.packing.unpack(delta), sol[j])
+                for j, (i, delta) in enumerate(full.packed_cols)
                 if sol[j]
             )
             cert = _cert_from_support(F, support, targets[hit], prov)
@@ -594,9 +742,12 @@ __all__ = [
     "ColumnKey",
     "DegreeStats",
     "NullaOutcome",
+    "OrbitSystem",
     "SystemStats",
     "assemble",
+    "assemble_orbit",
     "extract_certificate",
+    "lift_solution",
     "nulla_prove",
     "stats",
 ]

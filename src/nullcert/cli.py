@@ -40,9 +40,8 @@ from nullcert.poly import (
 from nullcert.symmetry import parse_generators
 
 # unused here, but perfbench/tracing.py wraps these names on this module
-from nullcert.assemble import extract_certificate
+from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution
 from nullcert.linsolve import solve
-from nullcert.symmetry import assemble_orbit, lift_solution
 
 EXIT_OK = 0
 EXIT_INVALID = 1

@@ -209,38 +209,21 @@ def enumerate_cliques(g: Graph, size: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def spanning_tree(g: Graph, origin: int) -> Dict[int, int]:
-    """BFS tree over origin's component as a child -> parent map.
-
-    The origin itself is absent; so is every vertex outside its component.
-    """
-    if not 1 <= origin <= g.n_vertices:
-        raise GraphError(f"origin {origin} out of range")
-    adj = g.adjacency()
-    parent: Dict[int, int] = {}
-    frontier = [origin]
-    seen = {origin}
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return parent
-
-
 def components(g: Graph) -> List[List[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    remaining = set(range(1, g.n_vertices + 1))
+    adj = g.adjacency()
+    seen = set()
     out = []
-    while remaining:
-        start = min(remaining)
-        comp = {start} | set(spanning_tree(g, start))
+    for start in range(1, g.n_vertices + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for u in comp:  # comp grows as the search reaches new vertices
+            for v in adj[u] - seen:
+                seen.add(v)
+                comp.append(v)
         out.append(sorted(comp))
-        remaining -= comp
     return out
 
 
@@ -340,7 +323,6 @@ __all__ = [
     "gen_mycielski",
     "gen_random",
     "enumerate_cliques",
-    "spanning_tree",
     "components",
     "COLORING_NODE_BUDGET",
     "find_coloring",

@@ -22,6 +22,11 @@ class PolyParseError(PolyError):
     """Raised when polynomial text cannot be parsed."""
 
 
+# Trial division settles a modulus below this in milliseconds; for 2^61-1 it
+# would try ~7.6*10^8 odd divisors.
+MAX_MODULUS = 2**31
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -44,6 +49,8 @@ class FieldSpec:
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, int) and self.p >= MAX_MODULUS:
+            raise PolyError(f"field modulus must be below 2^31, got {self.p}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise PolyError(f"field modulus must be prime, got {self.p!r}")
 

@@ -1,34 +1,21 @@
-"""Orbit reduction of the certificate linear system under variable symmetry.
+"""Permutation groups on the variables: parsing, order, and invariance.
 
-A permutation group acting on the variables permutes the rows (monomials) and
-columns (shifted polynomials) of the assembled matrix.  When the polynomial
-system is invariant under the group, solutions may be assumed constant on
-column orbits, so the system collapses to one row/column per orbit with
-entries summed over column-orbit members.
-
-An orbit-system solution always lifts to a full solution (and hence to a
-certificate that verifies), with no assumption on the group order.  The
-converse, full consistency implying orbit consistency, needs |G| coprime to
-the field characteristic; coprime_verified records whether that was checked,
-so an inconsistent orbit system is conclusive only when it is true.
+A permutation group acting on the variables permutes the rows (monomials)
+and columns (shifted polynomials) of the certificate system; nullcert.assemble
+collapses that system to orbits (assemble_orbit, and nulla_prove given
+perms).  This module supplies the group: generators parsed from cycle
+notation, the group order (whose coprimality to p makes an inconsistent
+orbit system conclusive), and the invariance check the collapse rests on.
 
 Invariance is checked, never assumed: a generator that maps a polynomial of
 the system outside it, or moves a target, raises SymmetryError.
-
-assemble.nulla_prove applies the collapse inside its degree loop and, when
-the group order is not coprime to p, solves the full matrix after an
-inconsistent orbit solve; assemble_orbit exposes one degree of the collapse
-with Monomial row and column keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nullcert.assemble import ColumnKey, _RawAssembly, _assemble_targets
-from nullcert.linsolve import SparseSystem
 from nullcert.poly import Monomial, PolySystem, Polynomial
 
 DEFAULT_GROUP_CAP = 10**6
@@ -129,42 +116,7 @@ def group_order(perms: PermutationSet, cap: int = DEFAULT_GROUP_CAP) -> Optional
     return len(seen)
 
 
-@dataclass(frozen=True)
-class OrbitSystem:
-    """Collapsed system plus everything needed to lift solutions back.
-
-    Representatives are the orbit members of least full-system index, listed
-    in that order; col_orbit_index maps each full column to its orbit
-    position, full_col_keys preserves the full column layout.
-    """
-
-    system: SparseSystem
-    row_orbits: Tuple[Monomial, ...]
-    col_orbits: Tuple[ColumnKey, ...]
-    group_order: Optional[int]
-    coprime_verified: bool
-    full_col_keys: Tuple[ColumnKey, ...]
-    col_orbit_index: Tuple[int, ...]
-
-
-def _find(parent: List[int], a: int) -> int:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
-def _union(parent: List[int], a: int, b: int) -> None:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return
-    if rb < ra:
-        ra, rb = rb, ra
-    # root stays the least member, so roots double as representatives
-    parent[rb] = ra
-
-
-def _check_invariant(
+def check_invariant(
     F: PolySystem, targets: Sequence[Polynomial], perms: PermutationSet
 ) -> List[List[int]]:
     """Per-generator map poly index -> index of its image in F.
@@ -195,119 +147,11 @@ def _check_invariant(
     return maps
 
 
-def _coprime(order: Optional[int], p: int) -> bool:
-    return order is not None and gcd(order, p) == 1
-
-
-@dataclass(frozen=True)
-class _Collapsed:
-    system: SparseSystem
-    rhs_list: List[List[int]]
-    row_reps: List[int]
-    col_reps: List[int]
-    col_orbit_index: Tuple[int, ...]
-
-
-def _collapse(
-    raw: _RawAssembly,
-    rhs_list: Sequence[Sequence[int]],
-    perms: PermutationSet,
-    maps: Sequence[Sequence[int]],
-    memory_budget: Optional[int],
-) -> _Collapsed:
-    """Fold an assembled system to one row/column per orbit.
-
-    Entries are summed over column-orbit members at each row representative;
-    every right-hand side is read at the row representatives.
-    """
-    n_rows, n_cols = raw.system.n_rows, raw.system.n_cols
-    col_pos = {key: j for j, key in enumerate(raw.col_keys)}
-    row_pos = {mono: r for r, mono in enumerate(raw.row_keys)}
-    permute = raw.packing.permute
-
-    row_parent = list(range(n_rows))
-    col_parent = list(range(n_cols))
-    for gen_pos, images in enumerate(perms.generators):
-        pmap = maps[gen_pos]
-        for r, mono in enumerate(raw.row_keys):
-            image = row_pos.get(permute(images, mono))
-            if image is None:
-                raise SymmetryError("row universe is not closed under the group")
-            _union(row_parent, r, image)
-        # many columns share a shift; permute each shift once
-        shift_image = {delta: permute(images, delta) for delta in {d for _, d in raw.col_keys}}
-        for j, (i, delta) in enumerate(raw.col_keys):
-            image = col_pos.get((pmap[i], shift_image[delta]))
-            if image is None:
-                raise SymmetryError("column set is not closed under the group")
-            _union(col_parent, j, image)
-
-    row_reps = sorted({_find(row_parent, r) for r in range(n_rows)})
-    col_reps = sorted({_find(col_parent, j) for j in range(n_cols)})
-    col_orbit_of = {rep: pos for pos, rep in enumerate(col_reps)}
-    col_orbit_index = tuple(col_orbit_of[_find(col_parent, j)] for j in range(n_cols))
-
-    field = raw.system.field
-    p = field.p
-    orbit_rows: List[List[Tuple[int, int]]] = []
-    for rep in row_reps:
-        acc: Dict[int, int] = {}
-        for c, v in raw.system.rows[rep]:
-            oc = col_orbit_index[c]
-            acc[oc] = (acc.get(oc, 0) + v) % p
-        orbit_rows.append(sorted((oc, v) for oc, v in acc.items() if v))
-    orbit_rhs = [[rhs[rep] for rep in row_reps] for rhs in rhs_list]
-    system = SparseSystem._unchecked(
-        field, len(col_reps), orbit_rows, orbit_rhs[0], memory_budget
-    )
-    return _Collapsed(system, orbit_rhs, row_reps, col_reps, col_orbit_index)
-
-
-def assemble_orbit(
-    F: PolySystem,
-    d: int,
-    g: Polynomial,
-    perms: PermutationSet,
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-) -> OrbitSystem:
-    """Assemble the degree-d system and collapse it to orbits.
-
-    Requires F invariant under every generator and g fixed by every
-    generator.  The full matrix is materialized first (assembly is cheap
-    relative to elimination; the savings are in the solve).
-    """
-    maps = _check_invariant(F, [g], perms)
-    raw, rhs_list = _assemble_targets(F, d, [g], pruning, memory_budget)
-    col = _collapse(raw, rhs_list, perms, maps, memory_budget)
-    order = group_order(perms)
-    unpack = raw.packing.unpack
-    full_col_keys = tuple(ColumnKey(i, unpack(delta)) for i, delta in raw.col_keys)
-    return OrbitSystem(
-        system=col.system,
-        row_orbits=tuple(unpack(raw.row_keys[r]) for r in col.row_reps),
-        col_orbits=tuple(full_col_keys[j] for j in col.col_reps),
-        group_order=order,
-        coprime_verified=_coprime(order, F.field.p),
-        full_col_keys=full_col_keys,
-        col_orbit_index=col.col_orbit_index,
-    )
-
-
-def lift_solution(orb: OrbitSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
-    """Expand an orbit solution to the full column set, constant on orbits."""
-    if len(ybar) != orb.system.n_cols:
-        raise SymmetryError("orbit solution length does not match orbit system")
-    return tuple(ybar[orb.col_orbit_index[j]] for j in range(len(orb.full_col_keys)))
-
-
 __all__ = [
     "DEFAULT_GROUP_CAP",
-    "OrbitSystem",
     "PermutationSet",
     "SymmetryError",
-    "assemble_orbit",
+    "check_invariant",
     "group_order",
-    "lift_solution",
     "parse_generators",
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import poly_mul, random_dense_system, ref_solve_dense
-from nullcert.assemble import assemble, nulla_prove
+from nullcert.assemble import assemble, assemble_orbit, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
@@ -34,7 +34,7 @@ from nullcert.poly import (
     format_poly,
     parse_poly,
 )
-from nullcert.symmetry import PermutationSet, assemble_orbit, lift_solution
+from nullcert.symmetry import PermutationSet
 
 import random
 

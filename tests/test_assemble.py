@@ -254,10 +254,9 @@ def test_gf2_shift_major_columns_agree_with_public_order(graph):
     g = Polynomial.one(GF2, graph.n_vertices)
     for d in (1, 4):
         asys = assemble(F, d, g, pruning="graded:3")
-        shifted, _ = _assemble_targets(F, d, [g], "graded:3", shift_major=True)
-        unpack = shifted.packing.unpack
-        assert tuple(map(unpack, shifted.row_keys)) == asys.row_keys
-        shifted_cols = [(i, unpack(delta)) for i, delta in shifted.col_keys]
+        shifted = _assemble_targets(F, d, [g], "graded:3", shift_major=True)
+        assert shifted.row_keys == asys.row_keys
+        shifted_cols = [(ck.poly_index, ck.shift) for ck in shifted.col_keys]
         public_cols = [(ck.poly_index, ck.shift) for ck in asys.col_keys]
         assert sorted(shifted_cols) == sorted(public_cols)
         pos = {key: j for j, key in enumerate(public_cols)}
@@ -322,13 +321,13 @@ def test_large_exponent_assembles_in_small_memory():
     g = Polynomial.one(GF2, 2)
     tracemalloc.start()
     try:
-        raw, _ = _assemble_targets(F, 1, [g])
+        asys = _assemble_targets(F, 1, [g])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    system = raw.system
+    system = asys.system
     assert (system.n_rows, system.n_cols, system.nnz) == (9, 9, 15)
-    assert raw.packing.unpack(raw.row_keys[-2]) == Monomial.make({0: 2000001}, 2)
+    assert asys.row_keys[-2] == Monomial.make({0: 2000001}, 2)
     assert peak < 1 << 20
 
 
@@ -473,10 +472,12 @@ def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
     rooted, rooted_solves = prove_counting_solves(
         monkeypatch, F, perms=perms, root=find_coloring(graph, 3)
     )
-    assert outcome_shape(rooted) == outcome_shape(plain)
     # order 6 is not coprime to 2: each degree has an orbit and a full entry
     assert len(plain.per_degree) == 4
     assert (plain_solves, rooted_solves) == (4, 0)
+    # the root counts each degree once, at the size of its full matrix
+    verdict, degree, per_degree, cert = outcome_shape(plain)
+    assert outcome_shape(rooted) == (verdict, degree, per_degree[1::2], cert)
 
 
 def test_bad_root_cannot_change_a_result(monkeypatch):
@@ -569,9 +570,9 @@ def test_sizes_match_assembly(p):
             targets = [Polynomial.one(field, n), near, far]
             for pruning in ("occurring", f"graded:{k}"):
                 for shift_major in (False, True):
-                    raw, _ = _assemble_targets(F, d, targets, pruning, shift_major=shift_major)
+                    system = _assemble_targets(F, d, targets, pruning, shift_major=shift_major).system
                     counted = _sizes(F, d, targets, pruning)
-                    assert counted == (raw.system.n_rows, raw.system.n_cols, raw.system.nnz)
+                    assert counted == (system.n_rows, system.n_cols, system.nnz)
                 # the unreached target monomial is one row of its own
                 assert _sizes(F, d, targets[:2], pruning)[0] == counted[0] - 1
 
@@ -592,17 +593,23 @@ def test_sizes_keep_validation_and_budget():
 
 
 @pytest.mark.parametrize(
-    "graph", [gen_wheel(4), gen_random(16, 0.27, 0)], ids=["wheel4", "random16s0"]
+    "graph, generators",
+    [(gen_wheel(4), None), (gen_random(16, 0.27, 0), None), (gen_wheel(6), "(1,2,3,4,5,6)")],
+    ids=["wheel4", "random16s0", "wheel6-symmetry"],
 )
-def test_root_counts_degrees_without_assembly(monkeypatch, graph):
-    F = encode_coloring(graph, EncodingOptions(preprocess=True))
+def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
+    # under a symmetry group as well, each degree is counted at full size
+    F = encode_coloring(graph, EncodingOptions(preprocess=generators is None))
+    perms = parse_generators(generators, F.n_vars) if generators else None
     plain = nulla_prove(F, [1, 4], pruning="graded:3")
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("a refuted degree is counted, not assembled")
 
     monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
-    rooted = nulla_prove(F, [1, 4], pruning="graded:3", root=find_coloring(graph, 3))
+    rooted = nulla_prove(
+        F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3)
+    )
     assert outcome_shape(rooted) == outcome_shape(plain)
     assert plain.verdict == "no_certificate_up_to"
 

@@ -6,6 +6,7 @@ stdout/stderr can be asserted without spawning subprocesses.
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -241,6 +242,18 @@ def test_verify_unreadable_inputs(tmp_path, capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_huge_field_modulus_is_refused(tmp_path, capsys):
+    p = str(2**61 - 1)
+    cert_path = tmp_path / "k4.json"
+    run(capsys, "prove", "--gen", "complete:4", "--cert", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    doc["field_p"] = 2**61 - 1
+    cert_path.write_text(json.dumps(doc))
+    message = f"error: field modulus must be below 2^31, got {p}\n"
+    assert run(capsys, "verify", str(cert_path)) == (2, "", message)
+    assert run(capsys, "prove", "--gen", "complete:3", "--k", "2", "--p", p) == (2, "", message)
+
+
 def test_same_run_writes_identical_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "prove", "--gen", "random:12,0.4,7", "--cert", str(a))
@@ -367,6 +380,24 @@ def test_prove_system_with_explicit_target(tmp_path, capsys):
     assert rc == 0
     cert = read_cert(out[out.index("{"):])
     assert cert.target.terms[0][0].expanded() == (0,)
+
+
+def test_budget_refuses_a_degree_before_listing_its_shifts(tmp_path, capsys):
+    # 2000 variables: degree 2 has about 2*10^6 shifts, each a packed int of
+    # 24,000 bits, so listing them alone would take gigabytes
+    path = tmp_path / "wide.txt"
+    path.write_text("a x2000+1\n")
+    tracemalloc.start()
+    try:
+        rc, out, err = run(
+            capsys, "prove", "--system", str(path), "--memory-budget", "100000000"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: predicted working set ") and err.count("\n") == 1
+    assert peak < 64 << 20
 
 
 def test_system_file_errors(tmp_path, capsys):
@@ -497,14 +528,14 @@ def test_symmetry_noncoprime_k4_falls_back_to_full(swap_file, tmp_path, capsys):
 
 
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):
-    # K2 with the swap: the orbit solve proves nothing, so the full degree-1
-    # matrix is solved too (a second stats line) and decides the degree
+    # K2 with the swap: a 3-coloring refutes degree 1, so it is counted once
+    # at full size and neither the orbit nor the full matrix is solved
     rc, out, _ = run(
         capsys, "prove", "--gen", "complete:2", "--symmetry", swap_file,
         "--max-degree", "1",
     )
     assert rc == 10
-    assert sum(1 for l in out.splitlines() if l.startswith("degree=1 ")) == 2
+    assert sum(1 for l in out.splitlines() if l.startswith("degree=1 ")) == 1
     assert "note:" not in out
 
 

@@ -22,7 +22,6 @@ from nullcert.graphs import (
     gen_wheel,
     oracle_colorable,
     parse_dimacs,
-    spanning_tree,
     write_dimacs,
 )
 from nullcert.graphs import _dsatur
@@ -145,14 +144,7 @@ class TestTrianglesAndCliques:
         assert enumerate_cliques(gen_wheel(5), 4) == []
 
 
-class TestSpanningTree:
-    def test_examples(self):
-        assert spanning_tree(gen_complete(3), 1) == {2: 1, 3: 1}
-        path = Graph.make(3, [(1, 2), (2, 3)])
-        assert spanning_tree(path, 1) == {2: 1, 3: 2}
-        two_edges = Graph.make(4, [(1, 2), (3, 4)])
-        assert set(spanning_tree(two_edges, 1)) == {2}
-
+class TestComponents:
     def test_components(self):
         two_edges = Graph.make(5, [(1, 2), (3, 4)])
         assert components(two_edges) == [[1, 2], [3, 4], [5]]

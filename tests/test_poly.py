@@ -44,6 +44,12 @@ class TestFieldSpec:
         for good in (2, 3, 5, 7, 101):
             assert FieldSpec(good).p == good
 
+    def test_modulus_below_2_pow_31(self):
+        # trial division would try ~7.6*10^8 odd divisors of 2^61-1
+        with pytest.raises(PolyError, match="below 2\\^31"):
+            FieldSpec(2**61 - 1)
+        assert FieldSpec(2**31 - 1).p == 2**31 - 1
+
 
 class TestMonomial:
     def test_make_and_from_vars(self):

@@ -2,20 +2,13 @@
 
 import pytest
 
-from nullcert.assemble import assemble, extract_certificate
+from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_wheel
 from nullcert.linsolve import solve
 from nullcert.poly import FieldSpec, Polynomial, parse_poly
-from nullcert.symmetry import (
-    PermutationSet,
-    SymmetryError,
-    assemble_orbit,
-    group_order,
-    lift_solution,
-    parse_generators,
-)
+from nullcert.symmetry import PermutationSet, SymmetryError, group_order, parse_generators
 
 GF2 = FieldSpec(2)
 
