@@ -13,6 +13,14 @@ optionally collapses it to orbits of a variable symmetry group, solves it,
 lifts the solution back onto the full columns, and extracts and re-verifies
 the certificate.
 
+Core first: given a core, a smaller system whose polynomials are F's input
+polynomials under a renaming of variables (the encoding of an induced
+subgraph), nulla_prove solves the core's system before F's at each degree.
+A certificate for the core, renamed into F's variables, is a certificate
+for F, so F's system is solved at a degree only when the core's is
+inconsistent there.  The certificate degree is never higher than without
+the core, and a graph far too large to assemble can still be certified.
+
 Orbit collapse: a permutation group on the variables (nullcert.symmetry)
 permutes the rows (monomials) and columns (shifted polynomials).  When F is
 invariant under the group and every target is fixed by it, solutions may be
@@ -74,7 +82,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,6 +94,10 @@ from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, gr
 
 class AssembleError(ValueError):
     """Raised for invalid assembly requests (pruning misuse, bad targets)."""
+
+
+# Columns filed between two memory-budget checks during assembly.
+_BUDGET_BLOCK = 4096
 
 
 class _Packing:
@@ -388,31 +400,39 @@ def _assemble_targets(
     packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     # Enumerate columns in global order, poly-major or shift-major.
     if shift_major:
-        col_keys = [
+        cols = (
             (i, delta)
             for deg in range(d + 1)
             if polys_at[deg]
             for delta in shifts[deg]
             for i in polys_at[deg]
-        ]
+        )
     else:
-        col_keys = [
+        cols = (
             (i, delta)
             for i in range(len(poly_terms))
             for deg in range(d + 1)
             if i in polys_at[deg]
             for delta in shifts[deg]
-        ]
+        )
+    n_cols = sum(len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts))
 
     # One pass files each product x^delta * t under its row monomial.
     # Columns are visited in order and the terms of one f_i have distinct
     # monomials, so each row's entries come out strictly increasing.  A row
     # is filed flat (j, c, j, c, ...) and paired up one row at a time below,
     # so that a row's pairs sit together in memory for the eliminator.
+    # Rows only grow, so the budget is checked on the rows filed so far
+    # after each block of columns: a degree far over budget fails early,
+    # not after every product is filed.
     rows = defaultdict(list, {packing.pack(m): [] for g in targets for m, _ in g.terms})
-    for j, (i, delta) in enumerate(col_keys):
-        for t, c in poly_terms[i]:
-            rows[delta + t].extend((j, c))
+    col_keys: List[Tuple[int, int]] = []
+    while block := list(islice(cols, _BUDGET_BLOCK)):
+        for j, (i, delta) in enumerate(block, len(col_keys)):
+            for t, c in poly_terms[i]:
+                rows[delta + t].extend((j, c))
+        col_keys += block
+        _check_budget(F.field, len(rows), n_cols, memory_budget)
     order = packing.flip.__xor__
     row_keys = sorted(rows, key=order)
 
@@ -602,6 +622,19 @@ def _cert_from_support(
     )
 
 
+def _extract(
+    F: PolySystem, asm: AssembledSystem, sol: Sequence[int], target: Polynomial, provenance: dict
+) -> Certificate:
+    """extract_certificate on an assembly's packed columns, unpacking only
+    the shifts that carry a nonzero coefficient."""
+    support = (
+        (i, asm.packing.unpack(delta), sol[j])
+        for j, (i, delta) in enumerate(asm.packed_cols)
+        if sol[j]
+    )
+    return _cert_from_support(F, support, target, provenance)
+
+
 def extract_certificate(
     F: PolySystem,
     col_keys: Sequence[ColumnKey],
@@ -634,6 +667,21 @@ def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
     return n[0] ^ n[2], n[1] ^ n[2]
 
 
+def _core_targets(
+    F: PolySystem, F_core: PolySystem, images: Sequence[int], targets: Sequence[Polynomial]
+) -> List[Polynomial]:
+    """Check a core against F and rename the targets into its variables."""
+    if F_core.field != F.field or len(images) != F_core.n_vars:
+        raise AssembleError("core needs F's field and one image per core variable")
+    if len(set(images)) != len(images) or not all(0 <= v < F.n_vars for v in images):
+        raise AssembleError("core images must be distinct variables of F")
+    inverse = {v: j for j, v in enumerate(images)}
+    if any(v not in inverse for g in targets for m, _ in g.terms for v, _ in m.exponents):
+        raise AssembleError("a target uses a variable outside the core")
+    to_core = [inverse.get(v, -1) for v in range(F.n_vars)]
+    return [g.renamed(to_core, F_core.n_vars) for g in targets]
+
+
 def nulla_prove(
     F: PolySystem,
     schedule: Sequence[int],
@@ -644,6 +692,7 @@ def nulla_prove(
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
     root: Optional[Sequence[int]] = None,
+    core: Optional[Tuple[PolySystem, Sequence[int], dict]] = None,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
@@ -666,6 +715,17 @@ def nulla_prove(
     assembled, with or without perms: each gets one inconsistent
     DegreeStats with the sizes of its full system, and its millis covers
     only counting them.  Otherwise the degrees are solved as without a root.
+
+    core = (F_core, images, note) is a smaller system whose polynomials,
+    with core variable j renamed to F's variable images[j], are
+    polynomials of F's input (the encoding of an induced subgraph, say),
+    so that a certificate for it is one for F.  At each degree the core's
+    system is assembled and solved first, with the same pruning, budget
+    and targets renamed into its variables, and gets its own DegreeStats;
+    only when it is inconsistent is F's system solved, exactly as without
+    a core.  A core certificate is renamed into F's variables, recorded
+    with note under provenance "core", and re-verified.  Every target must
+    lie in the core's variables, and core excludes perms and root.
     """
     schedule = list(schedule)
     if not schedule:
@@ -680,12 +740,34 @@ def nulla_prove(
         and not any(any(_gf4_value(f, root)) for f in F.polys)
         and all(any(_gf4_value(g, root)) for g in targets)
     )
+    if core is not None:
+        if perms is not None or root is not None:
+            raise AssembleError("a core excludes a symmetry group and a root")
+        F_core, images, note = core
+        core_targets = _core_targets(F, F_core, images, targets)
     if perms is not None:
         maps = check_invariant(F, targets, perms)
         order = group_order(perms)
-        sym_desc = [list(images) for images in perms.generators]
+        sym_desc = [list(gen) for gen in perms.generators]
+    shift_major = F.field.p == 2
 
     per_degree: List[DegreeStats] = []
+
+    def solved(d: int, system: SparseSystem, rhs_set: List[List[int]], t0: float):
+        """Solve one attempt and record its DegreeStats; the first
+        consistent target's index and solution, or None."""
+        results = solve_multi_rhs(system, rhs_set)
+        hit = next((idx for idx, r in enumerate(results) if r.consistent), None)
+        status = "consistent" if hit is not None else "inconsistent"
+        millis = int((time.perf_counter() - t0) * 1000)
+        per_degree.append(DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis))
+        return None if hit is None else (hit, results[hit].solution)
+
+    def proved(d: int, cert: Certificate) -> NullaOutcome:
+        if not verify(cert):
+            raise AssembleError("internal error: extracted certificate failed re-verification")
+        return NullaOutcome("infeasible", cert, d, tuple(per_degree))
+
     for d in schedule:
         t0 = time.perf_counter()
         if refuted:
@@ -693,7 +775,21 @@ def nulla_prove(
             millis = int((time.perf_counter() - t0) * 1000)
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
-        full = _assemble_targets(F, d, targets, pruning, memory_budget, shift_major=F.field.p == 2)
+        prov = {**(provenance or {}), "symmetry": None, "degree": d, "pruning": pruning}
+        if core is not None:
+            part = _assemble_targets(F_core, d, core_targets, pruning, memory_budget, shift_major=shift_major)
+            found = solved(d, part.system, part.rhs_list, t0)
+            t0 = time.perf_counter()
+            if found is not None:
+                hit, sol = found
+                on_core = _extract(F_core, part, sol, core_targets[hit], {**prov, "core": note})
+                n = F.n_vars
+                entries = tuple(
+                    CertEntry(e.tag, e.source.renamed(images, n), e.multiplier.renamed(images, n))
+                    for e in on_core.entries
+                )
+                return proved(d, Certificate(F.field, n, targets[hit], entries, on_core.provenance))
+        full = _assemble_targets(F, d, targets, pruning, memory_budget, shift_major=shift_major)
         # (system, right-hand sides, orbit system to lift from or None)
         attempts = [(full.system, full.rhs_list, None)]
         if perms is not None:
@@ -702,37 +798,15 @@ def nulla_prove(
             if not orb.coprime_verified:
                 attempts.append((full.system, full.rhs_list, None))
         for system, rhs_set, lift_from in attempts:
-            results = solve_multi_rhs(system, rhs_set)
-            millis = int((time.perf_counter() - t0) * 1000)
+            found = solved(d, system, rhs_set, t0)
             t0 = time.perf_counter()
-            hit = next((idx for idx, r in enumerate(results) if r.consistent), None)
-            status = "consistent" if hit is not None else "inconsistent"
-            per_degree.append(
-                DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis)
-            )
-            if hit is None:
+            if found is None:
                 continue
-            sol = results[hit].solution
-            assert sol is not None
+            hit, sol = found
             if lift_from is not None:
                 sol = lift_solution(lift_from, sol)
-            prov = {
-                **(provenance or {}),
-                "symmetry": sym_desc if lift_from is not None else None,
-                "degree": d,
-                "pruning": pruning,
-            }
-            support = (
-                (i, full.packing.unpack(delta), sol[j])
-                for j, (i, delta) in enumerate(full.packed_cols)
-                if sol[j]
-            )
-            cert = _cert_from_support(F, support, targets[hit], prov)
-            if not verify(cert):
-                raise AssembleError(
-                    "internal error: extracted certificate failed re-verification"
-                )
-            return NullaOutcome("infeasible", cert, d, tuple(per_degree))
+                prov["symmetry"] = sym_desc
+            return proved(d, _extract(F, full, sol, targets[hit], prov))
     return NullaOutcome("no_certificate_up_to", None, schedule[-1], tuple(per_degree))
 
 

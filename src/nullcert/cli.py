@@ -21,6 +21,7 @@ from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
 from nullcert.graphs import (
     Graph,
     find_coloring,
+    find_core,
     gen_complete,
     gen_kneser,
     gen_mycielski,
@@ -124,24 +125,51 @@ def load_system_file(path: str, p: int) -> Tuple[PolySystem, dict]:
     return F, {"kind": "system", "sha256": _fingerprint(canonical)}
 
 
-def build_system(args: argparse.Namespace, default_preprocess: bool) -> Tuple[PolySystem, Optional[Graph], dict, bool]:
+def build_system(
+    args: argparse.Namespace, default_preprocess: bool
+) -> Tuple[PolySystem, Optional[Graph], dict, Optional[EncodingOptions]]:
     """Produce the polynomial system from exactly one input source.
 
-    Returns (system, graph or None, input fingerprint, is-coloring-encoding).
+    Returns (system, graph or None, input fingerprint, the coloring
+    encoding's options or None for a --system input).
     """
     sources = [s for s in (args.gen, args.input, args.system) if s]
     if len(sources) != 1:
         raise CliError("exactly one of --gen, --input, --system is required")
     if args.system:
         F, meta = load_system_file(args.system, args.p)
-        return F, None, meta, False
+        return F, None, meta, None
     graph, meta = load_graph(args)
     preprocess = args.preprocess if args.preprocess is not None else default_preprocess
     opts = EncodingOptions(
         k=args.k, field=FieldSpec(args.p), preprocess=preprocess, cutters=args.cutters
     )
     F = encode_coloring(graph, opts, origin=args.origin)
-    return F, graph, meta, True
+    return F, graph, meta, opts
+
+
+def build_core(
+    graph: Graph, opts: EncodingOptions, origin: int, targets: Optional[List[Polynomial]]
+) -> Optional[Tuple[PolySystem, List[int], dict]]:
+    """nulla_prove's core: the encoding of a small induced subgraph that
+    the coloring search proves not k-colorable, or None when there is none
+    or a target uses a vertex outside it.
+
+    The preprocessing origin is kept if it lies in the core, else it is the
+    core's least vertex, so that every core polynomial is one of the
+    encoding of the whole graph from that origin.
+    """
+    vertices = find_core(graph, opts.k)
+    if vertices is None:
+        return None
+    images = [v - 1 for v in vertices]
+    inside = set(images)
+    if any(v not in inside for g in targets or () for m, _ in g.terms for v, _ in m.exponents):
+        return None
+    if origin not in vertices:
+        origin = vertices[0]
+    F_core = encode_coloring(graph, opts, origin, vertices)
+    return F_core, images, {"vertices": vertices, "origin": origin}
 
 
 def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
@@ -179,9 +207,11 @@ def build_schedule(args: argparse.Namespace, coloring: bool, pruning: str) -> Li
 
 def cmd_prove(args: argparse.Namespace) -> int:
     explicit_schedule = _parse_schedule(args.schedule)
-    F, graph, meta, coloring = build_system(args, default_preprocess=not args.symmetry)
+    F, graph, meta, opts = build_system(args, default_preprocess=not args.symmetry)
+    coloring = opts is not None
     pruning = args.pruning or (f"graded:{args.k}" if coloring else "occurring")
     schedule = explicit_schedule or build_schedule(args, coloring, pruning)
+    targets = build_targets(args, F.field, F.n_vars)
     perms = None
     if args.symmetry:
         with open(args.symmetry) as fh:
@@ -189,15 +219,22 @@ def cmd_prove(args: argparse.Namespace) -> int:
     # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
     # common root of the GF(2) encoding; nulla_prove checks it once.
     root = find_coloring(graph, 3) if coloring and (args.k, args.p) == (3, 2) else None
+    # A certificate for an induced subgraph is one for the graph.  A
+    # colorable graph has no core, and a core need not be invariant under
+    # the symmetry group.
+    core = None
+    if coloring and root is None and perms is None:
+        core = build_core(graph, opts, args.origin, targets)
     out = nulla_prove(
         F,
         schedule,
-        build_targets(args, F.field, F.n_vars),
+        targets,
         pruning=pruning,
         memory_budget=args.memory_budget,
         provenance={"input": meta},
         perms=perms,
         root=root,
+        core=core,
     )
     for ds in out.per_degree:
         print(
@@ -238,8 +275,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    F, graph, meta, coloring = build_system(args, default_preprocess=True)
-    pruning = args.pruning or (f"graded:{args.k}" if coloring else "occurring")
+    F, graph, meta, opts = build_system(args, default_preprocess=True)
+    pruning = args.pruning or (f"graded:{args.k}" if opts else "occurring")
     st = stats(F, args.degree, pruning=pruning, memory_budget=args.memory_budget)
     print(
         f"n_vars={st.n_vars} polys={st.n_polys} monomials={st.monomial_total} "
@@ -254,7 +291,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    F, graph, meta, coloring = build_system(args, default_preprocess=False)
+    F, graph, meta, opts = build_system(args, default_preprocess=False)
     for tag, poly in zip(F.tags, F.polys):
         print(f"{tag} {format_poly(poly)}")
     return EXIT_OK

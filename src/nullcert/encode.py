@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List
+from typing import List, Optional, Sequence
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
 from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, monomials_up_to
@@ -85,29 +85,48 @@ def _edge_poly(u: int, v: int, k: int, field: FieldSpec, n_vars: int) -> Polynom
     return Polynomial.make(field, n_vars, terms)
 
 
-def encode_coloring(g: Graph, opts: EncodingOptions, origin: int = 1) -> PolySystem:
+def encode_coloring(
+    g: Graph, opts: EncodingOptions, origin: int = 1, vertices: Optional[Sequence[int]] = None
+) -> PolySystem:
     """Encode k-colorability of g as a PolySystem over opts.field.
 
     Ordering is deterministic: vertex polynomials by vertex index, then edge
     polynomials by (u, v), then cutters when requested.  With
     opts.preprocess, redundant vertex polynomials are removed (see
     preprocess_vertex_polys; origin selects the survivor in its component).
+
+    vertices, ascending, encodes the subgraph induced on them instead, over
+    len(vertices) variables: variable j stands for vertices[j].  Tags keep
+    g's vertex labels and cutters come from the cliques inside the subgraph,
+    so every polynomial is one of g's own encoding renamed, with the same
+    tag.  Preprocessing keeps g's survivors, so the origin should lie in
+    vertices: a component of the subgraph without a survivor has no vertex
+    polynomial.
     """
-    n = g.n_vertices
+    labels = range(1, g.n_vertices + 1) if vertices is None else list(vertices)
+    if vertices is not None and (
+        not labels
+        or not 1 <= labels[0] <= labels[-1] <= g.n_vertices
+        or any(b <= a for a, b in zip(labels, labels[1:]))
+    ):
+        raise EncodeError("vertices must be ascending vertices of the graph")
+    var = {v: j for j, v in enumerate(labels, start=1)}
+    n = len(labels)
     polys: List[Polynomial] = []
     tags: List[str] = []
-    for v in range(1, n + 1):
-        polys.append(_vertex_poly(v, opts.k, opts.field, n))
+    for v in labels:
+        polys.append(_vertex_poly(var[v], opts.k, opts.field, n))
         tags.append(f"vertex:{v}")
     for u, v in g.sorted_edges():
-        polys.append(_edge_poly(u, v, opts.k, opts.field, n))
-        tags.append(f"edge:{u}-{v}")
+        if u in var and v in var:
+            polys.append(_edge_poly(var[u], var[v], opts.k, opts.field, n))
+            tags.append(f"edge:{u}-{v}")
     system = PolySystem.make(opts.field, n, polys, tags)
     if opts.preprocess:
         system = preprocess_vertex_polys(system, g, origin)
     if opts.cutters != "none":
-        cliques = enumerate_cliques(g, opts.k)
-        cutters = [_cutter_poly(c, opts.k, opts.field, n) for c in cliques]
+        cliques = [c for c in enumerate_cliques(g, opts.k) if all(v in var for v in c)]
+        cutters = [_cutter_poly([var[v] for v in c], opts.k, opts.field, n) for c in cliques]
         ctags = ["cutter:" + "-".join(map(str, c)) for c in cliques]
         system = PolySystem.make(
             opts.field, n, list(system.polys) + cutters, list(system.tags) + ctags
@@ -139,7 +158,7 @@ def preprocess_vertex_polys(sys: PolySystem, g: Graph, origin: int) -> PolySyste
     return PolySystem.make(sys.field, sys.n_vars, polys, tags)
 
 
-def _cutter_poly(clique: tuple, k: int, field: FieldSpec, n_vars: int) -> Polynomial:
+def _cutter_poly(clique: Sequence[int], k: int, field: FieldSpec, n_vars: int) -> Polynomial:
     terms = [(Monomial.make({v - 1: k - 1}, n_vars), 1) for v in clique]
     return Polynomial.make(field, n_vars, terms)
 

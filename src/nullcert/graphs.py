@@ -2,6 +2,10 @@
 
 Vertices are 1-based everywhere (the DIMACS convention); the algebraic
 encoding maps vertex i to variable index i-1.
+
+The coloring search (find_coloring) also finds cores (find_core): small
+induced subgraphs it proves not k-colorable, whose certificates are
+certificates for the whole graph.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class GraphError(ValueError):
@@ -249,9 +254,21 @@ def find_coloring(g: Graph, k: int) -> Optional[List[int]]:
     return _dsatur(g, k, COLORING_NODE_BUDGET)[0]
 
 
-def _dsatur(g: Graph, k: int, budget: int) -> Tuple[Optional[List[int]], int]:
+def _dsatur(
+    g: Graph, k: int, budget: int, touched: Optional[Set[int]] = None
+) -> Tuple[Optional[List[int]], int]:
     """find_coloring's search with the number of placements it tried, which
-    exceeds budget exactly when the search was cut."""
+    exceeds budget exactly when the search was cut.  touched, when given,
+    receives every vertex the search placed and every vertex whose color
+    domain emptied, 1-based.
+
+    The uncolored vertices wait in one heap per number of colors left,
+    keyed by their rank in the tie-break order (most neighbors, then lowest
+    index).  A vertex is pushed again whenever its count changes or it is
+    uncolored, and an entry whose vertex has since been colored or moved is
+    dropped when it reaches the top, so each selection reads one heap top
+    instead of scanning every vertex.
+    """
     if k < 1:
         return None, 0
     n = g.n_vertices
@@ -260,17 +277,29 @@ def _dsatur(g: Graph, k: int, budget: int) -> Tuple[Optional[List[int]], int]:
         nbrs[u - 1].append(v - 1)
         nbrs[v - 1].append(u - 1)
     by_degree = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
+    rank = [0] * n
+    for r, v in enumerate(by_degree):
+        rank[v] = r
     domain = [(1 << k) - 1] * n  # bit c set: color c still allowed
     color = [-1] * n
+    waiting: List[List[int]] = [[] for _ in range(k + 1)]  # colors left -> ranks
+    waiting[k] = list(range(n))  # ascending, so already a heap
     # one frame per placed vertex: [vertex, colors left to try, colors in
     # use before it, neighbors that lost its color]
     frames: List[list] = []
     nodes = used = 0
     while True:
-        v, fewest = -1, k + 1
-        for u in by_degree:
-            if color[u] < 0 and domain[u].bit_count() < fewest:
-                v, fewest = u, domain[u].bit_count()
+        v = -1
+        for left in range(1, k + 1):
+            heap = waiting[left]
+            while heap:
+                u = by_degree[heap[0]]
+                if color[u] < 0 and domain[u].bit_count() == left:
+                    v = u
+                    break
+                heappop(heap)
+            if v >= 0:
+                break
         if v < 0:
             return color, nodes
         frames.append([v, domain[v] & ((2 << min(used, k - 1)) - 1), used, []])
@@ -281,9 +310,11 @@ def _dsatur(g: Graph, k: int, budget: int) -> Tuple[Optional[List[int]], int]:
                 bit = 1 << color[v]
                 for u in pruned:
                     domain[u] |= bit
+                    heappush(waiting[domain[u].bit_count()], rank[u])
                 pruned.clear()
                 color[v] = -1
             if not options:
+                heappush(waiting[domain[v].bit_count()], rank[v])
                 frames.pop()
                 continue
             nodes += 1
@@ -292,17 +323,116 @@ def _dsatur(g: Graph, k: int, budget: int) -> Tuple[Optional[List[int]], int]:
             bit = options & -options
             frame[1] = options ^ bit
             color[v] = bit.bit_length() - 1
+            if touched is not None:
+                touched.add(v + 1)
             for u in nbrs[v]:
                 if color[u] < 0 and domain[u] & bit:
                     domain[u] ^= bit
                     pruned.append(u)
                     if not domain[u]:
+                        if touched is not None:
+                            touched.add(u + 1)
                         break
+                    heappush(waiting[domain[u].bit_count()], rank[u])
             else:
                 used = max(used, color[v] + 1)
                 break
         else:
             return None, nodes
+
+
+def _induced_coloring(
+    edges: Iterable[Edge], k: int, vertices: Sequence[int]
+) -> Tuple[Optional[Dict[int, int]], Optional[List[int]]]:
+    """The search on the subgraph induced on vertices (ascending) among
+    edges: a proper k-coloring as {vertex: color} or None, and, when the
+    search refutes the subgraph, the vertices it touched, ascending.
+
+    Every branch of a refutation fails on a vertex it touched, by colors
+    of vertices it touched, so the touched vertices alone are not
+    k-colorable either.
+    """
+    label = {v: j for j, v in enumerate(vertices, start=1)}
+    h = Graph(len(vertices), frozenset((label[u], label[v]) for u, v in edges if u in label and v in label))
+    touched: Set[int] = set()
+    coloring, nodes = _dsatur(h, k, COLORING_NODE_BUDGET, touched)
+    if coloring is not None:
+        return dict(zip(vertices, coloring)), None
+    if nodes > COLORING_NODE_BUDGET:
+        return None, None
+    return None, [vertices[j - 1] for j in sorted(touched)]
+
+
+def _rotate(adj: Dict[int, set], k: int, v: int, coloring: Dict[int, int], needed: Set[int]) -> None:
+    """Add v, whose removal leaves the core properly colored by coloring,
+    to needed, and every vertex model rotation reaches from it.
+
+    If some color on v clashes with exactly one neighbor u, recoloring v
+    and dropping u properly colors the core without u, so u is needed too
+    (model rotation, Marques-Silva and Lynce, SAT 2011).
+    """
+    stack = [(v, coloring)]
+    while stack:
+        v, coloring = stack.pop()
+        if v in needed:
+            continue
+        needed.add(v)
+        clash: List[List[int]] = [[] for _ in range(k)]
+        for u in adj[v]:
+            if u in coloring:
+                clash[coloring[u]].append(u)
+        for c, us in enumerate(clash):
+            if len(us) == 1 and us[0] not in needed:
+                moved = dict(coloring)
+                moved[v] = c
+                del moved[us[0]]
+                stack.append((us[0], moved))
+
+
+def find_core(g: Graph, k: int) -> Optional[List[int]]:
+    """A small vertex set, ascending, whose induced subgraph the search
+    proves not k-colorable; None when g is colorable, when the search on g
+    was cut, or when no vertex of g could be left out.
+
+    The core starts from the vertices the refuting search on g placed,
+    together with those whose color domain emptied, or from all of g if
+    the search does not refute that seed (a placed set alone can be
+    colorable: the odd wheel's refutation places every rim vertex but
+    empties the hub).  Vertices with fewer than k neighbors in the core are
+    peeled first, since no k-critical subgraph holds one.  Then each vertex,
+    ascending, is deleted while the search still refutes what is left, and
+    the core shrinks to the vertices that refutation touched; a cut search
+    keeps the vertex.  When no search is cut the result is vertex-critical:
+    deleting any one vertex leaves a k-colorable graph, since each kept
+    vertex was needed by a superset of what is left.  A vertex model
+    rotation (_rotate) has shown to be needed is kept without a search.
+    """
+    touched: Set[int] = set()
+    coloring, nodes = _dsatur(g, k, COLORING_NODE_BUDGET, touched)
+    if coloring is not None or nodes > COLORING_NODE_BUDGET:
+        return None
+    members = set(range(1, g.n_vertices + 1))
+    if len(touched) < g.n_vertices and _induced_coloring(g.edges, k, sorted(touched))[1]:
+        members = touched
+    adj = g.adjacency()
+    low = [v for v in members if len(adj[v] & members) < k]
+    while low:
+        v = low.pop()
+        if v in members:
+            members.discard(v)
+            low.extend(u for u in adj[v] & members if len(adj[u] & members) < k)
+    core = sorted(members)
+    edges = [(u, v) for u, v in g.edges if u in members and v in members]
+    needed: Set[int] = set()
+    for v in list(core):
+        if v in needed or v not in core:
+            continue
+        coloring, witness = _induced_coloring(edges, k, [u for u in core if u != v])
+        if coloring is not None:
+            _rotate(adj, k, v, coloring, needed)
+        elif witness:
+            core = witness
+    return core if len(core) < g.n_vertices else None
 
 
 def oracle_colorable(g: Graph, k: int) -> bool:
@@ -326,5 +456,6 @@ __all__ = [
     "components",
     "COLORING_NODE_BUDGET",
     "find_coloring",
+    "find_core",
     "oracle_colorable",
 ]

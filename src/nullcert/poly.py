@@ -199,6 +199,13 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def renamed(self, images: Sequence[int], n_vars: Optional[int] = None) -> "Polynomial":
+        """The polynomial with variable v renamed to images[v], over n_vars
+        variables (default: the same number)."""
+        n = self.n_vars if n_vars is None else n_vars
+        terms = [(Monomial.make([(images[v], e) for v, e in m.exponents], n), c) for m, c in self.terms]
+        return Polynomial.make(self.field, n, terms)
+
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nullcert.poly import Monomial, PolySystem, Polynomial
+from nullcert.poly import PolySystem, Polynomial
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -87,14 +87,6 @@ def parse_generators(text: str, n: int) -> PermutationSet:
     return PermutationSet.make(n, gens)
 
 
-def _apply_poly(images: Sequence[int], f: Polynomial) -> Polynomial:
-    terms = [
-        (Monomial.make([(images[v], e) for v, e in m.exponents], f.n_vars), c)
-        for m, c in f.terms
-    ]
-    return Polynomial.make(f.field, f.n_vars, terms)
-
-
 def group_order(perms: PermutationSet, cap: int = DEFAULT_GROUP_CAP) -> Optional[int]:
     """Order of the generated group by breadth-first closure; None above cap."""
     if cap < 1:
@@ -133,7 +125,7 @@ def check_invariant(
     for gen_pos, images in enumerate(perms.generators):
         row: List[int] = []
         for i, f in enumerate(F.polys):
-            j = pool.get(_apply_poly(images, f))
+            j = pool.get(f.renamed(images))
             if j is None:
                 raise SymmetryError(
                     f"system is not invariant: generator {gen_pos} maps {F.tags[i]} "
@@ -142,7 +134,7 @@ def check_invariant(
             row.append(j)
         maps.append(row)
         for g in targets:
-            if _apply_poly(images, g) != g:
+            if g.renamed(images) != g:
                 raise SymmetryError("target polynomial is not fixed by the group")
     return maps
 

@@ -4,6 +4,7 @@ Everything drives nullcert.cli.main(argv) directly so exit codes and
 stdout/stderr can be asserted without spawning subprocesses.
 """
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 import nullcert.assemble as asm
 import nullcert.cli as cli
+import nullcert.graphs as graphs
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.graphs import parse_dimacs
@@ -67,6 +69,8 @@ def test_stats_line_format(tmp_path, capsys):
         ("--gen", "complete:3", "--max-degree", "4"),
         ("--gen", "complete:2", "--symmetry", str(swap), "--max-degree", "1"),
         ("--system", str(system), "--p", "3"),
+        # a core line at degrees 1 and 4, and G's line at degree 1
+        ("--gen", "random:16,0.27,2"),
     ]
     statuses = set()
     for args in runs:
@@ -544,6 +548,75 @@ def test_symmetry_invalid_generator_file(tmp_path, capsys):
     bad.write_text("(1,9)\n")
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--symmetry", str(bad))
     assert rc == 2 and "outside" in err
+
+
+# ------------------------------------------------------- core first
+
+
+def test_prove_certifies_mycielski9_on_its_core(tmp_path, capsys):
+    # G's own degree-1 system is 2,477,931 x 2,784,794; its core's is tiny
+    path = tmp_path / "m9.json"
+    rc, out, err = run(capsys, "prove", "--gen", "mycielski:9", "--cert", str(path))
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("degree=1 rows=247 cols=221 nnz=662 status=consistent ")
+    assert STATS_LINE.fullmatch(lines[0])
+    assert run(capsys, "verify", str(path))[0] == 0
+    cert = read_cert(path.read_text())
+    assert cert.n_vars == 383
+    assert len(cert.provenance["core"]["vertices"]) == 11
+    assert {e.tag.partition(":")[0] for e in cert.entries} <= {"vertex", "edge"}
+
+
+@pytest.fixture
+def no_core(monkeypatch):
+    real = cli.nulla_prove
+
+    def prove(*args, **kwargs):
+        assert kwargs["core"] is None
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "nulla_prove", prove)
+
+
+def without_millis(out):
+    return hashlib.sha256(re.sub(r" millis=\d+", "", out).encode()).hexdigest()
+
+
+# sha256 of prove's stdout, millis removed, as printed before cores existed;
+# complete:5's core is the K4 on vertices 1-4
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--symmetry", "rotation.txt"), "e51dd9e0b61664cf67e3ae5515f06d357db17f28ea48c6826d2223f2ed501581"),
+        (("--alt-g", "x5^3"), "82ef436ef904036c64f8fd87077757454eb7b0a2ed3dc4f137832598f8d9ef4f"),
+    ],
+    ids=["symmetry", "alt-g-outside"],
+)
+def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsys, no_core, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rotation.txt").write_text("(1,2,3,4,5)\n")
+    rc, out, _ = run(capsys, "prove", "--gen", "complete:5", *argv)
+    assert rc == 0 and without_millis(out) == digest
+
+
+def test_cut_search_or_critical_graph_has_no_core(capsys, no_core, monkeypatch):
+    rc, out, _ = run(capsys, "prove", "--gen", "wheel:9")
+    assert rc == 0
+    assert without_millis(out) == "4b0f47223b6cf89f1a4cfc3f6366a7508e273a7839bcb5d43878b864ad5b5147"
+    monkeypatch.setattr(graphs, "COLORING_NODE_BUDGET", 1)
+    rc, out, _ = run(capsys, "prove", "--gen", "complete:5")
+    assert rc == 0
+    assert without_millis(out) == "363f1b3cd6315d09cfa75112e7bc54e569f23f284307a714ac5b1dcc41e04b70"
+
+
+def test_core_inside_alt_g_target(capsys):
+    rc, out, _ = run(capsys, "prove", "--gen", "complete:5", "--alt-g", "x1^3")
+    assert rc == 0
+    assert out.startswith("degree=1 rows=21 cols=25 nnz=74 status=consistent ")
+    cert = read_cert(out[out.index("{"):])
+    assert verify(cert) and cert.n_vars == 5
+    assert cert.provenance["core"] == {"vertices": [1, 2, 3, 4], "origin": 1}
 
 
 # ------------------------------------------------------ usage errors

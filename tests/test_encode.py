@@ -77,6 +77,40 @@ class TestEncodeColoring:
             assert found == exhaustive_colorable(g, 3), g
 
 
+class TestInducedEncoding:
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            EncodingOptions(),
+            EncodingOptions(preprocess=True, cutters="triangles"),
+            EncodingOptions(k=4, field=F3, preprocess=True, cutters="cliques"),
+        ],
+        ids=["plain", "preprocessed-triangles", "k4-cliques"],
+    )
+    def test_polys_are_the_graphs_own_renamed(self, opts):
+        g = gen_random(12, 0.6, 4)
+        vertices = [2, 3, 5, 7, 8, 11]
+        sub = encode_coloring(g, opts, origin=3, vertices=vertices)
+        full = encode_coloring(g, opts, origin=3)
+        whole = dict(zip(full.tags, full.polys))
+        assert sub.n_vars == len(vertices)
+        images = [v - 1 for v in vertices]
+        inside = set(vertices)
+        expected = [
+            tag for tag in whole
+            if all(int(v) in inside for v in tag.split(":")[1].split("-"))
+        ]
+        assert list(sub.tags) == expected
+        for tag, f in zip(sub.tags, sub.polys):
+            assert f.renamed(images, g.n_vertices) == whole[tag], tag
+
+    def test_vertices_must_be_ascending_vertices(self):
+        g = gen_wheel(5)
+        for bad in ([], [2, 1], [1, 1], [0, 2], [1, 7]):
+            with pytest.raises(EncodeError):
+                encode_coloring(g, EncodingOptions(), vertices=bad)
+
+
 class TestPreprocess:
     def test_k4(self):
         g = gen_complete(4)

@@ -1,5 +1,6 @@
 """Unit tests for the graph model, DIMACS I/O, generators, and the coloring search."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from nullcert.graphs import (
     components,
     enumerate_cliques,
     find_coloring,
+    find_core,
     gen_complete,
     gen_kneser,
     gen_mycielski,
@@ -206,3 +208,130 @@ class TestFindColoring:
         coloring, nodes = _dsatur(petersen, 3, 5)
         assert coloring is None and nodes == 6
 
+
+# (coloring as a digit string, placements) of _dsatur(g, 3, budget) as the
+# full-scan selection returned them; the heap selection must reproduce them.
+PINNED_SWEEP = {
+    0: ("1011000120012101", 16),
+    1: ("1011002210011220", 16),
+    6: ("2120012111022012", 23),
+    10: ("2221120201100010", 25),
+    12: ("0120120120201102", 16),
+    15: ("1202010101121220", 16),
+    17: ("1111201100022221", 22),
+    23: ("0112100121022212", 16),
+    24: ("2211202120011220", 16),
+    27: ("2120012022101010", 24),
+    29: ("0101000021211221", 16),
+    30: ("0201212101220121", 16),
+    34: ("2102020121001102", 16),
+    35: ("0002122112101220", 16),
+    38: ("1211001020222100", 16),
+    40: ("0112020101212201", 16),
+    43: ("2011002101021022", 16),
+    45: ("0102021110021201", 16),
+    49: ("1210000012201201", 16),
+    51: ("1010121211002011", 16),
+    53: ("1212101121020202", 16),
+    55: ("1000002210011221", 16),
+    57: ("0111100022121220", 16),
+    60: ("2221121000201120", 19),
+    61: ("0202122012210101", 16),
+    63: ("0120210122121101", 16),
+    68: ("1101202002010221", 16),
+    70: ("1211012101210010", 16),
+    74: ("1210010202212120", 16),
+    75: ("0002202110201021", 16),
+    82: ("1200001100022210", 16),
+    85: ("2021110201022002", 16),
+    86: ("1221000011222002", 16),
+    87: ("1001212121000200", 16),
+    88: ("1021012010102221", 16),
+    92: ("1002020011112200", 16),
+    93: ("0201210111201201", 16),
+    95: ("0212001012211002", 16),
+    96: ("0211120221220101", 16),
+    99: ("2201111022021200", 16),
+}
+
+
+def digits(coloring):
+    return None if coloring is None else "".join(map(str, coloring))
+
+
+class TestDsaturSelection:
+    def test_colorings_and_placements_are_pinned(self):
+        for seed, pinned in PINNED_SWEEP.items():
+            coloring, nodes = _dsatur(gen_random(16, 0.27, seed), 3, COLORING_NODE_BUDGET)
+            assert (digits(coloring), nodes) == pinned, seed
+        for g, nodes in ((gen_complete(4), 3), (gen_kneser(8, 3), 93), (gen_mycielski(7), 51)):
+            assert _dsatur(g, 3, COLORING_NODE_BUDGET) == (None, nodes)
+        assert _dsatur(gen_kneser(5, 2), 3, 5) == (None, 6)
+
+    def test_long_backtracking_search_is_pinned(self):
+        # 7,757 placements, most of them undone, on a 300-vertex graph
+        coloring, nodes = _dsatur(gen_random(300, 4.7 / 299, 14), 3, COLORING_NODE_BUDGET)
+        assert nodes == 7757
+        assert hashlib.sha256(digits(coloring).encode()).hexdigest()[:16] == "c539d5e6d41e62fe"
+
+    def test_touched_covers_the_refutation(self):
+        # the odd wheel's refutation places the rim and empties the hub
+        touched = set()
+        coloring, _ = _dsatur(gen_wheel(101), 3, COLORING_NODE_BUDGET, touched)
+        assert coloring is None and touched == set(range(1, 103))
+
+
+def induced(g, vertices):
+    label = {v: j for j, v in enumerate(vertices, start=1)}
+    return Graph.make(len(vertices), [(label[u], label[v]) for u, v in g.edges if u in label and v in label])
+
+
+class TestFindCore:
+    @pytest.mark.parametrize(
+        "g, size",
+        [(gen_mycielski(7), (11, 20)), (gen_random(16, 0.27, 2), (8, 14)), (gen_kneser(8, 3), (18, 42))],
+        ids=["myc7", "random16s2", "kneser83"],
+    )
+    def test_core_is_small_and_vertex_critical(self, g, size):
+        core = find_core(g, 3)
+        h = induced(g, core)
+        assert (h.n_vertices, h.n_edges) == size
+        assert core == sorted(core)
+        assert find_coloring(h, 3) is None
+        for v in core:
+            coloring = find_coloring(induced(g, [u for u in core if u != v]), 3)
+            assert coloring is not None, v
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_complete(4), gen_wheel(9), gen_wheel(101), gen_random(16, 0.27, 0)],
+        ids=["K4", "wheel9", "wheel101", "colorable"],
+    )
+    def test_no_core_when_critical_or_colorable(self, g):
+        assert find_core(g, 3) is None
+
+    def test_no_core_when_the_search_is_cut(self):
+        g = gen_random(300, 4.7 / 299, 0)
+        assert _dsatur(g, 3, COLORING_NODE_BUDGET)[1] > COLORING_NODE_BUDGET
+        assert find_core(g, 3) is None
+
+    def test_core_for_more_colors(self):
+        # any five vertices of K6 are a K5, which has no 4-coloring
+        assert len(find_core(gen_complete(6), 4)) == 5
+        assert find_core(gen_complete(5), 4) is None
+
+    def test_cores_of_random_graphs_are_vertex_critical(self):
+        rng = random.Random(3)
+        cores = 0
+        for seed in range(150):
+            g = gen_random(rng.randint(6, 22), rng.uniform(0.25, 0.6), seed)
+            k = rng.choice((3, 3, 4))
+            core = find_core(g, k)
+            if core is None:
+                continue
+            cores += 1
+            assert len(core) < g.n_vertices and find_coloring(induced(g, core), k) is None
+            for v in core:
+                coloring = find_coloring(induced(g, [u for u in core if u != v]), k)
+                assert coloring is not None, (seed, v)
+        assert cores >= 50
