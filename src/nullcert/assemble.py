@@ -80,7 +80,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, islice
 from math import comb, gcd
@@ -88,7 +87,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
-from nullcert.poly import Monomial, PolySystem, Polynomial
+from nullcert.poly import Monomial, PolySystem, Polynomial, Record, set_field
 from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, group_order
 
 
@@ -156,16 +155,17 @@ class _Packing:
         return out
 
 
-@dataclass(frozen=True)
-class ColumnKey:
+class ColumnKey(Record):
     """Which multiplier coefficient a column stands for: x^shift on poly i."""
 
-    poly_index: int
-    shift: Monomial
+    __slots__ = ("poly_index", "shift")
+
+    def __init__(self, poly_index: int, shift: Monomial) -> None:
+        set_field(self, "poly_index", poly_index)
+        set_field(self, "shift", shift)
 
 
-@dataclass(frozen=True)
-class AssembledSystem:
+class AssembledSystem(Record):
     """The degree-d system with one right-hand side per target; system
     carries rhs_list[0], the one of target.
 
@@ -175,18 +175,28 @@ class AssembledSystem:
     on first use, and nulla_prove never reads them.
     """
 
-    system: SparseSystem
-    rhs_list: List[List[int]]
-    packing: _Packing
-    packed_cols: Tuple[Tuple[int, int], ...]
-    packed_rows: Tuple[int, ...]
-    degree: int
-    target: Polynomial
+    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "degree", "target", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.system.n_cols != len(self.packed_cols):
+    def __init__(
+        self,
+        system: SparseSystem,
+        rhs_list: List[List[int]],
+        packing: _Packing,
+        packed_cols: Tuple[Tuple[int, int], ...],
+        packed_rows: Tuple[int, ...],
+        degree: int,
+        target: Polynomial,
+    ) -> None:
+        set_field(self, "system", system)
+        set_field(self, "rhs_list", rhs_list)
+        set_field(self, "packing", packing)
+        set_field(self, "packed_cols", packed_cols)
+        set_field(self, "packed_rows", packed_rows)
+        set_field(self, "degree", degree)
+        set_field(self, "target", target)
+        if system.n_cols != len(packed_cols):
             raise AssembleError("column key count does not match system width")
-        if self.system.n_rows != len(self.packed_rows):
+        if system.n_rows != len(packed_rows):
             raise AssembleError("row key count does not match system height")
 
     @cached_property
@@ -199,8 +209,7 @@ class AssembledSystem:
         return tuple(map(self.packing.unpack, self.packed_rows))
 
 
-@dataclass(frozen=True)
-class OrbitSystem:
+class OrbitSystem(Record):
     """An assembled system collapsed to orbits, with what lifting needs.
 
     Representatives are the orbit members of least full-system index, listed
@@ -208,14 +217,30 @@ class OrbitSystem:
     position.  coprime_verified: the group order is known and coprime to p.
     """
 
-    system: SparseSystem
-    rhs_list: List[List[int]]
-    full: AssembledSystem
-    row_reps: Tuple[int, ...]
-    col_reps: Tuple[int, ...]
-    col_orbit_index: Tuple[int, ...]
-    group_order: Optional[int]
-    coprime_verified: bool
+    __slots__ = (
+        "system", "rhs_list", "full", "row_reps", "col_reps", "col_orbit_index", "group_order",
+        "coprime_verified", "__dict__",
+    )
+
+    def __init__(
+        self,
+        system: SparseSystem,
+        rhs_list: List[List[int]],
+        full: AssembledSystem,
+        row_reps: Tuple[int, ...],
+        col_reps: Tuple[int, ...],
+        col_orbit_index: Tuple[int, ...],
+        group_order: Optional[int],
+        coprime_verified: bool,
+    ) -> None:
+        set_field(self, "system", system)
+        set_field(self, "rhs_list", rhs_list)
+        set_field(self, "full", full)
+        set_field(self, "row_reps", row_reps)
+        set_field(self, "col_reps", col_reps)
+        set_field(self, "col_orbit_index", col_orbit_index)
+        set_field(self, "group_order", group_order)
+        set_field(self, "coprime_verified", coprime_verified)
 
     @property
     def full_col_keys(self) -> Tuple[ColumnKey, ...]:
@@ -230,31 +255,48 @@ class OrbitSystem:
         return tuple(self.full_col_keys[j] for j in self.col_reps)
 
 
-@dataclass(frozen=True)
-class SystemStats:
-    n_vars: int
-    n_polys: int
-    monomial_total: int
-    degree: int
-    predicted_cols: int
-    predicted_nnz: int
-    actual_rows: int
-    actual_cols: int
-    actual_nnz: int
+class SystemStats(Record):
+    __slots__ = (
+        "n_vars", "n_polys", "monomial_total", "degree", "predicted_cols", "predicted_nnz",
+        "actual_rows", "actual_cols", "actual_nnz",
+    )
+
+    def __init__(
+        self,
+        n_vars: int,
+        n_polys: int,
+        monomial_total: int,
+        degree: int,
+        predicted_cols: int,
+        predicted_nnz: int,
+        actual_rows: int,
+        actual_cols: int,
+        actual_nnz: int,
+    ) -> None:
+        set_field(self, "n_vars", n_vars)
+        set_field(self, "n_polys", n_polys)
+        set_field(self, "monomial_total", monomial_total)
+        set_field(self, "degree", degree)
+        set_field(self, "predicted_cols", predicted_cols)
+        set_field(self, "predicted_nnz", predicted_nnz)
+        set_field(self, "actual_rows", actual_rows)
+        set_field(self, "actual_cols", actual_cols)
+        set_field(self, "actual_nnz", actual_nnz)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    degree: int
-    rows: int
-    cols: int
-    nnz: int
-    status: str
-    millis: int
+class DegreeStats(Record):
+    __slots__ = ("degree", "rows", "cols", "nnz", "status", "millis")
+
+    def __init__(self, degree: int, rows: int, cols: int, nnz: int, status: str, millis: int) -> None:
+        set_field(self, "degree", degree)
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "nnz", nnz)
+        set_field(self, "status", status)
+        set_field(self, "millis", millis)
 
 
-@dataclass(frozen=True)
-class NullaOutcome:
+class NullaOutcome(Record):
     """Result of the degree loop.
 
     verdict "infeasible" carries the verified certificate and the degree at
@@ -264,10 +306,15 @@ class NullaOutcome:
     orbit solve alone could not be.
     """
 
-    verdict: str
-    certificate: Optional[Certificate]
-    degree: int
-    per_degree: Tuple[DegreeStats, ...]
+    __slots__ = ("verdict", "certificate", "degree", "per_degree")
+
+    def __init__(
+        self, verdict: str, certificate: Optional[Certificate], degree: int, per_degree: Tuple[DegreeStats, ...]
+    ) -> None:
+        set_field(self, "verdict", verdict)
+        set_field(self, "certificate", certificate)
+        set_field(self, "degree", degree)
+        set_field(self, "per_degree", per_degree)
 
 
 def _graded_modulus(pruning: str) -> Optional[int]:

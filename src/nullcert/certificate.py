@@ -13,16 +13,17 @@ poly module, never on the solver that produced the certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from nullcert.poly import (
     FieldSpec,
     Monomial,
     PolyError,
     Polynomial,
+    Record,
     format_poly,
     parse_poly,
+    set_field,
 )
 
 CERT_FORMAT_VERSION = 1
@@ -35,31 +36,40 @@ class CertificateError(ValueError):
     """Raised for malformed certificates or unparseable certificate files."""
 
 
-@dataclass(frozen=True)
-class CertEntry:
+class CertEntry(Record):
     """One certificate summand: multiplier * source, labeled by origin tag."""
 
-    tag: str
-    source: Polynomial
-    multiplier: Polynomial
+    __slots__ = ("tag", "source", "multiplier")
+
+    def __init__(self, tag: str, source: Polynomial, multiplier: Polynomial) -> None:
+        set_field(self, "tag", tag)
+        set_field(self, "source", source)
+        set_field(self, "multiplier", multiplier)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    field: FieldSpec
-    n_vars: int
-    target: Polynomial
-    entries: Tuple[CertEntry, ...]
-    provenance: Mapping[str, object] = dc_field(default_factory=dict)
+class Certificate(Record):
+    __slots__ = ("field", "n_vars", "target", "entries", "provenance")
 
-    def __post_init__(self) -> None:
-        for pos, e in enumerate(self.entries):
+    def __init__(
+        self,
+        field: FieldSpec,
+        n_vars: int,
+        target: Polynomial,
+        entries: Tuple[CertEntry, ...],
+        provenance: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        set_field(self, "field", field)
+        set_field(self, "n_vars", n_vars)
+        set_field(self, "target", target)
+        set_field(self, "entries", entries)
+        set_field(self, "provenance", {} if provenance is None else provenance)
+        for pos, e in enumerate(entries):
             if e.multiplier.is_zero():
                 raise CertificateError(f"entry {pos} ({e.tag}): zero multiplier")
             for poly in (e.source, e.multiplier):
-                if poly.field != self.field or poly.n_vars != self.n_vars:
+                if poly.field != field or poly.n_vars != n_vars:
                     raise CertificateError(f"entry {pos} ({e.tag}): field or n_vars mismatch")
-        if self.target.field != self.field or self.target.n_vars != self.n_vars:
+        if target.field != field or target.n_vars != n_vars:
             raise CertificateError("target field or n_vars mismatch")
 
     @property

@@ -3,6 +3,17 @@
 Each subcommand reads its argparse namespace directly; prove hands the whole
 search, symmetry reduction included, to one nulla_prove call.
 
+A process imports only what its subcommand runs: verify and --help need
+argparse and nullcert.certificate (with nullcert.poly) alone.  The prove
+stack (assemble, linsolve, encode, graphs, symmetry and hashlib) is bound
+into this module's globals by _load_prover, which each function that uses
+it calls first, or by the module __getattr__ when code outside reads one of
+its names, e.g. cli.nulla_prove.  Those names are module globals, not
+imports local to a function, because perfbench/tracing.py wraps them on
+this module and tests monkeypatch them; the commands look them up there,
+and _load_prover never replaces a name that is already bound, so the
+wrapper or the patch is what runs.
+
 Exit codes: 0 success (prove: infeasibility certified; verify: certificate
 valid), 1 verification failure, 2 usage or input errors, 10 no certificate
 up to the degree cap (feasibility stays undecided).
@@ -11,25 +22,10 @@ up to the degree cap (feasibility stays undecided).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from nullcert.assemble import nulla_prove, stats
 from nullcert.certificate import CertificateError, read_cert, verify, write_cert
-from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
-from nullcert.graphs import (
-    Graph,
-    find_coloring,
-    find_core,
-    gen_complete,
-    gen_kneser,
-    gen_mycielski,
-    gen_random,
-    gen_wheel,
-    parse_dimacs,
-    write_dimacs,
-)
 from nullcert.poly import (
     FieldSpec,
     PolySystem,
@@ -38,11 +34,49 @@ from nullcert.poly import (
     parse_monomial,
     parse_poly,
 )
-from nullcert.symmetry import parse_generators
 
-# unused here, but perfbench/tracing.py wraps these names on this module
-from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution
-from nullcert.linsolve import solve
+
+def _prover_names() -> dict:
+    import hashlib
+
+    from nullcert.assemble import nulla_prove, stats
+    from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
+    from nullcert.graphs import (
+        Graph,
+        find_coloring,
+        find_core,
+        gen_complete,
+        gen_kneser,
+        gen_mycielski,
+        gen_random,
+        gen_wheel,
+        parse_dimacs,
+        write_dimacs,
+    )
+    from nullcert.symmetry import parse_generators
+
+    # unused here, but perfbench/tracing.py wraps these names on this module
+    from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution
+    from nullcert.linsolve import solve
+
+    return locals()
+
+
+def _load_prover() -> None:
+    """Bind the prove stack's names into this module, keeping any name that
+    is already bound (a tracer's wrapper or a test's patch)."""
+    names = globals()
+    for name, value in _prover_names().items():
+        names.setdefault(name, value)
+
+
+def __getattr__(name: str):
+    if not name.startswith("__"):
+        _load_prover()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -56,6 +90,7 @@ class CliError(ValueError):
 
 def parse_gen_spec(spec: str, seed: Optional[int]) -> Tuple[Graph, str]:
     """Build a graph from "name:params"; returns (graph, canonical spec)."""
+    _load_prover()
     name, _, rest = spec.strip().partition(":")
     parts = rest.split(",") if rest else []
     try:
@@ -85,6 +120,7 @@ def _fingerprint(text: str) -> str:
 
 
 def load_graph(args: argparse.Namespace) -> Tuple[Graph, dict]:
+    _load_prover()
     if args.gen:
         graph, canon = parse_gen_spec(args.gen, args.seed)
         meta = {"kind": "gen", "spec": canon, "sha256": _fingerprint(write_dimacs(graph))}
@@ -133,6 +169,7 @@ def build_system(
     Returns (system, graph or None, input fingerprint, the coloring
     encoding's options or None for a --system input).
     """
+    _load_prover()
     sources = [s for s in (args.gen, args.input, args.system) if s]
     if len(sources) != 1:
         raise CliError("exactly one of --gen, --input, --system is required")
@@ -149,17 +186,22 @@ def build_system(
 
 
 def build_core(
-    graph: Graph, opts: EncodingOptions, origin: int, targets: Optional[List[Polynomial]]
+    graph: Graph,
+    opts: EncodingOptions,
+    origin: int,
+    targets: Optional[List[Polynomial]],
+    touched: Optional[Set[int]] = None,
 ) -> Optional[Tuple[PolySystem, List[int], dict]]:
     """nulla_prove's core: the encoding of a small induced subgraph that
     the coloring search proves not k-colorable, or None when there is none
-    or a target uses a vertex outside it.
+    or a target uses a vertex outside it.  touched is passed to find_core.
 
     The preprocessing origin is kept if it lies in the core, else it is the
     core's least vertex, so that every core polynomial is one of the
     encoding of the whole graph from that origin.
     """
-    vertices = find_core(graph, opts.k)
+    _load_prover()
+    vertices = find_core(graph, opts.k, touched)
     if vertices is None:
         return None
     images = [v - 1 for v in vertices]
@@ -173,6 +215,7 @@ def build_core(
 
 
 def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
+    _load_prover()
     if args.alt_g == "none":
         return None
     if args.alt_g.startswith("auto:"):
@@ -206,6 +249,7 @@ def build_schedule(args: argparse.Namespace, coloring: bool, pruning: str) -> Li
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
+    _load_prover()
     explicit_schedule = _parse_schedule(args.schedule)
     F, graph, meta, opts = build_system(args, default_preprocess=not args.symmetry)
     coloring = opts is not None
@@ -217,14 +261,19 @@ def cmd_prove(args: argparse.Namespace) -> int:
         with open(args.symmetry) as fh:
             perms = parse_generators(fh.read(), F.n_vars)
     # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
-    # common root of the GF(2) encoding; nulla_prove checks it once.
-    root = find_coloring(graph, 3) if coloring and (args.k, args.p) == (3, 2) else None
+    # common root of the GF(2) encoding; nulla_prove checks it once.  The
+    # vertices a refutation touched seed the core, so G is searched once.
+    touched = None
+    root = None
+    if coloring and (args.k, args.p) == (3, 2):
+        touched = set()
+        root = find_coloring(graph, 3, touched)
     # A certificate for an induced subgraph is one for the graph.  A
     # colorable graph has no core, and a core need not be invariant under
     # the symmetry group.
     core = None
     if coloring and root is None and perms is None:
-        core = build_core(graph, opts, args.origin, targets)
+        core = build_core(graph, opts, args.origin, targets, touched)
     out = nulla_prove(
         F,
         schedule,
@@ -275,6 +324,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    _load_prover()
     F, graph, meta, opts = build_system(args, default_preprocess=True)
     pruning = args.pruning or (f"graded:{args.k}" if opts else "occurring")
     st = stats(F, args.degree, pruning=pruning, memory_budget=args.memory_budget)
@@ -298,6 +348,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _load_prover()
     graph, _ = parse_gen_spec(args.gen, args.seed)
     text = write_dimacs(graph)
     if args.out_path:

@@ -18,11 +18,10 @@ vertex polynomials are nonzero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
-from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, monomials_up_to
+from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, Record, monomials_up_to, set_field
 
 
 class EncodeError(ValueError):
@@ -32,8 +31,7 @@ class EncodeError(ValueError):
 _CUTTER_MODES = ("none", "triangles", "cliques")
 
 
-@dataclass(frozen=True)
-class EncodingOptions:
+class EncodingOptions(Record):
     """Options for the colorability encoding.
 
     cutters: "none", "triangles" (k = 3), or "cliques" (k-cliques, k >= 4),
@@ -41,48 +39,51 @@ class EncodingOptions:
     it would repeat an edge polynomial).
     """
 
-    k: int = 3
-    field: FieldSpec = dc_field(default_factory=lambda: FieldSpec(2))
-    preprocess: bool = False
-    cutters: str = "none"
+    __slots__ = ("k", "field", "preprocess", "cutters")
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise EncodeError(f"need at least 2 colors, got {self.k}")
-        if math.gcd(self.k, self.field.p) != 1:
+    def __init__(
+        self, k: int = 3, field: FieldSpec = FieldSpec(2), preprocess: bool = False, cutters: str = "none"
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "field", field)
+        set_field(self, "preprocess", preprocess)
+        set_field(self, "cutters", cutters)
+        if k < 2:
+            raise EncodeError(f"need at least 2 colors, got {k}")
+        if math.gcd(k, field.p) != 1:
             raise EncodeError(
-                f"colors k={self.k} and field characteristic p={self.field.p} "
+                f"colors k={k} and field characteristic p={field.p} "
                 "must be relatively prime for the encoding to be faithful"
             )
-        if self.cutters not in _CUTTER_MODES:
+        if cutters not in _CUTTER_MODES:
             raise EncodeError(f"cutters must be one of {_CUTTER_MODES}")
-        if self.cutters == "triangles" and self.k != 3:
+        if cutters == "triangles" and k != 3:
             raise EncodeError("triangle cutters apply to k=3 only; use cliques")
-        if self.cutters == "cliques" and self.k == 3:
+        if cutters == "cliques" and k == 3:
             raise EncodeError("for k=3 the k-clique cutters are the triangle cutters; use triangles")
-        if self.cutters == "cliques" and self.k == 2:
+        if cutters == "cliques" and k == 2:
             raise EncodeError("for k=2 each clique cutter x_u+x_v is its edge polynomial; use none")
+
+
+# The vertex and edge polynomials are built in canonical term order, which
+# the Polynomial constructor checks, instead of sorted by Polynomial.make:
+# encoding a large graph is otherwise most of a prove that certifies a core.
 
 
 def _vertex_poly(v: int, k: int, field: FieldSpec, n_vars: int) -> Polynomial:
     # x_v^k - 1; over GF(2) the constant renders as +1
-    return Polynomial.make(
-        field,
-        n_vars,
-        [(Monomial.make({v - 1: k}, n_vars), 1), (Monomial.one(n_vars), field.p - 1)],
+    return Polynomial(
+        field, n_vars, ((Monomial(((v - 1, k),), n_vars), 1), (Monomial((), n_vars), field.p - 1))
     )
 
 
 def _edge_poly(u: int, v: int, k: int, field: FieldSpec, n_vars: int) -> Polynomial:
-    terms = []
-    for t in range(k):
-        exps = {}
-        if k - 1 - t:
-            exps[u - 1] = k - 1 - t
-        if t:
-            exps[v - 1] = exps.get(v - 1, 0) + t
-        terms.append((Monomial.make(exps, n_vars), 1))
-    return Polynomial.make(field, n_vars, terms)
+    # sum over t of x_u^(k-1-t) * x_v^t, for u < v: ascending t is canonical
+    a, b = u - 1, v - 1
+    terms = [(Monomial(((a, k - 1),), n_vars), 1)]
+    terms += [(Monomial(((a, k - 1 - t), (b, t)), n_vars), 1) for t in range(1, k - 1)]
+    terms.append((Monomial(((b, k - 1),), n_vars), 1))
+    return Polynomial(field, n_vars, tuple(terms))
 
 
 def encode_coloring(

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+from nullcert.poly import Record, set_field
 
 
 class GraphError(ValueError):
@@ -29,20 +30,20 @@ class DimacsError(GraphError):
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """An undirected simple graph on vertices 1..n_vertices."""
 
-    n_vertices: int
-    edges: FrozenSet[Edge]
+    __slots__ = ("n_vertices", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices: int, edges: FrozenSet[Edge]) -> None:
+        set_field(self, "n_vertices", n_vertices)
+        set_field(self, "edges", edges)
+        if n_vertices < 1:
             raise GraphError("graph needs at least one vertex")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (1 <= u < v <= self.n_vertices):
+            if not (1 <= u < v <= n_vertices):
                 raise GraphError(f"edge ({u},{v}) out of range or unordered")
 
     @classmethod
@@ -239,7 +240,7 @@ def components(g: Graph) -> List[List[int]]:
 COLORING_NODE_BUDGET = 10_000
 
 
-def find_coloring(g: Graph, k: int) -> Optional[List[int]]:
+def find_coloring(g: Graph, k: int, touched: Optional[Set[int]] = None) -> Optional[List[int]]:
     """A proper k-coloring, color c_v in 0..k-1 of vertex v at index v-1, or
     None when none exists or COLORING_NODE_BUDGET placements did not settle
     the question.
@@ -250,8 +251,15 @@ def find_coloring(g: Graph, k: int) -> Optional[List[int]]:
     from its uncolored neighbors, so a neighbor left without colors fails
     the placement at once.  A vertex may open only one color beyond those in
     use, which prunes color symmetry without losing exactness.
+
+    touched, when given, receives the vertices a refutation of g placed or
+    emptied of colors, which find_core starts from; it is left empty when g
+    is colored or the search is cut.
     """
-    return _dsatur(g, k, COLORING_NODE_BUDGET)[0]
+    coloring, nodes = _dsatur(g, k, COLORING_NODE_BUDGET, touched)
+    if touched is not None and (coloring is not None or nodes > COLORING_NODE_BUDGET):
+        touched.clear()
+    return coloring
 
 
 def _dsatur(
@@ -389,7 +397,7 @@ def _rotate(adj: Dict[int, set], k: int, v: int, coloring: Dict[int, int], neede
                 stack.append((us[0], moved))
 
 
-def find_core(g: Graph, k: int) -> Optional[List[int]]:
+def find_core(g: Graph, k: int, touched: Optional[Set[int]] = None) -> Optional[List[int]]:
     """A small vertex set, ascending, whose induced subgraph the search
     proves not k-colorable; None when g is colorable, when the search on g
     was cut, or when no vertex of g could be left out.
@@ -406,14 +414,18 @@ def find_core(g: Graph, k: int) -> Optional[List[int]]:
     deleting any one vertex leaves a k-colorable graph, since each kept
     vertex was needed by a superset of what is left.  A vertex model
     rotation (_rotate) has shown to be needed is kept without a search.
+
+    touched, when the caller has already run find_coloring(g, k, touched),
+    is what that search filled in, so that g is not searched twice.
     """
-    touched: Set[int] = set()
-    coloring, nodes = _dsatur(g, k, COLORING_NODE_BUDGET, touched)
-    if coloring is not None or nodes > COLORING_NODE_BUDGET:
+    if touched is None:
+        touched = set()
+        find_coloring(g, k, touched)
+    if not touched:
         return None
     members = set(range(1, g.n_vertices + 1))
     if len(touched) < g.n_vertices and _induced_coloring(g.edges, k, sorted(touched))[1]:
-        members = touched
+        members = set(touched)
     adj = g.adjacency()
     low = [v for v in members if len(adj[v] & members) < k]
     while low:

@@ -18,10 +18,9 @@ order or row representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nullcert.poly import FieldSpec
+from nullcert.poly import FieldSpec, Record, set_field
 
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -68,19 +67,28 @@ def _check_budget(
         raise MemoryBudgetError(predicted, budget, n_rows, n_cols)
 
 
-@dataclass(frozen=True)
-class SparseSystem:
+class SparseSystem(Record):
     """A sparse GF(p) linear system A y = rhs.
 
     rows[i] holds (col, coeff) pairs with strictly increasing columns and
     nonzero coefficients; rhs[i] is the right-hand side residue.
     """
 
-    field: FieldSpec
-    n_rows: int
-    n_cols: int
-    rows: Tuple[Tuple[Tuple[int, int], ...], ...]
-    rhs: Tuple[int, ...]
+    __slots__ = ("field", "n_rows", "n_cols", "rows", "rhs")
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        n_rows: int,
+        n_cols: int,
+        rows: Tuple[Tuple[Tuple[int, int], ...], ...],
+        rhs: Tuple[int, ...],
+    ) -> None:
+        set_field(self, "field", field)
+        set_field(self, "n_rows", n_rows)
+        set_field(self, "n_cols", n_cols)
+        set_field(self, "rows", rows)
+        set_field(self, "rhs", rhs)
 
     @classmethod
     def make(
@@ -132,11 +140,13 @@ class SparseSystem:
         return sum(len(r) for r in self.rows)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    status: str  # "consistent" | "inconsistent"
-    solution: Optional[Tuple[int, ...]]
-    pivot_cols: Tuple[int, ...]
+class SolveResult(Record):
+    __slots__ = ("status", "solution", "pivot_cols")
+
+    def __init__(self, status: str, solution: Optional[Tuple[int, ...]], pivot_cols: Tuple[int, ...]) -> None:
+        set_field(self, "status", status)  # "consistent" | "inconsistent"
+        set_field(self, "solution", solution)
+        set_field(self, "pivot_cols", pivot_cols)
 
     @property
     def consistent(self) -> bool:

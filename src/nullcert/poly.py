@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 
@@ -20,6 +20,41 @@ class PolyError(ValueError):
 
 class PolyParseError(PolyError):
     """Raised when polynomial text cannot be parsed."""
+
+
+class Record:
+    """Base of nullcert's immutable value types.
+
+    A subclass lists its fields in __slots__ and its __init__ sets them with
+    set_field, then checks them.  Records of one class are equal, and hash
+    alike, when their fields are; assigning or deleting an attribute raises
+    AttributeError.  A "__dict__" slot, which functools.cached_property
+    needs, is not a field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = [name for name in cls.__slots__ if name != "__dict__"]
+        cls._values = staticmethod(operator.attrgetter(*fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+set_field = object.__setattr__
 
 
 # Trial division settles a modulus below this in milliseconds; for 2^61-1 it
@@ -42,22 +77,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """A prime field GF(p)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.p, int) and self.p >= MAX_MODULUS:
-            raise PolyError(f"field modulus must be below 2^31, got {self.p}")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise PolyError(f"field modulus must be prime, got {self.p!r}")
+    def __init__(self, p: int) -> None:
+        set_field(self, "p", p)
+        if isinstance(p, int) and p >= MAX_MODULUS:
+            raise PolyError(f"field modulus must be below 2^31, got {p}")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise PolyError(f"field modulus must be prime, got {p!r}")
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """A power product of variables.
 
     exponents is a sparse map stored as ((var, exp), ...) with var indices
@@ -65,16 +99,17 @@ class Monomial:
     corresponds to x{i+1} in text form.
     """
 
-    exponents: Tuple[Tuple[int, int], ...]
-    n_vars: int
+    __slots__ = ("exponents", "n_vars")
 
-    def __post_init__(self) -> None:
+    def __init__(self, exponents: Tuple[Tuple[int, int], ...], n_vars: int) -> None:
+        set_field(self, "exponents", exponents)
+        set_field(self, "n_vars", n_vars)
         last = -1
-        for var, exp in self.exponents:
+        for var, exp in exponents:
             if var <= last:
-                raise PolyError(f"variables out of order in {self.exponents}")
-            if not 0 <= var < self.n_vars:
-                raise PolyError(f"variable index {var} outside 0..{self.n_vars - 1}")
+                raise PolyError(f"variables out of order in {exponents}")
+            if not 0 <= var < n_vars:
+                raise PolyError(f"variable index {var} outside 0..{n_vars - 1}")
             if exp <= 0:
                 raise PolyError(f"exponent {exp} must be positive")
             last = var
@@ -135,25 +170,25 @@ def _display_key(m: Monomial) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
     return (-degree, key)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """A polynomial over GF(p) as a term map Monomial -> nonzero coefficient.
 
     terms is canonically ordered by _display_key; no zero coefficients are
     stored; the zero polynomial has an empty term tuple and degree -1.
     """
 
-    field: FieldSpec
-    n_vars: int
-    terms: Tuple[Tuple[Monomial, int], ...]
+    __slots__ = ("field", "n_vars", "terms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, field: FieldSpec, n_vars: int, terms: Tuple[Tuple[Monomial, int], ...]) -> None:
+        set_field(self, "field", field)
+        set_field(self, "n_vars", n_vars)
+        set_field(self, "terms", terms)
         prev = None
-        for mono, coeff in self.terms:
-            if mono.n_vars != self.n_vars:
+        for mono, coeff in terms:
+            if mono.n_vars != n_vars:
                 raise PolyError("term n_vars mismatch")
-            if not 0 < coeff < self.field.p:
-                raise PolyError(f"coefficient {coeff} outside 1..{self.field.p - 1}")
+            if not 0 < coeff < field.p:
+                raise PolyError(f"coefficient {coeff} outside 1..{field.p - 1}")
             key = _display_key(mono)
             if prev is not None and key <= prev:
                 raise PolyError("terms out of canonical order")
@@ -310,28 +345,30 @@ def parse_monomial(text: str, n_vars: int) -> Monomial:
     return mono
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Record):
     """An ordered polynomial system F = (f_1, ..., f_s) with source tags.
 
     Tags name where each polynomial came from (vertex:i, edge:u-v,
     cutter:u-v-w, user:k) and travel into certificates.
     """
 
-    field: FieldSpec
-    n_vars: int
-    polys: Tuple[Polynomial, ...]
-    tags: Tuple[str, ...] = ()
+    __slots__ = ("field", "n_vars", "polys", "tags")
 
-    def __post_init__(self) -> None:
-        if not self.polys:
+    def __init__(
+        self, field: FieldSpec, n_vars: int, polys: Tuple[Polynomial, ...], tags: Tuple[str, ...] = ()
+    ) -> None:
+        if not polys:
             raise PolyError("polynomial system must be nonempty")
-        if not self.tags:
-            object.__setattr__(self, "tags", tuple(f"user:{i}" for i in range(len(self.polys))))
-        if len(self.tags) != len(self.polys):
+        if not tags:
+            tags = tuple(f"user:{i}" for i in range(len(polys)))
+        set_field(self, "field", field)
+        set_field(self, "n_vars", n_vars)
+        set_field(self, "polys", polys)
+        set_field(self, "tags", tags)
+        if len(tags) != len(polys):
             raise PolyError("tags length must match polynomial count")
-        for poly in self.polys:
-            if poly.field != self.field or poly.n_vars != self.n_vars:
+        for poly in polys:
+            if poly.field != field or poly.n_vars != n_vars:
                 raise PolyError("system polynomial field or n_vars mismatch")
 
     @classmethod

@@ -13,10 +13,9 @@ the system outside it, or moves a target, raises SymmetryError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nullcert.poly import PolySystem, Polynomial
+from nullcert.poly import PolySystem, Polynomial, Record, set_field
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -25,16 +24,18 @@ class SymmetryError(ValueError):
     """Raised for bad permutations or symmetry requirements not met."""
 
 
-@dataclass(frozen=True)
-class PermutationSet:
+class PermutationSet(Record):
     """Generators of a permutation group on variable indices 0..n-1.
 
     Stored as image tuples: generator g maps variable v to g[v].  Identity
     generators are dropped at construction.
     """
 
-    n: int
-    generators: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("n", "generators")
+
+    def __init__(self, n: int, generators: Tuple[Tuple[int, ...], ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "generators", generators)
 
     @staticmethod
     def make(n: int, generators: Sequence[Sequence[int]]) -> "PermutationSet":

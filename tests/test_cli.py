@@ -610,6 +610,22 @@ def test_cut_search_or_critical_graph_has_no_core(capsys, no_core, monkeypatch):
     assert without_millis(out) == "363f1b3cd6315d09cfa75112e7bc54e569f23f284307a714ac5b1dcc41e04b70"
 
 
+@pytest.mark.parametrize("budget", [graphs.COLORING_NODE_BUDGET, 1], ids=["refuted", "cut"])
+def test_prove_searches_the_graph_once(budget, capsys, monkeypatch):
+    real = graphs._dsatur
+    sizes = []
+
+    def counted(g, *args):
+        sizes.append(g.n_vertices)
+        return real(g, *args)
+
+    monkeypatch.setattr(graphs, "_dsatur", counted)
+    monkeypatch.setattr(graphs, "COLORING_NODE_BUDGET", budget)
+    rc, out, _ = run(capsys, "prove", "--gen", "complete:5")
+    assert rc == 0 and sizes.count(5) == 1
+    assert ('"core"' in out) == (budget > 1)
+
+
 def test_core_inside_alt_g_target(capsys):
     rc, out, _ = run(capsys, "prove", "--gen", "complete:5", "--alt-g", "x1^3")
     assert rc == 0
