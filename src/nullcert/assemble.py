@@ -7,17 +7,18 @@ the entry at (x^alpha, (i, delta)) is the coefficient of x^alpha in
 x^delta * f_i, and the right-hand side holds g's coefficients.  Consistency
 of that system is exactly certificate existence at degree d.
 
-nulla_prove is the one degree loop: per degree it assembles the system once
-(or only counts it, when a root refutes every degree; see below),
-optionally collapses it to orbits of a variable symmetry group, solves it,
-lifts the solution back onto the full columns, and extracts and re-verifies
-the certificate.
+nulla_prove is the one degree loop.  At each degree it tries the core's
+system (if any), then F's.  Each is assembled once and solved as its orbit
+system (given a group), and as the full system unless the group order is
+known coprime to p; each solve gets one DegreeStats.  The first consistent
+solve is lifted (orbit), extracted, renamed into F's variables (core) and
+re-verified.  A degree refuted by a root is only counted (see below).
 
 Core first: given a core, a smaller system whose polynomials are F's input
 polynomials under a renaming of variables (the encoding of an induced
-subgraph), nulla_prove solves the core's system before F's at each degree.
-A certificate for the core, renamed into F's variables, is a certificate
-for F, so F's system is solved at a degree only when the core's is
+subgraph), the core's system comes before F's at each degree.  A
+certificate for the core, renamed into F's variables, is a certificate for
+F, so F's system is solved at a degree only when the core's is
 inconsistent there.  The certificate degree is never higher than without
 the core, and a graph far too large to assemble can still be certified.
 
@@ -105,7 +106,7 @@ class _Packing:
     The total degree sits above n fields of b bits, one exponent each, with
     variable 0 in the most significant field.  While every exponent fits in
     b bits, a product is the sum of the packed factors.  Within one degree,
-    tuple order on expanded monomials is reverse numeric order on the
+    the order of sorted index tuples is reverse numeric order on the
     exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key.
     """
 
@@ -167,7 +168,7 @@ class ColumnKey(Record):
 
 class AssembledSystem(Record):
     """The degree-d system with one right-hand side per target; system
-    carries rhs_list[0], the one of target.
+    carries rhs_list[0], the first target's.
 
     Keys stay packed by packing: a column is (poly index, packed shift), a
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
@@ -175,7 +176,7 @@ class AssembledSystem(Record):
     on first use, and nulla_prove never reads them.
     """
 
-    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "degree", "target", "__dict__")
+    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "__dict__")
 
     def __init__(
         self,
@@ -184,16 +185,12 @@ class AssembledSystem(Record):
         packing: _Packing,
         packed_cols: Tuple[Tuple[int, int], ...],
         packed_rows: Tuple[int, ...],
-        degree: int,
-        target: Polynomial,
     ) -> None:
         set_field(self, "system", system)
         set_field(self, "rhs_list", rhs_list)
         set_field(self, "packing", packing)
         set_field(self, "packed_cols", packed_cols)
         set_field(self, "packed_rows", packed_rows)
-        set_field(self, "degree", degree)
-        set_field(self, "target", target)
         if system.n_cols != len(packed_cols):
             raise AssembleError("column key count does not match system width")
         if system.n_rows != len(packed_rows):
@@ -471,11 +468,13 @@ def _assemble_targets(
     # so that a row's pairs sit together in memory for the eliminator.
     # Rows only grow, so the budget is checked on the rows filed so far
     # after each block of columns: a degree far over budget fails early,
-    # not after every product is filed.
+    # not after every product is filed.  The last block is short, maybe
+    # empty, so the last check is on the final counts, with or without columns.
     rows = defaultdict(list, {packing.pack(m): [] for g in targets for m, _ in g.terms})
     col_keys: List[Tuple[int, int]] = []
-    while block := list(islice(cols, _BUDGET_BLOCK)):
-        for j, (i, delta) in enumerate(block, len(col_keys)):
+    for start in range(0, n_cols + 1, _BUDGET_BLOCK):
+        block = list(islice(cols, _BUDGET_BLOCK))
+        for j, (i, delta) in enumerate(block, start):
             for t, c in poly_terms[i]:
                 rows[delta + t].extend((j, c))
         col_keys += block
@@ -494,10 +493,8 @@ def _assemble_targets(
     for m in row_keys:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem._unchecked(F.field, len(col_keys), entries, rhs_list[0], memory_budget)
-    return AssembledSystem(
-        system, rhs_list, packing, tuple(col_keys), tuple(row_keys), d, targets[0]
-    )
+    system = SparseSystem(F.field, len(row_keys), n_cols, tuple(entries), tuple(rhs_list[0]))
+    return AssembledSystem(system, rhs_list, packing, tuple(col_keys), tuple(row_keys))
 
 
 def assemble(
@@ -533,14 +530,14 @@ def _collapse(
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
     order: Optional[int],
-    memory_budget: Optional[int],
 ) -> OrbitSystem:
     """Fold an assembled system to one row/column per orbit of perms.
 
     maps[k][i] is the index of generator k's image of f_i (check_invariant);
     order is the group order, None above the cap.  Entries are summed over
     column-orbit members at each row representative; every right-hand side
-    is read at the row representatives.
+    is read at the row representatives.  No memory budget is checked: the
+    orbit system is no larger than the full one, which passed it.
     """
     n_rows, n_cols = full.system.n_rows, full.system.n_cols
     col_pos = {key: j for j, key in enumerate(full.packed_cols)}
@@ -571,17 +568,15 @@ def _collapse(
 
     field = full.system.field
     p = field.p
-    orbit_rows: List[List[Tuple[int, int]]] = []
+    orbit_rows: List[Tuple[Tuple[int, int], ...]] = []
     for rep in row_reps:
         acc: Dict[int, int] = {}
         for c, v in full.system.rows[rep]:
             oc = col_orbit_index[c]
             acc[oc] = (acc.get(oc, 0) + v) % p
-        orbit_rows.append(sorted((oc, v) for oc, v in acc.items() if v))
+        orbit_rows.append(tuple(sorted((oc, v) for oc, v in acc.items() if v)))
     orbit_rhs = [[rhs[rep] for rep in row_reps] for rhs in full.rhs_list]
-    system = SparseSystem._unchecked(
-        field, len(col_reps), orbit_rows, orbit_rhs[0], memory_budget
-    )
+    system = SparseSystem(field, len(row_reps), len(col_reps), tuple(orbit_rows), tuple(orbit_rhs[0]))
     coprime = order is not None and gcd(order, p) == 1
     return OrbitSystem(
         system, orbit_rhs, full, tuple(row_reps), tuple(col_reps), col_orbit_index, order, coprime
@@ -605,7 +600,7 @@ def assemble_orbit(
     """
     maps = check_invariant(F, [g], perms)
     full = _assemble_targets(F, d, [g], pruning, memory_budget)
-    return _collapse(full, perms, maps, group_order(perms), memory_budget)
+    return _collapse(full, perms, maps, group_order(perms))
 
 
 def lift_solution(orb: OrbitSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
@@ -669,19 +664,6 @@ def _cert_from_support(
     )
 
 
-def _extract(
-    F: PolySystem, asm: AssembledSystem, sol: Sequence[int], target: Polynomial, provenance: dict
-) -> Certificate:
-    """extract_certificate on an assembly's packed columns, unpacking only
-    the shifts that carry a nonzero coefficient."""
-    support = (
-        (i, asm.packing.unpack(delta), sol[j])
-        for j, (i, delta) in enumerate(asm.packed_cols)
-        if sol[j]
-    )
-    return _cert_from_support(F, support, target, provenance)
-
-
 def extract_certificate(
     F: PolySystem,
     col_keys: Sequence[ColumnKey],
@@ -743,17 +725,18 @@ def nulla_prove(
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
-    Each degree assembles one matrix (shift-major columns over GF(2), see
-    the module docstring) and tests every target candidate as a separate
-    right-hand side in one elimination pass.  With perms, F and
+    At each degree the systems are tried in one order: the core's (if
+    given), then F's.  Each is assembled once (shift-major columns over
+    GF(2), see the module docstring), and every target candidate is a
+    separate right-hand side of one elimination pass.  With perms, F and
     every target must be invariant under the group (SymmetryError
-    otherwise); the matrix is collapsed to orbits before the solve and an
-    orbit solution is lifted back onto the full columns.  An inconsistent
-    orbit solve is conclusive only when the group order is coprime to p;
-    otherwise the full matrix already assembled at that degree is solved
-    too, with its own DegreeStats entry.  An "infeasible" verdict is
-    returned only after the extracted certificate re-verifies by expansion;
-    failure there is a solver bug and raises.
+    otherwise); a system is solved collapsed to orbits, and in full too
+    unless the group order is known coprime to p, since only then is an
+    inconsistent orbit solve conclusive.  Each solve gets its own
+    DegreeStats.  The first consistent solve is lifted onto the full
+    columns (orbit), extracted, renamed into F's variables (core) and
+    re-verified by expansion before "infeasible" is returned; failure
+    there is a solver bug and raises.
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
@@ -766,13 +749,10 @@ def nulla_prove(
     core = (F_core, images, note) is a smaller system whose polynomials,
     with core variable j renamed to F's variable images[j], are
     polynomials of F's input (the encoding of an induced subgraph, say),
-    so that a certificate for it is one for F.  At each degree the core's
-    system is assembled and solved first, with the same pruning, budget
-    and targets renamed into its variables, and gets its own DegreeStats;
-    only when it is inconsistent is F's system solved, exactly as without
-    a core.  A core certificate is renamed into F's variables, recorded
-    with note under provenance "core", and re-verified.  Every target must
-    lie in the core's variables, and core excludes perms and root.
+    so that a certificate for it is one for F.  Its targets are F's
+    renamed into its variables, and its certificate records note under
+    provenance "core".  Every target must lie in the core's variables,
+    and core excludes perms and root.
     """
     schedule = list(schedule)
     if not schedule:
@@ -787,34 +767,19 @@ def nulla_prove(
         and not any(any(_gf4_value(f, root)) for f in F.polys)
         and all(any(_gf4_value(g, root)) for g in targets)
     )
+    # The systems tried at each degree, in order: (system, its targets, the
+    # images of its variables in F or None, provenance it adds).
+    tried = [(F, targets, None, {})]
     if core is not None:
         if perms is not None or root is not None:
             raise AssembleError("a core excludes a symmetry group and a root")
         F_core, images, note = core
-        core_targets = _core_targets(F, F_core, images, targets)
+        tried.insert(0, (F_core, _core_targets(F, F_core, images, targets), images, {"core": note}))
     if perms is not None:
         maps = check_invariant(F, targets, perms)
         order = group_order(perms)
-        sym_desc = [list(gen) for gen in perms.generators]
-    shift_major = F.field.p == 2
 
     per_degree: List[DegreeStats] = []
-
-    def solved(d: int, system: SparseSystem, rhs_set: List[List[int]], t0: float):
-        """Solve one attempt and record its DegreeStats; the first
-        consistent target's index and solution, or None."""
-        results = solve_multi_rhs(system, rhs_set)
-        hit = next((idx for idx, r in enumerate(results) if r.consistent), None)
-        status = "consistent" if hit is not None else "inconsistent"
-        millis = int((time.perf_counter() - t0) * 1000)
-        per_degree.append(DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis))
-        return None if hit is None else (hit, results[hit].solution)
-
-    def proved(d: int, cert: Certificate) -> NullaOutcome:
-        if not verify(cert):
-            raise AssembleError("internal error: extracted certificate failed re-verification")
-        return NullaOutcome("infeasible", cert, d, tuple(per_degree))
-
     for d in schedule:
         t0 = time.perf_counter()
         if refuted:
@@ -822,38 +787,43 @@ def nulla_prove(
             millis = int((time.perf_counter() - t0) * 1000)
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
-        prov = {**(provenance or {}), "symmetry": None, "degree": d, "pruning": pruning}
-        if core is not None:
-            part = _assemble_targets(F_core, d, core_targets, pruning, memory_budget, shift_major=shift_major)
-            found = solved(d, part.system, part.rhs_list, t0)
-            t0 = time.perf_counter()
-            if found is not None:
-                hit, sol = found
-                on_core = _extract(F_core, part, sol, core_targets[hit], {**prov, "core": note})
-                n = F.n_vars
-                entries = tuple(
-                    CertEntry(e.tag, e.source.renamed(images, n), e.multiplier.renamed(images, n))
-                    for e in on_core.entries
+        for F_s, targets_s, images, note in tried:
+            asm = _assemble_targets(F_s, d, targets_s, pruning, memory_budget, shift_major=F.field.p == 2)
+            orb = None if perms is None else _collapse(asm, perms, maps, order)
+            # an inconsistent orbit solve is conclusive only for a coprime order
+            for part in [asm] if orb is None else [orb] if orb.coprime_verified else [orb, asm]:
+                system = part.system
+                results = solve_multi_rhs(system, part.rhs_list)
+                hit = next((k for k, r in enumerate(results) if r.consistent), None)
+                status = "inconsistent" if hit is None else "consistent"
+                millis = int((time.perf_counter() - t0) * 1000)
+                per_degree.append(DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis))
+                t0 = time.perf_counter()
+                if hit is None:
+                    continue
+                sol = results[hit].solution
+                sym_desc = None
+                if part is orb:
+                    sol = lift_solution(orb, sol)
+                    sym_desc = [list(gen) for gen in perms.generators]
+                prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": pruning, **note}
+                # only the shifts with a nonzero coefficient are unpacked
+                support = (
+                    (i, asm.packing.unpack(delta), sol[j])
+                    for j, (i, delta) in enumerate(asm.packed_cols)
+                    if sol[j]
                 )
-                return proved(d, Certificate(F.field, n, targets[hit], entries, on_core.provenance))
-        full = _assemble_targets(F, d, targets, pruning, memory_budget, shift_major=shift_major)
-        # (system, right-hand sides, orbit system to lift from or None)
-        attempts = [(full.system, full.rhs_list, None)]
-        if perms is not None:
-            orb = _collapse(full, perms, maps, order, memory_budget)
-            attempts = [(orb.system, orb.rhs_list, orb)]
-            if not orb.coprime_verified:
-                attempts.append((full.system, full.rhs_list, None))
-        for system, rhs_set, lift_from in attempts:
-            found = solved(d, system, rhs_set, t0)
-            t0 = time.perf_counter()
-            if found is None:
-                continue
-            hit, sol = found
-            if lift_from is not None:
-                sol = lift_solution(lift_from, sol)
-                prov["symmetry"] = sym_desc
-            return proved(d, _extract(F, full, sol, targets[hit], prov))
+                cert = _cert_from_support(F_s, support, targets_s[hit], prov)
+                if images is not None:
+                    n = F.n_vars
+                    entries = tuple(
+                        CertEntry(e.tag, e.source.renamed(images, n), e.multiplier.renamed(images, n))
+                        for e in cert.entries
+                    )
+                    cert = Certificate(F.field, n, targets[hit], entries, cert.provenance)
+                if not verify(cert):
+                    raise AssembleError("internal error: extracted certificate failed re-verification")
+                return NullaOutcome("infeasible", cert, d, tuple(per_degree))
     return NullaOutcome("no_certificate_up_to", None, schedule[-1], tuple(per_degree))
 
 

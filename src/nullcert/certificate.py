@@ -71,6 +71,8 @@ class Certificate(Record):
                     raise CertificateError(f"entry {pos} ({e.tag}): field or n_vars mismatch")
         if target.field != field or target.n_vars != n_vars:
             raise CertificateError("target field or n_vars mismatch")
+        if target.is_zero():
+            raise CertificateError("zero target gives a vacuous identity")
 
     @property
     def degree(self) -> int:

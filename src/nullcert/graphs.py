@@ -447,12 +447,6 @@ def find_core(g: Graph, k: int, touched: Optional[Set[int]] = None) -> Optional[
     return core if len(core) < g.n_vertices else None
 
 
-def oracle_colorable(g: Graph, k: int) -> bool:
-    """Whether find_coloring finds a proper k-coloring: exact on every graph
-    whose search settles within the node budget."""
-    return find_coloring(g, k) is not None
-
-
 __all__ = [
     "Graph",
     "GraphError",
@@ -469,5 +463,4 @@ __all__ = [
     "COLORING_NODE_BUDGET",
     "find_coloring",
     "find_core",
-    "oracle_colorable",
 ]

@@ -71,7 +71,9 @@ class SparseSystem(Record):
     """A sparse GF(p) linear system A y = rhs.
 
     rows[i] holds (col, coeff) pairs with strictly increasing columns and
-    nonzero coefficients; rhs[i] is the right-hand side residue.
+    nonzero coefficients; rhs[i] is the right-hand side residue.  make()
+    checks every entry and the memory budget; the constructor checks
+    nothing, for rows canonical by construction (nullcert.assemble).
     """
 
     __slots__ = ("field", "n_rows", "n_cols", "rows", "rhs")
@@ -120,20 +122,6 @@ class SparseSystem(Record):
             if not 0 <= b < p:
                 raise LinsolveError(f"rhs {i}: value {b} outside 0..{p - 1}")
         return cls(field, n_rows, n_cols, tuple(canon_rows), tuple(rhs))
-
-    @classmethod
-    def _unchecked(
-        cls,
-        field: FieldSpec,
-        n_cols: int,
-        rows: Sequence[Sequence[Tuple[int, int]]],
-        rhs: Sequence[int],
-        memory_budget: Optional[int],
-    ) -> "SparseSystem":
-        """make() for rows that are canonical by construction: only the
-        memory budget is checked, not each entry."""
-        _check_budget(field, len(rows), n_cols, memory_budget)
-        return cls(field, len(rows), n_cols, tuple(map(tuple, rows)), tuple(rhs))
 
     @property
     def nnz(self) -> int:

@@ -140,16 +140,13 @@ class Monomial(Record):
     def is_constant(self) -> bool:
         return not self.exponents
 
-    def expanded(self) -> Tuple[int, ...]:
-        """Sorted variable indices with multiplicity, e.g. (0, 0, 1) for x1^2*x2."""
-        return tuple(v for v, e in self.exponents for _ in range(e))
-
     def sort_key(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         """The graded-order key: total degree, then ((var, -exp), ...)."""
-        # Within one total degree the pairs compare like expanded(): the first
-        # differing pair has the smaller variable, or the larger power of the
-        # same variable, on the earlier monomial.  Unlike expanded(), the key
-        # is as small as the exponent map however large the exponents are.
+        # Within one total degree the pairs compare like the sorted index
+        # tuples with multiplicity, (0, 0, 1) for x1^2*x2: the first differing
+        # pair has the smaller variable, or the larger power of the same
+        # variable, on the earlier monomial.  Unlike such a tuple, the key is
+        # as small as the exponent map however large the exponents are.
         return (self.degree, tuple((v, -e) for v, e in self.exponents))
 
     def mul(self, other: "Monomial") -> "Monomial":

@@ -1,5 +1,5 @@
-"""Shared test-only oracles: polynomial product and evaluation, GF(4)
-evaluation, and dense reference eliminators.
+"""Shared test-only oracles: monomials as index tuples, polynomial product
+and evaluation, GF(4) evaluation, and dense reference eliminators.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.
@@ -10,10 +10,16 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nullcert.poly import PolyError, Polynomial
+from nullcert.poly import Monomial, PolyError, Polynomial
 
 # ---------------------------------------------------------------------------
-# Polynomial product and evaluation over GF(p), term by term.
+# Monomials as index tuples; polynomial product and evaluation over GF(p),
+# term by term.
+
+
+def expanded(m: Monomial) -> Tuple[int, ...]:
+    """Sorted variable indices with multiplicity, e.g. (0, 0, 1) for x1^2*x2."""
+    return tuple(v for v, e in m.exponents for _ in range(e))
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 import nullcert.assemble as asm
+from helpers import expanded
 import nullcert.cli as cli
 import nullcert.graphs as graphs
 from nullcert.certificate import read_cert, verify
@@ -212,6 +213,16 @@ def test_prove_memory_budget_exhausted(capsys):
     assert "error:" in err and "64" in err
 
 
+def test_budget_refuses_a_system_without_columns(tmp_path, capsys):
+    # graded:3 keeps no shift of x1*x2 at degree 0, so the only checks that
+    # see the system are on its final counts: one target row, no columns
+    path = tmp_path / "sys.txt"
+    path.write_text("a x1*x2\n")
+    argv = ["--p", "2", "--pruning", "graded:3", "--schedule", "0", "--memory-budget", "0"]
+    message = "error: predicted working set 8 bytes for a 1 x 0 system exceeds the 0 byte budget\n"
+    assert run(capsys, "prove", "--system", str(path), *argv) == (2, "", message)
+
+
 # ------------------------------------------------------- cert files
 
 
@@ -244,6 +255,19 @@ def test_verify_unreadable_inputs(tmp_path, capsys):
     assert rc == 2 and "error:" in err
     rc, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert rc == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[], [{"tag": "e1", "f": "x1", "beta": "x1"}, {"tag": "e2", "f": "x1", "beta": "x1"}]],
+    ids=["no-entries", "entries-sum-to-zero"],
+)
+def test_verify_refuses_zero_target(entries, tmp_path, capsys):
+    # 0 = 0 holds for any system, so it certifies nothing
+    doc = {"version": 1, "field_p": 2, "n_vars": 1, "target": "0", "entries": entries, "provenance": {}}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == (2, "", "error: zero target gives a vacuous identity\n")
 
 
 def test_huge_field_modulus_is_refused(tmp_path, capsys):
@@ -383,7 +407,7 @@ def test_prove_system_with_explicit_target(tmp_path, capsys):
     rc, out, _ = run(capsys, "prove", "--system", str(path), "--alt-g", "x1")
     assert rc == 0
     cert = read_cert(out[out.index("{"):])
-    assert cert.target.terms[0][0].expanded() == (0,)
+    assert expanded(cert.target.terms[0][0]) == (0,)
 
 
 def test_budget_refuses_a_degree_before_listing_its_shifts(tmp_path, capsys):
@@ -598,6 +622,46 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
     (tmp_path / "rotation.txt").write_text("(1,2,3,4,5)\n")
     rc, out, _ = run(capsys, "prove", "--gen", "complete:5", *argv)
     assert rc == 0 and without_millis(out) == digest
+
+
+# sha256 of prove's stdout, millis removed, for each kind of attempt, as
+# printed while core, orbit and full solves each had their own code
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (("--gen", "mycielski:7"), 0, "c4c36563a4646637c2fbf094326314cbc87d96f8be280fbdd5593399913b05a9"),
+        (("--gen", "random:16,0.27,2"), 0, "707ed3607c43ec559c48f2e5af324ea43638a877d39d0b0ebf50076e6008e306"),
+        (
+            ("--gen", "complete:4", "--no-preprocess", "--symmetry", "swap.txt"),
+            0,
+            "6ea3142baac44bbf8e693912864c8d52fc4c7a6966adfdc932dfa6d48611762d",
+        ),
+        (
+            ("--gen", "wheel:6", "--symmetry", "rim6.txt"),
+            10,
+            "cd3e094ef24009a6c3d9345ba3d020938b67e16ee168141568ee32efaeacf47a",
+        ),
+        (
+            ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
+            0,
+            "73afe63a4ffe0bbe2a9cee3eb68818049ec58768860415aa2e2c4e72e5093ebb",
+        ),
+        (("--system", "quadric.txt", "--p", "3"), 0, "209fc03945da1dd046626114b2b456620c23fb78b45b9e5c3b73d863d7b229a0"),
+    ],
+    # core hit at degree 1; core, G, core hit at degree 4; (1,2) has even
+    # order, so an inconsistent orbit solve falls back to the full system;
+    # wheel:6 is 3-colorable, so a root refutes every degree under the
+    # rotation; wheel:7's rotation has odd order, so the orbit solve hits
+    ids=["core-hit", "core-G-core", "orbit-then-full", "rotation-refuted", "orbit-hit", "gf3-quadric"],
+)
+def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swap.txt").write_text("(1,2)\n")
+    (tmp_path / "rim6.txt").write_text("(1,2,3,4,5,6)\n")
+    (tmp_path / "rim7.txt").write_text("(1,2,3,4,5,6,7)\n")
+    (tmp_path / "quadric.txt").write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
+    rc, out, _ = run(capsys, "prove", *argv)
+    assert rc == code and without_millis(out) == digest
 
 
 def test_cut_search_or_critical_graph_has_no_core(capsys, no_core, monkeypatch):

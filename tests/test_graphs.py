@@ -22,7 +22,6 @@ from nullcert.graphs import (
     gen_mycielski,
     gen_random,
     gen_wheel,
-    oracle_colorable,
     parse_dimacs,
     write_dimacs,
 )
@@ -154,12 +153,12 @@ class TestComponents:
 
 class TestOracle:
     def test_known_graphs(self):
-        assert not oracle_colorable(gen_complete(4), 3)
-        assert oracle_colorable(gen_kneser(5, 2), 3)  # Petersen is 3-chromatic
-        assert not oracle_colorable(gen_wheel(5), 3)
-        assert oracle_colorable(gen_wheel(4), 3)
-        assert oracle_colorable(gen_complete(4), 4)
-        assert not oracle_colorable(gen_complete(2), 1)
+        assert find_coloring(gen_complete(4), 3) is None
+        assert find_coloring(gen_kneser(5, 2), 3) is not None  # Petersen is 3-chromatic
+        assert find_coloring(gen_wheel(5), 3) is None
+        assert find_coloring(gen_wheel(4), 3) is not None
+        assert find_coloring(gen_complete(4), 4) is not None
+        assert find_coloring(gen_complete(2), 1) is None
 
     def test_oracle_on_oracle(self):
         # Exhaustive k^n enumeration must agree for small graphs.
@@ -174,7 +173,7 @@ class TestOracle:
         cases.extend(gen_random(6, rng.choice([0.3, 0.5, 0.8]), seed) for seed in range(12))
         for g in cases:
             for k in (1, 2, 3, 4):
-                assert oracle_colorable(g, k) == exhaustive(g, k), (g, k)
+                assert (find_coloring(g, k) is not None) == exhaustive(g, k), (g, k)
 
 
 class TestFindColoring:

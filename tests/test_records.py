@@ -40,7 +40,7 @@ def sparse():
 
 
 def assembled():
-    return AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), 1, poly())
+    return AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,))
 
 
 # class: (a fresh instance, a call with a bad argument, its error, its message)
@@ -104,7 +104,7 @@ RECORDS = {
     ),
     AssembledSystem: (
         assembled,
-        lambda: AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0),), (0,), 1, poly()),
+        lambda: AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0),), (0,)),
         AssembleError,
         "column key count does not match system width",
     ),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import expanded
 from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
@@ -99,18 +100,14 @@ def test_invariance_ground_set_mismatch():
         orbit(k4_full(), PermutationSet.make(3, []))
 
 
-def expand(m):
-    return m.expanded()
-
-
 def test_k4_orbit_matrix_shape_and_keys():
     orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234, pruning="graded:3")
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 9)
-    assert [expand(m) for m in orb.row_orbits] == [
+    assert [expanded(m) for m in orb.row_orbits] == [
         (), (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2),
         (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 3),
     ]
-    assert [(ck.poly_index, expand(ck.shift)) for ck in orb.col_orbits] == [
+    assert [(ck.poly_index, expanded(ck.shift)) for ck in orb.col_orbits] == [
         (0, ()), (1, (0,)), (1, (1,)), (1, (2,)), (1, (3,)),
         (4, (0,)), (4, (1,)), (4, (2,)), (4, (3,)),
     ]
