@@ -48,22 +48,23 @@ soundness: a wrong coloring, or a point that is no root, fails it and the
 degrees are eliminated as usual, so no verdict depends on the coloring
 search or on the matrices.
 
-Column order: assemble() and the orbit assembly number columns poly-major
-(poly index, shift degree, shift).  Over GF(2) nulla_prove numbers them
-shift-major (shift degree, shift, poly index) instead: the products
-x^delta * f_i sharing a row monomial then have nearby shifts, so each row
-spans a narrow column window and the bitset eliminator, whose cost follows
-that span, runs several times faster.  Rank and consistency do not depend
-on the order; the certificate does, through the free-variables-zero
-solution, and is deterministic for the fixed order.  GF(p) keeps poly-major,
-where shift-major did not speed up the dict eliminator.
+Column order: assemble() numbers columns poly-major (poly index, shift
+degree, shift) by default, and so does the orbit assembly.  Over GF(2)
+nulla_prove numbers them shift-major (shift degree, shift, poly index)
+instead: the products x^delta * f_i sharing a row monomial then have nearby
+shifts, so each row spans a narrow column window and the bitset eliminator,
+whose cost follows that span, runs several times faster.  Rank and
+consistency do not depend on the order; the certificate does, through the
+free-variables-zero solution, and is deterministic for the fixed order.
+GF(p) keeps poly-major because that order fixes its certificate bytes;
+shift-major has not been timed on the GF(3) bit-plane eliminator.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
 one exponent field per variable, with fields wide enough that the product
 x^delta * t is the sum of the two ints, and packed ^ flip sorting exactly
 like Monomial.sort_key, so rows keep the graded order.  An AssembledSystem
-keeps its keys packed and unpacks them to Monomial only on first use of
-col_keys or row_keys; nulla_prove unpacks only the certificate's shifts.
+keeps its keys packed; extract_certificate unpacks only the shifts whose
+coefficient is nonzero.
 
 Pruning modes:
   "occurring"   rows are the monomials that occur in some x^delta * f_i or
@@ -81,10 +82,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import defaultdict
-from functools import cached_property
 from itertools import combinations_with_replacement, islice
 from math import comb, gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
@@ -156,27 +156,17 @@ class _Packing:
         return out
 
 
-class ColumnKey(Record):
-    """Which multiplier coefficient a column stands for: x^shift on poly i."""
-
-    __slots__ = ("poly_index", "shift")
-
-    def __init__(self, poly_index: int, shift: Monomial) -> None:
-        set_field(self, "poly_index", poly_index)
-        set_field(self, "shift", shift)
-
-
 class AssembledSystem(Record):
     """The degree-d system with one right-hand side per target; system
     carries rhs_list[0], the first target's.
 
     Keys stay packed by packing: a column is (poly index, packed shift), a
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
-    more than the degrees that find nothing, so col_keys and row_keys unpack
-    on first use, and nulla_prove never reads them.
+    more than the degrees that find nothing, so packing.unpack is applied
+    only where a Monomial is needed.
     """
 
-    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "__dict__")
+    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows")
 
     def __init__(
         self,
@@ -196,27 +186,19 @@ class AssembledSystem(Record):
         if system.n_rows != len(packed_rows):
             raise AssembleError("row key count does not match system height")
 
-    @cached_property
-    def col_keys(self) -> Tuple[ColumnKey, ...]:
-        unpack = self.packing.unpack
-        return tuple(ColumnKey(i, unpack(delta)) for i, delta in self.packed_cols)
-
-    @cached_property
-    def row_keys(self) -> Tuple[Monomial, ...]:
-        return tuple(map(self.packing.unpack, self.packed_rows))
-
 
 class OrbitSystem(Record):
     """An assembled system collapsed to orbits, with what lifting needs.
 
     Representatives are the orbit members of least full-system index, listed
-    in that order; col_orbit_index maps each full column to its orbit
-    position.  coprime_verified: the group order is known and coprime to p.
+    in that order, so full.packed_rows[row_reps[k]] is orbit row k's key;
+    col_orbit_index maps each full column to its orbit position.
+    coprime_verified: the group order is known and coprime to p.
     """
 
     __slots__ = (
         "system", "rhs_list", "full", "row_reps", "col_reps", "col_orbit_index", "group_order",
-        "coprime_verified", "__dict__",
+        "coprime_verified",
     )
 
     def __init__(
@@ -238,47 +220,6 @@ class OrbitSystem(Record):
         set_field(self, "col_orbit_index", col_orbit_index)
         set_field(self, "group_order", group_order)
         set_field(self, "coprime_verified", coprime_verified)
-
-    @property
-    def full_col_keys(self) -> Tuple[ColumnKey, ...]:
-        return self.full.col_keys
-
-    @cached_property
-    def row_orbits(self) -> Tuple[Monomial, ...]:
-        return tuple(self.full.row_keys[r] for r in self.row_reps)
-
-    @cached_property
-    def col_orbits(self) -> Tuple[ColumnKey, ...]:
-        return tuple(self.full_col_keys[j] for j in self.col_reps)
-
-
-class SystemStats(Record):
-    __slots__ = (
-        "n_vars", "n_polys", "monomial_total", "degree", "predicted_cols", "predicted_nnz",
-        "actual_rows", "actual_cols", "actual_nnz",
-    )
-
-    def __init__(
-        self,
-        n_vars: int,
-        n_polys: int,
-        monomial_total: int,
-        degree: int,
-        predicted_cols: int,
-        predicted_nnz: int,
-        actual_rows: int,
-        actual_cols: int,
-        actual_nnz: int,
-    ) -> None:
-        set_field(self, "n_vars", n_vars)
-        set_field(self, "n_polys", n_polys)
-        set_field(self, "monomial_total", monomial_total)
-        set_field(self, "degree", degree)
-        set_field(self, "predicted_cols", predicted_cols)
-        set_field(self, "predicted_nnz", predicted_nnz)
-        set_field(self, "actual_rows", actual_rows)
-        set_field(self, "actual_cols", actual_cols)
-        set_field(self, "actual_nnz", actual_nnz)
 
 
 class DegreeStats(Record):
@@ -405,7 +346,7 @@ def _sizes(
     pruning: str = "occurring",
     memory_budget: Optional[int] = None,
 ) -> Tuple[int, int, int]:
-    """(rows, cols, nnz) of the system _assemble_targets would build, counted
+    """(rows, cols, nnz) of the system assemble would build, counted
     without building it; the memory budget is checked on the counts.
 
     A kept column (i, delta) holds one entry per term of f_i, since the
@@ -424,7 +365,7 @@ def _sizes(
     return len(rows), cols, nnz
 
 
-def _assemble_targets(
+def assemble(
     F: PolySystem,
     d: int,
     targets: Sequence[Polynomial],
@@ -437,9 +378,9 @@ def _assemble_targets(
 
     The row universe covers every target's monomials, so the rhs vectors
     are interchangeable on the same matrix.  Columns are poly-major
-    (poly index, shift degree, shift), the public order; shift_major orders
-    them (shift degree, shift, poly index) instead, which keeps each row's
-    columns close together (see nulla_prove).
+    (poly index, shift degree, shift); shift_major orders them (shift
+    degree, shift, poly index) instead, which keeps each row's columns
+    close together (see the module docstring).
     """
     packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     # Enumerate columns in global order, poly-major or shift-major.
@@ -471,41 +412,30 @@ def _assemble_targets(
     # not after every product is filed.  The last block is short, maybe
     # empty, so the last check is on the final counts, with or without columns.
     rows = defaultdict(list, {packing.pack(m): [] for g in targets for m, _ in g.terms})
-    col_keys: List[Tuple[int, int]] = []
+    packed_cols: List[Tuple[int, int]] = []
     for start in range(0, n_cols + 1, _BUDGET_BLOCK):
         block = list(islice(cols, _BUDGET_BLOCK))
         for j, (i, delta) in enumerate(block, start):
             for t, c in poly_terms[i]:
                 rows[delta + t].extend((j, c))
-        col_keys += block
+        packed_cols += block
         _check_budget(F.field, len(rows), n_cols, memory_budget)
     order = packing.flip.__xor__
-    row_keys = sorted(rows, key=order)
+    packed_rows = sorted(rows, key=order)
 
     rhs_list: List[List[int]] = []
     for g in targets:
-        b = [0] * len(row_keys)
+        b = [0] * len(packed_rows)
         for m, c in g.terms:
-            b[bisect_left(row_keys, order(packing.pack(m)), key=order)] = c
+            b[bisect_left(packed_rows, order(packing.pack(m)), key=order)] = c
         rhs_list.append(b)
 
     entries = []
-    for m in row_keys:
+    for m in packed_rows:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem(F.field, len(row_keys), n_cols, tuple(entries), tuple(rhs_list[0]))
-    return AssembledSystem(system, rhs_list, packing, tuple(col_keys), tuple(row_keys))
-
-
-def assemble(
-    F: PolySystem,
-    d: int,
-    g: Polynomial,
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-) -> AssembledSystem:
-    """Build the degree-d linear system for one target polynomial."""
-    return _assemble_targets(F, d, [g], pruning, memory_budget)
+    system = SparseSystem(F.field, len(packed_rows), n_cols, tuple(entries), tuple(rhs_list[0]))
+    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows))
 
 
 def _find(parent: List[int], a: int) -> int:
@@ -599,7 +529,7 @@ def assemble_orbit(
     the solve).
     """
     maps = check_invariant(F, [g], perms)
-    full = _assemble_targets(F, d, [g], pruning, memory_budget)
+    full = assemble(F, d, [g], pruning, memory_budget)
     return _collapse(full, perms, maps, group_order(perms))
 
 
@@ -616,70 +546,56 @@ def stats(
     pruning: str = "occurring",
     g: Optional[Polynomial] = None,
     memory_budget: Optional[int] = None,
-) -> SystemStats:
-    """Closed-form size predictions next to actual post-pruning sizes.
+) -> dict:
+    """Closed-form size predictions next to actual post-pruning sizes, keyed
+    by the names the stats command prints.
 
     Predictions count the unpruned system: n_polys * C(n+d, d) columns and
-    one matrix entry per (input monomial, shift) pair.  Actuals are counted
-    with the requested pruning, without assembling the matrix.
+    one matrix entry per (input monomial, shift) pair.  Actuals (rows, cols,
+    nnz) are counted with the requested pruning, without assembling the
+    matrix.
     """
     if g is None:
         g = Polynomial.one(F.field, F.n_vars)
     rows, cols, nnz = _sizes(F, d, [g], pruning, memory_budget)
     shifts = comb(F.n_vars + d, d)
-    monomial_total = sum(len(f.terms) for f in F.polys)
-    return SystemStats(
-        n_vars=F.n_vars,
-        n_polys=len(F),
-        monomial_total=monomial_total,
-        degree=d,
-        predicted_cols=len(F) * shifts,
-        predicted_nnz=monomial_total * shifts,
-        actual_rows=rows,
-        actual_cols=cols,
-        actual_nnz=nnz,
-    )
-
-
-def _cert_from_support(
-    F: PolySystem,
-    support: Iterable[Tuple[int, Monomial, int]],
-    target: Polynomial,
-    provenance: Optional[dict],
-) -> Certificate:
-    """Assemble certificate entries from (poly index, shift, coefficient)."""
-    per_poly: Dict[int, List[Tuple[Monomial, int]]] = {}
-    for i, shift, v in support:
-        per_poly.setdefault(i, []).append((shift, v))
-    entries = []
-    for i in sorted(per_poly):
-        beta = Polynomial.make(F.field, F.n_vars, dict(per_poly[i]))
-        entries.append(CertEntry(F.tags[i], F.polys[i], beta))
-    return Certificate(
-        field=F.field,
-        n_vars=F.n_vars,
-        target=target,
-        entries=tuple(entries),
-        provenance=dict(provenance or {}),
-    )
+    monomials = sum(len(f.terms) for f in F.polys)
+    return {
+        "n_vars": F.n_vars,
+        "polys": len(F),
+        "monomials": monomials,
+        "pruning": pruning,
+        "degree": d,
+        "predicted_cols": len(F) * shifts,
+        "predicted_nnz": monomials * shifts,
+        "rows": rows,
+        "cols": cols,
+        "nnz": nnz,
+    }
 
 
 def extract_certificate(
     F: PolySystem,
-    col_keys: Sequence[ColumnKey],
+    asm: AssembledSystem,
     solution: Sequence[int],
     target: Polynomial,
     provenance: Optional[dict] = None,
 ) -> Certificate:
-    """Turn a solution vector into multipliers: beta_i = sum y_(i,delta) x^delta."""
-    if len(col_keys) != len(solution):
-        raise AssembleError("solution length does not match column keys")
-    support = (
-        (ck.poly_index, ck.shift, solution[j])
-        for j, ck in enumerate(col_keys)
-        if solution[j]
+    """Turn a solution over asm's columns into multipliers:
+    beta_i = sum y_(i,delta) x^delta.  Only the shifts whose coefficient is
+    nonzero are unpacked."""
+    if len(asm.packed_cols) != len(solution):
+        raise AssembleError("solution length does not match the system's columns")
+    unpack = asm.packing.unpack
+    per_poly: Dict[int, List[Tuple[Monomial, int]]] = {}
+    for (i, delta), v in zip(asm.packed_cols, solution):
+        if v:
+            per_poly.setdefault(i, []).append((unpack(delta), v))
+    entries = tuple(
+        CertEntry(F.tags[i], F.polys[i], Polynomial.make(F.field, F.n_vars, per_poly[i]))
+        for i in sorted(per_poly)
     )
-    return _cert_from_support(F, support, target, provenance)
+    return Certificate(F.field, F.n_vars, target, entries, dict(provenance or {}))
 
 
 def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
@@ -788,7 +704,7 @@ def nulla_prove(
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
         for F_s, targets_s, images, note in tried:
-            asm = _assemble_targets(F_s, d, targets_s, pruning, memory_budget, shift_major=F.field.p == 2)
+            asm = assemble(F_s, d, targets_s, pruning, memory_budget, shift_major=F.field.p == 2)
             orb = None if perms is None else _collapse(asm, perms, maps, order)
             # an inconsistent orbit solve is conclusive only for a coprime order
             for part in [asm] if orb is None else [orb] if orb.coprime_verified else [orb, asm]:
@@ -807,13 +723,7 @@ def nulla_prove(
                     sol = lift_solution(orb, sol)
                     sym_desc = [list(gen) for gen in perms.generators]
                 prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": pruning, **note}
-                # only the shifts with a nonzero coefficient are unpacked
-                support = (
-                    (i, asm.packing.unpack(delta), sol[j])
-                    for j, (i, delta) in enumerate(asm.packed_cols)
-                    if sol[j]
-                )
-                cert = _cert_from_support(F_s, support, targets_s[hit], prov)
+                cert = extract_certificate(F_s, asm, sol, targets_s[hit], prov)
                 if images is not None:
                     n = F.n_vars
                     entries = tuple(
@@ -830,11 +740,9 @@ def nulla_prove(
 __all__ = [
     "AssembleError",
     "AssembledSystem",
-    "ColumnKey",
     "DegreeStats",
     "NullaOutcome",
     "OrbitSystem",
-    "SystemStats",
     "assemble",
     "assemble_orbit",
     "extract_certificate",

@@ -328,15 +328,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     F, graph, meta, opts = build_system(args, default_preprocess=True)
     pruning = args.pruning or (f"graded:{args.k}" if opts else "occurring")
     st = stats(F, args.degree, pruning=pruning, memory_budget=args.memory_budget)
-    print(
-        f"n_vars={st.n_vars} polys={st.n_polys} monomials={st.monomial_total} "
-        f"pruning={pruning}"
-    )
-    print(
-        f"degree={st.degree} predicted_cols={st.predicted_cols} "
-        f"predicted_nnz={st.predicted_nnz} rows={st.actual_rows} "
-        f"cols={st.actual_cols} nnz={st.actual_nnz}"
-    )
+    for line in (
+        ("n_vars", "polys", "monomials", "pruning"),
+        ("degree", "predicted_cols", "predicted_nnz", "rows", "cols", "nnz"),
+    ):
+        print(" ".join(f"{key}={st[key]}" for key in line))
     return EXIT_OK
 
 

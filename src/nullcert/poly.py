@@ -28,16 +28,14 @@ class Record:
     A subclass lists its fields in __slots__ and its __init__ sets them with
     set_field, then checks them.  Records of one class are equal, and hash
     alike, when their fields are; assigning or deleting an attribute raises
-    AttributeError.  A "__dict__" slot, which functools.cached_property
-    needs, is not a field.
+    AttributeError.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        fields = [name for name in cls.__slots__ if name != "__dict__"]
-        cls._values = staticmethod(operator.attrgetter(*fields))
+        cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -211,12 +209,8 @@ class Polynomial(Record):
         return cls(field, n_vars, ())
 
     @classmethod
-    def constant(cls, field: FieldSpec, n_vars: int, c: int) -> "Polynomial":
-        return cls.make(field, n_vars, [(Monomial.one(n_vars), c)])
-
-    @classmethod
     def one(cls, field: FieldSpec, n_vars: int) -> "Polynomial":
-        return cls.constant(field, n_vars, 1)
+        return cls(field, n_vars, ((Monomial.one(n_vars), 1),))
 
     @classmethod
     def from_monomial(cls, mono: Monomial, field: FieldSpec, coeff: int = 1) -> "Polynomial":

@@ -8,7 +8,7 @@ they can serve as independent cross-checks.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert.poly import Monomial, PolyError, Polynomial
 
@@ -20,6 +20,23 @@ from nullcert.poly import Monomial, PolyError, Polynomial
 def expanded(m: Monomial) -> Tuple[int, ...]:
     """Sorted variable indices with multiplicity, e.g. (0, 0, 1) for x1^2*x2."""
     return tuple(v for v, e in m.exponents for _ in range(e))
+
+
+def row_monomials(asm, indices: Optional[Iterable[int]] = None) -> List[Monomial]:
+    """An AssembledSystem's row keys unpacked, or only those at indices (an
+    OrbitSystem's row_reps, say)."""
+    rows = asm.packed_rows
+    return [asm.packing.unpack(rows[r]) for r in (range(len(rows)) if indices is None else indices)]
+
+
+def columns(asm, indices: Optional[Iterable[int]] = None) -> List[Tuple[int, Monomial]]:
+    """(poly index, shift) of an AssembledSystem's columns, shift unpacked,
+    or only of those at indices (an OrbitSystem's col_reps, say)."""
+    cols = asm.packed_cols
+    return [
+        (cols[j][0], asm.packing.unpack(cols[j][1]))
+        for j in (range(len(cols)) if indices is None else indices)
+    ]
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import expanded, poly_mul, random_dense_system, ref_solve_dense
-from nullcert.assemble import assemble, assemble_orbit, lift_solution, nulla_prove
+from helpers import columns, expanded, poly_mul, random_dense_system, ref_solve_dense, row_monomials
+from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
@@ -132,14 +132,12 @@ def test_criterion_1(capsys):
     with criterion(capsys, 1, claim, budget_s=1.0):
         F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
         one = Polynomial.one(F.field, F.n_vars)
-        asm = assemble(F, 1, one, pruning="graded:3")
+        asm = assemble(F, 1, [one], pruning="graded:3")
         assert asm.system.n_rows == 21 and asm.system.n_cols == 25
 
-        row_labels = [mono_text(m, F.field) for m in asm.row_keys]
+        row_labels = [mono_text(m, F.field) for m in row_monomials(asm)]
         assert row_labels == [label for label, _ in K4_DEGREE1_ROWS]
-        col_labels = [
-            f"{F.tags[ck.poly_index]} {mono_text(ck.shift, F.field)}" for ck in asm.col_keys
-        ]
+        col_labels = [f"{F.tags[i]} {mono_text(shift, F.field)}" for i, shift in columns(asm)]
         assert col_labels == K4_COLUMN_LABELS
 
         golden = [bits(row) for _, row in K4_DEGREE1_ROWS]
@@ -164,10 +162,10 @@ def test_criterion_2(capsys):
         assert orb.system.n_rows == 9 and orb.system.n_cols == 9
         assert orb.group_order == 3 and orb.coprime_verified
 
-        row_labels = [mono_text(rep, F.field) for rep in orb.row_orbits]
+        row_labels = [mono_text(rep, F.field) for rep in row_monomials(orb.full, orb.row_reps)]
         assert row_labels == [label for label, _ in K4_ORBIT_ROWS_MOD2]
-        col_reps = [(F.tags[ck.poly_index], mono_text(ck.shift, F.field))
-                    for ck in orb.col_orbits]
+        col_reps = [(F.tags[i], mono_text(shift, F.field))
+                    for i, shift in columns(orb.full, orb.col_reps)]
         assert col_reps == [("vertex:1", "1")] + [
             (f"edge:{uv}", f"x{t}") for uv in ("1-2", "2-3") for t in (1, 2, 3, 4)
         ]
@@ -177,9 +175,7 @@ def test_criterion_2(capsys):
         res = solve(orb.system)
         assert res.consistent
         lifted = lift_solution(orb, res.solution)
-        from nullcert.assemble import extract_certificate
-
-        cert = extract_certificate(F, orb.full_col_keys, lifted, one)
+        cert = extract_certificate(F, orb.full, lifted, one)
         assert verify(cert)
 
         # the unpreprocessed encoding stays invariant too; its vertex columns
@@ -190,7 +186,7 @@ def test_criterion_2(capsys):
         res_full = solve(orb_full.system)
         assert res_full.consistent
         cert_full = extract_certificate(
-            F_full, orb_full.full_col_keys, lift_solution(orb_full, res_full.solution), one
+            F_full, orb_full.full, lift_solution(orb_full, res_full.solution), one
         )
         assert verify(cert_full)
 
@@ -206,7 +202,7 @@ def test_criterion_3(capsys):
         assert verify(out.certificate)
 
         one = Polynomial.one(field, 3)
-        asm = assemble(F, 1, one)
+        asm = assemble(F, 1, [one])
         assert asm.system.n_cols == 16  # 4 polynomials x 4 multiplier monomials
 
         # independent row count: distinct monomials over all shifted products
@@ -218,7 +214,7 @@ def test_criterion_3(capsys):
                 prod = poly_mul(Polynomial.from_monomial(shift, field), f)
                 expected.update(expanded(m) for m, _ in prod.terms)
         assert asm.system.n_rows == len(expected)
-        assert {expanded(m) for m in asm.row_keys} == expected
+        assert {expanded(m) for m in row_monomials(asm)} == expected
 
 
 def test_criterion_4(capsys):

@@ -8,10 +8,9 @@ import tracemalloc
 import pytest
 
 import nullcert.assemble as asm
-from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, expanded, poly_mul
+from helpers import GF4_ROOTS, GF4_ZERO, columns, eval_poly_gf4, expanded, poly_mul, row_monomials
 from nullcert.assemble import (
     AssembleError,
-    _assemble_targets,
     _Packing,
     _sizes,
     assemble,
@@ -62,7 +61,7 @@ def occurring_row_oracle(F, d, g):
 def test_small_system_shape_against_row_oracle():
     F = small_system()
     g = Polynomial.one(GF3, 3)
-    asys = assemble(F, 1, g)
+    asys = assemble(F, 1, [g])
     assert asys.system.n_cols == 16
     assert asys.system.n_rows == occurring_row_oracle(F, 1, g) == 13
 
@@ -79,10 +78,10 @@ def test_small_system_proof_and_runtime():
 
 def test_entry_values_match_shifted_coefficients():
     F = PolySystem.make(GF2, 2, [parse_poly("x1+x2", GF2, 2)])
-    asys = assemble(F, 1, Polynomial.one(GF2, 2))
+    asys = assemble(F, 1, [Polynomial.one(GF2, 2)])
     # columns: shifts 1, x1, x2; rows sorted by degree then index
-    assert [expanded(ck.shift) for ck in asys.col_keys] == [(), (0,), (1,)]
-    by_row = {expanded(asys.row_keys[r]): cols for r, cols in enumerate(asys.system.rows)}
+    assert [expanded(shift) for _, shift in columns(asys)] == [(), (0,), (1,)]
+    by_row = {expanded(m): cols for m, cols in zip(row_monomials(asys), asys.system.rows)}
     assert by_row[(0,)] == ((0, 1),)          # x1 from shift 1
     assert by_row[(1,)] == ((0, 1),)          # x2 from shift 1
     assert by_row[(0, 0)] == ((1, 1),)        # x1^2 from shift x1
@@ -94,25 +93,25 @@ def test_entry_values_match_shifted_coefficients():
 
 def test_row_and_column_order_is_graded():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = assemble(F, 1, Polynomial.one(GF2, 4), pruning="graded:3")
-    rows = [expanded(m) for m in asys.row_keys]
+    asys = assemble(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
+    rows = [expanded(m) for m in row_monomials(asys)]
     assert rows == sorted(rows, key=lambda t: (len(t), t))
-    cols = [(ck.poly_index, len(expanded(ck.shift)), expanded(ck.shift)) for ck in asys.col_keys]
+    cols = [(i, len(expanded(shift)), expanded(shift)) for i, shift in columns(asys)]
     assert cols == sorted(cols)
 
 
 def test_k4_preprocessed_graded_shape():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = assemble(F, 1, Polynomial.one(GF2, 4), pruning="graded:3")
+    asys = assemble(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
     assert (asys.system.n_rows, asys.system.n_cols) == (21, 25)
     # row universe: constant plus every degree-3 monomial in 4 variables
-    degs = sorted(m.degree for m in asys.row_keys)
+    degs = sorted(m.degree for m in row_monomials(asys))
     assert degs == [0] + [3] * 20
 
 
 def test_degenerate_constant_system():
     F = PolySystem.make(GF2, 1, [Polynomial.one(GF2, 1)])
-    asys = assemble(F, 0, Polynomial.one(GF2, 1))
+    asys = assemble(F, 0, [Polynomial.one(GF2, 1)])
     assert (asys.system.n_rows, asys.system.n_cols) == (1, 1)
     res = solve(asys.system)
     assert res.status == "consistent" and res.solution == (1,)
@@ -124,13 +123,13 @@ def test_graded_rejects_mixed_degree_poly():
     polys = [parse_poly("x1^3+1", GF2, 2), parse_poly("x1^2+x2", GF2, 2)]
     F = PolySystem.make(GF2, 2, polys, tags=("vertex:1", "odd:one"))
     with pytest.raises(AssembleError, match="odd:one"):
-        assemble(F, 1, Polynomial.one(GF2, 2), pruning="graded:3")
+        assemble(F, 1, [Polynomial.one(GF2, 2)], pruning="graded:3")
 
 
 def test_graded_rejects_bad_target_degree():
     F = encode_coloring(gen_complete(4), EncodingOptions())
     with pytest.raises(AssembleError, match="target"):
-        assemble(F, 1, parse_poly("x1", GF2, 4), pruning="graded:3")
+        assemble(F, 1, [parse_poly("x1", GF2, 4)], pruning="graded:3")
 
 
 def test_bad_pruning_strings():
@@ -138,17 +137,17 @@ def test_bad_pruning_strings():
     g = Polynomial.one(GF3, 3)
     for bad in ("graded:", "graded:1", "graded:x", "gradual", "", "none"):
         with pytest.raises(AssembleError):
-            assemble(F, 1, g, pruning=bad)
+            assemble(F, 1, [g], pruning=bad)
 
 
 def test_zero_target_rejected():
     with pytest.raises(AssembleError, match="zero target"):
-        assemble(small_system(), 1, Polynomial.zero(GF3, 3))
+        assemble(small_system(), 1, [Polynomial.zero(GF3, 3)])
 
 
 def test_target_field_mismatch_rejected():
     with pytest.raises(AssembleError, match="mismatch"):
-        assemble(small_system(), 1, Polynomial.one(GF2, 3))
+        assemble(small_system(), 1, [Polynomial.one(GF2, 3)])
 
 
 def test_schedule_validation():
@@ -161,22 +160,22 @@ def test_schedule_validation():
 def test_memory_budget_propagates():
     F = encode_coloring(gen_complete(6), EncodingOptions())
     with pytest.raises(MemoryBudgetError):
-        assemble(F, 2, Polynomial.one(GF2, 6), memory_budget=64)
+        assemble(F, 2, [Polynomial.one(GF2, 6)], memory_budget=64)
 
 
 def test_stats_k4_raw_formulas():
     F = encode_coloring(gen_complete(4), EncodingOptions())
     st = stats(F, 1)
-    assert (st.n_vars, st.n_polys, st.monomial_total) == (4, 10, 26)
-    assert st.predicted_cols == 50 and st.predicted_nnz == 130
-    assert st.actual_cols == 50 and st.actual_nnz == 130
-    assert st.actual_cols <= st.predicted_cols and st.actual_nnz <= st.predicted_nnz
+    assert (st["n_vars"], st["polys"], st["monomials"]) == (4, 10, 26)
+    assert st["predicted_cols"] == 50 and st["predicted_nnz"] == 130
+    assert st["cols"] == 50 and st["nnz"] == 130
+    assert st["cols"] <= st["predicted_cols"] and st["nnz"] <= st["predicted_nnz"]
 
 
 def test_stats_single_poly_degree_zero():
     F = PolySystem.make(GF2, 3, [parse_poly("x1", GF2, 3)])
     st = stats(F, 0)
-    assert st.predicted_cols == 1 and st.actual_cols == 1
+    assert st["predicted_cols"] == 1 and st["cols"] == 1
 
 
 def test_stats_pruned_never_exceeds_predictions():
@@ -186,8 +185,8 @@ def test_stats_pruned_never_exceeds_predictions():
         F = encode_coloring(g, EncodingOptions(preprocess=True))
         for pruning in ("occurring", "graded:3"):
             st = stats(F, 1, pruning=pruning)
-            assert st.actual_cols <= st.predicted_cols
-            assert st.actual_nnz <= st.predicted_nnz
+            assert st["cols"] <= st["predicted_cols"]
+            assert st["nnz"] <= st["predicted_nnz"]
 
 
 def test_k3_no_certificate_up_to_four():
@@ -204,7 +203,7 @@ def test_consistency_survives_degree_increase():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
     for d in (1, 4):
-        assert solve(assemble(F, d, g, pruning="graded:3").system).consistent
+        assert solve(assemble(F, d, [g], pruning="graded:3").system).consistent
 
 
 def test_first_consistent_target_wins():
@@ -231,9 +230,9 @@ def test_later_target_found_when_first_fails():
 def test_extract_certificate_matches_prove_path():
     F = small_system()
     g = Polynomial.one(GF3, 3)
-    asys = assemble(F, 1, g)
+    asys = assemble(F, 1, [g])
     res = solve(asys.system)
-    cert = extract_certificate(F, asys.col_keys, res.solution, g)
+    cert = extract_certificate(F, asys, res.solution, g)
     assert verify(cert)
     out = nulla_prove(F, [1])
     assert [(e.tag, e.multiplier) for e in cert.entries] == [
@@ -247,16 +246,16 @@ def test_extract_certificate_matches_prove_path():
     ids=["K4", "wheel5", "random8", "K3"],
 )
 def test_gf2_shift_major_columns_agree_with_public_order(graph):
-    # nulla_prove solves GF(2) systems with shift-major columns; the public
-    # assemble() order is poly-major.  Sizes and verdicts must not differ.
+    # nulla_prove solves GF(2) systems with shift-major columns; assemble()'s
+    # default order is poly-major.  Sizes and verdicts must not differ.
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, graph.n_vertices)
     for d in (1, 4):
-        asys = assemble(F, d, g, pruning="graded:3")
-        shifted = _assemble_targets(F, d, [g], "graded:3", shift_major=True)
-        assert shifted.row_keys == asys.row_keys
-        shifted_cols = [(ck.poly_index, ck.shift) for ck in shifted.col_keys]
-        public_cols = [(ck.poly_index, ck.shift) for ck in asys.col_keys]
+        asys = assemble(F, d, [g], pruning="graded:3")
+        shifted = assemble(F, d, [g], "graded:3", shift_major=True)
+        assert row_monomials(shifted) == row_monomials(asys)
+        shifted_cols = columns(shifted)
+        public_cols = columns(asys)
         assert sorted(shifted_cols) == sorted(public_cols)
         pos = {key: j for j, key in enumerate(public_cols)}
         for row, public_row in zip(shifted.system.rows, asys.system.rows):
@@ -320,22 +319,22 @@ def test_large_exponent_assembles_in_small_memory():
     g = Polynomial.one(GF2, 2)
     tracemalloc.start()
     try:
-        asys = _assemble_targets(F, 1, [g])
+        asys = assemble(F, 1, [g])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     system = asys.system
     assert (system.n_rows, system.n_cols, system.nnz) == (9, 9, 15)
-    assert asys.row_keys[-2] == Monomial.make({0: 2000001}, 2)
+    assert asys.packing.unpack(asys.packed_rows[-2]) == Monomial.make({0: 2000001}, 2)
     assert peak < 1 << 20
 
 
 def test_extract_certificate_length_check():
     F = small_system()
     one = Polynomial.one(GF3, 3)
-    asys = assemble(F, 1, one)
+    asys = assemble(F, 1, [one])
     with pytest.raises(AssembleError, match="length"):
-        extract_certificate(F, asys.col_keys, (0,), one)
+        extract_certificate(F, asys, (0,), one)
 
 
 def test_prove_provenance_recorded():
@@ -356,8 +355,8 @@ def test_graded_equals_unpruned_on_coloring_systems():
         g = gen_random(5 + rng.randrange(4), 0.55, rng.randrange(10**6))
         F = encode_coloring(g, EncodingOptions(preprocess=True))
         target = Polynomial.one(GF2, g.n_vertices)
-        full = solve(assemble(F, 1, target, pruning="occurring").system).consistent
-        pruned = solve(assemble(F, 1, target, pruning="graded:3").system).consistent
+        full = solve(assemble(F, 1, [target], pruning="occurring").system).consistent
+        pruned = solve(assemble(F, 1, [target], pruning="graded:3").system).consistent
         assert full == pruned
         checked += 1
     assert checked == 40
@@ -570,7 +569,7 @@ def test_sizes_match_assembly(p):
             targets = [Polynomial.one(field, n), near, far]
             for pruning in ("occurring", f"graded:{k}"):
                 for shift_major in (False, True):
-                    system = _assemble_targets(F, d, targets, pruning, shift_major=shift_major).system
+                    system = assemble(F, d, targets, pruning, shift_major=shift_major).system
                     counted = _sizes(F, d, targets, pruning)
                     assert counted == (system.n_rows, system.n_cols, system.nnz)
                 # the unreached target monomial is one row of its own
@@ -588,7 +587,7 @@ def test_sizes_keep_validation_and_budget():
     with pytest.raises(MemoryBudgetError) as counted:
         _sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
     with pytest.raises(MemoryBudgetError) as assembled:
-        _assemble_targets(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+        assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
     assert str(counted.value) == str(assembled.value)
 
 
@@ -606,7 +605,7 @@ def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
     def no_assembly(*args, **kwargs):
         raise AssertionError("a refuted degree is counted, not assembled")
 
-    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    monkeypatch.setattr(asm, "assemble", no_assembly)
     rooted = nulla_prove(
         F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3)
     )

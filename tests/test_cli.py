@@ -109,7 +109,7 @@ def no_assembly(*args, **kwargs):
 def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
     # random:16,0.27,0 is benchmark sweep16's first graph; these are the
     # sizes of the systems the degrees would assemble
-    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    monkeypatch.setattr(asm, "assemble", no_assembly)
     rc, out, _ = run(capsys, "prove", "--gen", "random:16,0.27,0")
     assert rc == 10
     lines = out.splitlines()
@@ -139,7 +139,7 @@ def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
 )
 def test_counted_degrees_keep_validation_and_budget(capsys, monkeypatch, argv, message):
     # wheel:4 is 3-colorable, so its degrees are counted, never assembled
-    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    monkeypatch.setattr(asm, "assemble", no_assembly)
     rc, out, err = run(capsys, "prove", "--gen", "wheel:4", *argv)
     assert (rc, out, err) == (2, "", message)
 
@@ -363,10 +363,12 @@ def test_stats_reports_predicted_and_actual(capsys):
     assert int(fields["rows"]) == 21 and int(fields["cols"]) == 25
     assert int(fields["cols"]) <= int(fields["predicted_cols"])
     assert int(fields["nnz"]) <= int(fields["predicted_nnz"])
+    # the whole line, field order included
+    assert lines[1] == "degree=1 predicted_cols=35 predicted_nnz=100 rows=21 cols=25 nnz=74"
 
 
 def test_stats_counts_without_assembly(capsys, monkeypatch):
-    monkeypatch.setattr(asm, "_assemble_targets", no_assembly)
+    monkeypatch.setattr(asm, "assemble", no_assembly)
     rc, out, _ = run(capsys, "stats", "--gen", "random:16,0.27,0", "--degree", "4")
     assert rc == 0
     fields = dict(part.split("=") for part in out.splitlines()[1].split())

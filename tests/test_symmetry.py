@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import expanded
+from helpers import columns, expanded, row_monomials
 from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
@@ -103,11 +103,11 @@ def test_invariance_ground_set_mismatch():
 def test_k4_orbit_matrix_shape_and_keys():
     orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234, pruning="graded:3")
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 9)
-    assert [expanded(m) for m in orb.row_orbits] == [
+    assert [expanded(m) for m in row_monomials(orb.full, orb.row_reps)] == [
         (), (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2),
         (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 3),
     ]
-    assert [(ck.poly_index, expanded(ck.shift)) for ck in orb.col_orbits] == [
+    assert [(i, expanded(shift)) for i, shift in columns(orb.full, orb.col_reps)] == [
         (0, ()), (1, (0,)), (1, (1,)), (1, (2,)), (1, (3,)),
         (4, (0,)), (4, (1,)), (4, (2,)), (4, (3,)),
     ]
@@ -121,32 +121,33 @@ def test_k4_orbit_entries_are_full_matrix_sums():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
-    full = assemble(F, 1, g, pruning="graded:3")
+    full = assemble(F, 1, [g], pruning="graded:3")
     full_dense = [[0] * full.system.n_cols for _ in range(full.system.n_rows)]
     for r, cols in enumerate(full.system.rows):
         for c, v in cols:
             full_dense[r][c] = v
-    row_pos = {m: r for r, m in enumerate(full.row_keys)}
+    row_pos = {m: r for r, m in enumerate(row_monomials(full))}
     # defining sum over column-orbit members at the row representative,
     # checked over the integers, then reduced mod 2 against the orbit system
-    members = [[] for _ in orb.col_orbits]
+    members = [[] for _ in orb.col_reps]
     for j in range(full.system.n_cols):
         members[orb.col_orbit_index[j]].append(j)
     orbit_dense = [[0] * 9 for _ in range(9)]
     for r, cols in enumerate(orb.system.rows):
         for c, v in cols:
             orbit_dense[r][c] = v
-    for r_pos, rep in enumerate(orb.row_orbits):
+    row_orbits = row_monomials(orb.full, orb.row_reps)
+    for r_pos, rep in enumerate(row_orbits):
         full_row = full_dense[row_pos[rep]]
         for c_pos in range(9):
             integer_sum = sum(full_row[j] for j in members[c_pos])
             assert orbit_dense[r_pos][c_pos] == integer_sum % 2
     # spot values: three members hit x1^3 under c12^1, two members hit
     # x1*x2^2 under c23^1 (vanishing mod 2)
-    x1cubed = row_pos[orb.row_orbits[1]]
+    x1cubed = row_pos[row_orbits[1]]
     assert sum(full_dense[x1cubed][j] for j in members[1]) == 3
     assert orbit_dense[1][1] == 1
-    x1x2sq = row_pos[orb.row_orbits[3]]
+    x1x2sq = row_pos[row_orbits[3]]
     assert sum(full_dense[x1x2sq][j] for j in members[5]) == 2
     assert orbit_dense[3][5] == 0
     assert orbit_dense[3] == [0, 1, 1, 0, 0, 0, 0, 0, 0]
@@ -163,7 +164,7 @@ def test_k4_orbit_solution_lifts_to_certificate():
     # constant on orbits by construction
     for j, oc in enumerate(orb.col_orbit_index):
         assert y[j] == res.solution[oc]
-    cert = extract_certificate(F, orb.full_col_keys, y, g)
+    cert = extract_certificate(F, orb.full, y, g)
     assert verify(cert)
 
 
@@ -176,7 +177,7 @@ def test_full_encoding_orbit_system():
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 10)
     res = solve(orb.system)
     assert res.consistent
-    cert = extract_certificate(F, orb.full_col_keys, lift_solution(orb, res.solution), g)
+    cert = extract_certificate(F, orb.full, lift_solution(orb, res.solution), g)
     assert verify(cert)
 
 
@@ -184,11 +185,11 @@ def test_identity_group_gives_plain_system():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(F, 1, g, PermutationSet.make(4, []), pruning="graded:3")
-    plain = assemble(F, 1, g, pruning="graded:3")
+    plain = assemble(F, 1, [g], pruning="graded:3")
     assert orb.system.rows == plain.system.rows
     assert orb.system.rhs == plain.system.rhs
-    assert orb.row_orbits == plain.row_keys
-    assert orb.col_orbits == plain.col_keys
+    assert row_monomials(orb.full, orb.row_reps) == row_monomials(plain)
+    assert columns(orb.full, orb.col_reps) == columns(plain)
     assert orb.group_order == 1 and orb.coprime_verified
     ybar = tuple(range(orb.system.n_cols))
     assert lift_solution(orb, ybar) == ybar
@@ -235,7 +236,7 @@ def test_cycle_graph_orbit_consistency_matches_full():
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
     assert orb.coprime_verified and orb.group_order == 5
     assert not solve(orb.system).consistent
-    assert not solve(assemble(F, 1, g, pruning="graded:3").system).consistent
+    assert not solve(assemble(F, 1, [g], pruning="graded:3").system).consistent
 
 
 def test_wheel_rim_rotation_positive_case():
@@ -244,8 +245,8 @@ def test_wheel_rim_rotation_positive_case():
     g = Polynomial.one(GF2, 6)
     rot = parse_generators("(1,2,3,4,5)", 6)
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
-    assert orb.system.n_cols < assemble(F, 1, g, pruning="graded:3").system.n_cols
+    assert orb.system.n_cols < assemble(F, 1, [g], pruning="graded:3").system.n_cols
     res = solve(orb.system)
     assert res.consistent
-    cert = extract_certificate(F, orb.full_col_keys, lift_solution(orb, res.solution), g)
+    cert = extract_certificate(F, orb.full, lift_solution(orb, res.solution), g)
     assert verify(cert)
