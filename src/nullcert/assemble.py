@@ -11,16 +11,17 @@ nulla_prove is the one degree loop.  At each degree it tries the core's
 system (if any), then F's.  Each is assembled once and solved as its orbit
 system (given a group), and as the full system unless the group order is
 known coprime to p; each solve gets one DegreeStats.  The first consistent
-solve is lifted (orbit), extracted, renamed into F's variables (core) and
-re-verified.  A degree refuted by a root is only counted (see below).
+solve is lifted (orbit), extracted and re-verified.  A degree refuted by a
+root is only counted (see below).
 
-Core first: given a core, a smaller system whose polynomials are F's input
-polynomials under a renaming of variables (the encoding of an induced
+Core first: given a core, a smaller system over F's variables whose
+polynomials are F's input polynomials (the encoding of an induced
 subgraph), the core's system comes before F's at each degree.  A
-certificate for the core, renamed into F's variables, is a certificate for
-F, so F's system is solved at a degree only when the core's is
-inconsistent there.  The certificate degree is never higher than without
-the core, and a graph far too large to assemble can still be certified.
+certificate for the core is one for F, so F's system is solved at a degree
+only when the core's is inconsistent there.  Shifts range over the
+variables that occur (_layout), so the core's system is no larger than its
+own.  The certificate degree is never higher than without the core, and a
+graph far too large to assemble can still be certified.
 
 Orbit collapse: a permutation group on the variables (nullcert.symmetry)
 permutes the rows (monomials) and columns (shifted polynomials).  When F is
@@ -60,11 +61,11 @@ GF(p) keeps poly-major because that order fixes its certificate bytes;
 shift-major has not been timed on the GF(3) bit-plane eliminator.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
-one exponent field per variable, with fields wide enough that the product
-x^delta * t is the sum of the two ints, and packed ^ flip sorting exactly
-like Monomial.sort_key, so rows keep the graded order.  An AssembledSystem
-keeps its keys packed; extract_certificate unpacks only the shifts whose
-coefficient is nonzero.
+one exponent field per occurring variable, with fields wide enough that the
+product x^delta * t is the sum of the two ints, and packed ^ flip sorting
+exactly like Monomial.sort_key, so rows keep the graded order.  An
+AssembledSystem keeps its keys packed; extract_certificate unpacks only the
+shifts whose coefficient is nonzero.
 
 Pruning modes:
   "occurring"   rows are the monomials that occur in some x^delta * f_i or
@@ -101,58 +102,57 @@ _BUDGET_BLOCK = 4096
 
 
 class _Packing:
-    """Monomials of n variables packed into one int.
+    """Monomials of n_vars variables, using only the listed ones, packed
+    into one int.
 
-    The total degree sits above n fields of b bits, one exponent each, with
-    variable 0 in the most significant field.  While every exponent fits in
-    b bits, a product is the sum of the packed factors.  Within one degree,
-    the order of sorted index tuples is reverse numeric order on the
+    The total degree sits above one field of b bits per listed variable,
+    ascending from the most significant field.  While every exponent fits
+    in b bits, a product is the sum of the packed factors.  Within one
+    degree, the order of sorted index tuples is reverse numeric order on the
     exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key.
     """
 
-    __slots__ = ("n", "b", "flip")
+    __slots__ = ("variables", "n_vars", "b", "flip", "units")
 
-    def __init__(self, n: int, b: int) -> None:
-        self.n = n
+    def __init__(self, variables: Sequence[int], n_vars: int, b: int) -> None:
+        self.variables = tuple(variables)
+        self.n_vars = n_vars
         self.b = b
+        n = len(self.variables)
         self.flip = (1 << n * b) - 1  # every exponent field set
-
-    def _unit(self, v: int) -> int:
-        return (1 << self.n * self.b) | (1 << (self.n - 1 - v) * self.b)
+        self.units = {v: (1 << n * b) | (1 << (n - 1 - j) * b) for j, v in enumerate(self.variables)}
 
     def pack(self, m: Monomial) -> int:
-        return sum(e * self._unit(v) for v, e in m.exponents)
+        return sum(e * self.units[v] for v, e in m.exponents)
 
     def monomials(self, degree: int) -> List[int]:
         """All packed monomials of exact degree, in graded order."""
-        units = [self._unit(v) for v in range(self.n)]
-        return [sum(c) for c in combinations_with_replacement(units, degree)]
+        return [sum(c) for c in combinations_with_replacement(self.units.values(), degree)]
 
     def _fields(self, x: int) -> List[Tuple[int, int]]:
-        """(bit offset, exponent) of each nonzero exponent field, highest
+        """(field position, exponent) of each nonzero exponent field, highest
         field first, i.e. variables ascending."""
         b = self.b
+        last = len(self.variables) - 1
         x &= self.flip
         out = []
         while x:
             shift = (x.bit_length() - 1) // b * b
             e = x >> shift  # every higher field is already cleared
-            out.append((shift, e))
+            out.append((last - shift // b, e))
             x ^= e << shift
         return out
 
     def unpack(self, x: int) -> Monomial:
-        last = self.n - 1
-        return Monomial(
-            tuple((last - shift // self.b, e) for shift, e in self._fields(x)), self.n
-        )
+        variables = self.variables
+        return Monomial(tuple((variables[j], e) for j, e in self._fields(x)), self.n_vars)
 
-    def permute(self, images: Sequence[int], x: int) -> int:
-        """The packed monomial with variable v renamed to images[v]."""
-        b, last = self.b, self.n - 1
+    def permute(self, positions: Sequence[int], x: int) -> int:
+        """The packed monomial with field j moved to field positions[j]."""
+        b, last = self.b, len(self.variables) - 1
         out = x & ~self.flip
-        for shift, e in self._fields(x):
-            out |= e << (last - images[last - shift // b]) * b
+        for j, e in self._fields(x):
+            out |= e << (last - positions[j]) * b
         return out
 
 
@@ -261,7 +261,7 @@ def _graded_modulus(pruning: str) -> Optional[int]:
         return None
     if pruning.startswith("graded:"):
         text = pruning[len("graded:"):]
-        if not text.isdigit() or int(text) < 2:
+        if not text.isdecimal() or int(text) < 2:
             raise AssembleError(f"bad graded pruning modulus in {pruning!r}")
         return int(text)
     raise AssembleError(f"unknown pruning mode {pruning!r}")
@@ -292,6 +292,11 @@ def _layout(
     count of its sizes read: the packing, each poly's packed terms, and per
     shift degree the polys that pruning keeps and the packed shifts.
 
+    Shifts range over the variables that occur in F or a target: setting
+    any other to 0 in a certificate gives one of no higher degree without
+    it.  A group that leaves F invariant and fixes the targets maps this
+    list onto itself.
+
     The memory budget is checked before any shift is listed, on the exact
     column count and a lower bound on the rows, so that a degree far over
     budget fails without enumerating its C(n+d, d) shifts."""
@@ -299,9 +304,8 @@ def _layout(
         raise AssembleError("degree must be >= 0")
     if not targets:
         raise AssembleError("need at least one target polynomial")
-    n = F.n_vars
     for g in targets:
-        if g.field != F.field or g.n_vars != n:
+        if g.field != F.field or g.n_vars != F.n_vars:
             raise AssembleError("target field or n_vars mismatch")
         if g.is_zero():
             raise AssembleError("zero target gives a vacuous identity")
@@ -319,8 +323,11 @@ def _layout(
 
     # No product exponent exceeds d + the top input degree; a target's own
     # monomials are rows too, so they must fit as well.
-    top = max(f.degree for f in (*F.polys, *targets))
-    packing = _Packing(n, max(d + top, 1).bit_length())
+    polys = (*F.polys, *targets)
+    top = max(f.degree for f in polys)
+    variables = sorted({v for f in polys for m, _ in f.terms for v, _ in m.exponents})
+    packing = _Packing(variables, F.n_vars, max(d + top, 1).bit_length())
+    n = len(variables)
     poly_terms = [tuple((packing.pack(m), c) for m, c in f.terms) for f in F.polys]
 
     # Graded pruning keeps the shift degrees with deg + class(f_i) == 0 mod k.
@@ -472,12 +479,16 @@ def _collapse(
     n_rows, n_cols = full.system.n_rows, full.system.n_cols
     col_pos = {key: j for j, key in enumerate(full.packed_cols)}
     row_pos = {mono: r for r, mono in enumerate(full.packed_rows)}
-    permute = full.packing.permute
+    packing = full.packing
+    permute = packing.permute
+    # the group maps the listed variables onto themselves (see _layout)
+    position = {v: j for j, v in enumerate(packing.variables)}
 
     row_parent = list(range(n_rows))
     col_parent = list(range(n_cols))
-    for gen_pos, images in enumerate(perms.generators):
+    for gen_pos, generator in enumerate(perms.generators):
         pmap = maps[gen_pos]
+        images = [position[generator[v]] for v in packing.variables]
         for r, mono in enumerate(full.packed_rows):
             image = row_pos.get(permute(images, mono))
             if image is None:
@@ -550,10 +561,11 @@ def stats(
     """Closed-form size predictions next to actual post-pruning sizes, keyed
     by the names the stats command prints.
 
-    Predictions count the unpruned system: n_polys * C(n+d, d) columns and
-    one matrix entry per (input monomial, shift) pair.  Actuals (rows, cols,
-    nnz) are counted with the requested pruning, without assembling the
-    matrix.
+    Predictions count the unpruned system over all n_vars variables:
+    n_polys * C(n+d, d) columns and one matrix entry per (input monomial,
+    shift) pair.  Actuals (rows, cols, nnz) are counted as assemble would
+    build the system, with the requested pruning and shifts over the
+    occurring variables only, without assembling the matrix.
     """
     if g is None:
         g = Polynomial.one(F.field, F.n_vars)
@@ -612,21 +624,6 @@ def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
     return n[0] ^ n[2], n[1] ^ n[2]
 
 
-def _core_targets(
-    F: PolySystem, F_core: PolySystem, images: Sequence[int], targets: Sequence[Polynomial]
-) -> List[Polynomial]:
-    """Check a core against F and rename the targets into its variables."""
-    if F_core.field != F.field or len(images) != F_core.n_vars:
-        raise AssembleError("core needs F's field and one image per core variable")
-    if len(set(images)) != len(images) or not all(0 <= v < F.n_vars for v in images):
-        raise AssembleError("core images must be distinct variables of F")
-    inverse = {v: j for j, v in enumerate(images)}
-    if any(v not in inverse for g in targets for m, _ in g.terms for v, _ in m.exponents):
-        raise AssembleError("a target uses a variable outside the core")
-    to_core = [inverse.get(v, -1) for v in range(F.n_vars)]
-    return [g.renamed(to_core, F_core.n_vars) for g in targets]
-
-
 def nulla_prove(
     F: PolySystem,
     schedule: Sequence[int],
@@ -637,7 +634,7 @@ def nulla_prove(
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
     root: Optional[Sequence[int]] = None,
-    core: Optional[Tuple[PolySystem, Sequence[int], dict]] = None,
+    core: Optional[Tuple[PolySystem, dict]] = None,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
@@ -650,9 +647,8 @@ def nulla_prove(
     unless the group order is known coprime to p, since only then is an
     inconsistent orbit solve conclusive.  Each solve gets its own
     DegreeStats.  The first consistent solve is lifted onto the full
-    columns (orbit), extracted, renamed into F's variables (core) and
-    re-verified by expansion before "infeasible" is returned; failure
-    there is a solver bug and raises.
+    columns (orbit), extracted and re-verified by expansion before
+    "infeasible" is returned; failure there is a solver bug and raises.
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
@@ -662,13 +658,11 @@ def nulla_prove(
     DegreeStats with the sizes of its full system, and its millis covers
     only counting them.  Otherwise the degrees are solved as without a root.
 
-    core = (F_core, images, note) is a smaller system whose polynomials,
-    with core variable j renamed to F's variable images[j], are
-    polynomials of F's input (the encoding of an induced subgraph, say),
-    so that a certificate for it is one for F.  Its targets are F's
-    renamed into its variables, and its certificate records note under
-    provenance "core".  Every target must lie in the core's variables,
-    and core excludes perms and root.
+    core = (F_core, note) is a smaller system over F's field and variables
+    whose polynomials are polynomials of F's input (the encoding of an
+    induced subgraph, say), so that a certificate for it is one for F.  It
+    is solved for F's targets, and its certificate records note under
+    provenance "core".  core excludes perms and root.
     """
     schedule = list(schedule)
     if not schedule:
@@ -683,14 +677,15 @@ def nulla_prove(
         and not any(any(_gf4_value(f, root)) for f in F.polys)
         and all(any(_gf4_value(g, root)) for g in targets)
     )
-    # The systems tried at each degree, in order: (system, its targets, the
-    # images of its variables in F or None, provenance it adds).
-    tried = [(F, targets, None, {})]
+    # The systems tried at each degree, in order, with the provenance each adds.
+    tried = [(F, {})]
     if core is not None:
         if perms is not None or root is not None:
             raise AssembleError("a core excludes a symmetry group and a root")
-        F_core, images, note = core
-        tried.insert(0, (F_core, _core_targets(F, F_core, images, targets), images, {"core": note}))
+        F_core, note = core
+        if F_core.field != F.field or F_core.n_vars != F.n_vars:
+            raise AssembleError("a core needs F's field and n_vars")
+        tried.insert(0, (F_core, {"core": note}))
     if perms is not None:
         maps = check_invariant(F, targets, perms)
         order = group_order(perms)
@@ -703,8 +698,8 @@ def nulla_prove(
             millis = int((time.perf_counter() - t0) * 1000)
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
-        for F_s, targets_s, images, note in tried:
-            asm = assemble(F_s, d, targets_s, pruning, memory_budget, shift_major=F.field.p == 2)
+        for F_s, note in tried:
+            asm = assemble(F_s, d, targets, pruning, memory_budget, shift_major=F.field.p == 2)
             orb = None if perms is None else _collapse(asm, perms, maps, order)
             # an inconsistent orbit solve is conclusive only for a coprime order
             for part in [asm] if orb is None else [orb] if orb.coprime_verified else [orb, asm]:
@@ -723,14 +718,7 @@ def nulla_prove(
                     sol = lift_solution(orb, sol)
                     sym_desc = [list(gen) for gen in perms.generators]
                 prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": pruning, **note}
-                cert = extract_certificate(F_s, asm, sol, targets_s[hit], prov)
-                if images is not None:
-                    n = F.n_vars
-                    entries = tuple(
-                        CertEntry(e.tag, e.source.renamed(images, n), e.multiplier.renamed(images, n))
-                        for e in cert.entries
-                    )
-                    cert = Certificate(F.field, n, targets[hit], entries, cert.provenance)
+                cert = extract_certificate(F_s, asm, sol, targets[hit], prov)
                 if not verify(cert):
                     raise AssembleError("internal error: extracted certificate failed re-verification")
                 return NullaOutcome("infeasible", cert, d, tuple(per_degree))

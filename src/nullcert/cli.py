@@ -152,7 +152,7 @@ def load_system_file(path: str, p: int) -> Tuple[PolySystem, dict]:
         for piece in poly_text.replace("*", " ").replace("+", " ").replace("-", " ").split():
             if piece.startswith("x"):
                 idx = piece[1:].partition("^")[0]
-                if idx.isdigit():
+                if idx.isdecimal():
                     n_vars = max(n_vars, int(idx))
     field = FieldSpec(p)
     polys = [parse_poly(t, field, n_vars) for _, t in tagged]
@@ -191,10 +191,12 @@ def build_core(
     origin: int,
     targets: Optional[List[Polynomial]],
     touched: Optional[Set[int]] = None,
-) -> Optional[Tuple[PolySystem, List[int], dict]]:
-    """nulla_prove's core: the encoding of a small induced subgraph that
-    the coloring search proves not k-colorable, or None when there is none
-    or a target uses a vertex outside it.  touched is passed to find_core.
+) -> Optional[Tuple[PolySystem, dict]]:
+    """nulla_prove's core: the encoding, over the graph's variables, of a
+    small induced subgraph that the coloring search proves not k-colorable,
+    or None when there is none or a target uses a vertex outside it (sound,
+    but such core attempts add a solve per degree and were not seen to hit).
+    touched is passed to find_core.
 
     The preprocessing origin is kept if it lies in the core, else it is the
     core's least vertex, so that every core polynomial is one of the
@@ -204,14 +206,12 @@ def build_core(
     vertices = find_core(graph, opts.k, touched)
     if vertices is None:
         return None
-    images = [v - 1 for v in vertices]
-    inside = set(images)
-    if any(v not in inside for g in targets or () for m, _ in g.terms for v, _ in m.exponents):
+    inside = set(vertices)
+    if any(v + 1 not in inside for g in targets or () for m, _ in g.terms for v, _ in m.exponents):
         return None
-    if origin not in vertices:
+    if origin not in inside:
         origin = vertices[0]
-    F_core = encode_coloring(graph, opts, origin, vertices)
-    return F_core, images, {"vertices": vertices, "origin": origin}
+    return encode_coloring(graph, opts, origin, vertices), {"vertices": vertices, "origin": origin}
 
 
 def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
@@ -220,7 +220,7 @@ def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Op
         return None
     if args.alt_g.startswith("auto:"):
         digits = args.alt_g[len("auto:"):]
-        if not digits.isdigit() or int(digits) < 1:
+        if not digits.isdecimal() or int(digits) < 1:
             raise CliError(f"bad --alt-g {args.alt_g!r}: expected auto:<positive degree>")
         candidates = alt_g_candidates(n_vars, int(digits))
         return [Polynomial.one(field, n_vars)] + [

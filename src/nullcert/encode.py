@@ -96,38 +96,37 @@ def encode_coloring(
     opts.preprocess, redundant vertex polynomials are removed (see
     preprocess_vertex_polys; origin selects the survivor in its component).
 
-    vertices, ascending, encodes the subgraph induced on them instead, over
-    len(vertices) variables: variable j stands for vertices[j].  Tags keep
-    g's vertex labels and cutters come from the cliques inside the subgraph,
-    so every polynomial is one of g's own encoding renamed, with the same
+    vertices, ascending, encodes the subgraph induced on them instead, still
+    over g's n_vertices variables: cutters come from the cliques inside the
+    subgraph, and every polynomial is one of g's own encoding, with the same
     tag.  Preprocessing keeps g's survivors, so the origin should lie in
     vertices: a component of the subgraph without a survivor has no vertex
     polynomial.
     """
-    labels = range(1, g.n_vertices + 1) if vertices is None else list(vertices)
+    n = g.n_vertices
+    labels = range(1, n + 1) if vertices is None else list(vertices)
     if vertices is not None and (
         not labels
-        or not 1 <= labels[0] <= labels[-1] <= g.n_vertices
+        or not 1 <= labels[0] <= labels[-1] <= n
         or any(b <= a for a, b in zip(labels, labels[1:]))
     ):
         raise EncodeError("vertices must be ascending vertices of the graph")
-    var = {v: j for j, v in enumerate(labels, start=1)}
-    n = len(labels)
+    inside = set(labels)
     polys: List[Polynomial] = []
     tags: List[str] = []
     for v in labels:
-        polys.append(_vertex_poly(var[v], opts.k, opts.field, n))
+        polys.append(_vertex_poly(v, opts.k, opts.field, n))
         tags.append(f"vertex:{v}")
     for u, v in g.sorted_edges():
-        if u in var and v in var:
-            polys.append(_edge_poly(var[u], var[v], opts.k, opts.field, n))
+        if u in inside and v in inside:
+            polys.append(_edge_poly(u, v, opts.k, opts.field, n))
             tags.append(f"edge:{u}-{v}")
     system = PolySystem.make(opts.field, n, polys, tags)
     if opts.preprocess:
         system = preprocess_vertex_polys(system, g, origin)
     if opts.cutters != "none":
-        cliques = [c for c in enumerate_cliques(g, opts.k) if all(v in var for v in c)]
-        cutters = [_cutter_poly([var[v] for v in c], opts.k, opts.field, n) for c in cliques]
+        cliques = [c for c in enumerate_cliques(g, opts.k) if inside.issuperset(c)]
+        cutters = [_cutter_poly(c, opts.k, opts.field, n) for c in cliques]
         ctags = ["cutter:" + "-".join(map(str, c)) for c in cliques]
         system = PolySystem.make(
             opts.field, n, list(system.polys) + cutters, list(system.tags) + ctags

@@ -48,12 +48,8 @@ class Graph(Record):
 
     @classmethod
     def make(cls, n_vertices: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            canon.add((u, v) if u < v else (v, u))
-        return cls(n_vertices, frozenset(canon))
+        # a set first, then frozen: find_core follows the edges' iteration order
+        return cls(n_vertices, frozenset({(u, v) if u < v else (v, u) for u, v in edges}))
 
     @property
     def n_edges(self) -> int:

@@ -225,10 +225,9 @@ class Polynomial(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def renamed(self, images: Sequence[int], n_vars: Optional[int] = None) -> "Polynomial":
-        """The polynomial with variable v renamed to images[v], over n_vars
-        variables (default: the same number)."""
-        n = self.n_vars if n_vars is None else n_vars
+    def renamed(self, images: Sequence[int]) -> "Polynomial":
+        """The polynomial with variable v renamed to images[v]."""
+        n = self.n_vars
         terms = [(Monomial.make([(images[v], e) for v, e in m.exponents], n), c) for m, c in self.terms]
         return Polynomial.make(self.field, n, terms)
 
@@ -291,7 +290,7 @@ def _parse_term(body: str, n_vars: int, where: str) -> Tuple[Monomial, int]:
     for pos, part in enumerate(body.split("*")):
         if not part:
             raise PolyParseError(f"empty factor in term {where!r}")
-        if part.isdigit():
+        if part.isdecimal():
             if pos != 0:
                 raise PolyParseError(f"coefficient must lead the term in {where!r}")
             coeff = int(part)
@@ -299,7 +298,7 @@ def _parse_term(body: str, n_vars: int, where: str) -> Tuple[Monomial, int]:
         if not part.startswith("x"):
             raise PolyParseError(f"bad factor {part!r} in term {where!r}")
         var_txt, caret, exp_txt = part[1:].partition("^")
-        if not var_txt.isdigit() or (caret and not exp_txt.isdigit()):
+        if not var_txt.isdecimal() or (caret and not exp_txt.isdecimal()):
             raise PolyParseError(f"bad factor {part!r} in term {where!r}")
         var = int(var_txt)
         exp = int(exp_txt) if caret else 1

@@ -73,7 +73,7 @@ def parse_generators(text: str, n: int) -> PermutationSet:
             if end < 0:
                 raise SymmetryError(f"line {lineno}: unclosed cycle")
             parts = line[pos + 1 : end].split(",")
-            if any(not p.isdigit() for p in parts):
+            if any(not p.isdecimal() for p in parts):
                 raise SymmetryError(f"line {lineno}: bad cycle {line[pos:end + 1]!r}")
             cycle = [int(p) for p in parts]
             if any(not 1 <= v <= n for v in cycle):

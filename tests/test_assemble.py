@@ -18,7 +18,7 @@ from nullcert.assemble import (
     nulla_prove,
     stats,
 )
-from nullcert.certificate import verify, write_cert
+from nullcert.certificate import CertEntry, Certificate, verify, write_cert
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import (
     Graph,
@@ -36,7 +36,7 @@ from nullcert.poly import (
     monomials_up_to,
     parse_poly,
 )
-from nullcert.symmetry import parse_generators
+from nullcert.symmetry import PermutationSet, parse_generators
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -274,9 +274,11 @@ def test_gf2_shift_major_columns_agree_with_public_order(graph):
 
 def test_packed_monomials_match_monomial_arithmetic():
     rng = random.Random(20)
-    for _ in range(300):
+    for trial in range(300):
         n = rng.randint(1, 20)
-        packing = _Packing(n, rng.randint(1, 7))
+        # every variable in a third of the trials, a list with gaps otherwise
+        listed = range(n) if trial % 3 == 0 else sorted(rng.sample(range(n), rng.randint(1, n)))
+        packing = _Packing(listed, n, rng.randint(1, 7))
         top = (1 << packing.b) - 1  # the widest value a field holds
 
         def split(total):
@@ -288,7 +290,7 @@ def test_packed_monomials_match_monomial_arithmetic():
             )
 
         def exponents():
-            return {v: rng.randint(1, top) for v in range(n) if rng.random() < 0.4}
+            return {v: rng.randint(1, top) for v in listed if rng.random() < 0.4}
 
         monos = [Monomial.make(exponents(), n) for _ in range(10)]
         by_packed = sorted(monos, key=lambda m: packing.pack(m) ^ packing.flip)
@@ -296,18 +298,31 @@ def test_packed_monomials_match_monomial_arithmetic():
 
         for m in monos:
             assert packing.unpack(packing.pack(m)) == m
-            images = rng.sample(range(n), n)
+            # a permutation of the listed variables, fixing the others
+            images = list(range(n))
+            for v, w in zip(listed, rng.sample(listed, len(listed))):
+                images[v] = w
             renamed = Monomial.make([(images[v], e) for v, e in m.exponents], n)
-            assert packing.permute(images, packing.pack(m)) == packing.pack(renamed)
+            positions = [listed.index(images[v]) for v in listed]
+            assert packing.permute(positions, packing.pack(m)) == packing.pack(renamed)
 
         a, b = split(exponents())
         assert packing.pack(a) + packing.pack(b) == packing.pack(a.mul(b))
 
         # every field filled to the top: no carry into the neighbouring field
-        a, b = split({v: top for v in range(n)})
+        a, b = split({v: top for v in listed})
         full = packing.unpack(packing.pack(a) + packing.pack(b))
         assert full == a.mul(b)
-        assert full.exponents == tuple((v, top) for v in range(n))
+        assert full.exponents == tuple((v, top) for v in listed)
+
+        # the shifts of one degree are the monomials over the listed
+        # variables, in graded order, while every exponent fits a field
+        deg = rng.randint(0, min(3, top))
+        expected = [
+            m for m in monomials_up_to(n, deg)
+            if m.degree == deg and all(v in listed for v, _ in m.exponents)
+        ]
+        assert [packing.unpack(x) for x in packing.monomials(deg)] == expected
 
 
 def test_large_exponent_assembles_in_small_memory():
@@ -620,3 +635,74 @@ def test_root_validation():
     with pytest.raises(AssembleError):
         nulla_prove(small_system(), [1], root=[0, 1, 2])
 
+
+
+def embedded(f, images, n):
+    """f with variable v renamed to images[v], over n variables."""
+    terms = [(Monomial.make([(images[v], e) for v, e in m.exponents], n), c) for m, c in f.terms]
+    return Polynomial.make(f.field, n, terms)
+
+
+def assert_same_outcome(compact, wide, images, n):
+    """The same verdict, degree and per-degree sizes, and wide's certificate
+    is compact's renamed by images into n variables."""
+    assert (wide.verdict, wide.degree) == (compact.verdict, compact.degree)
+    assert [(s.degree, s.rows, s.cols, s.nnz, s.status) for s in wide.per_degree] == [
+        (s.degree, s.rows, s.cols, s.nnz, s.status) for s in compact.per_degree
+    ]
+    if compact.certificate is None:
+        assert wide.certificate is None
+        return
+    c = compact.certificate
+    entries = tuple(
+        CertEntry(e.tag, embedded(e.source, images, n), embedded(e.multiplier, images, n)) for e in c.entries
+    )
+    expected = Certificate(c.field, n, embedded(c.target, images, n), entries, wide.certificate.provenance)
+    assert wide.certificate == expected and verify(wide.certificate)
+    assert {**wide.certificate.provenance, "symmetry": None} == {**c.provenance, "symmetry": None}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_absent_variables_change_nothing(p):
+    # a variable in no polynomial and no target gets no shift, so a system
+    # embedded among unused variables is solved exactly as its compact form
+    field = FieldSpec(p)
+    rng = random.Random(40 + p)
+    verdicts = set()
+    for _ in range(16):
+        n = rng.randint(2, 4)
+        polys = []
+        for _ in range(rng.randint(2, 5)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = {v: rng.randint(1, 2) for v in rng.sample(range(n), rng.randint(0, 2))}
+                terms[Monomial.make(exps, n)] = rng.randrange(1, p)
+            polys.append(Polynomial.make(field, n, terms))
+        F = PolySystem.make(field, n, polys)
+        targets = [Polynomial.one(field, n), Polynomial.from_monomial(Monomial.make({n - 1: 1}, n), field)]
+        wide_n = n + rng.randint(1, 4)
+        images = sorted(rng.sample(range(wide_n), n))
+        E = PolySystem.make(field, wide_n, [embedded(f, images, wide_n) for f in F.polys], F.tags)
+        compact = nulla_prove(F, [0, 1, 2], targets)
+        wide = nulla_prove(E, [0, 1, 2], [embedded(g, images, wide_n) for g in targets])
+        assert_same_outcome(compact, wide, images, wide_n)
+        verdicts.add(compact.verdict)
+    assert verdicts == {"infeasible", "no_certificate_up_to"}
+
+
+@pytest.mark.parametrize("k, p, orbit_hit", [(3, 2, False), (2, 3, True)])
+def test_absent_variables_fixed_by_the_group_change_nothing(k, p, orbit_hit):
+    # K4 under the rotation of its vertices, embedded among three unused
+    # variables that the generator fixes.  The order 4 is coprime to 3 only,
+    # so over GF(2) the orbit solve misses and the full system certifies.
+    F = encode_coloring(gen_complete(4), EncodingOptions(k=k, field=FieldSpec(p)))
+    images, wide_n = [1, 2, 4, 6], 7
+    E = PolySystem.make(F.field, wide_n, [embedded(f, images, wide_n) for f in F.polys], F.tags)
+    generator = list(range(wide_n))
+    for i in range(4):
+        generator[images[i]] = images[(i + 1) % 4]
+    compact = nulla_prove(F, [1, 2, 3], perms=PermutationSet.make(4, [[1, 2, 3, 0]]))
+    wide = nulla_prove(E, [1, 2, 3], perms=PermutationSet.make(wide_n, [generator]))
+    assert compact.verdict == "infeasible"
+    assert_same_outcome(compact, wide, images, wide_n)
+    assert wide.certificate.provenance["symmetry"] == ([generator] if orbit_hit else None)

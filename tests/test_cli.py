@@ -4,6 +4,7 @@ Everything drives nullcert.cli.main(argv) directly so exit codes and
 stdout/stderr can be asserted without spawning subprocesses.
 """
 
+import argparse
 import hashlib
 import json
 import re
@@ -15,10 +16,11 @@ import nullcert.assemble as asm
 from helpers import expanded
 import nullcert.cli as cli
 import nullcert.graphs as graphs
-from nullcert.certificate import read_cert, verify
+from nullcert.certificate import CertificateError, read_cert, verify
 from nullcert.cli import main
 from nullcert.graphs import parse_dimacs
-from nullcert.poly import Polynomial, format_poly
+from nullcert.poly import FieldSpec, PolyParseError, Polynomial, format_poly, parse_poly
+from nullcert.symmetry import SymmetryError, parse_generators
 
 
 def run(capsys, *argv):
@@ -413,10 +415,10 @@ def test_prove_system_with_explicit_target(tmp_path, capsys):
 
 
 def test_budget_refuses_a_degree_before_listing_its_shifts(tmp_path, capsys):
-    # 2000 variables: degree 2 has about 2*10^6 shifts, each a packed int of
-    # 24,000 bits, so listing them alone would take gigabytes
+    # 2000 variables, all occurring: degree 2 has about 2*10^6 shifts, each
+    # a packed int of 22,000 bits, so listing them alone would take gigabytes
     path = tmp_path / "wide.txt"
-    path.write_text("a x2000+1\n")
+    path.write_text("a " + "*".join(f"x{v}" for v in range(1, 2001)) + "+1\n")
     tracemalloc.start()
     try:
         rc, out, err = run(
@@ -428,6 +430,51 @@ def test_budget_refuses_a_degree_before_listing_its_shifts(tmp_path, capsys):
     assert (rc, out) == (2, "")
     assert err.startswith("error: predicted working set ") and err.count("\n") == 1
     assert peak < 64 << 20
+
+
+def test_wide_system_shifts_only_the_variable_that_occurs(tmp_path, capsys):
+    # x2000 is the one variable in the system, so the shifts are its powers
+    path = tmp_path / "wide.txt"
+    path.write_text("a x2000+1\n")
+    rc, out, err = run(capsys, "prove", "--system", str(path), "--max-degree", "2")
+    assert (rc, err) == (10, "")
+    lines = out.splitlines()
+    assert [line.partition(" status=")[0] for line in lines[:2]] == [
+        "degree=1 rows=3 cols=2 nnz=4",
+        "degree=2 rows=4 cols=3 nnz=6",
+    ]
+    assert lines[2:] == ["no certificate up to degree 2; feasibility not decided"]
+
+
+def test_non_decimal_digits_raise_the_module_error(tmp_path, capsys):
+    # "\u00b2" passes str.isdigit() but not int(), which would leak a bare
+    # ValueError ("invalid literal for int()") past each module's own error
+    two = "\u00b2"
+    doc = {"version": 1, "field_p": 2, "n_vars": 1, "target": "1",
+           "entries": [{"tag": "a", "f": f"x{two}", "beta": "1"}], "provenance": {}}
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    system = tmp_path / "system.txt"
+    system.write_text(f"a x{two}+1\n")
+    sym = tmp_path / "sym.txt"
+    sym.write_text(f"(1,{two})\n")
+    k4 = ("prove", "--gen", "complete:4")
+    cases = [
+        (lambda: read_cert(cert.read_text()), CertificateError, ("verify", str(cert))),
+        (lambda: cli.load_system_file(str(system), 2), PolyParseError, ("prove", "--system", str(system))),
+        (lambda: parse_generators(sym.read_text(), 4), SymmetryError, (*k4, "--symmetry", str(sym))),
+        (lambda: asm.stats(cli.encode_coloring(cli.gen_complete(4), cli.EncodingOptions()), 1, f"graded:{two}"),
+         asm.AssembleError, (*k4, "--pruning", f"graded:{two}")),
+        (lambda: cli.build_targets(argparse.Namespace(alt_g=f"auto:{two}"), FieldSpec(2), 4), cli.CliError,
+         (*k4, "--alt-g", f"auto:{two}")),
+    ]
+    for call, error, argv in cases:
+        with pytest.raises(error) as caught:
+            call()
+        assert run(capsys, *argv) == (2, "", f"error: {caught.value}\n"), argv
+    for text in (f"x{two}", f"{two}*x1", f"x1^{two}"):
+        with pytest.raises(PolyParseError, match="bad factor"):
+            parse_poly(text, FieldSpec(2), 1)
 
 
 def test_system_file_errors(tmp_path, capsys):

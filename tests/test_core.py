@@ -22,7 +22,7 @@ from nullcert.graphs import (
     gen_wheel,
 )
 from nullcert.linsolve import MemoryBudgetError
-from nullcert.poly import Monomial, Polynomial
+from nullcert.poly import FieldSpec, Monomial, Polynomial
 from nullcert.symmetry import PermutationSet
 
 OPTS = EncodingOptions(preprocess=True)
@@ -56,7 +56,7 @@ def test_core_never_raises_the_certificate_degree(name):
         return
     # every source is the polynomial of that tag in G's own encoding
     note = out.certificate.provenance["core"]
-    assert note == {"vertices": core[2]["vertices"], "origin": note["origin"]}
+    assert note == {"vertices": core[1]["vertices"], "origin": note["origin"]}
     G = encode_coloring(g, OPTS, origin=note["origin"])
     polys = dict(zip(G.tags, G.polys))
     for e in out.certificate.entries:
@@ -81,15 +81,19 @@ def test_core_lines_come_first_at_each_degree():
     }
 
 
-def test_core_targets_are_renamed_into_the_core():
+def test_core_targets_pass_through_unchanged():
     g = gen_complete(5)  # its core is the K4 on vertices 1-4
     F = encode_coloring(g, OPTS)
     target = Polynomial.from_monomial(Monomial.make({3: 3}, 5), F.field)  # x4^3
     core = build_core(g, OPTS, 1, [target])
-    assert core[1] == [0, 1, 2, 3]
+    F_core, note = core
+    assert note == {"vertices": [1, 2, 3, 4], "origin": 1}
+    # the core is over G's five variables, and its polynomials are G's
+    assert F_core.n_vars == F.n_vars == 5
+    assert set(zip(F_core.tags, F_core.polys)) <= set(zip(F.tags, F.polys))
     out = nulla_prove(F, [1], [target], pruning="graded:3", core=core)
-    assert out.certificate.target == target
-    assert out.certificate.provenance["core"] == {"vertices": [1, 2, 3, 4], "origin": 1}
+    assert out.certificate.target is target
+    assert out.certificate.provenance["core"] == note
     assert verify(out.certificate)
 
 
@@ -98,16 +102,21 @@ def test_core_argument_is_checked():
     F = encode_coloring(g, OPTS)
     core = build_core(g, OPTS, 1, None)
     x5 = Polynomial.from_monomial(Monomial.make({4: 3}, 5), F.field)
-    with pytest.raises(AssembleError, match="outside the core"):
-        nulla_prove(F, [1], [x5], pruning="graded:3", core=core)
+    # a target outside the core is sound to use, and build_core skips it
+    assert build_core(g, OPTS, 1, [x5]) is None
+    out = nulla_prove(F, [1, 4], [x5], pruning="graded:3", core=core)
+    assert out.verdict == "infeasible" and verify(out.certificate)
     with pytest.raises(AssembleError, match="excludes"):
         nulla_prove(F, [1], core=core, root=[0] * 5)
     with pytest.raises(AssembleError, match="excludes"):
         nulla_prove(F, [1], core=core, perms=PermutationSet.make(5, [[1, 2, 3, 4, 0]]))
-    with pytest.raises(AssembleError, match="image"):
-        nulla_prove(F, [1], core=(core[0], [0, 1, 2], core[2]))
-    with pytest.raises(AssembleError, match="distinct"):
-        nulla_prove(F, [1], core=(core[0], [0, 1, 2, 2], core[2]))
+    F_core, note = core
+    small = encode_coloring(gen_complete(4), OPTS)
+    with pytest.raises(AssembleError, match="field and n_vars"):
+        nulla_prove(F, [1], core=(small, note))
+    other = encode_coloring(g, EncodingOptions(field=FieldSpec(5), preprocess=True), vertices=[1, 2, 3, 4])
+    with pytest.raises(AssembleError, match="field and n_vars"):
+        nulla_prove(F, [1], core=(other, note))
 
 
 def test_whole_graph_over_budget_fails_before_filing_every_product():

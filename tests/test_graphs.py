@@ -42,6 +42,10 @@ class TestGraphModel:
         with pytest.raises(GraphError):
             Graph.make(0, [])
 
+    def test_make_refuses_a_self_loop(self):
+        with pytest.raises(GraphError, match=r"^self-loop at vertex 2$"):
+            Graph.make(3, [(1, 2), (2, 2)])
+
 
 class TestDimacs:
     def test_k3(self):

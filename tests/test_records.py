@@ -22,7 +22,7 @@ from nullcert.symmetry import PermutationSet
 
 F2 = FieldSpec(2)
 # _Packing has no value equality, so every record holding one shares it
-PACKING = _Packing(3, 2)
+PACKING = _Packing(range(3), 3, 2)
 
 
 def mono():
