@@ -50,15 +50,15 @@ degrees are eliminated as usual, so no verdict depends on the coloring
 search or on the matrices.
 
 Column order: assemble() numbers columns poly-major (poly index, shift
-degree, shift) by default, and so does the orbit assembly.  Over GF(2)
-nulla_prove numbers them shift-major (shift degree, shift, poly index)
-instead: the products x^delta * f_i sharing a row monomial then have nearby
-shifts, so each row spans a narrow column window and the bitset eliminator,
-whose cost follows that span, runs several times faster.  Rank and
+degree, shift) by default, and so does assemble_orbit.  nulla_prove numbers
+them shift-major (shift degree, shift, poly index) in every field: the
+products x^delta * f_i sharing a row monomial then have nearby shifts, so
+each row spans a narrow column window, and the GF(2) bitset and GF(3)
+bit-plane eliminators, whose row operations cost what a row spans, run
+several times faster.  Its orbit systems follow the same order, since
+orbit representatives are the least full-system indices.  Rank and
 consistency do not depend on the order; the certificate does, through the
 free-variables-zero solution, and is deterministic for the fixed order.
-GF(p) keeps poly-major because that order fixes its certificate bytes;
-shift-major has not been timed on the GF(3) bit-plane eliminator.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
 one exponent field per occurring variable, with fields wide enough that the
@@ -639,8 +639,8 @@ def nulla_prove(
     """Search the degree schedule for a certificate; first hit wins.
 
     At each degree the systems are tried in one order: the core's (if
-    given), then F's.  Each is assembled once (shift-major columns over
-    GF(2), see the module docstring), and every target candidate is a
+    given), then F's.  Each is assembled once (shift-major columns, see
+    the module docstring), and every target candidate is a
     separate right-hand side of one elimination pass.  With perms, F and
     every target must be invariant under the group (SymmetryError
     otherwise); a system is solved collapsed to orbits, and in full too
@@ -699,7 +699,7 @@ def nulla_prove(
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
         for F_s, note in tried:
-            asm = assemble(F_s, d, targets, pruning, memory_budget, shift_major=F.field.p == 2)
+            asm = assemble(F_s, d, targets, pruning, memory_budget, shift_major=True)
             orb = None if perms is None else _collapse(asm, perms, maps, order)
             # an inconsistent orbit solve is conclusive only for a coprime order
             for part in [asm] if orb is None else [orb] if orb.coprime_verified else [orb, asm]:

@@ -4,11 +4,12 @@ Each subcommand reads its argparse namespace directly; prove hands the whole
 search, symmetry reduction included, to one nulla_prove call.
 
 A process imports only what its subcommand runs: verify and --help need
-argparse and nullcert.certificate (with nullcert.poly) alone.  The prove
-stack (assemble, linsolve, encode, graphs, symmetry and hashlib) is bound
-into this module's globals by _load_prover, which each function that uses
-it calls first, or by the module __getattr__ when code outside reads one of
-its names, e.g. cli.nulla_prove.  Those names are module globals, not
+argparse and nullcert.certificate (with nullcert.poly) alone; hashlib is
+imported by the one function that hashes.  The prove stack (assemble,
+linsolve, encode, graphs and symmetry) is bound into this module's globals
+by _load_prover, which each function that uses it calls first, or by the
+module __getattr__ when code outside reads one of its names, e.g.
+cli.nulla_prove.  Those names are module globals, not
 imports local to a function, because perfbench/tracing.py wraps them on
 this module and tests monkeypatch them; the commands look them up there,
 and _load_prover never replaces a name that is already bound, so the
@@ -37,8 +38,6 @@ from nullcert.poly import (
 
 
 def _prover_names() -> dict:
-    import hashlib
-
     from nullcert.assemble import nulla_prove, stats
     from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
     from nullcert.graphs import (
@@ -116,6 +115,8 @@ def parse_gen_spec(spec: str, seed: Optional[int]) -> Tuple[Graph, str]:
 
 
 def _fingerprint(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 

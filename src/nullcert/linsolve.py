@@ -4,9 +4,13 @@ GF(2) rows live in Python ints relative to their lowest column (bit b =
 column low + b), with the right-hand-side bits (bit j = right-hand side j)
 in a separate small int, so an XOR costs what the row spans, not the column
 count.  GF(3) rows are two disjoint bit-planes, plus for the +1 entries and
-minus for the -1 entries, with right-hand side j at bit n_cols + j, so a row
-addition is a few big-int operations (after Boothby & Bradshaw's bitsliced
-GF(3)).  Rows over GF(p) for p >= 5 are dicts from column to coefficient.
+minus for the -1 entries, laid out in reverse: with R right-hand sides,
+column c sits at bit R + n_cols - 1 - c and right-hand side j at bit j.  A
+row's lead is then its highest bit, found by bit_length() in O(1), and the
+row is only R + n_cols - lead bits wide, so a row addition, the 7-operation
+bitsliced add of Boothby & Bradshaw's GF(3), costs what the row spans from
+its lead to the last column.  Rows over GF(p) for p >= 5 are dicts from
+column to coefficient.
 
 Elimination is online: each row reduces against the pivots found so far and
 either claims a new pivot at its lowest surviving column, vanishes, or
@@ -49,9 +53,10 @@ def packed_bytes(n_rows: int, n_cols: int, p: int, n_rhs: int = 1) -> int:
     """Dense-width estimate of the eliminator working set: every row as
     bit-packed words of the full width for GF(2), an upper bound on the rows
     stored relative to their lowest column; one byte per dense-equivalent
-    entry otherwise, which for GF(3) bounds the two full-width bit-planes
-    (two bits per entry) from above.  The memory budget is checked against
-    this figure."""
+    entry otherwise.  For GF(3) that bounds the two reversed bit-planes (two
+    bits per entry) from above: a row spans at most n_cols - lead + n_rhs
+    bits per plane, never more than the full width.  The memory budget is
+    checked against this figure."""
     width = n_cols + n_rhs
     if p == 2:
         return n_rows * ((width + 63) // 64) * 8
@@ -149,12 +154,14 @@ def _bit_bytes(x: int, n: int) -> bytes:
 
 
 def _trit_tuple(plus: int, minus: int, n: int) -> Tuple[int, ...]:
-    """Entry c is 1, 2 or 0 as bit c is set in plus, in minus, or in neither."""
-    # 0/1 bytes from each plane: plus + 2 * minus never carries between bytes
-    trits = int.from_bytes(_bit_bytes(plus, n), "big") + 2 * int.from_bytes(
-        _bit_bytes(minus, n), "big"
+    """Entry c is 1, 2 or 0 as bit n - 1 - c is set in plus, in minus, or in
+    neither."""
+    # a plane's binary string lists its bits in column order; 0/1 bytes from
+    # each plane: plus + 2 * minus never carries between bytes
+    plus, minus = (
+        int.from_bytes(format(x, f"0{n}b").encode().translate(_BIT_VALUES), "big") for x in (plus, minus)
     )
-    return tuple(trits.to_bytes(n, "big"))
+    return tuple((plus + 2 * minus).to_bytes(n, "big"))
 
 
 def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
@@ -211,64 +218,67 @@ def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
 
 
 def _eliminate_gf3(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
-    """GF(3) elimination on bit-planes; returns (pivot_cols, per-rhs
-    (plus, minus) solution bitsets or None)."""
-    n_cols = sys.n_cols
-    # pivots[c] = (plus, minus) with bit c set in plus: the lead is +1
+    """GF(3) elimination on reversed bit-planes; returns (pivot_cols,
+    per-rhs (plus, minus) solution bitsets, column c at bit n_cols - 1 - c,
+    or None)."""
+    R = len(rhs_list)
+    top = R + sys.n_cols - 1  # the bit of column 0
+    # pivots[L] = (plus, minus) of the row whose lead, column top + 1 - L,
+    # is bit L - 1 of plus: the lead is +1
     pivots: Dict[int, Tuple[int, int]] = {}
-    bad = 0  # rhs bits (shifted down to bit j) left on rows whose matrix part vanished
+    bad = 0  # rhs bits left on rows whose matrix part vanished
     for i, row in enumerate(sys.rows):
         P = M = 0
         for c, v in row:
             if v == 1:
-                P |= 1 << c
+                P |= 1 << (top - c)
             else:
-                M |= 1 << c
+                M |= 1 << (top - c)
         for j, rhs in enumerate(rhs_list):
             v = rhs[i] % 3
             if v == 1:
-                P |= 1 << (n_cols + j)
+                P |= 1 << j
             elif v:
-                M |= 1 << (n_cols + j)
+                M |= 1 << j
         while True:
-            nz = P | M
-            if not nz:
+            lp = P.bit_length()
+            lm = M.bit_length()
+            L = lp if lp > lm else lm
+            if L <= R:
+                bad |= P | M
                 break
-            c = (nz & -nz).bit_length() - 1
-            if c >= n_cols:
-                bad |= nz >> n_cols
-                break
-            piv = pivots.get(c)
+            piv = pivots.get(L)
             if piv is None:
-                pivots[c] = (P, M) if (P >> c) & 1 else (M, P)
+                pivots[L] = (P, M) if lp == L else (M, P)
                 break
-            # Cancel the lead: add the pivot to a -1 lead, add its negation
-            # (the planes swapped) to a +1 lead.
-            u, v = piv if (M >> c) & 1 else (piv[1], piv[0])
-            P, M = ((P ^ u) & ~(M | v)) | (M & v), ((M ^ v) & ~(P | u)) | (P & u)
+            # Cancel the lead: add the pivot to a -1 lead, its negation (the
+            # planes swapped) to a +1 lead, with the bitsliced GF(3) add.
+            bP, bM = (piv[1], piv[0]) if lp == L else piv
+            t = (P | bM) ^ (M | bP)
+            P, M = (M | bM) ^ t, (P | bP) ^ t
 
-    pivot_cols = sorted(pivots)
+    leads = sorted(pivots)
+    pivot_cols = [top + 1 - L for L in reversed(leads)]
     solutions: List[Optional[Tuple[int, int]]] = []
-    for j in range(len(rhs_list)):
+    for j in range(R):
         if (bad >> j) & 1:
             solutions.append(None)
             continue
-        rhs_bit = n_cols + j
         xP = xM = 0
-        # Descending pivot order: the row's other matrix bits are higher
+        # Descending column order: the row's other matrix bits are higher
         # columns already decided, and x is zero on free columns.
-        for c in reversed(pivot_cols):
-            P, M = pivots[c]
+        for L in leads:
+            P, M = pivots[L]
             v = (
-                (P >> rhs_bit & 1) - (M >> rhs_bit & 1)
+                (P >> j & 1) - (M >> j & 1)
                 - (P & xP).bit_count() - (M & xM).bit_count()
                 + (P & xM).bit_count() + (M & xP).bit_count()
             ) % 3
             if v == 1:
-                xP |= 1 << c
+                xP |= 1 << (L - 1)
             elif v:
-                xM |= 1 << c
-        solutions.append((xP, xM))
+                xM |= 1 << (L - 1)
+        solutions.append((xP >> R, xM >> R))
     return pivot_cols, solutions
 
 

@@ -2,7 +2,8 @@
 and evaluation, GF(4) evaluation, and dense reference eliminators.
 
 These deliberately take different implementation routes from the package so
-they can serve as independent cross-checks.
+they can serve as independent cross-checks.  GF3_DEGREE3 is one input system
+that more than one test module solves.
 """
 
 from __future__ import annotations
@@ -157,3 +158,19 @@ def exhaustive_colorable(g, k) -> bool:
         if all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges):
             return True
     return False
+
+
+# gf3:0:1 of the benchmark's GF(3) systems: inconsistent at degrees 1 and 2,
+# certified at degree 3
+GF3_DEGREE3 = """\
+e1 2*x2*x5+x2*x4+x3*x8+x3
+e2 2*x3*x4
+e3 1+x1*x5+x7*x8
+e4 x6*x8+x1*x4+2*x2*x4+2*x2*x2+x8*x8
+e5 2*x2*x2
+e6 x1*x8
+e7 2*x4*x7+x6*x8+x7*x8+x2*x7+x7+2*x1*x1
+e8 2*x2*x5+2*x2*x8+2*x5*x6+2*x2+x8*x8
+e9 2*x3*x3+x5*x7
+e10 2*x1*x1+2*x2*x2
+"""

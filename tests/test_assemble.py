@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import nullcert.assemble as asm
-from helpers import GF4_ROOTS, GF4_ZERO, columns, eval_poly_gf4, expanded, poly_mul, row_monomials
+from helpers import GF3_DEGREE3, GF4_ROOTS, GF4_ZERO, columns, eval_poly_gf4, expanded, poly_mul, row_monomials
 from nullcert.assemble import (
     AssembleError,
     _Packing,
@@ -238,6 +238,30 @@ def test_extract_certificate_matches_prove_path():
     assert [(e.tag, e.multiplier) for e in cert.entries] == [
         (e.tag, e.multiplier) for e in out.certificate.entries
     ]
+
+
+@pytest.mark.parametrize(
+    "p, n_vars, texts, d",
+    [
+        (3, 8, [line.split()[1] for line in GF3_DEGREE3.splitlines()], 3),
+        (5, 3, ["4*x1^2+2*x1", "x3^2", "4*x1*x3+1", "3*x2"], 2),
+    ],
+    ids=["gf3", "gf5"],
+)
+def test_prove_extracts_from_shift_major_columns(p, n_vars, texts, d):
+    # nulla_prove numbers columns shift-major in every field; on these
+    # systems the two orders give different certificates
+    field = FieldSpec(p)
+    F = PolySystem.make(field, n_vars, [parse_poly(t, field, n_vars) for t in texts])
+    g = Polynomial.one(field, n_vars)
+    out = nulla_prove(F, range(1, d + 1))
+    assert out.degree == d
+    certs = []
+    for shift_major in (True, False):
+        asys = assemble(F, d, [g], shift_major=shift_major)
+        res = solve(asys.system)
+        certs.append(write_cert(extract_certificate(F, asys, res.solution, g, out.certificate.provenance)))
+    assert certs[0] == write_cert(out.certificate) != certs[1]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 import nullcert.assemble as asm
-from helpers import expanded
+from helpers import GF3_DEGREE3, expanded
 import nullcert.cli as cli
 import nullcert.graphs as graphs
 from nullcert.certificate import CertificateError, read_cert, verify
@@ -674,7 +674,8 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
 
 
 # sha256 of prove's stdout, millis removed, for each kind of attempt, as
-# printed while core, orbit and full solves each had their own code
+# printed while core, orbit and full solves each had their own code; the
+# degree-3 GF(3) certificate is the one of shift-major columns
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -696,12 +697,17 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
             "73afe63a4ffe0bbe2a9cee3eb68818049ec58768860415aa2e2c4e72e5093ebb",
         ),
         (("--system", "quadric.txt", "--p", "3"), 0, "209fc03945da1dd046626114b2b456620c23fb78b45b9e5c3b73d863d7b229a0"),
+        (
+            ("--system", "gf3.txt", "--p", "3", "--max-degree", "3"),
+            0,
+            "f6026f690171261529a4d2a4e06e582d6b8756426cb7697b47aa44334472bdb3",
+        ),
     ],
     # core hit at degree 1; core, G, core hit at degree 4; (1,2) has even
     # order, so an inconsistent orbit solve falls back to the full system;
     # wheel:6 is 3-colorable, so a root refutes every degree under the
     # rotation; wheel:7's rotation has odd order, so the orbit solve hits
-    ids=["core-hit", "core-G-core", "orbit-then-full", "rotation-refuted", "orbit-hit", "gf3-quadric"],
+    ids=["core-hit", "core-G-core", "orbit-then-full", "rotation-refuted", "orbit-hit", "gf3-quadric", "gf3-degree3"],
 )
 def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -709,6 +715,7 @@ def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys
     (tmp_path / "rim6.txt").write_text("(1,2,3,4,5,6)\n")
     (tmp_path / "rim7.txt").write_text("(1,2,3,4,5,6,7)\n")
     (tmp_path / "quadric.txt").write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
+    (tmp_path / "gf3.txt").write_text(GF3_DEGREE3)
     rc, out, _ = run(capsys, "prove", *argv)
     assert rc == code and without_millis(out) == digest
 

@@ -6,6 +6,7 @@ use hides a dependency without removing it.
 """
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -82,6 +83,23 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
         assert "hashlib" not in modules - bare
     for modules in (prove, verify, usage):
         assert "dataclasses" not in modules - bare
+
+
+def test_load_system_file_runs_before_the_prove_stack(tmp_path):
+    # a library caller reads a system before any command has loaded the
+    # prove stack; the fingerprint imports its own hash
+    path = tmp_path / "quadric.txt"
+    path.write_text("q x1^2+2\nl1 x1+x2\n")
+    child = """
+import sys
+import nullcert.cli as cli
+F, meta = cli.load_system_file(sys.argv[1], 3)
+print(len(F), meta["sha256"])
+"""
+    rc, out, err = python("-c", child, str(path))
+    assert rc == 0, err
+    digest = hashlib.sha256(b"q x1^2+2\nl1 x1+x2").hexdigest()
+    assert out.split() == ["2", digest]
 
 
 def test_tracer_names_resolve_on_the_cli_module(tmp_path):

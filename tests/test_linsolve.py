@@ -222,6 +222,45 @@ class TestMultiRhs:
         assert res.solution == (0, 2, 1, 0, 0)
         check_satisfies(sys_, res.solution)
 
+    def test_gf3_bit_planes_match_the_dict_eliminator(self):
+        # Seeded wide sparse systems past several 64-bit words, solved on the
+        # bit-planes and by the p >= 5 dict eliminator run at p = 3.  Rows
+        # may lead with -1, be empty, or be a combination of earlier rows,
+        # whose matrix part then reduces to zero and leaves rhs bits only.
+        # The first rhs is A y for a random y, so it is consistent.
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(60):
+            n_cols = rng.randrange(60, 401)
+            rows = []
+            for _ in range(rng.randrange(10, 50)):
+                kind = rng.random()
+                if kind < 0.1:
+                    row = {}
+                elif kind < 0.3 and len(rows) >= 2:
+                    (a, b), f = rng.sample(rows, 2), rng.randrange(1, 3)
+                    row = {c: (a.get(c, 0) + f * b.get(c, 0)) % 3 for c in a.keys() | b.keys()}
+                else:
+                    low = rng.randrange(n_cols)
+                    span = range(low, min(n_cols, low + 40))
+                    row = {c: rng.randrange(1, 3) for c in rng.sample(span, min(len(span), rng.randrange(1, 7)))}
+                rows.append({c: v for c, v in row.items() if v})
+            y = [rng.randrange(3) for _ in range(n_cols)]
+            rhs_list = [[sum(v * y[c] for c, v in row.items()) % 3 for row in rows]]
+            rhs_list += [[rng.randrange(3) for _ in rows] for _ in range(rng.randrange(4))]
+            sys_ = SparseSystem.make(F3, len(rows), n_cols, [sorted(r.items()) for r in rows], rhs_list[0])
+            pivots, planes = linsolve._eliminate_gf3(sys_, rhs_list)
+            ref_pivots, ref = linsolve._eliminate_gfp(sys_, rhs_list)
+            assert pivots == ref_pivots
+            for x, ref_x in zip(planes, ref):
+                assert (x is None) == (ref_x is None)
+                if x is not None:
+                    assert linsolve._trit_tuple(*x, n_cols) == tuple(ref_x.get(c, 0) for c in range(n_cols))
+                seen.add(x is None)
+            seen.update(("lead", r[min(r)]) for r in rows if r)
+            seen.update(("empty", not r) for r in rows)
+        assert seen == {True, False, ("lead", 1), ("lead", 2), ("empty", True), ("empty", False)}
+
     def test_field_selects_eliminator(self, monkeypatch):
         # GF(3) runs on bit-planes; p >= 5 keeps the dict eliminator
         calls = []
