@@ -49,16 +49,15 @@ soundness: a wrong coloring, or a point that is no root, fails it and the
 degrees are eliminated as usual, so no verdict depends on the coloring
 search or on the matrices.
 
-Column order: assemble() numbers columns poly-major (poly index, shift
-degree, shift) by default, and so does assemble_orbit.  nulla_prove numbers
-them shift-major (shift degree, shift, poly index) in every field: the
-products x^delta * f_i sharing a row monomial then have nearby shifts, so
-each row spans a narrow column window, and the GF(2) bitset and GF(3)
-bit-plane eliminators, whose row operations cost what a row spans, run
-several times faster.  Its orbit systems follow the same order, since
-orbit representatives are the least full-system indices.  Rank and
-consistency do not depend on the order; the certificate does, through the
-free-variables-zero solution, and is deterministic for the fixed order.
+Column order: columns are numbered shift-major, (shift degree, shift, poly
+index), in every field and in orbit systems too, whose representatives are
+the least full-system indices.  The products x^delta * f_i sharing a row
+monomial then have nearby shifts, so each row spans a narrow column window,
+and the GF(2) bitset and GF(3) bit-plane eliminators, whose row operations
+cost what a row spans, run several times faster than with the columns of
+each f_i together.  Rank and consistency do not depend on the order; the
+certificate does, through the free-variables-zero solution, and is
+deterministic for the fixed order.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
 one exponent field per occurring variable, with fields wide enough that the
@@ -378,35 +377,15 @@ def assemble(
     targets: Sequence[Polynomial],
     pruning: str = "occurring",
     memory_budget: Optional[int] = None,
-    *,
-    shift_major: bool = False,
 ) -> AssembledSystem:
     """Build the degree-d system once, with one rhs vector per target.
 
     The row universe covers every target's monomials, so the rhs vectors
-    are interchangeable on the same matrix.  Columns are poly-major
-    (poly index, shift degree, shift); shift_major orders them (shift
-    degree, shift, poly index) instead, which keeps each row's columns
-    close together (see the module docstring).
+    are interchangeable on the same matrix.  Columns are numbered (shift
+    degree, shift, poly index); see the module docstring.
     """
     packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
-    # Enumerate columns in global order, poly-major or shift-major.
-    if shift_major:
-        cols = (
-            (i, delta)
-            for deg in range(d + 1)
-            if polys_at[deg]
-            for delta in shifts[deg]
-            for i in polys_at[deg]
-        )
-    else:
-        cols = (
-            (i, delta)
-            for i in range(len(poly_terms))
-            for deg in range(d + 1)
-            if i in polys_at[deg]
-            for delta in shifts[deg]
-        )
+    cols = ((i, delta) for kept, deltas in zip(polys_at, shifts) if kept for delta in deltas for i in kept)
     n_cols = sum(len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts))
 
     # One pass files each product x^delta * t under its row monomial.
@@ -535,9 +514,10 @@ def assemble_orbit(
     """Assemble the degree-d system and collapse it to orbits.
 
     Requires F invariant under every generator and g fixed by every
-    generator (SymmetryError otherwise).  The full matrix is materialized
-    first (assembly is cheap relative to elimination; the savings are in
-    the solve).
+    generator (SymmetryError otherwise).  The full matrix is assembled
+    first and then folded by _collapse, which is not cheap: on wheel:101
+    under its rim rotation the fold takes most of the run, and the run is
+    slower than solving the full system without the group.
     """
     maps = check_invariant(F, [g], perms)
     full = assemble(F, d, [g], pruning, memory_budget)
@@ -639,9 +619,8 @@ def nulla_prove(
     """Search the degree schedule for a certificate; first hit wins.
 
     At each degree the systems are tried in one order: the core's (if
-    given), then F's.  Each is assembled once (shift-major columns, see
-    the module docstring), and every target candidate is a
-    separate right-hand side of one elimination pass.  With perms, F and
+    given), then F's.  Each is assembled once, and every target candidate
+    is a separate right-hand side of one elimination pass.  With perms, F and
     every target must be invariant under the group (SymmetryError
     otherwise); a system is solved collapsed to orbits, and in full too
     unless the group order is known coprime to p, since only then is an
@@ -699,7 +678,7 @@ def nulla_prove(
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
         for F_s, note in tried:
-            asm = assemble(F_s, d, targets, pruning, memory_budget, shift_major=True)
+            asm = assemble(F_s, d, targets, pruning, memory_budget)
             orb = None if perms is None else _collapse(asm, perms, maps, order)
             # an inconsistent orbit solve is conclusive only for a coprime order
             for part in [asm] if orb is None else [orb] if orb.coprime_verified else [orb, asm]:

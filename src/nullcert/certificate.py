@@ -74,11 +74,6 @@ class Certificate(Record):
         if target.is_zero():
             raise CertificateError("zero target gives a vacuous identity")
 
-    @property
-    def degree(self) -> int:
-        """Certificate degree: the largest multiplier degree."""
-        return max((e.multiplier.degree for e in self.entries), default=-1)
-
 
 def verify(cert: Certificate) -> bool:
     """Re-expand the certificate identity; true iff it reproduces the target

@@ -48,8 +48,7 @@ class Graph(Record):
 
     @classmethod
     def make(cls, n_vertices: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
-        # a set first, then frozen: find_core follows the edges' iteration order
-        return cls(n_vertices, frozenset({(u, v) if u < v else (v, u) for u, v in edges}))
+        return cls(n_vertices, frozenset((u, v) if u < v else (v, u) for u, v in edges))
 
     @property
     def n_edges(self) -> int:
@@ -277,7 +276,7 @@ def _dsatur(
         return None, 0
     n = g.n_vertices
     nbrs: List[List[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
+    for u, v in sorted(g.edges):  # not the set's order, so equal graphs search alike
         nbrs[u - 1].append(v - 1)
         nbrs[v - 1].append(u - 1)
     by_degree = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
@@ -382,7 +381,7 @@ def _rotate(adj: Dict[int, set], k: int, v: int, coloring: Dict[int, int], neede
             continue
         needed.add(v)
         clash: List[List[int]] = [[] for _ in range(k)]
-        for u in adj[v]:
+        for u in sorted(adj[v]):
             if u in coloring:
                 clash[coloring[u]].append(u)
         for c, us in enumerate(clash):

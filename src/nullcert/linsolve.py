@@ -76,9 +76,9 @@ class SparseSystem(Record):
     """A sparse GF(p) linear system A y = rhs.
 
     rows[i] holds (col, coeff) pairs with strictly increasing columns and
-    nonzero coefficients; rhs[i] is the right-hand side residue.  make()
-    checks every entry and the memory budget; the constructor checks
-    nothing, for rows canonical by construction (nullcert.assemble).
+    nonzero coefficients; rhs[i] is the right-hand side residue.  The
+    constructor checks nothing: rows are canonical by construction
+    (nullcert.assemble).
     """
 
     __slots__ = ("field", "n_rows", "n_cols", "rows", "rhs")
@@ -96,37 +96,6 @@ class SparseSystem(Record):
         set_field(self, "n_cols", n_cols)
         set_field(self, "rows", rows)
         set_field(self, "rhs", rhs)
-
-    @classmethod
-    def make(
-        cls,
-        field: FieldSpec,
-        n_rows: int,
-        n_cols: int,
-        rows: Sequence[Sequence[Tuple[int, int]]],
-        rhs: Sequence[int],
-        memory_budget: Optional[int] = None,
-    ) -> "SparseSystem":
-        _check_budget(field, n_rows, n_cols, memory_budget)
-        if len(rows) != n_rows or len(rhs) != n_rows:
-            raise LinsolveError("row or rhs count mismatch")
-        p = field.p
-        canon_rows = []
-        for i, row in enumerate(rows):
-            prev = -1
-            for c, v in row:
-                if not 0 <= c < n_cols:
-                    raise LinsolveError(f"row {i}: column {c} out of range")
-                if c <= prev:
-                    raise LinsolveError(f"row {i}: columns must be strictly increasing")
-                if not 0 < v < p:
-                    raise LinsolveError(f"row {i}: coefficient {v} outside 1..{p - 1}")
-                prev = c
-            canon_rows.append(tuple((c, v) for c, v in row))
-        for i, b in enumerate(rhs):
-            if not 0 <= b < p:
-                raise LinsolveError(f"rhs {i}: value {b} outside 0..{p - 1}")
-        return cls(field, n_rows, n_cols, tuple(canon_rows), tuple(rhs))
 
     @property
     def nnz(self) -> int:

@@ -1,5 +1,6 @@
 """Shared test-only oracles: monomials as index tuples, polynomial product
-and evaluation, GF(4) evaluation, and dense reference eliminators.
+and evaluation, GF(4) evaluation, checked hand-built linear systems, and
+dense reference eliminators.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  GF3_DEGREE3 is one input system
@@ -11,7 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from nullcert.poly import Monomial, PolyError, Polynomial
+from nullcert import linsolve
+from nullcert.poly import FieldSpec, Monomial, PolyError, Polynomial
 
 # ---------------------------------------------------------------------------
 # Monomials as index tuples; polynomial product and evaluation over GF(p),
@@ -102,6 +104,38 @@ def eval_poly_gf4(poly, point: Sequence[Tuple[int, int]]):
             v = gf4_mul(v, gf4_pow(point[var], exp))
         total = gf4_add(total, v)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Hand-built linear systems, held to the form assembly builds.
+
+
+class SparseSystem:
+    """make() builds a nullcert.linsolve.SparseSystem from hand-written
+    rows, after checking that they are canonical: one row and one
+    right-hand side per row, strictly increasing columns in range,
+    coefficients in 1..p-1 and right-hand sides in 0..p-1."""
+
+    @staticmethod
+    def make(
+        field: FieldSpec,
+        n_rows: int,
+        n_cols: int,
+        rows: Sequence[Sequence[Tuple[int, int]]],
+        rhs: Sequence[int],
+    ) -> linsolve.SparseSystem:
+        if len(rows) != n_rows or len(rhs) != n_rows:
+            raise ValueError("row or rhs count mismatch")
+        p = field.p
+        for i, row in enumerate(rows):
+            cols = [c for c, _ in row]
+            if cols != sorted(set(cols)) or not all(0 <= c < n_cols for c in cols):
+                raise ValueError(f"row {i}: columns not strictly increasing in range")
+            if not all(0 < v < p for _, v in row):
+                raise ValueError(f"row {i}: coefficient outside 1..{p - 1}")
+        if not all(0 <= b < p for b in rhs):
+            raise ValueError(f"right-hand side outside 0..{p - 1}")
+        return linsolve.SparseSystem(field, n_rows, n_cols, tuple(map(tuple, rows)), tuple(rhs))
 
 
 # ---------------------------------------------------------------------------

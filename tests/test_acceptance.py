@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import columns, expanded, poly_mul, random_dense_system, ref_solve_dense, row_monomials
+from helpers import SparseSystem, columns, expanded, poly_mul, random_dense_system, ref_solve_dense, row_monomials
 from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
@@ -25,7 +25,7 @@ from nullcert.graphs import (
     gen_random,
     gen_wheel,
 )
-from nullcert.linsolve import SparseSystem, solve
+from nullcert.linsolve import solve
 from nullcert.poly import (
     FieldSpec,
     Monomial,
@@ -137,10 +137,20 @@ def test_criterion_1(capsys):
 
         row_labels = [mono_text(m, F.field) for m in row_monomials(asm)]
         assert row_labels == [label for label, _ in K4_DEGREE1_ROWS]
-        col_labels = [f"{F.tags[i]} {mono_text(shift, F.field)}" for i, shift in columns(asm)]
-        assert col_labels == K4_COLUMN_LABELS
+        # the table lists columns poly by poly; assemble numbers them
+        # (shift degree, shift, poly index), read here off the labels
+        tags = list(dict.fromkeys(label.split()[0] for label in K4_COLUMN_LABELS))
 
-        golden = [bits(row) for _, row in K4_DEGREE1_ROWS]
+        def column_key(j):
+            tag, shift = K4_COLUMN_LABELS[j].split()
+            (m, _), = parse_poly(shift, F.field, F.n_vars).terms
+            return m.degree, expanded(m), tags.index(tag)
+
+        order = sorted(range(len(K4_COLUMN_LABELS)), key=column_key)
+        col_labels = [f"{F.tags[i]} {mono_text(shift, F.field)}" for i, shift in columns(asm)]
+        assert col_labels == [K4_COLUMN_LABELS[j] for j in order]
+
+        golden = [[bits(row)[j] for j in order] for _, row in K4_DEGREE1_ROWS]
         assert dense_rows(asm.system) == golden
         # right-hand side carries the target 1 on the constant row only
         assert list(asm.system.rhs) == [1] + [0] * 20
@@ -164,12 +174,16 @@ def test_criterion_2(capsys):
 
         row_labels = [mono_text(rep, F.field) for rep in row_monomials(orb.full, orb.row_reps)]
         assert row_labels == [label for label, _ in K4_ORBIT_ROWS_MOD2]
-        col_reps = [(F.tags[i], mono_text(shift, F.field))
-                    for i, shift in columns(orb.full, orb.col_reps)]
-        assert col_reps == [("vertex:1", "1")] + [
-            (f"edge:{uv}", f"x{t}") for uv in ("1-2", "2-3") for t in (1, 2, 3, 4)
-        ]
-        assert dense_rows(orb.system) == [bits(row) for _, row in K4_ORBIT_ROWS_MOD2]
+        # the table's columns are the orbits of these full columns; each
+        # maps to the orbit column it lies in, one table column per orbit
+        table_cols = ["vertex:1 1"] + [f"edge:{uv} x{t}" for uv in ("1-2", "2-3") for t in (1, 2, 3, 4)]
+        full_pos = {f"{F.tags[i]} {mono_text(shift, F.field)}": j for j, (i, shift) in enumerate(columns(orb.full))}
+        to_orbit = [orb.col_orbit_index[full_pos[label]] for label in table_cols]
+        assert sorted(to_orbit) == list(range(9))
+        # representatives are the least full columns of their orbits
+        assert list(orb.col_reps) == [orb.col_orbit_index.index(k) for k in range(9)]
+        dense = dense_rows(orb.system)
+        assert [[row[k] for k in to_orbit] for row in dense] == [bits(row) for _, row in K4_ORBIT_ROWS_MOD2]
         assert list(orb.system.rhs) == [1] + [0] * 8
 
         res = solve(orb.system)

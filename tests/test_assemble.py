@@ -96,7 +96,8 @@ def test_row_and_column_order_is_graded():
     asys = assemble(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
     rows = [expanded(m) for m in row_monomials(asys)]
     assert rows == sorted(rows, key=lambda t: (len(t), t))
-    cols = [(i, len(expanded(shift)), expanded(shift)) for i, shift in columns(asys)]
+    # columns shift-major: shift degree, then shift in graded order, then poly
+    cols = [(len(expanded(shift)), expanded(shift), i) for i, shift in columns(asys)]
     assert cols == sorted(cols)
 
 
@@ -248,20 +249,17 @@ def test_extract_certificate_matches_prove_path():
     ],
     ids=["gf3", "gf5"],
 )
-def test_prove_extracts_from_shift_major_columns(p, n_vars, texts, d):
-    # nulla_prove numbers columns shift-major in every field; on these
-    # systems the two orders give different certificates
+def test_prove_extracts_from_assembled_columns(p, n_vars, texts, d):
+    # nulla_prove's certificate is the one assemble + solve + extract gives
     field = FieldSpec(p)
     F = PolySystem.make(field, n_vars, [parse_poly(t, field, n_vars) for t in texts])
     g = Polynomial.one(field, n_vars)
     out = nulla_prove(F, range(1, d + 1))
     assert out.degree == d
-    certs = []
-    for shift_major in (True, False):
-        asys = assemble(F, d, [g], shift_major=shift_major)
-        res = solve(asys.system)
-        certs.append(write_cert(extract_certificate(F, asys, res.solution, g, out.certificate.provenance)))
-    assert certs[0] == write_cert(out.certificate) != certs[1]
+    asys = assemble(F, d, [g])
+    res = solve(asys.system)
+    cert = extract_certificate(F, asys, res.solution, g, out.certificate.provenance)
+    assert write_cert(cert) == write_cert(out.certificate)
 
 
 @pytest.mark.parametrize(
@@ -269,22 +267,12 @@ def test_prove_extracts_from_shift_major_columns(p, n_vars, texts, d):
     [gen_complete(4), gen_wheel(5), gen_random(8, 0.5, 4), gen_complete(3)],
     ids=["K4", "wheel5", "random8", "K3"],
 )
-def test_gf2_shift_major_columns_agree_with_public_order(graph):
-    # nulla_prove solves GF(2) systems with shift-major columns; assemble()'s
-    # default order is poly-major.  Sizes and verdicts must not differ.
+def test_gf2_prove_matches_assemble_and_solve(graph):
+    # each degree's stats line and verdict are those of assemble + solve
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, graph.n_vertices)
     for d in (1, 4):
         asys = assemble(F, d, [g], pruning="graded:3")
-        shifted = assemble(F, d, [g], "graded:3", shift_major=True)
-        assert row_monomials(shifted) == row_monomials(asys)
-        shifted_cols = columns(shifted)
-        public_cols = columns(asys)
-        assert sorted(shifted_cols) == sorted(public_cols)
-        pos = {key: j for j, key in enumerate(public_cols)}
-        for row, public_row in zip(shifted.system.rows, asys.system.rows):
-            assert sorted((pos[shifted_cols[c]], v) for c, v in row) == list(public_row)
-
         out = nulla_prove(F, [d], pruning="graded:3")
         (st,) = out.per_degree
         res = solve(asys.system)
@@ -607,10 +595,9 @@ def test_sizes_match_assembly(p):
             near = Polynomial.make(field, n, {Monomial.make({n - 1: k}, n): 1})
             targets = [Polynomial.one(field, n), near, far]
             for pruning in ("occurring", f"graded:{k}"):
-                for shift_major in (False, True):
-                    system = assemble(F, d, targets, pruning, shift_major=shift_major).system
-                    counted = _sizes(F, d, targets, pruning)
-                    assert counted == (system.n_rows, system.n_cols, system.nnz)
+                system = assemble(F, d, targets, pruning).system
+                counted = _sizes(F, d, targets, pruning)
+                assert counted == (system.n_rows, system.n_cols, system.nnz)
                 # the unreached target monomial is one row of its own
                 assert _sizes(F, d, targets[:2], pruning)[0] == counted[0] - 1
 

@@ -99,12 +99,6 @@ def test_empty_entries_verify_false_for_one():
     assert read_cert(write_cert(cert)) == cert
 
 
-def test_degree_property():
-    assert make_gf3_cert().degree == 1
-    cert = Certificate(GF3, 2, Polynomial.one(GF3, 2), ())
-    assert cert.degree == -1
-
-
 def test_zero_multiplier_rejected():
     with pytest.raises(CertificateError, match="zero multiplier"):
         Certificate(

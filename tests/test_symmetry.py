@@ -107,9 +107,12 @@ def test_k4_orbit_matrix_shape_and_keys():
         (), (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2),
         (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 3),
     ]
+    # shift-major representatives: the vertex constant, edges 1-2 and 2-3
+    # times x1, then the six orbits of edge shifts by x2 (each edge times
+    # x2, x3 or x4 lies in one of them)
     assert [(i, expanded(shift)) for i, shift in columns(orb.full, orb.col_reps)] == [
-        (0, ()), (1, (0,)), (1, (1,)), (1, (2,)), (1, (3,)),
-        (4, (0,)), (4, (1,)), (4, (2,)), (4, (3,)),
+        (0, ()), (1, (0,)), (4, (0,)),
+        (1, (1,)), (2, (1,)), (3, (1,)), (4, (1,)), (5, (1,)), (6, (1,)),
     ]
     assert orb.group_order == 3
     assert orb.coprime_verified
@@ -142,15 +145,15 @@ def test_k4_orbit_entries_are_full_matrix_sums():
         for c_pos in range(9):
             integer_sum = sum(full_row[j] for j in members[c_pos])
             assert orbit_dense[r_pos][c_pos] == integer_sum % 2
-    # spot values: three members hit x1^3 under c12^1, two members hit
-    # x1*x2^2 under c23^1 (vanishing mod 2)
+    # spot values: three members hit x1^3 under c12^1 (orbit column 1),
+    # two members hit x1*x2^2 under c23^1 (orbit column 2, vanishing mod 2)
     x1cubed = row_pos[row_orbits[1]]
     assert sum(full_dense[x1cubed][j] for j in members[1]) == 3
     assert orbit_dense[1][1] == 1
     x1x2sq = row_pos[row_orbits[3]]
-    assert sum(full_dense[x1x2sq][j] for j in members[5]) == 2
-    assert orbit_dense[3][5] == 0
-    assert orbit_dense[3] == [0, 1, 1, 0, 0, 0, 0, 0, 0]
+    assert sum(full_dense[x1x2sq][j] for j in members[2]) == 2
+    assert orbit_dense[3][2] == 0
+    assert orbit_dense[3] == [0, 1, 0, 1, 0, 0, 0, 0, 0]
 
 
 def test_k4_orbit_solution_lifts_to_certificate():
