@@ -8,11 +8,12 @@ x^delta * f_i, and the right-hand side holds g's coefficients.  Consistency
 of that system is exactly certificate existence at degree d.
 
 nulla_prove is the one degree loop.  At each degree it tries the core's
-system (if any), then F's.  Each is assembled once and solved as its orbit
-system (given a group), and as the full system unless the group order is
-known coprime to p; each solve gets one DegreeStats.  The first consistent
-solve is lifted (orbit), extracted and re-verified.  A degree refuted by a
-root is only counted (see below).
+system (if any), then F's.  Given a group, each is built as its orbit
+system, and assembled in full only when the orbit solve is inconsistent and
+the group order is not known coprime to p; without one it is assembled in
+full.  Each solve gets one DegreeStats.  The first consistent solve is
+lifted (orbit), extracted and re-verified.  A degree refuted by a root is
+only counted (see below).
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -23,16 +24,21 @@ variables that occur (_layout), so the core's system is no larger than its
 own.  The certificate degree is never higher than without the core, and a
 graph far too large to assemble can still be certified.
 
-Orbit collapse: a permutation group on the variables (nullcert.symmetry)
+Orbit systems: a permutation group on the variables (nullcert.symmetry)
 permutes the rows (monomials) and columns (shifted polynomials).  When F is
 invariant under the group and every target is fixed by it, solutions may be
-assumed constant on column orbits, so the system collapses to one row and
+assumed constant on column orbits, so the system reduces to one row and
 one column per orbit, entries summed over column-orbit members.  An orbit
 solution always lifts to a full one, and so to a certificate that verifies.
 The converse, full consistency implying orbit consistency, needs |G| coprime
 to p; coprime_verified records that, so an inconsistent orbit system is
 conclusive only when it is true, and nulla_prove otherwise solves the full
-matrix of the same degree too.
+matrix of the same degree too.  The orbit system is built from F and the
+group without the full matrix (_orbit_system): permuting packed monomials
+is additive, so orbits are walked with each generator's images of the
+shifts and of F's terms, and a representative row sums the coefficients of
+F's terms that divide it.  On wheel:101 under its rim rotation that builds
+253 x 206 where the full system is 25,353 x 20,706.
 
 Refuting every degree by a root (the weak Nullstellensatz direction the
 certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i beta_i(a)
@@ -84,7 +90,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from itertools import combinations_with_replacement, islice
 from math import comb, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
@@ -146,6 +152,14 @@ class _Packing:
         variables = self.variables
         return Monomial(tuple((variables[j], e) for j, e in self._fields(x)), self.n_vars)
 
+    def divisors(self, x: int) -> List[int]:
+        """Every packed monomial dividing x, x and 1 included."""
+        units = list(self.units.values())
+        out = [0]
+        for j, e in self._fields(x):
+            out = [y + k * units[j] for y in out for k in range(e + 1)]
+        return out
+
     def permute(self, positions: Sequence[int], x: int) -> int:
         """The packed monomial with field j moved to field positions[j]."""
         b, last = self.b, len(self.variables) - 1
@@ -187,25 +201,29 @@ class AssembledSystem(Record):
 
 
 class OrbitSystem(Record):
-    """An assembled system collapsed to orbits, with what lifting needs.
+    """A degree-d system reduced to one row and one column per orbit, with
+    what lifting and extraction need.
 
-    Representatives are the orbit members of least full-system index, listed
-    in that order, so full.packed_rows[row_reps[k]] is orbit row k's key;
-    col_orbit_index maps each full column to its orbit position.
-    coprime_verified: the group order is known and coprime to p.
+    Row k is the orbit of packed_rows[k], its member first in the graded
+    order; column k is the orbit of the full column col_reps[k], its member
+    of least full-system index.  packed_cols lists the full system's columns
+    in its order, and col_orbit_index maps each to its orbit, so a lifted
+    solution is extracted like a full one.  coprime_verified: the group
+    order is known and coprime to p.
     """
 
     __slots__ = (
-        "system", "rhs_list", "full", "row_reps", "col_reps", "col_orbit_index", "group_order",
-        "coprime_verified",
+        "system", "rhs_list", "packing", "packed_cols", "packed_rows", "col_reps", "col_orbit_index",
+        "group_order", "coprime_verified",
     )
 
     def __init__(
         self,
         system: SparseSystem,
         rhs_list: List[List[int]],
-        full: AssembledSystem,
-        row_reps: Tuple[int, ...],
+        packing: _Packing,
+        packed_cols: Tuple[Tuple[int, int], ...],
+        packed_rows: Tuple[int, ...],
         col_reps: Tuple[int, ...],
         col_orbit_index: Tuple[int, ...],
         group_order: Optional[int],
@@ -213,8 +231,9 @@ class OrbitSystem(Record):
     ) -> None:
         set_field(self, "system", system)
         set_field(self, "rhs_list", rhs_list)
-        set_field(self, "full", full)
-        set_field(self, "row_reps", row_reps)
+        set_field(self, "packing", packing)
+        set_field(self, "packed_cols", packed_cols)
+        set_field(self, "packed_rows", packed_rows)
         set_field(self, "col_reps", col_reps)
         set_field(self, "col_orbit_index", col_orbit_index)
         set_field(self, "group_order", group_order)
@@ -424,82 +443,123 @@ def assemble(
     return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows))
 
 
-def _find(parent: List[int], a: int) -> int:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
-def _union(parent: List[int], a: int, b: int) -> None:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return
-    if rb < ra:
-        ra, rb = rb, ra
-    # root stays the least member, so roots double as representatives
-    parent[rb] = ra
-
-
-def _collapse(
-    full: AssembledSystem,
+def _orbit_system(
+    F: PolySystem,
+    d: int,
+    targets: Sequence[Polynomial],
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
     order: Optional[int],
+    pruning: str,
+    memory_budget: Optional[int],
 ) -> OrbitSystem:
-    """Fold an assembled system to one row/column per orbit of perms.
+    """The degree-d orbit system of F under perms, built without the full
+    matrix (see "Orbit systems" in the module docstring).
 
     maps[k][i] is the index of generator k's image of f_i (check_invariant);
-    order is the group order, None above the cap.  Entries are summed over
-    column-orbit members at each row representative; every right-hand side
-    is read at the row representatives.  No memory budget is checked: the
-    orbit system is no larger than the full one, which passed it.
+    order is the group order, None above the cap.  The orbit walks count
+    the full system's rows and columns exactly, and the memory budget is
+    checked on those counts.
     """
-    n_rows, n_cols = full.system.n_rows, full.system.n_cols
-    col_pos = {key: j for j, key in enumerate(full.packed_cols)}
-    row_pos = {mono: r for r, mono in enumerate(full.packed_rows)}
-    packing = full.packing
-    permute = packing.permute
+    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
+    all_terms = {t for terms in poly_terms for t, _ in terms}
+    target_monos = {packing.pack(m) for g in targets for m, _ in g.terms}
+    images = []
+    for pmap, generator in zip(maps, perms.generators):
+        fields = [position[generator[v]] for v in packing.variables]
+        images.append((
+            pmap,
+            {delta: packing.permute(fields, delta) for deltas in shifts for delta in deltas},
+            {t: packing.permute(fields, t) for t in all_terms},
+            {m: packing.permute(fields, m) for m in target_monos},
+        ))
 
-    row_parent = list(range(n_rows))
-    col_parent = list(range(n_cols))
-    for gen_pos, generator in enumerate(perms.generators):
-        pmap = maps[gen_pos]
-        images = [position[generator[v]] for v in packing.variables]
-        for r, mono in enumerate(full.packed_rows):
-            image = row_pos.get(permute(images, mono))
-            if image is None:
-                raise SymmetryError("row universe is not closed under the group")
-            _union(row_parent, r, image)
-        # many columns share a shift; permute each shift once
-        shift_image = {delta: permute(images, delta) for delta in {d for _, d in full.packed_cols}}
-        for j, (i, delta) in enumerate(full.packed_cols):
-            image = col_pos.get((pmap[i], shift_image[delta]))
-            if image is None:
-                raise SymmetryError("column set is not closed under the group")
-            _union(col_parent, j, image)
+    # orbit_of[delta][i] is the orbit of column (i, delta), -1 until walked;
+    # a missing key is an image outside the column set
+    packed_cols = [(i, delta) for kept, deltas in zip(polys_at, shifts) if kept for delta in deltas for i in kept]
+    orbit_of = {delta: dict.fromkeys(kept, -1) for kept, deltas in zip(polys_at, shifts) for delta in deltas}
+    col_reps: List[int] = []
+    try:
+        for j, (i, delta) in enumerate(packed_cols):
+            if orbit_of[delta][i] >= 0:
+                continue
+            pos = orbit_of[delta][i] = len(col_reps)
+            col_reps.append(j)
+            members = [(i, delta)]
+            for poly, shift in members:
+                for pmap, shift_image, _, _ in images:
+                    image = pmap[poly], shift_image[shift]
+                    at = orbit_of[image[1]]
+                    if at[image[0]] < 0:
+                        at[image[0]] = pos
+                        members.append(image)
+    except KeyError:
+        raise SymmetryError("column set is not closed under the group") from None
 
-    row_reps = sorted({_find(row_parent, r) for r in range(n_rows)})
-    col_reps = sorted({_find(col_parent, j) for j in range(n_cols)})
-    col_orbit_of = {rep: pos for pos, rep in enumerate(col_reps)}
-    col_orbit_index = tuple(col_orbit_of[_find(col_parent, j)] for j in range(n_cols))
+    # Every row orbit holds a product of a column representative with one of
+    # its terms; any other holds target monomials only, each the shift 0
+    # times itself, and a member that is none leaves the row universe.  A
+    # permutation keeps the degree, so the member first in the graded
+    # order is the greatest packed int.
+    seen = set()
+    reps: List[int] = []
+    products = ((packed_cols[j][1], t) for j in col_reps for t, _ in poly_terms[packed_cols[j][0]])
+    walks = (
+        ([(s, t) for _, s, t, _ in images], products),
+        ([(s, g) for _, s, _, g in images], ((0, m) for m in target_monos)),
+    )
+    for pair_images, starts in walks:
+        for delta, t in starts:
+            rep = delta + t
+            if rep in seen:
+                continue
+            seen.add(rep)
+            member_shifts, member_terms = [delta], [t]
+            try:
+                for shift, term in zip(member_shifts, member_terms):
+                    for shift_image, term_image in pair_images:
+                        image_shift, image_term = shift_image[shift], term_image[term]
+                        m = image_shift + image_term
+                        if m not in seen:
+                            seen.add(m)
+                            member_shifts.append(image_shift)
+                            member_terms.append(image_term)
+                            if m > rep:
+                                rep = m
+            except KeyError:
+                raise SymmetryError("row universe is not closed under the group") from None
+            reps.append(rep)
+    field = F.field
+    _check_budget(field, len(seen), len(packed_cols), memory_budget)
 
-    field = full.system.field
     p = field.p
+    divides: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    for i, terms in enumerate(poly_terms):
+        for t, c in terms:
+            divides[t].append((i, c))
+    packed_rows = sorted(reps, key=packing.flip.__xor__)
     orbit_rows: List[Tuple[Tuple[int, int], ...]] = []
-    for rep in row_reps:
-        acc: Dict[int, int] = {}
-        for c, v in full.system.rows[rep]:
-            oc = col_orbit_index[c]
-            acc[oc] = (acc.get(oc, 0) + v) % p
-        orbit_rows.append(tuple(sorted((oc, v) for oc, v in acc.items() if v)))
-    orbit_rhs = [[rhs[rep] for rep in row_reps] for rhs in full.rhs_list]
-    system = SparseSystem(field, len(row_reps), len(col_reps), tuple(orbit_rows), tuple(orbit_rhs[0]))
+    for m in packed_rows:
+        acc: Dict[int, int] = defaultdict(int)
+        for t in packing.divisors(m):
+            at = orbit_of.get(m - t)
+            if at is not None:
+                for i, c in divides.get(t, ()):
+                    o = at.get(i)
+                    if o is not None:
+                        acc[o] += c
+        orbit_rows.append(tuple(sorted((o, v % p) for o, v in acc.items() if v % p)))
+    rhs_list = []
+    for g in targets:
+        coeff = {packing.pack(m): c for m, c in g.terms}
+        rhs_list.append([coeff.get(m, 0) for m in packed_rows])
+    system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows), tuple(rhs_list[0]))
     coprime = order is not None and gcd(order, p) == 1
     return OrbitSystem(
-        system, orbit_rhs, full, tuple(row_reps), tuple(col_reps), col_orbit_index, order, coprime
+        system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), tuple(col_reps),
+        tuple(o for deltas in shifts for delta in deltas for o in orbit_of[delta].values()), order, coprime,
     )
 
 
@@ -511,17 +571,13 @@ def assemble_orbit(
     pruning: str = "occurring",
     memory_budget: Optional[int] = None,
 ) -> OrbitSystem:
-    """Assemble the degree-d system and collapse it to orbits.
+    """Build the degree-d orbit system of F under perms for the target g.
 
     Requires F invariant under every generator and g fixed by every
-    generator (SymmetryError otherwise).  The full matrix is assembled
-    first and then folded by _collapse, which is not cheap: on wheel:101
-    under its rim rotation the fold takes most of the run, and the run is
-    slower than solving the full system without the group.
+    generator (SymmetryError otherwise).  The full matrix is never built.
     """
     maps = check_invariant(F, [g], perms)
-    full = assemble(F, d, [g], pruning, memory_budget)
-    return _collapse(full, perms, maps, group_order(perms))
+    return _orbit_system(F, d, [g], perms, maps, group_order(perms), pruning, memory_budget)
 
 
 def lift_solution(orb: OrbitSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
@@ -568,14 +624,15 @@ def stats(
 
 def extract_certificate(
     F: PolySystem,
-    asm: AssembledSystem,
+    asm: Union[AssembledSystem, OrbitSystem],
     solution: Sequence[int],
     target: Polynomial,
     provenance: Optional[dict] = None,
 ) -> Certificate:
-    """Turn a solution over asm's columns into multipliers:
-    beta_i = sum y_(i,delta) x^delta.  Only the shifts whose coefficient is
-    nonzero are unpacked."""
+    """Turn a solution over the full columns asm.packed_cols (of an
+    assembled system, or of an orbit system's lifted solution) into
+    multipliers: beta_i = sum y_(i,delta) x^delta.  Only the shifts whose
+    coefficient is nonzero are unpacked."""
     if len(asm.packed_cols) != len(solution):
         raise AssembleError("solution length does not match the system's columns")
     unpack = asm.packing.unpack
@@ -619,14 +676,14 @@ def nulla_prove(
     """Search the degree schedule for a certificate; first hit wins.
 
     At each degree the systems are tried in one order: the core's (if
-    given), then F's.  Each is assembled once, and every target candidate
-    is a separate right-hand side of one elimination pass.  With perms, F and
-    every target must be invariant under the group (SymmetryError
-    otherwise); a system is solved collapsed to orbits, and in full too
-    unless the group order is known coprime to p, since only then is an
-    inconsistent orbit solve conclusive.  Each solve gets its own
-    DegreeStats.  The first consistent solve is lifted onto the full
-    columns (orbit), extracted and re-verified by expansion before
+    given), then F's; every target candidate is a separate right-hand side
+    of one elimination pass.  With perms, F and every target must be
+    invariant under the group (SymmetryError otherwise); a system is solved
+    as its orbit system, and assembled and solved in full only when that is
+    inconsistent and the group order is not known coprime to p: only a
+    coprime order makes an inconsistent orbit solve conclusive.  Each solve
+    gets its own DegreeStats.  The first consistent solve is lifted onto
+    the full columns (orbit), extracted and re-verified by expansion before
     "infeasible" is returned; failure there is a solver bug and raises.
 
     root, over GF(2) only, is a candidate common root of F with one
@@ -668,6 +725,7 @@ def nulla_prove(
     if perms is not None:
         maps = check_invariant(F, targets, perms)
         order = group_order(perms)
+    kinds = ("full",) if perms is None else ("orbit", "full")
 
     per_degree: List[DegreeStats] = []
     for d in schedule:
@@ -678,10 +736,11 @@ def nulla_prove(
             per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
             continue
         for F_s, note in tried:
-            asm = assemble(F_s, d, targets, pruning, memory_budget)
-            orb = None if perms is None else _collapse(asm, perms, maps, order)
-            # an inconsistent orbit solve is conclusive only for a coprime order
-            for part in [asm] if orb is None else [orb] if orb.coprime_verified else [orb, asm]:
+            for kind in kinds:
+                if kind == "orbit":
+                    part = _orbit_system(F_s, d, targets, perms, maps, order, pruning, memory_budget)
+                else:
+                    part = assemble(F_s, d, targets, pruning, memory_budget)
                 system = part.system
                 results = solve_multi_rhs(system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)
@@ -690,14 +749,18 @@ def nulla_prove(
                 per_degree.append(DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis))
                 t0 = time.perf_counter()
                 if hit is None:
+                    # an inconsistent orbit solve is conclusive for a coprime
+                    # order; only an inconclusive one has the full system built
+                    if kind == "orbit" and part.coprime_verified:
+                        break
                     continue
                 sol = results[hit].solution
                 sym_desc = None
-                if part is orb:
-                    sol = lift_solution(orb, sol)
+                if kind == "orbit":
+                    sol = lift_solution(part, sol)
                     sym_desc = [list(gen) for gen in perms.generators]
                 prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": pruning, **note}
-                cert = extract_certificate(F_s, asm, sol, targets[hit], prov)
+                cert = extract_certificate(F_s, part, sol, targets[hit], prov)
                 if not verify(cert):
                     raise AssembleError("internal error: extracted certificate failed re-verification")
                 return NullaOutcome("infeasible", cert, d, tuple(per_degree))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import List, Optional, Sequence, Set, Tuple
 
 from nullcert.certificate import CertificateError, read_cert, verify, write_cert
@@ -114,6 +115,18 @@ def parse_gen_spec(spec: str, seed: Optional[int]) -> Tuple[Graph, str]:
     )
 
 
+def _read_text(path: str) -> str:
+    """A file's contents decoded as UTF-8; bytes that are not raise CliError
+    naming the file and the offset.  The parsers split lines with
+    str.splitlines, so line endings need no translation."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _fingerprint(text: str) -> str:
     import hashlib
 
@@ -127,15 +140,20 @@ def load_graph(args: argparse.Namespace) -> Tuple[Graph, dict]:
         meta = {"kind": "gen", "spec": canon, "sha256": _fingerprint(write_dimacs(graph))}
         return graph, meta
     assert args.input is not None
-    with open(args.input) as fh:
-        graph = parse_dimacs(fh.read())
+    text = _read_text(args.input)
+    # parse_dimacs warns of a header edge count that disagrees with the
+    # edges; the command line says so in one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = parse_dimacs(text)
+    for w in caught:
+        print(f"note: {args.input}: {w.message}", file=sys.stderr)
     return graph, {"kind": "dimacs", "sha256": _fingerprint(write_dimacs(graph))}
 
 
 def load_system_file(path: str, p: int) -> Tuple[PolySystem, dict]:
     """Read a generic system: one "tag polynomial" per line, '#' comments."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     tagged: List[Tuple[str, str]] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
@@ -259,8 +277,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     targets = build_targets(args, F.field, F.n_vars)
     perms = None
     if args.symmetry:
-        with open(args.symmetry) as fh:
-            perms = parse_generators(fh.read(), F.n_vars)
+        perms = parse_generators(_read_text(args.symmetry), F.n_vars)
     # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
     # common root of the GF(2) encoding; nulla_prove checks it once.  The
     # vertices a refutation touched seed the core, so G is searched once.
@@ -307,8 +324,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(args.cert_path) as fh:
-            text = fh.read()
+        text = _read_text(args.cert_path)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -69,7 +69,8 @@ def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS .col text: `c` comments, one `p edge <n> <m>`, `e <u> <v>` lines.
 
     Duplicate edges and both orientations collapse; a declared edge count
-    that disagrees with the distinct-edge count warns but does not fail.
+    that disagrees with the distinct-edge count warns (UserWarning; the
+    command line turns it into one `note:` line) but does not fail.
     """
     n_vertices: Optional[int] = None
     declared_m: Optional[int] = None

@@ -2,10 +2,11 @@
 
 A permutation group acting on the variables permutes the rows (monomials)
 and columns (shifted polynomials) of the certificate system; nullcert.assemble
-collapses that system to orbits (assemble_orbit, and nulla_prove given
+builds that system's orbit system (assemble_orbit, and nulla_prove given
 perms).  This module supplies the group: generators parsed from cycle
 notation, the group order (whose coprimality to p makes an inconsistent
-orbit system conclusive), and the invariance check the collapse rests on.
+orbit system conclusive), and the invariance check the orbit system rests
+on.
 
 Invariance is checked, never assumed: a generator that maps a polynomial of
 the system outside it, or moves a target, raises SymmetryError.

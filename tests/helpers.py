@@ -1,6 +1,6 @@
 """Shared test-only oracles: monomials as index tuples, polynomial product
-and evaluation, GF(4) evaluation, checked hand-built linear systems, and
-dense reference eliminators.
+and evaluation, GF(4) evaluation, checked hand-built linear systems, dense
+reference eliminators, and a reference orbit fold.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  GF3_DEGREE3 is one input system
@@ -10,10 +10,11 @@ that more than one test module solves.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert import linsolve
-from nullcert.poly import FieldSpec, Monomial, PolyError, Polynomial
+from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 
 # ---------------------------------------------------------------------------
 # Monomials as index tuples; polynomial product and evaluation over GF(p),
@@ -26,15 +27,16 @@ def expanded(m: Monomial) -> Tuple[int, ...]:
 
 
 def row_monomials(asm, indices: Optional[Iterable[int]] = None) -> List[Monomial]:
-    """An AssembledSystem's row keys unpacked, or only those at indices (an
-    OrbitSystem's row_reps, say)."""
+    """An AssembledSystem's or OrbitSystem's row keys unpacked, or only those
+    at indices."""
     rows = asm.packed_rows
     return [asm.packing.unpack(rows[r]) for r in (range(len(rows)) if indices is None else indices)]
 
 
 def columns(asm, indices: Optional[Iterable[int]] = None) -> List[Tuple[int, Monomial]]:
-    """(poly index, shift) of an AssembledSystem's columns, shift unpacked,
-    or only of those at indices (an OrbitSystem's col_reps, say)."""
+    """(poly index, shift) of the full columns of an AssembledSystem or
+    OrbitSystem, shift unpacked, or only of those at indices (an
+    OrbitSystem's col_reps, say)."""
     cols = asm.packed_cols
     return [
         (cols[j][0], asm.packing.unpack(cols[j][1]))
@@ -174,6 +176,66 @@ def ref_solve_dense(
     for row_idx, c in enumerate(pivot_cols):
         solution[c] = aug[row_idx][n_cols]
     return "consistent", solution, pivot_cols
+
+
+# ---------------------------------------------------------------------------
+# Reference orbit fold: union-find over an assembled system's rows and
+# columns, renaming unpacked monomials and polynomials, never packed ints.
+
+
+def orbit_fold(F: PolySystem, asm, perms) -> SimpleNamespace:
+    """The orbit system of asm, the degree-d system of F, under perms: rows,
+    rhs_list, row_keys (packed representative rows), col_reps and
+    col_orbit_index, with representatives the least full-system indices and
+    entries summed over column-orbit members mod p.  A row or column whose
+    image is missing raises KeyError."""
+    first: Dict[Polynomial, int] = {}
+    for i, f in enumerate(F.polys):
+        first.setdefault(f, i)
+    unpack = asm.packing.unpack
+    rows = [unpack(x) for x in asm.packed_rows]
+    cols = [(i, unpack(delta)) for i, delta in asm.packed_cols]
+    row_at = {m: r for r, m in enumerate(rows)}
+    col_at = {c: j for j, c in enumerate(cols)}
+    row_parent = list(range(len(rows)))
+    col_parent = list(range(len(cols)))
+
+    def find(parent, a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def union(parent, a, b):
+        a, b = find(parent, a), find(parent, b)
+        parent[max(a, b)] = min(a, b)
+
+    for gen in perms.generators:
+        def rename(m):
+            return Monomial.make([(gen[v], e) for v, e in m.exponents], m.n_vars)
+
+        poly_image = [first[f.renamed(gen)] for f in F.polys]
+        for r, m in enumerate(rows):
+            union(row_parent, r, row_at[rename(m)])
+        for j, (i, delta) in enumerate(cols):
+            union(col_parent, j, col_at[(poly_image[i], rename(delta))])
+
+    row_reps = sorted({find(row_parent, r) for r in range(len(rows))})
+    col_reps = sorted({find(col_parent, j) for j in range(len(cols))})
+    col_orbit_index = tuple(col_reps.index(find(col_parent, j)) for j in range(len(cols)))
+    p = F.field.p
+    orbit_rows = []
+    for r in row_reps:
+        acc: Dict[int, int] = {}
+        for c, v in asm.system.rows[r]:
+            acc[col_orbit_index[c]] = acc.get(col_orbit_index[c], 0) + v
+        orbit_rows.append(tuple(sorted((o, v % p) for o, v in acc.items() if v % p)))
+    return SimpleNamespace(
+        rows=tuple(orbit_rows),
+        rhs_list=[[rhs[r] for r in row_reps] for rhs in asm.rhs_list],
+        row_keys=tuple(asm.packed_rows[r] for r in row_reps),
+        col_reps=tuple(col_reps),
+        col_orbit_index=col_orbit_index,
+    )
 
 
 def random_dense_system(rng, p, max_rows=20, max_cols=20, density=0.4):

@@ -172,12 +172,12 @@ def test_criterion_2(capsys):
         assert orb.system.n_rows == 9 and orb.system.n_cols == 9
         assert orb.group_order == 3 and orb.coprime_verified
 
-        row_labels = [mono_text(rep, F.field) for rep in row_monomials(orb.full, orb.row_reps)]
+        row_labels = [mono_text(rep, F.field) for rep in row_monomials(orb)]
         assert row_labels == [label for label, _ in K4_ORBIT_ROWS_MOD2]
         # the table's columns are the orbits of these full columns; each
         # maps to the orbit column it lies in, one table column per orbit
         table_cols = ["vertex:1 1"] + [f"edge:{uv} x{t}" for uv in ("1-2", "2-3") for t in (1, 2, 3, 4)]
-        full_pos = {f"{F.tags[i]} {mono_text(shift, F.field)}": j for j, (i, shift) in enumerate(columns(orb.full))}
+        full_pos = {f"{F.tags[i]} {mono_text(shift, F.field)}": j for j, (i, shift) in enumerate(columns(orb))}
         to_orbit = [orb.col_orbit_index[full_pos[label]] for label in table_cols]
         assert sorted(to_orbit) == list(range(9))
         # representatives are the least full columns of their orbits
@@ -189,7 +189,7 @@ def test_criterion_2(capsys):
         res = solve(orb.system)
         assert res.consistent
         lifted = lift_solution(orb, res.solution)
-        cert = extract_certificate(F, orb.full, lifted, one)
+        cert = extract_certificate(F, orb, lifted, one)
         assert verify(cert)
 
         # the unpreprocessed encoding stays invariant too; its vertex columns
@@ -200,7 +200,7 @@ def test_criterion_2(capsys):
         res_full = solve(orb_full.system)
         assert res_full.consistent
         cert_full = extract_certificate(
-            F_full, orb_full.full, lift_solution(orb_full, res_full.solution), one
+            F_full, orb_full, lift_solution(orb_full, res_full.solution), one
         )
         assert verify(cert_full)
 

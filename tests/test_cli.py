@@ -343,6 +343,17 @@ def test_encode_preprocess_and_cutters(capsys):
     assert "cutter:1-2-3 " in out
 
 
+def test_dimacs_header_mismatch_is_one_note(tmp_path, capsys):
+    _, dimacs, _ = run(capsys, "gen", "complete:4")
+    good, bad = tmp_path / "k4.col", tmp_path / "k4-nine.col"
+    good.write_text(dimacs)
+    bad.write_text(dimacs.replace("p edge 4 6", "p edge 4 9"))
+    rc, out, err = run(capsys, "prove", "--input", str(bad))
+    assert rc == 0
+    assert err == f"note: {bad}: DIMACS header declares 9 edges, found 6 distinct\n"
+    assert (rc, out, "") == run(capsys, "prove", "--input", str(good))
+
+
 def test_encode_from_dimacs_file_matches_gen(tmp_path, capsys):
     _, dimacs, _ = run(capsys, "gen", "complete:3")
     path = tmp_path / "k3.col"
@@ -602,6 +613,68 @@ def test_symmetry_noncoprime_k4_falls_back_to_full(swap_file, tmp_path, capsys):
     cert = read_cert(cert_path.read_text())
     assert verify(cert)
     assert cert.provenance["symmetry"] is None
+
+
+def test_full_system_is_assembled_only_for_an_undecided_orbit_solve(
+    rotation_file, swap_file, capsys, monkeypatch
+):
+    real, calls = asm.assemble, []
+
+    def counted(F, d, *args, **kwargs):
+        calls.append(d)
+        return real(F, d, *args, **kwargs)
+
+    monkeypatch.setattr(asm, "assemble", counted)
+    # the rotation's order 3 is coprime to 2: the orbit solve decides alone
+    rc, out, _ = run(capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file)
+    assert rc == 0 and calls == []
+    assert [l.split(" millis=")[0] for l in out.splitlines()[:1]] == [
+        "degree=1 rows=9 cols=10 nnz=26 status=consistent"
+    ]
+    # the swap's order 2 is not: the orbit line, then the full system's,
+    # assembled once, after the orbit solve came out inconsistent
+    rc, out, _ = run(capsys, "prove", "--gen", "complete:4", "--symmetry", swap_file)
+    assert rc == 0 and calls == [1]
+    assert [l.split(" millis=")[0] for l in out.splitlines()[:2]] == [
+        "degree=1 rows=14 cols=17 nnz=37 status=inconsistent",
+        "degree=1 rows=21 cols=28 nnz=80 status=consistent",
+    ]
+
+
+# The least --memory-budget each run passes, and the refusal below it, as
+# printed while the orbit system was folded from the assembled full system
+@pytest.mark.parametrize(
+    "argv, threshold, refusals",
+    [
+        (
+            ("--gen", "complete:4", "--symmetry", "rot.txt"),
+            168,
+            {0: "32 bytes for a 4 x 28", 56: "168 bytes for a 21 x 28", 167: "168 bytes for a 21 x 28"},
+        ),
+        (
+            ("--gen", "complete:4", "--symmetry", "swap.txt"),
+            168,
+            {1: "32 bytes for a 4 x 28", 84: "168 bytes for a 21 x 28", 167: "168 bytes for a 21 x 28"},
+        ),
+        (
+            ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
+            1824,
+            {0: "128 bytes for a 8 x 120", 912: "1824 bytes for a 114 x 120", 1823: "1824 bytes for a 114 x 120"},
+        ),
+    ],
+    ids=["rotation", "swap-fallback", "wheel7-rotation"],
+)
+def test_symmetry_budget_refuses_where_the_full_system_would(argv, threshold, refusals, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rot.txt").write_text("(2,3,4)\n")
+    (tmp_path / "swap.txt").write_text("(1,2)\n")
+    (tmp_path / "rim7.txt").write_text("(1,2,3,4,5,6,7)\n")
+    for budget, sizes in refusals.items():
+        rc, out, err = run(capsys, "prove", *argv, "--memory-budget", str(budget))
+        message = f"error: predicted working set {sizes} system exceeds the {budget} byte budget\n"
+        assert (rc, out, err) == (2, "", message)
+    rc, _, err = run(capsys, "prove", *argv, "--memory-budget", str(threshold))
+    assert (rc, err) == (0, "")
 
 
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):

@@ -175,3 +175,34 @@ def test_fuzz_command_line(command, seeds, tmp_path, capsys):
         else:
             assert err == ""
     assert 2 in codes
+
+
+# Byte sequences that are not UTF-8: a byte never used, a lead byte cut
+# short or followed by ASCII, a lone continuation byte, an encoded surrogate.
+NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80")
+
+
+@pytest.mark.parametrize(
+    "command, seeds",
+    [
+        (["stats", "--degree", "1", "--p", "3", "--system"], [QUADRIC, GF3_DEGREE3]),
+        (["encode", "--input"], [write_dimacs(gen_wheel(5))]),
+        (["prove", "--gen", "wheel:5", "--symmetry"], ["(1,2,3,4,5)", "(1,5)(2,4)"]),
+        (["verify"], None),
+    ],
+    ids=["stats-system", "encode-input", "prove-symmetry", "verify"],
+)
+def test_non_utf8_input_names_the_file(command, seeds, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    seeds = seeds or certificates()
+    rng = random.Random(11)
+    for _ in range(10):
+        data = rng.choice(seeds).encode()
+        i = rng.randrange(len(data) + 1)
+        path.write_bytes(data[:i] + rng.choice(NOT_UTF8) + data[i:])
+        rc = main([*command, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1, err
+    if command[0] == "stats":
+        with pytest.raises(CliError, match="not UTF-8 text"):
+            load_system_file(str(path), 3)

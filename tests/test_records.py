@@ -101,8 +101,8 @@ RECORDS = {
         "column key count does not match system width",
     ),
     OrbitSystem: (
-        lambda: OrbitSystem(sparse(), ((1,),), assembled(), (0,), (0, 1), (0, 1), 2, True),
-        lambda: OrbitSystem(sparse(), ((1,),), assembled(), (0,), (0, 1), (0, 1), 2),
+        lambda: OrbitSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), (0, 1), (0, 1), 2, True),
+        lambda: OrbitSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), (0, 1), (0, 1), 2),
         TypeError,
         "missing 1 required positional argument: 'coprime_verified'",
     ),

@@ -1,15 +1,17 @@
-"""Tests for permutation parsing, invariance, orbit collapse, and lifting."""
+"""Tests for permutation parsing, invariance, orbit systems, and lifting."""
+
+import random
 
 import pytest
 
-from helpers import columns, expanded, row_monomials
-from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution
+from helpers import columns, expanded, orbit_fold, row_monomials
+from nullcert.assemble import _orbit_system, assemble, assemble_orbit, extract_certificate, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_wheel
-from nullcert.linsolve import solve
-from nullcert.poly import FieldSpec, Polynomial, parse_poly
-from nullcert.symmetry import PermutationSet, SymmetryError, group_order, parse_generators
+from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve
+from nullcert.poly import FieldSpec, PolySystem, Polynomial, parse_poly
+from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, group_order, parse_generators
 
 GF2 = FieldSpec(2)
 
@@ -103,14 +105,14 @@ def test_invariance_ground_set_mismatch():
 def test_k4_orbit_matrix_shape_and_keys():
     orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234, pruning="graded:3")
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 9)
-    assert [expanded(m) for m in row_monomials(orb.full, orb.row_reps)] == [
+    assert [expanded(m) for m in row_monomials(orb)] == [
         (), (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2),
         (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 3),
     ]
     # shift-major representatives: the vertex constant, edges 1-2 and 2-3
     # times x1, then the six orbits of edge shifts by x2 (each edge times
     # x2, x3 or x4 lies in one of them)
-    assert [(i, expanded(shift)) for i, shift in columns(orb.full, orb.col_reps)] == [
+    assert [(i, expanded(shift)) for i, shift in columns(orb, orb.col_reps)] == [
         (0, ()), (1, (0,)), (4, (0,)),
         (1, (1,)), (2, (1,)), (3, (1,)), (4, (1,)), (5, (1,)), (6, (1,)),
     ]
@@ -139,7 +141,7 @@ def test_k4_orbit_entries_are_full_matrix_sums():
     for r, cols in enumerate(orb.system.rows):
         for c, v in cols:
             orbit_dense[r][c] = v
-    row_orbits = row_monomials(orb.full, orb.row_reps)
+    row_orbits = row_monomials(orb)
     for r_pos, rep in enumerate(row_orbits):
         full_row = full_dense[row_pos[rep]]
         for c_pos in range(9):
@@ -167,7 +169,7 @@ def test_k4_orbit_solution_lifts_to_certificate():
     # constant on orbits by construction
     for j, oc in enumerate(orb.col_orbit_index):
         assert y[j] == res.solution[oc]
-    cert = extract_certificate(F, orb.full, y, g)
+    cert = extract_certificate(F, orb, y, g)
     assert verify(cert)
 
 
@@ -180,7 +182,7 @@ def test_full_encoding_orbit_system():
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 10)
     res = solve(orb.system)
     assert res.consistent
-    cert = extract_certificate(F, orb.full, lift_solution(orb, res.solution), g)
+    cert = extract_certificate(F, orb, lift_solution(orb, res.solution), g)
     assert verify(cert)
 
 
@@ -191,8 +193,8 @@ def test_identity_group_gives_plain_system():
     plain = assemble(F, 1, [g], pruning="graded:3")
     assert orb.system.rows == plain.system.rows
     assert orb.system.rhs == plain.system.rhs
-    assert row_monomials(orb.full, orb.row_reps) == row_monomials(plain)
-    assert columns(orb.full, orb.col_reps) == columns(plain)
+    assert row_monomials(orb) == row_monomials(plain)
+    assert columns(orb, orb.col_reps) == columns(plain)
     assert orb.group_order == 1 and orb.coprime_verified
     ybar = tuple(range(orb.system.n_cols))
     assert lift_solution(orb, ybar) == ybar
@@ -251,5 +253,84 @@ def test_wheel_rim_rotation_positive_case():
     assert orb.system.n_cols < assemble(F, 1, [g], pruning="graded:3").system.n_cols
     res = solve(orb.system)
     assert res.consistent
-    cert = extract_certificate(F, orb.full, lift_solution(orb, res.solution), g)
+    cert = extract_certificate(F, orb, lift_solution(orb, res.solution), g)
     assert verify(cert)
+
+
+def rim_rotation(rim, step):
+    """Rotation of wheel:rim's rim by step places, the hub fixed."""
+    return tuple((v + step) % rim for v in range(rim)) + (rim,)
+
+
+def fold_cases():
+    """(F, degree, targets, perms, pruning) for the orbit build's equivalence
+    with the reference fold.  Each target is fixed by its group; x^6 terms lie
+    beyond every product, so their rows form orbits of target monomials."""
+    rng = random.Random(18)
+    for rim in range(5, 16):
+        F = encode_coloring(gen_wheel(rim), EncodingOptions())
+        n = rim + 1
+        gens = [rim_rotation(rim, rng.randrange(1, rim)) for _ in range(rng.choice((1, 2)))]
+        perms = PermutationSet.make(n, gens)
+        outer = " + ".join(f"x{v}^6" for v in range(1, rim + 1))
+        targets = [Polynomial.one(GF2, n), parse_poly(f"x{n}^3", GF2, n), parse_poly(outer, GF2, n)]
+        name = f"wheel:{rim} steps {','.join(str(gen[0]) for gen in gens)}"
+        yield pytest.param(F, 1, targets, perms, "graded:3", id=f"{name} d1 graded:3")
+        yield pytest.param(F, 2, targets, perms, "occurring", id=f"{name} d2 occurring")
+    for n in (4, 5):
+        F = encode_coloring(gen_complete(n), EncodingOptions())
+        cubes = parse_poly(" + ".join(f"x{v}^3" for v in range(1, 5)), GF2, n)
+        for cycle in ("(1,2)", "(1,2,3,4)"):
+            perms = parse_generators(cycle, n)
+            for d in (1, 2):
+                for pruning in ("graded:3", "occurring"):
+                    targets = [Polynomial.one(GF2, n), cubes]
+                    yield pytest.param(F, d, targets, perms, pruning, id=f"complete:{n} {cycle} d{d} {pruning}")
+    gf3 = FieldSpec(3)
+    texts = [
+        "x1^2+2", "x2^2+2", "x3^2+2", "x1+x2", "x2+x3", "x1+x3",
+        "x1*x2+2*x3", "x2*x3+2*x1", "x1*x3+2*x2",
+    ]
+    F = PolySystem.make(gf3, 3, [parse_poly(t, gf3, 3) for t in texts])
+    targets = [Polynomial.one(gf3, 3), parse_poly("2*x1*x2*x3+x1^2+x2^2+x3^2+2*x1^5+2*x2^5+2*x3^5", gf3, 3)]
+    for d in (1, 2):
+        perms = parse_generators("(1,2,3)", 3)
+        yield pytest.param(F, d, targets, perms, "occurring", id=f"gf3 (1,2,3) d{d} occurring")
+
+
+@pytest.mark.parametrize("F, d, targets, perms, pruning", fold_cases())
+def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
+    maps = check_invariant(F, targets, perms)
+    orb = _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, None)
+    full = assemble(F, d, targets, pruning)
+    ref = orbit_fold(F, full, perms)
+    assert orb.system.rows == ref.rows
+    assert orb.rhs_list == ref.rhs_list
+    assert orb.system.rhs == tuple(ref.rhs_list[0])
+    assert orb.packed_rows == ref.row_keys
+    assert orb.col_reps == ref.col_reps
+    assert orb.col_orbit_index == ref.col_orbit_index
+    assert orb.packed_cols == full.packed_cols
+    assert (orb.system.n_rows, orb.system.n_cols) == (len(ref.rows), len(ref.col_reps))
+    # the walks count the full system exactly: a budget one byte short of
+    # its working set refuses it, naming its sizes
+    rows, cols = full.system.n_rows, full.system.n_cols
+    need = packed_bytes(rows, cols, F.field.p)
+    _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, need)
+    with pytest.raises(MemoryBudgetError, match=f"for a {rows} x {cols} system"):
+        _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, need - 1)
+
+
+def test_orbit_build_checks_closure():
+    # a generator map sending a vertex polynomial (kept at shift degree 0)
+    # to an edge polynomial (kept at shift degree 1) leaves the column set
+    F = k4_full()
+    g = Polynomial.one(GF2, 4)
+    maps = check_invariant(F, [g], ROT234)
+    bad = [[4] + row[1:] for row in maps]
+    with pytest.raises(SymmetryError, match="column set is not closed"):
+        _orbit_system(F, 1, [g], ROT234, bad, 3, "graded:3", None)
+    # a target monomial beyond every product whose image is no target monomial
+    moved = parse_poly("x2^6", GF2, 4)
+    with pytest.raises(SymmetryError, match="row universe is not closed"):
+        _orbit_system(F, 1, [moved], ROT234, maps, 3, "graded:3", None)
