@@ -9,11 +9,29 @@ of that system is exactly certificate existence at degree d.
 
 nulla_prove is the one degree loop.  At each degree it tries the core's
 system (if any), then F's.  Given a group, each is built as its orbit
-system, and assembled in full only when the orbit solve is inconsistent and
-the group order is not known coprime to p; without one it is assembled in
-full.  Each solve gets one DegreeStats.  The first consistent solve is
-lifted (orbit), extracted and re-verified.  A degree refuted by a root is
-only counted (see below).
+system, and assembled only when the orbit solve is inconsistent and the
+group order is not known coprime to p; without one it is assembled.  An
+assembled system is peeled (below) before it is solved.  Each solve gets
+one DegreeStats, with the full system's sizes.  The first consistent solve
+is lifted (orbit), extracted and re-verified.  A degree refuted by a root
+is only counted (see below).
+
+Peeling: a row monomial that is no target's and that exactly one column
+produces forces that column to zero in every solution.  _peel drops such a
+column, which lowers the count of its other products, and so on until no
+such row is left; only the surviving columns, and the rows they or the
+targets reach, are filed.  It is exact: the forced column's unit vector
+lies in the row space, so that column is a pivot, and every other column is
+a pivot of the peeled system exactly when it is one of the full system.
+Consistency per rhs is unchanged, and so is the free-variables-zero
+solution, with the peeled columns at zero, and with it the certificate.
+Each row names its column through the sum of its live products' columns,
+so the cascade costs what the dropped columns' products do, and no stop
+rule is needed.  The products are counted in the blocks filing uses and
+the budget is checked after each block on the full counts, so every
+refusal and its message are those of the full system.  On wheel:101 at
+degree 1 the 25,353 x 20,605 system peels to 1,012 x 1,112, the
+certificate's neighbourhood; assemble() still builds the full system.
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -86,15 +104,15 @@ Pruning modes:
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import combinations_with_replacement, islice
+from itertools import accumulate, combinations_with_replacement, compress, islice
 from math import comb, gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
-from nullcert.poly import Monomial, PolySystem, Polynomial, Record, set_field
+from nullcert.poly import FieldSpec, Monomial, PolySystem, Polynomial, Record, set_field
 from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, group_order
 
 
@@ -176,7 +194,9 @@ class AssembledSystem(Record):
     Keys stay packed by packing: a column is (poly index, packed shift), a
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
     more than the degrees that find nothing, so packing.unpack is applied
-    only where a Monomial is needed.
+    only where a Monomial is needed.  In a peeled system (nulla_prove's),
+    packed_cols and packed_rows are the surviving subsets, in the full
+    system's order.
     """
 
     __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows")
@@ -390,22 +410,74 @@ def _sizes(
     return len(rows), cols, nnz
 
 
-def assemble(
+def _peel(
+    field: FieldSpec,
+    cols: Iterator[Tuple[int, int]],
+    polys_at: List[List[int]],
+    shifts: List[List[int]],
+    poly_terms: List[Tuple[Tuple[int, int], ...]],
+    target_rows: Set[int],
+    memory_budget: Optional[int],
+) -> Tuple[List[Tuple[int, int]], Tuple[int, int, int]]:
+    """The columns of cols, numbered by _layout's polys_at and shifts, that
+    peeling leaves (see the module docstring), and the full system's (rows,
+    cols, nnz), with the budget checked where filing checks it."""
+    starts = list(accumulate((len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts)), initial=0))
+    n_cols = starts[-1]
+
+    def column(j: int) -> Tuple[int, int]:
+        deg = bisect_right(starts, j) - 1
+        k, r = divmod(j - starts[deg], len(polys_at[deg]))
+        return polys_at[deg][r], shifts[deg][k]
+
+    # per row monomial: its live products in the low 32 bits, the sum of
+    # their columns above; a row with one live product names its column
+    count = dict.fromkeys(target_rows, 0)
+    get = count.get
+    for start in range(0, n_cols + 1, _BUDGET_BLOCK):
+        for j, (i, delta) in enumerate(islice(cols, _BUDGET_BLOCK), start):
+            one = j << 32 | 1
+            for t, _ in poly_terms[i]:
+                m = delta + t
+                count[m] = get(m, 0) + one
+        _check_budget(field, len(count), n_cols, memory_budget)
+    nnz = sum(len(poly_terms[i]) * len(deltas) for kept, deltas in zip(polys_at, shifts) for i in kept)
+    sizes = len(count), n_cols, nnz
+    mask = (1 << 32) - 1
+    queue = [m for m, v in count.items() if v & mask == 1 and m not in target_rows]
+    live = bytearray(b"\1") * n_cols
+    for m in queue:  # grows while it is read
+        j, left = divmod(count[m], 1 << 32)
+        if left == 1:
+            live[j] = 0
+            i, delta = column(j)
+            one = j << 32 | 1
+            for t, _ in poly_terms[i]:
+                m = delta + t
+                left = count[m] = count[m] - one
+                if left & mask == 1 and m not in target_rows:
+                    queue.append(m)
+    return [column(j) for j in compress(range(n_cols), live)], sizes
+
+
+def _assemble(
     F: PolySystem,
     d: int,
     targets: Sequence[Polynomial],
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-) -> AssembledSystem:
-    """Build the degree-d system once, with one rhs vector per target.
-
-    The row universe covers every target's monomials, so the rhs vectors
-    are interchangeable on the same matrix.  Columns are numbered (shift
-    degree, shift, poly index); see the module docstring.
-    """
+    pruning: str,
+    memory_budget: Optional[int],
+    peel: bool,
+) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
+    """assemble's system, peeled if peel is set, and the full system's
+    (rows, cols, nnz)."""
     packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     cols = ((i, delta) for kept, deltas in zip(polys_at, shifts) if kept for delta in deltas for i in kept)
     n_cols = sum(len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts))
+    target_rows = {packing.pack(m) for g in targets for m, _ in g.terms}
+    sizes = None
+    if peel:
+        live, sizes = _peel(F.field, cols, polys_at, shifts, poly_terms, target_rows, memory_budget)
+        cols, n_cols = iter(live), len(live)
 
     # One pass files each product x^delta * t under its row monomial.
     # Columns are visited in order and the terms of one f_i have distinct
@@ -416,7 +488,7 @@ def assemble(
     # after each block of columns: a degree far over budget fails early,
     # not after every product is filed.  The last block is short, maybe
     # empty, so the last check is on the final counts, with or without columns.
-    rows = defaultdict(list, {packing.pack(m): [] for g in targets for m, _ in g.terms})
+    rows = defaultdict(list, {m: [] for m in target_rows})
     packed_cols: List[Tuple[int, int]] = []
     for start in range(0, n_cols + 1, _BUDGET_BLOCK):
         block = list(islice(cols, _BUDGET_BLOCK))
@@ -440,7 +512,27 @@ def assemble(
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
     system = SparseSystem(F.field, len(packed_rows), n_cols, tuple(entries), tuple(rhs_list[0]))
-    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows))
+    sizes = sizes or (system.n_rows, system.n_cols, system.nnz)
+    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows)), sizes
+
+
+def assemble(
+    F: PolySystem,
+    d: int,
+    targets: Sequence[Polynomial],
+    pruning: str = "occurring",
+    memory_budget: Optional[int] = None,
+) -> AssembledSystem:
+    """Build the degree-d system once, with one rhs vector per target.
+
+    The row universe covers every target's monomials, so the rhs vectors
+    are interchangeable on the same matrix.  Columns are numbered (shift
+    degree, shift, poly index); see the module docstring.
+
+    This is the full system; nulla_prove solves it peeled (see "Peeling"
+    in the module docstring).
+    """
+    return _assemble(F, d, targets, pruning, memory_budget, False)[0]
 
 
 def _orbit_system(
@@ -681,10 +773,12 @@ def nulla_prove(
     invariant under the group (SymmetryError otherwise); a system is solved
     as its orbit system, and assembled and solved in full only when that is
     inconsistent and the group order is not known coprime to p: only a
-    coprime order makes an inconsistent orbit solve conclusive.  Each solve
-    gets its own DegreeStats.  The first consistent solve is lifted onto
-    the full columns (orbit), extracted and re-verified by expansion before
-    "infeasible" is returned; failure there is a solver bug and raises.
+    coprime order makes an inconsistent orbit solve conclusive.  An
+    assembled system is solved peeled (see the module docstring).  Each
+    solve gets its own DegreeStats, with the full system's sizes.  The
+    first consistent solve is lifted onto the full columns (orbit),
+    extracted and re-verified by expansion before "infeasible" is returned;
+    failure there is a solver bug and raises.
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
@@ -739,14 +833,14 @@ def nulla_prove(
             for kind in kinds:
                 if kind == "orbit":
                     part = _orbit_system(F_s, d, targets, perms, maps, order, pruning, memory_budget)
+                    sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
-                    part = assemble(F_s, d, targets, pruning, memory_budget)
-                system = part.system
-                results = solve_multi_rhs(system, part.rhs_list)
+                    part, sizes = _assemble(F_s, d, targets, pruning, memory_budget, True)
+                results = solve_multi_rhs(part.system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)
                 status = "inconsistent" if hit is None else "consistent"
                 millis = int((time.perf_counter() - t0) * 1000)
-                per_degree.append(DegreeStats(d, system.n_rows, system.n_cols, system.nnz, status, millis))
+                per_degree.append(DegreeStats(d, *sizes, status, millis))
                 t0 = time.perf_counter()
                 if hit is None:
                     # an inconsistent orbit solve is conclusive for a coprime

@@ -4,16 +4,16 @@ Each subcommand reads its argparse namespace directly; prove hands the whole
 search, symmetry reduction included, to one nulla_prove call.
 
 A process imports only what its subcommand runs: verify and --help need
-argparse and nullcert.certificate (with nullcert.poly) alone; hashlib is
-imported by the one function that hashes.  The prove stack (assemble,
-linsolve, encode, graphs and symmetry) is bound into this module's globals
-by _load_prover, which each function that uses it calls first, or by the
-module __getattr__ when code outside reads one of its names, e.g.
-cli.nulla_prove.  Those names are module globals, not
-imports local to a function, because perfbench/tracing.py wraps them on
-this module and tests monkeypatch them; the commands look them up there,
-and _load_prover never replaces a name that is already bound, so the
-wrapper or the patch is what runs.
+argparse and nullcert.certificate (with nullcert.poly) alone; the one
+function that hashes imports the interpreter's builtin sha256, not hashlib,
+which loads OpenSSL.  The prove stack (assemble, linsolve, encode, graphs
+and symmetry) is bound into this module's globals by _load_prover, which
+each function that uses it calls first, or by the module __getattr__ when
+code outside reads one of its names, e.g. cli.nulla_prove.  Those names are
+module globals, not imports local to a function, because
+perfbench/tracing.py wraps them on this module and tests monkeypatch them;
+the commands look them up there, and _load_prover never replaces a name
+that is already bound, so the wrapper or the patch is what runs.
 
 Exit codes: 0 success (prove: infeasibility certified; verify: certificate
 valid), 1 verification failure, 2 usage or input errors, 10 no certificate
@@ -128,9 +128,12 @@ def _read_text(path: str) -> str:
 
 
 def _fingerprint(text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(text.encode()).hexdigest()
+    # the interpreter's own sha256: hashlib's would load OpenSSL
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from _sha256 import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 def load_graph(args: argparse.Namespace) -> Tuple[Graph, dict]:

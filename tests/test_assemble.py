@@ -19,15 +19,16 @@ from nullcert.assemble import (
     stats,
 )
 from nullcert.certificate import CertEntry, Certificate, verify, write_cert
-from nullcert.encode import EncodingOptions, encode_coloring
+from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
 from nullcert.graphs import (
     Graph,
     find_coloring,
     gen_complete,
+    gen_mycielski,
     gen_random,
     gen_wheel,
 )
-from nullcert.linsolve import MemoryBudgetError, solve
+from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve, solve_multi_rhs
 from nullcert.poly import (
     FieldSpec,
     Monomial,
@@ -631,7 +632,7 @@ def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
     def no_assembly(*args, **kwargs):
         raise AssertionError("a refuted degree is counted, not assembled")
 
-    monkeypatch.setattr(asm, "assemble", no_assembly)
+    monkeypatch.setattr(asm, "_assemble", no_assembly)
     rooted = nulla_prove(
         F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3)
     )
@@ -717,3 +718,129 @@ def test_absent_variables_fixed_by_the_group_change_nothing(k, p, orbit_hit):
     assert compact.verdict == "infeasible"
     assert_same_outcome(compact, wide, images, wide_n)
     assert wide.certificate.provenance["symmetry"] == ([generator] if orbit_hit else None)
+
+
+# ---------------------------------------------------------------------------
+# Peeling: nulla_prove's build drops the columns forced to zero
+
+
+def assert_peel_matches_full(F, d, targets, pruning):
+    """The peeled build against assemble() + solve_multi_rhs: the same full
+    sizes, the same status per rhs, the same solution once the peeled
+    columns are put back at zero, and the same certificate bytes.  Returns
+    the peeled and the full AssembledSystem and each rhs's consistency."""
+    asys = assemble(F, d, targets, pruning)
+    peeled, sizes = asm._assemble(F, d, targets, pruning, None, True)
+    assert sizes == (asys.system.n_rows, asys.system.n_cols, asys.system.nnz)
+    at = {key: j for j, key in enumerate(asys.packed_cols)}
+    kept = [at[key] for key in peeled.packed_cols]
+    assert kept == sorted(set(kept))
+    full = solve_multi_rhs(asys.system, asys.rhs_list)
+    part = solve_multi_rhs(peeled.system, peeled.rhs_list)
+    assert [r.status for r in part] == [r.status for r in full]
+    for g, a, b in zip(targets, full, part):
+        if a.consistent:
+            padded = [0] * asys.system.n_cols
+            for j, v in zip(kept, b.solution):
+                padded[j] = v
+            assert tuple(padded) == a.solution
+            assert write_cert(extract_certificate(F, peeled, b.solution, g)) == write_cert(
+                extract_certificate(F, asys, a.solution, g)
+            )
+    return peeled, asys, [r.consistent for r in full]
+
+
+def random_system(rng, field, n, count, top):
+    """count random polynomials in n variables, each with 1 to 6 distinct
+    monomials of degree <= top and nonzero coefficients."""
+    monos = [m for m in monomials_up_to(n, top)]
+    return PolySystem.make(field, n, [
+        Polynomial.make(field, n, {m: rng.randrange(1, field.p) for m in rng.sample(monos, rng.randint(1, 6))})
+        for _ in range(count)
+    ])
+
+
+def peel_cases():
+    """(id, F, degree, targets, pruning), seeded."""
+    graph = EncodingOptions(preprocess=True)
+    for n in range(5, 32):
+        F = encode_coloring(gen_wheel(n), graph)
+        yield f"wheel{n}", F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3"
+    for k in (5, 6, 7):
+        F = encode_coloring(gen_mycielski(k), graph)
+        yield f"mycielski{k}", F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3"
+    for n in range(12, 17):
+        F = encode_coloring(gen_random(n, 0.27, n), graph)
+        for d in (1, 4):
+            yield f"gnp{n}-d{d}", F, d, [Polynomial.one(GF2, F.n_vars)], "graded:3"
+    rng = random.Random(2020)
+    for s in range(4):
+        F = random_system(rng, GF3, 8, 10, 2)
+        for d in (1, 2, 3):
+            yield f"gf3-{s}-d{d}", F, d, [Polynomial.one(GF3, 8)], "occurring"
+    F = PolySystem.make(GF3, 8, [parse_poly(line.split()[1], GF3, 8) for line in GF3_DEGREE3.splitlines()])
+    yield "gf3-degree3", F, 3, [Polynomial.one(GF3, 8)], "occurring"
+    GF5 = FieldSpec(5)
+    texts = ["4*x1^2+2*x1", "x3^2", "4*x1*x3+1", "3*x2"]
+    F = PolySystem.make(GF5, 3, [parse_poly(t, GF5, 3) for t in texts])
+    yield "gf5", F, 2, [Polynomial.one(GF5, 3)], "occurring"
+    # monomial targets, as --alt-g gives them: all of --alt-g auto:3's, and
+    # 1 with a sample of them, so that other rows still peel
+    for name, g in (("wheel5", gen_wheel(5)), ("wheel8", gen_wheel(8)), ("K4", gen_complete(4))):
+        F = encode_coloring(g, graph)
+        alts = [Polynomial.from_monomial(m, GF2) for m in alt_g_candidates(F.n_vars, 3)]
+        yield f"alt-g-auto-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + alts, "graded:3"
+        yield f"alt-g-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + rng.sample(alts, 6), "graded:3"
+
+
+def test_peeled_build_matches_the_full_system():
+    statuses, dropped = set(), 0
+    for case, F, d, targets, pruning in peel_cases():
+        try:
+            peeled, asys, consistent = assert_peel_matches_full(F, d, targets, pruning)
+        except AssertionError as e:
+            raise AssertionError(f"case {case}") from e
+        statuses.update(consistent)
+        dropped += peeled.system.n_cols < asys.system.n_cols
+    # both verdicts are compared, and most systems lose columns
+    assert statuses == {True, False} and dropped > 40
+
+
+def test_a_target_monomial_that_one_column_produces_is_kept():
+    # F = {x1}, target x1*x2: the certificate is x2 * x1, the one product
+    # under the target's row, while the rows x1 and x1^2 force their columns
+    # 1 and x1 to zero
+    F = PolySystem.make(GF2, 2, [parse_poly("x1", GF2, 2)])
+    g = parse_poly("x1*x2", GF2, 2)
+    peeled, asys, consistent = assert_peel_matches_full(F, 1, [g], "occurring")
+    assert consistent == [True]
+    assert asys.system.n_rows == 3 and asys.system.n_cols == 3
+    assert columns(peeled) == [(0, Monomial.make({1: 1}, 2))]
+    assert row_monomials(peeled) == [Monomial.make({0: 1, 1: 1}, 2)]
+
+
+def test_wheel101_peels_to_the_certificates_neighbourhood():
+    F = encode_coloring(gen_wheel(101), EncodingOptions(preprocess=True))
+    peeled, sizes = asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", None, True)
+    assert sizes == (25353, 20605, 61814)
+    assert (peeled.system.n_rows, peeled.system.n_cols) == (1012, 1112)
+
+
+@pytest.mark.parametrize("n", [31, 101])
+def test_budget_between_peeled_and_full_still_refuses(n):
+    # the budget is checked on the full system, block by block as filing
+    # checks it: wheel:101's 20,605 columns are five blocks, and the refusal
+    # comes in a middle one
+    F = encode_coloring(gen_wheel(n), EncodingOptions(preprocess=True))
+    one = [Polynomial.one(GF2, F.n_vars)]
+    peeled, (rows, cols, _) = asm._assemble(F, 1, one, "graded:3", None, True)
+    full = packed_bytes(rows, cols, 2)
+    budget = full - 1 if n == 31 else 21904992
+    assert packed_bytes(peeled.system.n_rows, peeled.system.n_cols, 2) < budget < full
+    with pytest.raises(MemoryBudgetError) as refused:
+        nulla_prove(F, [1], pruning="graded:3", memory_budget=budget)
+    with pytest.raises(MemoryBudgetError) as assembled:
+        assemble(F, 1, one, "graded:3", budget)
+    assert str(refused.value) == str(assembled.value)
+    assert refused.value.n_cols == cols
+    assert nulla_prove(F, [1], pruning="graded:3", memory_budget=full).verdict == "infeasible"

@@ -111,7 +111,7 @@ def no_assembly(*args, **kwargs):
 def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
     # random:16,0.27,0 is benchmark sweep16's first graph; these are the
     # sizes of the systems the degrees would assemble
-    monkeypatch.setattr(asm, "assemble", no_assembly)
+    monkeypatch.setattr(asm, "_assemble", no_assembly)
     rc, out, _ = run(capsys, "prove", "--gen", "random:16,0.27,0")
     assert rc == 10
     lines = out.splitlines()
@@ -141,7 +141,7 @@ def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
 )
 def test_counted_degrees_keep_validation_and_budget(capsys, monkeypatch, argv, message):
     # wheel:4 is 3-colorable, so its degrees are counted, never assembled
-    monkeypatch.setattr(asm, "assemble", no_assembly)
+    monkeypatch.setattr(asm, "_assemble", no_assembly)
     rc, out, err = run(capsys, "prove", "--gen", "wheel:4", *argv)
     assert (rc, out, err) == (2, "", message)
 
@@ -381,7 +381,7 @@ def test_stats_reports_predicted_and_actual(capsys):
 
 
 def test_stats_counts_without_assembly(capsys, monkeypatch):
-    monkeypatch.setattr(asm, "assemble", no_assembly)
+    monkeypatch.setattr(asm, "_assemble", no_assembly)
     rc, out, _ = run(capsys, "stats", "--gen", "random:16,0.27,0", "--degree", "4")
     assert rc == 0
     fields = dict(part.split("=") for part in out.splitlines()[1].split())
@@ -618,13 +618,14 @@ def test_symmetry_noncoprime_k4_falls_back_to_full(swap_file, tmp_path, capsys):
 def test_full_system_is_assembled_only_for_an_undecided_orbit_solve(
     rotation_file, swap_file, capsys, monkeypatch
 ):
-    real, calls = asm.assemble, []
+    # _assemble is the build of every full system nulla_prove solves
+    real, calls = asm._assemble, []
 
     def counted(F, d, *args, **kwargs):
         calls.append(d)
         return real(F, d, *args, **kwargs)
 
-    monkeypatch.setattr(asm, "assemble", counted)
+    monkeypatch.setattr(asm, "_assemble", counted)
     # the rotation's order 3 is coprime to 2: the orbit solve decides alone
     rc, out, _ = run(capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file)
     assert rc == 0 and calls == []
