@@ -13,8 +13,8 @@ system, and assembled only when the orbit solve is inconsistent and the
 group order is not known coprime to p; without one it is assembled.  An
 assembled system is peeled (below) before it is solved.  Each solve gets
 one DegreeStats, with the full system's sizes.  The first consistent solve
-is lifted (orbit), extracted and re-verified.  A degree refuted by a root
-is only counted (see below).
+is lifted (orbit), extracted and re-verified.  A verified common root
+ends the search before any system is built (see below).
 
 Peeling: a row monomial that is no target's and that exactly one column
 produces forces that column to zero in every solution.  _peel drops such a
@@ -58,20 +58,18 @@ shifts and of F's terms, and a representative row sums the coefficients of
 F's terms that divide it.  On wheel:101 under its rim rotation that builds
 253 x 206 where the full system is 25,353 x 20,706.
 
-Refuting every degree by a root (the weak Nullstellensatz direction the
-certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i beta_i(a)
-f_i(a) = 0 at every common root a of F, over any extension field.  So a
-common root at which g does not vanish rules out a certificate at every
-degree, under any pruning or symmetry.  Over GF(2) a proper 3-coloring
-gives such a point in GF(4), x_v = omega^(c_v); nulla_prove takes it as
-root, evaluates F and the targets there once, before the degree loop, and
-if the point passes records every degree inconsistent without elimination.
-Such a degree is counted, not assembled (_sizes), with or without a symmetry
-group: its stats carry the rows, columns and nonzeros its full system would
-have, checked against the memory budget.  That evaluation alone carries
-soundness: a wrong coloring, or a point that is no root, fails it and the
-degrees are eliminated as usual, so no verdict depends on the coloring
-search or on the matrices.
+A common root rules out every degree (the weak Nullstellensatz direction
+the certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i
+beta_i(a) f_i(a) = 0 at every common root a of F, over any extension field.
+So a common root at which no target vanishes rules out a certificate at
+every degree, under any pruning or symmetry.  Over GF(2) a proper
+3-coloring gives such a point in GF(4), x_v = omega^(c_v); nulla_prove
+takes it as root and, once the request itself has been checked, evaluates
+F and the targets there.  If the point passes, it returns "common_root"
+before any degree is laid out, counted or solved.  That evaluation alone
+carries soundness: a wrong coloring, or a point that is no root, fails it
+and the degrees are solved as usual, so no verdict depends on the coloring
+search.
 
 Column order: columns are numbered shift-major, (shift degree, shift, poly
 index), in every field and in orbit systems too, whose representatives are
@@ -279,7 +277,9 @@ class NullaOutcome(Record):
     which it was found; "no_certificate_up_to" carries the largest degree
     tried and no certificate.  Feasibility is NOT decided in the latter case;
     every degree in per_degree was decided, by the full matrix whenever an
-    orbit solve alone could not be.
+    orbit solve alone could not be.  "common_root": the root given is one
+    of F where no target vanishes, so no degree has a certificate; no
+    system was built, per_degree is empty and degree is the schedule's last.
     """
 
     __slots__ = ("verdict", "certificate", "degree", "per_degree")
@@ -293,30 +293,44 @@ class NullaOutcome(Record):
         set_field(self, "per_degree", per_degree)
 
 
-def _graded_modulus(pruning: str) -> Optional[int]:
-    """k for "graded:<k>", None for "occurring"."""
+def _check_request(
+    F: PolySystem, targets: Sequence[Polynomial], pruning: str
+) -> Tuple[Optional[int], List[int]]:
+    """Check the targets and the pruning mode of a request on F; returns
+    the graded modulus k, None for "occurring", and under graded pruning
+    the residue class mod k of each poly's term degrees."""
+    if not targets:
+        raise AssembleError("need at least one target polynomial")
+    for g in targets:
+        if g.field != F.field or g.n_vars != F.n_vars:
+            raise AssembleError("target field or n_vars mismatch")
+        if g.is_zero():
+            raise AssembleError("zero target gives a vacuous identity")
     if pruning == "occurring":
-        return None
-    if pruning.startswith("graded:"):
-        text = pruning[len("graded:"):]
-        if not text.isdecimal() or int(text) < 2:
-            raise AssembleError(f"bad graded pruning modulus in {pruning!r}")
-        return int(text)
-    raise AssembleError(f"unknown pruning mode {pruning!r}")
-
-
-def _degree_classes(F: PolySystem, k: int) -> List[int]:
-    """Residue class mod k of each poly's term degrees; error if mixed."""
+        return None, []
+    if not pruning.startswith("graded:"):
+        raise AssembleError(f"unknown pruning mode {pruning!r}")
+    text = pruning[len("graded:"):]
+    if not text.isdecimal() or int(text) < 2:
+        raise AssembleError(f"bad graded pruning modulus in {pruning!r}")
+    k = int(text)
     classes = []
-    for i, f in enumerate(F.polys):
+    for tag, f in zip(F.tags, F.polys):
         residues = {m.degree % k for m, _ in f.terms}
         if len(residues) != 1:
             raise AssembleError(
                 f"graded:{k} pruning needs each polynomial homogeneous mod {k}; "
-                f"{F.tags[i]} mixes degree classes {sorted(residues)}"
+                f"{tag} mixes degree classes {sorted(residues)}"
             )
         classes.append(residues.pop())
-    return classes
+    for g in targets:
+        bad = [m for m, _ in g.terms if m.degree % k != 0]
+        if bad:
+            raise AssembleError(
+                f"graded:{k} pruning needs target degrees == 0 mod {k}; "
+                f"target has degree-{bad[0].degree} monomial"
+            )
+    return k, classes
 
 
 def _layout(
@@ -340,24 +354,7 @@ def _layout(
     budget fails without enumerating its C(n+d, d) shifts."""
     if d < 0:
         raise AssembleError("degree must be >= 0")
-    if not targets:
-        raise AssembleError("need at least one target polynomial")
-    for g in targets:
-        if g.field != F.field or g.n_vars != F.n_vars:
-            raise AssembleError("target field or n_vars mismatch")
-        if g.is_zero():
-            raise AssembleError("zero target gives a vacuous identity")
-    k = _graded_modulus(pruning)
-
-    if k is not None:
-        classes = _degree_classes(F, k)
-        for g in targets:
-            bad = [m for m, _ in g.terms if m.degree % k != 0]
-            if bad:
-                raise AssembleError(
-                    f"graded:{k} pruning needs target degrees == 0 mod {k}; "
-                    f"target has degree-{bad[0].degree} monomial"
-                )
+    k, classes = _check_request(F, targets, pruning)
 
     # No product exponent exceeds d + the top input degree; a target's own
     # monomials are rows too, so they must fit as well.
@@ -782,11 +779,11 @@ def nulla_prove(
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
-    in GF(4).  If every f_i vanishes there and no target does, no degree
-    has a certificate (see the module docstring), and no degree is
-    assembled, with or without perms: each gets one inconsistent
-    DegreeStats with the sizes of its full system, and its millis covers
-    only counting them.  Otherwise the degrees are solved as without a root.
+    in GF(4).  The request (schedule, targets, pruning, root shape, core,
+    perms) is checked first.  Then, if every f_i vanishes at the root and
+    no target does, no degree has a certificate (see the module docstring)
+    and "common_root" is returned with no system built, with or without
+    perms.  Otherwise the degrees are solved as without a root.
 
     core = (F_core, note) is a smaller system over F's field and variables
     whose polynomials are polynomials of F's input (the encoding of an
@@ -800,13 +797,9 @@ def nulla_prove(
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = list(g_candidates) if g_candidates else [Polynomial.one(F.field, F.n_vars)]
+    _check_request(F, targets, pruning)
     if root is not None and (F.field.p != 2 or len(root) != F.n_vars):
         raise AssembleError("root needs GF(2) and one omega exponent per variable")
-    refuted = (
-        root is not None
-        and not any(any(_gf4_value(f, root)) for f in F.polys)
-        and all(any(_gf4_value(g, root)) for g in targets)
-    )
     # The systems tried at each degree, in order, with the provenance each adds.
     tried = [(F, {})]
     if core is not None:
@@ -819,16 +812,14 @@ def nulla_prove(
     if perms is not None:
         maps = check_invariant(F, targets, perms)
         order = group_order(perms)
+    if root is not None and not any(any(_gf4_value(f, root)) for f in F.polys):
+        if all(any(_gf4_value(g, root)) for g in targets):
+            return NullaOutcome("common_root", None, schedule[-1], ())
     kinds = ("full",) if perms is None else ("orbit", "full")
 
     per_degree: List[DegreeStats] = []
     for d in schedule:
         t0 = time.perf_counter()
-        if refuted:
-            rows, cols, nnz = _sizes(F, d, targets, pruning, memory_budget)
-            millis = int((time.perf_counter() - t0) * 1000)
-            per_degree.append(DegreeStats(d, rows, cols, nnz, "inconsistent", millis))
-            continue
         for F_s, note in tried:
             for kind in kinds:
                 if kind == "orbit":

@@ -16,8 +16,9 @@ the commands look them up there, and _load_prover never replaces a name
 that is already bound, so the wrapper or the patch is what runs.
 
 Exit codes: 0 success (prove: infeasibility certified; verify: certificate
-valid), 1 verification failure, 2 usage or input errors, 10 no certificate
-up to the degree cap (feasibility stays undecided).
+valid), 1 verification failure, 2 usage or input errors, 10 no certificate:
+none up to the degree cap (feasibility stays undecided), or none at any
+degree because a printed 3-coloring is a common root of F.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.symmetry:
         perms = parse_generators(_read_text(args.symmetry), F.n_vars)
     # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
-    # common root of the GF(2) encoding; nulla_prove checks it once.  The
+    # common root of the GF(2) encoding; nulla_prove checks it first.  The
     # vertices a refutation touched seed the core, so G is searched once.
     touched = None
     root = None
@@ -306,6 +307,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
         root=root,
         core=core,
     )
+    if out.verdict == "common_root":
+        print("coloring=" + ",".join(map(str, root)))
+        print("F has a common root at this coloring, so no certificate exists at any degree")
+        return EXIT_NO_CERT
     for ds in out.per_degree:
         print(
             f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "

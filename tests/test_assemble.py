@@ -37,7 +37,7 @@ from nullcert.poly import (
     monomials_up_to,
     parse_poly,
 )
-from nullcert.symmetry import PermutationSet, parse_generators
+from nullcert.symmetry import PermutationSet, SymmetryError, parse_generators
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -477,6 +477,19 @@ def outcome_shape(out):
     return out.verdict, out.degree, stats, cert
 
 
+# outcome_shape of a passing root on schedule [1, 4]: no system was built
+COMMON_ROOT = ("common_root", 4, [], None)
+
+
+def build_nothing(monkeypatch):
+    """Make every layout, count, build and solve of a system raise."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a passing root builds no system")
+
+    for name in ("_layout", "_assemble", "_orbit_system", "_sizes", "solve_multi_rhs"):
+        monkeypatch.setattr(asm, name, fail)
+
+
 @pytest.mark.parametrize(
     "graph",
     [gen_wheel(4), gen_wheel(6)] + [gen_random(12, 0.4, s) for s in (0, 3, 11)],
@@ -484,11 +497,11 @@ def outcome_shape(out):
 )
 def test_root_skips_elimination_with_identical_outcome(monkeypatch, graph):
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
-    plain, plain_solves = prove_counting_solves(monkeypatch, F)
-    rooted, rooted_solves = prove_counting_solves(monkeypatch, F, root=find_coloring(graph, 3))
-    assert outcome_shape(rooted) == outcome_shape(plain)
+    plain = nulla_prove(F, [1, 4], pruning="graded:3")
     assert plain.verdict == "no_certificate_up_to"
-    assert (plain_solves, rooted_solves) == (2, 0)
+    build_nothing(monkeypatch)
+    rooted = nulla_prove(F, [1, 4], pruning="graded:3", root=find_coloring(graph, 3))
+    assert outcome_shape(rooted) == COMMON_ROOT
 
 
 def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
@@ -496,29 +509,28 @@ def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
     F = encode_coloring(graph, EncodingOptions())
     perms = parse_generators("(1,2,3,4,5,6)", F.n_vars)
     plain, plain_solves = prove_counting_solves(monkeypatch, F, perms=perms)
-    rooted, rooted_solves = prove_counting_solves(
-        monkeypatch, F, perms=perms, root=find_coloring(graph, 3)
-    )
     # order 6 is not coprime to 2: each degree has an orbit and a full entry
-    assert len(plain.per_degree) == 4
-    assert (plain_solves, rooted_solves) == (4, 0)
-    # the root counts each degree once, at the size of its full matrix
-    verdict, degree, per_degree, cert = outcome_shape(plain)
-    assert outcome_shape(rooted) == (verdict, degree, per_degree[1::2], cert)
+    assert len(plain.per_degree) == 4 and plain_solves == 4
+    assert plain.verdict == "no_certificate_up_to"
+    build_nothing(monkeypatch)
+    rooted = nulla_prove(F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3))
+    assert outcome_shape(rooted) == COMMON_ROOT
 
 
 def test_bad_root_cannot_change_a_result(monkeypatch):
     # every point of {1, w, w^2}^5 on the colorable wheel:4: only proper
-    # colorings skip elimination, and no point changes the outcome
+    # colorings end the search, and any other point changes nothing
     graph = gen_wheel(4)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     plain, _ = prove_counting_solves(monkeypatch, F)
     skipped = 0
     for root in itertools.product(range(3), repeat=F.n_vars):
         out, solves = prove_counting_solves(monkeypatch, F, root=root)
-        assert outcome_shape(out) == outcome_shape(plain), root
         proper = all(root[u - 1] != root[v - 1] for u, v in graph.edges)
-        assert solves == (0 if proper else 2), root
+        if proper:
+            assert (outcome_shape(out), solves) == (COMMON_ROOT, 0), root
+        else:
+            assert (outcome_shape(out), solves) == (outcome_shape(plain), 2), root
         skipped += proper
     assert skipped == 6  # 3 hub colors, then 2 ways to color the 4-cycle rim
     # on the non-colorable wheel:5 no point is a root; the certificate stands
@@ -624,28 +636,38 @@ def test_sizes_keep_validation_and_budget():
     ids=["wheel4", "random16s0", "wheel6-symmetry"],
 )
 def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
-    # under a symmetry group as well, each degree is counted at full size
+    # under a symmetry group as well, a passing root lays out, counts and
+    # solves no degree
     F = encode_coloring(graph, EncodingOptions(preprocess=generators is None))
     perms = parse_generators(generators, F.n_vars) if generators else None
     plain = nulla_prove(F, [1, 4], pruning="graded:3")
-
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("a refuted degree is counted, not assembled")
-
-    monkeypatch.setattr(asm, "_assemble", no_assembly)
+    assert plain.verdict == "no_certificate_up_to"
+    build_nothing(monkeypatch)
     rooted = nulla_prove(
         F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3)
     )
-    assert outcome_shape(rooted) == outcome_shape(plain)
-    assert plain.verdict == "no_certificate_up_to"
+    assert outcome_shape(rooted) == COMMON_ROOT
 
 
-def test_root_validation():
+def test_root_validation(monkeypatch):
     F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
     with pytest.raises(AssembleError):
         nulla_prove(F, [1], pruning="graded:3", root=[0, 1])
     with pytest.raises(AssembleError):
         nulla_prove(small_system(), [1], root=[0, 1, 2])
+    # a passing root ends the search only after the whole request is checked
+    root = find_coloring(gen_wheel(4), 3)
+    build_nothing(monkeypatch)
+    assert nulla_prove(F, [1, 4], pruning="graded:3", root=root).verdict == "common_root"
+    with pytest.raises(AssembleError, match="unknown pruning mode"):
+        nulla_prove(F, [1], pruning="bogus", root=root)
+    with pytest.raises(AssembleError, match="target has degree-1 monomial"):
+        nulla_prove(F, [1], [parse_poly("x1", GF2, F.n_vars)], pruning="graded:3", root=root)
+    with pytest.raises(AssembleError, match="ascending"):
+        nulla_prove(F, [4, 1], pruning="graded:3", root=root)
+    # preprocessing keeps only vertex 1's polynomial, which no rotation fixes
+    with pytest.raises(SymmetryError):
+        nulla_prove(F, [1], pruning="graded:3", perms=parse_generators("(1,2,3,4)", F.n_vars), root=root)
 
 
 

@@ -42,17 +42,25 @@ def test_prove_k4_hits_at_degree_one(capsys):
     assert err == ""
 
 
+COMMON_ROOT_LINE = "F has a common root at this coloring, so no certificate exists at any degree"
+
+
+def assert_common_root(graph, rc, out, err):
+    """prove's output for a 3-colorable graph: its coloring, checked on the
+    edges, and the common-root line; no degree line, nothing on stderr."""
+    assert (rc, err) == (10, "")
+    first, second = out.splitlines()
+    assert first.startswith("coloring=") and second == COMMON_ROOT_LINE
+    colors = [int(c) for c in first[len("coloring="):].split(",")]
+    assert len(colors) == graph.n_vertices and set(colors) <= {0, 1, 2}
+    assert all(colors[u - 1] != colors[v - 1] for u, v in graph.edges)
+
+
 def test_prove_k3_exhausts_schedule(capsys):
     rc, out, err = run(
         capsys, "prove", "--gen", "complete:3", "--k", "3", "--p", "2", "--max-degree", "4"
     )
-    assert rc == 10
-    lines = out.splitlines()
-    # graded schedule for k=3 visits degrees 1 and 4 only
-    assert lines[0].startswith("degree=1 ")
-    assert lines[1].startswith("degree=4 ")
-    assert "status=inconsistent" in lines[0]
-    assert lines[-1] == "no certificate up to degree 4; feasibility not decided"
+    assert_common_root(graphs.gen_complete(3), rc, out, err)
 
 
 # perfbench/run.py reads each stats line with fullmatch on this pattern, so
@@ -63,14 +71,10 @@ STATS_LINE = re.compile(
 
 
 def test_stats_line_format(tmp_path, capsys):
-    swap = tmp_path / "swap.txt"
-    swap.write_text("(1,2)\n")
     system = tmp_path / "sys.txt"
     system.write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
     runs = [
         ("--gen", "complete:4"),
-        ("--gen", "complete:3", "--max-degree", "4"),
-        ("--gen", "complete:2", "--symmetry", str(swap), "--max-degree", "1"),
         ("--system", str(system), "--p", "3"),
         # a core line at degrees 1 and 4, and G's line at degree 1
         ("--gen", "random:16,0.27,2"),
@@ -93,34 +97,28 @@ def test_colorable_graph_exits_10_without_elimination(capsys, monkeypatch):
         raise AssertionError("a proper 3-coloring refutes every degree")
 
     monkeypatch.setattr(asm, "solve_multi_rhs", no_elimination)
-    rc, out, _ = run(capsys, "prove", "--gen", "wheel:4")
-    assert rc == 10
-    lines = out.splitlines()
-    assert [l.split(" millis=")[0] for l in lines[:2]] == [
-        "degree=1 rows=36 cols=41 nnz=122 status=inconsistent",
-        "degree=4 rows=246 cols=636 nnz=1872 status=inconsistent",
-    ]
-    assert all(STATS_LINE.fullmatch(l) for l in lines[:2])
-    assert lines[2:] == ["no certificate up to degree 4; feasibility not decided"]
+    rc, out, err = run(capsys, "prove", "--gen", "wheel:4")
+    assert_common_root(graphs.gen_wheel(4), rc, out, err)
 
 
 def no_assembly(*args, **kwargs):
-    raise AssertionError("a degree refuted by a coloring is counted, not assembled")
+    raise AssertionError("a proper 3-coloring ends the search before any system is built")
 
 
 def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
-    # random:16,0.27,0 is benchmark sweep16's first graph; these are the
-    # sizes of the systems the degrees would assemble
+    # random:16,0.27,0 is benchmark sweep16's first graph
     monkeypatch.setattr(asm, "_assemble", no_assembly)
-    rc, out, _ = run(capsys, "prove", "--gen", "random:16,0.27,0")
-    assert rc == 10
-    lines = out.splitlines()
-    assert [l.split(" millis=")[0] for l in lines[:2]] == [
-        "degree=1 rows=520 cols=353 nnz=1058 status=inconsistent",
-        "degree=4 rows=54917 cols=86441 nnz=258506 status=inconsistent",
-    ]
-    assert all(STATS_LINE.fullmatch(l) for l in lines[:2])
-    assert lines[2:] == ["no certificate up to degree 4; feasibility not decided"]
+    monkeypatch.setattr(asm, "_sizes", no_assembly)
+    rc, out, err = run(capsys, "prove", "--gen", "random:16,0.27,0")
+    assert_common_root(graphs.gen_random(16, 0.27, 0), rc, out, err)
+
+
+@pytest.mark.parametrize("seed", [3, 13])
+def test_colorable_graph_beyond_the_budget_ends_at_its_root(seed, capsys):
+    # counting these graphs' degree-4 systems predicted 18.2 and 23.5 GB,
+    # over the default budget, so prove used to refuse them with exit 2
+    rc, out, err = run(capsys, "prove", "--gen", f"random:22,0.21,{seed}", "--schedule", "1,4")
+    assert_common_root(graphs.gen_random(22, 0.21, seed), rc, out, err)
 
 
 @pytest.mark.parametrize(
@@ -131,19 +129,20 @@ def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
             "error: graded:3 pruning needs target degrees == 0 mod 3; "
             "target has degree-1 monomial\n",
         ),
-        (
-            ("--memory-budget", "64"),
-            "error: predicted working set 288 bytes for a 36 x 41 system "
-            "exceeds the 64 byte budget\n",
-        ),
+        (("--pruning", "bogus"), "error: unknown pruning mode 'bogus'\n"),
+        # the budget bounds systems, and a passing coloring builds none
+        (("--memory-budget", "64"), None),
     ],
-    ids=["graded-target", "budget"],
+    ids=["graded-target", "pruning", "budget"],
 )
 def test_counted_degrees_keep_validation_and_budget(capsys, monkeypatch, argv, message):
-    # wheel:4 is 3-colorable, so its degrees are counted, never assembled
+    # wheel:4 is 3-colorable: the request is checked, then no system is built
     monkeypatch.setattr(asm, "_assemble", no_assembly)
     rc, out, err = run(capsys, "prove", "--gen", "wheel:4", *argv)
-    assert (rc, out, err) == (2, "", message)
+    if message is None:
+        assert_common_root(graphs.gen_wheel(4), rc, out, err)
+    else:
+        assert (rc, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(
@@ -679,14 +678,14 @@ def test_symmetry_budget_refuses_where_the_full_system_would(argv, threshold, re
 
 
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):
-    # K2 with the swap: a 3-coloring refutes degree 1, so it is counted once
-    # at full size and neither the orbit nor the full matrix is solved
+    # K2 with the swap: a 3-coloring is a common root, so neither the orbit
+    # nor the full matrix is built or solved
     rc, out, _ = run(
         capsys, "prove", "--gen", "complete:2", "--symmetry", swap_file,
         "--max-degree", "1",
     )
     assert rc == 10
-    assert sum(1 for l in out.splitlines() if l.startswith("degree=1 ")) == 1
+    assert not any(l.startswith("degree=") for l in out.splitlines())
     assert "note:" not in out
 
 
@@ -749,7 +748,8 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
 
 # sha256 of prove's stdout, millis removed, for each kind of attempt, as
 # printed while core, orbit and full solves each had their own code; the
-# degree-3 GF(3) certificate is the one of shift-major columns
+# degree-3 GF(3) certificate is the one of shift-major columns, and
+# rotation-refuted prints the coloring and common-root lines
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -763,7 +763,7 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
         (
             ("--gen", "wheel:6", "--symmetry", "rim6.txt"),
             10,
-            "cd3e094ef24009a6c3d9345ba3d020938b67e16ee168141568ee32efaeacf47a",
+            "2a063a245a648d350fcd9ef6af973964a8bdf4ed1ef8b51319c22a26640ae46c",
         ),
         (
             ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
@@ -779,8 +779,9 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
     ],
     # core hit at degree 1; core, G, core hit at degree 4; (1,2) has even
     # order, so an inconsistent orbit solve falls back to the full system;
-    # wheel:6 is 3-colorable, so a root refutes every degree under the
-    # rotation; wheel:7's rotation has odd order, so the orbit solve hits
+    # wheel:6 is 3-colorable, so its coloring ends the search under the
+    # rotation before any system is built; wheel:7's rotation has odd
+    # order, so the orbit solve hits
     ids=["core-hit", "core-G-core", "orbit-then-full", "rotation-refuted", "orbit-hit", "gf3-quadric", "gf3-degree3"],
 )
 def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys, monkeypatch):

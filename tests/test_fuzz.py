@@ -146,18 +146,20 @@ def test_fuzz_load_system_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, seeds",
+    "command, seeds, allowed",
     [
-        (["stats", "--degree", "1", "--p", "3", "--system"], [QUADRIC, GF3_DEGREE3]),
-        (["encode", "--input"], [write_dimacs(gen_wheel(5))]),
-        (["prove", "--gen", "wheel:5", "--symmetry"], ["(1,2,3,4,5)", "(1,5)(2,4)"]),
-        (["verify"], None),
+        (["stats", "--degree", "1", "--p", "3", "--system"], [QUADRIC, GF3_DEGREE3], (0, 2)),
+        (["encode", "--input"], [write_dimacs(gen_wheel(5))], (0, 2)),
+        (["prove", "--gen", "wheel:5", "--symmetry"], ["(1,2,3,4,5)", "(1,5)(2,4)"], (0, 2)),
+        # wheel:4 is 3-colorable: a group it accepts ends at the coloring
+        (["prove", "--gen", "wheel:4", "--symmetry"], ["(1,2,3,4)", "(1,3)(2,4)"], (2, 10)),
+        (["verify"], None, (0, 1, 2)),
     ],
-    ids=["stats-system", "encode-input", "prove-symmetry", "verify"],
+    ids=["stats-system", "encode-input", "prove-symmetry", "prove-symmetry-colorable", "verify"],
 )
-def test_fuzz_command_line(command, seeds, tmp_path, capsys):
-    # exit 0 or 2, and an exit 2 says one line on stderr; verify may also
-    # exit 1 for a certificate that parses but does not reproduce its target
+def test_fuzz_command_line(command, seeds, allowed, tmp_path, capsys):
+    # an exit 2 says one line on stderr; verify may also exit 1 for a
+    # certificate that parses but does not reproduce its target
     path = tmp_path / "input.txt"
     seeds = seeds or certificates()
     rng = random.Random(10)
@@ -169,7 +171,7 @@ def test_fuzz_command_line(command, seeds, tmp_path, capsys):
             rc = main([*command, str(path)])
         err = capsys.readouterr().err
         codes.add(rc)
-        assert rc in (0, 1, 2) if command == ["verify"] else rc in (0, 2), err
+        assert rc in allowed, err
         if rc == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         else:
