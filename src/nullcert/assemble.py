@@ -186,8 +186,8 @@ class _Packing:
 
 
 class AssembledSystem(Record):
-    """The degree-d system with one right-hand side per target; system
-    carries rhs_list[0], the first target's.
+    """The degree-d system with one right-hand side per target: rhs_list[k]
+    holds the (row, coeff) entries of target k's terms.
 
     Keys stay packed by packing: a column is (poly index, packed shift), a
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
@@ -202,7 +202,7 @@ class AssembledSystem(Record):
     def __init__(
         self,
         system: SparseSystem,
-        rhs_list: List[List[int]],
+        rhs_list: List[List[Tuple[int, int]]],
         packing: _Packing,
         packed_cols: Tuple[Tuple[int, int], ...],
         packed_rows: Tuple[int, ...],
@@ -238,7 +238,7 @@ class OrbitSystem(Record):
     def __init__(
         self,
         system: SparseSystem,
-        rhs_list: List[List[int]],
+        rhs_list: List[List[Tuple[int, int]]],
         packing: _Packing,
         packed_cols: Tuple[Tuple[int, int], ...],
         packed_rows: Tuple[int, ...],
@@ -376,7 +376,7 @@ def _layout(
             kept_shifts[i] += comb(n + deg - 1, deg) if n else int(deg == 0)
     # The shifts of one f_i times one of its terms are distinct rows.
     rows = max((c for c, terms in zip(kept_shifts, poly_terms) if terms), default=0)
-    _check_budget(F.field, rows, sum(kept_shifts), memory_budget)
+    _check_budget(F.field, rows, sum(kept_shifts), memory_budget, len(targets))
     shifts = [packing.monomials(deg) for deg in range(d + 1)]
     return packing, poly_terms, polys_at, shifts
 
@@ -403,7 +403,7 @@ def _sizes(
         nnz += sum(len(poly_terms[i]) for i in kept) * len(deltas)
         for t in {t for i in kept for t, _ in poly_terms[i]}:
             rows.update(map(t.__add__, deltas))
-    _check_budget(F.field, len(rows), cols, memory_budget)
+    _check_budget(F.field, len(rows), cols, memory_budget, len(targets))
     return len(rows), cols, nnz
 
 
@@ -415,10 +415,12 @@ def _peel(
     poly_terms: List[Tuple[Tuple[int, int], ...]],
     target_rows: Set[int],
     memory_budget: Optional[int],
+    n_rhs: int,
 ) -> Tuple[List[Tuple[int, int]], Tuple[int, int, int]]:
     """The columns of cols, numbered by _layout's polys_at and shifts, that
     peeling leaves (see the module docstring), and the full system's (rows,
-    cols, nnz), with the budget checked where filing checks it."""
+    cols, nnz), with the budget for n_rhs targets checked where filing
+    checks it."""
     starts = list(accumulate((len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts)), initial=0))
     n_cols = starts[-1]
 
@@ -437,7 +439,7 @@ def _peel(
             for t, _ in poly_terms[i]:
                 m = delta + t
                 count[m] = get(m, 0) + one
-        _check_budget(field, len(count), n_cols, memory_budget)
+        _check_budget(field, len(count), n_cols, memory_budget, n_rhs)
     nnz = sum(len(poly_terms[i]) * len(deltas) for kept, deltas in zip(polys_at, shifts) for i in kept)
     sizes = len(count), n_cols, nnz
     mask = (1 << 32) - 1
@@ -473,7 +475,7 @@ def _assemble(
     target_rows = {packing.pack(m) for g in targets for m, _ in g.terms}
     sizes = None
     if peel:
-        live, sizes = _peel(F.field, cols, polys_at, shifts, poly_terms, target_rows, memory_budget)
+        live, sizes = _peel(F.field, cols, polys_at, shifts, poly_terms, target_rows, memory_budget, len(targets))
         cols, n_cols = iter(live), len(live)
 
     # One pass files each product x^delta * t under its row monomial.
@@ -493,22 +495,20 @@ def _assemble(
             for t, c in poly_terms[i]:
                 rows[delta + t].extend((j, c))
         packed_cols += block
-        _check_budget(F.field, len(rows), n_cols, memory_budget)
+        _check_budget(F.field, len(rows), n_cols, memory_budget, len(targets))
     order = packing.flip.__xor__
     packed_rows = sorted(rows, key=order)
 
-    rhs_list: List[List[int]] = []
-    for g in targets:
-        b = [0] * len(packed_rows)
-        for m, c in g.terms:
-            b[bisect_left(packed_rows, order(packing.pack(m)), key=order)] = c
-        rhs_list.append(b)
+    rhs_list = [
+        [(bisect_left(packed_rows, order(packing.pack(m)), key=order), c) for m, c in g.terms]
+        for g in targets
+    ]
 
     entries = []
     for m in packed_rows:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem(F.field, len(packed_rows), n_cols, tuple(entries), tuple(rhs_list[0]))
+    system = SparseSystem(F.field, len(packed_rows), n_cols, tuple(entries))
     sizes = sizes or (system.n_rows, system.n_cols, system.nnz)
     return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows)), sizes
 
@@ -520,11 +520,11 @@ def assemble(
     pruning: str = "occurring",
     memory_budget: Optional[int] = None,
 ) -> AssembledSystem:
-    """Build the degree-d system once, with one rhs vector per target.
+    """Build the degree-d system once, with one right-hand side per target.
 
-    The row universe covers every target's monomials, so the rhs vectors
-    are interchangeable on the same matrix.  Columns are numbered (shift
-    degree, shift, poly index); see the module docstring.
+    The row universe covers every target's monomials, so each target's
+    terms are (row, coeff) entries on the same matrix.  Columns are
+    numbered (shift degree, shift, poly index); see the module docstring.
 
     This is the full system; nulla_prove solves it peeled (see "Peeling"
     in the module docstring).
@@ -621,7 +621,7 @@ def _orbit_system(
                 raise SymmetryError("row universe is not closed under the group") from None
             reps.append(rep)
     field = F.field
-    _check_budget(field, len(seen), len(packed_cols), memory_budget)
+    _check_budget(field, len(seen), len(packed_cols), memory_budget, len(targets))
 
     p = field.p
     divides: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
@@ -640,11 +640,11 @@ def _orbit_system(
                     if o is not None:
                         acc[o] += c
         orbit_rows.append(tuple(sorted((o, v % p) for o, v in acc.items() if v % p)))
-    rhs_list = []
-    for g in targets:
-        coeff = {packing.pack(m): c for m, c in g.terms}
-        rhs_list.append([coeff.get(m, 0) for m in packed_rows])
-    system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows), tuple(rhs_list[0]))
+    # a target is fixed by the group, so its coefficient is one per row orbit
+    row_of = {m: k for k, m in enumerate(packed_rows)}
+    packed_targets = [[(packing.pack(m), c) for m, c in g.terms] for g in targets]
+    rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in packed_targets]
+    system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows))
     coprime = order is not None and gcd(order, p) == 1
     return OrbitSystem(
         system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), tuple(col_reps),

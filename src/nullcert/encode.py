@@ -21,7 +21,7 @@ import math
 from typing import List, Optional, Sequence
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
-from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, Record, monomials_up_to, set_field
+from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, Record, set_field
 
 
 class EncodeError(ValueError):
@@ -167,7 +167,16 @@ def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
     """All monomials of exactly the given total degree, in global order."""
     if degree < 1:
         raise EncodeError("alternative targets must have degree >= 1")
-    return [m for m in monomials_up_to(n_vars, degree) if m.degree == degree]
+    # Each exponent tuple of one degree less, in order, times each variable
+    # from its last one up: the graded order of Monomial.sort_key.
+    level = [()]
+    for _ in range(degree):
+        level = [
+            pairs[:-1] + ((v, pairs[-1][1] + 1),) if pairs and v == pairs[-1][0] else pairs + ((v, 1),)
+            for pairs in level
+            for v in range(pairs[-1][0] if pairs else 0, n_vars)
+        ]
+    return [Monomial(pairs, n_vars) for pairs in level]
 
 
 __all__ = [

@@ -1,16 +1,19 @@
 """Exact sparse linear algebra over GF(p), with bit-packed rows for p = 2, 3.
 
-GF(2) rows live in Python ints relative to their lowest column (bit b =
-column low + b), with the right-hand-side bits (bit j = right-hand side j)
-in a separate small int, so an XOR costs what the row spans, not the column
-count.  GF(3) rows are two disjoint bit-planes, plus for the +1 entries and
-minus for the -1 entries, laid out in reverse: with R right-hand sides,
-column c sits at bit R + n_cols - 1 - c and right-hand side j at bit j.  A
-row's lead is then its highest bit, found by bit_length() in O(1), and the
-row is only R + n_cols - lead bits wide, so a row addition, the 7-operation
-bitsliced add of Boothby & Bradshaw's GF(3), costs what the row spans from
-its lead to the last column.  Rows over GF(p) for p >= 5 are dicts from
-column to coefficient.
+A right-hand side is a list of (row, coeff) entries, a target's few terms,
+never a vector with one slot per row: solve_multi_rhs files the entries of
+all right-hand sides by row once, and each eliminator reads a row's entries
+as it reaches the row.  GF(2) rows live in Python ints relative to their
+lowest column (bit b = column low + b), with the right-hand-side bits (bit
+j = right-hand side j) in a separate small int, so an XOR costs what the
+row spans, not the column count.  GF(3) rows are two disjoint bit-planes,
+plus for the +1 entries and minus for the -1 entries, laid out in reverse:
+with R right-hand sides, column c sits at bit R + n_cols - 1 - c and
+right-hand side j at bit j.  A row's lead is then its highest bit, found by
+bit_length() in O(1), and the row is only R + n_cols - lead bits wide, so a
+row addition, the 7-operation bitsliced add of Boothby & Bradshaw's GF(3),
+costs what the row spans from its lead to the last column.  Rows over GF(p)
+for p >= 5 are dicts from column to coefficient.
 
 Elimination is online: each row reduces against the pivots found so far and
 either claims a new pivot at its lowest surviving column, vanishes, or
@@ -39,9 +42,10 @@ class MemoryBudgetError(LinsolveError):
     """Raised when the packed elimination working set would exceed the budget."""
 
     def __init__(self, predicted_bytes: int, budget: int, n_rows: int, n_cols: int):
+        # the rows may be a count in progress or a lower bound, never more
         super().__init__(
-            f"predicted working set {predicted_bytes} bytes for a "
-            f"{n_rows} x {n_cols} system exceeds the {budget} byte budget"
+            f"predicted working set of at least {predicted_bytes} bytes for a system of "
+            f"at least {n_rows} x {n_cols} exceeds the {budget} byte budget"
         )
         self.predicted_bytes = predicted_bytes
         self.budget = budget
@@ -64,38 +68,32 @@ def packed_bytes(n_rows: int, n_cols: int, p: int, n_rhs: int = 1) -> int:
 
 
 def _check_budget(
-    field: FieldSpec, n_rows: int, n_cols: int, memory_budget: Optional[int]
+    field: FieldSpec, n_rows: int, n_cols: int, memory_budget: Optional[int], n_rhs: int
 ) -> None:
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    predicted = packed_bytes(n_rows, n_cols, field.p)
+    predicted = packed_bytes(n_rows, n_cols, field.p, n_rhs)
     if predicted > budget:
         raise MemoryBudgetError(predicted, budget, n_rows, n_cols)
 
 
 class SparseSystem(Record):
-    """A sparse GF(p) linear system A y = rhs.
+    """The matrix A of sparse GF(p) linear systems A y = b; the right-hand
+    sides b are passed to solve and solve_multi_rhs.
 
     rows[i] holds (col, coeff) pairs with strictly increasing columns and
-    nonzero coefficients; rhs[i] is the right-hand side residue.  The
-    constructor checks nothing: rows are canonical by construction
-    (nullcert.assemble).
+    nonzero coefficients.  The constructor checks nothing: rows are
+    canonical by construction (nullcert.assemble).
     """
 
-    __slots__ = ("field", "n_rows", "n_cols", "rows", "rhs")
+    __slots__ = ("field", "n_rows", "n_cols", "rows")
 
     def __init__(
-        self,
-        field: FieldSpec,
-        n_rows: int,
-        n_cols: int,
-        rows: Tuple[Tuple[Tuple[int, int], ...], ...],
-        rhs: Tuple[int, ...],
+        self, field: FieldSpec, n_rows: int, n_cols: int, rows: Tuple[Tuple[Tuple[int, int], ...], ...]
     ) -> None:
         set_field(self, "field", field)
         set_field(self, "n_rows", n_rows)
         set_field(self, "n_cols", n_cols)
         set_field(self, "rows", rows)
-        set_field(self, "rhs", rhs)
 
     @property
     def nnz(self) -> int:
@@ -133,15 +131,16 @@ def _trit_tuple(plus: int, minus: int, n: int) -> Tuple[int, ...]:
     return tuple((plus + 2 * minus).to_bytes(n, "big"))
 
 
-def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
-    """One elimination pass; returns (pivot_cols, per-rhs solution bitset or None)."""
+def _eliminate_gf2(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
+    """One elimination pass over the R right-hand sides filed in rhs_at;
+    returns (pivot_cols, per-rhs solution bitset or None)."""
     # pivots[c] = (row bits relative to column c, rhs bits); bit 0 is set
     pivots: Dict[int, Tuple[int, int]] = {}
     bad = 0  # OR of rhs bits left on rows whose matrix part reduced to zero
     for i, row in enumerate(sys.rows):
         rb = 0
-        for j, rhs in enumerate(rhs_list):
-            if rhs[i] & 1:
+        for j, v in rhs_at.get(i, ()):
+            if v & 1:
                 rb |= 1 << j
         if not row:
             bad |= rb
@@ -170,7 +169,7 @@ def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
 
     pivot_cols = sorted(pivots)
     solutions: List[Optional[int]] = []
-    for j in range(len(rhs_list)):
+    for j in range(R):
         if (bad >> j) & 1:
             solutions.append(None)
             continue
@@ -186,11 +185,10 @@ def _eliminate_gf2(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
     return pivot_cols, solutions
 
 
-def _eliminate_gf3(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
+def _eliminate_gf3(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
     """GF(3) elimination on reversed bit-planes; returns (pivot_cols,
     per-rhs (plus, minus) solution bitsets, column c at bit n_cols - 1 - c,
     or None)."""
-    R = len(rhs_list)
     top = R + sys.n_cols - 1  # the bit of column 0
     # pivots[L] = (plus, minus) of the row whose lead, column top + 1 - L,
     # is bit L - 1 of plus: the lead is +1
@@ -203,8 +201,8 @@ def _eliminate_gf3(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
                 P |= 1 << (top - c)
             else:
                 M |= 1 << (top - c)
-        for j, rhs in enumerate(rhs_list):
-            v = rhs[i] % 3
+        for j, v in rhs_at.get(i, ()):
+            v %= 3
             if v == 1:
                 P |= 1 << j
             elif v:
@@ -251,7 +249,7 @@ def _eliminate_gf3(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
     return pivot_cols, solutions
 
 
-def _eliminate_gfp(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
+def _eliminate_gfp(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
     p = sys.field.p
     n_cols = sys.n_cols
     shift = n_cols
@@ -259,8 +257,8 @@ def _eliminate_gfp(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
     bad: List[Dict[int, int]] = []
     for i, row in enumerate(sys.rows):
         d = {c: v for c, v in row}
-        for j, rhs in enumerate(rhs_list):
-            v = rhs[i] % p
+        for j, v in rhs_at.get(i, ()):
+            v %= p
             if v:
                 d[shift + j] = v
         while True:
@@ -285,7 +283,7 @@ def _eliminate_gfp(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
 
     pivot_cols = sorted(pivots)
     solutions: List[Optional[Dict[int, int]]] = []
-    for j in range(len(rhs_list)):
+    for j in range(R):
         if any(d.get(shift + j, 0) % p for d in bad):
             solutions.append(None)
             continue
@@ -304,25 +302,36 @@ def _eliminate_gfp(sys: SparseSystem, rhs_list: Sequence[Sequence[int]]):
     return pivot_cols, solutions
 
 
-def solve_multi_rhs(sys: SparseSystem, rhs_set: Sequence[Sequence[int]]) -> List[SolveResult]:
-    """Solve A y = b for every b in rhs_set with a single elimination.
+def solve_multi_rhs(
+    sys: SparseSystem, rhs_list: Sequence[Sequence[Tuple[int, int]]]
+) -> List[SolveResult]:
+    """Solve A y = b for every b in rhs_list with a single elimination.
 
-    Results are identical to calling solve once per right-hand side; the
-    system's own rhs field is not consulted.
+    Each b is a list of (row, coeff) entries, a row at most once; rows not
+    listed are zero.  The entries are filed by row once, so the cost grows
+    with the entries, not with rows x right-hand sides.  Results are
+    identical to calling solve once per right-hand side.
     """
-    for b in rhs_set:
-        if len(b) != sys.n_rows:
-            raise LinsolveError(f"rhs length {len(b)} != n_rows {sys.n_rows}")
+    rhs_at: Dict[int, List[Tuple[int, int]]] = {}  # row -> (j, coeff) of rhs j, j ascending
+    for j, rhs in enumerate(rhs_list):
+        for i, v in rhs:
+            if not 0 <= i < sys.n_rows:
+                raise LinsolveError(f"rhs {j} has row {i} outside 0..{sys.n_rows - 1}")
+            at = rhs_at.setdefault(i, [])
+            if at and at[-1][0] == j:
+                raise LinsolveError(f"rhs {j} lists row {i} twice")
+            at.append((j, v))
     n = sys.n_cols
     p = sys.field.p
+    R = len(rhs_list)
     if p == 2:
-        pivot_cols, raw = _eliminate_gf2(sys, rhs_set)
+        pivot_cols, raw = _eliminate_gf2(sys, rhs_at, R)
         sols = [None if x is None else tuple(_bit_bytes(x, n)) for x in raw]
     elif p == 3:
-        pivot_cols, raw = _eliminate_gf3(sys, rhs_set)
+        pivot_cols, raw = _eliminate_gf3(sys, rhs_at, R)
         sols = [None if x is None else _trit_tuple(*x, n) for x in raw]
     else:
-        pivot_cols, raw = _eliminate_gfp(sys, rhs_set)
+        pivot_cols, raw = _eliminate_gfp(sys, rhs_at, R)
         sols = [None if x is None else tuple(x.get(c, 0) for c in range(n)) for x in raw]
     pivot_tuple = tuple(pivot_cols)
     return [
@@ -331,10 +340,11 @@ def solve_multi_rhs(sys: SparseSystem, rhs_set: Sequence[Sequence[int]]) -> List
     ]
 
 
-def solve(sys: SparseSystem) -> SolveResult:
-    """Exact Gaussian elimination; on consistency the returned solution has
-    every free (non-pivot) variable equal to zero."""
-    return solve_multi_rhs(sys, [sys.rhs])[0]
+def solve(sys: SparseSystem, rhs: Sequence[Tuple[int, int]]) -> SolveResult:
+    """Exact Gaussian elimination for the (row, coeff) entries rhs; on
+    consistency the returned solution has every free (non-pivot) variable
+    equal to zero."""
+    return solve_multi_rhs(sys, [rhs])[0]
 
 
 __all__ = [

@@ -9,7 +9,6 @@ are reproducible across runs.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -122,12 +121,6 @@ class Monomial(Record):
         return cls(pairs, n_vars)
 
     @classmethod
-    def from_vars(cls, variables: Sequence[int], n_vars: int) -> "Monomial":
-        """Build from a variable list with multiplicity, e.g. (0, 0, 1) = x1^2*x2."""
-        pairs = tuple((v, len(list(grp))) for v, grp in itertools.groupby(sorted(variables)))
-        return cls(pairs, n_vars)
-
-    @classmethod
     def one(cls, n_vars: int) -> "Monomial":
         return cls((), n_vars)
 
@@ -233,20 +226,6 @@ class Polynomial(Record):
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def monomials_up_to(n_vars: int, d: int) -> list[Monomial]:
-    """All monomials of total degree <= d in graded-lexicographic order.
-
-    The list has exactly C(n_vars + d, d) elements.
-    """
-    if d < 0:
-        raise PolyError("degree bound must be nonnegative")
-    out: list[Monomial] = []
-    for deg in range(d + 1):
-        for tup in itertools.combinations_with_replacement(range(n_vars), deg):
-            out.append(Monomial.from_vars(tup, n_vars))
-    return out
 
 
 def format_monomial(mono: Monomial, coeff: int = 1) -> str:
@@ -382,7 +361,6 @@ __all__ = [
     "PolySystem",
     "PolyError",
     "PolyParseError",
-    "monomials_up_to",
     "format_monomial",
     "format_poly",
     "parse_poly",

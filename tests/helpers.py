@@ -1,6 +1,6 @@
 """Shared test-only oracles: monomials as index tuples, polynomial product
-and evaluation, GF(4) evaluation, checked hand-built linear systems, dense
-reference eliminators, and a reference orbit fold.
+and evaluation, GF(4) evaluation, checked hand-built linear systems and
+right-hand sides, dense reference eliminators, and a reference orbit fold.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  GF3_DEGREE3 is one input system
@@ -24,6 +24,24 @@ from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 def expanded(m: Monomial) -> Tuple[int, ...]:
     """Sorted variable indices with multiplicity, e.g. (0, 0, 1) for x1^2*x2."""
     return tuple(v for v, e in m.exponents for _ in range(e))
+
+
+def from_vars(variables: Sequence[int], n_vars: int) -> Monomial:
+    """The monomial of a variable list with multiplicity, e.g. (0, 0, 1) = x1^2*x2."""
+    pairs = tuple((v, len(list(grp))) for v, grp in itertools.groupby(sorted(variables)))
+    return Monomial(pairs, n_vars)
+
+
+def monomials_up_to(n_vars: int, d: int) -> List[Monomial]:
+    """All monomials of total degree <= d in graded order, each degree
+    listed in the order of its sorted index tuples; C(n_vars + d, d) of them."""
+    if d < 0:
+        raise PolyError("degree bound must be nonnegative")
+    return [
+        from_vars(tup, n_vars)
+        for deg in range(d + 1)
+        for tup in itertools.combinations_with_replacement(range(n_vars), deg)
+    ]
 
 
 def row_monomials(asm, indices: Optional[Iterable[int]] = None) -> List[Monomial]:
@@ -114,9 +132,8 @@ def eval_poly_gf4(poly, point: Sequence[Tuple[int, int]]):
 
 class SparseSystem:
     """make() builds a nullcert.linsolve.SparseSystem from hand-written
-    rows, after checking that they are canonical: one row and one
-    right-hand side per row, strictly increasing columns in range,
-    coefficients in 1..p-1 and right-hand sides in 0..p-1."""
+    rows, after checking that they are canonical: n_rows rows, strictly
+    increasing columns in range and coefficients in 1..p-1."""
 
     @staticmethod
     def make(
@@ -124,10 +141,9 @@ class SparseSystem:
         n_rows: int,
         n_cols: int,
         rows: Sequence[Sequence[Tuple[int, int]]],
-        rhs: Sequence[int],
     ) -> linsolve.SparseSystem:
-        if len(rows) != n_rows or len(rhs) != n_rows:
-            raise ValueError("row or rhs count mismatch")
+        if len(rows) != n_rows:
+            raise ValueError("row count mismatch")
         p = field.p
         for i, row in enumerate(rows):
             cols = [c for c, _ in row]
@@ -135,9 +151,13 @@ class SparseSystem:
                 raise ValueError(f"row {i}: columns not strictly increasing in range")
             if not all(0 < v < p for _, v in row):
                 raise ValueError(f"row {i}: coefficient outside 1..{p - 1}")
-        if not all(0 <= b < p for b in rhs):
-            raise ValueError(f"right-hand side outside 0..{p - 1}")
-        return linsolve.SparseSystem(field, n_rows, n_cols, tuple(map(tuple, rows)), tuple(rhs))
+        return linsolve.SparseSystem(field, n_rows, n_cols, tuple(map(tuple, rows)))
+
+
+def rhs_entries(b: Sequence[int]) -> List[Tuple[int, int]]:
+    """A dense right-hand side, one residue per row, as the (row, coeff)
+    entries that linsolve takes: its nonzero rows."""
+    return [(i, v) for i, v in enumerate(b) if v]
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +249,10 @@ def orbit_fold(F: PolySystem, asm, perms) -> SimpleNamespace:
         for c, v in asm.system.rows[r]:
             acc[col_orbit_index[c]] = acc.get(col_orbit_index[c], 0) + v
         orbit_rows.append(tuple(sorted((o, v % p) for o, v in acc.items() if v % p)))
+    orbit_row = {r: k for k, r in enumerate(row_reps)}
     return SimpleNamespace(
         rows=tuple(orbit_rows),
-        rhs_list=[[rhs[r] for r in row_reps] for rhs in asm.rhs_list],
+        rhs_list=[[(orbit_row[r], c) for r, c in rhs if r in orbit_row] for rhs in asm.rhs_list],
         row_keys=tuple(asm.packed_rows[r] for r in row_reps),
         col_reps=tuple(col_reps),
         col_orbit_index=col_orbit_index,

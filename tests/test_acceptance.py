@@ -12,7 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SparseSystem, columns, expanded, poly_mul, random_dense_system, ref_solve_dense, row_monomials
+from helpers import (
+    SparseSystem,
+    columns,
+    expanded,
+    from_vars,
+    poly_mul,
+    random_dense_system,
+    ref_solve_dense,
+    rhs_entries,
+    row_monomials,
+)
 from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
@@ -153,9 +163,9 @@ def test_criterion_1(capsys):
         golden = [[bits(row)[j] for j in order] for _, row in K4_DEGREE1_ROWS]
         assert dense_rows(asm.system) == golden
         # right-hand side carries the target 1 on the constant row only
-        assert list(asm.system.rhs) == [1] + [0] * 20
+        assert asm.rhs_list == [[(0, 1)]]
 
-        res = solve(asm.system)
+        res = solve(asm.system, asm.rhs_list[0])
         assert res.consistent
 
 
@@ -184,9 +194,9 @@ def test_criterion_2(capsys):
         assert list(orb.col_reps) == [orb.col_orbit_index.index(k) for k in range(9)]
         dense = dense_rows(orb.system)
         assert [[row[k] for k in to_orbit] for row in dense] == [bits(row) for _, row in K4_ORBIT_ROWS_MOD2]
-        assert list(orb.system.rhs) == [1] + [0] * 8
+        assert orb.rhs_list == [[(0, 1)]]
 
-        res = solve(orb.system)
+        res = solve(orb.system, orb.rhs_list[0])
         assert res.consistent
         lifted = lift_solution(orb, res.solution)
         cert = extract_certificate(F, orb, lifted, one)
@@ -197,7 +207,7 @@ def test_criterion_2(capsys):
         F_full = encode_coloring(gen_complete(4), EncodingOptions())
         orb_full = assemble_orbit(F_full, 1, one, rot, pruning="graded:3")
         assert orb_full.system.n_rows == 9 and orb_full.system.n_cols == 10
-        res_full = solve(orb_full.system)
+        res_full = solve(orb_full.system, orb_full.rhs_list[0])
         assert res_full.consistent
         cert_full = extract_certificate(
             F_full, orb_full, lift_solution(orb_full, res_full.solution), one
@@ -220,7 +230,7 @@ def test_criterion_3(capsys):
         assert asm.system.n_cols == 16  # 4 polynomials x 4 multiplier monomials
 
         # independent row count: distinct monomials over all shifted products
-        shifts = [Monomial.from_vars(t, 3) for d in (0, 1)
+        shifts = [from_vars(t, 3) for d in (0, 1)
                   for t in combinations_with_replacement(range(3), d)]
         expected = {()}
         for f in F.polys:
@@ -349,8 +359,8 @@ def test_criterion_9(tmp_path, capsys):
             rows = [
                 [(j, v) for j, v in enumerate(row) if v] for row in matrix
             ]
-            sys_ = SparseSystem.make(field, len(matrix), len(matrix[0]), rows, rhs)
-            res = solve(sys_)
+            sys_ = SparseSystem.make(field, len(matrix), len(matrix[0]), rows)
+            res = solve(sys_, rhs_entries(rhs))
             status, ref_sol, _ = ref_solve_dense(matrix, rhs, p)
             if res.status != status:
                 mismatches += 1

@@ -8,7 +8,17 @@ import tracemalloc
 import pytest
 
 import nullcert.assemble as asm
-from helpers import GF3_DEGREE3, GF4_ROOTS, GF4_ZERO, columns, eval_poly_gf4, expanded, poly_mul, row_monomials
+from helpers import (
+    GF3_DEGREE3,
+    GF4_ROOTS,
+    GF4_ZERO,
+    columns,
+    eval_poly_gf4,
+    expanded,
+    monomials_up_to,
+    poly_mul,
+    row_monomials,
+)
 from nullcert.assemble import (
     AssembleError,
     _Packing,
@@ -34,7 +44,6 @@ from nullcert.poly import (
     Monomial,
     PolySystem,
     Polynomial,
-    monomials_up_to,
     parse_poly,
 )
 from nullcert.symmetry import PermutationSet, SymmetryError, parse_generators
@@ -89,7 +98,7 @@ def test_entry_values_match_shifted_coefficients():
     assert by_row[(0, 1)] == ((1, 1), (2, 1)) # x1*x2 from both shifts
     assert by_row[(1, 1)] == ((2, 1),)        # x2^2 from shift x2
     # rhs carries the target coefficient on the constant row
-    assert asys.system.rhs[0] == 1 and sum(asys.system.rhs) == 1
+    assert asys.rhs_list == [[(0, 1)]]
 
 
 def test_row_and_column_order_is_graded():
@@ -115,7 +124,7 @@ def test_degenerate_constant_system():
     F = PolySystem.make(GF2, 1, [Polynomial.one(GF2, 1)])
     asys = assemble(F, 0, [Polynomial.one(GF2, 1)])
     assert (asys.system.n_rows, asys.system.n_cols) == (1, 1)
-    res = solve(asys.system)
+    res = solve(asys.system, asys.rhs_list[0])
     assert res.status == "consistent" and res.solution == (1,)
     out = nulla_prove(F, [0])
     assert out.verdict == "infeasible" and verify(out.certificate)
@@ -205,7 +214,8 @@ def test_consistency_survives_degree_increase():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
     for d in (1, 4):
-        assert solve(assemble(F, d, [g], pruning="graded:3").system).consistent
+        asys = assemble(F, d, [g], pruning="graded:3")
+        assert solve(asys.system, asys.rhs_list[0]).consistent
 
 
 def test_first_consistent_target_wins():
@@ -233,7 +243,7 @@ def test_extract_certificate_matches_prove_path():
     F = small_system()
     g = Polynomial.one(GF3, 3)
     asys = assemble(F, 1, [g])
-    res = solve(asys.system)
+    res = solve(asys.system, asys.rhs_list[0])
     cert = extract_certificate(F, asys, res.solution, g)
     assert verify(cert)
     out = nulla_prove(F, [1])
@@ -258,7 +268,7 @@ def test_prove_extracts_from_assembled_columns(p, n_vars, texts, d):
     out = nulla_prove(F, range(1, d + 1))
     assert out.degree == d
     asys = assemble(F, d, [g])
-    res = solve(asys.system)
+    res = solve(asys.system, asys.rhs_list[0])
     cert = extract_certificate(F, asys, res.solution, g, out.certificate.provenance)
     assert write_cert(cert) == write_cert(out.certificate)
 
@@ -276,7 +286,7 @@ def test_gf2_prove_matches_assemble_and_solve(graph):
         asys = assemble(F, d, [g], pruning="graded:3")
         out = nulla_prove(F, [d], pruning="graded:3")
         (st,) = out.per_degree
-        res = solve(asys.system)
+        res = solve(asys.system, asys.rhs_list[0])
         assert (st.rows, st.cols, st.nnz, st.status) == (
             asys.system.n_rows, asys.system.n_cols, asys.system.nnz, res.status
         )
@@ -383,8 +393,10 @@ def test_graded_equals_unpruned_on_coloring_systems():
         g = gen_random(5 + rng.randrange(4), 0.55, rng.randrange(10**6))
         F = encode_coloring(g, EncodingOptions(preprocess=True))
         target = Polynomial.one(GF2, g.n_vertices)
-        full = solve(assemble(F, 1, [target], pruning="occurring").system).consistent
-        pruned = solve(assemble(F, 1, [target], pruning="graded:3").system).consistent
+        full, pruned = (
+            solve(asys.system, asys.rhs_list[0]).consistent
+            for asys in (assemble(F, 1, [target], pruning=mode) for mode in ("occurring", "graded:3"))
+        )
         assert full == pruned
         checked += 1
     assert checked == 40

@@ -19,6 +19,7 @@ import nullcert.graphs as graphs
 from nullcert.certificate import CertificateError, read_cert, verify
 from nullcert.cli import main
 from nullcert.graphs import parse_dimacs
+from nullcert.linsolve import packed_bytes
 from nullcert.poly import FieldSpec, PolyParseError, Polynomial, format_poly, parse_poly
 from nullcert.symmetry import SymmetryError, parse_generators
 
@@ -220,8 +221,50 @@ def test_budget_refuses_a_system_without_columns(tmp_path, capsys):
     path = tmp_path / "sys.txt"
     path.write_text("a x1*x2\n")
     argv = ["--p", "2", "--pruning", "graded:3", "--schedule", "0", "--memory-budget", "0"]
-    message = "error: predicted working set 8 bytes for a 1 x 0 system exceeds the 0 byte budget\n"
+    message = (
+        "error: predicted working set of at least 8 bytes for a system of at least 1 x 0 "
+        "exceeds the 0 byte budget\n"
+    )
     assert run(capsys, "prove", "--system", str(path), *argv) == (2, "", message)
+
+
+def test_budget_counts_every_target(capsys):
+    # wheel:9 at degree 1 is 191 x 181 for g = 1 (4,584 bytes) and 221 x 181
+    # with the 221 targets of --alt-g auto:3: 5,304 bytes for one rhs,
+    # 12,376 for all of them
+    assert packed_bytes(191, 181, 2) < packed_bytes(221, 181, 2) < 8000 < packed_bytes(221, 181, 2, 221)
+    rc, out, err = run(capsys, "prove", "--gen", "wheel:9", "--alt-g", "auto:3")
+    assert rc == 0 and out.startswith("degree=1 rows=221 cols=181 ")
+    rc, out, err = run(capsys, "prove", "--gen", "wheel:9", "--alt-g", "auto:3", "--memory-budget", "8000")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: predicted working set of at least ") and err.count("\n") == 1
+    rc, out, err = run(capsys, "prove", "--gen", "wheel:9", "--memory-budget", "8000")
+    assert (rc, err) == (0, "") and out.startswith("degree=1 rows=191 cols=181 ")
+
+
+def test_budget_refusal_mid_count_names_a_lower_bound(capsys):
+    # wheel:101's degree-1 system is 25,353 x 20,605; the budget trips in
+    # the third block of columns, when 11,391 rows have been counted
+    message = (
+        "error: predicted working set of at least 29343216 bytes for a system of at least 11391 x 20605 "
+        "exceeds the 21904992 byte budget\n"
+    )
+    assert run(capsys, "prove", "--gen", "wheel:101", "--memory-budget", "21904992") == (2, "", message)
+    rc, out, _ = run(capsys, "stats", "--gen", "wheel:101", "--degree", "1")
+    assert rc == 0 and " rows=25353 cols=20605 " in out
+
+
+def test_many_targets_are_solved_from_their_entries(capsys):
+    # wheel:31 with --alt-g auto:3 solves 5,985 targets on a 5,985-row
+    # system; one dense vector per target took about 290 MB
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "prove", "--gen", "wheel:31", "--alt-g", "auto:3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (0, "") and out.startswith("degree=1 rows=5985 cols=1985 ")
+    assert peak < 64 << 20, peak
 
 
 # ------------------------------------------------------- cert files
@@ -649,17 +692,17 @@ def test_full_system_is_assembled_only_for_an_undecided_orbit_solve(
         (
             ("--gen", "complete:4", "--symmetry", "rot.txt"),
             168,
-            {0: "32 bytes for a 4 x 28", 56: "168 bytes for a 21 x 28", 167: "168 bytes for a 21 x 28"},
+            {0: (32, "4 x 28"), 56: (168, "21 x 28"), 167: (168, "21 x 28")},
         ),
         (
             ("--gen", "complete:4", "--symmetry", "swap.txt"),
             168,
-            {1: "32 bytes for a 4 x 28", 84: "168 bytes for a 21 x 28", 167: "168 bytes for a 21 x 28"},
+            {1: (32, "4 x 28"), 84: (168, "21 x 28"), 167: (168, "21 x 28")},
         ),
         (
             ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
             1824,
-            {0: "128 bytes for a 8 x 120", 912: "1824 bytes for a 114 x 120", 1823: "1824 bytes for a 114 x 120"},
+            {0: (128, "8 x 120"), 912: (1824, "114 x 120"), 1823: (1824, "114 x 120")},
         ),
     ],
     ids=["rotation", "swap-fallback", "wheel7-rotation"],
@@ -669,9 +712,12 @@ def test_symmetry_budget_refuses_where_the_full_system_would(argv, threshold, re
     (tmp_path / "rot.txt").write_text("(2,3,4)\n")
     (tmp_path / "swap.txt").write_text("(1,2)\n")
     (tmp_path / "rim7.txt").write_text("(1,2,3,4,5,6,7)\n")
-    for budget, sizes in refusals.items():
+    for budget, (nbytes, shape) in refusals.items():
         rc, out, err = run(capsys, "prove", *argv, "--memory-budget", str(budget))
-        message = f"error: predicted working set {sizes} system exceeds the {budget} byte budget\n"
+        message = (
+            f"error: predicted working set of at least {nbytes} bytes for a system of at least {shape} "
+            f"exceeds the {budget} byte budget\n"
+        )
         assert (rc, out, err) == (2, "", message)
     rc, _, err = run(capsys, "prove", *argv, "--memory-budget", str(threshold))
     assert (rc, err) == (0, "")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, exhaustive_colorable, poly_eval
+from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, exhaustive_colorable, monomials_up_to, poly_eval
 from nullcert.encode import (
     EncodeError,
     EncodingOptions,
@@ -226,3 +226,8 @@ class TestAltG:
     def test_degree_validation(self):
         with pytest.raises(EncodeError):
             alt_g_candidates(3, 0)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (2, 3), (4, 2), (5, 4), (9, 3)])
+    def test_equals_the_filtered_monomials(self, n, d):
+        # built at one degree, in the order of filtering every degree up to it
+        assert alt_g_candidates(n, d) == [m for m in monomials_up_to(n, d) if m.degree == d]

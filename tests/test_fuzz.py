@@ -153,9 +153,11 @@ def test_fuzz_load_system_file(tmp_path):
         (["prove", "--gen", "wheel:5", "--symmetry"], ["(1,2,3,4,5)", "(1,5)(2,4)"], (0, 2)),
         # wheel:4 is 3-colorable: a group it accepts ends at the coloring
         (["prove", "--gen", "wheel:4", "--symmetry"], ["(1,2,3,4)", "(1,3)(2,4)"], (2, 10)),
+        # many right-hand sides: a mutant may leave no certificate (exit 10)
+        (["prove", "--p", "3", "--alt-g", "auto:2", "--system"], [QUADRIC, GF3_DEGREE3], (0, 2, 10)),
         (["verify"], None, (0, 1, 2)),
     ],
-    ids=["stats-system", "encode-input", "prove-symmetry", "prove-symmetry-colorable", "verify"],
+    ids=["stats-system", "encode-input", "prove-symmetry", "prove-symmetry-colorable", "prove-alt-g-system", "verify"],
 )
 def test_fuzz_command_line(command, seeds, allowed, tmp_path, capsys):
     # an exit 2 says one line on stderr; verify may also exit 1 for a

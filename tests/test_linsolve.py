@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import SparseSystem, random_dense_system, ref_solve_dense
+from helpers import SparseSystem, random_dense_system, ref_solve_dense, rhs_entries, rhs_entries
 import nullcert.linsolve as linsolve
 from nullcert.linsolve import (
     LinsolveError,
@@ -20,16 +20,15 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 
 
-def from_dense(field, matrix, rhs):
+def from_dense(field, matrix):
     rows = [
         [(c, v % field.p) for c, v in enumerate(row) if v % field.p]
         for row in matrix
     ]
-    return SparseSystem.make(field, len(matrix), len(matrix[0]), rows, rhs)
+    return SparseSystem.make(field, len(matrix), len(matrix[0]), rows)
 
 
-def check_satisfies(sys, solution, rhs=None):
-    rhs = sys.rhs if rhs is None else rhs
+def check_satisfies(sys, solution, rhs):
     p = sys.field.p
     for i, row in enumerate(sys.rows):
         acc = sum(v * solution[c] for c, v in row) % p
@@ -39,11 +38,11 @@ def check_satisfies(sys, solution, rhs=None):
 class TestConstruction:
     def test_memory_guard(self):
         with pytest.raises(MemoryBudgetError) as exc:
-            linsolve._check_budget(F2, 10**6, 10**6, 1 << 20)
+            linsolve._check_budget(F2, 10**6, 10**6, 1 << 20, 1)
         assert exc.value.predicted_bytes == packed_bytes(10**6, 10**6, 2)
         assert exc.value.n_rows == 10**6
         # generous budgets admit small systems
-        linsolve._check_budget(F2, 1, 1, 1 << 20)
+        linsolve._check_budget(F2, 1, 1, 1 << 20, 1)
 
     def test_packed_bytes(self):
         assert packed_bytes(64, 63, 2) == 64 * 8  # 63 cols + 1 rhs fits one word
@@ -52,31 +51,31 @@ class TestConstruction:
 
 class TestSolveExamples:
     def test_one_by_one(self):
-        res = solve(SparseSystem.make(F2, 1, 1, [[(0, 1)]], [1]))
+        res = solve(SparseSystem.make(F2, 1, 1, [[(0, 1)]]), [(0, 1)])
         assert res.status == "consistent"
         assert res.solution == (1,)
         assert res.pivot_cols == (0,)
 
     def test_empty_row_inconsistent(self):
-        res = solve(SparseSystem.make(F2, 1, 1, [[]], [1]))
+        res = solve(SparseSystem.make(F2, 1, 1, [[]]), [(0, 1)])
         assert res.status == "inconsistent"
         assert res.solution is None
 
     def test_all_zero_rhs(self):
-        sys_ = from_dense(F3, [[1, 2], [2, 1]], [0, 0])
-        res = solve(sys_)
+        sys_ = from_dense(F3, [[1, 2], [2, 1]])
+        res = solve(sys_, [])
         assert res.consistent and res.solution == (0, 0)
 
     def test_free_variables_are_zero(self):
         # one equation, three unknowns: y0 + y1 + y2 = 1
-        sys_ = from_dense(F2, [[1, 1, 1]], [1])
-        res = solve(sys_)
+        sys_ = from_dense(F2, [[1, 1, 1]])
+        res = solve(sys_, [(0, 1)])
         assert res.solution == (1, 0, 0)
         assert res.pivot_cols == (0,)
 
     def test_gf3_normalization(self):
         # 2*y0 = 1 over GF(3) -> y0 = 2
-        res = solve(SparseSystem.make(F3, 1, 1, [[(0, 2)]], [1]))
+        res = solve(SparseSystem.make(F3, 1, 1, [[(0, 2)]]), [(0, 1)])
         assert res.solution == (2,)
 
 
@@ -105,15 +104,15 @@ class TestAgainstDenseReference:
         statuses = set()
         for _ in range(n_cases):
             matrix, rhs = make(rng, field.p, max_rows, max_cols or max_rows)
-            sys_ = from_dense(field, matrix, rhs)
-            res = solve(sys_)
+            sys_ = from_dense(field, matrix)
+            res = solve(sys_, rhs_entries(rhs))
             status, ref_sol, ref_pivots = ref_solve_dense(matrix, rhs, field.p)
             statuses.add(status)
             assert res.status == status
             assert list(res.pivot_cols) == ref_pivots
             if status == "consistent":
                 assert list(res.solution) == ref_sol
-                check_satisfies(sys_, res.solution)
+                check_satisfies(sys_, res.solution, rhs)
         return statuses
 
     def test_gf2(self):
@@ -137,14 +136,14 @@ class TestAgainstDenseReference:
     def test_determinism(self):
         rng = random.Random(42)
         matrix, rhs = random_dense_system(rng, 2, 30, 30)
-        sys_ = from_dense(F2, matrix, rhs)
-        assert solve(sys_) == solve(sys_)
+        sys_ = from_dense(F2, matrix)
+        assert solve(sys_, rhs_entries(rhs)) == solve(sys_, rhs_entries(rhs))
 
 
 class TestMultiRhs:
     def test_repeated_rhs_identical(self):
-        sys_ = from_dense(F2, [[1, 0], [1, 1]], [1, 0])
-        b = [1, 0]
+        sys_ = from_dense(F2, [[1, 0], [1, 1]])
+        b = [(0, 1)]
         r1, r2 = solve_multi_rhs(sys_, [b, b])
         assert r1 == r2
 
@@ -152,10 +151,10 @@ class TestMultiRhs:
         rng = random.Random(9)
         matrix = [[rng.randrange(2) for _ in range(12)] for _ in range(10)]
         rhs_set = [[rng.randrange(2) for _ in range(10)] for _ in range(364)]
-        sys_ = from_dense(F2, matrix, [0] * 10)
-        multi = solve_multi_rhs(sys_, rhs_set)
+        sys_ = from_dense(F2, matrix)
+        multi = solve_multi_rhs(sys_, [rhs_entries(b) for b in rhs_set])
         for b, res in zip(rhs_set, multi):
-            single = solve(from_dense(F2, matrix, b))
+            single = solve(from_dense(F2, matrix), rhs_entries(b))
             assert res == single
             if res.consistent:
                 check_satisfies(sys_, res.solution, b)
@@ -165,9 +164,9 @@ class TestMultiRhs:
         # and leaves b0 + b1 + b2, zero for the first rhs and not the second.
         # The first reduction leaves a gap of 70 columns, past one 64-bit word.
         rows = [[(100, 1), (170, 1)], [(170, 1), (240, 1)], [(100, 1), (240, 1)]]
-        sys_ = SparseSystem.make(F2, 3, 241, rows, [0, 0, 0])
+        sys_ = SparseSystem.make(F2, 3, 241, rows)
         good, bad = [1, 0, 1], [1, 0, 0]
-        r_good, r_bad = solve_multi_rhs(sys_, [good, bad])
+        r_good, r_bad = solve_multi_rhs(sys_, [rhs_entries(good), rhs_entries(bad)])
         assert r_good.status == "consistent" and r_bad.status == "inconsistent"
         assert r_good.pivot_cols == r_bad.pivot_cols == (100, 170)
         support = [c for c, v in enumerate(r_good.solution) if v]
@@ -175,39 +174,39 @@ class TestMultiRhs:
         check_satisfies(sys_, r_good.solution, good)
         assert r_bad.solution is None
         for b, res in ((good, r_good), (bad, r_bad)):
-            assert res == solve(SparseSystem.make(F2, 3, 241, rows, b))
+            assert res == solve(SparseSystem.make(F2, 3, 241, rows), rhs_entries(b))
 
     def test_matches_per_rhs_solve_gf3(self):
         rng = random.Random(10)
         matrix = [[rng.randrange(3) for _ in range(8)] for _ in range(6)]
         rhs_set = [[rng.randrange(3) for _ in range(6)] for _ in range(40)]
-        sys_ = from_dense(F3, matrix, [0] * 6)
-        for b, res in zip(rhs_set, solve_multi_rhs(sys_, rhs_set)):
-            assert res == solve(from_dense(F3, matrix, b))
+        sys_ = from_dense(F3, matrix)
+        for b, res in zip(rhs_set, solve_multi_rhs(sys_, [rhs_entries(b) for b in rhs_set])):
+            assert res == solve(from_dense(F3, matrix), rhs_entries(b))
 
     def test_gf3_row_reducing_to_rhs_only(self):
         # row 2 = 2 * row 0 + row 1: its matrix part cancels and leaves
         # b2 - 2 b0 - b1, zero for the first rhs and 1 for the second.  The
         # columns lie past one 64-bit word of each bit-plane.
         rows = [[(100, 1), (170, 1)], [(170, 1), (240, 2)], [(100, 2), (240, 2)]]
-        sys_ = SparseSystem.make(F3, 3, 241, rows, [0, 0, 0])
+        sys_ = SparseSystem.make(F3, 3, 241, rows)
         good, bad = [1, 1, 0], [1, 1, 1]
-        r_good, r_bad = solve_multi_rhs(sys_, [good, bad])
+        r_good, r_bad = solve_multi_rhs(sys_, [rhs_entries(good), rhs_entries(bad)])
         assert r_good.status == "consistent" and r_bad.status == "inconsistent"
         assert r_good.pivot_cols == r_bad.pivot_cols == (100, 170)
         assert {c: v for c, v in enumerate(r_good.solution) if v} == {170: 1}
         check_satisfies(sys_, r_good.solution, good)
         for b, res in ((good, r_good), (bad, r_bad)):
-            assert res == solve(SparseSystem.make(F3, 3, 241, rows, b))
+            assert res == solve(SparseSystem.make(F3, 3, 241, rows), rhs_entries(b))
 
     def test_gf3_minus_one_lead_is_normalized(self):
         # -y1 + y4 = 1 claims pivot 1 and is stored as y1 - y4 = 2; row 1
         # reduces against it and claims pivot 2.
-        sys_ = SparseSystem.make(F3, 2, 5, [[(1, 2), (4, 1)], [(1, 1), (2, 1), (4, 2)]], [1, 0])
-        res = solve(sys_)
+        sys_ = SparseSystem.make(F3, 2, 5, [[(1, 2), (4, 1)], [(1, 1), (2, 1), (4, 2)]])
+        res = solve(sys_, [(0, 1)])
         assert res.pivot_cols == (1, 2)
         assert res.solution == (0, 2, 1, 0, 0)
-        check_satisfies(sys_, res.solution)
+        check_satisfies(sys_, res.solution, [1, 0])
 
     def test_gf3_bit_planes_match_the_dict_eliminator(self):
         # Seeded wide sparse systems past several 64-bit words, solved on the
@@ -235,9 +234,13 @@ class TestMultiRhs:
             y = [rng.randrange(3) for _ in range(n_cols)]
             rhs_list = [[sum(v * y[c] for c, v in row.items()) % 3 for row in rows]]
             rhs_list += [[rng.randrange(3) for _ in rows] for _ in range(rng.randrange(4))]
-            sys_ = SparseSystem.make(F3, len(rows), n_cols, [sorted(r.items()) for r in rows], rhs_list[0])
-            pivots, planes = linsolve._eliminate_gf3(sys_, rhs_list)
-            ref_pivots, ref = linsolve._eliminate_gfp(sys_, rhs_list)
+            sys_ = SparseSystem.make(F3, len(rows), n_cols, [sorted(r.items()) for r in rows])
+            rhs_at = {}  # filed by row, as solve_multi_rhs files them
+            for j, b in enumerate(rhs_list):
+                for i, v in rhs_entries(b):
+                    rhs_at.setdefault(i, []).append((j, v))
+            pivots, planes = linsolve._eliminate_gf3(sys_, rhs_at, len(rhs_list))
+            ref_pivots, ref = linsolve._eliminate_gfp(sys_, rhs_at, len(rhs_list))
             assert pivots == ref_pivots
             for x, ref_x in zip(planes, ref):
                 assert (x is None) == (ref_x is None)
@@ -254,17 +257,28 @@ class TestMultiRhs:
         for name in ("_eliminate_gf3", "_eliminate_gfp"):
             real = getattr(linsolve, name)
 
-            def spy(sys_, rhs_list, real=real, name=name):
+            def spy(sys_, rhs_at, R, real=real, name=name):
                 calls.append((name, sys_.field.p))
-                return real(sys_, rhs_list)
+                return real(sys_, rhs_at, R)
 
             monkeypatch.setattr(linsolve, name, spy)
-        solve(from_dense(F3, [[1, 2]], [1]))
-        solve(from_dense(F5, [[1, 2]], [1]))
-        solve(from_dense(FieldSpec(7), [[3, 2]], [1]))
+        solve(from_dense(F3, [[1, 2]]), [(0, 1)])
+        solve(from_dense(F5, [[1, 2]]), [(0, 1)])
+        solve(from_dense(FieldSpec(7), [[3, 2]]), [(0, 1)])
         assert calls == [("_eliminate_gf3", 3), ("_eliminate_gfp", 5), ("_eliminate_gfp", 7)]
 
     def test_rhs_length_check(self):
-        sys_ = from_dense(F2, [[1]], [0])
-        with pytest.raises(LinsolveError):
-            solve_multi_rhs(sys_, [[0, 1]])
+        # a row past the system's rows: the entry form of an rhs too long
+        sys_ = from_dense(F2, [[1]])
+        with pytest.raises(LinsolveError, match="row 1 outside"):
+            solve_multi_rhs(sys_, [[(1, 1)]])
+
+    def test_rhs_rows_are_checked(self):
+        # an entry's row must lie in the system, and one rhs lists a row once
+        sys_ = from_dense(F3, [[1], [2]])
+        for bad in ([(2, 1)], [(-1, 1)], [(0, 1), (1, 1), (0, 2)]):
+            with pytest.raises(LinsolveError, match="row"):
+                solve_multi_rhs(sys_, [[(1, 1)], bad])
+        # two right-hand sides may each list the same row
+        r1, r2 = solve_multi_rhs(sys_, [[(0, 1), (1, 2)], [(1, 1), (0, 2)]])
+        assert (r1.solution, r2.solution) == ((1,), (2,))

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import expanded, poly_eval, poly_mul
+from helpers import expanded, from_vars, monomials_up_to, poly_eval, poly_mul
 from nullcert.poly import (
     FieldSpec,
     Monomial,
@@ -16,7 +16,6 @@ from nullcert.poly import (
     PolyParseError,
     format_monomial,
     format_poly,
-    monomials_up_to,
     parse_monomial,
     parse_poly,
 )
@@ -53,7 +52,7 @@ class TestFieldSpec:
 
 class TestMonomial:
     def test_make_and_from_vars(self):
-        m = Monomial.from_vars((0, 0, 1), 3)
+        m = from_vars((0, 0, 1), 3)
         assert m == Monomial.make({0: 2, 1: 1}, 3)
         assert m.degree == 3
         assert expanded(m) == (0, 0, 1)
@@ -86,15 +85,15 @@ class TestMonomial:
         assert sorted(shuffled, key=Monomial.sort_key) == ms
 
     def test_mul(self):
-        a = Monomial.from_vars((0,), 2)
-        b = Monomial.from_vars((0, 1), 2)
-        assert a.mul(b) == Monomial.from_vars((0, 0, 1), 2)
+        a = from_vars((0,), 2)
+        b = from_vars((0, 1), 2)
+        assert a.mul(b) == from_vars((0, 0, 1), 2)
         assert a.mul(Monomial.one(2)) == a
 
 
 class TestPolynomial:
     def test_normalization(self):
-        x1 = Monomial.from_vars((0,), 2)
+        x1 = from_vars((0,), 2)
         p = Polynomial.make(F3, 2, [(x1, 2), (x1, 2)])  # 2+2 = 1 mod 3
         assert dict(p.terms) == {x1: 1}
         q = Polynomial.make(F2, 2, [(x1, 1), (x1, 1)])

@@ -34,7 +34,7 @@ def poly():
 
 
 def sparse():
-    return SparseSystem(F2, 1, 2, (((0, 1), (1, 1)),), (1,))
+    return SparseSystem(F2, 1, 2, (((0, 1), (1, 1)),))
 
 
 def assembled():
@@ -78,9 +78,9 @@ RECORDS = {
     ),
     SparseSystem: (
         sparse,
-        lambda: SparseSystem(F2, 1, 2, ()),
+        lambda: SparseSystem(F2, 1, 2),
         TypeError,
-        r"SparseSystem.__init__\(\) missing 1 required positional argument: 'rhs'",
+        r"SparseSystem.__init__\(\) missing 1 required positional argument: 'rows'",
     ),
     SolveResult: (
         lambda: SolveResult("consistent", (1, 0), (0,)),

@@ -119,7 +119,7 @@ def test_k4_orbit_matrix_shape_and_keys():
     assert orb.group_order == 3
     assert orb.coprime_verified
     # rhs is 1 exactly on the constant-monomial orbit
-    assert orb.system.rhs == (1,) + (0,) * 8
+    assert orb.rhs_list == [[(0, 1)]]
 
 
 def test_k4_orbit_entries_are_full_matrix_sums():
@@ -162,7 +162,7 @@ def test_k4_orbit_solution_lifts_to_certificate():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
-    res = solve(orb.system)
+    res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
     y = lift_solution(orb, res.solution)
     assert len(y) == 25
@@ -180,7 +180,7 @@ def test_full_encoding_orbit_system():
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 10)
-    res = solve(orb.system)
+    res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
     cert = extract_certificate(F, orb, lift_solution(orb, res.solution), g)
     assert verify(cert)
@@ -192,7 +192,7 @@ def test_identity_group_gives_plain_system():
     orb = assemble_orbit(F, 1, g, PermutationSet.make(4, []), pruning="graded:3")
     plain = assemble(F, 1, [g], pruning="graded:3")
     assert orb.system.rows == plain.system.rows
-    assert orb.system.rhs == plain.system.rhs
+    assert orb.rhs_list == plain.rhs_list
     assert row_monomials(orb) == row_monomials(plain)
     assert columns(orb, orb.col_reps) == columns(plain)
     assert orb.group_order == 1 and orb.coprime_verified
@@ -206,7 +206,7 @@ def test_orbit_matrix_well_defined_across_generator_choice():
     a = assemble_orbit(F, 1, g, parse_generators("(2,3,4)", 4), pruning="graded:3")
     b = assemble_orbit(F, 1, g, parse_generators("(2,4,3)", 4), pruning="graded:3")
     assert a.system.rows == b.system.rows
-    assert a.system.rhs == b.system.rhs
+    assert a.rhs_list == b.rhs_list
     assert a.col_orbit_index == b.col_orbit_index
 
 
@@ -240,8 +240,9 @@ def test_cycle_graph_orbit_consistency_matches_full():
     rot = parse_generators("(1,2,3,4,5)", 5)
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
     assert orb.coprime_verified and orb.group_order == 5
-    assert not solve(orb.system).consistent
-    assert not solve(assemble(F, 1, [g], pruning="graded:3").system).consistent
+    assert not solve(orb.system, orb.rhs_list[0]).consistent
+    full = assemble(F, 1, [g], pruning="graded:3")
+    assert not solve(full.system, full.rhs_list[0]).consistent
 
 
 def test_wheel_rim_rotation_positive_case():
@@ -251,7 +252,7 @@ def test_wheel_rim_rotation_positive_case():
     rot = parse_generators("(1,2,3,4,5)", 6)
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
     assert orb.system.n_cols < assemble(F, 1, [g], pruning="graded:3").system.n_cols
-    res = solve(orb.system)
+    res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
     cert = extract_certificate(F, orb, lift_solution(orb, res.solution), g)
     assert verify(cert)
@@ -306,7 +307,6 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
     ref = orbit_fold(F, full, perms)
     assert orb.system.rows == ref.rows
     assert orb.rhs_list == ref.rhs_list
-    assert orb.system.rhs == tuple(ref.rhs_list[0])
     assert orb.packed_rows == ref.row_keys
     assert orb.col_reps == ref.col_reps
     assert orb.col_orbit_index == ref.col_orbit_index
@@ -315,9 +315,9 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
     # the walks count the full system exactly: a budget one byte short of
     # its working set refuses it, naming its sizes
     rows, cols = full.system.n_rows, full.system.n_cols
-    need = packed_bytes(rows, cols, F.field.p)
+    need = packed_bytes(rows, cols, F.field.p, len(targets))
     _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, need)
-    with pytest.raises(MemoryBudgetError, match=f"for a {rows} x {cols} system"):
+    with pytest.raises(MemoryBudgetError, match=f"of at least {rows} x {cols} exceeds"):
         _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, need - 1)
 
 
