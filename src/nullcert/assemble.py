@@ -12,9 +12,10 @@ system (if any), then F's.  Given a group, each is built as its orbit
 system, and assembled only when the orbit solve is inconsistent and the
 group order is not known coprime to p; without one it is assembled.  An
 assembled system is peeled (below) before it is solved.  Each solve gets
-one DegreeStats, with the full system's sizes.  The first consistent solve
-is lifted (orbit), extracted and re-verified.  A verified common root
-ends the search before any system is built (see below).
+one DegreeStats: an assembled system's carries the full system's sizes, an
+orbit system's the orbit system's own.  The first consistent solve is
+extracted and re-verified.  A verified common root ends the search before
+any system is built (see below).
 
 Peeling: a row monomial that is no target's and that exactly one column
 produces forces that column to zero in every solution.  _peel drops such a
@@ -46,16 +47,18 @@ Orbit systems: a permutation group on the variables (nullcert.symmetry)
 permutes the rows (monomials) and columns (shifted polynomials).  When F is
 invariant under the group and every target is fixed by it, solutions may be
 assumed constant on column orbits, so the system reduces to one row and
-one column per orbit, entries summed over column-orbit members.  An orbit
+one column per orbit, entries summed over column-orbit members.  It is an
+AssembledSystem whose col_orbit_index maps each full column to its orbit:
+a plain system is its own orbit system under the trivial group.  An orbit
 solution always lifts to a full one, and so to a certificate that verifies.
 The converse, full consistency implying orbit consistency, needs |G| coprime
-to p; coprime_verified records that, so an inconsistent orbit system is
-conclusive only when it is true, and nulla_prove otherwise solves the full
-matrix of the same degree too.  The orbit system is built from F and the
-group without the full matrix (_orbit_system): permuting packed monomials
-is additive, so orbits are walked with each generator's images of the
-shifts and of F's terms, and a representative row sums the coefficients of
-F's terms that divide it.  On wheel:101 under its rim rotation that builds
+to p, so nulla_prove takes an inconsistent orbit system as conclusive only
+when the group order is known and coprime to p, and otherwise solves the
+full matrix of the same degree too.  The orbit system is built from F and
+the group without the full matrix (_orbit_system): permuting packed
+monomials is additive, so orbits are walked with each generator's images of
+the shifts and of F's terms, and a representative row sums the coefficients
+of F's terms that divide it.  On wheel:101 under its rim rotation that builds
 253 x 206 where the full system is 25,353 x 20,706.
 
 A common root rules out every degree (the weak Nullstellensatz direction
@@ -106,7 +109,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import accumulate, combinations_with_replacement, compress, islice
 from math import comb, gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
@@ -192,12 +195,16 @@ class AssembledSystem(Record):
     Keys stay packed by packing: a column is (poly index, packed shift), a
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
     more than the degrees that find nothing, so packing.unpack is applied
-    only where a Monomial is needed.  In a peeled system (nulla_prove's),
-    packed_cols and packed_rows are the surviving subsets, in the full
-    system's order.
+    only where a Monomial is needed.  Column j of packed_cols lies in system
+    column col_orbit_index[j].  A plain system carries range(n_cols); in a
+    peeled one (nulla_prove's), packed_cols and packed_rows are the
+    surviving subsets, in the full system's order.  In an orbit system,
+    packed_cols are the full system's columns, row k is the orbit of
+    packed_rows[k], and its orbits are numbered in order of first
+    appearance in col_orbit_index.
     """
 
-    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows")
+    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "col_orbit_index")
 
     def __init__(
         self,
@@ -206,56 +213,19 @@ class AssembledSystem(Record):
         packing: _Packing,
         packed_cols: Tuple[Tuple[int, int], ...],
         packed_rows: Tuple[int, ...],
+        col_orbit_index: Sequence[int],
     ) -> None:
         set_field(self, "system", system)
         set_field(self, "rhs_list", rhs_list)
         set_field(self, "packing", packing)
         set_field(self, "packed_cols", packed_cols)
         set_field(self, "packed_rows", packed_rows)
-        if system.n_cols != len(packed_cols):
+        set_field(self, "col_orbit_index", col_orbit_index)
+        # each system column holds at least one column key
+        if len(col_orbit_index) != len(packed_cols) or system.n_cols > len(packed_cols):
             raise AssembleError("column key count does not match system width")
         if system.n_rows != len(packed_rows):
             raise AssembleError("row key count does not match system height")
-
-
-class OrbitSystem(Record):
-    """A degree-d system reduced to one row and one column per orbit, with
-    what lifting and extraction need.
-
-    Row k is the orbit of packed_rows[k], its member first in the graded
-    order; column k is the orbit of the full column col_reps[k], its member
-    of least full-system index.  packed_cols lists the full system's columns
-    in its order, and col_orbit_index maps each to its orbit, so a lifted
-    solution is extracted like a full one.  coprime_verified: the group
-    order is known and coprime to p.
-    """
-
-    __slots__ = (
-        "system", "rhs_list", "packing", "packed_cols", "packed_rows", "col_reps", "col_orbit_index",
-        "group_order", "coprime_verified",
-    )
-
-    def __init__(
-        self,
-        system: SparseSystem,
-        rhs_list: List[List[Tuple[int, int]]],
-        packing: _Packing,
-        packed_cols: Tuple[Tuple[int, int], ...],
-        packed_rows: Tuple[int, ...],
-        col_reps: Tuple[int, ...],
-        col_orbit_index: Tuple[int, ...],
-        group_order: Optional[int],
-        coprime_verified: bool,
-    ) -> None:
-        set_field(self, "system", system)
-        set_field(self, "rhs_list", rhs_list)
-        set_field(self, "packing", packing)
-        set_field(self, "packed_cols", packed_cols)
-        set_field(self, "packed_rows", packed_rows)
-        set_field(self, "col_reps", col_reps)
-        set_field(self, "col_orbit_index", col_orbit_index)
-        set_field(self, "group_order", group_order)
-        set_field(self, "coprime_verified", coprime_verified)
 
 
 class DegreeStats(Record):
@@ -510,7 +480,7 @@ def _assemble(
         entries.append(tuple(zip(flat, flat)))
     system = SparseSystem(F.field, len(packed_rows), n_cols, tuple(entries))
     sizes = sizes or (system.n_rows, system.n_cols, system.nnz)
-    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows)), sizes
+    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), range(n_cols)), sizes
 
 
 def assemble(
@@ -538,17 +508,16 @@ def _orbit_system(
     targets: Sequence[Polynomial],
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
-    order: Optional[int],
     pruning: str,
     memory_budget: Optional[int],
-) -> OrbitSystem:
+) -> AssembledSystem:
     """The degree-d orbit system of F under perms, built without the full
     matrix (see "Orbit systems" in the module docstring).
 
-    maps[k][i] is the index of generator k's image of f_i (check_invariant);
-    order is the group order, None above the cap.  The orbit walks count
-    the full system's rows and columns exactly, and the memory budget is
-    checked on those counts.
+    maps[k][i] is the index of generator k's image of f_i (check_invariant).
+    The orbit walks count the full system's rows and columns exactly; the
+    memory budget is checked every _BUDGET_BLOCK rows walked, and on the
+    final counts.
     """
     packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
     # the group maps the listed variables onto themselves (see _layout)
@@ -591,8 +560,11 @@ def _orbit_system(
     # its terms; any other holds target monomials only, each the shift 0
     # times itself, and a member that is none leaves the row universe.  A
     # permutation keeps the degree, so the member first in the graded
-    # order is the greatest packed int.
+    # order is the greatest packed int.  Rows only grow, so the budget is
+    # checked each time _BUDGET_BLOCK more have been walked, and at the end.
+    field = F.field
     seen = set()
+    check_at = _BUDGET_BLOCK
     reps: List[int] = []
     products = ((packed_cols[j][1], t) for j in col_reps for t, _ in poly_terms[packed_cols[j][0]])
     walks = (
@@ -620,7 +592,9 @@ def _orbit_system(
             except KeyError:
                 raise SymmetryError("row universe is not closed under the group") from None
             reps.append(rep)
-    field = F.field
+            if len(seen) >= check_at:
+                _check_budget(field, len(seen), len(packed_cols), memory_budget, len(targets))
+                check_at = len(seen) + _BUDGET_BLOCK
     _check_budget(field, len(seen), len(packed_cols), memory_budget, len(targets))
 
     p = field.p
@@ -645,11 +619,8 @@ def _orbit_system(
     packed_targets = [[(packing.pack(m), c) for m, c in g.terms] for g in targets]
     rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in packed_targets]
     system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows))
-    coprime = order is not None and gcd(order, p) == 1
-    return OrbitSystem(
-        system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), tuple(col_reps),
-        tuple(o for deltas in shifts for delta in deltas for o in orbit_of[delta].values()), order, coprime,
-    )
+    col_orbit_index = tuple(o for deltas in shifts for delta in deltas for o in orbit_of[delta].values())
+    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), col_orbit_index)
 
 
 def assemble_orbit(
@@ -659,17 +630,17 @@ def assemble_orbit(
     perms: PermutationSet,
     pruning: str = "occurring",
     memory_budget: Optional[int] = None,
-) -> OrbitSystem:
+) -> AssembledSystem:
     """Build the degree-d orbit system of F under perms for the target g.
 
     Requires F invariant under every generator and g fixed by every
     generator (SymmetryError otherwise).  The full matrix is never built.
     """
     maps = check_invariant(F, [g], perms)
-    return _orbit_system(F, d, [g], perms, maps, group_order(perms), pruning, memory_budget)
+    return _orbit_system(F, d, [g], perms, maps, pruning, memory_budget)
 
 
-def lift_solution(orb: OrbitSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
+def lift_solution(orb: AssembledSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
     """Expand an orbit solution to the full column set, constant on orbits."""
     if len(ybar) != orb.system.n_cols:
         raise SymmetryError("orbit solution length does not match orbit system")
@@ -713,20 +684,21 @@ def stats(
 
 def extract_certificate(
     F: PolySystem,
-    asm: Union[AssembledSystem, OrbitSystem],
+    asm: AssembledSystem,
     solution: Sequence[int],
     target: Polynomial,
     provenance: Optional[dict] = None,
 ) -> Certificate:
-    """Turn a solution over the full columns asm.packed_cols (of an
-    assembled system, or of an orbit system's lifted solution) into
-    multipliers: beta_i = sum y_(i,delta) x^delta.  Only the shifts whose
-    coefficient is nonzero are unpacked."""
-    if len(asm.packed_cols) != len(solution):
+    """Turn a solution of asm.system into multipliers: beta_i = sum
+    y_(i,delta) x^delta, where column (i, delta) of asm.packed_cols takes
+    the value of its system column.  Only the shifts whose coefficient is
+    nonzero are unpacked."""
+    if len(solution) != asm.system.n_cols:
         raise AssembleError("solution length does not match the system's columns")
     unpack = asm.packing.unpack
     per_poly: Dict[int, List[Tuple[Monomial, int]]] = {}
-    for (i, delta), v in zip(asm.packed_cols, solution):
+    for (i, delta), o in zip(asm.packed_cols, asm.col_orbit_index):
+        v = solution[o]
         if v:
             per_poly.setdefault(i, []).append((unpack(delta), v))
     entries = tuple(
@@ -772,10 +744,11 @@ def nulla_prove(
     inconsistent and the group order is not known coprime to p: only a
     coprime order makes an inconsistent orbit solve conclusive.  An
     assembled system is solved peeled (see the module docstring).  Each
-    solve gets its own DegreeStats, with the full system's sizes.  The
-    first consistent solve is lifted onto the full columns (orbit),
-    extracted and re-verified by expansion before "infeasible" is returned;
-    failure there is a solver bug and raises.
+    solve gets its own DegreeStats, with the full system's sizes for an
+    assembled system and the orbit system's own for an orbit solve.  The
+    first consistent solve is extracted and re-verified by expansion
+    before "infeasible" is returned; failure there is a solver bug and
+    raises.  g_candidates None means the one target g = 1.
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
@@ -796,7 +769,7 @@ def nulla_prove(
         raise AssembleError("degree schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
-    targets = list(g_candidates) if g_candidates else [Polynomial.one(F.field, F.n_vars)]
+    targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
     _check_request(F, targets, pruning)
     if root is not None and (F.field.p != 2 or len(root) != F.n_vars):
         raise AssembleError("root needs GF(2) and one omega exponent per variable")
@@ -812,6 +785,8 @@ def nulla_prove(
     if perms is not None:
         maps = check_invariant(F, targets, perms)
         order = group_order(perms)
+        # only an order coprime to p makes an inconsistent orbit solve conclusive
+        conclusive = order is not None and gcd(order, F.field.p) == 1
     if root is not None and not any(any(_gf4_value(f, root)) for f in F.polys):
         if all(any(_gf4_value(g, root)) for g in targets):
             return NullaOutcome("common_root", None, schedule[-1], ())
@@ -823,7 +798,7 @@ def nulla_prove(
         for F_s, note in tried:
             for kind in kinds:
                 if kind == "orbit":
-                    part = _orbit_system(F_s, d, targets, perms, maps, order, pruning, memory_budget)
+                    part = _orbit_system(F_s, d, targets, perms, maps, pruning, memory_budget)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
                     part, sizes = _assemble(F_s, d, targets, pruning, memory_budget, True)
@@ -834,18 +809,13 @@ def nulla_prove(
                 per_degree.append(DegreeStats(d, *sizes, status, millis))
                 t0 = time.perf_counter()
                 if hit is None:
-                    # an inconsistent orbit solve is conclusive for a coprime
-                    # order; only an inconclusive one has the full system built
-                    if kind == "orbit" and part.coprime_verified:
+                    # only an inconclusive orbit solve has the full system built
+                    if kind == "orbit" and conclusive:
                         break
                     continue
-                sol = results[hit].solution
-                sym_desc = None
-                if kind == "orbit":
-                    sol = lift_solution(part, sol)
-                    sym_desc = [list(gen) for gen in perms.generators]
+                sym_desc = [list(gen) for gen in perms.generators] if kind == "orbit" else None
                 prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": pruning, **note}
-                cert = extract_certificate(F_s, part, sol, targets[hit], prov)
+                cert = extract_certificate(F_s, part, results[hit].solution, targets[hit], prov)
                 if not verify(cert):
                     raise AssembleError("internal error: extracted certificate failed re-verification")
                 return NullaOutcome("infeasible", cert, d, tuple(per_degree))
@@ -857,7 +827,6 @@ __all__ = [
     "AssembledSystem",
     "DegreeStats",
     "NullaOutcome",
-    "OrbitSystem",
     "assemble",
     "assemble_orbit",
     "extract_certificate",

@@ -45,21 +45,30 @@ def monomials_up_to(n_vars: int, d: int) -> List[Monomial]:
 
 
 def row_monomials(asm, indices: Optional[Iterable[int]] = None) -> List[Monomial]:
-    """An AssembledSystem's or OrbitSystem's row keys unpacked, or only those
-    at indices."""
+    """An AssembledSystem's row keys unpacked, or only those at indices."""
     rows = asm.packed_rows
     return [asm.packing.unpack(rows[r]) for r in (range(len(rows)) if indices is None else indices)]
 
 
 def columns(asm, indices: Optional[Iterable[int]] = None) -> List[Tuple[int, Monomial]]:
-    """(poly index, shift) of the full columns of an AssembledSystem or
-    OrbitSystem, shift unpacked, or only of those at indices (an
-    OrbitSystem's col_reps, say)."""
+    """(poly index, shift) of an AssembledSystem's packed_cols, shift
+    unpacked, or only of those at indices (an orbit system's orbit_reps,
+    say)."""
     cols = asm.packed_cols
     return [
         (cols[j][0], asm.packing.unpack(cols[j][1]))
         for j in (range(len(cols)) if indices is None else indices)
     ]
+
+
+def orbit_reps(asm) -> Tuple[int, ...]:
+    """The least packed_cols index in each system column of asm, after
+    checking that col_orbit_index numbers the orbits by first appearance."""
+    first: Dict[int, int] = {}
+    for j, o in enumerate(asm.col_orbit_index):
+        first.setdefault(o, j)
+    assert list(first) == list(range(asm.system.n_cols))
+    return tuple(first.values())
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -24,6 +24,7 @@ from nullcert.assemble import (
     _Packing,
     _sizes,
     assemble,
+    assemble_orbit,
     extract_certificate,
     nulla_prove,
     stats,
@@ -166,6 +167,14 @@ def test_schedule_validation():
     for bad in ([], [2, 1], [1, 1], [-1]):
         with pytest.raises(AssembleError, match="schedule"):
             nulla_prove(F, bad)
+
+
+def test_empty_target_list_rejected():
+    # only None means the one target g = 1; assemble refuses [] too
+    F = small_system()
+    with pytest.raises(AssembleError, match="need at least one target polynomial"):
+        nulla_prove(F, [1], [])
+    assert nulla_prove(F, [1], None).certificate.target == Polynomial.one(GF3, 3)
 
 
 def test_memory_budget_propagates():
@@ -373,6 +382,16 @@ def test_extract_certificate_length_check():
     asys = assemble(F, 1, [one])
     with pytest.raises(AssembleError, match="length"):
         extract_certificate(F, asys, (0,), one)
+    # an orbit system takes a solution of its own 9 columns, and refuses
+    # one of the 25 full columns it maps onto them
+    K4 = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
+    g = Polynomial.one(GF2, 4)
+    orb = assemble_orbit(K4, 1, g, PermutationSet.make(4, [(0, 2, 3, 1)]), pruning="graded:3")
+    assert (orb.system.n_cols, len(orb.packed_cols)) == (9, 25)
+    assert extract_certificate(K4, orb, (0,) * 9, g).entries == ()
+    for wrong in ((0,) * 8, (0,) * 25):
+        with pytest.raises(AssembleError, match="length"):
+            extract_certificate(K4, orb, wrong, g)
 
 
 def test_prove_provenance_recorded():

@@ -723,6 +723,23 @@ def test_symmetry_budget_refuses_where_the_full_system_would(argv, threshold, re
     assert (rc, err) == (0, "")
 
 
+def test_symmetry_budget_refuses_while_the_rows_are_walked(tmp_path, capsys):
+    # wheel:101's degree-1 system is 25,353 x 20,706, 2,592 bytes a row; the
+    # budget holds 8,451 rows, so the walk is refused at its first check
+    # past them, naming the rows walked so far rather than all 25,353
+    rotation = tmp_path / "rim101.txt"
+    rotation.write_text("(" + ",".join(map(str, range(1, 102))) + ")\n")
+    budget = 8451 * packed_bytes(1, 20706, 2)
+    rc, out, err = run(
+        capsys, "prove", "--gen", "wheel:101", "--symmetry", str(rotation), "--memory-budget", str(budget)
+    )
+    message = (
+        f"error: predicted working set of at least {packed_bytes(12425, 20706, 2)} bytes for a system of "
+        f"at least 12425 x 20706 exceeds the {budget} byte budget\n"
+    )
+    assert (rc, out, err) == (2, "", message)
+
+
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):
     # K2 with the swap: a 3-coloring is a common root, so neither the orbit
     # nor the full matrix is built or solved

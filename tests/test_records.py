@@ -10,7 +10,6 @@ from nullcert.assemble import (
     AssembleError,
     DegreeStats,
     NullaOutcome,
-    OrbitSystem,
     _Packing,
 )
 from nullcert.certificate import CertEntry, Certificate, CertificateError
@@ -38,7 +37,7 @@ def sparse():
 
 
 def assembled():
-    return AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,))
+    return AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), range(2))
 
 
 # class: (a fresh instance, a call with a bad argument, its error, its message)
@@ -96,15 +95,9 @@ RECORDS = {
     ),
     AssembledSystem: (
         assembled,
-        lambda: AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0),), (0,)),
+        lambda: AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0),), (0,), range(1)),
         AssembleError,
         "column key count does not match system width",
-    ),
-    OrbitSystem: (
-        lambda: OrbitSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), (0, 1), (0, 1), 2, True),
-        lambda: OrbitSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), (0, 1), (0, 1), 2),
-        TypeError,
-        "missing 1 required positional argument: 'coprime_verified'",
     ),
     DegreeStats: (
         lambda: DegreeStats(1, 6, 8, 12, "consistent", 3),
@@ -122,7 +115,7 @@ RECORDS = {
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 14
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

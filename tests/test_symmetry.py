@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import columns, expanded, orbit_fold, row_monomials
+from helpers import columns, expanded, orbit_fold, orbit_reps, row_monomials
 from nullcert.assemble import _orbit_system, assemble, assemble_orbit, extract_certificate, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
@@ -112,12 +112,11 @@ def test_k4_orbit_matrix_shape_and_keys():
     # shift-major representatives: the vertex constant, edges 1-2 and 2-3
     # times x1, then the six orbits of edge shifts by x2 (each edge times
     # x2, x3 or x4 lies in one of them)
-    assert [(i, expanded(shift)) for i, shift in columns(orb, orb.col_reps)] == [
+    assert [(i, expanded(shift)) for i, shift in columns(orb, orbit_reps(orb))] == [
         (0, ()), (1, (0,)), (4, (0,)),
         (1, (1,)), (2, (1,)), (3, (1,)), (4, (1,)), (5, (1,)), (6, (1,)),
     ]
-    assert orb.group_order == 3
-    assert orb.coprime_verified
+    assert group_order(ROT234) == 3
     # rhs is 1 exactly on the constant-monomial orbit
     assert orb.rhs_list == [[(0, 1)]]
 
@@ -134,7 +133,7 @@ def test_k4_orbit_entries_are_full_matrix_sums():
     row_pos = {m: r for r, m in enumerate(row_monomials(full))}
     # defining sum over column-orbit members at the row representative,
     # checked over the integers, then reduced mod 2 against the orbit system
-    members = [[] for _ in orb.col_reps]
+    members = [[] for _ in range(orb.system.n_cols)]
     for j in range(full.system.n_cols):
         members[orb.col_orbit_index[j]].append(j)
     orbit_dense = [[0] * 9 for _ in range(9)]
@@ -169,7 +168,7 @@ def test_k4_orbit_solution_lifts_to_certificate():
     # constant on orbits by construction
     for j, oc in enumerate(orb.col_orbit_index):
         assert y[j] == res.solution[oc]
-    cert = extract_certificate(F, orb, y, g)
+    cert = extract_certificate(F, orb, res.solution, g)
     assert verify(cert)
 
 
@@ -182,7 +181,7 @@ def test_full_encoding_orbit_system():
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 10)
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
-    cert = extract_certificate(F, orb, lift_solution(orb, res.solution), g)
+    cert = extract_certificate(F, orb, res.solution, g)
     assert verify(cert)
 
 
@@ -194,8 +193,9 @@ def test_identity_group_gives_plain_system():
     assert orb.system.rows == plain.system.rows
     assert orb.rhs_list == plain.rhs_list
     assert row_monomials(orb) == row_monomials(plain)
-    assert columns(orb, orb.col_reps) == columns(plain)
-    assert orb.group_order == 1 and orb.coprime_verified
+    assert columns(orb, orbit_reps(orb)) == columns(plain)
+    assert tuple(orb.col_orbit_index) == tuple(plain.col_orbit_index)
+    assert group_order(PermutationSet.make(4, [])) == 1
     ybar = tuple(range(orb.system.n_cols))
     assert lift_solution(orb, ybar) == ybar
 
@@ -239,7 +239,7 @@ def test_cycle_graph_orbit_consistency_matches_full():
     g = Polynomial.one(GF2, 5)
     rot = parse_generators("(1,2,3,4,5)", 5)
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
-    assert orb.coprime_verified and orb.group_order == 5
+    assert group_order(rot) == 5
     assert not solve(orb.system, orb.rhs_list[0]).consistent
     full = assemble(F, 1, [g], pruning="graded:3")
     assert not solve(full.system, full.rhs_list[0]).consistent
@@ -254,7 +254,7 @@ def test_wheel_rim_rotation_positive_case():
     assert orb.system.n_cols < assemble(F, 1, [g], pruning="graded:3").system.n_cols
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
-    cert = extract_certificate(F, orb, lift_solution(orb, res.solution), g)
+    cert = extract_certificate(F, orb, res.solution, g)
     assert verify(cert)
 
 
@@ -302,13 +302,13 @@ def fold_cases():
 @pytest.mark.parametrize("F, d, targets, perms, pruning", fold_cases())
 def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
     maps = check_invariant(F, targets, perms)
-    orb = _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, None)
+    orb = _orbit_system(F, d, targets, perms, maps, pruning, None)
     full = assemble(F, d, targets, pruning)
     ref = orbit_fold(F, full, perms)
     assert orb.system.rows == ref.rows
     assert orb.rhs_list == ref.rhs_list
     assert orb.packed_rows == ref.row_keys
-    assert orb.col_reps == ref.col_reps
+    assert orbit_reps(orb) == ref.col_reps
     assert orb.col_orbit_index == ref.col_orbit_index
     assert orb.packed_cols == full.packed_cols
     assert (orb.system.n_rows, orb.system.n_cols) == (len(ref.rows), len(ref.col_reps))
@@ -316,9 +316,9 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
     # its working set refuses it, naming its sizes
     rows, cols = full.system.n_rows, full.system.n_cols
     need = packed_bytes(rows, cols, F.field.p, len(targets))
-    _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, need)
+    _orbit_system(F, d, targets, perms, maps, pruning, need)
     with pytest.raises(MemoryBudgetError, match=f"of at least {rows} x {cols} exceeds"):
-        _orbit_system(F, d, targets, perms, maps, group_order(perms), pruning, need - 1)
+        _orbit_system(F, d, targets, perms, maps, pruning, need - 1)
 
 
 def test_orbit_build_checks_closure():
@@ -329,8 +329,8 @@ def test_orbit_build_checks_closure():
     maps = check_invariant(F, [g], ROT234)
     bad = [[4] + row[1:] for row in maps]
     with pytest.raises(SymmetryError, match="column set is not closed"):
-        _orbit_system(F, 1, [g], ROT234, bad, 3, "graded:3", None)
+        _orbit_system(F, 1, [g], ROT234, bad, "graded:3", None)
     # a target monomial beyond every product whose image is no target monomial
     moved = parse_poly("x2^6", GF2, 4)
     with pytest.raises(SymmetryError, match="row universe is not closed"):
-        _orbit_system(F, 1, [moved], ROT234, maps, 3, "graded:3", None)
+        _orbit_system(F, 1, [moved], ROT234, maps, "graded:3", None)
