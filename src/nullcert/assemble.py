@@ -85,9 +85,14 @@ certificate does, through the free-variables-zero solution, and is
 deterministic for the fixed order.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
-one exponent field per occurring variable, with fields wide enough that the
-product x^delta * t is the sum of the two ints, and packed ^ flip sorting
-exactly like Monomial.sort_key, so rows keep the graded order.  An
+one exponent field per occurring variable, above a salt region, with fields
+wide enough that the product x^delta * t is the sum of the two ints, and
+packed ^ flip sorting exactly like Monomial.sort_key, so rows keep the
+graded order.  The salt region holds a per-variable 64-bit salt, summed like
+the exponents, so that keys of many variables hash apart in the assembly's
+dicts; it is 0 bits wide when every key is below 2^61 - 1, and so already
+its own hash.  On wheel:301 at degree 1 the 226,053 row keys have as many
+distinct hashes, where their fields alone give a few thousand.  An
 AssembledSystem keeps its keys packed; extract_certificate unpacks only the
 shifts whose coefficient is nonzero.
 
@@ -125,26 +130,52 @@ class AssembleError(ValueError):
 _BUDGET_BLOCK = 4096
 
 
+def _splitmix64(x: int) -> int:
+    """One splitmix64 output for the state x: 64 well-mixed bits."""
+    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
 class _Packing:
     """Monomials of n_vars variables, using only the listed ones, packed
     into one int.
 
     The total degree sits above one field of b bits per listed variable,
-    ascending from the most significant field.  While every exponent fits
-    in b bits, a product is the sum of the packed factors.  Within one
-    degree, the order of sorted index tuples is reverse numeric order on the
-    exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key.
+    ascending from the most significant field, and a salt region of
+    salt_bits bits lies below the fields.  While every exponent fits in b
+    bits, a product is the sum of the packed factors.  Within one degree,
+    the order of sorted index tuples is reverse numeric order on the
+    exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key;
+    the salt lies below every field, so it never orders two monomials.
+
+    The salt is for hashing.  A Python int hashes as its value mod
+    2^61 - 1, so fields whose bit offsets agree mod 61 alias, and keys of
+    more than about 20 variables would walk long collision chains in every
+    dict.  Each listed variable adds a fixed 64-bit salt (splitmix64 of its
+    position) per unit of exponent, so the salt stays additive: the salt of
+    a product is the sum of its factors'.  The region holds the salt sum of
+    any monomial whose fields fit, of degree below 2^b * n with n listed
+    variables, in 64 + b + n.bit_length() bits.  When n*b + b +
+    n.bit_length() <= 61 every such key is below 2^61 - 1 and so is its own
+    hash, and the region is 0 bits wide.
     """
 
-    __slots__ = ("variables", "n_vars", "b", "flip", "units")
+    __slots__ = ("variables", "n_vars", "b", "salt_bits", "flip", "units")
 
     def __init__(self, variables: Sequence[int], n_vars: int, b: int) -> None:
         self.variables = tuple(variables)
         self.n_vars = n_vars
         self.b = b
         n = len(self.variables)
-        self.flip = (1 << n * b) - 1  # every exponent field set
-        self.units = {v: (1 << n * b) | (1 << (n - 1 - j) * b) for j, v in enumerate(self.variables)}
+        width = n * b + b + n.bit_length()
+        s = self.salt_bits = 0 if width <= 61 else 64 + b + n.bit_length()
+        self.flip = ((1 << n * b) - 1) << s  # every exponent field set
+        self.units = {
+            v: (1 << n * b + s) | (1 << (n - 1 - j) * b + s) | _splitmix64(j) & ((1 << s) - 1)
+            for j, v in enumerate(self.variables)
+        }
 
     def pack(self, m: Monomial) -> int:
         return sum(e * self.units[v] for v, e in m.exponents)
@@ -158,7 +189,7 @@ class _Packing:
         field first, i.e. variables ascending."""
         b = self.b
         last = len(self.variables) - 1
-        x &= self.flip
+        x = (x & self.flip) >> self.salt_bits
         out = []
         while x:
             shift = (x.bit_length() - 1) // b * b
@@ -181,11 +212,8 @@ class _Packing:
 
     def permute(self, positions: Sequence[int], x: int) -> int:
         """The packed monomial with field j moved to field positions[j]."""
-        b, last = self.b, len(self.variables) - 1
-        out = x & ~self.flip
-        for j, e in self._fields(x):
-            out |= e << (last - positions[j]) * b
-        return out
+        units, variables = self.units, self.variables
+        return sum(e * units[variables[positions[j]]] for j, e in self._fields(x))
 
 
 class AssembledSystem(Record):

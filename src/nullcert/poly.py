@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
 class PolyError(ValueError):
@@ -143,7 +144,20 @@ class Monomial(Record):
     def mul(self, other: "Monomial") -> "Monomial":
         if self.n_vars != other.n_vars:
             raise PolyError("monomial n_vars mismatch")
-        return Monomial.make(list(self.exponents) + list(other.exponents), self.n_vars)
+        merged = dict(self.exponents)
+        for var, exp in other.exponents:
+            merged[var] = merged.get(var, 0) + exp
+        return Monomial(tuple(sorted(merged.items())), self.n_vars)
+
+    # Record's __eq__ and __hash__ with the two fields spelled out: monomials
+    # key every term map, and this skips the generic field getter.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents and self.n_vars == other.n_vars
+
+    def __hash__(self) -> int:
+        return hash((self.exponents, self.n_vars))
 
     def __lt__(self, other: "Monomial") -> bool:
         if not isinstance(other, Monomial):

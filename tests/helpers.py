@@ -1,5 +1,6 @@
-"""Shared test-only oracles: monomials as index tuples, polynomial product
-and evaluation, GF(4) evaluation, checked hand-built linear systems and
+"""Shared test-only oracles: monomials as index tuples, random polynomials,
+polynomial product and evaluation, a reference certificate check, GF(4)
+evaluation, checked hand-built linear systems and
 right-hand sides, dense reference eliminators, and a reference orbit fold.
 
 These deliberately take different implementation routes from the package so
@@ -79,6 +80,29 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             m = ma.mul(mb)
             acc[m] = (acc.get(m, 0) + ca * cb) % p
     return Polynomial.make(a.field, a.n_vars, acc)
+
+
+def random_poly(rng, field: FieldSpec, n_vars: int, max_degree: int) -> Polynomial:
+    """Each monomial of degree <= max_degree with a uniform coefficient."""
+    terms = []
+    for mono in monomials_up_to(n_vars, max_degree):
+        c = rng.randrange(field.p)
+        if c:
+            terms.append((mono, c))
+    return Polynomial.make(field, n_vars, terms)
+
+
+def verify_by_polynomial(cert) -> bool:
+    """certificate.verify's reference: expand the identity into a
+    Polynomial and compare it with the target."""
+    p = cert.field.p
+    acc: Dict = {}
+    for e in cert.entries:
+        for mono_m, coeff_m in e.multiplier.terms:
+            for mono_s, coeff_s in e.source.terms:
+                m = mono_m.mul(mono_s)
+                acc[m] = (acc.get(m, 0) + coeff_m * coeff_s) % p
+    return Polynomial.make(cert.field, cert.n_vars, acc) == cert.target
 
 
 def poly_eval(a: Polynomial, point: Sequence[int]) -> int:

@@ -307,6 +307,8 @@ def test_gf2_prove_matches_assemble_and_solve(graph):
 def test_packed_monomials_match_monomial_arithmetic():
     rng = random.Random(20)
     for trial in range(300):
+        # n <= 20 and b <= 7 draw both packings with a salt region (56 of
+        # the 300) and without one (n*b + b + n.bit_length() <= 61)
         n = rng.randint(1, 20)
         # every variable in a third of the trials, a list with gaps otherwise
         listed = range(n) if trial % 3 == 0 else sorted(rng.sample(range(n), rng.randint(1, n)))
@@ -355,6 +357,32 @@ def test_packed_monomials_match_monomial_arithmetic():
             if m.degree == deg and all(v in listed for v, _ in m.exponents)
         ]
         assert [packing.unpack(x) for x in packing.monomials(deg)] == expected
+
+
+def test_packed_row_keys_hash_apart_at_scale():
+    # wheel:301's degree-1 row keys, unpeeled: with their exponent fields
+    # alone they would alias mod 2^61 - 1 into a few thousand hashes
+    F = encode_coloring(gen_wheel(301), EncodingOptions(preprocess=True))
+    g = Polynomial.one(GF2, F.n_vars)
+    packing, poly_terms, polys_at, shifts = asm._layout(F, 1, [g], "graded:3", None)
+    assert packing.salt_bits > 0
+    rows = {packing.pack(m) for m, _ in g.terms}
+    for kept, deltas in zip(polys_at, shifts):
+        for t in {t for i in kept for t, _ in poly_terms[i]}:
+            rows.update(map(t.__add__, deltas))
+    assert len(rows) == 226053
+    assert len({hash(m) for m in rows}) == len(rows)
+
+
+def test_small_packings_have_no_salt_region():
+    # a G(16, 0.27) degree-4 system packs into keys below 2^61 - 1, each its
+    # own hash, exactly as without a salt
+    F = encode_coloring(gen_random(16, 0.27, 0), EncodingOptions(preprocess=True))
+    g = Polynomial.one(GF2, F.n_vars)
+    packing = asm._layout(F, 4, [g], "graded:3", None)[0]
+    n, b = len(packing.variables), packing.b
+    assert (n, b, packing.salt_bits) == (16, 3, 0)
+    assert list(packing.units.values()) == [1 << n * b | 1 << (n - 1 - j) * b for j in range(n)]
 
 
 def test_large_exponent_assembles_in_small_memory():

@@ -7,11 +7,13 @@ The frozen GF(3) identity below was expanded by hand:
 
 import ast
 import pathlib
+import random
 import tracemalloc
 
 import pytest
 
 import nullcert.certificate as certificate_mod
+from helpers import poly_mul, random_poly, verify_by_polynomial
 from nullcert.assemble import nulla_prove
 from nullcert.certificate import (
     CertEntry,
@@ -91,6 +93,44 @@ def test_perturbed_pipeline_cert_fails():
         cert.field, cert.n_vars, cert.target, cert.entries[:-1] + (perturbed,), cert.provenance
     )
     assert not verify(broken)
+
+
+def test_verify_agrees_with_the_polynomial_comparison():
+    rng = random.Random(24)
+    outcomes = set()
+    cancelled = 0
+    for field in (GF2, GF3):
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            entries = []
+            for k in range(rng.randint(1, 4)):
+                source, beta = random_poly(rng, field, n, 2), random_poly(rng, field, n, 1)
+                if beta.is_zero():
+                    continue
+                entries.append(CertEntry(f"user:{k}", source, beta))
+                if rng.random() < 0.4:
+                    # -beta times source plus a little: most of the last
+                    # product's terms cancel mod p
+                    near = Polynomial.make(field, n, source.terms + random_poly(rng, field, n, 1).terms)
+                    minus = Polynomial.make(field, n, [(m, -c) for m, c in beta.terms])
+                    entries.append(CertEntry(f"user:{k}", near, minus))
+            products = [poly_mul(e.multiplier, e.source) for e in entries]
+            expansion = Polynomial.make(field, n, [t for prod in products for t in prod.terms])
+            cancelled += sum(len(prod.terms) for prod in products) > len(expansion.terms)
+            # the expansion itself, or a target one term away from it, or any
+            terms = dict(expansion.terms)
+            m = rng.choice(random_poly(rng, field, n, 3).terms or expansion.terms)[0]
+            terms[m] = (terms.get(m, 0) + rng.randrange(1, field.p)) % field.p
+            nearby = Polynomial.make(field, n, terms)
+            for target in (expansion, nearby, random_poly(rng, field, n, 2)):
+                if target.is_zero():
+                    continue
+                cert = Certificate(field, n, target, tuple(entries))
+                outcome = verify(cert)
+                assert outcome == verify_by_polynomial(cert)
+                outcomes.add((target == expansion, outcome))
+    assert outcomes == {(True, True), (False, False)}
+    assert cancelled > 20
 
 
 def test_empty_entries_verify_false_for_one():

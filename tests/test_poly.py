@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import expanded, from_vars, monomials_up_to, poly_eval, poly_mul
+from helpers import expanded, from_vars, monomials_up_to, poly_eval, poly_mul, random_poly
 from nullcert.poly import (
     FieldSpec,
     Monomial,
@@ -23,16 +23,6 @@ from nullcert.poly import (
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
-
-
-def random_poly(rng, field, n_vars, max_degree):
-    universe = monomials_up_to(n_vars, max_degree)
-    terms = []
-    for mono in universe:
-        c = rng.randrange(field.p)
-        if c:
-            terms.append((mono, c))
-    return Polynomial.make(field, n_vars, terms)
 
 
 class TestFieldSpec:
