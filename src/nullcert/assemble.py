@@ -28,11 +28,11 @@ Consistency per rhs is unchanged, and so is the free-variables-zero
 solution, with the peeled columns at zero, and with it the certificate.
 Each row names its column through the sum of its live products' columns,
 so the cascade costs what the dropped columns' products do, and no stop
-rule is needed.  The products are counted in the blocks filing uses and
-the budget is checked after each block on the full counts, so every
-refusal and its message are those of the full system.  On wheel:101 at
-degree 1 the 25,353 x 20,605 system peels to 1,012 x 1,112, the
-certificate's neighbourhood; assemble() still builds the full system.
+rule is needed.  It runs on _count's count of the full system, which
+stats reports and assemble() checks the budget on too, so every refusal
+and its message are those of the full system.  On wheel:101 at degree 1
+the 25,353 x 20,605 system peels to 1,012 x 1,112, the certificate's
+neighbourhood; assemble() still builds the full system.
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -74,15 +74,15 @@ carries soundness: a wrong coloring, or a point that is no root, fails it
 and the degrees are solved as usual, so no verdict depends on the coloring
 search.
 
-Column order: columns are numbered shift-major, (shift degree, shift, poly
-index), in every field and in orbit systems too, whose representatives are
-the least full-system indices.  The products x^delta * f_i sharing a row
-monomial then have nearby shifts, so each row spans a narrow column window,
-and the GF(2) bitset and GF(3) bit-plane eliminators, whose row operations
-cost what a row spans, run several times faster than with the columns of
-each f_i together.  Rank and consistency do not depend on the order; the
-certificate does, through the free-variables-zero solution, and is
-deterministic for the fixed order.
+Column order: _Layout numbers the columns shift-major, (shift degree,
+shift, poly index), in every field and in orbit systems too, whose
+representatives are the least full-system indices.  The products
+x^delta * f_i sharing a row monomial then have nearby shifts, so each row
+spans a narrow column window, and the GF(2) bitset and GF(3) bit-plane
+eliminators, whose row operations cost what a row spans, run several
+times faster than with the columns of each f_i together.  Rank and
+consistency do not depend on the order; the certificate does, through the
+free-variables-zero solution, and is deterministic for the fixed order.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
 one exponent field per occurring variable, above a salt region, with fields
@@ -114,7 +114,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import accumulate, combinations_with_replacement, compress, islice
 from math import comb, gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
@@ -126,7 +126,7 @@ class AssembleError(ValueError):
     """Raised for invalid assembly requests (pruning misuse, bad targets)."""
 
 
-# Columns filed between two memory-budget checks during assembly.
+# Columns counted between two memory-budget checks (_count).
 _BUDGET_BLOCK = 4096
 
 
@@ -331,16 +331,55 @@ def _check_request(
     return k, classes
 
 
+class _Layout:
+    """A degree-d request laid out: the packing, each poly's packed terms,
+    each target's packed (monomial, coeff) terms and the set target_rows of
+    their monomials, and per shift degree the polys that pruning keeps
+    (polys_at), the count of shifts (n_shifts) and, once _layout has listed
+    them, the packed shifts.
+
+    It alone numbers the columns, shift-major: columns() yields them in
+    order, column(j) is the j-th, and there are n_cols.  Column (i, delta)
+    holds one entry per term of f_i, whose monomials are distinct, so the
+    system has nnz entries.
+    """
+
+    __slots__ = ("packing", "poly_terms", "target_terms", "target_rows", "polys_at", "n_shifts", "starts", "n_cols",
+                 "nnz", "shifts")
+
+    def __init__(self, packing: _Packing, poly_terms: list, target_terms: list, polys_at: List[List[int]]) -> None:
+        self.packing, self.poly_terms, self.target_terms, self.polys_at = packing, poly_terms, target_terms, polys_at
+        self.target_rows = {m for terms in target_terms for m, _ in terms}
+        n = len(packing.variables)
+        self.n_shifts = [comb(n + deg - 1, deg) if n else int(deg == 0) for deg in range(len(polys_at))]
+        self.starts = list(accumulate((len(kept) * s for kept, s in zip(polys_at, self.n_shifts)), initial=0))
+        self.n_cols = self.starts[-1]
+        self.nnz = sum(sum(len(poly_terms[i]) for i in kept) * s for kept, s in zip(polys_at, self.n_shifts))
+
+    def columns(self) -> Iterator[Tuple[int, int]]:
+        """Every column (poly index, packed shift), in order."""
+        pairs = zip(self.polys_at, self.shifts)
+        return ((i, delta) for kept, deltas in pairs if kept for delta in deltas for i in kept)
+
+    def by_shift(self, value: int) -> Dict[int, Dict[int, int]]:
+        """{delta: {i: value}} over the columns (i, delta), in order."""
+        pairs = zip(self.polys_at, self.shifts)
+        return {delta: dict.fromkeys(kept, value) for kept, deltas in pairs for delta in deltas}
+
+    def column(self, j: int) -> Tuple[int, int]:
+        deg = bisect_right(self.starts, j) - 1
+        k, r = divmod(j - self.starts[deg], len(self.polys_at[deg]))
+        return self.polys_at[deg][r], self.shifts[deg][k]
+
+
 def _layout(
     F: PolySystem,
     d: int,
     targets: Sequence[Polynomial],
     pruning: str,
     memory_budget: Optional[int],
-) -> Tuple[_Packing, List[Tuple[Tuple[int, int], ...]], List[List[int]], List[List[int]]]:
-    """Check a degree-d request and lay out what both the assembly and the
-    count of its sizes read: the packing, each poly's packed terms, and per
-    shift degree the polys that pruning keeps and the packed shifts.
+) -> _Layout:
+    """Check a degree-d request and lay it out (_Layout).
 
     Shifts range over the variables that occur in F or a target: setting
     any other to 0 in a certificate gives one of no higher degree without
@@ -360,89 +399,56 @@ def _layout(
     top = max(f.degree for f in polys)
     variables = sorted({v for f in polys for m, _ in f.terms for v, _ in m.exponents})
     packing = _Packing(variables, F.n_vars, max(d + top, 1).bit_length())
-    n = len(variables)
     poly_terms = [tuple((packing.pack(m), c) for m, c in f.terms) for f in F.polys]
+    target_terms = [[(packing.pack(m), c) for m, c in g.terms] for g in targets]
 
     # Graded pruning keeps the shift degrees with deg + class(f_i) == 0 mod k.
     polys_at = [
         [i for i in range(len(poly_terms)) if k is None or (deg + classes[i]) % k == 0]
         for deg in range(d + 1)
     ]
+    lay = _Layout(packing, poly_terms, target_terms, polys_at)
     kept_shifts = [0] * len(poly_terms)
-    for deg, kept in enumerate(polys_at):
+    for kept, s in zip(polys_at, lay.n_shifts):
         for i in kept:
-            kept_shifts[i] += comb(n + deg - 1, deg) if n else int(deg == 0)
+            kept_shifts[i] += s
     # The shifts of one f_i times one of its terms are distinct rows.
     rows = max((c for c, terms in zip(kept_shifts, poly_terms) if terms), default=0)
-    _check_budget(F.field, rows, sum(kept_shifts), memory_budget, len(targets))
-    shifts = [packing.monomials(deg) for deg in range(d + 1)]
-    return packing, poly_terms, polys_at, shifts
+    _check_budget(F.field, rows, lay.n_cols, memory_budget, len(targets))
+    lay.shifts = [packing.monomials(deg) for deg in range(d + 1)]
+    return lay
 
 
-def _sizes(
-    F: PolySystem,
-    d: int,
-    targets: Sequence[Polynomial],
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-) -> Tuple[int, int, int]:
-    """(rows, cols, nnz) of the system assemble would build, counted
-    without building it; the memory budget is checked on the counts.
+def _count(field: FieldSpec, lay: _Layout, memory_budget: Optional[int]) -> Dict[int, int]:
+    """The full system's rows, counted: per row monomial, its products in
+    the low 32 bits and the sum of their columns above, so that a row with
+    one product names its column; a target monomial no product reaches
+    counts 0.
 
-    A kept column (i, delta) holds one entry per term of f_i, since the
-    terms of one f_i have distinct monomials; the rows are the distinct
-    products delta + t and the target monomials.
-    """
-    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
-    rows = {packing.pack(m) for g in targets for m, _ in g.terms}
-    cols = nnz = 0
-    for kept, deltas in zip(polys_at, shifts):
-        cols += len(kept) * len(deltas)
-        nnz += sum(len(poly_terms[i]) for i in kept) * len(deltas)
-        for t in {t for i in kept for t, _ in poly_terms[i]}:
-            rows.update(map(t.__add__, deltas))
-    _check_budget(F.field, len(rows), cols, memory_budget, len(targets))
-    return len(rows), cols, nnz
-
-
-def _peel(
-    field: FieldSpec,
-    cols: Iterator[Tuple[int, int]],
-    polys_at: List[List[int]],
-    shifts: List[List[int]],
-    poly_terms: List[Tuple[Tuple[int, int], ...]],
-    target_rows: Set[int],
-    memory_budget: Optional[int],
-    n_rhs: int,
-) -> Tuple[List[Tuple[int, int]], Tuple[int, int, int]]:
-    """The columns of cols, numbered by _layout's polys_at and shifts, that
-    peeling leaves (see the module docstring), and the full system's (rows,
-    cols, nnz), with the budget for n_rhs targets checked where filing
-    checks it."""
-    starts = list(accumulate((len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts)), initial=0))
-    n_cols = starts[-1]
-
-    def column(j: int) -> Tuple[int, int]:
-        deg = bisect_right(starts, j) - 1
-        k, r = divmod(j - starts[deg], len(polys_at[deg]))
-        return polys_at[deg][r], shifts[deg][k]
-
-    # per row monomial: its live products in the low 32 bits, the sum of
-    # their columns above; a row with one live product names its column
-    count = dict.fromkeys(target_rows, 0)
-    get = count.get
+    This is the one count of the full system, for stats, peeling and
+    assemble.  Rows only grow, so the budget for every target is checked
+    on the rows counted so far after each _BUDGET_BLOCK columns: a degree
+    far over budget fails early.  The last block is short, maybe empty, so
+    the last check is on the final counts."""
+    count = dict.fromkeys(lay.target_rows, 0)
+    get, cols, n_cols, poly_terms = count.get, lay.columns(), lay.n_cols, lay.poly_terms
     for start in range(0, n_cols + 1, _BUDGET_BLOCK):
         for j, (i, delta) in enumerate(islice(cols, _BUDGET_BLOCK), start):
             one = j << 32 | 1
             for t, _ in poly_terms[i]:
                 m = delta + t
                 count[m] = get(m, 0) + one
-        _check_budget(field, len(count), n_cols, memory_budget, n_rhs)
-    nnz = sum(len(poly_terms[i]) * len(deltas) for kept, deltas in zip(polys_at, shifts) for i in kept)
-    sizes = len(count), n_cols, nnz
+        _check_budget(field, len(count), n_cols, memory_budget, len(lay.target_terms))
+    return count
+
+
+def _peel(lay: _Layout, count: Dict[int, int]) -> List[Tuple[int, int]]:
+    """The columns of lay that peeling leaves (see the module docstring),
+    in order, cascading on count (_count's), which it uses up."""
+    poly_terms, target_rows, column = lay.poly_terms, lay.target_rows, lay.column
     mask = (1 << 32) - 1
     queue = [m for m, v in count.items() if v & mask == 1 and m not in target_rows]
-    live = bytearray(b"\1") * n_cols
+    live = bytearray(b"\1") * lay.n_cols
     for m in queue:  # grows while it is read
         j, left = divmod(count[m], 1 << 32)
         if left == 1:
@@ -454,7 +460,7 @@ def _peel(
                 left = count[m] = count[m] - one
                 if left & mask == 1 and m not in target_rows:
                     queue.append(m)
-    return [column(j) for j in compress(range(n_cols), live)], sizes
+    return [column(j) for j in compress(range(lay.n_cols), live)]
 
 
 def _assemble(
@@ -466,49 +472,34 @@ def _assemble(
     peel: bool,
 ) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
     """assemble's system, peeled if peel is set, and the full system's
-    (rows, cols, nnz)."""
-    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
-    cols = ((i, delta) for kept, deltas in zip(polys_at, shifts) if kept for delta in deltas for i in kept)
-    n_cols = sum(len(kept) * len(deltas) for kept, deltas in zip(polys_at, shifts))
-    target_rows = {packing.pack(m) for g in targets for m, _ in g.terms}
-    sizes = None
-    if peel:
-        live, sizes = _peel(F.field, cols, polys_at, shifts, poly_terms, target_rows, memory_budget, len(targets))
-        cols, n_cols = iter(live), len(live)
+    (rows, cols, nnz).  The full system is counted (_count), and so the
+    budget checked, before any column is filed, peeled or not."""
+    lay = _layout(F, d, targets, pruning, memory_budget)
+    count = _count(F.field, lay, memory_budget)
+    sizes = len(count), lay.n_cols, lay.nnz
+    cols = _peel(lay, count) if peel else list(lay.columns())
+    del count  # before filing, which holds the peak
 
     # One pass files each product x^delta * t under its row monomial.
     # Columns are visited in order and the terms of one f_i have distinct
     # monomials, so each row's entries come out strictly increasing.  A row
     # is filed flat (j, c, j, c, ...) and paired up one row at a time below,
     # so that a row's pairs sit together in memory for the eliminator.
-    # Rows only grow, so the budget is checked on the rows filed so far
-    # after each block of columns: a degree far over budget fails early,
-    # not after every product is filed.  The last block is short, maybe
-    # empty, so the last check is on the final counts, with or without columns.
-    rows = defaultdict(list, {m: [] for m in target_rows})
-    packed_cols: List[Tuple[int, int]] = []
-    for start in range(0, n_cols + 1, _BUDGET_BLOCK):
-        block = list(islice(cols, _BUDGET_BLOCK))
-        for j, (i, delta) in enumerate(block, start):
-            for t, c in poly_terms[i]:
-                rows[delta + t].extend((j, c))
-        packed_cols += block
-        _check_budget(F.field, len(rows), n_cols, memory_budget, len(targets))
-    order = packing.flip.__xor__
+    rows = defaultdict(list, {m: [] for m in lay.target_rows})
+    for j, (i, delta) in enumerate(cols):
+        for t, c in lay.poly_terms[i]:
+            rows[delta + t].extend((j, c))
+    order = lay.packing.flip.__xor__
     packed_rows = sorted(rows, key=order)
 
-    rhs_list = [
-        [(bisect_left(packed_rows, order(packing.pack(m)), key=order), c) for m, c in g.terms]
-        for g in targets
-    ]
+    rhs_list = [[(bisect_left(packed_rows, order(m), key=order), c) for m, c in terms] for terms in lay.target_terms]
 
     entries = []
     for m in packed_rows:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem(F.field, len(packed_rows), n_cols, tuple(entries))
-    sizes = sizes or (system.n_rows, system.n_cols, system.nnz)
-    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), range(n_cols)), sizes
+    system = SparseSystem(F.field, len(packed_rows), len(cols), tuple(entries))
+    return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), range(len(cols))), sizes
 
 
 def assemble(
@@ -543,15 +534,15 @@ def _orbit_system(
     matrix (see "Orbit systems" in the module docstring).
 
     maps[k][i] is the index of generator k's image of f_i (check_invariant).
-    The orbit walks count the full system's rows and columns exactly; the
-    memory budget is checked every _BUDGET_BLOCK rows walked, and on the
-    final counts.
+    The row walk counts the full system's rows exactly, as the column
+    orbits are found; the memory budget is checked every _BUDGET_BLOCK
+    rows walked, and on the final counts.
     """
-    packing, poly_terms, polys_at, shifts = _layout(F, d, targets, pruning, memory_budget)
+    lay = _layout(F, d, targets, pruning, memory_budget)
+    packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
     all_terms = {t for terms in poly_terms for t, _ in terms}
-    target_monos = {packing.pack(m) for g in targets for m, _ in g.terms}
     images = []
     for pmap, generator in zip(maps, perms.generators):
         fields = [position[generator[v]] for v in packing.variables]
@@ -559,45 +550,50 @@ def _orbit_system(
             pmap,
             {delta: packing.permute(fields, delta) for deltas in shifts for delta in deltas},
             {t: packing.permute(fields, t) for t in all_terms},
-            {m: packing.permute(fields, m) for m in target_monos},
+            {m: packing.permute(fields, m) for m in lay.target_rows},
         ))
 
-    # orbit_of[delta][i] is the orbit of column (i, delta), -1 until walked;
-    # a missing key is an image outside the column set
-    packed_cols = [(i, delta) for kept, deltas in zip(polys_at, shifts) if kept for delta in deltas for i in kept]
-    orbit_of = {delta: dict.fromkeys(kept, -1) for kept, deltas in zip(polys_at, shifts) for delta in deltas}
-    col_reps: List[int] = []
-    try:
-        for j, (i, delta) in enumerate(packed_cols):
-            if orbit_of[delta][i] >= 0:
-                continue
-            pos = orbit_of[delta][i] = len(col_reps)
-            col_reps.append(j)
-            members = [(i, delta)]
-            for poly, shift in members:
-                for pmap, shift_image, _, _ in images:
-                    image = pmap[poly], shift_image[shift]
-                    at = orbit_of[image[1]]
-                    if at[image[0]] < 0:
-                        at[image[0]] = pos
-                        members.append(image)
-    except KeyError:
-        raise SymmetryError("column set is not closed under the group") from None
+    # orbit_of[delta][i] is the orbit of column (i, delta), -1 until walked,
+    # listed in column order; a missing key is an image outside the column set
+    orbit_of = lay.by_shift(-1)
+    col_reps: List[Tuple[int, int]] = []
+
+    def walk_columns() -> Iterator[Tuple[int, int]]:
+        """Each column orbit's least column, once its orbit is walked."""
+        try:
+            for delta, orbits in orbit_of.items():
+                for i, pos in orbits.items():
+                    if pos >= 0:
+                        continue
+                    pos = orbits[i] = len(col_reps)
+                    col_reps.append((i, delta))
+                    members = [(i, delta)]
+                    for poly, shift in members:
+                        for pmap, shift_image, _, _ in images:
+                            image = pmap[poly], shift_image[shift]
+                            at = orbit_of[image[1]]
+                            if at[image[0]] < 0:
+                                at[image[0]] = pos
+                                members.append(image)
+                    yield i, delta
+        except KeyError:
+            raise SymmetryError("column set is not closed under the group") from None
 
     # Every row orbit holds a product of a column representative with one of
     # its terms; any other holds target monomials only, each the shift 0
     # times itself, and a member that is none leaves the row universe.  A
     # permutation keeps the degree, so the member first in the graded
-    # order is the greatest packed int.  Rows only grow, so the budget is
-    # checked each time _BUDGET_BLOCK more have been walked, and at the end.
+    # order is the greatest packed int.  The rows are walked as the column
+    # orbits are found.  Rows only grow, so the budget is checked each time
+    # _BUDGET_BLOCK more have been walked, and at the end.
     field = F.field
     seen = set()
     check_at = _BUDGET_BLOCK
     reps: List[int] = []
-    products = ((packed_cols[j][1], t) for j in col_reps for t, _ in poly_terms[packed_cols[j][0]])
+    products = ((delta, t) for i, delta in walk_columns() for t, _ in poly_terms[i])
     walks = (
         ([(s, t) for _, s, t, _ in images], products),
-        ([(s, g) for _, s, _, g in images], ((0, m) for m in target_monos)),
+        ([(s, g) for _, s, _, g in images], ((0, m) for m in lay.target_rows)),
     )
     for pair_images, starts in walks:
         for delta, t in starts:
@@ -621,9 +617,9 @@ def _orbit_system(
                 raise SymmetryError("row universe is not closed under the group") from None
             reps.append(rep)
             if len(seen) >= check_at:
-                _check_budget(field, len(seen), len(packed_cols), memory_budget, len(targets))
+                _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
                 check_at = len(seen) + _BUDGET_BLOCK
-    _check_budget(field, len(seen), len(packed_cols), memory_budget, len(targets))
+    _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
 
     p = field.p
     divides: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
@@ -644,11 +640,11 @@ def _orbit_system(
         orbit_rows.append(tuple(sorted((o, v % p) for o, v in acc.items() if v % p)))
     # a target is fixed by the group, so its coefficient is one per row orbit
     row_of = {m: k for k, m in enumerate(packed_rows)}
-    packed_targets = [[(packing.pack(m), c) for m, c in g.terms] for g in targets]
-    rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in packed_targets]
+    rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in lay.target_terms]
     system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows))
-    col_orbit_index = tuple(o for deltas in shifts for delta in deltas for o in orbit_of[delta].values())
-    return AssembledSystem(system, rhs_list, packing, tuple(packed_cols), tuple(packed_rows), col_orbit_index)
+    col_orbit_index = tuple(o for orbits in orbit_of.values() for o in orbits.values())
+    packed_cols = tuple([(i, delta) for delta, orbits in orbit_of.items() for i in orbits])
+    return AssembledSystem(system, rhs_list, packing, packed_cols, tuple(packed_rows), col_orbit_index)
 
 
 def assemble_orbit(
@@ -687,13 +683,15 @@ def stats(
 
     Predictions count the unpruned system over all n_vars variables:
     n_polys * C(n+d, d) columns and one matrix entry per (input monomial,
-    shift) pair.  Actuals (rows, cols, nnz) are counted as assemble would
-    build the system, with the requested pruning and shifts over the
-    occurring variables only, without assembling the matrix.
+    shift) pair.  Actuals (rows, cols, nnz) are the full system's, with the
+    requested pruning and shifts over the occurring variables only, from
+    _layout and _count: the matrix is not filed, and a budget refusal is
+    the one assemble and nulla_prove give.
     """
     if g is None:
         g = Polynomial.one(F.field, F.n_vars)
-    rows, cols, nnz = _sizes(F, d, [g], pruning, memory_budget)
+    lay = _layout(F, d, [g], pruning, memory_budget)
+    rows, cols, nnz = len(_count(F.field, lay, memory_budget)), lay.n_cols, lay.nnz
     shifts = comb(F.n_vars + d, d)
     monomials = sum(len(f.terms) for f in F.polys)
     return {

@@ -22,7 +22,6 @@ from helpers import (
 from nullcert.assemble import (
     AssembleError,
     _Packing,
-    _sizes,
     assemble,
     assemble_orbit,
     extract_certificate,
@@ -364,12 +363,9 @@ def test_packed_row_keys_hash_apart_at_scale():
     # alone they would alias mod 2^61 - 1 into a few thousand hashes
     F = encode_coloring(gen_wheel(301), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, F.n_vars)
-    packing, poly_terms, polys_at, shifts = asm._layout(F, 1, [g], "graded:3", None)
-    assert packing.salt_bits > 0
-    rows = {packing.pack(m) for m, _ in g.terms}
-    for kept, deltas in zip(polys_at, shifts):
-        for t in {t for i in kept for t, _ in poly_terms[i]}:
-            rows.update(map(t.__add__, deltas))
+    lay = asm._layout(F, 1, [g], "graded:3", None)
+    assert lay.packing.salt_bits > 0
+    rows = asm._count(GF2, lay, None).keys()
     assert len(rows) == 226053
     assert len({hash(m) for m in rows}) == len(rows)
 
@@ -379,7 +375,7 @@ def test_small_packings_have_no_salt_region():
     # own hash, exactly as without a salt
     F = encode_coloring(gen_random(16, 0.27, 0), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, F.n_vars)
-    packing = asm._layout(F, 4, [g], "graded:3", None)[0]
+    packing = asm._layout(F, 4, [g], "graded:3", None).packing
     n, b = len(packing.variables), packing.b
     assert (n, b, packing.salt_bits) == (16, 3, 0)
     assert list(packing.units.values()) == [1 << n * b | 1 << (n - 1 - j) * b for j in range(n)]
@@ -545,7 +541,7 @@ def build_nothing(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a passing root builds no system")
 
-    for name in ("_layout", "_assemble", "_orbit_system", "_sizes", "solve_multi_rhs"):
+    for name in ("_layout", "_assemble", "_orbit_system", "_count", "solve_multi_rhs"):
         monkeypatch.setattr(asm, name, fail)
 
 
@@ -651,6 +647,12 @@ def random_graded_system(rng, field, n, k):
     return PolySystem.make(field, n, polys)
 
 
+def counted_sizes(F, d, targets, pruning="occurring", memory_budget=None):
+    """(rows, cols, nnz) of the full system, counted as stats counts them."""
+    lay = asm._layout(F, d, targets, pruning, memory_budget)
+    return len(asm._count(F.field, lay, memory_budget)), lay.n_cols, lay.nnz
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sizes_match_assembly(p):
     field = FieldSpec(p)
@@ -668,10 +670,10 @@ def test_sizes_match_assembly(p):
             targets = [Polynomial.one(field, n), near, far]
             for pruning in ("occurring", f"graded:{k}"):
                 system = assemble(F, d, targets, pruning).system
-                counted = _sizes(F, d, targets, pruning)
+                counted = counted_sizes(F, d, targets, pruning)
                 assert counted == (system.n_rows, system.n_cols, system.nnz)
                 # the unreached target monomial is one row of its own
-                assert _sizes(F, d, targets[:2], pruning)[0] == counted[0] - 1
+                assert counted_sizes(F, d, targets[:2], pruning)[0] == counted[0] - 1
 
 
 def test_sizes_keep_validation_and_budget():
@@ -679,11 +681,11 @@ def test_sizes_keep_validation_and_budget():
     x1 = parse_poly("x1", GF2, F.n_vars)
     for args in ((F, -1, [Polynomial.one(GF2, F.n_vars)]), (F, 1, []), (F, 1, [Polynomial.zero(GF2, F.n_vars)])):
         with pytest.raises(AssembleError):
-            _sizes(*args)
+            counted_sizes(*args)
     with pytest.raises(AssembleError, match="target has degree-1 monomial"):
-        _sizes(F, 1, [x1], "graded:3")
+        counted_sizes(F, 1, [x1], "graded:3")
     with pytest.raises(MemoryBudgetError) as counted:
-        _sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+        counted_sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
     with pytest.raises(MemoryBudgetError) as assembled:
         assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
     assert str(counted.value) == str(assembled.value)
@@ -872,6 +874,15 @@ def peel_cases():
         alts = [Polynomial.from_monomial(m, GF2) for m in alt_g_candidates(F.n_vars, 3)]
         yield f"alt-g-auto-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + alts, "graded:3"
         yield f"alt-g-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + rng.sample(alts, 6), "graded:3"
+
+
+def test_layout_numbers_columns_in_one_order():
+    for case, F, d, targets, pruning in peel_cases():
+        lay = asm._layout(F, d, targets, pruning, None)
+        cols = list(lay.columns())
+        assert len(cols) == lay.n_cols, case
+        assert [lay.column(j) for j in range(lay.n_cols)] == cols, case
+        assert [(i, delta) for delta, kept in lay.by_shift(0).items() for i in kept] == cols, case
 
 
 def test_peeled_build_matches_the_full_system():

@@ -109,7 +109,7 @@ def no_assembly(*args, **kwargs):
 def test_sweep_graph_refuted_degrees_are_counted(capsys, monkeypatch):
     # random:16,0.27,0 is benchmark sweep16's first graph
     monkeypatch.setattr(asm, "_assemble", no_assembly)
-    monkeypatch.setattr(asm, "_sizes", no_assembly)
+    monkeypatch.setattr(asm, "_count", no_assembly)
     rc, out, err = run(capsys, "prove", "--gen", "random:16,0.27,0")
     assert_common_root(graphs.gen_random(16, 0.27, 0), rc, out, err)
 
@@ -252,6 +252,17 @@ def test_budget_refusal_mid_count_names_a_lower_bound(capsys):
     assert run(capsys, "prove", "--gen", "wheel:101", "--memory-budget", "21904992") == (2, "", message)
     rc, out, _ = run(capsys, "stats", "--gen", "wheel:101", "--degree", "1")
     assert rc == 0 and " rows=25353 cols=20605 " in out
+
+
+def test_stats_and_prove_refuse_alike(capsys):
+    # both count the full system in one place, so both refuse at the same
+    # block, naming the rows counted so far
+    message = (
+        "error: predicted working set of at least 29343216 bytes for a system of at least 11391 x 20605 "
+        "exceeds the 21904992 byte budget\n"
+    )
+    for command in (("prove",), ("stats", "--degree", "1")):
+        assert run(capsys, *command, "--gen", "wheel:101", "--memory-budget", "21904992") == (2, "", message)
 
 
 def test_many_targets_are_solved_from_their_entries(capsys):
