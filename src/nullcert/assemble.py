@@ -29,10 +29,10 @@ solution, with the peeled columns at zero, and with it the certificate.
 Each row names its column through the sum of its live products' columns,
 so the cascade costs what the dropped columns' products do, and no stop
 rule is needed.  It runs on _count's count of the full system, which
-stats reports and assemble() checks the budget on too, so every refusal
-and its message are those of the full system.  On wheel:101 at degree 1
-the 25,353 x 20,605 system peels to 1,012 x 1,112, the certificate's
-neighbourhood; assemble() still builds the full system.
+stats reports too and the budget is checked on, so every refusal and its
+message are those of the full system.  On wheel:101 at degree 1 the
+25,353 x 20,605 system peels to 1,012 x 1,112, the certificate's
+neighbourhood.
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -224,8 +224,8 @@ class AssembledSystem(Record):
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
     more than the degrees that find nothing, so packing.unpack is applied
     only where a Monomial is needed.  Column j of packed_cols lies in system
-    column col_orbit_index[j].  A plain system carries range(n_cols); in a
-    peeled one (nulla_prove's), packed_cols and packed_rows are the
+    column col_orbit_index[j].  A plain system carries range(n_cols); in
+    nulla_prove's, which is peeled, packed_cols and packed_rows are the
     surviving subsets, in the full system's order.  In an orbit system,
     packed_cols are the full system's columns, row k is the orbit of
     packed_rows[k], and its orbits are numbered in order of first
@@ -425,11 +425,11 @@ def _count(field: FieldSpec, lay: _Layout, memory_budget: Optional[int]) -> Dict
     one product names its column; a target monomial no product reaches
     counts 0.
 
-    This is the one count of the full system, for stats, peeling and
-    assemble.  Rows only grow, so the budget for every target is checked
-    on the rows counted so far after each _BUDGET_BLOCK columns: a degree
-    far over budget fails early.  The last block is short, maybe empty, so
-    the last check is on the final counts."""
+    This is the one count of the full system, for stats and peeling.  Rows
+    only grow, so the budget for every target is checked on the rows
+    counted so far after each _BUDGET_BLOCK columns: a degree far over
+    budget fails early.  The last block is short, maybe empty, so the last
+    check is on the final counts."""
     count = dict.fromkeys(lay.target_rows, 0)
     get, cols, n_cols, poly_terms = count.get, lay.columns(), lay.n_cols, lay.poly_terms
     for start in range(0, n_cols + 1, _BUDGET_BLOCK):
@@ -463,23 +463,10 @@ def _peel(lay: _Layout, count: Dict[int, int]) -> List[Tuple[int, int]]:
     return [column(j) for j in compress(range(lay.n_cols), live)]
 
 
-def _assemble(
-    F: PolySystem,
-    d: int,
-    targets: Sequence[Polynomial],
-    pruning: str,
-    memory_budget: Optional[int],
-    peel: bool,
-) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
-    """assemble's system, peeled if peel is set, and the full system's
-    (rows, cols, nnz).  The full system is counted (_count), and so the
-    budget checked, before any column is filed, peeled or not."""
-    lay = _layout(F, d, targets, pruning, memory_budget)
-    count = _count(F.field, lay, memory_budget)
-    sizes = len(count), lay.n_cols, lay.nnz
-    cols = _peel(lay, count) if peel else list(lay.columns())
-    del count  # before filing, which holds the peak
-
+def _file(field: FieldSpec, lay: _Layout, cols: List[Tuple[int, int]]) -> AssembledSystem:
+    """The system on lay's columns cols, in their order: its rows are their
+    products and every target's monomials, so each target's terms are
+    (row, coeff) entries on the same matrix."""
     # One pass files each product x^delta * t under its row monomial.
     # Columns are visited in order and the terms of one f_i have distinct
     # monomials, so each row's entries come out strictly increasing.  A row
@@ -498,27 +485,27 @@ def _assemble(
     for m in packed_rows:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem(F.field, len(packed_rows), len(cols), tuple(entries))
-    return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), range(len(cols))), sizes
+    system = SparseSystem(field, len(packed_rows), len(cols), tuple(entries))
+    return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), range(len(cols)))
 
 
-def assemble(
+def _assemble(
     F: PolySystem,
     d: int,
     targets: Sequence[Polynomial],
-    pruning: str = "occurring",
-    memory_budget: Optional[int] = None,
-) -> AssembledSystem:
-    """Build the degree-d system once, with one right-hand side per target.
-
-    The row universe covers every target's monomials, so each target's
-    terms are (row, coeff) entries on the same matrix.  Columns are
-    numbered (shift degree, shift, poly index); see the module docstring.
-
-    This is the full system; nulla_prove solves it peeled (see "Peeling"
-    in the module docstring).
-    """
-    return _assemble(F, d, targets, pruning, memory_budget, False)[0]
+    pruning: str,
+    memory_budget: Optional[int],
+) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
+    """The degree-d system, peeled (see "Peeling" in the module docstring),
+    with one right-hand side per target, and the full system's (rows, cols,
+    nnz).  The full system is counted (_count), and so the budget checked,
+    before any column is filed."""
+    lay = _layout(F, d, targets, pruning, memory_budget)
+    count = _count(F.field, lay, memory_budget)
+    sizes = len(count), lay.n_cols, lay.nnz
+    cols = _peel(lay, count)
+    del count  # before filing, which holds the peak
+    return _file(F.field, lay, cols), sizes
 
 
 def _orbit_system(
@@ -675,7 +662,6 @@ def stats(
     F: PolySystem,
     d: int,
     pruning: str = "occurring",
-    g: Optional[Polynomial] = None,
     memory_budget: Optional[int] = None,
 ) -> dict:
     """Closed-form size predictions next to actual post-pruning sizes, keyed
@@ -684,13 +670,11 @@ def stats(
     Predictions count the unpruned system over all n_vars variables:
     n_polys * C(n+d, d) columns and one matrix entry per (input monomial,
     shift) pair.  Actuals (rows, cols, nnz) are the full system's, with the
-    requested pruning and shifts over the occurring variables only, from
-    _layout and _count: the matrix is not filed, and a budget refusal is
-    the one assemble and nulla_prove give.
+    requested pruning and shifts over the occurring variables only, for
+    the target g = 1, from _layout and _count: the matrix is not filed, and
+    a budget refusal is the one nulla_prove gives.
     """
-    if g is None:
-        g = Polynomial.one(F.field, F.n_vars)
-    lay = _layout(F, d, [g], pruning, memory_budget)
+    lay = _layout(F, d, [Polynomial.one(F.field, F.n_vars)], pruning, memory_budget)
     rows, cols, nnz = len(_count(F.field, lay, memory_budget)), lay.n_cols, lay.nnz
     shifts = comb(F.n_vars + d, d)
     monomials = sum(len(f.terms) for f in F.polys)
@@ -827,7 +811,7 @@ def nulla_prove(
                     part = _orbit_system(F_s, d, targets, perms, maps, pruning, memory_budget)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
-                    part, sizes = _assemble(F_s, d, targets, pruning, memory_budget, True)
+                    part, sizes = _assemble(F_s, d, targets, pruning, memory_budget)
                 results = solve_multi_rhs(part.system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)
                 status = "inconsistent" if hit is None else "consistent"
@@ -853,7 +837,6 @@ __all__ = [
     "AssembledSystem",
     "DegreeStats",
     "NullaOutcome",
-    "assemble",
     "assemble_orbit",
     "extract_certificate",
     "lift_solution",

@@ -220,8 +220,8 @@ class Polynomial(Record):
         return cls(field, n_vars, ((Monomial.one(n_vars), 1),))
 
     @classmethod
-    def from_monomial(cls, mono: Monomial, field: FieldSpec, coeff: int = 1) -> "Polynomial":
-        return cls.make(field, mono.n_vars, [(mono, coeff)])
+    def from_monomial(cls, mono: Monomial, field: FieldSpec) -> "Polynomial":
+        return cls.make(field, mono.n_vars, [(mono, 1)])
 
     @property
     def degree(self) -> int:

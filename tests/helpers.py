@@ -4,8 +4,9 @@ evaluation, checked hand-built linear systems and
 right-hand sides, dense reference eliminators, and a reference orbit fold.
 
 These deliberately take different implementation routes from the package so
-they can serve as independent cross-checks.  GF3_DEGREE3 is one input system
-that more than one test module solves.
+they can serve as independent cross-checks.  The exception is full_system,
+the unpeeled system that prove peels, filed by the package's own layout.
+GF3_DEGREE3 is one input system that more than one test module solves.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert import linsolve
+from nullcert.assemble import _file, _layout
 from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,13 @@ def orbit_reps(asm) -> Tuple[int, ...]:
         first.setdefault(o, j)
     assert list(first) == list(range(asm.system.n_cols))
     return tuple(first.values())
+
+
+def full_system(F: PolySystem, d: int, targets: Sequence[Polynomial], pruning: str = "occurring"):
+    """The degree-d AssembledSystem on every column, unpeeled, with one
+    right-hand side per target."""
+    lay = _layout(F, d, targets, pruning, None)
+    return _file(F.field, lay, list(lay.columns()))
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

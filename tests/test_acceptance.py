@@ -17,13 +17,14 @@ from helpers import (
     columns,
     expanded,
     from_vars,
+    full_system,
     poly_mul,
     random_dense_system,
     ref_solve_dense,
     rhs_entries,
     row_monomials,
 )
-from nullcert.assemble import assemble, assemble_orbit, extract_certificate, lift_solution, nulla_prove
+from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
@@ -142,12 +143,12 @@ def test_criterion_1(capsys):
     with criterion(capsys, 1, claim, budget_s=1.0):
         F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
         one = Polynomial.one(F.field, F.n_vars)
-        asm = assemble(F, 1, [one], pruning="graded:3")
+        asm = full_system(F, 1, [one], pruning="graded:3")
         assert asm.system.n_rows == 21 and asm.system.n_cols == 25
 
         row_labels = [mono_text(m, F.field) for m in row_monomials(asm)]
         assert row_labels == [label for label, _ in K4_DEGREE1_ROWS]
-        # the table lists columns poly by poly; assemble numbers them
+        # the table lists columns poly by poly; the build numbers them
         # (shift degree, shift, poly index), read here off the labels
         tags = list(dict.fromkeys(label.split()[0] for label in K4_COLUMN_LABELS))
 
@@ -224,7 +225,7 @@ def test_criterion_3(capsys):
         assert verify(out.certificate)
 
         one = Polynomial.one(field, 3)
-        asm = assemble(F, 1, [one])
+        asm = full_system(F, 1, [one])
         assert asm.system.n_cols == 16  # 4 polynomials x 4 multiplier monomials
 
         # independent row count: distinct monomials over all shifted products

@@ -15,6 +15,7 @@ from helpers import (
     columns,
     eval_poly_gf4,
     expanded,
+    full_system,
     monomials_up_to,
     poly_mul,
     row_monomials,
@@ -22,7 +23,6 @@ from helpers import (
 from nullcert.assemble import (
     AssembleError,
     _Packing,
-    assemble,
     assemble_orbit,
     extract_certificate,
     nulla_prove,
@@ -71,7 +71,7 @@ def occurring_row_oracle(F, d, g):
 def test_small_system_shape_against_row_oracle():
     F = small_system()
     g = Polynomial.one(GF3, 3)
-    asys = assemble(F, 1, [g])
+    asys = full_system(F, 1, [g])
     assert asys.system.n_cols == 16
     assert asys.system.n_rows == occurring_row_oracle(F, 1, g) == 13
 
@@ -88,7 +88,7 @@ def test_small_system_proof_and_runtime():
 
 def test_entry_values_match_shifted_coefficients():
     F = PolySystem.make(GF2, 2, [parse_poly("x1+x2", GF2, 2)])
-    asys = assemble(F, 1, [Polynomial.one(GF2, 2)])
+    asys = full_system(F, 1, [Polynomial.one(GF2, 2)])
     # columns: shifts 1, x1, x2; rows sorted by degree then index
     assert [expanded(shift) for _, shift in columns(asys)] == [(), (0,), (1,)]
     by_row = {expanded(m): cols for m, cols in zip(row_monomials(asys), asys.system.rows)}
@@ -103,7 +103,7 @@ def test_entry_values_match_shifted_coefficients():
 
 def test_row_and_column_order_is_graded():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = assemble(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
+    asys = full_system(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
     rows = [expanded(m) for m in row_monomials(asys)]
     assert rows == sorted(rows, key=lambda t: (len(t), t))
     # columns shift-major: shift degree, then shift in graded order, then poly
@@ -113,7 +113,7 @@ def test_row_and_column_order_is_graded():
 
 def test_k4_preprocessed_graded_shape():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = assemble(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
+    asys = full_system(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
     assert (asys.system.n_rows, asys.system.n_cols) == (21, 25)
     # row universe: constant plus every degree-3 monomial in 4 variables
     degs = sorted(m.degree for m in row_monomials(asys))
@@ -122,7 +122,7 @@ def test_k4_preprocessed_graded_shape():
 
 def test_degenerate_constant_system():
     F = PolySystem.make(GF2, 1, [Polynomial.one(GF2, 1)])
-    asys = assemble(F, 0, [Polynomial.one(GF2, 1)])
+    asys = full_system(F, 0, [Polynomial.one(GF2, 1)])
     assert (asys.system.n_rows, asys.system.n_cols) == (1, 1)
     res = solve(asys.system, asys.rhs_list[0])
     assert res.status == "consistent" and res.solution == (1,)
@@ -134,13 +134,13 @@ def test_graded_rejects_mixed_degree_poly():
     polys = [parse_poly("x1^3+1", GF2, 2), parse_poly("x1^2+x2", GF2, 2)]
     F = PolySystem.make(GF2, 2, polys, tags=("vertex:1", "odd:one"))
     with pytest.raises(AssembleError, match="odd:one"):
-        assemble(F, 1, [Polynomial.one(GF2, 2)], pruning="graded:3")
+        full_system(F, 1, [Polynomial.one(GF2, 2)], pruning="graded:3")
 
 
 def test_graded_rejects_bad_target_degree():
     F = encode_coloring(gen_complete(4), EncodingOptions())
     with pytest.raises(AssembleError, match="target"):
-        assemble(F, 1, [parse_poly("x1", GF2, 4)], pruning="graded:3")
+        full_system(F, 1, [parse_poly("x1", GF2, 4)], pruning="graded:3")
 
 
 def test_bad_pruning_strings():
@@ -148,17 +148,17 @@ def test_bad_pruning_strings():
     g = Polynomial.one(GF3, 3)
     for bad in ("graded:", "graded:1", "graded:x", "gradual", "", "none"):
         with pytest.raises(AssembleError):
-            assemble(F, 1, [g], pruning=bad)
+            full_system(F, 1, [g], pruning=bad)
 
 
 def test_zero_target_rejected():
     with pytest.raises(AssembleError, match="zero target"):
-        assemble(small_system(), 1, [Polynomial.zero(GF3, 3)])
+        full_system(small_system(), 1, [Polynomial.zero(GF3, 3)])
 
 
 def test_target_field_mismatch_rejected():
     with pytest.raises(AssembleError, match="mismatch"):
-        assemble(small_system(), 1, [Polynomial.one(GF2, 3)])
+        full_system(small_system(), 1, [Polynomial.one(GF2, 3)])
 
 
 def test_schedule_validation():
@@ -169,7 +169,7 @@ def test_schedule_validation():
 
 
 def test_empty_target_list_rejected():
-    # only None means the one target g = 1; assemble refuses [] too
+    # only None means the one target g = 1; [] is refused
     F = small_system()
     with pytest.raises(AssembleError, match="need at least one target polynomial"):
         nulla_prove(F, [1], [])
@@ -179,7 +179,7 @@ def test_empty_target_list_rejected():
 def test_memory_budget_propagates():
     F = encode_coloring(gen_complete(6), EncodingOptions())
     with pytest.raises(MemoryBudgetError):
-        assemble(F, 2, [Polynomial.one(GF2, 6)], memory_budget=64)
+        asm._assemble(F, 2, [Polynomial.one(GF2, 6)], "occurring", 64)
 
 
 def test_stats_k4_raw_formulas():
@@ -222,7 +222,7 @@ def test_consistency_survives_degree_increase():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
     for d in (1, 4):
-        asys = assemble(F, d, [g], pruning="graded:3")
+        asys = full_system(F, d, [g], pruning="graded:3")
         assert solve(asys.system, asys.rhs_list[0]).consistent
 
 
@@ -250,7 +250,7 @@ def test_later_target_found_when_first_fails():
 def test_extract_certificate_matches_prove_path():
     F = small_system()
     g = Polynomial.one(GF3, 3)
-    asys = assemble(F, 1, [g])
+    asys = full_system(F, 1, [g])
     res = solve(asys.system, asys.rhs_list[0])
     cert = extract_certificate(F, asys, res.solution, g)
     assert verify(cert)
@@ -269,13 +269,13 @@ def test_extract_certificate_matches_prove_path():
     ids=["gf3", "gf5"],
 )
 def test_prove_extracts_from_assembled_columns(p, n_vars, texts, d):
-    # nulla_prove's certificate is the one assemble + solve + extract gives
+    # nulla_prove's certificate is the one the full system + solve + extract give
     field = FieldSpec(p)
     F = PolySystem.make(field, n_vars, [parse_poly(t, field, n_vars) for t in texts])
     g = Polynomial.one(field, n_vars)
     out = nulla_prove(F, range(1, d + 1))
     assert out.degree == d
-    asys = assemble(F, d, [g])
+    asys = full_system(F, d, [g])
     res = solve(asys.system, asys.rhs_list[0])
     cert = extract_certificate(F, asys, res.solution, g, out.certificate.provenance)
     assert write_cert(cert) == write_cert(out.certificate)
@@ -287,11 +287,11 @@ def test_prove_extracts_from_assembled_columns(p, n_vars, texts, d):
     ids=["K4", "wheel5", "random8", "K3"],
 )
 def test_gf2_prove_matches_assemble_and_solve(graph):
-    # each degree's stats line and verdict are those of assemble + solve
+    # each degree's stats line and verdict are those of the full system + solve
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, graph.n_vertices)
     for d in (1, 4):
-        asys = assemble(F, d, [g], pruning="graded:3")
+        asys = full_system(F, d, [g], pruning="graded:3")
         out = nulla_prove(F, [d], pruning="graded:3")
         (st,) = out.per_degree
         res = solve(asys.system, asys.rhs_list[0])
@@ -390,7 +390,7 @@ def test_large_exponent_assembles_in_small_memory():
     g = Polynomial.one(GF2, 2)
     tracemalloc.start()
     try:
-        asys = assemble(F, 1, [g])
+        asys = full_system(F, 1, [g])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -403,7 +403,7 @@ def test_large_exponent_assembles_in_small_memory():
 def test_extract_certificate_length_check():
     F = small_system()
     one = Polynomial.one(GF3, 3)
-    asys = assemble(F, 1, [one])
+    asys = full_system(F, 1, [one])
     with pytest.raises(AssembleError, match="length"):
         extract_certificate(F, asys, (0,), one)
     # an orbit system takes a solution of its own 9 columns, and refuses
@@ -438,7 +438,7 @@ def test_graded_equals_unpruned_on_coloring_systems():
         target = Polynomial.one(GF2, g.n_vertices)
         full, pruned = (
             solve(asys.system, asys.rhs_list[0]).consistent
-            for asys in (assemble(F, 1, [target], pruning=mode) for mode in ("occurring", "graded:3"))
+            for asys in (full_system(F, 1, [target], pruning=mode) for mode in ("occurring", "graded:3"))
         )
         assert full == pruned
         checked += 1
@@ -669,7 +669,7 @@ def test_sizes_match_assembly(p):
             near = Polynomial.make(field, n, {Monomial.make({n - 1: k}, n): 1})
             targets = [Polynomial.one(field, n), near, far]
             for pruning in ("occurring", f"graded:{k}"):
-                system = assemble(F, d, targets, pruning).system
+                system = full_system(F, d, targets, pruning).system
                 counted = counted_sizes(F, d, targets, pruning)
                 assert counted == (system.n_rows, system.n_cols, system.nnz)
                 # the unreached target monomial is one row of its own
@@ -687,7 +687,7 @@ def test_sizes_keep_validation_and_budget():
     with pytest.raises(MemoryBudgetError) as counted:
         counted_sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
     with pytest.raises(MemoryBudgetError) as assembled:
-        assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+        asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
     assert str(counted.value) == str(assembled.value)
 
 
@@ -808,16 +808,33 @@ def test_absent_variables_fixed_by_the_group_change_nothing(k, p, orbit_hit):
 
 
 def assert_peel_matches_full(F, d, targets, pruning):
-    """The peeled build against assemble() + solve_multi_rhs: the same full
-    sizes, the same status per rhs, the same solution once the peeled
-    columns are put back at zero, and the same certificate bytes.  Returns
-    the peeled and the full AssembledSystem and each rhs's consistency."""
-    asys = assemble(F, d, targets, pruning)
-    peeled, sizes = asm._assemble(F, d, targets, pruning, None, True)
+    """The peeled build against full_system + solve_multi_rhs: the same full
+    sizes, the full system's rows on the kept columns, the same status per
+    rhs, the same solution once the peeled columns are put back at zero,
+    and the same certificate bytes.  Returns the peeled and the full
+    AssembledSystem and each rhs's consistency."""
+    asys = full_system(F, d, targets, pruning)
+    peeled, sizes = asm._assemble(F, d, targets, pruning, None)
     assert sizes == (asys.system.n_rows, asys.system.n_cols, asys.system.nnz)
     at = {key: j for j, key in enumerate(asys.packed_cols)}
     kept = [at[key] for key in peeled.packed_cols]
     assert kept == sorted(set(kept))
+    # the full system's rows, dropping the unkept columns and renumbering
+    # the rest, less those left empty that are no target's
+    renumbered = dict(zip(kept, range(len(kept))))
+    target_rows = {asys.packed_rows[r] for rhs in asys.rhs_list for r, _ in rhs}
+    restricted = [
+        (m, tuple((renumbered[j], c) for j, c in row if j in renumbered))
+        for m, row in zip(asys.packed_rows, asys.system.rows)
+    ]
+    restricted = [(m, row) for m, row in restricted if row or m in target_rows]
+    assert tuple(row for _, row in restricted) == peeled.system.rows
+    assert tuple(m for m, _ in restricted) == peeled.packed_rows
+
+    def named(a):
+        return [[(a.packed_rows[r], c) for r, c in rhs] for rhs in a.rhs_list]
+
+    assert named(peeled) == named(asys)
     full = solve_multi_rhs(asys.system, asys.rhs_list)
     part = solve_multi_rhs(peeled.system, peeled.rhs_list)
     assert [r.status for r in part] == [r.status for r in full]
@@ -913,26 +930,26 @@ def test_a_target_monomial_that_one_column_produces_is_kept():
 
 def test_wheel101_peels_to_the_certificates_neighbourhood():
     F = encode_coloring(gen_wheel(101), EncodingOptions(preprocess=True))
-    peeled, sizes = asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", None, True)
+    peeled, sizes = asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", None)
     assert sizes == (25353, 20605, 61814)
     assert (peeled.system.n_rows, peeled.system.n_cols) == (1012, 1112)
 
 
 @pytest.mark.parametrize("n", [31, 101])
 def test_budget_between_peeled_and_full_still_refuses(n):
-    # the budget is checked on the full system, block by block as filing
+    # the budget is checked on the full system, block by block as counting
     # checks it: wheel:101's 20,605 columns are five blocks, and the refusal
     # comes in a middle one
     F = encode_coloring(gen_wheel(n), EncodingOptions(preprocess=True))
     one = [Polynomial.one(GF2, F.n_vars)]
-    peeled, (rows, cols, _) = asm._assemble(F, 1, one, "graded:3", None, True)
+    peeled, (rows, cols, _) = asm._assemble(F, 1, one, "graded:3", None)
     full = packed_bytes(rows, cols, 2)
     budget = full - 1 if n == 31 else 21904992
     assert packed_bytes(peeled.system.n_rows, peeled.system.n_cols, 2) < budget < full
     with pytest.raises(MemoryBudgetError) as refused:
         nulla_prove(F, [1], pruning="graded:3", memory_budget=budget)
-    with pytest.raises(MemoryBudgetError) as assembled:
-        assemble(F, 1, one, "graded:3", budget)
-    assert str(refused.value) == str(assembled.value)
+    with pytest.raises(MemoryBudgetError) as counted:
+        stats(F, 1, "graded:3", memory_budget=budget)
+    assert str(refused.value) == str(counted.value)
     assert refused.value.n_cols == cols
     assert nulla_prove(F, [1], pruning="graded:3", memory_budget=full).verdict == "infeasible"

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import columns, expanded, orbit_fold, orbit_reps, row_monomials
-from nullcert.assemble import _orbit_system, assemble, assemble_orbit, extract_certificate, lift_solution
+from helpers import columns, expanded, full_system, orbit_fold, orbit_reps, row_monomials
+from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_wheel
@@ -125,7 +125,7 @@ def test_k4_orbit_entries_are_full_matrix_sums():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
-    full = assemble(F, 1, [g], pruning="graded:3")
+    full = full_system(F, 1, [g], pruning="graded:3")
     full_dense = [[0] * full.system.n_cols for _ in range(full.system.n_rows)]
     for r, cols in enumerate(full.system.rows):
         for c, v in cols:
@@ -189,7 +189,7 @@ def test_identity_group_gives_plain_system():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(F, 1, g, PermutationSet.make(4, []), pruning="graded:3")
-    plain = assemble(F, 1, [g], pruning="graded:3")
+    plain = full_system(F, 1, [g], pruning="graded:3")
     assert orb.system.rows == plain.system.rows
     assert orb.rhs_list == plain.rhs_list
     assert row_monomials(orb) == row_monomials(plain)
@@ -241,7 +241,7 @@ def test_cycle_graph_orbit_consistency_matches_full():
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
     assert group_order(rot) == 5
     assert not solve(orb.system, orb.rhs_list[0]).consistent
-    full = assemble(F, 1, [g], pruning="graded:3")
+    full = full_system(F, 1, [g], pruning="graded:3")
     assert not solve(full.system, full.rhs_list[0]).consistent
 
 
@@ -251,7 +251,7 @@ def test_wheel_rim_rotation_positive_case():
     g = Polynomial.one(GF2, 6)
     rot = parse_generators("(1,2,3,4,5)", 6)
     orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
-    assert orb.system.n_cols < assemble(F, 1, [g], pruning="graded:3").system.n_cols
+    assert orb.system.n_cols < full_system(F, 1, [g], pruning="graded:3").system.n_cols
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
     cert = extract_certificate(F, orb, res.solution, g)
@@ -303,7 +303,7 @@ def fold_cases():
 def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
     maps = check_invariant(F, targets, perms)
     orb = _orbit_system(F, d, targets, perms, maps, pruning, None)
-    full = assemble(F, d, targets, pruning)
+    full = full_system(F, d, targets, pruning)
     ref = orbit_fold(F, full, perms)
     assert orb.system.rows == ref.rows
     assert orb.rhs_list == ref.rhs_list
