@@ -265,10 +265,16 @@ def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
 def build_schedule(args: argparse.Namespace, coloring: bool, pruning: str) -> List[int]:
     if args.max_degree < 1:
         raise CliError("--max-degree must be >= 1")
-    if coloring and pruning.startswith("graded:"):
-        # under the mod-k grading only multiplier degrees == 1 mod k add columns
-        return [d for d in range(1, args.max_degree + 1) if d % args.k == 1 % args.k]
-    return list(range(1, args.max_degree + 1))
+    degrees = range(1, args.max_degree + 1)
+    modulus = pruning[len("graded:"):]
+    if coloring and pruning.startswith("graded:") and modulus.isdecimal() and int(modulus) > 0:
+        # graded:m fits a coloring encoding when m divides k; then multiplier
+        # degrees == 1 mod m add edge and cutter columns, those == 0 mod m
+        # add only vertex-polynomial columns, and the others add none.  A
+        # malformed mode is left for nulla_prove to reject.
+        m = int(modulus)
+        return [d for d in degrees if d % m == 1 % m]
+    return list(degrees)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

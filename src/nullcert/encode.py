@@ -5,14 +5,14 @@ sum_{t=0}^{k-1} x_u^(k-1-t) x_v^t = 0 per edge} has a common root over the
 algebraic closure; this requires gcd(k, p) = 1.  Over GF(2) with k = 3 the
 polynomials read x_i^3+1 and x_u^2+x_u*x_v+x_v^2.
 
-Also provides: removal of redundant vertex polynomials (one kept per
-connected component, justified by the telescoping identity
-(x_u^k - 1) = (x_v^k - 1) + (x_u - x_v) * edgepoly(u, v) along spanning-tree
-paths), degree-cutter polynomials (sum of x_v^(k-1) over each k-clique,
-which vanishes because a proper coloring puts all k k-th roots of unity on
-it), and alternative certificate targets (any nontrivial monomial works for
-colorability, since a monomial root forces some x_i = 0 while roots of the
-vertex polynomials are nonzero).
+Also provides: preprocessing, which builds one vertex polynomial per
+connected component (the others lie in the ideal, by the telescoping
+identity (x_u^k - 1) = (x_v^k - 1) + (x_u - x_v) * edgepoly(u, v) along
+spanning-tree paths), degree-cutter polynomials (sum of x_v^(k-1) over each
+k-clique, which vanishes because a proper coloring puts all k k-th roots of
+unity on it), and alternative certificate targets (any nontrivial monomial
+works for colorability, since a monomial root forces some x_i = 0 while
+roots of the vertex polynomials are nonzero).
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class EncodingOptions(Record):
             raise EncodeError("for k=2 each clique cutter x_u+x_v is its edge polynomial; use none")
 
 
-# The vertex and edge polynomials are built in canonical term order, which
-# the Polynomial constructor checks, instead of sorted by Polynomial.make:
-# encoding a large graph is otherwise most of a prove that certifies a core.
+# The vertex, edge and cutter polynomials are built in canonical term order,
+# which the Polynomial constructor checks, instead of sorted by
+# Polynomial.make: encoding a large graph is otherwise most of a prove that
+# certifies a core.
 
 
 def _vertex_poly(v: int, k: int, field: FieldSpec, n_vars: int) -> Polynomial:
@@ -86,6 +87,11 @@ def _edge_poly(u: int, v: int, k: int, field: FieldSpec, n_vars: int) -> Polynom
     return Polynomial(field, n_vars, tuple(terms))
 
 
+def _cutter_poly(clique: Sequence[int], k: int, field: FieldSpec, n_vars: int) -> Polynomial:
+    # sum of x_v^(k-1) over an ascending clique: ascending v is canonical
+    return Polynomial(field, n_vars, tuple((Monomial(((v - 1, k - 1),), n_vars), 1) for v in clique))
+
+
 def encode_coloring(
     g: Graph, opts: EncodingOptions, origin: int = 1, vertices: Optional[Sequence[int]] = None
 ) -> PolySystem:
@@ -93,8 +99,12 @@ def encode_coloring(
 
     Ordering is deterministic: vertex polynomials by vertex index, then edge
     polynomials by (u, v), then cutters when requested.  With
-    opts.preprocess, redundant vertex polynomials are removed (see
-    preprocess_vertex_polys; origin selects the survivor in its component).
+    opts.preprocess, only one vertex polynomial per connected component is
+    built: origin's in its own component and the least vertex's elsewhere.
+    Certificate existence at any degree is unchanged: each dropped
+    x_u^k - 1 equals the kept one plus a telescoping sum of
+    (x_i - x_j) * edgepoly(i, j) along a spanning-tree path, so it stays
+    inside the ideal generated by the rest.
 
     vertices, ascending, encodes the subgraph induced on them instead, still
     over g's n_vertices variables: cutters come from the cliques inside the
@@ -112,55 +122,23 @@ def encode_coloring(
     ):
         raise EncodeError("vertices must be ascending vertices of the graph")
     inside = set(labels)
-    polys: List[Polynomial] = []
-    tags: List[str] = []
-    for v in labels:
-        polys.append(_vertex_poly(v, opts.k, opts.field, n))
-        tags.append(f"vertex:{v}")
+    if opts.preprocess:
+        if not 1 <= origin <= n:
+            raise GraphError(f"origin {origin} out of range")
+        survivors = {origin if origin in comp else comp[0] for comp in components(g)}
+        labels = [v for v in labels if v in survivors]
+    polys = [_vertex_poly(v, opts.k, opts.field, n) for v in labels]
+    tags = [f"vertex:{v}" for v in labels]
     for u, v in g.sorted_edges():
         if u in inside and v in inside:
             polys.append(_edge_poly(u, v, opts.k, opts.field, n))
             tags.append(f"edge:{u}-{v}")
-    system = PolySystem.make(opts.field, n, polys, tags)
-    if opts.preprocess:
-        system = preprocess_vertex_polys(system, g, origin)
     if opts.cutters != "none":
-        cliques = [c for c in enumerate_cliques(g, opts.k) if inside.issuperset(c)]
-        cutters = [_cutter_poly(c, opts.k, opts.field, n) for c in cliques]
-        ctags = ["cutter:" + "-".join(map(str, c)) for c in cliques]
-        system = PolySystem.make(
-            opts.field, n, list(system.polys) + cutters, list(system.tags) + ctags
-        )
-    return system
-
-
-def preprocess_vertex_polys(sys: PolySystem, g: Graph, origin: int) -> PolySystem:
-    """Drop every vertex polynomial except one per connected component.
-
-    The survivor is origin in its own component and the smallest-index
-    vertex elsewhere.  Certificate existence at any degree is unchanged:
-    each dropped x_u^k - 1 equals the kept one plus a telescoping sum of
-    (x_i - x_j) * edgepoly(i, j) along the spanning-tree path, so the
-    removed polynomials stay inside the ideal generated by the rest.
-    """
-    if not 1 <= origin <= g.n_vertices:
-        raise GraphError(f"origin {origin} out of range")
-    keep = set()
-    for comp in components(g):
-        keep.add(origin if origin in comp else comp[0])
-    polys = []
-    tags = []
-    for poly, tag in zip(sys.polys, sys.tags):
-        if tag.startswith("vertex:") and int(tag.split(":", 1)[1]) not in keep:
-            continue
-        polys.append(poly)
-        tags.append(tag)
-    return PolySystem.make(sys.field, sys.n_vars, polys, tags)
-
-
-def _cutter_poly(clique: Sequence[int], k: int, field: FieldSpec, n_vars: int) -> Polynomial:
-    terms = [(Monomial.make({v - 1: k - 1}, n_vars), 1) for v in clique]
-    return Polynomial.make(field, n_vars, terms)
+        for c in enumerate_cliques(g, opts.k):
+            if inside.issuperset(c):
+                polys.append(_cutter_poly(c, opts.k, opts.field, n))
+                tags.append("cutter:" + "-".join(map(str, c)))
+    return PolySystem.make(opts.field, n, polys, tags)
 
 
 def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
@@ -183,6 +161,5 @@ __all__ = [
     "EncodingOptions",
     "EncodeError",
     "encode_coloring",
-    "preprocess_vertex_polys",
     "alt_g_candidates",
 ]

@@ -64,6 +64,17 @@ def test_prove_k3_exhausts_schedule(capsys):
     assert_common_root(graphs.gen_complete(3), rc, out, err)
 
 
+def test_default_schedule_takes_its_grading_from_pruning(capsys):
+    # under graded:2, K5's k=4 edge polynomials add columns at every odd
+    # degree, not only at the degrees == 1 mod k
+    rc, out, err = run(
+        capsys, "prove", "--gen", "complete:5", "--k", "4", "--p", "3",
+        "--pruning", "graded:2", "--max-degree", "4",
+    )
+    assert (rc, err) == (10, "")
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == ["degree=1", "degree=3"]
+
+
 # perfbench/run.py reads each stats line with fullmatch on this pattern, so
 # a field added to the line would turn every benchmark prove into a failure
 STATS_LINE = re.compile(

@@ -11,10 +11,10 @@ from nullcert.encode import (
     EncodingOptions,
     alt_g_candidates,
     encode_coloring,
-    preprocess_vertex_polys,
 )
-from nullcert.graphs import Graph, GraphError, gen_complete, gen_kneser, gen_random, gen_wheel
-from nullcert.poly import FieldSpec, format_monomial, format_poly
+import nullcert.encode as encode
+from nullcert.graphs import Graph, GraphError, components, gen_complete, gen_kneser, gen_random, gen_wheel
+from nullcert.poly import FieldSpec, PolyError, format_monomial, format_poly
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -113,15 +113,42 @@ class TestInducedEncoding:
 class TestPreprocess:
     def test_k4(self):
         g = gen_complete(4)
-        sys_ = preprocess_vertex_polys(encode_coloring(g, EncodingOptions()), g, 1)
+        sys_ = encode_coloring(g, EncodingOptions(preprocess=True), 1)
         assert len(sys_) == 7
         assert sys_.tags[0] == "vertex:1"
         assert all(t.startswith("edge:") for t in sys_.tags[1:])
 
     def test_via_options(self):
-        g = gen_complete(4)
-        assert encode_coloring(g, EncodingOptions(preprocess=True)) == \
-            preprocess_vertex_polys(encode_coloring(g, EncodingOptions()), g, 1)
+        # equal to the plain encoding minus the vertex polynomials of all
+        # but origin in its component and the least vertex in each other one
+        rng = random.Random(28)
+        for k, p, cutters in ((3, 2, "none"), (3, 2, "triangles"), (4, 3, "cliques")):
+            for seed in range(12):
+                n = rng.randint(2, 11)
+                g = gen_random(n, rng.choice((0.2, 0.5, 0.8)), seed)
+                origin = rng.randint(1, n)
+                vertices = sorted(rng.sample(range(1, n + 1), rng.randint(1, n))) if seed % 2 else None
+                survivors = {origin if origin in comp else comp[0] for comp in components(g)}
+                plain = encode_coloring(g, EncodingOptions(k, FieldSpec(p), cutters=cutters), origin, vertices)
+                kept = [
+                    (tag, f) for tag, f in zip(plain.tags, plain.polys)
+                    if not tag.startswith("vertex:") or int(tag[len("vertex:"):]) in survivors
+                ]
+                opts = EncodingOptions(k, FieldSpec(p), preprocess=True, cutters=cutters)
+                if not kept:  # an edgeless subgraph without a survivor
+                    with pytest.raises(PolyError):
+                        encode_coloring(g, opts, origin, vertices)
+                    continue
+                sys_ = encode_coloring(g, opts, origin, vertices)
+                assert list(zip(sys_.tags, sys_.polys)) == kept, (k, seed, origin, vertices)
+
+    def test_builds_only_the_surviving_vertex_polys(self, monkeypatch):
+        calls = []
+        build = encode._vertex_poly
+        monkeypatch.setattr(encode, "_vertex_poly", lambda v, *rest: calls.append(v) or build(v, *rest))
+        g = Graph.make(4, [(1, 2), (3, 4)])
+        encode_coloring(g, EncodingOptions(preprocess=True))
+        assert calls == [1, 3]
 
     def test_single_edge(self):
         g = Graph.make(2, [(1, 2)])
@@ -142,7 +169,7 @@ class TestPreprocess:
     def test_origin_validation(self):
         g = gen_complete(3)
         with pytest.raises(GraphError):
-            preprocess_vertex_polys(encode_coloring(g, EncodingOptions()), g, 9)
+            encode_coloring(g, EncodingOptions(preprocess=True), 9)
 
 
 def cutters(g, k=3, field=F2):
