@@ -194,8 +194,6 @@ def enumerate_cliques(g: Graph, size: int) -> List[Tuple[int, ...]]:
     """All cliques of the given size, vertices ascending, lexicographic order."""
     if size < 1:
         raise GraphError("clique size must be positive")
-    if size == 1:
-        return [(v,) for v in range(1, g.n_vertices + 1)]
     adj = g.adjacency()
     out: List[Tuple[int, ...]] = []
 

@@ -1,16 +1,15 @@
 """Finite-field scalars, monomials, polynomials, and polynomial systems.
 
-Everything here is an immutable value type.  Monomials carry a global
-graded-lexicographic order (total degree first, then higher powers of
-earlier variables first) so that matrix rows and columns built from them
-are reproducible across runs.
+Everything here is an immutable value type, and each make takes its
+parts as an iterable of (key, value) pairs.  Monomial.sort_key is the one
+global monomial order, graded-lexicographic (total degree first, then
+higher powers of earlier variables first), so that matrix rows and columns
+built from it are reproducible across runs.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
-from collections.abc import Mapping
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 
@@ -88,13 +87,12 @@ class FieldSpec(Record):
             raise PolyError(f"field modulus must be prime, got {p!r}")
 
 
-@functools.total_ordering
 class Monomial(Record):
     """A power product of variables.
 
     exponents is a sparse map stored as ((var, exp), ...) with var indices
     ascending, every exp positive, and var < n_vars.  Variable index i
-    corresponds to x{i+1} in text form.
+    corresponds to x{i+1} in text form.  Monomials order by sort_key().
     """
 
     __slots__ = ("exponents", "n_vars")
@@ -113,10 +111,10 @@ class Monomial(Record):
             last = var
 
     @classmethod
-    def make(cls, exponents: Mapping[int, int] | Iterable[Tuple[int, int]], n_vars: int) -> "Monomial":
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
+    def make(cls, exponents: Iterable[Tuple[int, int]], n_vars: int) -> "Monomial":
+        """The monomial of (var, exp) pairs in any order; repeated vars add."""
         merged: Dict[int, int] = {}
-        for var, exp in items:
+        for var, exp in exponents:
             merged[var] = merged.get(var, 0) + exp
         pairs = tuple(sorted((v, e) for v, e in merged.items() if e != 0))
         return cls(pairs, n_vars)
@@ -128,9 +126,6 @@ class Monomial(Record):
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.exponents)
-
-    def is_constant(self) -> bool:
-        return not self.exponents
 
     def sort_key(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         """The graded-order key: total degree, then ((var, -exp), ...)."""
@@ -158,11 +153,6 @@ class Monomial(Record):
 
     def __hash__(self) -> int:
         return hash((self.exponents, self.n_vars))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
 
 
 # Term display order: total degree descending, then graded-lex within a
@@ -201,19 +191,15 @@ class Polynomial(Record):
         cls,
         field: FieldSpec,
         n_vars: int,
-        terms: Mapping[Monomial, int] | Iterable[Tuple[Monomial, int]],
+        terms: Iterable[Tuple[Monomial, int]],
     ) -> "Polynomial":
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        """The polynomial of (monomial, coeff) pairs; repeated monomials add mod p."""
         acc: Dict[Monomial, int] = {}
-        for mono, coeff in items:
+        for mono, coeff in terms:
             acc[mono] = (acc.get(mono, 0) + coeff) % field.p
         kept = [(m, c) for m, c in acc.items() if c != 0]
         kept.sort(key=lambda mc: _display_key(mc[0]))
         return cls(field, n_vars, tuple(kept))
-
-    @classmethod
-    def zero(cls, field: FieldSpec, n_vars: int) -> "Polynomial":
-        return cls(field, n_vars, ())
 
     @classmethod
     def one(cls, field: FieldSpec, n_vars: int) -> "Polynomial":
@@ -243,7 +229,7 @@ class Polynomial(Record):
 
 
 def format_monomial(mono: Monomial, coeff: int = 1) -> str:
-    if mono.is_constant():
+    if not mono.exponents:
         return str(coeff)
     parts = [] if coeff == 1 else [str(coeff)]
     for var, exp in mono.exponents:
@@ -310,8 +296,6 @@ def parse_poly(text: str, field: FieldSpec, n_vars: int) -> Polynomial:
     minus maps to the additive inverse.
     """
     s = "".join(text.split())
-    if s == "0":
-        return Polynomial.zero(field, n_vars)
     pairs = []
     for sign, body in _split_terms(s):
         mono, coeff = _parse_term(body, n_vars, body)

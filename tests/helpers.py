@@ -82,13 +82,8 @@ def full_system(F: PolySystem, d: int, targets: Sequence[Polynomial], pruning: s
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    p = a.field.p
-    acc: Dict = {}
-    for ma, ca in a.terms:
-        for mb, cb in b.terms:
-            m = ma.mul(mb)
-            acc[m] = (acc.get(m, 0) + ca * cb) % p
-    return Polynomial.make(a.field, a.n_vars, acc)
+    terms = [(ma.mul(mb), ca * cb) for ma, ca in a.terms for mb, cb in b.terms]
+    return Polynomial.make(a.field, a.n_vars, terms)
 
 
 def random_poly(rng, field: FieldSpec, n_vars: int, max_degree: int) -> Polynomial:
@@ -104,14 +99,13 @@ def random_poly(rng, field: FieldSpec, n_vars: int, max_degree: int) -> Polynomi
 def verify_by_polynomial(cert) -> bool:
     """certificate.verify's reference: expand the identity into a
     Polynomial and compare it with the target."""
-    p = cert.field.p
-    acc: Dict = {}
-    for e in cert.entries:
-        for mono_m, coeff_m in e.multiplier.terms:
-            for mono_s, coeff_s in e.source.terms:
-                m = mono_m.mul(mono_s)
-                acc[m] = (acc.get(m, 0) + coeff_m * coeff_s) % p
-    return Polynomial.make(cert.field, cert.n_vars, acc) == cert.target
+    terms = [
+        (mono_m.mul(mono_s), coeff_m * coeff_s)
+        for e in cert.entries
+        for mono_m, coeff_m in e.multiplier.terms
+        for mono_s, coeff_s in e.source.terms
+    ]
+    return Polynomial.make(cert.field, cert.n_vars, terms) == cert.target
 
 
 def poly_eval(a: Polynomial, point: Sequence[int]) -> int:

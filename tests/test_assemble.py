@@ -153,7 +153,7 @@ def test_bad_pruning_strings():
 
 def test_zero_target_rejected():
     with pytest.raises(AssembleError, match="zero target"):
-        full_system(small_system(), 1, [Polynomial.zero(GF3, 3)])
+        full_system(small_system(), 1, [Polynomial.make(GF3, 3, [])])
 
 
 def test_target_field_mismatch_rejected():
@@ -318,14 +318,14 @@ def test_packed_monomials_match_monomial_arithmetic():
             """Two monomials whose product has the given exponents."""
             a = {v: rng.randint(0, e) for v, e in total.items()}
             return (
-                Monomial.make(a, n),
-                Monomial.make({v: e - a[v] for v, e in total.items()}, n),
+                Monomial.make(a.items(), n),
+                Monomial.make([(v, e - a[v]) for v, e in total.items()], n),
             )
 
         def exponents():
             return {v: rng.randint(1, top) for v in listed if rng.random() < 0.4}
 
-        monos = [Monomial.make(exponents(), n) for _ in range(10)]
+        monos = [Monomial.make(exponents().items(), n) for _ in range(10)]
         by_packed = sorted(monos, key=lambda m: packing.pack(m) ^ packing.flip)
         assert [m.sort_key() for m in by_packed] == sorted(m.sort_key() for m in monos)
 
@@ -396,7 +396,7 @@ def test_large_exponent_assembles_in_small_memory():
         tracemalloc.stop()
     system = asys.system
     assert (system.n_rows, system.n_cols, system.nnz) == (9, 9, 15)
-    assert asys.packing.unpack(asys.packed_rows[-2]) == Monomial.make({0: 2000001}, 2)
+    assert asys.packing.unpack(asys.packed_rows[-2]) == Monomial.make([(0, 2000001)], 2)
     assert peak < 1 << 20
 
 
@@ -606,8 +606,8 @@ def test_gf4_value_matches_reference_evaluation():
         terms = {}
         for _ in range(rng.randint(0, 8)):
             exps = {v: rng.randint(1, 5) for v in rng.sample(range(n), rng.randint(0, n))}
-            terms[Monomial.make(exps, n)] = 1
-        f = Polynomial.make(GF2, n, terms)
+            terms[Monomial.make(exps.items(), n)] = 1
+        f = Polynomial.make(GF2, n, terms.items())
         root = [rng.randrange(3) for _ in range(n)]
         expected = eval_poly_gf4(f, [GF4_ROOTS[c] for c in root])
         assert asm._gf4_value(f, root) == expected, (f, root)
@@ -642,8 +642,8 @@ def random_graded_system(rng, field, n, k):
             for _ in range(deg):
                 v = rng.randrange(n)
                 exps[v] = exps.get(v, 0) + 1
-            terms[Monomial.make(exps, n)] = rng.randrange(1, field.p)
-        polys.append(Polynomial.make(field, n, terms))
+            terms[Monomial.make(exps.items(), n)] = rng.randrange(1, field.p)
+        polys.append(Polynomial.make(field, n, terms.items()))
     return PolySystem.make(field, n, polys)
 
 
@@ -665,8 +665,8 @@ def test_sizes_match_assembly(p):
         for d in range(5):
             # x1^e lies above every product x^delta * t, so no column reaches it
             e = k * (2 + (d + top) // k)
-            far = Polynomial.from_monomial(Monomial.make({0: e}, n), field)
-            near = Polynomial.make(field, n, {Monomial.make({n - 1: k}, n): 1})
+            far = Polynomial.from_monomial(Monomial.make([(0, e)], n), field)
+            near = Polynomial.make(field, n, [(Monomial.make([(n - 1, k)], n), 1)])
             targets = [Polynomial.one(field, n), near, far]
             for pruning in ("occurring", f"graded:{k}"):
                 system = full_system(F, d, targets, pruning).system
@@ -679,7 +679,7 @@ def test_sizes_match_assembly(p):
 def test_sizes_keep_validation_and_budget():
     F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
     x1 = parse_poly("x1", GF2, F.n_vars)
-    for args in ((F, -1, [Polynomial.one(GF2, F.n_vars)]), (F, 1, []), (F, 1, [Polynomial.zero(GF2, F.n_vars)])):
+    for args in ((F, -1, [Polynomial.one(GF2, F.n_vars)]), (F, 1, []), (F, 1, [Polynomial.make(GF2, F.n_vars, [])])):
         with pytest.raises(AssembleError):
             counted_sizes(*args)
     with pytest.raises(AssembleError, match="target has degree-1 monomial"):
@@ -771,10 +771,10 @@ def test_absent_variables_change_nothing(p):
             terms = {}
             for _ in range(rng.randint(1, 3)):
                 exps = {v: rng.randint(1, 2) for v in rng.sample(range(n), rng.randint(0, 2))}
-                terms[Monomial.make(exps, n)] = rng.randrange(1, p)
-            polys.append(Polynomial.make(field, n, terms))
+                terms[Monomial.make(exps.items(), n)] = rng.randrange(1, p)
+            polys.append(Polynomial.make(field, n, terms.items()))
         F = PolySystem.make(field, n, polys)
-        targets = [Polynomial.one(field, n), Polynomial.from_monomial(Monomial.make({n - 1: 1}, n), field)]
+        targets = [Polynomial.one(field, n), Polynomial.from_monomial(Monomial.make([(n - 1, 1)], n), field)]
         wide_n = n + rng.randint(1, 4)
         images = sorted(rng.sample(range(wide_n), n))
         E = PolySystem.make(field, wide_n, [embedded(f, images, wide_n) for f in F.polys], F.tags)
@@ -855,7 +855,7 @@ def random_system(rng, field, n, count, top):
     monomials of degree <= top and nonzero coefficients."""
     monos = [m for m in monomials_up_to(n, top)]
     return PolySystem.make(field, n, [
-        Polynomial.make(field, n, {m: rng.randrange(1, field.p) for m in rng.sample(monos, rng.randint(1, 6))})
+        Polynomial.make(field, n, [(m, rng.randrange(1, field.p)) for m in rng.sample(monos, rng.randint(1, 6))])
         for _ in range(count)
     ])
 
@@ -924,8 +924,8 @@ def test_a_target_monomial_that_one_column_produces_is_kept():
     peeled, asys, consistent = assert_peel_matches_full(F, 1, [g], "occurring")
     assert consistent == [True]
     assert asys.system.n_rows == 3 and asys.system.n_cols == 3
-    assert columns(peeled) == [(0, Monomial.make({1: 1}, 2))]
-    assert row_monomials(peeled) == [Monomial.make({0: 1, 1: 1}, 2)]
+    assert columns(peeled) == [(0, Monomial.make([(1, 1)], 2))]
+    assert row_monomials(peeled) == [Monomial.make([(0, 1), (1, 1)], 2)]
 
 
 def test_wheel101_peels_to_the_certificates_neighbourhood():

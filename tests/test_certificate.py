@@ -88,7 +88,7 @@ def test_perturbed_pipeline_cert_fails():
     terms = dict(entry.multiplier.terms)
     x1 = parse_poly("x1", GF2, cert.n_vars).terms[0][0]
     terms[x1] = (terms.get(x1, 0) + 1) % 2
-    perturbed = CertEntry(entry.tag, entry.source, Polynomial.make(GF2, cert.n_vars, terms))
+    perturbed = CertEntry(entry.tag, entry.source, Polynomial.make(GF2, cert.n_vars, terms.items()))
     broken = Certificate(
         cert.field, cert.n_vars, cert.target, cert.entries[:-1] + (perturbed,), cert.provenance
     )
@@ -121,7 +121,7 @@ def test_verify_agrees_with_the_polynomial_comparison():
             terms = dict(expansion.terms)
             m = rng.choice(random_poly(rng, field, n, 3).terms or expansion.terms)[0]
             terms[m] = (terms.get(m, 0) + rng.randrange(1, field.p)) % field.p
-            nearby = Polynomial.make(field, n, terms)
+            nearby = Polynomial.make(field, n, terms.items())
             for target in (expansion, nearby, random_poly(rng, field, n, 2)):
                 if target.is_zero():
                     continue
@@ -142,7 +142,7 @@ def test_empty_entries_verify_false_for_one():
 def test_zero_multiplier_rejected():
     with pytest.raises(CertificateError, match="zero multiplier"):
         Certificate(
-            GF3, 3, p3("1"), (CertEntry("user:0", p3("x1"), Polynomial.zero(GF3, 3)),)
+            GF3, 3, p3("1"), (CertEntry("user:0", p3("x1"), Polynomial.make(GF3, 3, [])),)
         )
 
 

@@ -84,7 +84,7 @@ def test_core_lines_come_first_at_each_degree():
 def test_core_targets_pass_through_unchanged():
     g = gen_complete(5)  # its core is the K4 on vertices 1-4
     F = encode_coloring(g, OPTS)
-    target = Polynomial.from_monomial(Monomial.make({3: 3}, 5), F.field)  # x4^3
+    target = Polynomial.from_monomial(Monomial.make([(3, 3)], 5), F.field)  # x4^3
     core = build_core(g, OPTS, 1, [target])
     F_core, note = core
     assert note == {"vertices": [1, 2, 3, 4], "origin": 1}
@@ -101,7 +101,7 @@ def test_core_argument_is_checked():
     g = gen_complete(5)
     F = encode_coloring(g, OPTS)
     core = build_core(g, OPTS, 1, None)
-    x5 = Polynomial.from_monomial(Monomial.make({4: 3}, 5), F.field)
+    x5 = Polynomial.from_monomial(Monomial.make([(4, 3)], 5), F.field)
     # a target outside the core is sound to use, and build_core skips it
     assert build_core(g, OPTS, 1, [x5]) is None
     out = nulla_prove(F, [1, 4], [x5], pruning="graded:3", core=core)

@@ -14,7 +14,7 @@ from nullcert.encode import (
 )
 import nullcert.encode as encode
 from nullcert.graphs import Graph, GraphError, components, gen_complete, gen_kneser, gen_random, gen_wheel
-from nullcert.poly import FieldSpec, PolyError, format_monomial, format_poly
+from nullcert.poly import FieldSpec, Monomial, PolyError, format_monomial, format_poly
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -248,7 +248,7 @@ class TestAltG:
     def test_exact_degree_and_order(self):
         cands = alt_g_candidates(3, 3)
         assert all(m.degree == 3 for m in cands)
-        assert sorted(cands) == cands
+        assert sorted(cands, key=Monomial.sort_key) == cands
 
     def test_degree_validation(self):
         with pytest.raises(EncodeError):

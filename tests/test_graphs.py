@@ -147,6 +147,8 @@ class TestTrianglesAndCliques:
         assert enumerate_cliques(gen_complete(5), 4) == [
             (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5)]
         assert enumerate_cliques(gen_wheel(5), 4) == []
+        assert enumerate_cliques(gen_wheel(5), 1) == [(v,) for v in range(1, 7)]
+        assert enumerate_cliques(Graph.make(3, [(1, 2)]), 1) == [(1,), (2,), (3,)]  # 3 isolated
 
 
 class TestComponents:

@@ -56,6 +56,25 @@ def test_symmetry_imports_no_private_name():
     assert private == []
 
 
+def test_every_module_level_import_is_used_or_exported():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.extend(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.extend(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]:
+                exported = set(ast.literal_eval(node.value))
+        unused.extend(f"{path.name}: {name}" for name in bound if name not in used | exported)
+    assert unused == []
+
+
 def python(*args, cwd=None):
     """A fresh interpreter with the package on its path; (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
