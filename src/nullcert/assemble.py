@@ -65,7 +65,7 @@ A common root rules out every degree (the weak Nullstellensatz direction
 the certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i
 beta_i(a) f_i(a) = 0 at every common root a of F, over any extension field.
 So a common root at which no target vanishes rules out a certificate at
-every degree, under any pruning or symmetry.  Over GF(2) a proper
+every degree, under any grading or symmetry.  Over GF(2) a proper
 3-coloring gives such a point in GF(4), x_v = omega^(c_v); nulla_prove
 takes it as root and, once the request itself has been checked, evaluates
 F and the targets there.  If the point passes, it returns "common_root"
@@ -96,15 +96,16 @@ distinct hashes, where their fields alone give a few thousand.  An
 AssembledSystem keeps its keys packed; extract_certificate unpacks only the
 shifts whose coefficient is nonzero.
 
-Pruning modes:
-  "occurring"   rows are the monomials that occur in some x^delta * f_i or
-                in g (default); a monomial occurring nowhere would only add
-                a zero row, so this never changes consistency
-  "graded:<k>"  additionally drop columns (i, delta) unless
-                deg(delta) + deg-class(f_i) == 0 mod k; requires every f_i
-                homogeneous modulo k and every g degree == 0 mod k.  Sound and
-                complete for such systems because the identity splits by
-                residue class.
+Grading: rows are the monomials that occur in some x^delta * f_i or in a
+target; any other monomial would only add a zero row.  Columns are graded
+by k, the gcd of every degree spread inside each f_i (top degree minus term
+degree) and of every target term degree, or 1 when that gcd is 0 (grading).
+Then each f_i has all its term degrees in one class mod k, and _layout
+keeps column (i, delta) iff deg(delta) + class(f_i) == 0 mod k.  Sound and
+complete: every target term has degree 0 mod k, so in an identity the
+products in the other classes cancel, and the kept columns alone give one
+of no higher degree.  A k-coloring encoding has k = its number of colors;
+with a target of degree 1, such as x1, k is 1 and every column is kept.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, gr
 
 
 class AssembleError(ValueError):
-    """Raised for invalid assembly requests (pruning misuse, bad targets)."""
+    """Raised for invalid assembly requests (bad targets, schedules or roots)."""
 
 
 # Columns counted between two memory-budget checks (_count).
@@ -291,12 +292,8 @@ class NullaOutcome(Record):
         set_field(self, "per_degree", per_degree)
 
 
-def _check_request(
-    F: PolySystem, targets: Sequence[Polynomial], pruning: str
-) -> Tuple[Optional[int], List[int]]:
-    """Check the targets and the pruning mode of a request on F; returns
-    the graded modulus k, None for "occurring", and under graded pruning
-    the residue class mod k of each poly's term degrees."""
+def _check_request(F: PolySystem, targets: Sequence[Polynomial]) -> None:
+    """Check the targets of a request on F."""
     if not targets:
         raise AssembleError("need at least one target polynomial")
     for g in targets:
@@ -304,39 +301,30 @@ def _check_request(
             raise AssembleError("target field or n_vars mismatch")
         if g.is_zero():
             raise AssembleError("zero target gives a vacuous identity")
-    if pruning == "occurring":
-        return None, []
-    if not pruning.startswith("graded:"):
-        raise AssembleError(f"unknown pruning mode {pruning!r}")
-    text = pruning[len("graded:"):]
-    if not text.isdecimal() or int(text) < 2:
-        raise AssembleError(f"bad graded pruning modulus in {pruning!r}")
-    k = int(text)
-    classes = []
-    for tag, f in zip(F.tags, F.polys):
-        residues = {m.degree % k for m, _ in f.terms}
-        if len(residues) != 1:
-            raise AssembleError(
-                f"graded:{k} pruning needs each polynomial homogeneous mod {k}; "
-                f"{tag} mixes degree classes {sorted(residues)}"
-            )
-        classes.append(residues.pop())
-    for g in targets:
-        bad = [m for m, _ in g.terms if m.degree % k != 0]
-        if bad:
-            raise AssembleError(
-                f"graded:{k} pruning needs target degrees == 0 mod {k}; "
-                f"target has degree-{bad[0].degree} monomial"
-            )
-    return k, classes
+
+
+def grading(F: PolySystem, targets: Sequence[Polynomial]) -> int:
+    """The modulus k that grades the columns of F's systems for targets
+    (see "Grading" in the module docstring)."""
+    k = gcd(*(m.degree for g in targets for m, _ in g.terms))
+    for f in F.polys:
+        top = f.degree
+        k = gcd(k, *(top - m.degree for m, _ in f.terms))
+    return k or 1
+
+
+def _grading_name(F: PolySystem, targets: Sequence[Polynomial]) -> str:
+    """The grading as stats and certificate provenance name it."""
+    k = grading(F, targets)
+    return f"graded:{k}" if k > 1 else "occurring"
 
 
 class _Layout:
     """A degree-d request laid out: the packing, each poly's packed terms,
     each target's packed (monomial, coeff) terms and the set target_rows of
-    their monomials, and per shift degree the polys that pruning keeps
+    their monomials, and per shift degree the polys that grading keeps
     (polys_at), the count of shifts (n_shifts) and, once _layout has listed
-    them, the packed shifts.
+    them, the packed shifts, none at a positive degree that keeps no poly.
 
     It alone numbers the columns, shift-major: columns() yields them in
     order, column(j) is the j-th, and there are n_cols.  Column (i, delta)
@@ -376,7 +364,6 @@ def _layout(
     F: PolySystem,
     d: int,
     targets: Sequence[Polynomial],
-    pruning: str,
     memory_budget: Optional[int],
 ) -> _Layout:
     """Check a degree-d request and lay it out (_Layout).
@@ -391,7 +378,7 @@ def _layout(
     budget fails without enumerating its C(n+d, d) shifts."""
     if d < 0:
         raise AssembleError("degree must be >= 0")
-    k, classes = _check_request(F, targets, pruning)
+    _check_request(F, targets)
 
     # No product exponent exceeds d + the top input degree; a target's own
     # monomials are rows too, so they must fit as well.
@@ -402,11 +389,9 @@ def _layout(
     poly_terms = [tuple((packing.pack(m), c) for m, c in f.terms) for f in F.polys]
     target_terms = [[(packing.pack(m), c) for m, c in g.terms] for g in targets]
 
-    # Graded pruning keeps the shift degrees with deg + class(f_i) == 0 mod k.
-    polys_at = [
-        [i for i in range(len(poly_terms)) if k is None or (deg + classes[i]) % k == 0]
-        for deg in range(d + 1)
-    ]
+    # The grading keeps the shift degrees with deg + class(f_i) == 0 mod k.
+    k = grading(F, targets)
+    polys_at = [[i for i, f in enumerate(F.polys) if (deg + f.degree) % k == 0] for deg in range(d + 1)]
     lay = _Layout(packing, poly_terms, target_terms, polys_at)
     kept_shifts = [0] * len(poly_terms)
     for kept, s in zip(polys_at, lay.n_shifts):
@@ -415,7 +400,8 @@ def _layout(
     # The shifts of one f_i times one of its terms are distinct rows.
     rows = max((c for c, terms in zip(kept_shifts, poly_terms) if terms), default=0)
     _check_budget(F.field, rows, lay.n_cols, memory_budget, len(targets))
-    lay.shifts = [packing.monomials(deg) for deg in range(d + 1)]
+    # the shift 0 is always listed: the row walk starts each target monomial there
+    lay.shifts = [packing.monomials(deg) if kept or deg == 0 else [] for deg, kept in enumerate(polys_at)]
     return lay
 
 
@@ -493,14 +479,13 @@ def _assemble(
     F: PolySystem,
     d: int,
     targets: Sequence[Polynomial],
-    pruning: str,
     memory_budget: Optional[int],
 ) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
     """The degree-d system, peeled (see "Peeling" in the module docstring),
     with one right-hand side per target, and the full system's (rows, cols,
     nnz).  The full system is counted (_count), and so the budget checked,
     before any column is filed."""
-    lay = _layout(F, d, targets, pruning, memory_budget)
+    lay = _layout(F, d, targets, memory_budget)
     count = _count(F.field, lay, memory_budget)
     sizes = len(count), lay.n_cols, lay.nnz
     cols = _peel(lay, count)
@@ -514,7 +499,6 @@ def _orbit_system(
     targets: Sequence[Polynomial],
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
-    pruning: str,
     memory_budget: Optional[int],
 ) -> AssembledSystem:
     """The degree-d orbit system of F under perms, built without the full
@@ -525,7 +509,7 @@ def _orbit_system(
     orbits are found; the memory budget is checked every _BUDGET_BLOCK
     rows walked, and on the final counts.
     """
-    lay = _layout(F, d, targets, pruning, memory_budget)
+    lay = _layout(F, d, targets, memory_budget)
     packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
@@ -639,7 +623,6 @@ def assemble_orbit(
     d: int,
     g: Polynomial,
     perms: PermutationSet,
-    pruning: str = "occurring",
     memory_budget: Optional[int] = None,
 ) -> AssembledSystem:
     """Build the degree-d orbit system of F under perms for the target g.
@@ -648,7 +631,7 @@ def assemble_orbit(
     generator (SymmetryError otherwise).  The full matrix is never built.
     """
     maps = check_invariant(F, [g], perms)
-    return _orbit_system(F, d, [g], perms, maps, pruning, memory_budget)
+    return _orbit_system(F, d, [g], perms, maps, memory_budget)
 
 
 def lift_solution(orb: AssembledSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
@@ -661,20 +644,20 @@ def lift_solution(orb: AssembledSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
 def stats(
     F: PolySystem,
     d: int,
-    pruning: str = "occurring",
     memory_budget: Optional[int] = None,
 ) -> dict:
-    """Closed-form size predictions next to actual post-pruning sizes, keyed
-    by the names the stats command prints.
+    """Closed-form size predictions next to actual graded sizes, keyed by
+    the names the stats command prints.
 
     Predictions count the unpruned system over all n_vars variables:
     n_polys * C(n+d, d) columns and one matrix entry per (input monomial,
-    shift) pair.  Actuals (rows, cols, nnz) are the full system's, with the
-    requested pruning and shifts over the occurring variables only, for
-    the target g = 1, from _layout and _count: the matrix is not filed, and
-    a budget refusal is the one nulla_prove gives.
+    shift) pair.  Actuals (rows, cols, nnz) are the full system's, graded
+    and with shifts over the occurring variables only, for the target
+    g = 1, from _layout and _count: the matrix is not filed, and a budget
+    refusal is the one nulla_prove gives.
     """
-    lay = _layout(F, d, [Polynomial.one(F.field, F.n_vars)], pruning, memory_budget)
+    one = [Polynomial.one(F.field, F.n_vars)]
+    lay = _layout(F, d, one, memory_budget)
     rows, cols, nnz = len(_count(F.field, lay, memory_budget)), lay.n_cols, lay.nnz
     shifts = comb(F.n_vars + d, d)
     monomials = sum(len(f.terms) for f in F.polys)
@@ -682,7 +665,7 @@ def stats(
         "n_vars": F.n_vars,
         "polys": len(F),
         "monomials": monomials,
-        "pruning": pruning,
+        "pruning": _grading_name(F, one),
         "degree": d,
         "predicted_cols": len(F) * shifts,
         "predicted_nnz": monomials * shifts,
@@ -737,7 +720,6 @@ def nulla_prove(
     schedule: Sequence[int],
     g_candidates: Optional[Sequence[Polynomial]] = None,
     *,
-    pruning: str = "occurring",
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
@@ -762,8 +744,8 @@ def nulla_prove(
 
     root, over GF(2) only, is a candidate common root of F with one
     exponent per variable: x_v = omega^root[v], omega a cube root of unity
-    in GF(4).  The request (schedule, targets, pruning, root shape, core,
-    perms) is checked first.  Then, if every f_i vanishes at the root and
+    in GF(4).  The request (schedule, targets, root shape, core, perms) is
+    checked first.  Then, if every f_i vanishes at the root and
     no target does, no degree has a certificate (see the module docstring)
     and "common_root" is returned with no system built, with or without
     perms.  Otherwise the degrees are solved as without a root.
@@ -780,7 +762,7 @@ def nulla_prove(
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
-    _check_request(F, targets, pruning)
+    _check_request(F, targets)
     if root is not None and (F.field.p != 2 or len(root) != F.n_vars):
         raise AssembleError("root needs GF(2) and one omega exponent per variable")
     # The systems tried at each degree, in order, with the provenance each adds.
@@ -808,10 +790,10 @@ def nulla_prove(
         for F_s, note in tried:
             for kind in kinds:
                 if kind == "orbit":
-                    part = _orbit_system(F_s, d, targets, perms, maps, pruning, memory_budget)
+                    part = _orbit_system(F_s, d, targets, perms, maps, memory_budget)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
-                    part, sizes = _assemble(F_s, d, targets, pruning, memory_budget)
+                    part, sizes = _assemble(F_s, d, targets, memory_budget)
                 results = solve_multi_rhs(part.system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)
                 status = "inconsistent" if hit is None else "consistent"
@@ -824,7 +806,8 @@ def nulla_prove(
                         break
                     continue
                 sym_desc = [list(gen) for gen in perms.generators] if kind == "orbit" else None
-                prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": pruning, **note}
+                grade = _grading_name(F_s, targets)
+                prov = {**(provenance or {}), "symmetry": sym_desc, "degree": d, "pruning": grade, **note}
                 cert = extract_certificate(F_s, part, results[hit].solution, targets[hit], prov)
                 if not verify(cert):
                     raise AssembleError("internal error: extracted certificate failed re-verification")
@@ -839,6 +822,7 @@ __all__ = [
     "NullaOutcome",
     "assemble_orbit",
     "extract_certificate",
+    "grading",
     "lift_solution",
     "nulla_prove",
     "stats",

@@ -117,6 +117,8 @@ def read_cert(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CertificateError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise CertificateError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise CertificateError("certificate document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS

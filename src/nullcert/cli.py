@@ -40,7 +40,7 @@ from nullcert.poly import (
 
 
 def _prover_names() -> dict:
-    from nullcert.assemble import nulla_prove, stats
+    from nullcert.assemble import grading, nulla_prove, stats
     from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
     from nullcert.graphs import (
         Graph,
@@ -262,19 +262,13 @@ def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
         raise CliError(f"bad --schedule {text!r}: expected comma-separated integers") from None
 
 
-def build_schedule(args: argparse.Namespace, coloring: bool, pruning: str) -> List[int]:
+def build_schedule(args: argparse.Namespace, coloring: bool, k: int) -> List[int]:
     if args.max_degree < 1:
         raise CliError("--max-degree must be >= 1")
-    degrees = range(1, args.max_degree + 1)
-    modulus = pruning[len("graded:"):]
-    if coloring and pruning.startswith("graded:") and modulus.isdecimal() and int(modulus) > 0:
-        # graded:m fits a coloring encoding when m divides k; then multiplier
-        # degrees == 1 mod m add edge and cutter columns, those == 0 mod m
-        # add only vertex-polynomial columns, and the others add none.  A
-        # malformed mode is left for nulla_prove to reject.
-        m = int(modulus)
-        return [d for d in degrees if d % m == 1 % m]
-    return list(degrees)
+    # Under a coloring encoding's grading k, multiplier degrees == 1 mod k
+    # add edge and cutter columns, those == 0 mod k add only vertex
+    # columns, and the others add none.
+    return list(range(1, args.max_degree + 1, k if coloring else 1))
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
@@ -282,9 +276,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
     explicit_schedule = _parse_schedule(args.schedule)
     F, graph, meta, opts = build_system(args, default_preprocess=not args.symmetry)
     coloring = opts is not None
-    pruning = args.pruning or (f"graded:{args.k}" if coloring else "occurring")
-    schedule = explicit_schedule or build_schedule(args, coloring, pruning)
     targets = build_targets(args, F.field, F.n_vars)
+    schedule = explicit_schedule or build_schedule(args, coloring, grading(F, targets or ()))
     perms = None
     if args.symmetry:
         perms = parse_generators(_read_text(args.symmetry), F.n_vars)
@@ -306,7 +299,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
         F,
         schedule,
         targets,
-        pruning=pruning,
         memory_budget=args.memory_budget,
         provenance={"input": meta},
         perms=perms,
@@ -357,8 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     _load_prover()
     F, graph, meta, opts = build_system(args, default_preprocess=True)
-    pruning = args.pruning or (f"graded:{args.k}" if opts else "occurring")
-    st = stats(F, args.degree, pruning=pruning, memory_budget=args.memory_budget)
+    st = stats(F, args.degree, memory_budget=args.memory_budget)
     for line in (
         ("n_vars", "polys", "monomials", "pruning"),
         ("degree", "predicted_cols", "predicted_nnz", "rows", "cols", "nnz"),
@@ -423,7 +414,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_input_opts(pv, with_system=True)
     pv.add_argument("--max-degree", type=int, default=4, help="degree cap (default 4)")
     pv.add_argument("--schedule", help="comma-separated degrees overriding the default schedule")
-    pv.add_argument("--pruning", help="occurring | graded:<k> (default depends on input)")
     pv.add_argument(
         "--alt-g", default="none",
         help="certificate target: none (g=1) | auto:<degree> | a monomial like x1*x8*x9",
@@ -440,7 +430,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="predicted and actual system sizes")
     _add_input_opts(st, with_system=True)
     st.add_argument("--degree", type=int, default=1)
-    st.add_argument("--pruning", help="occurring | graded:<k>")
     st.add_argument("--memory-budget", type=int)
     st.set_defaults(run=cmd_stats)
 

@@ -5,7 +5,8 @@ right-hand sides, dense reference eliminators, and a reference orbit fold.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  The exception is full_system,
-the unpeeled system that prove peels, filed by the package's own layout.
+the unpeeled system that prove peels, filed by the package's own layout,
+and its ungraded reference, which keeps every poly at every shift degree.
 GF3_DEGREE3 is one input system that more than one test module solves.
 """
 
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert import linsolve
-from nullcert.assemble import _file, _layout
+from nullcert.assemble import _file, _layout, _Layout
 from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 
 # ---------------------------------------------------------------------------
@@ -74,10 +75,21 @@ def orbit_reps(asm) -> Tuple[int, ...]:
     return tuple(first.values())
 
 
-def full_system(F: PolySystem, d: int, targets: Sequence[Polynomial], pruning: str = "occurring"):
-    """The degree-d AssembledSystem on every column, unpeeled, with one
-    right-hand side per target."""
-    lay = _layout(F, d, targets, pruning, None)
+def layout(F: PolySystem, d: int, targets: Sequence[Polynomial], graded: bool = True):
+    """The package's degree-d _Layout, or with graded False its ungraded
+    reference: every poly at every shift degree, as if the grading were 1."""
+    lay = _layout(F, d, targets, None)
+    if graded:
+        return lay
+    ref = _Layout(lay.packing, lay.poly_terms, lay.target_terms, [list(range(len(F.polys)))] * (d + 1))
+    ref.shifts = [lay.packing.monomials(deg) for deg in range(d + 1)]
+    return ref
+
+
+def full_system(F: PolySystem, d: int, targets: Sequence[Polynomial], graded: bool = True):
+    """The degree-d AssembledSystem on every column of layout(F, d, targets,
+    graded), unpeeled, with one right-hand side per target."""
+    lay = layout(F, d, targets, graded)
     return _file(F.field, lay, list(lay.columns()))
 
 

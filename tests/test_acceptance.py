@@ -143,7 +143,7 @@ def test_criterion_1(capsys):
     with criterion(capsys, 1, claim, budget_s=1.0):
         F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
         one = Polynomial.one(F.field, F.n_vars)
-        asm = full_system(F, 1, [one], pruning="graded:3")
+        asm = full_system(F, 1, [one])
         assert asm.system.n_rows == 21 and asm.system.n_cols == 25
 
         row_labels = [mono_text(m, F.field) for m in row_monomials(asm)]
@@ -179,7 +179,7 @@ def test_criterion_2(capsys):
         # rotation leaves invariant because the kept vertex is fixed
         F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
         one = Polynomial.one(F.field, F.n_vars)
-        orb = assemble_orbit(F, 1, one, rot, pruning="graded:3")
+        orb = assemble_orbit(F, 1, one, rot)
         assert orb.system.n_rows == 9 and orb.system.n_cols == 9
         assert group_order(rot) == 3
 
@@ -206,7 +206,7 @@ def test_criterion_2(capsys):
         # the unpreprocessed encoding stays invariant too; its vertex columns
         # split into two orbits, and the collapsed system still certifies
         F_full = encode_coloring(gen_complete(4), EncodingOptions())
-        orb_full = assemble_orbit(F_full, 1, one, rot, pruning="graded:3")
+        orb_full = assemble_orbit(F_full, 1, one, rot)
         assert orb_full.system.n_rows == 9 and orb_full.system.n_cols == 10
         res_full = solve(orb_full.system, orb_full.rhs_list[0])
         assert res_full.consistent
@@ -225,7 +225,7 @@ def test_criterion_3(capsys):
         assert verify(out.certificate)
 
         one = Polynomial.one(field, 3)
-        asm = full_system(F, 1, [one])
+        asm = full_system(F, 1, [one], graded=False)
         assert asm.system.n_cols == 16  # 4 polynomials x 4 multiplier monomials
 
         # independent row count: distinct monomials over all shifted products
@@ -246,13 +246,13 @@ def test_criterion_4(capsys):
         for rim in (5, 7, 9):
             g = gen_wheel(rim)
             F = encode_coloring(g, EncodingOptions(preprocess=True))
-            out = nulla_prove(F, [1, 4], pruning="graded:3")
+            out = nulla_prove(F, [1, 4])
             assert out.verdict == "infeasible" and out.degree == 1, f"rim {rim}"
             assert verify(out.certificate)
         for rim in (4, 6):
             g = gen_wheel(rim)
             F = encode_coloring(g, EncodingOptions(preprocess=True))
-            out = nulla_prove(F, [1, 4], pruning="graded:3")
+            out = nulla_prove(F, [1, 4])
             assert out.verdict == "no_certificate_up_to" and out.degree == 4, f"rim {rim}"
             assert out.certificate is None
             assert find_coloring(g, 3) is not None
@@ -262,7 +262,7 @@ def test_criterion_5(capsys):
     claim = "Kneser(8,3) certifies at degree 1 with the expected 15737x15681 system"
     with criterion(capsys, 5, claim, budget_s=60.0):
         F = encode_coloring(gen_kneser(8, 3), EncodingOptions(preprocess=True))
-        out = nulla_prove(F, [1], pruning="graded:3")
+        out = nulla_prove(F, [1])
         assert out.verdict == "infeasible" and out.degree == 1
         assert verify(out.certificate)
         ds = out.per_degree[0]
@@ -276,14 +276,14 @@ def test_criterion_6(capsys):
     with criterion(capsys, 6, claim, budget_s=300.0):
         g7 = gen_mycielski(7)
         F7 = encode_coloring(g7, EncodingOptions(preprocess=True))
-        out7 = nulla_prove(F7, [1], pruning="graded:3")
+        out7 = nulla_prove(F7, [1])
         assert out7.verdict == "infeasible" and out7.degree == 1
         assert verify(out7.certificate)
 
         g4 = gen_mycielski(4)
         assert g4.n_vertices == 11 and len(g4.edges) == 20
         F4 = encode_coloring(g4, EncodingOptions(preprocess=True))
-        out4 = nulla_prove(F4, [1], pruning="graded:3")
+        out4 = nulla_prove(F4, [1])
         assert out4.verdict == "infeasible" and out4.degree == 1
         assert verify(out4.certificate)
 
@@ -296,7 +296,7 @@ def random_trials():
     for seed in range(100):
         g = gen_random(16, 0.27, seed)
         F = encode_coloring(g, EncodingOptions(preprocess=True))
-        out = nulla_prove(F, [1, 4], pruning="graded:3")
+        out = nulla_prove(F, [1, 4])
         results.append((seed, g, out))
     return results, time.perf_counter() - t0
 
@@ -331,7 +331,7 @@ def test_criterion_8(random_trials, capsys):
                 Polynomial.from_monomial(m, F.field)
                 for m in alt_g_candidates(F.n_vars, 3)
             ]
-            out = nulla_prove(F, [1], targets, pruning="graded:3")
+            out = nulla_prove(F, [1], targets)
             if out.verdict == "infeasible":
                 found.append((seed, out.certificate))
         assert found, "no degree-1 certificate found on any rerun"

@@ -16,6 +16,7 @@ from helpers import (
     eval_poly_gf4,
     expanded,
     full_system,
+    layout,
     monomials_up_to,
     poly_mul,
     row_monomials,
@@ -71,9 +72,12 @@ def occurring_row_oracle(F, d, g):
 def test_small_system_shape_against_row_oracle():
     F = small_system()
     g = Polynomial.one(GF3, 3)
-    asys = full_system(F, 1, [g])
+    asys = full_system(F, 1, [g], graded=False)
     assert asys.system.n_cols == 16
     assert asys.system.n_rows == occurring_row_oracle(F, 1, g) == 13
+    # graded by 2: the quadric at the constant shift and each line at x1, x2, x3
+    graded = full_system(F, 1, [g]).system
+    assert (graded.n_rows, graded.n_cols) == (7, 10)
 
 
 def test_small_system_proof_and_runtime():
@@ -82,7 +86,7 @@ def test_small_system_proof_and_runtime():
     elapsed = time.perf_counter() - t0
     assert out.verdict == "infeasible" and out.degree == 1
     assert verify(out.certificate)
-    assert out.per_degree[0].cols == 16
+    assert out.per_degree[0].cols == 10
     assert elapsed < 1.0
 
 
@@ -103,7 +107,7 @@ def test_entry_values_match_shifted_coefficients():
 
 def test_row_and_column_order_is_graded():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = full_system(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
+    asys = full_system(F, 1, [Polynomial.one(GF2, 4)])
     rows = [expanded(m) for m in row_monomials(asys)]
     assert rows == sorted(rows, key=lambda t: (len(t), t))
     # columns shift-major: shift degree, then shift in graded order, then poly
@@ -113,7 +117,7 @@ def test_row_and_column_order_is_graded():
 
 def test_k4_preprocessed_graded_shape():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = full_system(F, 1, [Polynomial.one(GF2, 4)], pruning="graded:3")
+    asys = full_system(F, 1, [Polynomial.one(GF2, 4)])
     assert (asys.system.n_rows, asys.system.n_cols) == (21, 25)
     # row universe: constant plus every degree-3 monomial in 4 variables
     degs = sorted(m.degree for m in row_monomials(asys))
@@ -130,25 +134,23 @@ def test_degenerate_constant_system():
     assert out.verdict == "infeasible" and verify(out.certificate)
 
 
-def test_graded_rejects_mixed_degree_poly():
-    polys = [parse_poly("x1^3+1", GF2, 2), parse_poly("x1^2+x2", GF2, 2)]
-    F = PolySystem.make(GF2, 2, polys, tags=("vertex:1", "odd:one"))
-    with pytest.raises(AssembleError, match="odd:one"):
-        full_system(F, 1, [Polynomial.one(GF2, 2)], pruning="graded:3")
+@pytest.mark.parametrize("k, p, cutters", [(2, 3, "none"), (3, 2, "triangles"), (4, 3, "cliques"), (5, 2, "cliques")])
+def test_grading_of_a_coloring_is_its_number_of_colors(k, p, cutters):
+    field = FieldSpec(p)
+    for opts in (EncodingOptions(k, field), EncodingOptions(k, field, preprocess=True, cutters=cutters)):
+        F = encode_coloring(gen_complete(k + 1), opts)
+        assert asm.grading(F, [Polynomial.one(field, F.n_vars)]) == k
+        # a target of degree 1 leaves no grading, one of degree k keeps it
+        assert asm.grading(F, [parse_poly("x1", field, F.n_vars)]) == 1
+        assert asm.grading(F, [parse_poly(f"x1^{k}", field, F.n_vars)]) == k
 
 
-def test_graded_rejects_bad_target_degree():
-    F = encode_coloring(gen_complete(4), EncodingOptions())
-    with pytest.raises(AssembleError, match="target"):
-        full_system(F, 1, [parse_poly("x1", GF2, 4)], pruning="graded:3")
-
-
-def test_bad_pruning_strings():
+def test_grading_of_the_quadric_and_lines_is_two():
     F = small_system()
-    g = Polynomial.one(GF3, 3)
-    for bad in ("graded:", "graded:1", "graded:x", "gradual", "", "none"):
-        with pytest.raises(AssembleError):
-            full_system(F, 1, [g], pruning=bad)
+    assert asm.grading(F, [Polynomial.one(GF3, 3)]) == 2
+    assert (stats(F, 1)["pruning"], stats(F, 1)["cols"]) == ("graded:2", 10)
+    # a single-term system has no spread, so the grading is 1
+    assert asm.grading(PolySystem.make(GF3, 3, [parse_poly("x1", GF3, 3)]), [Polynomial.one(GF3, 3)]) == 1
 
 
 def test_zero_target_rejected():
@@ -179,7 +181,7 @@ def test_empty_target_list_rejected():
 def test_memory_budget_propagates():
     F = encode_coloring(gen_complete(6), EncodingOptions())
     with pytest.raises(MemoryBudgetError):
-        asm._assemble(F, 2, [Polynomial.one(GF2, 6)], "occurring", 64)
+        asm._assemble(F, 2, [Polynomial.one(GF2, 6)], 64)
 
 
 def test_stats_k4_raw_formulas():
@@ -187,7 +189,11 @@ def test_stats_k4_raw_formulas():
     st = stats(F, 1)
     assert (st["n_vars"], st["polys"], st["monomials"]) == (4, 10, 26)
     assert st["predicted_cols"] == 50 and st["predicted_nnz"] == 130
-    assert st["cols"] == 50 and st["nnz"] == 130
+    # the ungraded system is the predicted one; graded by 3, the vertex
+    # polynomials keep the constant shift only and the edge polynomials x1..x4
+    ref = layout(F, 1, [Polynomial.one(GF2, 4)], graded=False)
+    assert (ref.n_cols, ref.nnz) == (50, 130)
+    assert (st["pruning"], st["cols"], st["nnz"]) == ("graded:3", 28, 80)
     assert st["cols"] <= st["predicted_cols"] and st["nnz"] <= st["predicted_nnz"]
 
 
@@ -202,15 +208,18 @@ def test_stats_pruned_never_exceeds_predictions():
     for _ in range(20):
         g = gen_random(6, 0.5, rng.randrange(10**6))
         F = encode_coloring(g, EncodingOptions(preprocess=True))
-        for pruning in ("occurring", "graded:3"):
-            st = stats(F, 1, pruning=pruning)
-            assert st["cols"] <= st["predicted_cols"]
-            assert st["nnz"] <= st["predicted_nnz"]
+        st = stats(F, 1)
+        ref = layout(F, 1, [Polynomial.one(GF2, F.n_vars)], graded=False)
+        assert st["pruning"] == "graded:3"
+        for cols, nnz in ((st["cols"], st["nnz"]), (ref.n_cols, ref.nnz)):
+            assert cols <= st["predicted_cols"]
+            assert nnz <= st["predicted_nnz"]
+        assert st["cols"] < ref.n_cols
 
 
 def test_k3_no_certificate_up_to_four():
     F = encode_coloring(gen_complete(3), EncodingOptions(preprocess=True))
-    out = nulla_prove(F, [1, 4], pruning="graded:3")
+    out = nulla_prove(F, [1, 4])
     assert out.verdict == "no_certificate_up_to" and out.degree == 4
     assert out.certificate is None
     assert [d.status for d in out.per_degree] == ["inconsistent", "inconsistent"]
@@ -222,7 +231,7 @@ def test_consistency_survives_degree_increase():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
     for d in (1, 4):
-        asys = full_system(F, d, [g], pruning="graded:3")
+        asys = full_system(F, d, [g])
         assert solve(asys.system, asys.rhs_list[0]).consistent
 
 
@@ -291,8 +300,8 @@ def test_gf2_prove_matches_assemble_and_solve(graph):
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, graph.n_vertices)
     for d in (1, 4):
-        asys = full_system(F, d, [g], pruning="graded:3")
-        out = nulla_prove(F, [d], pruning="graded:3")
+        asys = full_system(F, d, [g])
+        out = nulla_prove(F, [d])
         (st,) = out.per_degree
         res = solve(asys.system, asys.rhs_list[0])
         assert (st.rows, st.cols, st.nnz, st.status) == (
@@ -363,7 +372,7 @@ def test_packed_row_keys_hash_apart_at_scale():
     # alone they would alias mod 2^61 - 1 into a few thousand hashes
     F = encode_coloring(gen_wheel(301), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, F.n_vars)
-    lay = asm._layout(F, 1, [g], "graded:3", None)
+    lay = asm._layout(F, 1, [g], None)
     assert lay.packing.salt_bits > 0
     rows = asm._count(GF2, lay, None).keys()
     assert len(rows) == 226053
@@ -375,7 +384,7 @@ def test_small_packings_have_no_salt_region():
     # own hash, exactly as without a salt
     F = encode_coloring(gen_random(16, 0.27, 0), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, F.n_vars)
-    packing = asm._layout(F, 4, [g], "graded:3", None).packing
+    packing = asm._layout(F, 4, [g], None).packing
     n, b = len(packing.variables), packing.b
     assert (n, b, packing.salt_bits) == (16, 3, 0)
     assert list(packing.units.values()) == [1 << n * b | 1 << (n - 1 - j) * b for j in range(n)]
@@ -390,7 +399,8 @@ def test_large_exponent_assembles_in_small_memory():
     g = Polynomial.one(GF2, 2)
     tracemalloc.start()
     try:
-        asys = full_system(F, 1, [g])
+        # ungraded: the grading by 2,000,000 would keep one column
+        asys = full_system(F, 1, [g], graded=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -410,7 +420,7 @@ def test_extract_certificate_length_check():
     # one of the 25 full columns it maps onto them
     K4 = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
-    orb = assemble_orbit(K4, 1, g, PermutationSet.make(4, [(0, 2, 3, 1)]), pruning="graded:3")
+    orb = assemble_orbit(K4, 1, g, PermutationSet.make(4, [(0, 2, 3, 1)]))
     assert (orb.system.n_cols, len(orb.packed_cols)) == (9, 25)
     assert extract_certificate(K4, orb, (0,) * 9, g).entries == ()
     for wrong in ((0,) * 8, (0,) * 25):
@@ -420,7 +430,7 @@ def test_extract_certificate_length_check():
 
 def test_prove_provenance_recorded():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    out = nulla_prove(F, [1], pruning="graded:3", provenance={"graph": "abc"})
+    out = nulla_prove(F, [1], provenance={"graph": "abc"})
     prov = out.certificate.provenance
     assert prov["degree"] == 1
     assert prov["pruning"] == "graded:3"
@@ -429,7 +439,7 @@ def test_prove_provenance_recorded():
 
 
 def test_graded_equals_unpruned_on_coloring_systems():
-    # graded pruning must not change consistency at any tested degree
+    # the grading must not change consistency at any tested degree
     rng = random.Random(11)
     checked = 0
     for _ in range(40):
@@ -438,7 +448,7 @@ def test_graded_equals_unpruned_on_coloring_systems():
         target = Polynomial.one(GF2, g.n_vertices)
         full, pruned = (
             solve(asys.system, asys.rhs_list[0]).consistent
-            for asys in (full_system(F, 1, [target], pruning=mode) for mode in ("occurring", "graded:3"))
+            for asys in (full_system(F, 1, [target], graded=graded) for graded in (False, True))
         )
         assert full == pruned
         checked += 1
@@ -449,9 +459,9 @@ def test_preprocessing_preserves_degree_one_verdict():
     rng = random.Random(23)
     for _ in range(30):
         g = gen_random(6 + rng.randrange(4), 0.5, rng.randrange(10**6))
-        raw = nulla_prove(encode_coloring(g, EncodingOptions()), [1], pruning="graded:3")
+        raw = nulla_prove(encode_coloring(g, EncodingOptions()), [1])
         pre = nulla_prove(
-            encode_coloring(g, EncodingOptions(preprocess=True)), [1], pruning="graded:3"
+            encode_coloring(g, EncodingOptions(preprocess=True)), [1]
         )
         assert raw.verdict == pre.verdict
 
@@ -465,7 +475,7 @@ def test_infeasible_implies_not_colorable_many_seeds():
         n = 5 + rng.randrange(5)
         g = gen_random(n, 0.5, rng.randrange(10**6))
         F = encode_coloring(g, EncodingOptions(preprocess=True))
-        out = nulla_prove(F, [1], pruning="graded:3")
+        out = nulla_prove(F, [1])
         if out.verdict == "infeasible":
             infeasible += 1
             assert verify(out.certificate)
@@ -486,7 +496,7 @@ def support_subgraph(cert):
 def test_isolate_k4_certificate():
     k4 = gen_complete(4)
     F = encode_coloring(k4, EncodingOptions(preprocess=True))
-    out = nulla_prove(F, [1], pruning="graded:3")
+    out = nulla_prove(F, [1])
     sub = support_subgraph(out.certificate)
     assert sub.edges <= k4.edges
     assert len(sub.edges) >= 1
@@ -498,7 +508,7 @@ def test_isolate_ignores_disjoint_component():
     edges = sorted(k4.edges) + [(5, 6), (6, 7)]
     g = Graph.make(7, edges)
     F = encode_coloring(g, EncodingOptions(preprocess=True), origin=1)
-    out = nulla_prove(F, [1], pruning="graded:3")
+    out = nulla_prove(F, [1])
     assert out.verdict == "infeasible"
     sub = support_subgraph(out.certificate)
     assert all(v <= 4 for e in sub.edges for v in e)
@@ -509,19 +519,19 @@ def test_multi_target_row_universe_covers_all_candidates():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g1 = Polynomial.one(GF2, 4)
     g2 = parse_poly("x1*x2*x3", GF2, 4)
-    out = nulla_prove(F, [1], [g2, g1], pruning="graded:3")
+    out = nulla_prove(F, [1], [g2, g1])
     assert out.verdict == "infeasible"
     assert verify(out.certificate)
     assert out.certificate.target in (g1, g2)
 
 
 def prove_counting_solves(monkeypatch, F, **kw):
-    """nulla_prove on schedule [1, 4] with graded:3 pruning; also returns
+    """nulla_prove on schedule [1, 4]; also returns
     how many eliminations it ran."""
     calls = []
     real = asm.solve_multi_rhs
     monkeypatch.setattr(asm, "solve_multi_rhs", lambda *a: calls.append(1) or real(*a))
-    out = nulla_prove(F, [1, 4], pruning="graded:3", **kw)
+    out = nulla_prove(F, [1, 4], **kw)
     monkeypatch.setattr(asm, "solve_multi_rhs", real)
     return out, len(calls)
 
@@ -552,10 +562,10 @@ def build_nothing(monkeypatch):
 )
 def test_root_skips_elimination_with_identical_outcome(monkeypatch, graph):
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
-    plain = nulla_prove(F, [1, 4], pruning="graded:3")
+    plain = nulla_prove(F, [1, 4])
     assert plain.verdict == "no_certificate_up_to"
     build_nothing(monkeypatch)
-    rooted = nulla_prove(F, [1, 4], pruning="graded:3", root=find_coloring(graph, 3))
+    rooted = nulla_prove(F, [1, 4], root=find_coloring(graph, 3))
     assert outcome_shape(rooted) == COMMON_ROOT
 
 
@@ -568,7 +578,7 @@ def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
     assert len(plain.per_degree) == 4 and plain_solves == 4
     assert plain.verdict == "no_certificate_up_to"
     build_nothing(monkeypatch)
-    rooted = nulla_prove(F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3))
+    rooted = nulla_prove(F, [1, 4], perms=perms, root=find_coloring(graph, 3))
     assert outcome_shape(rooted) == COMMON_ROOT
 
 
@@ -647,9 +657,10 @@ def random_graded_system(rng, field, n, k):
     return PolySystem.make(field, n, polys)
 
 
-def counted_sizes(F, d, targets, pruning="occurring", memory_budget=None):
-    """(rows, cols, nnz) of the full system, counted as stats counts them."""
-    lay = asm._layout(F, d, targets, pruning, memory_budget)
+def counted_sizes(F, d, targets, graded=True, memory_budget=None):
+    """(rows, cols, nnz) of the full system, or of its ungraded reference,
+    counted as stats counts them."""
+    lay = asm._layout(F, d, targets, memory_budget) if graded else layout(F, d, targets, graded=False)
     return len(asm._count(F.field, lay, memory_budget)), lay.n_cols, lay.nnz
 
 
@@ -668,26 +679,24 @@ def test_sizes_match_assembly(p):
             far = Polynomial.from_monomial(Monomial.make([(0, e)], n), field)
             near = Polynomial.make(field, n, [(Monomial.make([(n - 1, k)], n), 1)])
             targets = [Polynomial.one(field, n), near, far]
-            for pruning in ("occurring", f"graded:{k}"):
-                system = full_system(F, d, targets, pruning).system
-                counted = counted_sizes(F, d, targets, pruning)
+            assert asm.grading(F, targets) % k == 0
+            for graded in (False, True):
+                system = full_system(F, d, targets, graded).system
+                counted = counted_sizes(F, d, targets, graded)
                 assert counted == (system.n_rows, system.n_cols, system.nnz)
                 # the unreached target monomial is one row of its own
-                assert counted_sizes(F, d, targets[:2], pruning)[0] == counted[0] - 1
+                assert counted_sizes(F, d, targets[:2], graded)[0] == counted[0] - 1
 
 
 def test_sizes_keep_validation_and_budget():
     F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
-    x1 = parse_poly("x1", GF2, F.n_vars)
     for args in ((F, -1, [Polynomial.one(GF2, F.n_vars)]), (F, 1, []), (F, 1, [Polynomial.make(GF2, F.n_vars, [])])):
         with pytest.raises(AssembleError):
             counted_sizes(*args)
-    with pytest.raises(AssembleError, match="target has degree-1 monomial"):
-        counted_sizes(F, 1, [x1], "graded:3")
     with pytest.raises(MemoryBudgetError) as counted:
-        counted_sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+        counted_sizes(F, 1, [Polynomial.one(GF2, F.n_vars)], memory_budget=64)
     with pytest.raises(MemoryBudgetError) as assembled:
-        asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", 64)
+        asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], 64)
     assert str(counted.value) == str(assembled.value)
 
 
@@ -701,11 +710,11 @@ def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
     # solves no degree
     F = encode_coloring(graph, EncodingOptions(preprocess=generators is None))
     perms = parse_generators(generators, F.n_vars) if generators else None
-    plain = nulla_prove(F, [1, 4], pruning="graded:3")
+    plain = nulla_prove(F, [1, 4])
     assert plain.verdict == "no_certificate_up_to"
     build_nothing(monkeypatch)
     rooted = nulla_prove(
-        F, [1, 4], pruning="graded:3", perms=perms, root=find_coloring(graph, 3)
+        F, [1, 4], perms=perms, root=find_coloring(graph, 3)
     )
     assert outcome_shape(rooted) == COMMON_ROOT
 
@@ -713,22 +722,22 @@ def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
 def test_root_validation(monkeypatch):
     F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
     with pytest.raises(AssembleError):
-        nulla_prove(F, [1], pruning="graded:3", root=[0, 1])
+        nulla_prove(F, [1], root=[0, 1])
     with pytest.raises(AssembleError):
         nulla_prove(small_system(), [1], root=[0, 1, 2])
     # a passing root ends the search only after the whole request is checked
     root = find_coloring(gen_wheel(4), 3)
     build_nothing(monkeypatch)
-    assert nulla_prove(F, [1, 4], pruning="graded:3", root=root).verdict == "common_root"
-    with pytest.raises(AssembleError, match="unknown pruning mode"):
-        nulla_prove(F, [1], pruning="bogus", root=root)
-    with pytest.raises(AssembleError, match="target has degree-1 monomial"):
-        nulla_prove(F, [1], [parse_poly("x1", GF2, F.n_vars)], pruning="graded:3", root=root)
+    assert nulla_prove(F, [1, 4], root=root).verdict == "common_root"
+    with pytest.raises(AssembleError, match="zero target"):
+        nulla_prove(F, [1], [Polynomial.make(GF2, F.n_vars, [])], root=root)
+    with pytest.raises(AssembleError, match="target field or n_vars mismatch"):
+        nulla_prove(F, [1], [Polynomial.one(GF3, F.n_vars)], root=root)
     with pytest.raises(AssembleError, match="ascending"):
-        nulla_prove(F, [4, 1], pruning="graded:3", root=root)
+        nulla_prove(F, [4, 1], root=root)
     # preprocessing keeps only vertex 1's polynomial, which no rotation fixes
     with pytest.raises(SymmetryError):
-        nulla_prove(F, [1], pruning="graded:3", perms=parse_generators("(1,2,3,4)", F.n_vars), root=root)
+        nulla_prove(F, [1], perms=parse_generators("(1,2,3,4)", F.n_vars), root=root)
 
 
 
@@ -807,14 +816,14 @@ def test_absent_variables_fixed_by_the_group_change_nothing(k, p, orbit_hit):
 # Peeling: nulla_prove's build drops the columns forced to zero
 
 
-def assert_peel_matches_full(F, d, targets, pruning):
+def assert_peel_matches_full(F, d, targets):
     """The peeled build against full_system + solve_multi_rhs: the same full
     sizes, the full system's rows on the kept columns, the same status per
     rhs, the same solution once the peeled columns are put back at zero,
     and the same certificate bytes.  Returns the peeled and the full
     AssembledSystem and each rhs's consistency."""
-    asys = full_system(F, d, targets, pruning)
-    peeled, sizes = asm._assemble(F, d, targets, pruning, None)
+    asys = full_system(F, d, targets)
+    peeled, sizes = asm._assemble(F, d, targets, None)
     assert sizes == (asys.system.n_rows, asys.system.n_cols, asys.system.nnz)
     at = {key: j for j, key in enumerate(asys.packed_cols)}
     kept = [at[key] for key in peeled.packed_cols]
@@ -861,41 +870,41 @@ def random_system(rng, field, n, count, top):
 
 
 def peel_cases():
-    """(id, F, degree, targets, pruning), seeded."""
+    """(id, F, degree, targets), seeded."""
     graph = EncodingOptions(preprocess=True)
     for n in range(5, 32):
         F = encode_coloring(gen_wheel(n), graph)
-        yield f"wheel{n}", F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3"
+        yield f"wheel{n}", F, 1, [Polynomial.one(GF2, F.n_vars)]
     for k in (5, 6, 7):
         F = encode_coloring(gen_mycielski(k), graph)
-        yield f"mycielski{k}", F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3"
+        yield f"mycielski{k}", F, 1, [Polynomial.one(GF2, F.n_vars)]
     for n in range(12, 17):
         F = encode_coloring(gen_random(n, 0.27, n), graph)
         for d in (1, 4):
-            yield f"gnp{n}-d{d}", F, d, [Polynomial.one(GF2, F.n_vars)], "graded:3"
+            yield f"gnp{n}-d{d}", F, d, [Polynomial.one(GF2, F.n_vars)]
     rng = random.Random(2020)
     for s in range(4):
         F = random_system(rng, GF3, 8, 10, 2)
         for d in (1, 2, 3):
-            yield f"gf3-{s}-d{d}", F, d, [Polynomial.one(GF3, 8)], "occurring"
+            yield f"gf3-{s}-d{d}", F, d, [Polynomial.one(GF3, 8)]
     F = PolySystem.make(GF3, 8, [parse_poly(line.split()[1], GF3, 8) for line in GF3_DEGREE3.splitlines()])
-    yield "gf3-degree3", F, 3, [Polynomial.one(GF3, 8)], "occurring"
+    yield "gf3-degree3", F, 3, [Polynomial.one(GF3, 8)]
     GF5 = FieldSpec(5)
     texts = ["4*x1^2+2*x1", "x3^2", "4*x1*x3+1", "3*x2"]
     F = PolySystem.make(GF5, 3, [parse_poly(t, GF5, 3) for t in texts])
-    yield "gf5", F, 2, [Polynomial.one(GF5, 3)], "occurring"
+    yield "gf5", F, 2, [Polynomial.one(GF5, 3)]
     # monomial targets, as --alt-g gives them: all of --alt-g auto:3's, and
     # 1 with a sample of them, so that other rows still peel
     for name, g in (("wheel5", gen_wheel(5)), ("wheel8", gen_wheel(8)), ("K4", gen_complete(4))):
         F = encode_coloring(g, graph)
         alts = [Polynomial.from_monomial(m, GF2) for m in alt_g_candidates(F.n_vars, 3)]
-        yield f"alt-g-auto-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + alts, "graded:3"
-        yield f"alt-g-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + rng.sample(alts, 6), "graded:3"
+        yield f"alt-g-auto-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + alts
+        yield f"alt-g-{name}", F, 1, [Polynomial.one(GF2, F.n_vars)] + rng.sample(alts, 6)
 
 
 def test_layout_numbers_columns_in_one_order():
-    for case, F, d, targets, pruning in peel_cases():
-        lay = asm._layout(F, d, targets, pruning, None)
+    for case, F, d, targets in peel_cases():
+        lay = asm._layout(F, d, targets, None)
         cols = list(lay.columns())
         assert len(cols) == lay.n_cols, case
         assert [lay.column(j) for j in range(lay.n_cols)] == cols, case
@@ -904,9 +913,9 @@ def test_layout_numbers_columns_in_one_order():
 
 def test_peeled_build_matches_the_full_system():
     statuses, dropped = set(), 0
-    for case, F, d, targets, pruning in peel_cases():
+    for case, F, d, targets in peel_cases():
         try:
-            peeled, asys, consistent = assert_peel_matches_full(F, d, targets, pruning)
+            peeled, asys, consistent = assert_peel_matches_full(F, d, targets)
         except AssertionError as e:
             raise AssertionError(f"case {case}") from e
         statuses.update(consistent)
@@ -916,21 +925,21 @@ def test_peeled_build_matches_the_full_system():
 
 
 def test_a_target_monomial_that_one_column_produces_is_kept():
-    # F = {x1}, target x1*x2: the certificate is x2 * x1, the one product
-    # under the target's row, while the rows x1 and x1^2 force their columns
-    # 1 and x1 to zero
+    # F = {x1}, target x1*x2, graded by 2: the certificate is x2 * x1, the
+    # one product under the target's row, while the row x1^2 forces the
+    # column x1 to zero
     F = PolySystem.make(GF2, 2, [parse_poly("x1", GF2, 2)])
     g = parse_poly("x1*x2", GF2, 2)
-    peeled, asys, consistent = assert_peel_matches_full(F, 1, [g], "occurring")
+    peeled, asys, consistent = assert_peel_matches_full(F, 1, [g])
     assert consistent == [True]
-    assert asys.system.n_rows == 3 and asys.system.n_cols == 3
+    assert asys.system.n_rows == 2 and asys.system.n_cols == 2
     assert columns(peeled) == [(0, Monomial.make([(1, 1)], 2))]
     assert row_monomials(peeled) == [Monomial.make([(0, 1), (1, 1)], 2)]
 
 
 def test_wheel101_peels_to_the_certificates_neighbourhood():
     F = encode_coloring(gen_wheel(101), EncodingOptions(preprocess=True))
-    peeled, sizes = asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], "graded:3", None)
+    peeled, sizes = asm._assemble(F, 1, [Polynomial.one(GF2, F.n_vars)], None)
     assert sizes == (25353, 20605, 61814)
     assert (peeled.system.n_rows, peeled.system.n_cols) == (1012, 1112)
 
@@ -942,14 +951,14 @@ def test_budget_between_peeled_and_full_still_refuses(n):
     # comes in a middle one
     F = encode_coloring(gen_wheel(n), EncodingOptions(preprocess=True))
     one = [Polynomial.one(GF2, F.n_vars)]
-    peeled, (rows, cols, _) = asm._assemble(F, 1, one, "graded:3", None)
+    peeled, (rows, cols, _) = asm._assemble(F, 1, one, None)
     full = packed_bytes(rows, cols, 2)
     budget = full - 1 if n == 31 else 21904992
     assert packed_bytes(peeled.system.n_rows, peeled.system.n_cols, 2) < budget < full
     with pytest.raises(MemoryBudgetError) as refused:
-        nulla_prove(F, [1], pruning="graded:3", memory_budget=budget)
+        nulla_prove(F, [1], memory_budget=budget)
     with pytest.raises(MemoryBudgetError) as counted:
-        stats(F, 1, "graded:3", memory_budget=budget)
+        stats(F, 1, memory_budget=budget)
     assert str(refused.value) == str(counted.value)
     assert refused.value.n_cols == cols
-    assert nulla_prove(F, [1], pruning="graded:3", memory_budget=full).verdict == "infeasible"
+    assert nulla_prove(F, [1], memory_budget=full).verdict == "infeasible"

@@ -53,7 +53,7 @@ def make_gf3_cert():
 
 def k4_cert():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    out = nulla_prove(F, [1], pruning="graded:3")
+    out = nulla_prove(F, [1])
     assert out.verdict == "infeasible"
     return out.certificate
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -65,11 +66,12 @@ def test_prove_k3_exhausts_schedule(capsys):
 
 
 def test_default_schedule_takes_its_grading_from_pruning(capsys):
-    # under graded:2, K5's k=4 edge polynomials add columns at every odd
-    # degree, not only at the degrees == 1 mod k
+    # the degree-2 targets of auto:2 grade K5's k=4 encoding by 2, and its
+    # edge polynomials then add columns at every odd degree, not only at the
+    # degrees == 1 mod k
     rc, out, err = run(
         capsys, "prove", "--gen", "complete:5", "--k", "4", "--p", "3",
-        "--pruning", "graded:2", "--max-degree", "4",
+        "--alt-g", "auto:2", "--max-degree", "4",
     )
     assert (rc, err) == (10, "")
     assert [line.split()[0] for line in out.splitlines()[:-1]] == ["degree=1", "degree=3"]
@@ -136,12 +138,9 @@ def test_colorable_graph_beyond_the_budget_ends_at_its_root(seed, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ("--alt-g", "x1"),
-            "error: graded:3 pruning needs target degrees == 0 mod 3; "
-            "target has degree-1 monomial\n",
-        ),
-        (("--pruning", "bogus"), "error: unknown pruning mode 'bogus'\n"),
+        # a degree-1 target leaves the encoding ungraded, and x1 is no root
+        (("--alt-g", "x1"), None),
+        (("--pruning", "bogus"), "error: unrecognized arguments: --pruning bogus\n"),
         # the budget bounds systems, and a passing coloring builds none
         (("--memory-budget", "64"), None),
     ],
@@ -154,7 +153,7 @@ def test_counted_degrees_keep_validation_and_budget(capsys, monkeypatch, argv, m
     if message is None:
         assert_common_root(graphs.gen_wheel(4), rc, out, err)
     else:
-        assert (rc, out, err) == (2, "", message)
+        assert (rc, out) == (2, "") and err.endswith(message)
 
 
 @pytest.mark.parametrize(
@@ -227,11 +226,12 @@ def test_prove_memory_budget_exhausted(capsys):
 
 
 def test_budget_refuses_a_system_without_columns(tmp_path, capsys):
-    # graded:3 keeps no shift of x1*x2 at degree 0, so the only checks that
-    # see the system are on its final counts: one target row, no columns
+    # x1^4+x1 is graded by 3 with its terms in class 1, so degree 0 keeps no
+    # shift of it, and the only checks that see the system are on its final
+    # counts: one target row, no columns
     path = tmp_path / "sys.txt"
-    path.write_text("a x1*x2\n")
-    argv = ["--p", "2", "--pruning", "graded:3", "--schedule", "0", "--memory-budget", "0"]
+    path.write_text("a x1^4+x1\n")
+    argv = ["--p", "2", "--schedule", "0", "--memory-budget", "0"]
     message = (
         "error: predicted working set of at least 8 bytes for a system of at least 1 x 0 "
         "exceeds the 0 byte budget\n"
@@ -321,6 +321,13 @@ def test_verify_unreadable_inputs(tmp_path, capsys):
     assert rc == 2 and "error:" in err
     rc, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert rc == 2 and "error:" in err
+
+
+def test_verify_refuses_deeply_nested_json(tmp_path, capsys):
+    # json.loads gives up on it with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert run(capsys, "verify", str(path)) == (2, "", "error: invalid JSON: nested too deeply\n")
 
 
 @pytest.mark.parametrize(
@@ -457,8 +464,8 @@ def test_stats_generic_system(tmp_path, capsys):
     path.write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
     rc, out, _ = run(capsys, "stats", "--system", str(path), "--p", "3")
     assert rc == 0
-    assert "pruning=occurring" in out.splitlines()[0]
-    assert "cols=16" in out.splitlines()[1]
+    assert "pruning=graded:2" in out.splitlines()[0]
+    assert "cols=10" in out.splitlines()[1]
 
 
 # ------------------------------------------------- generic systems
@@ -472,7 +479,7 @@ def test_prove_system_file(tmp_path, capsys):
         capsys, "prove", "--system", str(path), "--p", "3", "--cert", str(cert_path)
     )
     assert rc == 0
-    assert "rows=13 cols=16 " in out.splitlines()[0]
+    assert "rows=7 cols=10 " in out.splitlines()[0]
     cert = read_cert(cert_path.read_text())
     assert cert.field.p == 3
     assert cert.provenance["input"]["kind"] == "system"
@@ -491,9 +498,10 @@ def test_prove_system_with_explicit_target(tmp_path, capsys):
 
 def test_budget_refuses_a_degree_before_listing_its_shifts(tmp_path, capsys):
     # 2000 variables, all occurring: degree 2 has about 2*10^6 shifts, each
-    # a packed int of 22,000 bits, so listing them alone would take gigabytes
+    # a packed int of 22,000 bits, so listing them alone would take gigabytes.
+    # The term x1 leaves the system ungraded, so every shift is a column.
     path = tmp_path / "wide.txt"
-    path.write_text("a " + "*".join(f"x{v}" for v in range(1, 2001)) + "+1\n")
+    path.write_text("a " + "*".join(f"x{v}" for v in range(1, 2001)) + "+x1+1\n")
     tracemalloc.start()
     try:
         rc, out, err = run(
@@ -538,8 +546,6 @@ def test_non_decimal_digits_raise_the_module_error(tmp_path, capsys):
         (lambda: read_cert(cert.read_text()), CertificateError, ("verify", str(cert))),
         (lambda: cli.load_system_file(str(system), 2), PolyParseError, ("prove", "--system", str(system))),
         (lambda: parse_generators(sym.read_text(), 4), SymmetryError, (*k4, "--symmetry", str(sym))),
-        (lambda: asm.stats(cli.encode_coloring(cli.gen_complete(4), cli.EncodingOptions()), 1, f"graded:{two}"),
-         asm.AssembleError, (*k4, "--pruning", f"graded:{two}")),
         (lambda: cli.build_targets(argparse.Namespace(alt_g=f"auto:{two}"), FieldSpec(2), 4), cli.CliError,
          (*k4, "--alt-g", f"auto:{two}")),
     ]
@@ -575,6 +581,24 @@ def test_alt_g_auto_still_finds_unit_certificate(capsys):
     assert rc == 0
     cert = read_cert(out[out.index("{"):])
     assert cert.target == Polynomial.one(cert.field, cert.n_vars)
+
+
+def test_degree_one_target_certifies_k4_at_degree_two(tmp_path, capsys):
+    # x1 has degree 1, so it leaves K4's encoding ungraded and degree 2 is
+    # on the default schedule
+    cert_path = tmp_path / "k4-x1.json"
+    rc, out, err = run(capsys, "prove", "--gen", "complete:4", "--alt-g", "x1", "--cert", str(cert_path))
+    assert (rc, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()[:2]] == ["degree=1", "degree=2"]
+    cert = read_cert(cert_path.read_text())
+    assert (cert.provenance["degree"], cert.provenance["pruning"]) == (2, "occurring")
+    assert run(capsys, "verify", str(cert_path))[0] == 0
+
+
+def test_alt_g_auto_two_certifies_k4(capsys):
+    rc, out, err = run(capsys, "prove", "--gen", "complete:4", "--alt-g", "auto:2")
+    assert (rc, err) == (0, "")
+    assert verify(read_cert(out[out.index("{"):]))
 
 
 def test_alt_g_explicit_monomial_misses(capsys):
@@ -833,8 +857,9 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
 
 # sha256 of prove's stdout, millis removed, for each kind of attempt, as
 # printed while core, orbit and full solves each had their own code; the
-# degree-3 GF(3) certificate is the one of shift-major columns, and
-# rotation-refuted prints the coloring and common-root lines
+# degree-3 GF(3) certificate is the one of shift-major columns,
+# rotation-refuted prints the coloring and common-root lines, and the quadric
+# is graded by 2: a 7 x 10 system with the certificate of the ungraded 13 x 16
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
@@ -855,7 +880,7 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
             0,
             "73afe63a4ffe0bbe2a9cee3eb68818049ec58768860415aa2e2c4e72e5093ebb",
         ),
-        (("--system", "quadric.txt", "--p", "3"), 0, "209fc03945da1dd046626114b2b456620c23fb78b45b9e5c3b73d863d7b229a0"),
+        (("--system", "quadric.txt", "--p", "3"), 0, "0f9478e0041265f98481622971ebdf929853eb78d9970f7d5111f6cbbcb6af0f"),
         (
             ("--system", "gf3.txt", "--p", "3", "--max-degree", "3"),
             0,
@@ -952,9 +977,27 @@ def test_bad_schedule_and_cap(rotation_file, capsys):
 
 
 def test_unknown_pruning_mode(capsys):
-    rc, out, err = run(capsys, "prove", "--gen", "complete:4", "--pruning", "none")
-    assert rc == 2 and out == ""
-    assert err == "error: unknown pruning mode 'none'\n"
+    # the grading is derived from the input, so no command takes --pruning
+    for command in ("prove", "stats"):
+        rc, out, err = run(capsys, command, "--gen", "complete:4", "--pruning", "none")
+        assert (rc, out) == (2, "")
+        assert err.endswith("nullcert: error: unrecognized arguments: --pruning none\n")
+
+
+def test_readme_names_exactly_the_parsers_options():
+    # every long option of every command is documented under "Command
+    # line", and every option named there exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parsers = [cli.build_arg_parser()]
+    defined = set()
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            defined.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    assert named == defined
 
 
 def test_missing_input_file(capsys):

@@ -45,9 +45,9 @@ def test_thirteen_sweep_graphs_are_not_colorable():
 def test_core_never_raises_the_certificate_degree(name):
     g = GRAPHS[name]
     F = encode_coloring(g, OPTS)
-    plain = nulla_prove(F, [1, 4], pruning="graded:3")
+    plain = nulla_prove(F, [1, 4])
     core = build_core(g, OPTS, 1, None)
-    out = nulla_prove(F, [1, 4], pruning="graded:3", core=core)
+    out = nulla_prove(F, [1, 4], core=core)
     assert out.verdict == plain.verdict == "infeasible"
     assert out.degree <= plain.degree
     assert verify(out.certificate)
@@ -67,7 +67,7 @@ def test_core_never_raises_the_certificate_degree(name):
 def test_core_lines_come_first_at_each_degree():
     g = gen_random(16, 0.27, 2)
     F = encode_coloring(g, OPTS)
-    out = nulla_prove(F, [1, 4], pruning="graded:3", core=build_core(g, OPTS, 1, None))
+    out = nulla_prove(F, [1, 4], core=build_core(g, OPTS, 1, None))
     sizes = [(s.degree, s.rows, s.cols, s.status) for s in out.per_degree]
     # the core at degree 1, then G at degree 1, then the core at degree 4
     assert sizes == [
@@ -91,7 +91,7 @@ def test_core_targets_pass_through_unchanged():
     # the core is over G's five variables, and its polynomials are G's
     assert F_core.n_vars == F.n_vars == 5
     assert set(zip(F_core.tags, F_core.polys)) <= set(zip(F.tags, F.polys))
-    out = nulla_prove(F, [1], [target], pruning="graded:3", core=core)
+    out = nulla_prove(F, [1], [target], core=core)
     assert out.certificate.target is target
     assert out.certificate.provenance["core"] == note
     assert verify(out.certificate)
@@ -104,7 +104,7 @@ def test_core_argument_is_checked():
     x5 = Polynomial.from_monomial(Monomial.make([(4, 3)], 5), F.field)
     # a target outside the core is sound to use, and build_core skips it
     assert build_core(g, OPTS, 1, [x5]) is None
-    out = nulla_prove(F, [1, 4], [x5], pruning="graded:3", core=core)
+    out = nulla_prove(F, [1, 4], [x5], core=core)
     assert out.verdict == "infeasible" and verify(out.certificate)
     with pytest.raises(AssembleError, match="excludes"):
         nulla_prove(F, [1], core=core, root=[0] * 5)
@@ -125,5 +125,5 @@ def test_whole_graph_over_budget_fails_before_filing_every_product():
     F = encode_coloring(gen_mycielski(9), OPTS)
     t0 = time.perf_counter()
     with pytest.raises(MemoryBudgetError):
-        nulla_prove(F, [1], pruning="graded:3")
+        nulla_prove(F, [1])
     assert time.perf_counter() - t0 < 10

@@ -75,7 +75,7 @@ def fuzz(seed, seeds, parse, errors, n):
 
 def certificates():
     """Certificate texts over GF(2) and GF(3), as prove writes them."""
-    k4 = nulla_prove(encode_coloring(gen_complete(4), EncodingOptions(preprocess=True)), [1], pruning="graded:3")
+    k4 = nulla_prove(encode_coloring(gen_complete(4), EncodingOptions(preprocess=True)), [1])
     gf3 = FieldSpec(3)
     lines = [line.split()[1] for line in QUADRIC.splitlines()]
     quadric = nulla_prove(PolySystem.make(gf3, 3, [parse_poly(t, gf3, 3) for t in lines]), [1])

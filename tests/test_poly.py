@@ -90,6 +90,22 @@ class TestPolynomial:
         q = Polynomial.make(F2, 2, [(x1, 1), (x1, 1)])
         assert q.is_zero() and q.degree == -1
 
+    def test_constructor_checks_and_make_sorts(self):
+        # make keys each term once and sorts; the constructor checks the
+        # order its caller gives, and both check every term's n_vars
+        x1, x2, one = from_vars((0,), 2), from_vars((1,), 2), Monomial.one(2)
+        terms = ((x2, 1), (x1, 1), (one, 1))
+        with pytest.raises(PolyError, match="out of canonical order"):
+            Polynomial(F2, 2, terms)
+        with pytest.raises(PolyError, match="out of canonical order"):
+            Polynomial(F2, 2, ((x1, 1), (x1, 1)))
+        p = Polynomial.make(F2, 2, terms)
+        assert p.terms == ((x1, 1), (x2, 1), (one, 1))
+        assert Polynomial(F2, 2, p.terms) == p
+        for make in (Polynomial, Polynomial.make):
+            with pytest.raises(PolyError, match="term n_vars mismatch"):
+                make(F2, 3, ((x1, 1),))
+
     def test_mul_examples(self):
         a = parse_poly("x1^2+x1*x2+x2^2", F2, 2)
         b = parse_poly("x1+x2", F2, 2)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import columns, expanded, full_system, orbit_fold, orbit_reps, row_monomials
-from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, lift_solution
+from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_wheel
@@ -78,7 +78,7 @@ def test_group_orders():
 
 
 def orbit(F, perms):
-    return assemble_orbit(F, 1, Polynomial.one(GF2, 4), perms, pruning="graded:3")
+    return assemble_orbit(F, 1, Polynomial.one(GF2, 4), perms)
 
 
 def test_invariance_full_k4():
@@ -103,7 +103,7 @@ def test_invariance_ground_set_mismatch():
 
 
 def test_k4_orbit_matrix_shape_and_keys():
-    orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234, pruning="graded:3")
+    orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234)
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 9)
     assert [expanded(m) for m in row_monomials(orb)] == [
         (), (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2),
@@ -124,8 +124,8 @@ def test_k4_orbit_matrix_shape_and_keys():
 def test_k4_orbit_entries_are_full_matrix_sums():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
-    orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
-    full = full_system(F, 1, [g], pruning="graded:3")
+    orb = assemble_orbit(F, 1, g, ROT234)
+    full = full_system(F, 1, [g])
     full_dense = [[0] * full.system.n_cols for _ in range(full.system.n_rows)]
     for r, cols in enumerate(full.system.rows):
         for c, v in cols:
@@ -160,7 +160,7 @@ def test_k4_orbit_entries_are_full_matrix_sums():
 def test_k4_orbit_solution_lifts_to_certificate():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
-    orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
+    orb = assemble_orbit(F, 1, g, ROT234)
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
     y = lift_solution(orb, res.solution)
@@ -177,7 +177,7 @@ def test_full_encoding_orbit_system():
     # column orbit, giving one more column than the preprocessed table
     F = k4_full()
     g = Polynomial.one(GF2, 4)
-    orb = assemble_orbit(F, 1, g, ROT234, pruning="graded:3")
+    orb = assemble_orbit(F, 1, g, ROT234)
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 10)
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
@@ -188,8 +188,8 @@ def test_full_encoding_orbit_system():
 def test_identity_group_gives_plain_system():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
-    orb = assemble_orbit(F, 1, g, PermutationSet.make(4, []), pruning="graded:3")
-    plain = full_system(F, 1, [g], pruning="graded:3")
+    orb = assemble_orbit(F, 1, g, PermutationSet.make(4, []))
+    plain = full_system(F, 1, [g])
     assert orb.system.rows == plain.system.rows
     assert orb.rhs_list == plain.rhs_list
     assert row_monomials(orb) == row_monomials(plain)
@@ -203,15 +203,15 @@ def test_identity_group_gives_plain_system():
 def test_orbit_matrix_well_defined_across_generator_choice():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
-    a = assemble_orbit(F, 1, g, parse_generators("(2,3,4)", 4), pruning="graded:3")
-    b = assemble_orbit(F, 1, g, parse_generators("(2,4,3)", 4), pruning="graded:3")
+    a = assemble_orbit(F, 1, g, parse_generators("(2,3,4)", 4))
+    b = assemble_orbit(F, 1, g, parse_generators("(2,4,3)", 4))
     assert a.system.rows == b.system.rows
     assert a.rhs_list == b.rhs_list
     assert a.col_orbit_index == b.col_orbit_index
 
 
 def test_lift_zero_is_zero():
-    orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234, pruning="graded:3")
+    orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234)
     assert lift_solution(orb, (0,) * 9) == (0,) * 25
     with pytest.raises(SymmetryError, match="length"):
         lift_solution(orb, (0,) * 8)
@@ -221,14 +221,13 @@ def test_orbit_rejects_non_invariant_system():
     with pytest.raises(SymmetryError, match="vertex:1"):
         assemble_orbit(
             k4_pre(), 1, Polynomial.one(GF2, 4), parse_generators("(1,2)", 4),
-            pruning="graded:3",
         )
 
 
 def test_orbit_rejects_moving_target():
     g = parse_poly("x1^3", GF2, 4)
     with pytest.raises(SymmetryError, match="not fixed"):
-        assemble_orbit(k4_full(), 1, g, parse_generators("(1,2)", 4), pruning="graded:3")
+        assemble_orbit(k4_full(), 1, g, parse_generators("(1,2)", 4))
 
 
 def test_cycle_graph_orbit_consistency_matches_full():
@@ -238,10 +237,10 @@ def test_cycle_graph_orbit_consistency_matches_full():
     F = encode_coloring(c5, EncodingOptions())
     g = Polynomial.one(GF2, 5)
     rot = parse_generators("(1,2,3,4,5)", 5)
-    orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
+    orb = assemble_orbit(F, 1, g, rot)
     assert group_order(rot) == 5
     assert not solve(orb.system, orb.rhs_list[0]).consistent
-    full = full_system(F, 1, [g], pruning="graded:3")
+    full = full_system(F, 1, [g])
     assert not solve(full.system, full.rhs_list[0]).consistent
 
 
@@ -250,8 +249,8 @@ def test_wheel_rim_rotation_positive_case():
     F = encode_coloring(w5, EncodingOptions())
     g = Polynomial.one(GF2, 6)
     rot = parse_generators("(1,2,3,4,5)", 6)
-    orb = assemble_orbit(F, 1, g, rot, pruning="graded:3")
-    assert orb.system.n_cols < full_system(F, 1, [g], pruning="graded:3").system.n_cols
+    orb = assemble_orbit(F, 1, g, rot)
+    assert orb.system.n_cols < full_system(F, 1, [g]).system.n_cols
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
     cert = extract_certificate(F, orb, res.solution, g)
@@ -263,10 +262,19 @@ def rim_rotation(rim, step):
     return tuple((v + step) % rim for v in range(rim)) + (rim,)
 
 
+def every_variable(n):
+    """x1 + ... + xn over GF(2), fixed by every permutation."""
+    return parse_poly("+".join(f"x{v}" for v in range(1, n + 1)), GF2, n)
+
+
 def fold_cases():
-    """(F, degree, targets, perms, pruning) for the orbit build's equivalence
-    with the reference fold.  Each target is fixed by its group; x^6 terms lie
-    beyond every product, so their rows form orbits of target monomials."""
+    """(F, degree, targets, perms, grading k) for the orbit build's
+    equivalence with the reference fold.  Each target is fixed by its group;
+    x^6 terms lie beyond every product, so their rows form orbits of target
+    monomials.  The sum of every variable, a target of degree 1, leaves a
+    coloring encoding ungraded (k = 1).  GF(3)'s field equations and linear
+    forms grade by 2 with no poly kept at shift degree 0, so the target 1 is
+    no product and its row orbit starts at the shift 0 alone."""
     rng = random.Random(18)
     for rim in range(5, 16):
         F = encode_coloring(gen_wheel(rim), EncodingOptions())
@@ -276,17 +284,17 @@ def fold_cases():
         outer = " + ".join(f"x{v}^6" for v in range(1, rim + 1))
         targets = [Polynomial.one(GF2, n), parse_poly(f"x{n}^3", GF2, n), parse_poly(outer, GF2, n)]
         name = f"wheel:{rim} steps {','.join(str(gen[0]) for gen in gens)}"
-        yield pytest.param(F, 1, targets, perms, "graded:3", id=f"{name} d1 graded:3")
-        yield pytest.param(F, 2, targets, perms, "occurring", id=f"{name} d2 occurring")
+        yield pytest.param(F, 1, targets, perms, 3, id=f"{name} d1 graded:3")
+        yield pytest.param(F, 2, targets + [every_variable(n)], perms, 1, id=f"{name} d2 occurring")
     for n in (4, 5):
         F = encode_coloring(gen_complete(n), EncodingOptions())
         cubes = parse_poly(" + ".join(f"x{v}^3" for v in range(1, 5)), GF2, n)
         for cycle in ("(1,2)", "(1,2,3,4)"):
             perms = parse_generators(cycle, n)
             for d in (1, 2):
-                for pruning in ("graded:3", "occurring"):
-                    targets = [Polynomial.one(GF2, n), cubes]
-                    yield pytest.param(F, d, targets, perms, pruning, id=f"complete:{n} {cycle} d{d} {pruning}")
+                for k, name in ((3, "graded:3"), (1, "occurring")):
+                    targets = [Polynomial.one(GF2, n), cubes] + [every_variable(n)] * (k == 1)
+                    yield pytest.param(F, d, targets, perms, k, id=f"complete:{n} {cycle} d{d} {name}")
     gf3 = FieldSpec(3)
     texts = [
         "x1^2+2", "x2^2+2", "x3^2+2", "x1+x2", "x2+x3", "x1+x3",
@@ -296,14 +304,22 @@ def fold_cases():
     targets = [Polynomial.one(gf3, 3), parse_poly("2*x1*x2*x3+x1^2+x2^2+x3^2+2*x1^5+2*x2^5+2*x3^5", gf3, 3)]
     for d in (1, 2):
         perms = parse_generators("(1,2,3)", 3)
-        yield pytest.param(F, d, targets, perms, "occurring", id=f"gf3 (1,2,3) d{d} occurring")
+        yield pytest.param(F, d, targets, perms, 1, id=f"gf3 (1,2,3) d{d} occurring")
+    texts = ["x1^3+2*x1", "x2^3+2*x2", "x3^3+2*x3", "x1+x2+x3", "2*x1+x2+x3", "x1+2*x2+x3", "x1+x2+2*x3"]
+    F = PolySystem.make(gf3, 3, [parse_poly(t, gf3, 3) for t in texts])
+    targets = [Polynomial.one(gf3, 3), parse_poly("x1^2+x2^2+x3^2+x1^6+x2^6+x3^6", gf3, 3)]
+    for d in (1, 2, 3):
+        for cycles in ("(1,2,3)", "(1,2)\n(1,2,3)"):
+            perms = parse_generators(cycles, 3)
+            yield pytest.param(F, d, targets, perms, 2, id=f"gf3 field+linear {cycles.replace(chr(10), chr(32))} d{d} graded:2")
 
 
-@pytest.mark.parametrize("F, d, targets, perms, pruning", fold_cases())
-def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
+@pytest.mark.parametrize("F, d, targets, perms, k", fold_cases())
+def test_orbit_build_matches_reference_fold(F, d, targets, perms, k):
+    assert grading(F, targets) == k
     maps = check_invariant(F, targets, perms)
-    orb = _orbit_system(F, d, targets, perms, maps, pruning, None)
-    full = full_system(F, d, targets, pruning)
+    orb = _orbit_system(F, d, targets, perms, maps, None)
+    full = full_system(F, d, targets)
     ref = orbit_fold(F, full, perms)
     assert orb.system.rows == ref.rows
     assert orb.rhs_list == ref.rhs_list
@@ -316,9 +332,9 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, pruning):
     # its working set refuses it, naming its sizes
     rows, cols = full.system.n_rows, full.system.n_cols
     need = packed_bytes(rows, cols, F.field.p, len(targets))
-    _orbit_system(F, d, targets, perms, maps, pruning, need)
+    _orbit_system(F, d, targets, perms, maps, need)
     with pytest.raises(MemoryBudgetError, match=f"of at least {rows} x {cols} exceeds"):
-        _orbit_system(F, d, targets, perms, maps, pruning, need - 1)
+        _orbit_system(F, d, targets, perms, maps, need - 1)
 
 
 def test_orbit_build_checks_closure():
@@ -329,8 +345,8 @@ def test_orbit_build_checks_closure():
     maps = check_invariant(F, [g], ROT234)
     bad = [[4] + row[1:] for row in maps]
     with pytest.raises(SymmetryError, match="column set is not closed"):
-        _orbit_system(F, 1, [g], ROT234, bad, "graded:3", None)
+        _orbit_system(F, 1, [g], ROT234, bad, None)
     # a target monomial beyond every product whose image is no target monomial
     moved = parse_poly("x2^6", GF2, 4)
     with pytest.raises(SymmetryError, match="row universe is not closed"):
-        _orbit_system(F, 1, [moved], ROT234, maps, "graded:3", None)
+        _orbit_system(F, 1, [moved], ROT234, maps, None)
