@@ -48,18 +48,20 @@ permutes the rows (monomials) and columns (shifted polynomials).  When F is
 invariant under the group and every target is fixed by it, solutions may be
 assumed constant on column orbits, so the system reduces to one row and
 one column per orbit, entries summed over column-orbit members.  It is an
-AssembledSystem whose col_orbit_index maps each full column to its orbit:
-a plain system is its own orbit system under the trivial group.  An orbit
-solution always lifts to a full one, and so to a certificate that verifies.
-The converse, full consistency implying orbit consistency, needs |G| coprime
-to p, so nulla_prove takes an inconsistent orbit system as conclusive only
-when the group order is known and coprime to p, and otherwise solves the
-full matrix of the same degree too.  The orbit system is built from F and
-the group without the full matrix (_orbit_system): permuting packed
-monomials is additive, so orbits are walked with each generator's images of
-the shifts and of F's terms, and a representative row sums the coefficients
-of F's terms that divide it.  On wheel:101 under its rim rotation that builds
-253 x 206 where the full system is 25,353 x 20,706.
+AssembledSystem keyed by its orbits' representatives, holding each
+generator's images of the polys and shifts.  An orbit solution always lifts
+to a full one (lift_solution walks the orbit of each nonzero column; in a
+plain system, with no images, each orbit is one column), and so to a
+certificate that verifies.  The converse, full consistency implying orbit
+consistency, needs |G| coprime to p, so nulla_prove takes an inconsistent
+orbit system as conclusive only when the group order is known and coprime
+to p, and otherwise solves the full matrix of the same degree too.  The
+orbit system is built from F and the group without the full matrix
+(_orbit_system): permuting packed monomials is additive, so orbits are
+walked with each generator's images of the shifts and of F's terms, and a
+representative row sums the coefficients of F's terms that divide it.  On
+wheel:101 under its rim rotation that builds 253 x 206 where the full
+system is 25,353 x 20,706.
 
 A common root rules out every degree (the weak Nullstellensatz direction
 the certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i
@@ -224,16 +226,16 @@ class AssembledSystem(Record):
     Keys stay packed by packing: a column is (poly index, packed shift), a
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
     more than the degrees that find nothing, so packing.unpack is applied
-    only where a Monomial is needed.  Column j of packed_cols lies in system
-    column col_orbit_index[j].  A plain system carries range(n_cols); in
-    nulla_prove's, which is peeled, packed_cols and packed_rows are the
-    surviving subsets, in the full system's order.  In an orbit system,
-    packed_cols are the full system's columns, row k is the orbit of
-    packed_rows[k], and its orbits are numbered in order of first
-    appearance in col_orbit_index.
+    only where a Monomial is needed.  packed_cols[j] is the key of system
+    column j.  In nulla_prove's plain system, which is peeled, packed_cols
+    and packed_rows are the surviving subsets, in the full system's order.
+    In an orbit system, column j is the orbit of packed_cols[j], row k the
+    orbit of packed_rows[k], and col_images holds each generator's (poly
+    map, {shift: image shift}), which walk a column's orbit (lift_solution);
+    a plain system's col_images is ().
     """
 
-    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "col_orbit_index")
+    __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "col_images")
 
     def __init__(
         self,
@@ -242,16 +244,15 @@ class AssembledSystem(Record):
         packing: _Packing,
         packed_cols: Tuple[Tuple[int, int], ...],
         packed_rows: Tuple[int, ...],
-        col_orbit_index: Sequence[int],
+        col_images: Tuple[Tuple[Sequence[int], Dict[int, int]], ...],
     ) -> None:
         set_field(self, "system", system)
         set_field(self, "rhs_list", rhs_list)
         set_field(self, "packing", packing)
         set_field(self, "packed_cols", packed_cols)
         set_field(self, "packed_rows", packed_rows)
-        set_field(self, "col_orbit_index", col_orbit_index)
-        # each system column holds at least one column key
-        if len(col_orbit_index) != len(packed_cols) or system.n_cols > len(packed_cols):
+        set_field(self, "col_images", col_images)
+        if system.n_cols != len(packed_cols):
             raise AssembleError("column key count does not match system width")
         if system.n_rows != len(packed_rows):
             raise AssembleError("row key count does not match system height")
@@ -472,7 +473,7 @@ def _file(field: FieldSpec, lay: _Layout, cols: List[Tuple[int, int]]) -> Assemb
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
     system = SparseSystem(field, len(packed_rows), len(cols), tuple(entries))
-    return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), range(len(cols)))
+    return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), ())
 
 
 def _assemble(
@@ -511,44 +512,37 @@ def _orbit_system(
     """
     lay = _layout(F, d, targets, memory_budget)
     packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
+    # A generator keeps shift degrees, so it permutes the columns iff its poly
+    # map permutes the polys kept at each (duplicates share one image index).
+    if any(sorted(pmap[i] for i in kept) != kept for pmap in maps for kept in lay.polys_at):
+        raise SymmetryError("column set is not closed under the group")
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
     all_terms = {t for terms in poly_terms for t, _ in terms}
-    images = []
+    col_images, term_images, target_images = [], [], []
     for pmap, generator in zip(maps, perms.generators):
         fields = [position[generator[v]] for v in packing.variables]
-        images.append((
-            pmap,
-            {delta: packing.permute(fields, delta) for deltas in shifts for delta in deltas},
-            {t: packing.permute(fields, t) for t in all_terms},
-            {m: packing.permute(fields, m) for m in lay.target_rows},
-        ))
+        shift_image = {delta: packing.permute(fields, delta) for deltas in shifts for delta in deltas}
+        col_images.append((pmap, shift_image))
+        term_images.append((shift_image, {t: packing.permute(fields, t) for t in all_terms}))
+        target_images.append((shift_image, {m: packing.permute(fields, m) for m in lay.target_rows}))
 
     # orbit_of[delta][i] is the orbit of column (i, delta), -1 until walked,
-    # listed in column order; a missing key is an image outside the column set
+    # listed in column order
     orbit_of = lay.by_shift(-1)
     col_reps: List[Tuple[int, int]] = []
 
     def walk_columns() -> Iterator[Tuple[int, int]]:
         """Each column orbit's least column, once its orbit is walked."""
-        try:
-            for delta, orbits in orbit_of.items():
-                for i, pos in orbits.items():
-                    if pos >= 0:
-                        continue
-                    pos = orbits[i] = len(col_reps)
-                    col_reps.append((i, delta))
-                    members = [(i, delta)]
-                    for poly, shift in members:
-                        for pmap, shift_image, _, _ in images:
-                            image = pmap[poly], shift_image[shift]
-                            at = orbit_of[image[1]]
-                            if at[image[0]] < 0:
-                                at[image[0]] = pos
-                                members.append(image)
-                    yield i, delta
-        except KeyError:
-            raise SymmetryError("column set is not closed under the group") from None
+        for delta, orbits in orbit_of.items():
+            for i, pos in orbits.items():
+                if pos >= 0:
+                    continue
+                pos = len(col_reps)
+                for poly, shift in _orbit(col_images, (i, delta)):
+                    orbit_of[shift][poly] = pos
+                col_reps.append((i, delta))
+                yield i, delta
 
     # Every row orbit holds a product of a column representative with one of
     # its terms; any other holds target monomials only, each the shift 0
@@ -562,10 +556,7 @@ def _orbit_system(
     check_at = _BUDGET_BLOCK
     reps: List[int] = []
     products = ((delta, t) for i, delta in walk_columns() for t, _ in poly_terms[i])
-    walks = (
-        ([(s, t) for _, s, t, _ in images], products),
-        ([(s, g) for _, s, _, g in images], ((0, m) for m in lay.target_rows)),
-    )
+    walks = ((term_images, products), (target_images, ((0, m) for m in lay.target_rows)))
     for pair_images, starts in walks:
         for delta, t in starts:
             rep = delta + t
@@ -613,9 +604,21 @@ def _orbit_system(
     row_of = {m: k for k, m in enumerate(packed_rows)}
     rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in lay.target_terms]
     system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows))
-    col_orbit_index = tuple(o for orbits in orbit_of.values() for o in orbits.values())
-    packed_cols = tuple([(i, delta) for delta, orbits in orbit_of.items() for i in orbits])
-    return AssembledSystem(system, rhs_list, packing, packed_cols, tuple(packed_rows), col_orbit_index)
+    return AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(packed_rows), tuple(col_images))
+
+
+def _orbit(col_images: Sequence[Tuple[Sequence[int], Dict[int, int]]], col: Tuple[int, int]) -> List[Tuple[int, int]]:
+    """The orbit of column col = (i, delta) under the generators' (poly map,
+    shift images), col first."""
+    members, seen = [col], {col}
+    for i, delta in members:  # grows while it is read
+        for pmap, shift_image in col_images:
+            image = pmap[i], shift_image[delta]
+            size = len(seen)
+            seen.add(image)  # hashes the image once
+            if len(seen) > size:
+                members.append(image)
+    return members
 
 
 def assemble_orbit(
@@ -634,11 +637,13 @@ def assemble_orbit(
     return _orbit_system(F, d, [g], perms, maps, memory_budget)
 
 
-def lift_solution(orb: AssembledSystem, ybar: Sequence[int]) -> Tuple[int, ...]:
-    """Expand an orbit solution to the full column set, constant on orbits."""
-    if len(ybar) != orb.system.n_cols:
-        raise SymmetryError("orbit solution length does not match orbit system")
-    return tuple(ybar[o] for o in orb.col_orbit_index)
+def lift_solution(asm: AssembledSystem, solution: Sequence[int]) -> List[Tuple[Tuple[int, int], int]]:
+    """The nonzero full columns ((i, delta), value) of a solution of
+    asm.system: each nonzero system column's value on every column of its
+    orbit, walked from its key (a plain system's orbits are single columns)."""
+    if len(solution) != asm.system.n_cols:
+        raise AssembleError("solution length does not match the system's columns")
+    return [(col, v) for key, v in zip(asm.packed_cols, solution) if v for col in _orbit(asm.col_images, key)]
 
 
 def stats(
@@ -683,17 +688,12 @@ def extract_certificate(
     provenance: Optional[dict] = None,
 ) -> Certificate:
     """Turn a solution of asm.system into multipliers: beta_i = sum
-    y_(i,delta) x^delta, where column (i, delta) of asm.packed_cols takes
-    the value of its system column.  Only the shifts whose coefficient is
-    nonzero are unpacked."""
-    if len(solution) != asm.system.n_cols:
-        raise AssembleError("solution length does not match the system's columns")
+    y_(i,delta) x^delta over the nonzero full columns (i, delta) that
+    lift_solution gives.  Only their shifts are unpacked."""
     unpack = asm.packing.unpack
     per_poly: Dict[int, List[Tuple[Monomial, int]]] = {}
-    for (i, delta), o in zip(asm.packed_cols, asm.col_orbit_index):
-        v = solution[o]
-        if v:
-            per_poly.setdefault(i, []).append((unpack(delta), v))
+    for (i, delta), v in lift_solution(asm, solution):
+        per_poly.setdefault(i, []).append((unpack(delta), v))
     entries = tuple(
         CertEntry(F.tags[i], F.polys[i], Polynomial.make(F.field, F.n_vars, per_poly[i]))
         for i in sorted(per_poly)

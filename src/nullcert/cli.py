@@ -16,9 +16,10 @@ the commands look them up there, and _load_prover never replaces a name
 that is already bound, so the wrapper or the patch is what runs.
 
 Exit codes: 0 success (prove: infeasibility certified; verify: certificate
-valid), 1 verification failure, 2 usage or input errors, 10 no certificate:
-none up to the degree cap (feasibility stays undecided), or none at any
-degree because a printed 3-coloring is a common root of F.
+valid), 1 verification failure, 2 usage or input errors or memory
+exhausted, each with one error: line on stderr, 10 no certificate: none up
+to the degree cap (feasibility stays undecided), or none at any degree
+because a printed 3-coloring is a common root of F.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, NoReturn, Optional, Sequence, Set, Tuple
 
 from nullcert.certificate import CertificateError, read_cert, verify, write_cert
 from nullcert.poly import (
@@ -403,8 +404,17 @@ def _add_input_opts(sp: argparse.ArgumentParser, with_system: bool) -> None:
     sp.add_argument("--no-preprocess", dest="preprocess", action="store_false")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise CliError, so that main
+    prints them as one error: line, as it does every exit 2; subparsers
+    inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nullcert",
         description="Linear-algebra infeasibility certificates for polynomial systems over GF(p)",
     )
@@ -447,15 +457,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_OK if e.code in (0, None) else EXIT_USAGE
-    try:
+        args = build_arg_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as e:  # -h
+        return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

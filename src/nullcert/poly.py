@@ -172,22 +172,19 @@ class Polynomial(Record):
     __slots__ = ("field", "n_vars", "terms")
 
     def __init__(self, field: FieldSpec, n_vars: int, terms: Tuple[Tuple[Monomial, int], ...]) -> None:
-        self._set(field, n_vars, terms)
+        set_field(self, "field", field)
+        set_field(self, "n_vars", n_vars)
+        set_field(self, "terms", terms)
         prev = None
         for mono, coeff in terms:
+            if mono.n_vars != n_vars:
+                raise PolyError("term n_vars mismatch")
             if not 0 < coeff < field.p:
                 raise PolyError(f"coefficient {coeff} outside 1..{field.p - 1}")
             key = _display_key(mono)
             if prev is not None and key <= prev:
                 raise PolyError("terms out of canonical order")
             prev = key
-
-    def _set(self, field: FieldSpec, n_vars: int, terms: Tuple[Tuple[Monomial, int], ...]) -> None:
-        set_field(self, "field", field)
-        set_field(self, "n_vars", n_vars)
-        set_field(self, "terms", terms)
-        if any(mono.n_vars != n_vars for mono, _ in terms):
-            raise PolyError("term n_vars mismatch")
 
     @classmethod
     def make(
@@ -200,12 +197,9 @@ class Polynomial(Record):
         acc: Dict[Monomial, int] = {}
         for mono, coeff in terms:
             acc[mono] = (acc.get(mono, 0) + coeff) % field.p
-        # sorted by each term's key, computed once: the order and the
-        # coefficients hold by construction, so only n_vars is checked
-        keyed = sorted(((_display_key(m), m, c) for m, c in acc.items() if c != 0), key=operator.itemgetter(0))
-        poly = cls.__new__(cls)
-        poly._set(field, n_vars, tuple((m, c) for _, m, c in keyed))
-        return poly
+        kept = [(m, c) for m, c in acc.items() if c != 0]
+        kept.sort(key=lambda mc: _display_key(mc[0]))
+        return cls(field, n_vars, tuple(kept))
 
     @classmethod
     def one(cls, field: FieldSpec, n_vars: int) -> "Polynomial":

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert import linsolve
-from nullcert.assemble import _file, _layout, _Layout
+from nullcert.assemble import _file, _layout, _Layout, lift_solution
 from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 
 # ---------------------------------------------------------------------------
@@ -56,8 +56,7 @@ def row_monomials(asm, indices: Optional[Iterable[int]] = None) -> List[Monomial
 
 def columns(asm, indices: Optional[Iterable[int]] = None) -> List[Tuple[int, Monomial]]:
     """(poly index, shift) of an AssembledSystem's packed_cols, shift
-    unpacked, or only of those at indices (an orbit system's orbit_reps,
-    say)."""
+    unpacked, or only of those at indices."""
     cols = asm.packed_cols
     return [
         (cols[j][0], asm.packing.unpack(cols[j][1]))
@@ -65,14 +64,17 @@ def columns(asm, indices: Optional[Iterable[int]] = None) -> List[Tuple[int, Mon
     ]
 
 
-def orbit_reps(asm) -> Tuple[int, ...]:
-    """The least packed_cols index in each system column of asm, after
-    checking that col_orbit_index numbers the orbits by first appearance."""
-    first: Dict[int, int] = {}
-    for j, o in enumerate(asm.col_orbit_index):
-        first.setdefault(o, j)
-    assert list(first) == list(range(asm.system.n_cols))
-    return tuple(first.values())
+def orbit_members(asm) -> List[List[Tuple[int, int]]]:
+    """Each system column of asm as the sorted full columns (poly index,
+    packed shift) that lift_solution gives for its unit vector, after
+    checking that it gives each at value 1."""
+    n = asm.system.n_cols
+    out = []
+    for o in range(n):
+        lifted = lift_solution(asm, [int(k == o) for k in range(n)])
+        assert {v for _, v in lifted} == {1}
+        out.append(sorted(col for col, _ in lifted))
+    return out
 
 
 def layout(F: PolySystem, d: int, targets: Sequence[Polynomial], graded: bool = True):

@@ -18,6 +18,7 @@ from helpers import (
     expanded,
     from_vars,
     full_system,
+    orbit_members,
     poly_mul,
     random_dense_system,
     ref_solve_dense,
@@ -186,20 +187,34 @@ def test_criterion_2(capsys):
         row_labels = [mono_text(rep, F.field) for rep in row_monomials(orb)]
         assert row_labels == [label for label, _ in K4_ORBIT_ROWS_MOD2]
         # the table's columns are the orbits of these full columns; each
-        # maps to the orbit column it lies in, one table column per orbit
+        # maps to the orbit column it lies in, one table column per orbit,
+        # found by lifting each orbit column's unit vector
+        def label(i, shift):
+            return f"{F.tags[i]} {mono_text(orb.packing.unpack(shift), F.field)}"
+
+        members = orbit_members(orb)
+        orbit_of = {label(i, shift): o for o, orbit in enumerate(members) for i, shift in orbit}
         table_cols = ["vertex:1 1"] + [f"edge:{uv} x{t}" for uv in ("1-2", "2-3") for t in (1, 2, 3, 4)]
-        full_pos = {f"{F.tags[i]} {mono_text(shift, F.field)}": j for j, (i, shift) in enumerate(columns(orb))}
-        to_orbit = [orb.col_orbit_index[full_pos[label]] for label in table_cols]
+        to_orbit = [orbit_of[c] for c in table_cols]
         assert sorted(to_orbit) == list(range(9))
-        # orbits are numbered by their first appearance among the full columns
-        assert list(dict.fromkeys(orb.col_orbit_index)) == list(range(9))
+        # the orbits cover the 25 full columns once; each is keyed by its
+        # first member among them, and numbered by that first appearance
+        full_cols = [label(i, shift) for i, shift in full_system(F, 1, [one]).packed_cols]
+        assert sorted(orbit_of) == sorted(full_cols) and sum(map(len, members)) == len(full_cols) == 25
+        first = {}
+        for j, c in enumerate(full_cols):
+            first.setdefault(orbit_of[c], j)
+        keys = [full_cols.index(label(i, shift)) for i, shift in orb.packed_cols]
+        assert keys == [first[o] for o in range(9)] == sorted(first.values())
         dense = dense_rows(orb.system)
         assert [[row[k] for k in to_orbit] for row in dense] == [bits(row) for _, row in K4_ORBIT_ROWS_MOD2]
         assert orb.rhs_list == [[(0, 1)]]
 
         res = solve(orb.system, orb.rhs_list[0])
         assert res.consistent
-        assert len(lift_solution(orb, res.solution)) == len(orb.packed_cols) == 25
+        # the lift puts each orbit column's value on every member of its orbit
+        lifted = sorted((label(i, shift), v) for (i, shift), v in lift_solution(orb, res.solution))
+        assert lifted == sorted((c, res.solution[orbit_of[c]]) for c in full_cols if res.solution[orbit_of[c]])
         cert = extract_certificate(F, orb, res.solution, one)
         assert verify(cert)
 

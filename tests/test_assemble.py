@@ -416,12 +416,12 @@ def test_extract_certificate_length_check():
     asys = full_system(F, 1, [one])
     with pytest.raises(AssembleError, match="length"):
         extract_certificate(F, asys, (0,), one)
-    # an orbit system takes a solution of its own 9 columns, and refuses
-    # one of the 25 full columns it maps onto them
+    # an orbit system takes a solution of its own 9 columns, one per key,
+    # and refuses one of the 25 full columns its orbits cover
     K4 = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(K4, 1, g, PermutationSet.make(4, [(0, 2, 3, 1)]))
-    assert (orb.system.n_cols, len(orb.packed_cols)) == (9, 25)
+    assert orb.system.n_cols == len(orb.packed_cols) == 9
     assert extract_certificate(K4, orb, (0,) * 9, g).entries == ()
     for wrong in ((0,) * 8, (0,) * 25):
         with pytest.raises(AssembleError, match="length"):

@@ -880,6 +880,11 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
             0,
             "73afe63a4ffe0bbe2a9cee3eb68818049ec58768860415aa2e2c4e72e5093ebb",
         ),
+        (
+            ("--gen", "wheel:31", "--symmetry", "rim31.txt"),
+            0,
+            "966bd31a0307eaa28c16bb0443180509d2e08029d28d71a8d3154ef2fc1034ed",
+        ),
         (("--system", "quadric.txt", "--p", "3"), 0, "0f9478e0041265f98481622971ebdf929853eb78d9970f7d5111f6cbbcb6af0f"),
         (
             ("--system", "gf3.txt", "--p", "3", "--max-degree", "3"),
@@ -891,14 +896,19 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
     # order, so an inconsistent orbit solve falls back to the full system;
     # wheel:6 is 3-colorable, so its coloring ends the search under the
     # rotation before any system is built; wheel:7's rotation has odd
-    # order, so the orbit solve hits
-    ids=["core-hit", "core-G-core", "orbit-then-full", "rotation-refuted", "orbit-hit", "gf3-quadric", "gf3-degree3"],
+    # order, so the orbit solve hits, as does wheel:31's, whose certificate
+    # spans many multi-column orbits
+    ids=[
+        "core-hit", "core-G-core", "orbit-then-full", "rotation-refuted", "orbit-hit", "orbit-hit-wheel31",
+        "gf3-quadric", "gf3-degree3",
+    ],
 )
 def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "swap.txt").write_text("(1,2)\n")
     (tmp_path / "rim6.txt").write_text("(1,2,3,4,5,6)\n")
     (tmp_path / "rim7.txt").write_text("(1,2,3,4,5,6,7)\n")
+    (tmp_path / "rim31.txt").write_text("(" + ",".join(map(str, range(1, 32))) + ")\n")
     (tmp_path / "quadric.txt").write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
     (tmp_path / "gf3.txt").write_text(GF3_DEGREE3)
     rc, out, _ = run(capsys, "prove", *argv)
@@ -981,7 +991,7 @@ def test_unknown_pruning_mode(capsys):
     for command in ("prove", "stats"):
         rc, out, err = run(capsys, command, "--gen", "complete:4", "--pruning", "none")
         assert (rc, out) == (2, "")
-        assert err.endswith("nullcert: error: unrecognized arguments: --pruning none\n")
+        assert err == "error: unrecognized arguments: --pruning none\n"
 
 
 def test_readme_names_exactly_the_parsers_options():
@@ -1006,7 +1016,19 @@ def test_missing_input_file(capsys):
 
 
 def test_argparse_level_errors(capsys):
-    assert main(["prove", "--bogus-flag"]) == 2
-    assert main([]) == 2
-    assert main(["-h"]) == 0
-    capsys.readouterr()
+    # an argument argparse refuses exits 2 with one error: line, no usage
+    for argv in (["prove", "--bogus-flag"], ["prove", "--max-degree", "x"], ["verify"], []):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+    rc, out, err = run(capsys, "-h")
+    assert rc == 0 and out.startswith("usage: nullcert") and err == ""
+
+
+def test_memory_error_exits_two_with_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "nulla_prove", exhausted)
+    rc, out, err = run(capsys, "prove", "--gen", "complete:4")
+    assert (rc, out, err) == (2, "", "error: out of memory\n")

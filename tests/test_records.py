@@ -37,7 +37,7 @@ def sparse():
 
 
 def assembled():
-    return AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), range(2))
+    return AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0), (0, 1)), (0,), ())
 
 
 # class: (a fresh instance, a call with a bad argument, its error, its message)
@@ -95,7 +95,7 @@ RECORDS = {
     ),
     AssembledSystem: (
         assembled,
-        lambda: AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0),), (0,), range(1)),
+        lambda: AssembledSystem(sparse(), ((1,),), PACKING, ((0, 0),), (0,), ()),
         AssembleError,
         "column key count does not match system width",
     ),
@@ -157,3 +157,11 @@ def test_monomial_order_and_hash_are_those_of_its_fields():
         low < high  # sort_key is the one order
     # the field tuple's hash, on which the order of a set of monomials rests
     assert hash(low) == hash((((0, 1),), 3))
+
+
+def test_assembled_system_keys_each_column_once():
+    # packed_cols[j] is the key of system column j: one key fewer or one
+    # more than the system's width is refused
+    for keys in (((0, 0),), ((0, 0), (0, 1), (0, 2))):
+        with pytest.raises(AssembleError, match="column key count"):
+            AssembledSystem(sparse(), ((1,),), PACKING, keys, (0,), ())

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import columns, expanded, full_system, orbit_fold, orbit_reps, row_monomials
-from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
+from helpers import columns, expanded, full_system, orbit_fold, orbit_members, row_monomials
+from nullcert.assemble import AssembleError, _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_wheel
@@ -112,7 +112,7 @@ def test_k4_orbit_matrix_shape_and_keys():
     # shift-major representatives: the vertex constant, edges 1-2 and 2-3
     # times x1, then the six orbits of edge shifts by x2 (each edge times
     # x2, x3 or x4 lies in one of them)
-    assert [(i, expanded(shift)) for i, shift in columns(orb, orbit_reps(orb))] == [
+    assert [(i, expanded(shift)) for i, shift in columns(orb)] == [
         (0, ()), (1, (0,)), (4, (0,)),
         (1, (1,)), (2, (1,)), (3, (1,)), (4, (1,)), (5, (1,)), (6, (1,)),
     ]
@@ -133,9 +133,9 @@ def test_k4_orbit_entries_are_full_matrix_sums():
     row_pos = {m: r for r, m in enumerate(row_monomials(full))}
     # defining sum over column-orbit members at the row representative,
     # checked over the integers, then reduced mod 2 against the orbit system
-    members = [[] for _ in range(orb.system.n_cols)]
-    for j in range(full.system.n_cols):
-        members[orb.col_orbit_index[j]].append(j)
+    at = {key: j for j, key in enumerate(full.packed_cols)}
+    members = [[at[key] for key in orbit] for orbit in orbit_members(orb)]
+    assert sorted(j for orbit in members for j in orbit) == list(range(full.system.n_cols))
     orbit_dense = [[0] * 9 for _ in range(9)]
     for r, cols in enumerate(orb.system.rows):
         for c, v in cols:
@@ -163,11 +163,13 @@ def test_k4_orbit_solution_lifts_to_certificate():
     orb = assemble_orbit(F, 1, g, ROT234)
     res = solve(orb.system, orb.rhs_list[0])
     assert res.consistent
-    y = lift_solution(orb, res.solution)
-    assert len(y) == 25
-    # constant on orbits by construction
-    for j, oc in enumerate(orb.col_orbit_index):
-        assert y[j] == res.solution[oc]
+    lifted = lift_solution(orb, res.solution)
+    # constant on orbits: each nonzero orbit column's value on every member
+    # of its orbit, which together cover the 25 full columns once
+    members = orbit_members(orb)
+    assert sum(map(len, members)) == len(set().union(*members)) == 25
+    expected = [(key, v) for orbit, v in zip(members, res.solution) if v for key in orbit]
+    assert sorted(lifted) == sorted(expected) and lifted
     cert = extract_certificate(F, orb, res.solution, g)
     assert verify(cert)
 
@@ -193,11 +195,12 @@ def test_identity_group_gives_plain_system():
     assert orb.system.rows == plain.system.rows
     assert orb.rhs_list == plain.rhs_list
     assert row_monomials(orb) == row_monomials(plain)
-    assert columns(orb, orbit_reps(orb)) == columns(plain)
-    assert tuple(orb.col_orbit_index) == tuple(plain.col_orbit_index)
+    assert orb.packed_cols == plain.packed_cols
     assert group_order(PermutationSet.make(4, [])) == 1
+    # each orbit is one column, so a solution lifts to itself
     ybar = tuple(range(orb.system.n_cols))
-    assert lift_solution(orb, ybar) == ybar
+    expected = [(key, v) for key, v in zip(plain.packed_cols, ybar) if v]
+    assert lift_solution(orb, ybar) == lift_solution(plain, ybar) == expected
 
 
 def test_orbit_matrix_well_defined_across_generator_choice():
@@ -207,14 +210,16 @@ def test_orbit_matrix_well_defined_across_generator_choice():
     b = assemble_orbit(F, 1, g, parse_generators("(2,4,3)", 4))
     assert a.system.rows == b.system.rows
     assert a.rhs_list == b.rhs_list
-    assert a.col_orbit_index == b.col_orbit_index
+    assert a.packed_cols == b.packed_cols
+    assert orbit_members(a) == orbit_members(b)
 
 
 def test_lift_zero_is_zero():
     orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234)
-    assert lift_solution(orb, (0,) * 9) == (0,) * 25
-    with pytest.raises(SymmetryError, match="length"):
-        lift_solution(orb, (0,) * 8)
+    assert lift_solution(orb, (0,) * 9) == []
+    for wrong in ((0,) * 8, (0,) * 25):
+        with pytest.raises(AssembleError, match="length"):
+            lift_solution(orb, wrong)
 
 
 def test_orbit_rejects_non_invariant_system():
@@ -324,9 +329,13 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, k):
     assert orb.system.rows == ref.rows
     assert orb.rhs_list == ref.rhs_list
     assert orb.packed_rows == ref.row_keys
-    assert orbit_reps(orb) == ref.col_reps
-    assert orb.col_orbit_index == ref.col_orbit_index
-    assert orb.packed_cols == full.packed_cols
+    # the keys are the reference's representatives, and each unit orbit
+    # vector lifts to exactly the full columns of the reference's orbit
+    assert orb.packed_cols == tuple(full.packed_cols[j] for j in ref.col_reps)
+    members = [[] for _ in ref.col_reps]
+    for j, o in enumerate(ref.col_orbit_index):
+        members[o].append(full.packed_cols[j])
+    assert orbit_members(orb) == [sorted(orbit) for orbit in members]
     assert (orb.system.n_rows, orb.system.n_cols) == (len(ref.rows), len(ref.col_reps))
     # the walks count the full system exactly: a budget one byte short of
     # its working set refuses it, naming its sizes
@@ -346,6 +355,13 @@ def test_orbit_build_checks_closure():
     bad = [[4] + row[1:] for row in maps]
     with pytest.raises(SymmetryError, match="column set is not closed"):
         _orbit_system(F, 1, [g], ROT234, bad, None)
+    # a repeated polynomial: check_invariant maps both copies to the first,
+    # so the poly map permutes no column set (an orbit walk over it would
+    # overlap orbits and lift to a certificate that fails verification)
+    texts = ("x1+x2+1", "x1+x2+1", "x1*x2+1")
+    repeated = PolySystem.make(GF2, 2, [parse_poly(t, GF2, 2) for t in texts])
+    with pytest.raises(SymmetryError, match="column set is not closed"):
+        assemble_orbit(repeated, 1, Polynomial.one(GF2, 2), parse_generators("(1,2)", 2))
     # a target monomial beyond every product whose image is no target monomial
     moved = parse_poly("x2^6", GF2, 4)
     with pytest.raises(SymmetryError, match="row universe is not closed"):
