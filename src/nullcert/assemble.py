@@ -14,8 +14,7 @@ group order is not known coprime to p; without one it is assembled.  An
 assembled system is peeled (below) before it is solved.  Each solve gets
 one DegreeStats: an assembled system's carries the full system's sizes, an
 orbit system's the orbit system's own.  The first consistent solve is
-extracted and re-verified.  A verified common root ends the search before
-any system is built (see below).
+extracted and re-verified.
 
 Peeling: a row monomial that is no target's and that exactly one column
 produces forces that column to zero in every solution.  _peel drops such a
@@ -62,19 +61,6 @@ walked with each generator's images of the shifts and of F's terms, and a
 representative row sums the coefficients of F's terms that divide it.  On
 wheel:101 under its rim rotation that builds 253 x 206 where the full
 system is 25,353 x 20,706.
-
-A common root rules out every degree (the weak Nullstellensatz direction
-the certificates rest on): g = sum_i beta_i f_i gives g(a) = sum_i
-beta_i(a) f_i(a) = 0 at every common root a of F, over any extension field.
-So a common root at which no target vanishes rules out a certificate at
-every degree, under any grading or symmetry.  Over GF(2) a proper
-3-coloring gives such a point in GF(4), x_v = omega^(c_v); nulla_prove
-takes it as root and, once the request itself has been checked, evaluates
-F and the targets there.  If the point passes, it returns "common_root"
-before any degree is laid out, counted or solved.  That evaluation alone
-carries soundness: a wrong coloring, or a point that is no root, fails it
-and the degrees are solved as usual, so no verdict depends on the coloring
-search.
 
 Column order: _Layout numbers the columns shift-major, (shift degree,
 shift, poly index), in every field and in orbit systems too, whose
@@ -126,7 +112,7 @@ from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, gr
 
 
 class AssembleError(ValueError):
-    """Raised for invalid assembly requests (bad targets, schedules or roots)."""
+    """Raised for invalid assembly requests (bad targets or schedules)."""
 
 
 # Columns counted between two memory-budget checks (_count).
@@ -277,9 +263,7 @@ class NullaOutcome(Record):
     which it was found; "no_certificate_up_to" carries the largest degree
     tried and no certificate.  Feasibility is NOT decided in the latter case;
     every degree in per_degree was decided, by the full matrix whenever an
-    orbit solve alone could not be.  "common_root": the root given is one
-    of F where no target vanishes, so no degree has a certificate; no
-    system was built, per_degree is empty and degree is the schedule's last.
+    orbit solve alone could not be.
     """
 
     __slots__ = ("verdict", "certificate", "degree", "per_degree")
@@ -505,17 +489,14 @@ def _orbit_system(
     """The degree-d orbit system of F under perms, built without the full
     matrix (see "Orbit systems" in the module docstring).
 
-    maps[k][i] is the index of generator k's image of f_i (check_invariant).
+    maps[k] is generator k's permutation of F's polys (check_invariant);
+    renaming keeps degrees, so it permutes the columns too.
     The row walk counts the full system's rows exactly, as the column
     orbits are found; the memory budget is checked every _BUDGET_BLOCK
     rows walked, and on the final counts.
     """
     lay = _layout(F, d, targets, memory_budget)
     packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
-    # A generator keeps shift degrees, so it permutes the columns iff its poly
-    # map permutes the polys kept at each (duplicates share one image index).
-    if any(sorted(pmap[i] for i in kept) != kept for pmap in maps for kept in lay.polys_at):
-        raise SymmetryError("column set is not closed under the group")
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
     all_terms = {t for terms in poly_terms for t, _ in terms}
@@ -701,20 +682,6 @@ def extract_certificate(
     return Certificate(F.field, F.n_vars, target, entries, dict(provenance or {}))
 
 
-def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
-    """GF(2) polynomial f at x_v = omega^root[v] in GF(4), as the coordinates
-    (c0, c1) of c0 + c1*omega.
-
-    f(a) = n_0 + n_1 omega + n_2 omega^2, n_e the parity of f's terms whose
-    monomial takes the value omega^e, and omega^2 = 1 + omega; so f(a) = 0
-    iff n_0 = n_1 = n_2.
-    """
-    n = [0, 0, 0]
-    for m, _ in f.terms:
-        n[sum(root[v] * e for v, e in m.exponents) % 3] ^= 1
-    return n[0] ^ n[2], n[1] ^ n[2]
-
-
 def nulla_prove(
     F: PolySystem,
     schedule: Sequence[int],
@@ -723,7 +690,6 @@ def nulla_prove(
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
-    root: Optional[Sequence[int]] = None,
     core: Optional[Tuple[PolySystem, dict]] = None,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
@@ -742,19 +708,11 @@ def nulla_prove(
     before "infeasible" is returned; failure there is a solver bug and
     raises.  g_candidates None means the one target g = 1.
 
-    root, over GF(2) only, is a candidate common root of F with one
-    exponent per variable: x_v = omega^root[v], omega a cube root of unity
-    in GF(4).  The request (schedule, targets, root shape, core, perms) is
-    checked first.  Then, if every f_i vanishes at the root and
-    no target does, no degree has a certificate (see the module docstring)
-    and "common_root" is returned with no system built, with or without
-    perms.  Otherwise the degrees are solved as without a root.
-
     core = (F_core, note) is a smaller system over F's field and variables
     whose polynomials are polynomials of F's input (the encoding of an
     induced subgraph, say), so that a certificate for it is one for F.  It
     is solved for F's targets, and its certificate records note under
-    provenance "core".  core excludes perms and root.
+    provenance "core".  core excludes perms.
     """
     schedule = list(schedule)
     if not schedule:
@@ -763,13 +721,11 @@ def nulla_prove(
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
     _check_request(F, targets)
-    if root is not None and (F.field.p != 2 or len(root) != F.n_vars):
-        raise AssembleError("root needs GF(2) and one omega exponent per variable")
     # The systems tried at each degree, in order, with the provenance each adds.
     tried = [(F, {})]
     if core is not None:
-        if perms is not None or root is not None:
-            raise AssembleError("a core excludes a symmetry group and a root")
+        if perms is not None:
+            raise AssembleError("a core excludes a symmetry group")
         F_core, note = core
         if F_core.field != F.field or F_core.n_vars != F.n_vars:
             raise AssembleError("a core needs F's field and n_vars")
@@ -779,9 +735,6 @@ def nulla_prove(
         order = group_order(perms)
         # only an order coprime to p makes an inconsistent orbit solve conclusive
         conclusive = order is not None and gcd(order, F.field.p) == 1
-    if root is not None and not any(any(_gf4_value(f, root)) for f in F.polys):
-        if all(any(_gf4_value(g, root)) for g in targets):
-            return NullaOutcome("common_root", None, schedule[-1], ())
     kinds = ("full",) if perms is None else ("orbit", "full")
 
     per_degree: List[DegreeStats] = []

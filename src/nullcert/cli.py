@@ -1,7 +1,8 @@
 """Command-line front end: prove, verify, stats, encode, and graph generation.
 
-Each subcommand reads its argparse namespace directly; prove hands the whole
-search, symmetry reduction included, to one nulla_prove call.
+Each subcommand reads its argparse namespace directly; prove checks a
+3-coloring as a common root itself (common_root) and hands the search,
+symmetry reduction included, to one nulla_prove call.
 
 A process imports only what its subcommand runs: verify and --help need
 argparse and nullcert.certificate (with nullcert.poly) alone; the one
@@ -42,7 +43,7 @@ from nullcert.poly import (
 
 def _prover_names() -> dict:
     from nullcert.assemble import grading, nulla_prove, stats
-    from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
+    from nullcert.encode import EncodingOptions, alt_g_candidates, common_root, encode_coloring
     from nullcert.graphs import (
         Graph,
         find_coloring,
@@ -55,7 +56,7 @@ def _prover_names() -> dict:
         parse_dimacs,
         write_dimacs,
     )
-    from nullcert.symmetry import parse_generators
+    from nullcert.symmetry import check_invariant, parse_generators
 
     # unused here, but perfbench/tracing.py wraps these names on this module
     from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution
@@ -258,9 +259,13 @@ def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
     if text is None:
         return None
     try:
-        return [int(part) for part in text.split(",")]
+        schedule = [int(part) for part in text.split(",")]
     except ValueError:
         raise CliError(f"bad --schedule {text!r}: expected comma-separated integers") from None
+    # nulla_prove's check, made before a common root can end the request
+    if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
+        raise CliError("degree schedule must be ascending and nonnegative")
+    return schedule
 
 
 def build_schedule(args: argparse.Namespace, coloring: bool, k: int) -> List[int]:
@@ -282,14 +287,20 @@ def cmd_prove(args: argparse.Namespace) -> int:
     perms = None
     if args.symmetry:
         perms = parse_generators(_read_text(args.symmetry), F.n_vars)
-    # A proper 3-coloring, colors read as cube roots of unity in GF(4), is a
-    # common root of the GF(2) encoding; nulla_prove checks it first.  The
-    # vertices a refutation touched seed the core, so G is searched once.
+        # nulla_prove's check, made before a common root can end the request
+        check_invariant(F, targets or (), perms)
+    # A proper 3-coloring, colors read as cube roots of unity in GF(4), may
+    # be a common root of the GF(2) encoding, which rules out every degree.
+    # The vertices a refutation touched seed the core, so G is searched once.
     touched = None
     root = None
     if coloring and (args.k, args.p) == (3, 2):
         touched = set()
         root = find_coloring(graph, 3, touched)
+        if root is not None and common_root(F, targets, root):
+            print("coloring=" + ",".join(map(str, root)))
+            print("F has a common root at this coloring, so no certificate exists at any degree")
+            return EXIT_NO_CERT
     # A certificate for an induced subgraph is one for the graph.  A
     # colorable graph has no core, and a core need not be invariant under
     # the symmetry group.
@@ -303,13 +314,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
         memory_budget=args.memory_budget,
         provenance={"input": meta},
         perms=perms,
-        root=root,
         core=core,
     )
-    if out.verdict == "common_root":
-        print("coloring=" + ",".join(map(str, root)))
-        print("F has a common root at this coloring, so no certificate exists at any degree")
-        return EXIT_NO_CERT
     for ds in out.per_degree:
         print(
             f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
@@ -394,7 +400,7 @@ def _add_input_opts(sp: argparse.ArgumentParser, with_system: bool) -> None:
     sp.add_argument("--origin", type=int, default=1, help="vertex kept by preprocessing (default 1)")
     sp.add_argument("--seed", type=int, help="seed for random:N,PROB specs without one inline")
     sp.add_argument(
-        "--cutters", choices=["none", "triangles", "cliques"], default="none",
+        "--cutters", choices=["none", "cliques"], default="none",
         help="append redundant degree-lowering polynomials",
     )
     sp.add_argument(

@@ -13,12 +13,17 @@ k-clique, which vanishes because a proper coloring puts all k k-th roots of
 unity on it), and alternative certificate targets (any nontrivial monomial
 works for colorability, since a monomial root forces some x_i = 0 while
 roots of the vertex polynomials are nonzero).
+
+And a common-root check: g = sum_i beta_i f_i vanishes at every common
+root of F, so one where no target vanishes rules out every degree.  Over
+GF(2) a 3-coloring gives a candidate in GF(4), x_v = omega^(c_v), which
+common_root evaluates F and the targets at: a wrong coloring decides nothing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
 from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, Record, set_field
@@ -28,15 +33,15 @@ class EncodeError(ValueError):
     """Raised for invalid encoding options."""
 
 
-_CUTTER_MODES = ("none", "triangles", "cliques")
+_CUTTER_MODES = ("none", "cliques")
 
 
 class EncodingOptions(Record):
     """Options for the colorability encoding.
 
-    cutters: "none", "triangles" (k = 3), or "cliques" (k-cliques, k >= 4),
-    one cutter sum_v x_v^(k-1) per clique (a triangle for k = 3; for k = 2
-    it would repeat an edge polynomial).
+    cutters: "none", or "cliques", one cutter sum_v x_v^(k-1) per k-clique
+    (a triangle for k = 3); k >= 3, since for k = 2 a cutter would repeat an
+    edge polynomial.
     """
 
     __slots__ = ("k", "field", "preprocess", "cutters")
@@ -57,10 +62,6 @@ class EncodingOptions(Record):
             )
         if cutters not in _CUTTER_MODES:
             raise EncodeError(f"cutters must be one of {_CUTTER_MODES}")
-        if cutters == "triangles" and k != 3:
-            raise EncodeError("triangle cutters apply to k=3 only; use cliques")
-        if cutters == "cliques" and k == 3:
-            raise EncodeError("for k=3 the k-clique cutters are the triangle cutters; use triangles")
         if cutters == "cliques" and k == 2:
             raise EncodeError("for k=2 each clique cutter x_u+x_v is its edge polynomial; use none")
 
@@ -157,9 +158,38 @@ def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
     return [Monomial(pairs, n_vars) for pairs in level]
 
 
+def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
+    """GF(2) polynomial f at x_v = omega^root[v] in GF(4), as the coordinates
+    (c0, c1) of c0 + c1*omega.
+
+    f(a) = n_0 + n_1 omega + n_2 omega^2, n_e the parity of f's terms whose
+    monomial takes the value omega^e, and omega^2 = 1 + omega; so f(a) = 0
+    iff n_0 = n_1 = n_2.
+    """
+    n = [0, 0, 0]
+    for m, _ in f.terms:
+        n[sum(root[v] * e for v, e in m.exponents) % 3] ^= 1
+    return n[0] ^ n[2], n[1] ^ n[2]
+
+
+def common_root(F: PolySystem, targets: Optional[Sequence[Polynomial]], coloring: Sequence[int]) -> bool:
+    """Whether x_v = omega^coloring[v], omega a cube root of unity in GF(4),
+    is a common root of the GF(2) system F at which no target vanishes; if
+    so, no degree has a certificate.  targets None means g = 1.
+
+    Raises EncodeError unless F is over GF(2) with one color per variable.
+    """
+    if F.field.p != 2 or len(coloring) != F.n_vars:
+        raise EncodeError("a common root needs GF(2) and one color per variable")
+    if any(any(_gf4_value(f, coloring)) for f in F.polys):
+        return False
+    return all(any(_gf4_value(g, coloring)) for g in targets or ())
+
+
 __all__ = [
     "EncodingOptions",
     "EncodeError",
+    "common_root",
     "encode_coloring",
     "alt_g_candidates",
 ]

@@ -9,7 +9,8 @@ orbit system conclusive), and the invariance check the orbit system rests
 on.
 
 Invariance is checked, never assumed: a generator that maps a polynomial of
-the system outside it, or moves a target, raises SymmetryError.
+the system outside it or onto one with another number of copies, or moves
+a target, raises SymmetryError.
 """
 
 from __future__ import annotations
@@ -113,27 +114,28 @@ def group_order(perms: PermutationSet, cap: int = DEFAULT_GROUP_CAP) -> Optional
 def check_invariant(
     F: PolySystem, targets: Sequence[Polynomial], perms: PermutationSet
 ) -> List[List[int]]:
-    """Per-generator map poly index -> index of its image in F.
+    """Per-generator permutation of F's poly indices: poly index -> index
+    of its image in F.
 
-    Raises unless every generator maps every member of F into F and fixes
-    every target.  Duplicate polynomials map to their first occurrence.
+    Raises unless every generator maps every member of F into F, as many
+    times as it occurs, and fixes every target.  The k-th copy of a repeated
+    polynomial maps to the k-th copy of its image.
     """
     if perms.n != F.n_vars:
         raise SymmetryError("permutation ground set does not match variable count")
-    pool: Dict[Polynomial, int] = {}
+    copies: Dict[Polynomial, List[int]] = {}
     for i, f in enumerate(F.polys):
-        pool.setdefault(f, i)
+        copies.setdefault(f, []).append(i)
     maps: List[List[int]] = []
     for gen_pos, images in enumerate(perms.generators):
-        row: List[int] = []
-        for i, f in enumerate(F.polys):
-            j = pool.get(f.renamed(images))
-            if j is None:
-                raise SymmetryError(
-                    f"system is not invariant: generator {gen_pos} maps {F.tags[i]} "
-                    "outside the system"
-                )
-            row.append(j)
+        row = [0] * len(F.polys)
+        for f, mine in copies.items():
+            image = copies.get(f.renamed(images), [])
+            if len(image) != len(mine):
+                where = f"({len(mine)} copies) to one with {len(image)}" if image else "outside the system"
+                raise SymmetryError(f"system is not invariant: generator {gen_pos} maps {F.tags[mine[0]]} {where}")
+            for i, j in zip(mine, image):
+                row[i] = j
         maps.append(row)
         for g in targets:
             if g.renamed(images) != g:

@@ -341,7 +341,7 @@ def test_criterion_8(random_trials, capsys):
         assert hard, "expected some instances to need degree 4 under the plain encoding"
         found = []
         for seed, g in hard:
-            F = encode_coloring(g, EncodingOptions(preprocess=True, cutters="triangles"))
+            F = encode_coloring(g, EncodingOptions(preprocess=True, cutters="cliques"))
             targets = [Polynomial.one(F.field, F.n_vars)] + [
                 Polynomial.from_monomial(m, F.field)
                 for m in alt_g_candidates(F.n_vars, 3)

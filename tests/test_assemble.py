@@ -10,10 +10,7 @@ import pytest
 import nullcert.assemble as asm
 from helpers import (
     GF3_DEGREE3,
-    GF4_ROOTS,
-    GF4_ZERO,
     columns,
-    eval_poly_gf4,
     expanded,
     full_system,
     layout,
@@ -30,7 +27,8 @@ from nullcert.assemble import (
     stats,
 )
 from nullcert.certificate import CertEntry, Certificate, verify, write_cert
-from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
+import nullcert.cli as cli
+from nullcert.encode import EncodeError, EncodingOptions, alt_g_candidates, common_root, encode_coloring
 from nullcert.graphs import (
     Graph,
     find_coloring,
@@ -47,7 +45,7 @@ from nullcert.poly import (
     Polynomial,
     parse_poly,
 )
-from nullcert.symmetry import PermutationSet, SymmetryError, parse_generators
+from nullcert.symmetry import PermutationSet, parse_generators
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -134,7 +132,7 @@ def test_degenerate_constant_system():
     assert out.verdict == "infeasible" and verify(out.certificate)
 
 
-@pytest.mark.parametrize("k, p, cutters", [(2, 3, "none"), (3, 2, "triangles"), (4, 3, "cliques"), (5, 2, "cliques")])
+@pytest.mark.parametrize("k, p, cutters", [(2, 3, "none"), (3, 2, "cliques"), (4, 3, "cliques"), (5, 2, "cliques")])
 def test_grading_of_a_coloring_is_its_number_of_colors(k, p, cutters):
     field = FieldSpec(p)
     for opts in (EncodingOptions(k, field), EncodingOptions(k, field, preprocess=True, cutters=cutters)):
@@ -536,40 +534,47 @@ def prove_counting_solves(monkeypatch, F, **kw):
     return out, len(calls)
 
 
-def outcome_shape(out):
-    stats = [(d.degree, d.rows, d.cols, d.nnz, d.status) for d in out.per_degree]
-    cert = write_cert(out.certificate) if out.certificate else None
-    return out.verdict, out.degree, stats, cert
-
-
-# outcome_shape of a passing root on schedule [1, 4]: no system was built
-COMMON_ROOT = ("common_root", 4, [], None)
-
-
 def build_nothing(monkeypatch):
     """Make every layout, count, build and solve of a system raise."""
     def fail(*args, **kwargs):
-        raise AssertionError("a passing root builds no system")
+        raise AssertionError("a passing coloring builds no system")
 
     for name in ("_layout", "_assemble", "_orbit_system", "_count", "solve_multi_rhs"):
         monkeypatch.setattr(asm, name, fail)
 
 
+def prove_ends_at_root(monkeypatch, capsys, tmp_path, spec, generators=None):
+    """prove on schedule 1,4, with every system build raising: it must end
+    at the common-root check.  Returns the coloring it prints."""
+    build_nothing(monkeypatch)
+    argv = ["prove", "--gen", spec, "--schedule", "1,4"]
+    if generators:
+        (tmp_path / "group.txt").write_text(generators + "\n")
+        argv += ["--symmetry", str(tmp_path / "group.txt")]
+    assert cli.main(argv) == 10
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("coloring=")
+    return [int(c) for c in out[0][len("coloring="):].split(",")]
+
+
 @pytest.mark.parametrize(
-    "graph",
-    [gen_wheel(4), gen_wheel(6)] + [gen_random(12, 0.4, s) for s in (0, 3, 11)],
+    "spec",
+    ["wheel:4", "wheel:6"] + [f"random:12,0.4,{s}" for s in (0, 3, 11)],
     ids=["wheel4", "wheel6", "random12s0", "random12s3", "random12s11"],
 )
-def test_root_skips_elimination_with_identical_outcome(monkeypatch, graph):
+def test_root_skips_elimination_with_identical_outcome(monkeypatch, capsys, tmp_path, spec):
+    # the coloring passes the common-root check exactly where the degree
+    # loop finds nothing, and prove then builds no system
+    graph, _ = cli.parse_gen_spec(spec, None)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     plain = nulla_prove(F, [1, 4])
     assert plain.verdict == "no_certificate_up_to"
-    build_nothing(monkeypatch)
-    rooted = nulla_prove(F, [1, 4], root=find_coloring(graph, 3))
-    assert outcome_shape(rooted) == COMMON_ROOT
+    root = find_coloring(graph, 3)
+    assert common_root(F, None, root)
+    assert prove_ends_at_root(monkeypatch, capsys, tmp_path, spec) == root
 
 
-def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
+def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch, capsys, tmp_path):
     graph = gen_wheel(6)
     F = encode_coloring(graph, EncodingOptions())
     perms = parse_generators("(1,2,3,4,5,6)", F.n_vars)
@@ -577,67 +582,46 @@ def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch):
     # order 6 is not coprime to 2: each degree has an orbit and a full entry
     assert len(plain.per_degree) == 4 and plain_solves == 4
     assert plain.verdict == "no_certificate_up_to"
-    build_nothing(monkeypatch)
-    rooted = nulla_prove(F, [1, 4], perms=perms, root=find_coloring(graph, 3))
-    assert outcome_shape(rooted) == COMMON_ROOT
+    root = find_coloring(graph, 3)
+    assert common_root(F, None, root)
+    assert prove_ends_at_root(monkeypatch, capsys, tmp_path, "wheel:6", "(1,2,3,4,5,6)") == root
 
 
 def test_bad_root_cannot_change_a_result(monkeypatch):
     # every point of {1, w, w^2}^5 on the colorable wheel:4: only proper
-    # colorings end the search, and any other point changes nothing
+    # colorings pass the common-root check, and there the degree loop finds
+    # nothing; any other point fails it, and prove solves as usual
     graph = gen_wheel(4)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
-    plain, _ = prove_counting_solves(monkeypatch, F)
+    plain, solves = prove_counting_solves(monkeypatch, F)
+    assert (plain.verdict, solves) == ("no_certificate_up_to", 2)
     skipped = 0
     for root in itertools.product(range(3), repeat=F.n_vars):
-        out, solves = prove_counting_solves(monkeypatch, F, root=root)
         proper = all(root[u - 1] != root[v - 1] for u, v in graph.edges)
-        if proper:
-            assert (outcome_shape(out), solves) == (COMMON_ROOT, 0), root
-        else:
-            assert (outcome_shape(out), solves) == (outcome_shape(plain), 2), root
+        assert common_root(F, None, root) == proper, root
         skipped += proper
     assert skipped == 6  # 3 hub colors, then 2 ways to color the 4-cycle rim
     # on the non-colorable wheel:5 no point is a root; the certificate stands
     F5 = encode_coloring(gen_wheel(5), EncodingOptions(preprocess=True))
-    plain5, _ = prove_counting_solves(monkeypatch, F5)
+    plain5, solves5 = prove_counting_solves(monkeypatch, F5)
+    assert (plain5.verdict, solves5) == ("infeasible", 1) and verify(plain5.certificate)
     rng = random.Random(5)
     for _ in range(40):
         root = [rng.randrange(3) for _ in range(F5.n_vars)]
-        out, solves = prove_counting_solves(monkeypatch, F5, root=root)
-        assert outcome_shape(out) == outcome_shape(plain5) and solves == 1
-
-
-def test_gf4_value_matches_reference_evaluation():
-    rng = random.Random(8)
-    vanished = 0
-    for _ in range(500):
-        n = rng.randint(1, 6)
-        terms = {}
-        for _ in range(rng.randint(0, 8)):
-            exps = {v: rng.randint(1, 5) for v in rng.sample(range(n), rng.randint(0, n))}
-            terms[Monomial.make(exps.items(), n)] = 1
-        f = Polynomial.make(GF2, n, terms.items())
-        root = [rng.randrange(3) for _ in range(n)]
-        expected = eval_poly_gf4(f, [GF4_ROOTS[c] for c in root])
-        assert asm._gf4_value(f, root) == expected, (f, root)
-        vanished += expected == GF4_ZERO
-    assert 50 < vanished < 450
+        assert not common_root(F5, None, root), root
 
 
 def test_root_where_a_target_vanishes_still_solves(monkeypatch):
     # x1^3+1 is the kept vertex polynomial, so it vanishes at every coloring
-    # and degree 1 certifies it; the root must not skip that solve
+    # and degree 1 certifies it; the check must not pass for that target
     graph = gen_wheel(4)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     target = parse_poly("x1^3+1", GF2, F.n_vars)
+    root = find_coloring(graph, 3)
+    assert common_root(F, None, root) and not common_root(F, [target], root)
     plain, plain_solves = prove_counting_solves(monkeypatch, F, g_candidates=[target])
-    rooted, rooted_solves = prove_counting_solves(
-        monkeypatch, F, g_candidates=[target], root=find_coloring(graph, 3)
-    )
-    assert outcome_shape(rooted) == outcome_shape(plain)
     assert plain.verdict == "infeasible" and plain.degree == 1
-    assert (plain_solves, rooted_solves) == (1, 1)
+    assert plain_solves == 1
 
 
 def random_graded_system(rng, field, n, k):
@@ -701,44 +685,30 @@ def test_sizes_keep_validation_and_budget():
 
 
 @pytest.mark.parametrize(
-    "graph, generators",
-    [(gen_wheel(4), None), (gen_random(16, 0.27, 0), None), (gen_wheel(6), "(1,2,3,4,5,6)")],
+    "spec, generators",
+    [("wheel:4", None), ("random:16,0.27,0", None), ("wheel:6", "(1,2,3,4,5,6)")],
     ids=["wheel4", "random16s0", "wheel6-symmetry"],
 )
-def test_root_counts_degrees_without_assembly(monkeypatch, graph, generators):
-    # under a symmetry group as well, a passing root lays out, counts and
-    # solves no degree
+def test_root_counts_degrees_without_assembly(monkeypatch, capsys, tmp_path, spec, generators):
+    # under a symmetry group as well, a passing coloring lays out, counts
+    # and solves no degree
+    graph, _ = cli.parse_gen_spec(spec, None)
     F = encode_coloring(graph, EncodingOptions(preprocess=generators is None))
-    perms = parse_generators(generators, F.n_vars) if generators else None
     plain = nulla_prove(F, [1, 4])
     assert plain.verdict == "no_certificate_up_to"
-    build_nothing(monkeypatch)
-    rooted = nulla_prove(
-        F, [1, 4], perms=perms, root=find_coloring(graph, 3)
-    )
-    assert outcome_shape(rooted) == COMMON_ROOT
+    root = find_coloring(graph, 3)
+    assert common_root(F, None, root)
+    assert prove_ends_at_root(monkeypatch, capsys, tmp_path, spec, generators) == root
 
 
-def test_root_validation(monkeypatch):
+def test_root_validation():
+    # the check needs GF(2) and one color per variable
     F = encode_coloring(gen_wheel(4), EncodingOptions(preprocess=True))
-    with pytest.raises(AssembleError):
-        nulla_prove(F, [1], root=[0, 1])
-    with pytest.raises(AssembleError):
-        nulla_prove(small_system(), [1], root=[0, 1, 2])
-    # a passing root ends the search only after the whole request is checked
-    root = find_coloring(gen_wheel(4), 3)
-    build_nothing(monkeypatch)
-    assert nulla_prove(F, [1, 4], root=root).verdict == "common_root"
-    with pytest.raises(AssembleError, match="zero target"):
-        nulla_prove(F, [1], [Polynomial.make(GF2, F.n_vars, [])], root=root)
-    with pytest.raises(AssembleError, match="target field or n_vars mismatch"):
-        nulla_prove(F, [1], [Polynomial.one(GF3, F.n_vars)], root=root)
-    with pytest.raises(AssembleError, match="ascending"):
-        nulla_prove(F, [4, 1], root=root)
-    # preprocessing keeps only vertex 1's polynomial, which no rotation fixes
-    with pytest.raises(SymmetryError):
-        nulla_prove(F, [1], perms=parse_generators("(1,2,3,4)", F.n_vars), root=root)
-
+    with pytest.raises(EncodeError, match="one color per variable"):
+        common_root(F, None, [0, 1])
+    with pytest.raises(EncodeError, match="one color per variable"):
+        common_root(small_system(), None, [0, 1, 2])
+    assert common_root(F, None, find_coloring(gen_wheel(4), 3))
 
 
 def embedded(f, images, n):

@@ -156,6 +156,20 @@ def test_counted_degrees_keep_validation_and_budget(capsys, monkeypatch, argv, m
         assert (rc, out) == (2, "") and err.endswith(message)
 
 
+def test_request_is_checked_before_the_coloring(tmp_path, capsys):
+    # wheel:4 is 3-colorable, but a bad schedule or a group the system is
+    # not invariant under ends the request first, with one error: line
+    (tmp_path / "rim4.txt").write_text("(1,2,3,4)\n")
+    refusals = {
+        ("--schedule", "2,1"): "error: degree schedule must be ascending and nonnegative\n",
+        ("--symmetry", str(tmp_path / "rim4.txt"), "--preprocess"): (
+            "error: system is not invariant: generator 0 maps vertex:1 outside the system\n"
+        ),
+    }
+    for argv, message in refusals.items():
+        assert run(capsys, "prove", "--gen", "wheel:4", *argv) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -409,7 +423,7 @@ def test_encode_k4_full_by_default(capsys):
 def test_encode_preprocess_and_cutters(capsys):
     rc, out, _ = run(capsys, "encode", "--gen", "complete:4", "--preprocess")
     assert rc == 0 and len(out.splitlines()) == 7
-    rc, out, _ = run(capsys, "encode", "--gen", "complete:4", "--cutters", "triangles")
+    rc, out, _ = run(capsys, "encode", "--gen", "complete:4", "--cutters", "cliques")
     assert rc == 0
     assert "cutter:1-2-3 " in out
 
@@ -796,6 +810,23 @@ def test_symmetry_noncoprime_falls_back(swap_file, capsys):
     assert rc == 10
     assert not any(l.startswith("degree=") for l in out.splitlines())
     assert "note:" not in out
+
+
+def test_symmetry_maps_repeated_polynomials_copy_to_copy(tmp_path, capsys):
+    # (1,2) swaps c and d and fixes a and b, two copies of one polynomial;
+    # a + c + d = 1 certifies the system at degree 1
+    (tmp_path / "swap.txt").write_text("(1,2)\n")
+    system, cert = tmp_path / "sys.txt", tmp_path / "cert.json"
+    system.write_text("a x1+x2+1\nb x1+x2+1\nc x1+1\nd x2+1\n")
+    argv = ("prove", "--system", str(system), "--symmetry", str(tmp_path / "swap.txt"))
+    rc, out, err = run(capsys, *argv, "--cert", str(cert))
+    assert (rc, err) == (0, "") and out.startswith("degree=1 ")
+    assert run(capsys, "verify", str(cert))[0] == 0
+    # x1, x2 = w, w^2 in GF(4) is a common root, so no degree certifies
+    system.write_text("a x1+x2+1\nb x1+x2+1\nc x1*x2+1\n")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (10, "")
+    assert out.splitlines()[-1] == "no certificate up to degree 4; feasibility not decided"
 
 
 def test_symmetry_invalid_generator_file(tmp_path, capsys):

@@ -107,8 +107,6 @@ def test_core_argument_is_checked():
     out = nulla_prove(F, [1, 4], [x5], core=core)
     assert out.verdict == "infeasible" and verify(out.certificate)
     with pytest.raises(AssembleError, match="excludes"):
-        nulla_prove(F, [1], core=core, root=[0] * 5)
-    with pytest.raises(AssembleError, match="excludes"):
         nulla_prove(F, [1], core=core, perms=PermutationSet.make(5, [[1, 2, 3, 4, 0]]))
     F_core, note = core
     small = encode_coloring(gen_complete(4), OPTS)

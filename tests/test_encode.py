@@ -14,7 +14,7 @@ from nullcert.encode import (
 )
 import nullcert.encode as encode
 from nullcert.graphs import Graph, GraphError, components, gen_complete, gen_kneser, gen_random, gen_wheel
-from nullcert.poly import FieldSpec, Monomial, PolyError, format_monomial, format_poly
+from nullcert.poly import FieldSpec, Monomial, PolyError, Polynomial, format_monomial, format_poly
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -33,10 +33,9 @@ class TestOptions:
         with pytest.raises(EncodeError):
             EncodingOptions(cutters="bogus")
         with pytest.raises(EncodeError):
-            EncodingOptions(k=4, field=F3, cutters="triangles")
-        with pytest.raises(EncodeError):
-            EncodingOptions(k=3, field=F2, cutters="cliques")
-        assert EncodingOptions(k=4, field=F3, cutters="cliques").cutters == "cliques"
+            EncodingOptions(cutters="triangles")
+        for k, field in ((3, F2), (4, F3)):
+            assert EncodingOptions(k=k, field=field, cutters="cliques").cutters == "cliques"
 
 
 class TestEncodeColoring:
@@ -82,7 +81,7 @@ class TestInducedEncoding:
         "opts",
         [
             EncodingOptions(),
-            EncodingOptions(preprocess=True, cutters="triangles"),
+            EncodingOptions(preprocess=True, cutters="cliques"),
             EncodingOptions(k=4, field=F3, preprocess=True, cutters="cliques"),
         ],
         ids=["plain", "preprocessed-triangles", "k4-cliques"],
@@ -122,7 +121,7 @@ class TestPreprocess:
         # equal to the plain encoding minus the vertex polynomials of all
         # but origin in its component and the least vertex in each other one
         rng = random.Random(28)
-        for k, p, cutters in ((3, 2, "none"), (3, 2, "triangles"), (4, 3, "cliques")):
+        for k, p, cutters in ((3, 2, "none"), (3, 2, "cliques"), (4, 3, "cliques")):
             for seed in range(12):
                 n = rng.randint(2, 11)
                 g = gen_random(n, rng.choice((0.2, 0.5, 0.8)), seed)
@@ -173,8 +172,7 @@ class TestPreprocess:
 
 
 def cutters(g, k=3, field=F2):
-    mode = "triangles" if k == 3 else "cliques"
-    F = encode_coloring(g, EncodingOptions(k=k, field=field, cutters=mode))
+    F = encode_coloring(g, EncodingOptions(k=k, field=field, cutters="cliques"))
     return [f for f, tag in zip(F.polys, F.tags) if tag.startswith("cutter:")]
 
 
@@ -201,7 +199,7 @@ class TestCutters:
         ]
 
     def test_tags_in_encoding(self):
-        sys_ = encode_coloring(gen_wheel(5), EncodingOptions(cutters="triangles"))
+        sys_ = encode_coloring(gen_wheel(5), EncodingOptions(cutters="cliques"))
         cutter_tags = [t for t in sys_.tags if t.startswith("cutter:")]
         assert len(cutter_tags) == 5
         assert cutter_tags[0] == "cutter:1-2-6"
@@ -232,11 +230,27 @@ class TestCutters:
                 assert all(poly_eval(f, point) == 0 for f in F.polys), (g, colors)
 
     def test_k_validation(self):
-        with pytest.raises(EncodeError):
-            EncodingOptions(k=2, field=F3, cutters="triangles")
         # a 2-clique cutter x_u+x_v would repeat its edge polynomial
         with pytest.raises(EncodeError):
             EncodingOptions(k=2, field=F3, cutters="cliques")
+
+
+class TestCommonRoot:
+    def test_gf4_value_matches_reference_evaluation(self):
+        rng = random.Random(8)
+        vanished = 0
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            terms = {}
+            for _ in range(rng.randint(0, 8)):
+                exps = {v: rng.randint(1, 5) for v in rng.sample(range(n), rng.randint(0, n))}
+                terms[Monomial.make(exps.items(), n)] = 1
+            f = Polynomial.make(F2, n, terms.items())
+            root = [rng.randrange(3) for _ in range(n)]
+            expected = eval_poly_gf4(f, [GF4_ROOTS[c] for c in root])
+            assert encode._gf4_value(f, root) == expected, (f, root)
+            vanished += expected == GF4_ZERO
+        assert 50 < vanished < 450
 
 
 class TestAltG:

@@ -44,6 +44,9 @@ def test_module_import_graph_has_no_cycle():
     TopologicalSorter(graph).prepare()
     # the orbit collapse builds on the group code, never the other way round
     assert not graph["nullcert.symmetry"] & {"nullcert.assemble", "nullcert.linsolve"}
+    # the degree loop knows no colorings: the common-root check lives with
+    # the coloring encoding
+    assert not graph["nullcert.assemble"] & {"nullcert.encode", "nullcert.graphs"}
 
 
 def test_symmetry_imports_no_private_name():

@@ -65,9 +65,9 @@ RECORDS = {
     ),
     EncodingOptions: (
         lambda: EncodingOptions(k=4, field=FieldSpec(3), cutters="cliques"),
-        lambda: EncodingOptions(k=3, cutters="cliques"),
+        lambda: EncodingOptions(k=2, field=FieldSpec(3), cutters="cliques"),
         EncodeError,
-        "are the triangle cutters",
+        "each clique cutter x_u\\+x_v is its edge polynomial",
     ),
     Graph: (
         lambda: Graph(3, frozenset({(1, 2), (2, 3)})),

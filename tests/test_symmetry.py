@@ -347,21 +347,26 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, k):
 
 
 def test_orbit_build_checks_closure():
-    # a generator map sending a vertex polynomial (kept at shift degree 0)
-    # to an edge polynomial (kept at shift degree 1) leaves the column set
     F = k4_full()
     g = Polynomial.one(GF2, 4)
     maps = check_invariant(F, [g], ROT234)
-    bad = [[4] + row[1:] for row in maps]
-    with pytest.raises(SymmetryError, match="column set is not closed"):
-        _orbit_system(F, 1, [g], ROT234, bad, None)
-    # a repeated polynomial: check_invariant maps both copies to the first,
-    # so the poly map permutes no column set (an orbit walk over it would
-    # overlap orbits and lift to a certificate that fails verification)
-    texts = ("x1+x2+1", "x1+x2+1", "x1*x2+1")
-    repeated = PolySystem.make(GF2, 2, [parse_poly(t, GF2, 2) for t in texts])
-    with pytest.raises(SymmetryError, match="column set is not closed"):
-        assemble_orbit(repeated, 1, Polynomial.one(GF2, 2), parse_generators("(1,2)", 2))
+    # a repeated polynomial: its k-th copy maps to the k-th copy of its
+    # image, so every poly map is a permutation and the orbit system lifts
+    # to a certificate that verifies
+    swap = parse_generators("(1,2)", 2)
+    texts = ("x1+x2+1", "x1+x2+1", "x1+1", "x2+1")
+    repeated = PolySystem.make(GF2, 2, [parse_poly(t, GF2, 2) for t in texts], tags=list("abcd"))
+    assert check_invariant(repeated, [], swap) == [[0, 1, 3, 2]]
+    orb = assemble_orbit(repeated, 1, Polynomial.one(GF2, 2), swap)
+    result = solve(orb.system, orb.rhs_list[0])
+    assert result.status == "consistent"
+    assert verify(extract_certificate(repeated, orb, result.solution, Polynomial.one(GF2, 2)))
+    doubled = PolySystem.make(GF2, 2, [parse_poly(t, GF2, 2) for t in texts[::-1]], tags=list("dcba"))
+    assert check_invariant(doubled, [], swap) == [[1, 0, 2, 3]]
+    # an image with another number of copies is refused, naming the tag
+    lopsided = PolySystem.make(GF2, 2, [parse_poly(t, GF2, 2) for t in ("x1+1", "x1+1", "x2+1")], tags=list("cce"))
+    with pytest.raises(SymmetryError, match=r"maps c \(2 copies\) to one with 1$"):
+        check_invariant(lopsided, [], swap)
     # a target monomial beyond every product whose image is no target monomial
     moved = parse_poly("x2^6", GF2, 4)
     with pytest.raises(SymmetryError, match="row universe is not closed"):
