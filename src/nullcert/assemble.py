@@ -9,8 +9,8 @@ of that system is exactly certificate existence at degree d.
 
 nulla_prove is the one degree loop.  At each degree it tries the core's
 system (if any), then F's.  Given a group, each is built as its orbit
-system, and assembled only when the orbit solve is inconsistent and the
-group order is not known coprime to p; without one it is assembled.  An
+system, and assembled only when the orbit solve is inconsistent and some
+orbit size is divisible by p; without one it is assembled.  An
 assembled system is peeled (below) before it is solved.  Each solve gets
 one DegreeStats: an assembled system's carries the full system's sizes, an
 orbit system's the orbit system's own.  The first consistent solve is
@@ -52,15 +52,22 @@ generator's images of the polys and shifts.  An orbit solution always lifts
 to a full one (lift_solution walks the orbit of each nonzero column; in a
 plain system, with no images, each orbit is one column), and so to a
 certificate that verifies.  The converse, full consistency implying orbit
-consistency, needs |G| coprime to p, so nulla_prove takes an inconsistent
-orbit system as conclusive only when the group order is known and coprime
-to p, and otherwise solves the full matrix of the same degree too.  The
-orbit system is built from F and the group without the full matrix
-(_orbit_system): permuting packed monomials is additive, so orbits are
-walked with each generator's images of the shifts and of F's terms, and a
-representative row sums the coefficients of F's terms that divide it.  On
-wheel:101 under its rim rotation that builds 253 x 206 where the full
-system is 25,353 x 20,706.
+consistency, holds when every row and column orbit has size prime to p.
+Take a row orbit R with representative r and a column orbit C with
+representative c.  The full matrix A is invariant, so counting its entries
+over R x C both ways gives |R| * sum_{c' in C} A[r, c'] = |C| * sum_{r' in
+R} A[r', c] mod p.  So if y refutes the orbit system (y A_orb = 0 and y
+b_orb != 0), the vector equal to y_R / |R| on every row of each row orbit R
+refutes the full system.  Orbit sizes divide |G|, so this holds wherever
+|G| is prime to p, and beyond.  _orbit_system reports whether the orbits it
+walks pass, and nulla_prove solves the full matrix of the same degree too
+only after an inconsistent orbit solve that does not.  The orbit system is
+built from F and the group without the full matrix (_orbit_system):
+permuting packed monomials is additive, so orbits are walked with each
+generator's images of the shifts and of F's terms, and a representative
+row sums the coefficients of F's terms that divide it.  On wheel:101 under
+its rim rotation that builds 253 x 206 where the full system is 25,353 x
+20,706.
 
 Column order: _Layout numbers the columns shift-major, (shift degree,
 shift, poly index), in every field and in orbit systems too, whose
@@ -108,7 +115,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
 from nullcert.poly import FieldSpec, Monomial, PolySystem, Polynomial, Record, set_field
-from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, group_order
+from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant
 
 
 class AssembleError(ValueError):
@@ -485,9 +492,11 @@ def _orbit_system(
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
     memory_budget: Optional[int],
-) -> AssembledSystem:
+) -> Tuple[AssembledSystem, bool]:
     """The degree-d orbit system of F under perms, built without the full
-    matrix (see "Orbit systems" in the module docstring).
+    matrix (see "Orbit systems" in the module docstring), and whether its
+    inconsistency is conclusive: whether every row and column orbit walked
+    has size prime to p.
 
     maps[k] is generator k's permutation of F's polys (check_invariant);
     renaming keeps degrees, so it permutes the columns too.
@@ -512,6 +521,7 @@ def _orbit_system(
     # listed in column order
     orbit_of = lay.by_shift(-1)
     col_reps: List[Tuple[int, int]] = []
+    orbit_sizes = set()  # of every row and column orbit walked
 
     def walk_columns() -> Iterator[Tuple[int, int]]:
         """Each column orbit's least column, once its orbit is walked."""
@@ -520,7 +530,9 @@ def _orbit_system(
                 if pos >= 0:
                     continue
                 pos = len(col_reps)
-                for poly, shift in _orbit(col_images, (i, delta)):
+                members = _orbit(col_images, (i, delta))
+                orbit_sizes.add(len(members))
+                for poly, shift in members:
                     orbit_of[shift][poly] = pos
                 col_reps.append((i, delta))
                 yield i, delta
@@ -559,6 +571,7 @@ def _orbit_system(
             except KeyError:
                 raise SymmetryError("row universe is not closed under the group") from None
             reps.append(rep)
+            orbit_sizes.add(len(member_shifts))
             if len(seen) >= check_at:
                 _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
                 check_at = len(seen) + _BUDGET_BLOCK
@@ -585,7 +598,8 @@ def _orbit_system(
     row_of = {m: k for k, m in enumerate(packed_rows)}
     rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in lay.target_terms]
     system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows))
-    return AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(packed_rows), tuple(col_images))
+    orb = AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(packed_rows), tuple(col_images))
+    return orb, all(size % p for size in orbit_sizes)
 
 
 def _orbit(col_images: Sequence[Tuple[Sequence[int], Dict[int, int]]], col: Tuple[int, int]) -> List[Tuple[int, int]]:
@@ -615,7 +629,7 @@ def assemble_orbit(
     generator (SymmetryError otherwise).  The full matrix is never built.
     """
     maps = check_invariant(F, [g], perms)
-    return _orbit_system(F, d, [g], perms, maps, memory_budget)
+    return _orbit_system(F, d, [g], perms, maps, memory_budget)[0]
 
 
 def lift_solution(asm: AssembledSystem, solution: Sequence[int]) -> List[Tuple[Tuple[int, int], int]]:
@@ -699,8 +713,8 @@ def nulla_prove(
     of one elimination pass.  With perms, F and every target must be
     invariant under the group (SymmetryError otherwise); a system is solved
     as its orbit system, and assembled and solved in full only when that is
-    inconsistent and the group order is not known coprime to p: only a
-    coprime order makes an inconsistent orbit solve conclusive.  An
+    inconsistent and some orbit size is divisible by p: only orbit sizes
+    prime to p make an inconsistent orbit solve conclusive.  An
     assembled system is solved peeled (see the module docstring).  Each
     solve gets its own DegreeStats, with the full system's sizes for an
     assembled system and the orbit system's own for an orbit solve.  The
@@ -732,9 +746,6 @@ def nulla_prove(
         tried.insert(0, (F_core, {"core": note}))
     if perms is not None:
         maps = check_invariant(F, targets, perms)
-        order = group_order(perms)
-        # only an order coprime to p makes an inconsistent orbit solve conclusive
-        conclusive = order is not None and gcd(order, F.field.p) == 1
     kinds = ("full",) if perms is None else ("orbit", "full")
 
     per_degree: List[DegreeStats] = []
@@ -743,7 +754,7 @@ def nulla_prove(
         for F_s, note in tried:
             for kind in kinds:
                 if kind == "orbit":
-                    part = _orbit_system(F_s, d, targets, perms, maps, memory_budget)
+                    part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
                     part, sizes = _assemble(F_s, d, targets, memory_budget)

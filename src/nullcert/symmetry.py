@@ -1,12 +1,10 @@
-"""Permutation groups on the variables: parsing, order, and invariance.
+"""Permutation groups on the variables: parsing and invariance.
 
 A permutation group acting on the variables permutes the rows (monomials)
 and columns (shifted polynomials) of the certificate system; nullcert.assemble
 builds that system's orbit system (assemble_orbit, and nulla_prove given
 perms).  This module supplies the group: generators parsed from cycle
-notation, the group order (whose coprimality to p makes an inconsistent
-orbit system conclusive), and the invariance check the orbit system rests
-on.
+notation, and the invariance check the orbit system rests on.
 
 Invariance is checked, never assumed: a generator that maps a polynomial of
 the system outside it or onto one with another number of copies, or moves
@@ -15,11 +13,9 @@ a target, raises SymmetryError.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from nullcert.poly import PolySystem, Polynomial, Record, set_field
-
-DEFAULT_GROUP_CAP = 10**6
 
 
 class SymmetryError(ValueError):
@@ -90,27 +86,6 @@ def parse_generators(text: str, n: int) -> PermutationSet:
     return PermutationSet.make(n, gens)
 
 
-def group_order(perms: PermutationSet, cap: int = DEFAULT_GROUP_CAP) -> Optional[int]:
-    """Order of the generated group by breadth-first closure; None above cap."""
-    if cap < 1:
-        raise SymmetryError("cap must be >= 1")
-    ident = tuple(range(perms.n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in perms.generators:
-                prod = tuple(g[v] for v in el)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen)
-
-
 def check_invariant(
     F: PolySystem, targets: Sequence[Polynomial], perms: PermutationSet
 ) -> List[List[int]]:
@@ -144,10 +119,8 @@ def check_invariant(
 
 
 __all__ = [
-    "DEFAULT_GROUP_CAP",
     "PermutationSet",
     "SymmetryError",
     "check_invariant",
-    "group_order",
     "parse_generators",
 ]

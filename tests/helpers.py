@@ -1,7 +1,8 @@
 """Shared test-only oracles: monomials as index tuples, random polynomials,
 polynomial product and evaluation, a reference certificate check, GF(4)
 evaluation, checked hand-built linear systems and
-right-hand sides, dense reference eliminators, and a reference orbit fold.
+right-hand sides, dense reference eliminators, a reference orbit fold, and
+a reference group order.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  The exception is full_system,
@@ -13,6 +14,7 @@ GF3_DEGREE3 is one input system that more than one test module solves.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -255,10 +257,11 @@ def ref_solve_dense(
 
 def orbit_fold(F: PolySystem, asm, perms) -> SimpleNamespace:
     """The orbit system of asm, the degree-d system of F, under perms: rows,
-    rhs_list, row_keys (packed representative rows), col_reps and
-    col_orbit_index, with representatives the least full-system indices and
-    entries summed over column-orbit members mod p.  A row or column whose
-    image is missing raises KeyError."""
+    rhs_list, row_keys (packed representative rows), col_reps,
+    col_orbit_index and orbit_sizes (the set of every row and column orbit's
+    size), with representatives the least full-system indices and entries
+    summed over column-orbit members mod p.  A row or column whose image is
+    missing raises KeyError."""
     first: Dict[Polynomial, int] = {}
     for i, f in enumerate(F.polys):
         first.setdefault(f, i)
@@ -289,7 +292,8 @@ def orbit_fold(F: PolySystem, asm, perms) -> SimpleNamespace:
         for j, (i, delta) in enumerate(cols):
             union(col_parent, j, col_at[(poly_image[i], rename(delta))])
 
-    row_reps = sorted({find(row_parent, r) for r in range(len(rows))})
+    row_of = [find(row_parent, r) for r in range(len(rows))]
+    row_reps = sorted(set(row_of))
     col_reps = sorted({find(col_parent, j) for j in range(len(cols))})
     col_orbit_index = tuple(col_reps.index(find(col_parent, j)) for j in range(len(cols)))
     p = F.field.p
@@ -306,7 +310,25 @@ def orbit_fold(F: PolySystem, asm, perms) -> SimpleNamespace:
         row_keys=tuple(asm.packed_rows[r] for r in row_reps),
         col_reps=tuple(col_reps),
         col_orbit_index=col_orbit_index,
+        orbit_sizes={*Counter(row_of).values(), *Counter(col_orbit_index).values()},
     )
+
+
+def group_order(perms) -> int:
+    """The order of the group perms generates, by breadth-first closure."""
+    ident = tuple(range(perms.n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in perms.generators:
+                prod = tuple(g[v] for v in el)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen)
 
 
 def random_dense_system(rng, p, max_rows=20, max_cols=20, density=0.4):

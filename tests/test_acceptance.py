@@ -25,7 +25,7 @@ from helpers import (
     rhs_entries,
     row_monomials,
 )
-from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution, nulla_prove
+from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
 from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
@@ -46,7 +46,7 @@ from nullcert.poly import (
     format_poly,
     parse_poly,
 )
-from nullcert.symmetry import PermutationSet, group_order
+from nullcert.symmetry import PermutationSet, check_invariant
 
 import random
 
@@ -182,7 +182,8 @@ def test_criterion_2(capsys):
         one = Polynomial.one(F.field, F.n_vars)
         orb = assemble_orbit(F, 1, one, rot)
         assert orb.system.n_rows == 9 and orb.system.n_cols == 9
-        assert group_order(rot) == 3
+        # every orbit has size 1 or 3, prime to 2, so an inconsistent solve would decide
+        assert _orbit_system(F, 1, [one], rot, check_invariant(F, [one], rot), None)[1]
 
         row_labels = [mono_text(rep, F.field) for rep in row_monomials(orb)]
         assert row_labels == [label for label, _ in K4_ORBIT_ROWS_MOD2]

@@ -579,7 +579,7 @@ def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch, capsys, tm
     F = encode_coloring(graph, EncodingOptions())
     perms = parse_generators("(1,2,3,4,5,6)", F.n_vars)
     plain, plain_solves = prove_counting_solves(monkeypatch, F, perms=perms)
-    # order 6 is not coprime to 2: each degree has an orbit and a full entry
+    # the rim's orbits have size 6, even: each degree has an orbit and a full entry
     assert len(plain.per_degree) == 4 and plain_solves == 4
     assert plain.verdict == "no_certificate_up_to"
     root = find_coloring(graph, 3)
@@ -767,8 +767,9 @@ def test_absent_variables_change_nothing(p):
 @pytest.mark.parametrize("k, p, orbit_hit", [(3, 2, False), (2, 3, True)])
 def test_absent_variables_fixed_by_the_group_change_nothing(k, p, orbit_hit):
     # K4 under the rotation of its vertices, embedded among three unused
-    # variables that the generator fixes.  The order 4 is coprime to 3 only,
-    # so over GF(2) the orbit solve misses and the full system certifies.
+    # variables that the generator fixes.  Its orbits, of sizes 1, 2 and 4,
+    # are prime to 3 only, so over GF(2) the orbit solve misses and the full
+    # system certifies.
     F = encode_coloring(gen_complete(4), EncodingOptions(k=k, field=FieldSpec(p)))
     images, wide_n = [1, 2, 4, 6], 7
     E = PolySystem.make(F.field, wide_n, [embedded(f, images, wide_n) for f in F.polys], F.tags)

@@ -1,13 +1,17 @@
 """End-to-end checks of the command-line interface.
 
-Everything drives nullcert.cli.main(argv) directly so exit codes and
-stdout/stderr can be asserted without spawning subprocesses.
+Everything but one run under an address-space limit drives
+nullcert.cli.main(argv) directly so exit codes and stdout/stderr can be
+asserted without spawning subprocesses.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -700,8 +704,9 @@ def test_symmetry_invariant_alt_g(rotation_file, tmp_path, capsys):
 
 
 def test_symmetry_noncoprime_k4_falls_back_to_full(swap_file, tmp_path, capsys):
-    # group order 2 equals the characteristic: the orbit system at degree 1
-    # is inconsistent, but the full matrix of the same degree certifies
+    # the swap's orbits of size 2 are divisible by the characteristic: the
+    # orbit system at degree 1 is inconsistent, but the full matrix of the
+    # same degree certifies
     cert_path = tmp_path / "k4.json"
     rc, out, _ = run(
         capsys, "prove", "--gen", "complete:4", "--symmetry", swap_file,
@@ -728,14 +733,15 @@ def test_full_system_is_assembled_only_for_an_undecided_orbit_solve(
         return real(F, d, *args, **kwargs)
 
     monkeypatch.setattr(asm, "_assemble", counted)
-    # the rotation's order 3 is coprime to 2: the orbit solve decides alone
+    # the rotation's orbits, of sizes 1 and 3, are prime to 2: the orbit
+    # solve decides alone
     rc, out, _ = run(capsys, "prove", "--gen", "complete:4", "--symmetry", rotation_file)
     assert rc == 0 and calls == []
     assert [l.split(" millis=")[0] for l in out.splitlines()[:1]] == [
         "degree=1 rows=9 cols=10 nnz=26 status=consistent"
     ]
-    # the swap's order 2 is not: the orbit line, then the full system's,
-    # assembled once, after the orbit solve came out inconsistent
+    # the swap's orbits of size 2 are not: the orbit line, then the full
+    # system's, assembled once, after the orbit solve came out inconsistent
     rc, out, _ = run(capsys, "prove", "--gen", "complete:4", "--symmetry", swap_file)
     assert rc == 0 and calls == [1]
     assert [l.split(" millis=")[0] for l in out.splitlines()[:2]] == [
@@ -744,8 +750,7 @@ def test_full_system_is_assembled_only_for_an_undecided_orbit_solve(
     ]
 
 
-# The least --memory-budget each run passes, and the refusal below it, as
-# printed while the orbit system was folded from the assembled full system
+# The least --memory-budget each run passes, and the refusals below it
 @pytest.mark.parametrize(
     "argv, threshold, refusals",
     [
@@ -798,6 +803,49 @@ def test_symmetry_budget_refuses_while_the_rows_are_walked(tmp_path, capsys):
         f"at least 12425 x 20706 exceeds the {budget} byte budget\n"
     )
     assert (rc, out, err) == (2, "", message)
+
+
+def test_orbit_sizes_prime_to_p_decide_alone(tmp_path, capsys):
+    # S3 on e1 and e3 + 1 over GF(2): |S3| = 6 is even, but e1 and e3 + 1
+    # grade by 3, so the degree-1 system is e3 at the shift 1, whose orbits
+    # have size 1, and its inconsistent orbit solve decides alone; at degree
+    # 2 the orbit of x1^2*x2 has size 6, and the full system is solved too
+    (tmp_path / "s3.txt").write_text("(1,2)\n(1,2,3)\n")
+    (tmp_path / "sys.txt").write_text("e1 x1+x2+x3\ne3 x1*x2*x3+1\n")
+    rc, out, err = run(
+        capsys, "prove", "--system", str(tmp_path / "sys.txt"), "--symmetry", str(tmp_path / "s3.txt"),
+        "--max-degree", "2",
+    )
+    assert (rc, err) == (10, "")
+    assert [l.split(" millis=")[0] for l in out.splitlines()] == [
+        "degree=1 rows=2 cols=1 nnz=2 status=inconsistent",
+        "degree=2 rows=4 cols=3 nnz=6 status=inconsistent",
+        "degree=2 rows=11 cols=7 nnz=20 status=inconsistent",
+        "no certificate up to degree 2; feasibility not decided",
+    ]
+
+
+def test_symmetric_group_of_k12_runs_in_a_small_address_space(tmp_path):
+    # S12, of order 12! = 479,001,600, on K12: the run walks only the orbits
+    # of its systems and needs under 20 MB of address space beyond the
+    # interpreter's start, where a breadth-first closure of the group fails
+    # under any limit up to 192 MB; 128 MB leaves margin on both sides
+    (tmp_path / "s12.txt").write_text("(1,2)\n(1,2,3,4,5,6,7,8,9,10,11,12)\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "from nullcert.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["prove", "--gen", "complete:12", "--symmetry", str(tmp_path / "s12.txt")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [l.split(" millis=")[0] for l in proc.stdout.splitlines()[:3]] == [
+        "degree=1 rows=4 cols=3 nnz=3 status=inconsistent",
+        "degree=1 rows=365 cols=804 nnz=2400 status=consistent",
+        "The system of equations F is infeasible.",
+    ]
 
 
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):

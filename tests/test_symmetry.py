@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from helpers import columns, expanded, full_system, orbit_fold, orbit_members, row_monomials
+from helpers import columns, expanded, full_system, group_order, orbit_fold, orbit_members, row_monomials
 from nullcert.assemble import AssembleError, _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_wheel
-from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve
+from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve, solve_multi_rhs
 from nullcert.poly import FieldSpec, PolySystem, Polynomial, parse_poly
-from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, group_order, parse_generators
+from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, parse_generators
 
 GF2 = FieldSpec(2)
 
@@ -67,18 +67,13 @@ def test_make_rejects_non_bijection():
         PermutationSet.make(3, [(0, 0, 1)])
 
 
-def test_group_orders():
-    assert group_order(ROT234) == 3
-    assert group_order(PermutationSet.make(4, [])) == 1
-    s3 = PermutationSet.make(3, [(1, 0, 2), (1, 2, 0)])
-    assert group_order(s3) == 6
-    assert group_order(s3, cap=5) is None
-    rot5 = parse_generators("(1,2,3,4,5)", 5)
-    assert group_order(rot5) == 5
-
-
 def orbit(F, perms):
     return assemble_orbit(F, 1, Polynomial.one(GF2, 4), perms)
+
+
+def conclusive(F, d, targets, perms):
+    """The orbit build's flag: whether every orbit size is prime to p."""
+    return _orbit_system(F, d, targets, perms, check_invariant(F, targets, perms), None)[1]
 
 
 def test_invariance_full_k4():
@@ -116,7 +111,8 @@ def test_k4_orbit_matrix_shape_and_keys():
         (0, ()), (1, (0,)), (4, (0,)),
         (1, (1,)), (2, (1,)), (3, (1,)), (4, (1,)), (5, (1,)), (6, (1,)),
     ]
-    assert group_order(ROT234) == 3
+    # every orbit has size 1 or 3, prime to 2
+    assert conclusive(k4_pre(), 1, [Polynomial.one(GF2, 4)], ROT234)
     # rhs is 1 exactly on the constant-monomial orbit
     assert orb.rhs_list == [[(0, 1)]]
 
@@ -196,7 +192,7 @@ def test_identity_group_gives_plain_system():
     assert orb.rhs_list == plain.rhs_list
     assert row_monomials(orb) == row_monomials(plain)
     assert orb.packed_cols == plain.packed_cols
-    assert group_order(PermutationSet.make(4, [])) == 1
+    assert conclusive(F, 1, [g], PermutationSet.make(4, []))
     # each orbit is one column, so a solution lifts to itself
     ybar = tuple(range(orb.system.n_cols))
     expected = [(key, v) for key, v in zip(plain.packed_cols, ybar) if v]
@@ -236,14 +232,15 @@ def test_orbit_rejects_moving_target():
 
 
 def test_cycle_graph_orbit_consistency_matches_full():
-    # five-cycle: 3-colorable, so both systems must be inconsistent; the
-    # group order 5 is odd, making the orbit verdict conclusive over GF(2)
+    # five-cycle: 3-colorable, so both systems must be inconsistent; every
+    # orbit of the rotation has size 1 or 5, odd, making the orbit verdict
+    # conclusive over GF(2)
     c5 = Graph.make(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     F = encode_coloring(c5, EncodingOptions())
     g = Polynomial.one(GF2, 5)
     rot = parse_generators("(1,2,3,4,5)", 5)
     orb = assemble_orbit(F, 1, g, rot)
-    assert group_order(rot) == 5
+    assert conclusive(F, 1, [g], rot)
     assert not solve(orb.system, orb.rhs_list[0]).consistent
     full = full_system(F, 1, [g])
     assert not solve(full.system, full.rhs_list[0]).consistent
@@ -323,9 +320,10 @@ def fold_cases():
 def test_orbit_build_matches_reference_fold(F, d, targets, perms, k):
     assert grading(F, targets) == k
     maps = check_invariant(F, targets, perms)
-    orb = _orbit_system(F, d, targets, perms, maps, None)
+    orb, flag = _orbit_system(F, d, targets, perms, maps, None)
     full = full_system(F, d, targets)
     ref = orbit_fold(F, full, perms)
+    assert flag == all(size % F.field.p for size in ref.orbit_sizes)
     assert orb.system.rows == ref.rows
     assert orb.rhs_list == ref.rhs_list
     assert orb.packed_rows == ref.row_keys
@@ -371,3 +369,124 @@ def test_orbit_build_checks_closure():
     moved = parse_poly("x2^6", GF2, 4)
     with pytest.raises(SymmetryError, match="row universe is not closed"):
         _orbit_system(F, 1, [moved], ROT234, maps, None)
+
+
+# ---------------------------------------------------------------------------
+# Conclusive orbit solves: every orbit size prime to p, not |G|
+
+# small groups in cycle notation on the points 1..k
+GROUPS = {
+    "swap": ("(1,2)",),
+    "3-cycle": ("(1,2,3)",),
+    "4-cycle": ("(1,2,3,4)",),
+    "S3": ("(1,2)", "(1,2,3)"),
+    "D5": ("(1,2,3,4,5)", "(2,5)(3,4)"),
+    "S4": ("(1,2)", "(1,2,3,4)"),
+}
+
+
+def group(name, n, relabel=None):
+    """GROUPS[name] on the points 1..n, conjugated by relabel, a
+    permutation of 0..n-1, when given: point v + 1 moves to relabel[v] + 1."""
+    perms = parse_generators("\n".join(GROUPS[name]), n)
+    if relabel is None:
+        return perms
+    conjugated = []
+    for gen in perms.generators:
+        images = [0] * n
+        for v in range(n):
+            images[relabel[v]] = relabel[gen[v]]
+        conjugated.append(images)
+    return PermutationSet.make(n, conjugated)
+
+
+def cycle_graph(n):
+    return Graph.make(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def symmetric_system(field, texts, n):
+    return PolySystem.make(field, n, [parse_poly(t, field, n) for t in texts])
+
+
+def conclusive_cases():
+    """(F, perms) for the orbit-size rule: coloring encodings of K_n, cycles
+    and wheels under graph automorphisms, and inputs symmetric under every
+    permutation of their variables.  K_n and the symmetric inputs take each
+    group on randomly relabeled points; a group on fewer points than there
+    are variables leaves the others fixed."""
+    rng = random.Random(34)
+    gf3 = FieldSpec(3)
+
+    def relabeled(name, n):
+        return group(name, n, rng.sample(range(n), n))
+
+    complete = ((3, ("swap", "3-cycle", "S3")), (4, ("swap", "4-cycle", "S3", "S4")), (5, ("4-cycle", "D5")))
+    for field, k in ((GF2, 3), (gf3, 2)):
+        opts = EncodingOptions(k=k, field=field)
+        for n, names in complete:
+            F = encode_coloring(gen_complete(n), opts)
+            for name in names:
+                yield pytest.param(F, relabeled(name, n), id=f"GF({field.p}) complete:{n} {name}")
+        # rotations and reflections of a cycle or a wheel's rim, the hub fixed
+        automorphisms = (
+            ("cycle:4", cycle_graph(4), "4-cycle"),
+            ("cycle:5", cycle_graph(5), "D5"),
+            ("wheel:4", gen_wheel(4), "4-cycle"),
+            ("wheel:5", gen_wheel(5), "D5"),
+        )
+        for graph_name, graph, name in automorphisms:
+            perms = group(name, graph.n_vertices)
+            yield pytest.param(encode_coloring(graph, opts), perms, id=f"GF({field.p}) {graph_name} {name}")
+    F = symmetric_system(GF2, ["x1+x2+x3", "x1*x2*x3+1"], 3)
+    for name in ("swap", "3-cycle", "S3"):
+        yield pytest.param(F, relabeled(name, 3), id=f"GF(2) e1,e3+1 {name}")
+    texts = ["x1^3+2*x1", "x2^3+2*x2", "x3^3+2*x3", "x4^3+2*x4", "x1+x2+x3+x4",
+             "x1*x2+x1*x3+x1*x4+x2*x3+x2*x4+x3*x4+1"]
+    F = symmetric_system(gf3, texts, 4)
+    for name in ("swap", "3-cycle", "4-cycle", "S3", "S4"):
+        yield pytest.param(F, relabeled(name, 4), id=f"GF(3) field,e1,e2+1 {name}")
+
+
+@pytest.mark.parametrize("F, perms", conclusive_cases())
+def test_orbit_sizes_decide_what_the_group_order_did(F, perms):
+    p, n = F.field.p, F.n_vars
+    targets = [Polynomial.one(F.field, n), parse_poly("+".join(f"x{v}" for v in range(1, n + 1)), F.field, n)]
+    maps = check_invariant(F, targets, perms)
+    for d in (0, 1, 2):
+        orb, flag = _orbit_system(F, d, targets, perms, maps, None)
+        # orbit sizes divide |G|, so the flag is at least as strong as the old test
+        if group_order(perms) % p:
+            assert flag
+        full = full_system(F, d, targets)
+        orbit_results = solve_multi_rhs(orb.system, orb.rhs_list)
+        full_results = solve_multi_rhs(full.system, full.rhs_list)
+        for mine, ref in zip(orbit_results, full_results):
+            # an orbit solution always lifts; an orbit refutation when flagged
+            if mine.consistent:
+                assert ref.consistent
+            elif flag:
+                assert not ref.consistent
+
+
+def test_orbit_sizes_decide_where_p_divides_the_group_order():
+    # |S3| = 6 is even, yet over GF(2) these inconsistent orbit solves
+    # decide alone: K4's degree-0 system under S3 on three of its vertices
+    # has orbits of sizes 1 and 3, and e1, e3 + 1 grade by 3, so that their
+    # degree-1 system is e3 at the shift 1, which S3 fixes
+    s3 = group("S3", 3)
+    e13 = symmetric_system(GF2, ["x1+x2+x3", "x1*x2*x3+1"], 3)
+    cases = [
+        (encode_coloring(gen_complete(4), EncodingOptions()), 0, group("S3", 4), {1, 3}),
+        (e13, 1, s3, {1}),
+    ]
+    for F, d, perms, sizes in cases:
+        assert group_order(perms) == 6
+        one = [Polynomial.one(GF2, F.n_vars)]
+        orb, flag = _orbit_system(F, d, one, perms, check_invariant(F, one, perms), None)
+        full = full_system(F, d, one)
+        assert flag and orbit_fold(F, full, perms).orbit_sizes == sizes
+        assert not solve(orb.system, orb.rhs_list[0]).consistent
+        assert not solve(full.system, full.rhs_list[0]).consistent
+    # at degree 2, e1 times x1^2 reaches x1^2*x2, whose orbit has size 6
+    one = [Polynomial.one(GF2, 3)]
+    assert not conclusive(e13, 2, one, s3)
