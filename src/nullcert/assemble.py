@@ -56,18 +56,20 @@ consistency, holds when every row and column orbit has size prime to p.
 Take a row orbit R with representative r and a column orbit C with
 representative c.  The full matrix A is invariant, so counting its entries
 over R x C both ways gives |R| * sum_{c' in C} A[r, c'] = |C| * sum_{r' in
-R} A[r', c] mod p.  So if y refutes the orbit system (y A_orb = 0 and y
-b_orb != 0), the vector equal to y_R / |R| on every row of each row orbit R
-refutes the full system.  Orbit sizes divide |G|, so this holds wherever
-|G| is prime to p, and beyond.  _orbit_system reports whether the orbits it
-walks pass, and nulla_prove solves the full matrix of the same degree too
-only after an inconsistent orbit solve that does not.  The orbit system is
-built from F and the group without the full matrix (_orbit_system):
-permuting packed monomials is additive, so orbits are walked with each
-generator's images of the shifts and of F's terms, and a representative
-row sums the coefficients of F's terms that divide it.  On wheel:101 under
-its rim rotation that builds 253 x 206 where the full system is 25,353 x
-20,706.
+R} A[r', c], over the integers with entries in 0..p-1.  This one identity
+gives both the entries and the conclusiveness rule.  The entry at (R, C) is
+|C| * Y / |R| mod p, where Y sums the coefficients of c's products that lie
+in R, so _orbit_system builds the orbit system from F and the group in the
+one walk that finds its orbits, without the full matrix: permuting packed
+monomials is additive, so orbits are walked with each generator's images of
+the shifts and of F's terms.  And if y refutes the orbit system (y A_orb = 0
+and y b_orb != 0), the vector equal to y_R / |R| on every row of each row
+orbit R refutes the full system.  Orbit sizes divide |G|, so this holds
+wherever |G| is prime to p, and beyond.  _orbit_system reports whether the
+orbits it walks pass, and nulla_prove solves the full matrix of the same
+degree too only after an inconsistent orbit solve that does not.  On
+wheel:101 under its rim rotation that builds 253 x 206 where the full
+system is 25,353 x 20,706.
 
 Column order: _Layout numbers the columns shift-major, (shift degree,
 shift, poly index), in every field and in orbit systems too, whose
@@ -197,14 +199,6 @@ class _Packing:
     def unpack(self, x: int) -> Monomial:
         variables = self.variables
         return Monomial(tuple((variables[j], e) for j, e in self._fields(x)), self.n_vars)
-
-    def divisors(self, x: int) -> List[int]:
-        """Every packed monomial dividing x, x and 1 included."""
-        units = list(self.units.values())
-        out = [0]
-        for j, e in self._fields(x):
-            out = [y + k * units[j] for y in out for k in range(e + 1)]
-        return out
 
     def permute(self, positions: Sequence[int], x: int) -> int:
         """The packed monomial with field j moved to field positions[j]."""
@@ -499,43 +493,27 @@ def _orbit_system(
     has size prime to p.
 
     maps[k] is generator k's permutation of F's polys (check_invariant);
-    renaming keeps degrees, so it permutes the columns too.
-    The row walk counts the full system's rows exactly, as the column
-    orbits are found; the memory budget is checked every _BUDGET_BLOCK
-    rows walked, and on the final counts.
+    renaming keeps degrees, so it permutes the columns too.  Each column
+    orbit C is walked from its least column c, in column order, and each
+    row orbit R the first time a product of c lies in it; the entry at
+    (R, C) is |C| * Y / |R| mod p, where Y sums the coefficients of c's
+    products in R, and a division that is not exact raises.  The row walk
+    counts the full system's rows exactly, as the column orbits are found;
+    the memory budget is checked every _BUDGET_BLOCK rows walked, and on
+    the final counts.
     """
     lay = _layout(F, d, targets, memory_budget)
     packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
-    all_terms = {t for terms in poly_terms for t, _ in terms}
-    col_images, term_images, target_images = [], [], []
+    # F's terms, and the target monomials, each a row as the shift 0 times itself
+    row_terms = {t for terms in poly_terms for t, _ in terms} | lay.target_rows
+    col_images, term_images = [], []
     for pmap, generator in zip(maps, perms.generators):
         fields = [position[generator[v]] for v in packing.variables]
         shift_image = {delta: packing.permute(fields, delta) for deltas in shifts for delta in deltas}
         col_images.append((pmap, shift_image))
-        term_images.append((shift_image, {t: packing.permute(fields, t) for t in all_terms}))
-        target_images.append((shift_image, {m: packing.permute(fields, m) for m in lay.target_rows}))
-
-    # orbit_of[delta][i] is the orbit of column (i, delta), -1 until walked,
-    # listed in column order
-    orbit_of = lay.by_shift(-1)
-    col_reps: List[Tuple[int, int]] = []
-    orbit_sizes = set()  # of every row and column orbit walked
-
-    def walk_columns() -> Iterator[Tuple[int, int]]:
-        """Each column orbit's least column, once its orbit is walked."""
-        for delta, orbits in orbit_of.items():
-            for i, pos in orbits.items():
-                if pos >= 0:
-                    continue
-                pos = len(col_reps)
-                members = _orbit(col_images, (i, delta))
-                orbit_sizes.add(len(members))
-                for poly, shift in members:
-                    orbit_of[shift][poly] = pos
-                col_reps.append((i, delta))
-                yield i, delta
+        term_images.append((shift_image, {t: packing.permute(fields, t) for t in row_terms}))
 
     # Every row orbit holds a product of a column representative with one of
     # its terms; any other holds target monomials only, each the shift 0
@@ -544,62 +522,81 @@ def _orbit_system(
     # order is the greatest packed int.  The rows are walked as the column
     # orbits are found.  Rows only grow, so the budget is checked each time
     # _BUDGET_BLOCK more have been walked, and at the end.
-    field = F.field
-    seen = set()
+    field, p = F.field, F.field.p
+    seen: Dict[int, int] = {}  # each full row walked: its orbit's walk index
+    reps: List[int] = []  # per row orbit walked: its greatest member,
+    sizes: List[int] = []  # its size,
+    entries: List[List[Tuple[int, int]]] = []  # and its (column, entry) pairs
     check_at = _BUDGET_BLOCK
-    reps: List[int] = []
-    products = ((delta, t) for i, delta in walk_columns() for t, _ in poly_terms[i])
-    walks = ((term_images, products), (target_images, ((0, m) for m in lay.target_rows)))
-    for pair_images, starts in walks:
-        for delta, t in starts:
-            rep = delta + t
-            if rep in seen:
+
+    def walk_row(delta: int, t: int) -> int:
+        """The walk index of the new row orbit of delta + t, once walked."""
+        nonlocal check_at
+        rep = delta + t
+        w = seen[rep] = len(reps)
+        member_shifts, member_terms = [delta], [t]
+        try:
+            for shift, term in zip(member_shifts, member_terms):
+                for shift_image, term_image in term_images:
+                    image_shift, image_term = shift_image[shift], term_image[term]
+                    m = image_shift + image_term
+                    if m not in seen:
+                        seen[m] = w
+                        member_shifts.append(image_shift)
+                        member_terms.append(image_term)
+                        if m > rep:
+                            rep = m
+        except KeyError:
+            raise SymmetryError("row universe is not closed under the group") from None
+        reps.append(rep)
+        sizes.append(len(member_shifts))
+        entries.append([])
+        if len(seen) >= check_at:
+            _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
+            check_at = len(seen) + _BUDGET_BLOCK
+        return w
+
+    # walked[delta][i]: whether the orbit of column (i, delta) is walked;
+    # each orbit's least column, first in column order, is its representative
+    walked = lay.by_shift(False)
+    col_reps: List[Tuple[int, int]] = []
+    col_sizes = set()
+    for delta, kept in walked.items():
+        for i, done in kept.items():
+            if done:
                 continue
-            seen.add(rep)
-            member_shifts, member_terms = [delta], [t]
-            try:
-                for shift, term in zip(member_shifts, member_terms):
-                    for shift_image, term_image in pair_images:
-                        image_shift, image_term = shift_image[shift], term_image[term]
-                        m = image_shift + image_term
-                        if m not in seen:
-                            seen.add(m)
-                            member_shifts.append(image_shift)
-                            member_terms.append(image_term)
-                            if m > rep:
-                                rep = m
-            except KeyError:
-                raise SymmetryError("row universe is not closed under the group") from None
-            reps.append(rep)
-            orbit_sizes.add(len(member_shifts))
-            if len(seen) >= check_at:
-                _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
-                check_at = len(seen) + _BUDGET_BLOCK
+            members = _orbit(col_images, (i, delta))
+            for poly, shift in members:
+                walked[shift][poly] = True
+            size = len(members)
+            col_sizes.add(size)
+            o = len(col_reps)
+            col_reps.append((i, delta))
+            y: Dict[int, int] = {}  # per row orbit: Y, an integer sum
+            for t, c in poly_terms[i]:
+                w = seen.get(delta + t)
+                if w is None:
+                    w = walk_row(delta, t)
+                y[w] = y.get(w, 0) + c
+            for w, total in y.items():
+                entry, rest = divmod(size * total, sizes[w])
+                if rest:
+                    raise AssembleError("internal error: an orbit entry |C| * Y / |R| is not an integer")
+                if entry % p:
+                    entries[w].append((o, entry % p))
+    for m in lay.target_rows:
+        if m not in seen:
+            walk_row(0, m)
     _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
 
-    p = field.p
-    divides: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    for i, terms in enumerate(poly_terms):
-        for t, c in terms:
-            divides[t].append((i, c))
     packed_rows = sorted(reps, key=packing.flip.__xor__)
-    orbit_rows: List[Tuple[Tuple[int, int], ...]] = []
-    for m in packed_rows:
-        acc: Dict[int, int] = defaultdict(int)
-        for t in packing.divisors(m):
-            at = orbit_of.get(m - t)
-            if at is not None:
-                for i, c in divides.get(t, ()):
-                    o = at.get(i)
-                    if o is not None:
-                        acc[o] += c
-        orbit_rows.append(tuple(sorted((o, v % p) for o, v in acc.items() if v % p)))
+    orbit_rows = tuple(tuple(entries[seen[m]]) for m in packed_rows)
     # a target is fixed by the group, so its coefficient is one per row orbit
     row_of = {m: k for k, m in enumerate(packed_rows)}
     rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in lay.target_terms]
-    system = SparseSystem(field, len(packed_rows), len(col_reps), tuple(orbit_rows))
+    system = SparseSystem(field, len(packed_rows), len(col_reps), orbit_rows)
     orb = AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(packed_rows), tuple(col_images))
-    return orb, all(size % p for size in orbit_sizes)
+    return orb, all(s % p for s in (*col_sizes, *sizes))
 
 
 def _orbit(col_images: Sequence[Tuple[Sequence[int], Dict[int, int]]], col: Tuple[int, int]) -> List[Tuple[int, int]]:
@@ -728,7 +725,6 @@ def nulla_prove(
     is solved for F's targets, and its certificate records note under
     provenance "core".  core excludes perms.
     """
-    schedule = list(schedule)
     if not schedule:
         raise AssembleError("degree schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:

@@ -174,7 +174,8 @@ def load_system_file(path: str, p: int) -> Tuple[PolySystem, dict]:
         raise CliError(f"{path}: no polynomials found")
     n_vars = 0
     for _, poly_text in tagged:
-        for piece in poly_text.replace("*", " ").replace("+", " ").replace("-", " ").split():
+        # parse_poly ignores whitespace anywhere, so "x 3" is x3
+        for piece in "".join(poly_text.split()).replace("*", " ").replace("+", " ").replace("-", " ").split():
             if piece.startswith("x"):
                 idx = piece[1:].partition("^")[0]
                 if idx.isdecimal():
@@ -268,13 +269,14 @@ def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
     return schedule
 
 
-def build_schedule(args: argparse.Namespace, coloring: bool, k: int) -> List[int]:
+def build_schedule(args: argparse.Namespace, coloring: bool, k: int) -> range:
     if args.max_degree < 1:
         raise CliError("--max-degree must be >= 1")
     # Under a coloring encoding's grading k, multiplier degrees == 1 mod k
     # add edge and cutter columns, those == 0 mod k add only vertex
-    # columns, and the others add none.
-    return list(range(1, args.max_degree + 1, k if coloring else 1))
+    # columns, and the others add none.  A range, not a list, so that a
+    # large --max-degree costs no memory.
+    return range(1, args.max_degree + 1, k if coloring else 1)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:

@@ -1,6 +1,6 @@
 """End-to-end checks of the command-line interface.
 
-Everything but one run under an address-space limit drives
+Everything but two runs under an address-space limit drives
 nullcert.cli.main(argv) directly so exit codes and stdout/stderr can be
 asserted without spawning subprocesses.
 """
@@ -576,6 +576,20 @@ def test_non_decimal_digits_raise_the_module_error(tmp_path, capsys):
             parse_poly(text, FieldSpec(2), 1)
 
 
+def test_system_file_counts_variables_as_parse_poly_reads_them(tmp_path, capsys):
+    # parse_poly ignores whitespace anywhere, so "x 3" is x3: the system has
+    # three variables, not two
+    spaced, plain = tmp_path / "spaced.txt", tmp_path / "plain.txt"
+    spaced.write_text("a x 3 + 1\nb x1+x2\n")
+    plain.write_text("a x3+1\nb x1+x2\n")
+    F, meta = cli.load_system_file(str(spaced), 3)
+    assert (F, meta) == cli.load_system_file(str(plain), 3)
+    assert F.n_vars == 3
+    rc, out, err = run(capsys, "prove", "--system", str(spaced), "--p", "3")
+    assert (rc, err) == (10, "")
+    assert without_millis(out) == without_millis(run(capsys, "prove", "--system", str(plain), "--p", "3")[1])
+
+
 def test_system_file_errors(tmp_path, capsys):
     missing_text = tmp_path / "a.txt"
     missing_text.write_text("lonely_tag\n")
@@ -846,6 +860,24 @@ def test_symmetric_group_of_k12_runs_in_a_small_address_space(tmp_path):
         "degree=1 rows=365 cols=804 nnz=2400 status=consistent",
         "The system of equations F is infeasible.",
     ]
+
+
+def test_a_large_max_degree_runs_in_a_small_address_space():
+    # K4 certifies at degree 1, so only the first degree of the schedule is
+    # run.  With --max-degree 10^7 the run needs about 20 MB of address
+    # space, where a schedule built as a list fails under any limit up to
+    # 192 MB; 96 MB leaves margin on both sides
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))\n"
+        "from nullcert.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["prove", "--gen", "complete:4", "--max-degree", "10000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("degree=1 rows=21 cols=25 nnz=74 status=consistent ")
 
 
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):

@@ -314,6 +314,25 @@ def fold_cases():
         for cycles in ("(1,2,3)", "(1,2)\n(1,2,3)"):
             perms = parse_generators(cycles, 3)
             yield pytest.param(F, d, targets, perms, 2, id=f"gf3 field+linear {cycles.replace(chr(10), chr(32))} d{d} graded:2")
+    gf5 = FieldSpec(5)
+    texts = ["x1^4+4", "x2^4+4", "x3^4+4", "2*x1*x2+3*x3^2", "2*x2*x3+3*x1^2", "2*x3*x1+3*x2^2",
+             "x1+x2+x3", "4*x1*x2*x3+2"]
+    F = PolySystem.make(gf5, 3, [parse_poly(t, gf5, 3) for t in texts])
+    targets = [Polynomial.one(gf5, 3), parse_poly("3*x1^2+3*x2^2+3*x3^2+x1^8*x2^8*x3^8", gf5, 3)]
+    for d in (1, 2, 3):
+        for cycles in ("(1,2,3)", "(1,2)\n(1,2,3)"):
+            perms = parse_generators(cycles, 3)
+            yield pytest.param(F, d, targets, perms, 1, id=f"gf5 {cycles.replace(chr(10), chr(32))} d{d} occurring")
+    # wheel rotations, some of order below the rim's, at degrees 3 and 4:
+    # an entry's row and column orbits differ in size, and a representative
+    # row has many divisors
+    for rim, step in ((5, 2), (6, 2), (6, 3), (8, 2)):
+        F = encode_coloring(gen_wheel(rim), EncodingOptions())
+        n = rim + 1
+        perms = PermutationSet.make(n, [rim_rotation(rim, step)])
+        targets = [Polynomial.one(GF2, n), parse_poly(f"x{n}^3", GF2, n)]
+        for d in (3, 4):
+            yield pytest.param(F, d, targets, perms, 3, id=f"wheel:{rim} step {step} d{d} graded:3")
 
 
 @pytest.mark.parametrize("F, d, targets, perms, k", fold_cases())
