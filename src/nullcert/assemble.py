@@ -629,13 +629,13 @@ def assemble_orbit(
     return _orbit_system(F, d, [g], perms, maps, memory_budget)[0]
 
 
-def lift_solution(asm: AssembledSystem, solution: Sequence[int]) -> List[Tuple[Tuple[int, int], int]]:
+def lift_solution(asm: AssembledSystem, solution: Sequence[Tuple[int, int]]) -> List[Tuple[Tuple[int, int], int]]:
     """The nonzero full columns ((i, delta), value) of a solution of
-    asm.system: each nonzero system column's value on every column of its
-    orbit, walked from its key (a plain system's orbits are single columns)."""
-    if len(solution) != asm.system.n_cols:
-        raise AssembleError("solution length does not match the system's columns")
-    return [(col, v) for key, v in zip(asm.packed_cols, solution) if v for col in _orbit(asm.col_images, key)]
+    asm.system, given as (col, value) entries: each entry's value on every
+    column of its orbit, walked from its key (a plain system's orbits are single columns)."""
+    if any(not 0 <= c < asm.system.n_cols for c, _ in solution):
+        raise AssembleError(f"solution has a column outside 0..{asm.system.n_cols - 1}")
+    return [(col, v) for c, v in solution for col in _orbit(asm.col_images, asm.packed_cols[c])]
 
 
 def stats(
@@ -675,13 +675,13 @@ def stats(
 def extract_certificate(
     F: PolySystem,
     asm: AssembledSystem,
-    solution: Sequence[int],
+    solution: Sequence[Tuple[int, int]],
     target: Polynomial,
     provenance: Optional[dict] = None,
 ) -> Certificate:
-    """Turn a solution of asm.system into multipliers: beta_i = sum
-    y_(i,delta) x^delta over the nonzero full columns (i, delta) that
-    lift_solution gives.  Only their shifts are unpacked."""
+    """Turn a solution of asm.system, as (col, value) entries, into multipliers:
+    beta_i = sum y_(i,delta) x^delta over the nonzero full columns (i, delta)
+    that lift_solution gives.  Only their shifts are unpacked."""
     unpack = asm.packing.unpack
     per_poly: Dict[int, List[Tuple[Monomial, int]]] = {}
     for (i, delta), v in lift_solution(asm, solution):
@@ -727,7 +727,11 @@ def nulla_prove(
     """
     if not schedule:
         raise AssembleError("degree schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 0:
+    if isinstance(schedule, range):  # the CLI's: walking it up to --max-degree would take seconds
+        ascending = schedule.step > 0 or len(schedule) == 1
+    else:
+        ascending = all(a < b for a, b in zip(schedule, schedule[1:]))
+    if not ascending or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
     _check_request(F, targets)

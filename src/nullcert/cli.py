@@ -165,11 +165,10 @@ def load_system_file(path: str, p: int) -> Tuple[PolySystem, dict]:
         line = rawline.strip()
         if not line or line.startswith("#"):
             continue
-        tag, _, poly_text = line.partition(" ")
-        poly_text = poly_text.strip()
+        tag, *poly_text = line.split(None, 1)  # any whitespace, as parse_poly ignores it
         if not poly_text:
             raise CliError(f"{path}:{lineno}: expected 'tag polynomial'")
-        tagged.append((tag, poly_text))
+        tagged.append((tag, poly_text[0]))
     if not tagged:
         raise CliError(f"{path}: no polynomials found")
     n_vars = 0

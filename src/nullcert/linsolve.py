@@ -1,19 +1,20 @@
 """Exact sparse linear algebra over GF(p), with bit-packed rows for p = 2, 3.
 
-A right-hand side is a list of (row, coeff) entries, a target's few terms,
-never a vector with one slot per row: solve_multi_rhs files the entries of
-all right-hand sides by row once, and each eliminator reads a row's entries
-as it reaches the row.  GF(2) rows live in Python ints relative to their
-lowest column (bit b = column low + b), with the right-hand-side bits (bit
-j = right-hand side j) in a separate small int, so an XOR costs what the
-row spans, not the column count.  GF(3) rows are two disjoint bit-planes,
-plus for the +1 entries and minus for the -1 entries, laid out in reverse:
-with R right-hand sides, column c sits at bit R + n_cols - 1 - c and
-right-hand side j at bit j.  A row's lead is then its highest bit, found by
-bit_length() in O(1), and the row is only R + n_cols - lead bits wide, so a
-row addition, the 7-operation bitsliced add of Boothby & Bradshaw's GF(3),
-costs what the row spans from its lead to the last column.  Rows over GF(p)
-for p >= 5 are dicts from column to coefficient.
+Vectors cross the solver boundary as entries, never one slot per row or
+column: a right-hand side goes in as (row, coeff) entries, a target's few
+terms, which solve_multi_rhs files by row once for each eliminator to read
+as it reaches the row, and a solution comes out as its nonzero (col, value)
+entries, columns ascending, as the back-solve sets them.  GF(2) rows live in
+Python ints relative to their lowest column (bit b = column low + b), with
+the right-hand-side bits (bit j = right-hand side j) in a separate small
+int, so an XOR costs what the row spans, not the column count.  GF(3) rows
+are two disjoint bit-planes, plus for the +1 entries and minus for the -1
+entries, laid out in reverse: with R right-hand sides, column c sits at bit
+R + n_cols - 1 - c and right-hand side j at bit j.  A row's lead is then its
+highest bit, found by bit_length() in O(1), and the row is only
+R + n_cols - lead bits wide, so a row addition, the 7-operation bitsliced add
+of Boothby & Bradshaw's GF(3), costs what the row spans from its lead to the
+last column.  Rows for p >= 5 are dicts from column to coefficient.
 
 Elimination is online: each row reduces against the pivots found so far and
 either claims a new pivot at its lowest surviving column, vanishes, or
@@ -30,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from nullcert.poly import FieldSpec, Record, set_field
 
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _LOW_WORD = (1 << 64) - 1
+_Entries = Tuple[Tuple[int, int], ...]  # (col, value), columns ascending
 
 
 class LinsolveError(ValueError):
@@ -101,9 +102,11 @@ class SparseSystem(Record):
 
 
 class SolveResult(Record):
+    """solution: None if inconsistent, else the nonzero (col, value) entries, columns ascending."""
+
     __slots__ = ("status", "solution", "pivot_cols")
 
-    def __init__(self, status: str, solution: Optional[Tuple[int, ...]], pivot_cols: Tuple[int, ...]) -> None:
+    def __init__(self, status: str, solution: Optional[_Entries], pivot_cols: Tuple[int, ...]) -> None:
         set_field(self, "status", status)  # "consistent" | "inconsistent"
         set_field(self, "solution", solution)
         set_field(self, "pivot_cols", pivot_cols)
@@ -113,27 +116,9 @@ class SolveResult(Record):
         return self.status == "consistent"
 
 
-def _bit_bytes(x: int, n: int) -> bytes:
-    """Byte c is bit c of x (0 or 1), for c < n."""
-    # bit c of x is character c of the reversed binary string (the slice drops
-    # the lone "0" that format gives a zero width)
-    return format(x, f"0{n}b")[::-1][:n].encode().translate(_BIT_VALUES)
-
-
-def _trit_tuple(plus: int, minus: int, n: int) -> Tuple[int, ...]:
-    """Entry c is 1, 2 or 0 as bit n - 1 - c is set in plus, in minus, or in
-    neither."""
-    # a plane's binary string lists its bits in column order; 0/1 bytes from
-    # each plane: plus + 2 * minus never carries between bytes
-    plus, minus = (
-        int.from_bytes(format(x, f"0{n}b").encode().translate(_BIT_VALUES), "big") for x in (plus, minus)
-    )
-    return tuple((plus + 2 * minus).to_bytes(n, "big"))
-
-
 def _eliminate_gf2(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
     """One elimination pass over the R right-hand sides filed in rhs_at;
-    returns (pivot_cols, per-rhs solution bitset or None)."""
+    returns (pivot_cols, per-rhs solution entries or None)."""
     # pivots[c] = (row bits relative to column c, rhs bits); bit 0 is set
     pivots: Dict[int, Tuple[int, int]] = {}
     bad = 0  # OR of rhs bits left on rows whose matrix part reduced to zero
@@ -167,13 +152,14 @@ def _eliminate_gf2(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
             r >>= tz
             low += tz
 
-    pivot_cols = sorted(pivots)
-    solutions: List[Optional[int]] = []
+    pivot_cols = tuple(sorted(pivots))
+    solutions: List[Optional[_Entries]] = []
     for j in range(R):
         if (bad >> j) & 1:
             solutions.append(None)
             continue
         x = 0
+        entries = []
         # Descending pivot order: each pivot row's bit 0 is its own column,
         # every other bit is a higher column already decided (free columns
         # stay zero, so the row only meets pivot bits of x).
@@ -181,14 +167,14 @@ def _eliminate_gf2(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
             r, rb = pivots[c]
             if ((rb >> j) & 1) ^ ((r & (x >> c)).bit_count() & 1):
                 x |= 1 << c
-        solutions.append(x)
+                entries.append((c, 1))
+        solutions.append(tuple(entries[::-1]))
     return pivot_cols, solutions
 
 
 def _eliminate_gf3(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
     """GF(3) elimination on reversed bit-planes; returns (pivot_cols,
-    per-rhs (plus, minus) solution bitsets, column c at bit n_cols - 1 - c,
-    or None)."""
+    per-rhs solution entries or None)."""
     top = R + sys.n_cols - 1  # the bit of column 0
     # pivots[L] = (plus, minus) of the row whose lead, column top + 1 - L,
     # is bit L - 1 of plus: the lead is +1
@@ -225,13 +211,14 @@ def _eliminate_gf3(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
             P, M = (M | bM) ^ t, (P | bP) ^ t
 
     leads = sorted(pivots)
-    pivot_cols = [top + 1 - L for L in reversed(leads)]
-    solutions: List[Optional[Tuple[int, int]]] = []
+    pivot_cols = tuple(top + 1 - L for L in reversed(leads))
+    solutions: List[Optional[_Entries]] = []
     for j in range(R):
         if (bad >> j) & 1:
             solutions.append(None)
             continue
         xP = xM = 0
+        entries = []
         # Descending column order: the row's other matrix bits are higher
         # columns already decided, and x is zero on free columns.
         for L in leads:
@@ -241,15 +228,17 @@ def _eliminate_gf3(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
                 - (P & xP).bit_count() - (M & xM).bit_count()
                 + (P & xM).bit_count() + (M & xP).bit_count()
             ) % 3
-            if v == 1:
-                xP |= 1 << (L - 1)
-            elif v:
-                xM |= 1 << (L - 1)
-        solutions.append((xP >> R, xM >> R))
+            if v:
+                xP |= (v == 1) << (L - 1)
+                xM |= (v == 2) << (L - 1)
+                entries.append((top + 1 - L, v))
+        solutions.append(tuple(entries[::-1]))
     return pivot_cols, solutions
 
 
 def _eliminate_gfp(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
+    """Elimination on dict rows, for any prime p; returns (pivot_cols,
+    per-rhs solution entries or None)."""
     p = sys.field.p
     n_cols = sys.n_cols
     shift = n_cols
@@ -281,8 +270,8 @@ def _eliminate_gfp(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
                 elif k in d:
                     del d[k]
 
-    pivot_cols = sorted(pivots)
-    solutions: List[Optional[Dict[int, int]]] = []
+    pivot_cols = tuple(sorted(pivots))
+    solutions: List[Optional[_Entries]] = []
     for j in range(R):
         if any(d.get(shift + j, 0) % p for d in bad):
             solutions.append(None)
@@ -298,7 +287,7 @@ def _eliminate_gfp(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
                         v = (v - coeff * xv) % p
             if v:
                 x[c] = v
-        solutions.append(x)
+        solutions.append(tuple(sorted(x.items())))
     return pivot_cols, solutions
 
 
@@ -309,8 +298,8 @@ def solve_multi_rhs(
 
     Each b is a list of (row, coeff) entries, a row at most once; rows not
     listed are zero.  The entries are filed by row once, so the cost grows
-    with the entries, not with rows x right-hand sides.  Results are
-    identical to calling solve once per right-hand side.
+    with the entries, not with rows x right-hand sides.  Each y comes out as
+    its nonzero (col, value) entries, exactly as solve gives it alone.
     """
     rhs_at: Dict[int, List[Tuple[int, int]]] = {}  # row -> (j, coeff) of rhs j, j ascending
     for j, rhs in enumerate(rhs_list):
@@ -321,29 +310,16 @@ def solve_multi_rhs(
             if at and at[-1][0] == j:
                 raise LinsolveError(f"rhs {j} lists row {i} twice")
             at.append((j, v))
-    n = sys.n_cols
     p = sys.field.p
-    R = len(rhs_list)
-    if p == 2:
-        pivot_cols, raw = _eliminate_gf2(sys, rhs_at, R)
-        sols = [None if x is None else tuple(_bit_bytes(x, n)) for x in raw]
-    elif p == 3:
-        pivot_cols, raw = _eliminate_gf3(sys, rhs_at, R)
-        sols = [None if x is None else _trit_tuple(*x, n) for x in raw]
-    else:
-        pivot_cols, raw = _eliminate_gfp(sys, rhs_at, R)
-        sols = [None if x is None else tuple(x.get(c, 0) for c in range(n)) for x in raw]
-    pivot_tuple = tuple(pivot_cols)
-    return [
-        SolveResult("inconsistent" if x is None else "consistent", x, pivot_tuple)
-        for x in sols
-    ]
+    eliminate = _eliminate_gf2 if p == 2 else _eliminate_gf3 if p == 3 else _eliminate_gfp
+    pivot_cols, sols = eliminate(sys, rhs_at, len(rhs_list))
+    return [SolveResult("inconsistent" if x is None else "consistent", x, pivot_cols) for x in sols]
 
 
 def solve(sys: SparseSystem, rhs: Sequence[Tuple[int, int]]) -> SolveResult:
     """Exact Gaussian elimination for the (row, coeff) entries rhs; on
     consistency the returned solution has every free (non-pivot) variable
-    equal to zero."""
+    equal to zero and lists its nonzero (col, value) entries, columns ascending."""
     return solve_multi_rhs(sys, [rhs])[0]
 
 

@@ -1,8 +1,8 @@
 """Shared test-only oracles: monomials as index tuples, random polynomials,
 polynomial product and evaluation, a reference certificate check, GF(4)
-evaluation, checked hand-built linear systems and
-right-hand sides, dense reference eliminators, a reference orbit fold, and
-a reference group order.
+evaluation, checked hand-built linear systems, right-hand sides and
+solutions, dense reference eliminators, a reference orbit fold, and a
+reference group order.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  The exception is full_system,
@@ -70,10 +70,9 @@ def orbit_members(asm) -> List[List[Tuple[int, int]]]:
     """Each system column of asm as the sorted full columns (poly index,
     packed shift) that lift_solution gives for its unit vector, after
     checking that it gives each at value 1."""
-    n = asm.system.n_cols
     out = []
-    for o in range(n):
-        lifted = lift_solution(asm, [int(k == o) for k in range(n)])
+    for o in range(asm.system.n_cols):
+        lifted = lift_solution(asm, [(o, 1)])
         assert {v for _, v in lifted} == {1}
         out.append(sorted(col for col, _ in lifted))
     return out
@@ -210,6 +209,21 @@ def rhs_entries(b: Sequence[int]) -> List[Tuple[int, int]]:
     """A dense right-hand side, one residue per row, as the (row, coeff)
     entries that linsolve takes: its nonzero rows."""
     return [(i, v) for i, v in enumerate(b) if v]
+
+
+def is_entries(solution: Sequence[Tuple[int, int]], n: int, p: int) -> bool:
+    """Whether a solution is in the form linsolve gives: (col, value)
+    entries with columns strictly ascending in 0..n-1, values in 1..p-1."""
+    cols = [c for c, _ in solution]
+    return cols == sorted(set(cols)) and all(0 <= c < n and 0 < v < p for c, v in solution)
+
+
+def dense(solution: Sequence[Tuple[int, int]], n: int) -> List[int]:
+    """A solution's (col, value) entries as one residue per column."""
+    y = [0] * n
+    for c, v in solution:
+        y[c] = v
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_degenerate_constant_system():
     asys = full_system(F, 0, [Polynomial.one(GF2, 1)])
     assert (asys.system.n_rows, asys.system.n_cols) == (1, 1)
     res = solve(asys.system, asys.rhs_list[0])
-    assert res.status == "consistent" and res.solution == (1,)
+    assert res.status == "consistent" and res.solution == ((0, 1),)
     out = nulla_prove(F, [0])
     assert out.verdict == "infeasible" and verify(out.certificate)
 
@@ -163,7 +163,7 @@ def test_target_field_mismatch_rejected():
 
 def test_schedule_validation():
     F = small_system()
-    for bad in ([], [2, 1], [1, 1], [-1]):
+    for bad in ([], [2, 1], [1, 1], [-1], range(3, 0, -1), range(-1, 2), range(1, 1)):
         with pytest.raises(AssembleError, match="schedule"):
             nulla_prove(F, bad)
 
@@ -408,21 +408,25 @@ def test_large_exponent_assembles_in_small_memory():
     assert peak < 1 << 20
 
 
-def test_extract_certificate_length_check():
+def test_extract_certificate_column_check():
     F = small_system()
     one = Polynomial.one(GF3, 3)
     asys = full_system(F, 1, [one])
-    with pytest.raises(AssembleError, match="length"):
-        extract_certificate(F, asys, (0,), one)
-    # an orbit system takes a solution of its own 9 columns, one per key,
-    # and refuses one of the 25 full columns its orbits cover
+    n = asys.system.n_cols
+    assert extract_certificate(F, asys, [(n - 1, 1)], one).entries
+    for wrong in ([(n, 1)], [(-1, 1)]):
+        with pytest.raises(AssembleError, match="column"):
+            extract_certificate(F, asys, wrong, one)
+    # an orbit system takes a solution on its own 9 columns, one per key,
+    # and refuses a column among the 25 full columns its orbits cover
     K4 = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, 4)
     orb = assemble_orbit(K4, 1, g, PermutationSet.make(4, [(0, 2, 3, 1)]))
     assert orb.system.n_cols == len(orb.packed_cols) == 9
-    assert extract_certificate(K4, orb, (0,) * 9, g).entries == ()
-    for wrong in ((0,) * 8, (0,) * 25):
-        with pytest.raises(AssembleError, match="length"):
+    assert extract_certificate(K4, orb, (), g).entries == ()
+    assert extract_certificate(K4, orb, [(8, 1)], g).entries
+    for wrong in ([(9, 1)], [(0, 1), (24, 1)]):
+        with pytest.raises(AssembleError, match="column"):
             extract_certificate(K4, orb, wrong, g)
 
 
@@ -820,10 +824,7 @@ def assert_peel_matches_full(F, d, targets):
     assert [r.status for r in part] == [r.status for r in full]
     for g, a, b in zip(targets, full, part):
         if a.consistent:
-            padded = [0] * asys.system.n_cols
-            for j, v in zip(kept, b.solution):
-                padded[j] = v
-            assert tuple(padded) == a.solution
+            assert tuple((kept[j], v) for j, v in b.solution) == a.solution
             assert write_cert(extract_certificate(F, peeled, b.solution, g)) == write_cert(
                 extract_certificate(F, asys, a.solution, g)
             )

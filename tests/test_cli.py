@@ -1,8 +1,8 @@
 """End-to-end checks of the command-line interface.
 
-Everything but two runs under an address-space limit drives
-nullcert.cli.main(argv) directly so exit codes and stdout/stderr can be
-asserted without spawning subprocesses.
+Everything but three runs under a resource limit (address space or CPU
+time) drives nullcert.cli.main(argv) directly so exit codes and
+stdout/stderr can be asserted without spawning subprocesses.
 """
 
 import argparse
@@ -590,6 +590,17 @@ def test_system_file_counts_variables_as_parse_poly_reads_them(tmp_path, capsys)
     assert without_millis(out) == without_millis(run(capsys, "prove", "--system", str(plain), "--p", "3")[1])
 
 
+def test_system_file_splits_the_tag_at_any_whitespace(tmp_path, capsys):
+    # a tab between tag and polynomial reads as a space does
+    tabbed, spaced = tmp_path / "tabbed.txt", tmp_path / "spaced.txt"
+    tabbed.write_text("e1\tx1^2+2\ne2 \t x1+x2\ne3 x1+x3\ne4 x2+x3\n")
+    spaced.write_text("e1 x1^2+2\ne2 x1+x2\ne3 x1+x3\ne4 x2+x3\n")
+    assert cli.load_system_file(str(tabbed), 3) == cli.load_system_file(str(spaced), 3)
+    rc, out, err = run(capsys, "prove", "--system", str(tabbed), "--p", "3")
+    assert (rc, err) == (0, "")
+    assert out.startswith("degree=1 rows=7 cols=10 nnz=20 status=consistent ")
+
+
 def test_system_file_errors(tmp_path, capsys):
     missing_text = tmp_path / "a.txt"
     missing_text.write_text("lonely_tag\n")
@@ -874,6 +885,24 @@ def test_a_large_max_degree_runs_in_a_small_address_space():
         "sys.exit(main(sys.argv[1:]))\n"
     )
     argv = ["prove", "--gen", "complete:4", "--max-degree", "10000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("degree=1 rows=21 cols=25 nnz=74 status=consistent ")
+
+
+def test_a_huge_max_degree_is_checked_in_constant_time():
+    # The schedule up to --max-degree 10^9 is a range, checked for order by
+    # its step: K4 then certifies at degree 1 in about 0.2 s of CPU time,
+    # where checking the schedule pair by pair takes about 20 s; a 5 s CPU
+    # limit leaves margin on both sides
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (5, 5))\n"
+        "from nullcert.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["prove", "--gen", "complete:4", "--max-degree", "1000000000"]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -82,8 +82,8 @@ RECORDS = {
         r"SparseSystem.__init__\(\) missing 1 required positional argument: 'rows'",
     ),
     SolveResult: (
-        lambda: SolveResult("consistent", (1, 0), (0,)),
-        lambda: SolveResult("consistent", (1, 0)),
+        lambda: SolveResult("consistent", ((0, 1),), (0,)),
+        lambda: SolveResult("consistent", ((0, 1),)),
         TypeError,
         "missing 1 required positional argument: 'pivot_cols'",
     ),

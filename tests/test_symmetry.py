@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import columns, expanded, full_system, group_order, orbit_fold, orbit_members, row_monomials
+from helpers import columns, dense, expanded, full_system, group_order, orbit_fold, orbit_members, row_monomials
 from nullcert.assemble import AssembleError, _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
 from nullcert.certificate import verify
 from nullcert.encode import EncodingOptions, encode_coloring
@@ -164,7 +164,7 @@ def test_k4_orbit_solution_lifts_to_certificate():
     # of its orbit, which together cover the 25 full columns once
     members = orbit_members(orb)
     assert sum(map(len, members)) == len(set().union(*members)) == 25
-    expected = [(key, v) for orbit, v in zip(members, res.solution) if v for key in orbit]
+    expected = [(key, v) for orbit, v in zip(members, dense(res.solution, 9)) if v for key in orbit]
     assert sorted(lifted) == sorted(expected) and lifted
     cert = extract_certificate(F, orb, res.solution, g)
     assert verify(cert)
@@ -194,8 +194,8 @@ def test_identity_group_gives_plain_system():
     assert orb.packed_cols == plain.packed_cols
     assert conclusive(F, 1, [g], PermutationSet.make(4, []))
     # each orbit is one column, so a solution lifts to itself
-    ybar = tuple(range(orb.system.n_cols))
-    expected = [(key, v) for key, v in zip(plain.packed_cols, ybar) if v]
+    ybar = tuple((c, c) for c in range(1, orb.system.n_cols))
+    expected = [(plain.packed_cols[c], v) for c, v in ybar]
     assert lift_solution(orb, ybar) == lift_solution(plain, ybar) == expected
 
 
@@ -212,9 +212,9 @@ def test_orbit_matrix_well_defined_across_generator_choice():
 
 def test_lift_zero_is_zero():
     orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234)
-    assert lift_solution(orb, (0,) * 9) == []
-    for wrong in ((0,) * 8, (0,) * 25):
-        with pytest.raises(AssembleError, match="length"):
+    assert lift_solution(orb, ()) == []
+    for wrong in ([(9, 1)], [(-1, 1)], [(0, 1), (24, 1)]):
+        with pytest.raises(AssembleError, match="column"):
             lift_solution(orb, wrong)
 
 
