@@ -115,7 +115,7 @@ from math import comb, gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
-from nullcert.linsolve import SparseSystem, _check_budget, solve_multi_rhs
+from nullcert.linsolve import SparseSystem, check_budget, solve_multi_rhs
 from nullcert.poly import FieldSpec, Monomial, PolySystem, Polynomial, Record, set_field
 from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant
 
@@ -260,19 +260,16 @@ class DegreeStats(Record):
 class NullaOutcome(Record):
     """Result of the degree loop.
 
-    verdict "infeasible" carries the verified certificate and the degree at
-    which it was found; "no_certificate_up_to" carries the largest degree
-    tried and no certificate.  Feasibility is NOT decided in the latter case;
-    every degree in per_degree was decided, by the full matrix whenever an
-    orbit solve alone could not be.
+    A certificate proves F infeasible: it is verified, and degree is the one
+    at which it was found.  certificate None means none exists up to degree,
+    the largest degree tried; feasibility is NOT decided then.  Every degree
+    in per_degree was decided, by the full matrix whenever an orbit solve
+    alone could not be.
     """
 
-    __slots__ = ("verdict", "certificate", "degree", "per_degree")
+    __slots__ = ("certificate", "degree", "per_degree")
 
-    def __init__(
-        self, verdict: str, certificate: Optional[Certificate], degree: int, per_degree: Tuple[DegreeStats, ...]
-    ) -> None:
-        set_field(self, "verdict", verdict)
+    def __init__(self, certificate: Optional[Certificate], degree: int, per_degree: Tuple[DegreeStats, ...]) -> None:
         set_field(self, "certificate", certificate)
         set_field(self, "degree", degree)
         set_field(self, "per_degree", per_degree)
@@ -385,7 +382,7 @@ def _layout(
             kept_shifts[i] += s
     # The shifts of one f_i times one of its terms are distinct rows.
     rows = max((c for c, terms in zip(kept_shifts, poly_terms) if terms), default=0)
-    _check_budget(F.field, rows, lay.n_cols, memory_budget, len(targets))
+    check_budget(F.field, rows, lay.n_cols, memory_budget, len(targets))
     # the shift 0 is always listed: the row walk starts each target monomial there
     lay.shifts = [packing.monomials(deg) if kept or deg == 0 else [] for deg, kept in enumerate(polys_at)]
     return lay
@@ -410,7 +407,7 @@ def _count(field: FieldSpec, lay: _Layout, memory_budget: Optional[int]) -> Dict
             for t, _ in poly_terms[i]:
                 m = delta + t
                 count[m] = get(m, 0) + one
-        _check_budget(field, len(count), n_cols, memory_budget, len(lay.target_terms))
+        check_budget(field, len(count), n_cols, memory_budget, len(lay.target_terms))
     return count
 
 
@@ -457,7 +454,7 @@ def _file(field: FieldSpec, lay: _Layout, cols: List[Tuple[int, int]]) -> Assemb
     for m in packed_rows:
         flat = iter(rows[m])
         entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem(field, len(packed_rows), len(cols), tuple(entries))
+    system = SparseSystem(field, len(cols), tuple(entries))
     return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), ())
 
 
@@ -552,7 +549,7 @@ def _orbit_system(
         sizes.append(len(member_shifts))
         entries.append([])
         if len(seen) >= check_at:
-            _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
+            check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
             check_at = len(seen) + _BUDGET_BLOCK
         return w
 
@@ -587,14 +584,14 @@ def _orbit_system(
     for m in lay.target_rows:
         if m not in seen:
             walk_row(0, m)
-    _check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
+    check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
 
     packed_rows = sorted(reps, key=packing.flip.__xor__)
     orbit_rows = tuple(tuple(entries[seen[m]]) for m in packed_rows)
     # a target is fixed by the group, so its coefficient is one per row orbit
     row_of = {m: k for k, m in enumerate(packed_rows)}
     rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in lay.target_terms]
-    system = SparseSystem(field, len(packed_rows), len(col_reps), orbit_rows)
+    system = SparseSystem(field, len(col_reps), orbit_rows)
     orb = AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(packed_rows), tuple(col_images))
     return orb, all(s % p for s in (*col_sizes, *sizes))
 
@@ -716,8 +713,8 @@ def nulla_prove(
     solve gets its own DegreeStats, with the full system's sizes for an
     assembled system and the orbit system's own for an orbit solve.  The
     first consistent solve is extracted and re-verified by expansion
-    before "infeasible" is returned; failure there is a solver bug and
-    raises.  g_candidates None means the one target g = 1.
+    before it is returned as the outcome's certificate; failure there is a
+    solver bug and raises.  g_candidates None means the one target g = 1.
 
     core = (F_core, note) is a smaller system over F's field and variables
     whose polynomials are polynomials of F's input (the encoding of an
@@ -775,8 +772,8 @@ def nulla_prove(
                 cert = extract_certificate(F_s, part, results[hit].solution, targets[hit], prov)
                 if not verify(cert):
                     raise AssembleError("internal error: extracted certificate failed re-verification")
-                return NullaOutcome("infeasible", cert, d, tuple(per_degree))
-    return NullaOutcome("no_certificate_up_to", None, schedule[-1], tuple(per_degree))
+                return NullaOutcome(cert, d, tuple(per_degree))
+    return NullaOutcome(None, schedule[-1], tuple(per_degree))
 
 
 __all__ = [

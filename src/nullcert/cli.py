@@ -322,7 +322,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
             f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
             f"nnz={ds.nnz} status={ds.status} millis={ds.millis}"
         )
-    if out.verdict != "infeasible":
+    if out.certificate is None:
         print(f"no certificate up to degree {out.degree}; feasibility not decided")
         return EXIT_NO_CERT
     print("The system of equations F is infeasible.")

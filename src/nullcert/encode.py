@@ -23,6 +23,7 @@ common_root evaluates F and the targets at: a wrong coloring decides nothing.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
@@ -146,16 +147,8 @@ def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
     """All monomials of exactly the given total degree, in global order."""
     if degree < 1:
         raise EncodeError("alternative targets must have degree >= 1")
-    # Each exponent tuple of one degree less, in order, times each variable
-    # from its last one up: the graded order of Monomial.sort_key.
-    level = [()]
-    for _ in range(degree):
-        level = [
-            pairs[:-1] + ((v, pairs[-1][1] + 1),) if pairs and v == pairs[-1][0] else pairs + ((v, 1),)
-            for pairs in level
-            for v in range(pairs[-1][0] if pairs else 0, n_vars)
-        ]
-    return [Monomial(pairs, n_vars) for pairs in level]
+    # Sorted index tuples in lexicographic order: the graded order of Monomial.sort_key.
+    return [Monomial.make([(v, 1) for v in c], n_vars) for c in combinations_with_replacement(range(n_vars), degree)]
 
 
 def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:

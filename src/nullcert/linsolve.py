@@ -14,7 +14,9 @@ R + n_cols - 1 - c and right-hand side j at bit j.  A row's lead is then its
 highest bit, found by bit_length() in O(1), and the row is only
 R + n_cols - lead bits wide, so a row addition, the 7-operation bitsliced add
 of Boothby & Bradshaw's GF(3), costs what the row spans from its lead to the
-last column.  Rows for p >= 5 are dicts from column to coefficient.
+last column.  A row for p >= 5 is two dicts, its matrix part (column to
+coefficient) and its right-hand-side part (j to value), which every pivot
+reduces together.
 
 Elimination is online: each row reduces against the pivots found so far and
 either claims a new pivot at its lowest surviving column, vanishes, or
@@ -68,9 +70,10 @@ def packed_bytes(n_rows: int, n_cols: int, p: int, n_rhs: int = 1) -> int:
     return n_rows * width
 
 
-def _check_budget(
+def check_budget(
     field: FieldSpec, n_rows: int, n_cols: int, memory_budget: Optional[int], n_rhs: int
 ) -> None:
+    """Raise MemoryBudgetError if packed_bytes exceeds memory_budget (None: the default)."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     predicted = packed_bytes(n_rows, n_cols, field.p, n_rhs)
     if predicted > budget:
@@ -81,20 +84,21 @@ class SparseSystem(Record):
     """The matrix A of sparse GF(p) linear systems A y = b; the right-hand
     sides b are passed to solve and solve_multi_rhs.
 
-    rows[i] holds (col, coeff) pairs with strictly increasing columns and
-    nonzero coefficients.  The constructor checks nothing: rows are
-    canonical by construction (nullcert.assemble).
+    rows[i] holds (col, coeff) pairs with strictly increasing columns below
+    n_cols and nonzero coefficients; n_rows is len(rows).  The constructor
+    checks nothing: rows are canonical by construction (nullcert.assemble).
     """
 
-    __slots__ = ("field", "n_rows", "n_cols", "rows")
+    __slots__ = ("field", "n_cols", "rows")
 
-    def __init__(
-        self, field: FieldSpec, n_rows: int, n_cols: int, rows: Tuple[Tuple[Tuple[int, int], ...], ...]
-    ) -> None:
+    def __init__(self, field: FieldSpec, n_cols: int, rows: Tuple[Tuple[Tuple[int, int], ...], ...]) -> None:
         set_field(self, "field", field)
-        set_field(self, "n_rows", n_rows)
         set_field(self, "n_cols", n_cols)
         set_field(self, "rows", rows)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
 
     @property
     def nnz(self) -> int:
@@ -104,16 +108,15 @@ class SparseSystem(Record):
 class SolveResult(Record):
     """solution: None if inconsistent, else the nonzero (col, value) entries, columns ascending."""
 
-    __slots__ = ("status", "solution", "pivot_cols")
+    __slots__ = ("solution", "pivot_cols")
 
-    def __init__(self, status: str, solution: Optional[_Entries], pivot_cols: Tuple[int, ...]) -> None:
-        set_field(self, "status", status)  # "consistent" | "inconsistent"
+    def __init__(self, solution: Optional[_Entries], pivot_cols: Tuple[int, ...]) -> None:
         set_field(self, "solution", solution)
         set_field(self, "pivot_cols", pivot_cols)
 
     @property
     def consistent(self) -> bool:
-        return self.status == "consistent"
+        return self.solution is not None
 
 
 def _eliminate_gf2(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], R: int):
@@ -240,51 +243,42 @@ def _eliminate_gfp(sys: SparseSystem, rhs_at: Dict[int, List[Tuple[int, int]]], 
     """Elimination on dict rows, for any prime p; returns (pivot_cols,
     per-rhs solution entries or None)."""
     p = sys.field.p
-    n_cols = sys.n_cols
-    shift = n_cols
-    pivots: Dict[int, Dict[int, int]] = {}  # col -> row dict with leading coeff 1
-    bad: List[Dict[int, int]] = []
+    # col -> (matrix part, rhs part) of the row whose lead, column col, is 1
+    pivots: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+    bad = set()  # rhs j left nonzero on rows whose matrix part vanished
     for i, row in enumerate(sys.rows):
-        d = {c: v for c, v in row}
-        for j, v in rhs_at.get(i, ()):
-            v %= p
-            if v:
-                d[shift + j] = v
-        while True:
-            matrix_cols = [c for c in d if c < n_cols]
-            if not matrix_cols:
-                if d:
-                    bad.append(d)
-                break
-            c = min(matrix_cols)
+        d = dict(row)
+        b = {j: v % p for j, v in rhs_at.get(i, ()) if v % p}
+        while d:
+            c = min(d)
             piv = pivots.get(c)
             if piv is None:
                 inv = pow(d[c], -1, p)
-                pivots[c] = {k: (v * inv) % p for k, v in d.items()}
+                pivots[c] = ({k: v * inv % p for k, v in d.items()}, {j: v * inv % p for j, v in b.items()})
                 break
             f = d[c]
-            for k, v in piv.items():
-                nv = (d.get(k, 0) - f * v) % p
-                if nv:
-                    d[k] = nv
-                elif k in d:
-                    del d[k]
+            for part, piv_part in zip((d, b), piv):
+                for k, v in piv_part.items():
+                    nv = (part.get(k, 0) - f * v) % p
+                    if nv:
+                        part[k] = nv
+                    else:
+                        part.pop(k, None)
+        else:
+            bad.update(b)
 
     pivot_cols = tuple(sorted(pivots))
     solutions: List[Optional[_Entries]] = []
     for j in range(R):
-        if any(d.get(shift + j, 0) % p for d in bad):
+        if j in bad:
             solutions.append(None)
             continue
         x: Dict[int, int] = {}
+        # Descending column order: the row's other columns are higher ones
+        # already decided, and x is zero on free columns and on the lead.
         for c in reversed(pivot_cols):
-            row = pivots[c]
-            v = row.get(shift + j, 0)
-            for k, coeff in row.items():
-                if k != c and k < n_cols:
-                    xv = x.get(k, 0)
-                    if xv:
-                        v = (v - coeff * xv) % p
+            row, b = pivots[c]
+            v = (b.get(j, 0) - sum(coeff * x.get(k, 0) for k, coeff in row.items())) % p
             if v:
                 x[c] = v
         solutions.append(tuple(sorted(x.items())))
@@ -313,7 +307,7 @@ def solve_multi_rhs(
     p = sys.field.p
     eliminate = _eliminate_gf2 if p == 2 else _eliminate_gf3 if p == 3 else _eliminate_gfp
     pivot_cols, sols = eliminate(sys, rhs_at, len(rhs_list))
-    return [SolveResult("inconsistent" if x is None else "consistent", x, pivot_cols) for x in sols]
+    return [SolveResult(x, pivot_cols) for x in sols]
 
 
 def solve(sys: SparseSystem, rhs: Sequence[Tuple[int, int]]) -> SolveResult:
@@ -329,6 +323,7 @@ __all__ = [
     "MemoryBudgetError",
     "SparseSystem",
     "SolveResult",
+    "check_budget",
     "packed_bytes",
     "solve",
     "solve_multi_rhs",

@@ -202,7 +202,7 @@ class SparseSystem:
                 raise ValueError(f"row {i}: columns not strictly increasing in range")
             if not all(0 < v < p for _, v in row):
                 raise ValueError(f"row {i}: coefficient outside 1..{p - 1}")
-        return linsolve.SparseSystem(field, n_rows, n_cols, tuple(map(tuple, rows)))
+        return linsolve.SparseSystem(field, n_cols, tuple(map(tuple, rows)))
 
 
 def rhs_entries(b: Sequence[int]) -> List[Tuple[int, int]]:

@@ -82,7 +82,7 @@ def test_small_system_proof_and_runtime():
     t0 = time.perf_counter()
     out = nulla_prove(small_system(), [1])
     elapsed = time.perf_counter() - t0
-    assert out.verdict == "infeasible" and out.degree == 1
+    assert out.certificate is not None and out.degree == 1
     assert verify(out.certificate)
     assert out.per_degree[0].cols == 10
     assert elapsed < 1.0
@@ -127,9 +127,9 @@ def test_degenerate_constant_system():
     asys = full_system(F, 0, [Polynomial.one(GF2, 1)])
     assert (asys.system.n_rows, asys.system.n_cols) == (1, 1)
     res = solve(asys.system, asys.rhs_list[0])
-    assert res.status == "consistent" and res.solution == ((0, 1),)
+    assert res.consistent and res.solution == ((0, 1),)
     out = nulla_prove(F, [0])
-    assert out.verdict == "infeasible" and verify(out.certificate)
+    assert out.certificate is not None and verify(out.certificate)
 
 
 @pytest.mark.parametrize("k, p, cutters", [(2, 3, "none"), (3, 2, "cliques"), (4, 3, "cliques"), (5, 2, "cliques")])
@@ -218,7 +218,7 @@ def test_stats_pruned_never_exceeds_predictions():
 def test_k3_no_certificate_up_to_four():
     F = encode_coloring(gen_complete(3), EncodingOptions(preprocess=True))
     out = nulla_prove(F, [1, 4])
-    assert out.verdict == "no_certificate_up_to" and out.degree == 4
+    assert out.certificate is None and out.degree == 4
     assert out.certificate is None
     assert [d.status for d in out.per_degree] == ["inconsistent", "inconsistent"]
     assert [d.degree for d in out.per_degree] == [1, 4]
@@ -238,7 +238,7 @@ def test_first_consistent_target_wins():
     g_x2 = parse_poly("x2", GF3, 2)
     g_x1 = parse_poly("x1", GF3, 2)
     out = nulla_prove(F, [0], [g_x2, g_x1])
-    assert out.verdict == "infeasible"
+    assert out.certificate is not None
     assert out.certificate.target == g_x2
     # x2 = (x1+x2) - x1 with constant multipliers
     assert {e.tag for e in out.certificate.entries} == {"user:0", "user:1"}
@@ -250,7 +250,7 @@ def test_later_target_found_when_first_fails():
     impossible = parse_poly("2", GF3, 2)
     reachable = parse_poly("x1+x2", GF3, 2)
     out = nulla_prove(F, [0], [impossible, reachable])
-    assert out.verdict == "infeasible"
+    assert out.certificate is not None
     assert out.certificate.target == reachable
 
 
@@ -302,12 +302,13 @@ def test_gf2_prove_matches_assemble_and_solve(graph):
         out = nulla_prove(F, [d])
         (st,) = out.per_degree
         res = solve(asys.system, asys.rhs_list[0])
+        status = "consistent" if res.consistent else "inconsistent"
         assert (st.rows, st.cols, st.nnz, st.status) == (
-            asys.system.n_rows, asys.system.n_cols, asys.system.nnz, res.status
+            asys.system.n_rows, asys.system.n_cols, asys.system.nnz, status
         )
         if res.consistent:
-            assert out.verdict == "infeasible" and verify(out.certificate)
-    assert (out.verdict == "infeasible") == (find_coloring(graph, 3) is None)
+            assert out.certificate is not None and verify(out.certificate)
+    assert (out.certificate is not None) == (find_coloring(graph, 3) is None)
 
 
 def test_packed_monomials_match_monomial_arithmetic():
@@ -465,7 +466,7 @@ def test_preprocessing_preserves_degree_one_verdict():
         pre = nulla_prove(
             encode_coloring(g, EncodingOptions(preprocess=True)), [1]
         )
-        assert raw.verdict == pre.verdict
+        assert (raw.certificate is None) == (pre.certificate is None)
 
 
 def test_infeasible_implies_not_colorable_many_seeds():
@@ -478,7 +479,7 @@ def test_infeasible_implies_not_colorable_many_seeds():
         g = gen_random(n, 0.5, rng.randrange(10**6))
         F = encode_coloring(g, EncodingOptions(preprocess=True))
         out = nulla_prove(F, [1])
-        if out.verdict == "infeasible":
+        if out.certificate is not None:
             infeasible += 1
             assert verify(out.certificate)
             assert find_coloring(g, 3) is None
@@ -511,7 +512,7 @@ def test_isolate_ignores_disjoint_component():
     g = Graph.make(7, edges)
     F = encode_coloring(g, EncodingOptions(preprocess=True), origin=1)
     out = nulla_prove(F, [1])
-    assert out.verdict == "infeasible"
+    assert out.certificate is not None
     sub = support_subgraph(out.certificate)
     assert all(v <= 4 for e in sub.edges for v in e)
     assert find_coloring(sub, 3) is None
@@ -522,7 +523,7 @@ def test_multi_target_row_universe_covers_all_candidates():
     g1 = Polynomial.one(GF2, 4)
     g2 = parse_poly("x1*x2*x3", GF2, 4)
     out = nulla_prove(F, [1], [g2, g1])
-    assert out.verdict == "infeasible"
+    assert out.certificate is not None
     assert verify(out.certificate)
     assert out.certificate.target in (g1, g2)
 
@@ -572,7 +573,7 @@ def test_root_skips_elimination_with_identical_outcome(monkeypatch, capsys, tmp_
     graph, _ = cli.parse_gen_spec(spec, None)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     plain = nulla_prove(F, [1, 4])
-    assert plain.verdict == "no_certificate_up_to"
+    assert plain.certificate is None
     root = find_coloring(graph, 3)
     assert common_root(F, None, root)
     assert prove_ends_at_root(monkeypatch, capsys, tmp_path, spec) == root
@@ -585,7 +586,7 @@ def test_root_skips_orbit_and_full_solves_under_symmetry(monkeypatch, capsys, tm
     plain, plain_solves = prove_counting_solves(monkeypatch, F, perms=perms)
     # the rim's orbits have size 6, even: each degree has an orbit and a full entry
     assert len(plain.per_degree) == 4 and plain_solves == 4
-    assert plain.verdict == "no_certificate_up_to"
+    assert plain.certificate is None
     root = find_coloring(graph, 3)
     assert common_root(F, None, root)
     assert prove_ends_at_root(monkeypatch, capsys, tmp_path, "wheel:6", "(1,2,3,4,5,6)") == root
@@ -598,7 +599,7 @@ def test_bad_root_cannot_change_a_result(monkeypatch):
     graph = gen_wheel(4)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     plain, solves = prove_counting_solves(monkeypatch, F)
-    assert (plain.verdict, solves) == ("no_certificate_up_to", 2)
+    assert (plain.certificate is None, solves) == (True, 2)
     skipped = 0
     for root in itertools.product(range(3), repeat=F.n_vars):
         proper = all(root[u - 1] != root[v - 1] for u, v in graph.edges)
@@ -608,7 +609,7 @@ def test_bad_root_cannot_change_a_result(monkeypatch):
     # on the non-colorable wheel:5 no point is a root; the certificate stands
     F5 = encode_coloring(gen_wheel(5), EncodingOptions(preprocess=True))
     plain5, solves5 = prove_counting_solves(monkeypatch, F5)
-    assert (plain5.verdict, solves5) == ("infeasible", 1) and verify(plain5.certificate)
+    assert (plain5.certificate is None, solves5) == (False, 1) and verify(plain5.certificate)
     rng = random.Random(5)
     for _ in range(40):
         root = [rng.randrange(3) for _ in range(F5.n_vars)]
@@ -624,7 +625,7 @@ def test_root_where_a_target_vanishes_still_solves(monkeypatch):
     root = find_coloring(graph, 3)
     assert common_root(F, None, root) and not common_root(F, [target], root)
     plain, plain_solves = prove_counting_solves(monkeypatch, F, g_candidates=[target])
-    assert plain.verdict == "infeasible" and plain.degree == 1
+    assert plain.certificate is not None and plain.degree == 1
     assert plain_solves == 1
 
 
@@ -699,7 +700,7 @@ def test_root_counts_degrees_without_assembly(monkeypatch, capsys, tmp_path, spe
     graph, _ = cli.parse_gen_spec(spec, None)
     F = encode_coloring(graph, EncodingOptions(preprocess=generators is None))
     plain = nulla_prove(F, [1, 4])
-    assert plain.verdict == "no_certificate_up_to"
+    assert plain.certificate is None
     root = find_coloring(graph, 3)
     assert common_root(F, None, root)
     assert prove_ends_at_root(monkeypatch, capsys, tmp_path, spec, generators) == root
@@ -724,7 +725,7 @@ def embedded(f, images, n):
 def assert_same_outcome(compact, wide, images, n):
     """The same verdict, degree and per-degree sizes, and wide's certificate
     is compact's renamed by images into n variables."""
-    assert (wide.verdict, wide.degree) == (compact.verdict, compact.degree)
+    assert (wide.certificate is None, wide.degree) == (compact.certificate is None, compact.degree)
     assert [(s.degree, s.rows, s.cols, s.nnz, s.status) for s in wide.per_degree] == [
         (s.degree, s.rows, s.cols, s.nnz, s.status) for s in compact.per_degree
     ]
@@ -764,8 +765,8 @@ def test_absent_variables_change_nothing(p):
         compact = nulla_prove(F, [0, 1, 2], targets)
         wide = nulla_prove(E, [0, 1, 2], [embedded(g, images, wide_n) for g in targets])
         assert_same_outcome(compact, wide, images, wide_n)
-        verdicts.add(compact.verdict)
-    assert verdicts == {"infeasible", "no_certificate_up_to"}
+        verdicts.add(compact.certificate is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("k, p, orbit_hit", [(3, 2, False), (2, 3, True)])
@@ -782,7 +783,7 @@ def test_absent_variables_fixed_by_the_group_change_nothing(k, p, orbit_hit):
         generator[images[i]] = images[(i + 1) % 4]
     compact = nulla_prove(F, [1, 2, 3], perms=PermutationSet.make(4, [[1, 2, 3, 0]]))
     wide = nulla_prove(E, [1, 2, 3], perms=PermutationSet.make(wide_n, [generator]))
-    assert compact.verdict == "infeasible"
+    assert compact.certificate is not None
     assert_same_outcome(compact, wide, images, wide_n)
     assert wide.certificate.provenance["symmetry"] == ([generator] if orbit_hit else None)
 
@@ -821,7 +822,7 @@ def assert_peel_matches_full(F, d, targets):
     assert named(peeled) == named(asys)
     full = solve_multi_rhs(asys.system, asys.rhs_list)
     part = solve_multi_rhs(peeled.system, peeled.rhs_list)
-    assert [r.status for r in part] == [r.status for r in full]
+    assert [r.consistent for r in part] == [r.consistent for r in full]
     for g, a, b in zip(targets, full, part):
         if a.consistent:
             assert tuple((kept[j], v) for j, v in b.solution) == a.solution
@@ -933,4 +934,4 @@ def test_budget_between_peeled_and_full_still_refuses(n):
         stats(F, 1, memory_budget=budget)
     assert str(refused.value) == str(counted.value)
     assert refused.value.n_cols == cols
-    assert nulla_prove(F, [1], memory_budget=full).verdict == "infeasible"
+    assert nulla_prove(F, [1], memory_budget=full).certificate is not None

@@ -54,7 +54,7 @@ def make_gf3_cert():
 def k4_cert():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
     out = nulla_prove(F, [1])
-    assert out.verdict == "infeasible"
+    assert out.certificate is not None
     return out.certificate
 
 

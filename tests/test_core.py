@@ -48,7 +48,7 @@ def test_core_never_raises_the_certificate_degree(name):
     plain = nulla_prove(F, [1, 4])
     core = build_core(g, OPTS, 1, None)
     out = nulla_prove(F, [1, 4], core=core)
-    assert out.verdict == plain.verdict == "infeasible"
+    assert out.certificate is not None and plain.certificate is not None
     assert out.degree <= plain.degree
     assert verify(out.certificate)
     if "core" not in out.certificate.provenance:
@@ -105,7 +105,7 @@ def test_core_argument_is_checked():
     # a target outside the core is sound to use, and build_core skips it
     assert build_core(g, OPTS, 1, [x5]) is None
     out = nulla_prove(F, [1, 4], [x5], core=core)
-    assert out.verdict == "infeasible" and verify(out.certificate)
+    assert out.certificate is not None and verify(out.certificate)
     with pytest.raises(AssembleError, match="excludes"):
         nulla_prove(F, [1], core=core, perms=PermutationSet.make(5, [[1, 2, 3, 4, 0]]))
     F_core, note = core

@@ -49,10 +49,11 @@ def test_module_import_graph_has_no_cycle():
     assert not graph["nullcert.assemble"] & {"nullcert.encode", "nullcert.graphs"}
 
 
-def test_symmetry_imports_no_private_name():
+def test_no_module_imports_another_modules_private_name():
     private = [
-        (module, name)
-        for module, names in imports(SRC / "symmetry.py")
+        (path.name, module, name)
+        for path in sorted(SRC.glob("*.py"))
+        for module, names in imports(path)
         for name in names
         if name.startswith("_")
     ]

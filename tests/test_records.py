@@ -33,7 +33,7 @@ def poly():
 
 
 def sparse():
-    return SparseSystem(F2, 1, 2, (((0, 1), (1, 1)),))
+    return SparseSystem(F2, 2, (((0, 1), (1, 1)),))
 
 
 def assembled():
@@ -77,13 +77,13 @@ RECORDS = {
     ),
     SparseSystem: (
         sparse,
-        lambda: SparseSystem(F2, 1, 2),
+        lambda: SparseSystem(F2, 2),
         TypeError,
         r"SparseSystem.__init__\(\) missing 1 required positional argument: 'rows'",
     ),
     SolveResult: (
-        lambda: SolveResult("consistent", ((0, 1),), (0,)),
-        lambda: SolveResult("consistent", ((0, 1),)),
+        lambda: SolveResult(((0, 1),), (0,)),
+        lambda: SolveResult(((0, 1),)),
         TypeError,
         "missing 1 required positional argument: 'pivot_cols'",
     ),
@@ -106,8 +106,8 @@ RECORDS = {
         "missing 1 required positional argument: 'millis'",
     ),
     NullaOutcome: (
-        lambda: NullaOutcome("no_certificate_up_to", None, 4, (DegreeStats(1, 6, 8, 12, "inconsistent", 3),)),
-        lambda: NullaOutcome("no_certificate_up_to", None, 4),
+        lambda: NullaOutcome(None, 4, (DegreeStats(1, 6, 8, 12, "inconsistent", 3),)),
+        lambda: NullaOutcome(None, 4),
         TypeError,
         "missing 1 required positional argument: 'per_degree'",
     ),
@@ -144,9 +144,14 @@ def test_record_behaves_as_a_frozen_value(cls):
 
 
 def test_equal_fields_of_another_record_class_are_not_equal():
-    assert DegreeStats(1, 6, 8, 12, "consistent", 3) != SolveResult(1, 6, 8)
+    assert DegreeStats(1, 6, 8, 12, "consistent", 3) != SolveResult(1, 6)
     # the same field values (((0, 2), (1, 1)), 3) in two classes
     assert mono() != PermutationSet(((0, 2), (1, 1)), 3)
+
+
+def test_sparse_system_row_count_is_its_rows():
+    assert sparse().n_rows == len(sparse().rows) == 1
+    assert SparseSystem(F2, 2, ((), ((1, 1),), ())).n_rows == 3
 
 
 def test_monomial_order_and_hash_are_those_of_its_fields():

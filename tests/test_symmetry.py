@@ -376,7 +376,7 @@ def test_orbit_build_checks_closure():
     assert check_invariant(repeated, [], swap) == [[0, 1, 3, 2]]
     orb = assemble_orbit(repeated, 1, Polynomial.one(GF2, 2), swap)
     result = solve(orb.system, orb.rhs_list[0])
-    assert result.status == "consistent"
+    assert result.consistent
     assert verify(extract_certificate(repeated, orb, result.solution, Polynomial.one(GF2, 2)))
     doubled = PolySystem.make(GF2, 2, [parse_poly(t, GF2, 2) for t in texts[::-1]], tags=list("dcba"))
     assert check_invariant(doubled, [], swap) == [[1, 0, 2, 3]]
