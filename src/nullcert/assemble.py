@@ -12,8 +12,9 @@ system (if any), then F's.  Given a group, each is built as its orbit
 system, and assembled only when the orbit solve is inconsistent and some
 orbit size is divisible by p; without one it is assembled.  An
 assembled system is peeled (below) before it is solved.  Each solve gets
-one DegreeStats: an assembled system's carries the full system's sizes, an
-orbit system's the orbit system's own.  The first consistent solve is
+one DegreeStats: an assembled system's carries the rows counted of the
+system built and the full system's columns and nonzeros, an orbit
+system's the orbit system's own sizes.  The first consistent solve is
 extracted and re-verified.
 
 Peeling: a row monomial that is no target's and that exactly one column
@@ -27,11 +28,47 @@ Consistency per rhs is unchanged, and so is the free-variables-zero
 solution, with the peeled columns at zero, and with it the certificate.
 Each row names its column through the sum of its live products' columns,
 so the cascade costs what the dropped columns' products do, and no stop
-rule is needed.  It runs on _count's count of the full system, which
-stats reports too and the budget is checked on, so every refusal and its
-message are those of the full system.  On wheel:101 at degree 1 the
-25,353 x 20,605 system peels to 1,012 x 1,112, the certificate's
-neighbourhood.
+rule is needed.  It runs on _count's count of the system built: the full
+system, or at degree 1 of a 3-coloring for g = 1 its local columns (below).
+That count is what the budget is checked on and the degree line's rows;
+stats counts the full system.  On wheel:101 at degree 1 the full
+25,353 x 20,605 system and its 1,112 local columns both peel to
+1,012 x 1,112, the certificate's neighbourhood.
+
+The peel keeps a fixed point.  Call a column set S closed when no
+non-target row has exactly one product from S.  A union of closed sets is
+closed, so every column set C has a largest closed subset T(C).  The peel
+of C never drops a column of a closed subset of C: the row that drops a
+column has it as its one live product, and the subset lies among the live
+columns.  What it keeps is closed, so it keeps exactly T(C).  If T(C) is
+inside C' and C' inside C, then T(C') = T(C): the peel of any such C'
+keeps T(C), in the same column order, so the filed system, its solution
+and the certificate are those of C.
+
+Local columns: take a k = 3 coloring encoding without cutters, over any
+field it allows, with or without preprocessing, from any origin, at degree
+1 with the one target g = 1.  An edge polynomial uv has the terms x_u^2,
+x_u x_v and x_v^2, all with coefficient 1; a vertex polynomial x_v^3 - 1
+gives, at any shift of degree at most 1, only the products 1, x_v^3, x_w
+and x_w x_v^3.  So a row x_u x_v x_w or x_w x_v^2, with u, v and w
+distinct, is produced only by edge columns of shift degree 1, and it is no
+target's.  Column (uv, x_w) is local when w is u or v, is adjacent to both,
+or lies on a 4-cycle through the edge uv (u-w-z-v or u-z-w-v).  Every other
+column is outside T(C) of the full column set C, in two rounds:
+  - w adjacent to neither u nor v: the row x_u x_v x_w has the one product
+    of (uv, x_w), since (uw, x_v) and (vw, x_u) are not columns;
+  - w adjacent to u but not to v, with no neighbour but u shared with v:
+    the row x_w x_v^2 has products only from the columns (vy, x_w), y a
+    neighbour of v.  For y other than u, w is not adjacent to y, nor to v,
+    so (vy, x_w) is of the first round; T(C) then holds at most one product
+    of this row, so not (uv, x_w).  The mirror case, u and v swapped, is the
+    same.
+So the local columns, with every column that is not an edge column of
+shift degree 1, hold T(C), and peeling them files the full system's
+peeled system.  nulla_prove builds them from the local shift variables the
+encoding hands it (nullcert.encode.local_shifts): F and a core each have
+their own.  Other requests (other degrees or targets, cutters, k other
+than 3, --system, orbit systems) are built on every column.
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -112,7 +149,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import accumulate, combinations_with_replacement, compress, islice
 from math import comb, gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, check_budget, solve_multi_rhs
@@ -310,13 +347,16 @@ class _Layout:
     them, the packed shifts, none at a positive degree that keeps no poly.
 
     It alone numbers the columns, shift-major: columns() yields them in
-    order, column(j) is the j-th, and there are n_cols.  Column (i, delta)
-    holds one entry per term of f_i, whose monomials are distinct, so the
-    system has nnz entries.
+    order, column(j) is the j-th, and there are n_cols.  It numbers every
+    column of the full system, or, when local holds the ascending full
+    indices of some of them (see "Local columns" in the module docstring),
+    those alone, in the same order.  full_cols and nnz are the full
+    system's size in closed form: column (i, delta) holds one entry per term
+    of f_i, whose monomials are distinct.
     """
 
     __slots__ = ("packing", "poly_terms", "target_terms", "target_rows", "polys_at", "n_shifts", "starts", "n_cols",
-                 "nnz", "shifts")
+                 "full_cols", "nnz", "local", "shifts")
 
     def __init__(self, packing: _Packing, poly_terms: list, target_terms: list, polys_at: List[List[int]]) -> None:
         self.packing, self.poly_terms, self.target_terms, self.polys_at = packing, poly_terms, target_terms, polys_at
@@ -324,20 +364,26 @@ class _Layout:
         n = len(packing.variables)
         self.n_shifts = [comb(n + deg - 1, deg) if n else int(deg == 0) for deg in range(len(polys_at))]
         self.starts = list(accumulate((len(kept) * s for kept, s in zip(polys_at, self.n_shifts)), initial=0))
-        self.n_cols = self.starts[-1]
+        self.n_cols = self.full_cols = self.starts[-1]
         self.nnz = sum(sum(len(poly_terms[i]) for i in kept) * s for kept, s in zip(polys_at, self.n_shifts))
+        self.local: Optional[List[int]] = None
 
     def columns(self) -> Iterator[Tuple[int, int]]:
         """Every column (poly index, packed shift), in order."""
+        if self.local is not None:
+            return map(self.column, range(self.n_cols))
         pairs = zip(self.polys_at, self.shifts)
         return ((i, delta) for kept, deltas in pairs if kept for delta in deltas for i in kept)
 
     def by_shift(self, value: int) -> Dict[int, Dict[int, int]]:
-        """{delta: {i: value}} over the columns (i, delta), in order."""
+        """{delta: {i: value}} over the columns (i, delta) of the full
+        system, in order."""
         pairs = zip(self.polys_at, self.shifts)
         return {delta: dict.fromkeys(kept, value) for kept, deltas in pairs for delta in deltas}
 
     def column(self, j: int) -> Tuple[int, int]:
+        if self.local is not None:
+            j = self.local[j]
         deg = bisect_right(self.starts, j) - 1
         k, r = divmod(j - self.starts[deg], len(self.polys_at[deg]))
         return self.polys_at[deg][r], self.shifts[deg][k]
@@ -348,6 +394,7 @@ def _layout(
     d: int,
     targets: Sequence[Polynomial],
     memory_budget: Optional[int],
+    local: Optional[Dict[str, Sequence[int]]] = None,
 ) -> _Layout:
     """Check a degree-d request and lay it out (_Layout).
 
@@ -356,9 +403,12 @@ def _layout(
     it.  A group that leaves F invariant and fixes the targets maps this
     list onto itself.
 
+    local, given at degree 1 only, maps the tag of a poly to the variables
+    of its shifts of degree 1 to number; every other column is numbered.
+
     The memory budget is checked before any shift is listed, on the exact
-    column count and a lower bound on the rows, so that a degree far over
-    budget fails without enumerating its C(n+d, d) shifts."""
+    count of the columns numbered and a lower bound on the rows, so that a
+    degree far over budget fails without enumerating its C(n+d, d) shifts."""
     if d < 0:
         raise AssembleError("degree must be >= 0")
     _check_request(F, targets)
@@ -380,6 +430,17 @@ def _layout(
     for kept, s in zip(polys_at, lay.n_shifts):
         for i in kept:
             kept_shifts[i] += s
+    if local is not None:
+        # full index of column (i, x_v): start + (v's place) * width + (i's place)
+        start, width, position = lay.starts[1], len(polys_at[1]), {v: s for s, v in enumerate(variables)}
+        numbered = []
+        for r, i in enumerate(polys_at[1]):
+            shifts = local.get(F.tags[i])
+            places = range(lay.n_shifts[1]) if shifts is None else [position[v] for v in shifts if v in position]
+            kept_shifts[i] -= lay.n_shifts[1] - len(places)
+            numbered += (start + s * width + r for s in places)
+        lay.local = [*range(start), *sorted(numbered)]
+        lay.n_cols = len(lay.local)
     # The shifts of one f_i times one of its terms are distinct rows.
     rows = max((c for c, terms in zip(kept_shifts, poly_terms) if terms), default=0)
     check_budget(F.field, rows, lay.n_cols, memory_budget, len(targets))
@@ -389,12 +450,12 @@ def _layout(
 
 
 def _count(field: FieldSpec, lay: _Layout, memory_budget: Optional[int]) -> Dict[int, int]:
-    """The full system's rows, counted: per row monomial, its products in
+    """The rows of lay's columns, counted: per row monomial, its products in
     the low 32 bits and the sum of their columns above, so that a row with
     one product names its column; a target monomial no product reaches
     counts 0.
 
-    This is the one count of the full system, for stats and peeling.  Rows
+    This is the one count of a system, for stats and peeling.  Rows
     only grow, so the budget for every target is checked on the rows
     counted so far after each _BUDGET_BLOCK columns: a degree far over
     budget fails early.  The last block is short, maybe empty, so the last
@@ -463,14 +524,16 @@ def _assemble(
     d: int,
     targets: Sequence[Polynomial],
     memory_budget: Optional[int],
+    local: Optional[Dict[str, Sequence[int]]] = None,
 ) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
     """The degree-d system, peeled (see "Peeling" in the module docstring),
-    with one right-hand side per target, and the full system's (rows, cols,
-    nnz).  The full system is counted (_count), and so the budget checked,
-    before any column is filed."""
-    lay = _layout(F, d, targets, memory_budget)
+    with one right-hand side per target, and the counted rows of the system
+    built, on every column or on the local ones (_layout), with the full
+    system's cols and nnz.  The system built is counted (_count), and so
+    the budget checked, before any column is filed."""
+    lay = _layout(F, d, targets, memory_budget, local)
     count = _count(F.field, lay, memory_budget)
-    sizes = len(count), lay.n_cols, lay.nnz
+    sizes = len(count), lay.full_cols, lay.nnz
     cols = _peel(lay, count)
     del count  # before filing, which holds the peak
     return _file(F.field, lay, cols), sizes
@@ -648,11 +711,11 @@ def stats(
     shift) pair.  Actuals (rows, cols, nnz) are the full system's, graded
     and with shifts over the occurring variables only, for the target
     g = 1, from _layout and _count: the matrix is not filed, and a budget
-    refusal is the one nulla_prove gives.
+    refusal is the one nulla_prove gives where it builds the full system.
     """
     one = [Polynomial.one(F.field, F.n_vars)]
     lay = _layout(F, d, one, memory_budget)
-    rows, cols, nnz = len(_count(F.field, lay, memory_budget)), lay.n_cols, lay.nnz
+    rows, cols, nnz = len(_count(F.field, lay, memory_budget)), lay.full_cols, lay.nnz
     shifts = comb(F.n_vars + d, d)
     monomials = sum(len(f.terms) for f in F.polys)
     return {
@@ -698,7 +761,9 @@ def nulla_prove(
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
-    core: Optional[Tuple[PolySystem, dict]] = None,
+    core: Optional[Tuple[PolySystem, dict, Optional[Dict[str, Sequence[int]]]]] = None,
+    local: Optional[Dict[str, Sequence[int]]] = None,
+    on_degree: Optional[Callable[[DegreeStats], None]] = None,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
 
@@ -708,19 +773,28 @@ def nulla_prove(
     invariant under the group (SymmetryError otherwise); a system is solved
     as its orbit system, and assembled and solved in full only when that is
     inconsistent and some orbit size is divisible by p: only orbit sizes
-    prime to p make an inconsistent orbit solve conclusive.  An
-    assembled system is solved peeled (see the module docstring).  Each
-    solve gets its own DegreeStats, with the full system's sizes for an
-    assembled system and the orbit system's own for an orbit solve.  The
-    first consistent solve is extracted and re-verified by expansion
+    prime to p make an inconsistent orbit solve conclusive.  An assembled
+    system is solved peeled (see the module docstring).  Each solve gets
+    its own DegreeStats: for an assembled system the rows counted of the
+    system built, on every column or on the local ones, and the full
+    system's cols and nnz; for an orbit solve the orbit system's own sizes.
+    on_degree, if given, is called with each DegreeStats as its solve ends.
+    The first consistent solve is extracted and re-verified by expansion
     before it is returned as the outcome's certificate; failure there is a
     solver bug and raises.  g_candidates None means the one target g = 1.
 
-    core = (F_core, note) is a smaller system over F's field and variables
-    whose polynomials are polynomials of F's input (the encoding of an
-    induced subgraph, say), so that a certificate for it is one for F.  It
-    is solved for F's targets, and its certificate records note under
-    provenance "core".  core excludes perms.
+    local maps the tag of each edge polynomial of F, a 3-coloring encoding
+    without cutters, to its local shift variables (see "Local columns" in
+    the module docstring).  With g_candidates None, the assembled system of
+    degree 1 is built on the local columns alone; otherwise local is not
+    used.
+
+    core = (F_core, note, local) is a smaller system over F's field and
+    variables whose polynomials are polynomials of F's input (the encoding
+    of an induced subgraph, say), so that a certificate for it is one for
+    F, with its own local shifts or None.  It is solved for F's targets,
+    and its certificate records note under provenance "core".  core
+    excludes perms.
     """
     if not schedule:
         raise AssembleError("degree schedule must be nonempty")
@@ -732,15 +806,16 @@ def nulla_prove(
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
     _check_request(F, targets)
-    # The systems tried at each degree, in order, with the provenance each adds.
-    tried = [(F, {})]
+    # The systems tried at each degree, in order, with the provenance each
+    # adds and its local shifts.
+    tried = [(F, {}, local)]
     if core is not None:
         if perms is not None:
             raise AssembleError("a core excludes a symmetry group")
-        F_core, note = core
+        F_core, note, core_local = core
         if F_core.field != F.field or F_core.n_vars != F.n_vars:
             raise AssembleError("a core needs F's field and n_vars")
-        tried.insert(0, (F_core, {"core": note}))
+        tried.insert(0, (F_core, {"core": note}, core_local))
     if perms is not None:
         maps = check_invariant(F, targets, perms)
     kinds = ("full",) if perms is None else ("orbit", "full")
@@ -748,18 +823,22 @@ def nulla_prove(
     per_degree: List[DegreeStats] = []
     for d in schedule:
         t0 = time.perf_counter()
-        for F_s, note in tried:
+        for F_s, note, local_s in tried:
             for kind in kinds:
                 if kind == "orbit":
                     part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
-                    part, sizes = _assemble(F_s, d, targets, memory_budget)
+                    # the local columns are those of g = 1 at degree 1
+                    lay_local = local_s if d == 1 and g_candidates is None else None
+                    part, sizes = _assemble(F_s, d, targets, memory_budget, lay_local)
                 results = solve_multi_rhs(part.system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)
                 status = "inconsistent" if hit is None else "consistent"
                 millis = int((time.perf_counter() - t0) * 1000)
                 per_degree.append(DegreeStats(d, *sizes, status, millis))
+                if on_degree is not None:
+                    on_degree(per_degree[-1])
                 t0 = time.perf_counter()
                 if hit is None:
                     # only an inconclusive orbit solve has the full system built

@@ -42,8 +42,8 @@ from nullcert.poly import (
 
 
 def _prover_names() -> dict:
-    from nullcert.assemble import grading, nulla_prove, stats
-    from nullcert.encode import EncodingOptions, alt_g_candidates, common_root, encode_coloring
+    from nullcert.assemble import DegreeStats, grading, nulla_prove, stats
+    from nullcert.encode import EncodingOptions, alt_g_candidates, common_root, encode_coloring, local_shifts
     from nullcert.graphs import (
         Graph,
         find_coloring,
@@ -216,12 +216,13 @@ def build_core(
     origin: int,
     targets: Optional[List[Polynomial]],
     touched: Optional[Set[int]] = None,
-) -> Optional[Tuple[PolySystem, dict]]:
+) -> Optional[Tuple[PolySystem, dict, Optional[dict]]]:
     """nulla_prove's core: the encoding, over the graph's variables, of a
     small induced subgraph that the coloring search proves not k-colorable,
-    or None when there is none or a target uses a vertex outside it (sound,
-    but such core attempts add a solve per degree and were not seen to hit).
-    touched is passed to find_core.
+    with its note and, for the target g = 1, its local shifts
+    (local_shifts); or None when there is none or a target uses a vertex
+    outside it (sound, but such core attempts add a solve per degree and
+    were not seen to hit).  touched is passed to find_core.
 
     The preprocessing origin is kept if it lies in the core, else it is the
     core's least vertex, so that every core polynomial is one of the
@@ -236,7 +237,8 @@ def build_core(
         return None
     if origin not in inside:
         origin = vertices[0]
-    return encode_coloring(graph, opts, origin, vertices), {"vertices": vertices, "origin": origin}
+    local = local_shifts(graph, opts, vertices) if targets is None else None
+    return encode_coloring(graph, opts, origin, vertices), {"vertices": vertices, "origin": origin}, local
 
 
 def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
@@ -278,6 +280,16 @@ def build_schedule(args: argparse.Namespace, coloring: bool, k: int) -> range:
     return range(1, args.max_degree + 1, k if coloring else 1)
 
 
+def _print_degree(ds: DegreeStats) -> None:
+    """One stats line, printed as its degree ends, so that a later refusal
+    does not lose it."""
+    print(
+        f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
+        f"nnz={ds.nnz} status={ds.status} millis={ds.millis}",
+        flush=True,
+    )
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     _load_prover()
     explicit_schedule = _parse_schedule(args.schedule)
@@ -316,12 +328,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
         provenance={"input": meta},
         perms=perms,
         core=core,
+        local=local_shifts(graph, opts) if coloring and targets is None else None,
+        on_degree=_print_degree,
     )
-    for ds in out.per_degree:
-        print(
-            f"degree={ds.degree} rows={ds.rows} cols={ds.cols} "
-            f"nnz={ds.nnz} status={ds.status} millis={ds.millis}"
-        )
     if out.certificate is None:
         print(f"no certificate up to degree {out.degree}; feasibility not decided")
         return EXIT_NO_CERT

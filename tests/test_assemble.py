@@ -28,11 +28,19 @@ from nullcert.assemble import (
 )
 from nullcert.certificate import CertEntry, Certificate, verify, write_cert
 import nullcert.cli as cli
-from nullcert.encode import EncodeError, EncodingOptions, alt_g_candidates, common_root, encode_coloring
+from nullcert.encode import (
+    EncodeError,
+    EncodingOptions,
+    alt_g_candidates,
+    common_root,
+    encode_coloring,
+    local_shifts,
+)
 from nullcert.graphs import (
     Graph,
     find_coloring,
     gen_complete,
+    gen_kneser,
     gen_mycielski,
     gen_random,
     gen_wheel,
@@ -917,12 +925,105 @@ def test_wheel101_peels_to_the_certificates_neighbourhood():
     assert (peeled.system.n_rows, peeled.system.n_cols) == (1012, 1112)
 
 
+# ---------------------------------------------------------------------------
+# Local columns: degree 1 of a 3-coloring laid out from triangles and 4-cycles
+
+
+LOCAL_FAMILIES = {
+    **{f"K{n}": gen_complete(n) for n in range(2, 7)},
+    **{f"wheel{n}": gen_wheel(n) for n in (*range(3, 13), 31)},
+    **{f"kneser{t},{r}": gen_kneser(t, r) for t, r in ((5, 2), (6, 2), (7, 2), (7, 3), (8, 3))},
+    **{f"mycielski{k}": gen_mycielski(k) for k in range(2, 7)},
+    **{f"cycle{n}": Graph.make(n, [(v, v % n + 1) for v in range(1, n + 1)]) for n in range(3, 9)},
+    "path6": Graph.make(6, [(v, v + 1) for v in range(1, 6)]),
+    "K4+path": Graph.make(7, sorted(gen_complete(4).edges) + [(5, 6), (6, 7)]),
+    "two-edges": Graph.make(5, [(1, 2), (3, 4)]),
+    **{f"gnp16-s{s}": gen_random(16, 0.27, s) for s in range(4)},
+}
+
+
+def local_cases():
+    """(id, F, local), seeded: 300 G(n, p) with n from 12 to 60 and average
+    degree 3 to 10, each with preprocessing on or off and origin 1 or n, in
+    turn, over GF(2), GF(5) or GF(7); every graph family of the tests, with
+    preprocessing on and off; and the cores of those that have one."""
+    rng = random.Random(38)
+    for s in range(300):
+        n = rng.randint(12, 60)
+        g = gen_random(n, rng.uniform(3, 10) / (n - 1), s)
+        opts = EncodingOptions(field=FieldSpec((2, 5, 7)[s % 3]), preprocess=s % 2 == 0)
+        origin = (1, n)[s // 2 % 2]
+        yield f"gnp{n}-s{s}", encode_coloring(g, opts, origin), local_shifts(g, opts)
+    for name, g in LOCAL_FAMILIES.items():
+        for preprocess in (True, False):
+            opts = EncodingOptions(preprocess=preprocess)
+            yield f"{name}-{preprocess}", encode_coloring(g, opts), local_shifts(g, opts)
+        core = cli.build_core(g, EncodingOptions(preprocess=True), 1, None)
+        if core is not None:
+            yield f"{name}-core", core[0], core[2]
+
+
+def test_local_filing_equals_the_full_peel():
+    # the peel of the local columns keeps what the peel of all of them does,
+    # so the filed system, its rows, entries and right-hand side, is the same
+    fewer = 0
+    for case, F, local in local_cases():
+        one = [Polynomial.one(F.field, F.n_vars)]
+        full, full_sizes = asm._assemble(F, 1, one, None)
+        part, sizes = asm._assemble(F, 1, one, None, local)
+        assert sizes[1:] == full_sizes[1:], case
+        assert (part.system, part.rhs_list, part.packed_cols, part.packed_rows) == (
+            full.system, full.rhs_list, full.packed_cols, full.packed_rows
+        ), case
+        fewer += sizes[0] < full_sizes[0]
+    # most local systems count fewer rows than the full ones
+    assert fewer > 300, fewer
+
+
+def test_local_shifts_are_the_triangles_and_4_cycles():
+    # wheel:6's rim edge 1-2 has the triangle 1-2-7 and the 4-cycles
+    # 1-2-3-7 and 6-1-2-7; its spoke 1-7 the triangles 6-1-7 and 1-2-7 and
+    # the 4-cycles through the hub 1-2-3-7, 1-6-5-7
+    local = local_shifts(gen_wheel(6), EncodingOptions())
+    assert local["edge:1-2"] == (0, 1, 2, 5, 6)
+    assert local["edge:1-7"] == (0, 1, 2, 4, 5, 6)
+    assert len(local) == 12
+    # K4 minus an edge: 2-3 lies on both triangles, 1-2 on a triangle and
+    # the 4-cycle 1-2-4-3
+    local = local_shifts(Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]), EncodingOptions())
+    assert local["edge:2-3"] == (0, 1, 2, 3) and local["edge:1-2"] == (0, 1, 2, 3)
+    # a core gets the 4-cycles of its own subgraph
+    g = Graph.make(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+    assert local_shifts(g, EncodingOptions())["edge:1-2"] == (0, 1, 2, 3)
+    assert local_shifts(g, EncodingOptions(), [1, 2, 3])["edge:1-2"] == (0, 1)
+    # the rule is the k = 3 encoding's without cutters
+    assert local_shifts(g, EncodingOptions(k=4, field=FieldSpec(3))) is None
+    assert local_shifts(g, EncodingOptions(cutters="cliques")) is None
+
+
+def test_local_columns_are_for_the_target_one_at_degree_1():
+    # other targets and other degrees are built on every column
+    g = gen_wheel(9)
+    opts = EncodingOptions(preprocess=True)
+    F, local = encode_coloring(g, opts), local_shifts(g, opts)
+    plain = nulla_prove(F, [1, 4], [Polynomial.one(GF2, F.n_vars)], local=local)
+    assert [s.rows for s in plain.per_degree] == [191]
+    assert [s.rows for s in nulla_prove(F, [1], local=local).per_degree] == [92]
+    assert [s.rows for s in nulla_prove(F, [0, 1], local=local).per_degree] == [2, 92]
+    k4 = gen_complete(4)
+    F = encode_coloring(k4, EncodingOptions())
+    assert nulla_prove(F, [4], local=local_shifts(k4, EncodingOptions())).per_degree[0].rows == (
+        nulla_prove(F, [4]).per_degree[0].rows
+    )
+
+
 @pytest.mark.parametrize("n", [31, 101])
 def test_budget_between_peeled_and_full_still_refuses(n):
-    # the budget is checked on the full system, block by block as counting
-    # checks it: wheel:101's 20,605 columns are five blocks, and the refusal
-    # comes in a middle one
-    F = encode_coloring(gen_wheel(n), EncodingOptions(preprocess=True))
+    # without local shifts the budget is checked on the full system, block
+    # by block as counting checks it: wheel:101's 20,605 columns are five
+    # blocks, and the refusal comes in a middle one
+    g, opts = gen_wheel(n), EncodingOptions(preprocess=True)
+    F = encode_coloring(g, opts)
     one = [Polynomial.one(GF2, F.n_vars)]
     peeled, (rows, cols, _) = asm._assemble(F, 1, one, None)
     full = packed_bytes(rows, cols, 2)
@@ -934,4 +1035,8 @@ def test_budget_between_peeled_and_full_still_refuses(n):
         stats(F, 1, memory_budget=budget)
     assert str(refused.value) == str(counted.value)
     assert refused.value.n_cols == cols
-    assert nulla_prove(F, [1], memory_budget=full).certificate is not None
+    certified = nulla_prove(F, [1], memory_budget=full).certificate
+    assert certified is not None
+    # with them it is checked on the local system, which the budget holds
+    local = nulla_prove(F, [1], memory_budget=budget, local=local_shifts(g, opts))
+    assert local.certificate == certified

@@ -6,7 +6,9 @@ stdout/stderr can be asserted without spawning subprocesses.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -258,40 +260,77 @@ def test_budget_refuses_a_system_without_columns(tmp_path, capsys):
 
 
 def test_budget_counts_every_target(capsys):
-    # wheel:9 at degree 1 is 191 x 181 for g = 1 (4,584 bytes) and 221 x 181
-    # with the 221 targets of --alt-g auto:3: 5,304 bytes for one rhs,
-    # 12,376 for all of them
-    assert packed_bytes(191, 181, 2) < packed_bytes(221, 181, 2) < 8000 < packed_bytes(221, 181, 2, 221)
-    rc, out, err = run(capsys, "prove", "--gen", "wheel:9", "--alt-g", "auto:3")
-    assert rc == 0 and out.startswith("degree=1 rows=221 cols=181 ")
-    rc, out, err = run(capsys, "prove", "--gen", "wheel:9", "--alt-g", "auto:3", "--memory-budget", "8000")
+    # cutters keep degree 1 on every column; wheel:9 with them is 191 x 271
+    # for g = 1 (7,640 bytes) and 221 x 271 with the 221 targets of --alt-g
+    # auto:3: 8,840 bytes for one rhs, 14,144 for all of them
+    assert packed_bytes(191, 271, 2) < packed_bytes(221, 271, 2) < 10000 < packed_bytes(221, 271, 2, 221)
+    cliques = ("--gen", "wheel:9", "--cutters", "cliques")
+    rc, out, err = run(capsys, "prove", *cliques, "--alt-g", "auto:3")
+    assert rc == 0 and out.startswith("degree=1 rows=221 cols=271 ")
+    rc, out, err = run(capsys, "prove", *cliques, "--alt-g", "auto:3", "--memory-budget", "10000")
     assert (rc, out) == (2, "")
     assert err.startswith("error: predicted working set of at least ") and err.count("\n") == 1
-    rc, out, err = run(capsys, "prove", "--gen", "wheel:9", "--memory-budget", "8000")
-    assert (rc, err) == (0, "") and out.startswith("degree=1 rows=191 cols=181 ")
+    rc, out, err = run(capsys, "prove", *cliques, "--memory-budget", "10000")
+    assert (rc, err) == (0, "") and out.startswith("degree=1 rows=191 cols=271 ")
+
+
+# wheel:101 with cutters is built on all of its 25,353 x 30,907 degree-1
+# system; the budget trips in the third block of columns, when 11,475 rows
+# have been counted
+MID_COUNT_REFUSAL = (
+    "error: predicted working set of at least 44339400 bytes for a system of at least 11475 x 30907 "
+    "exceeds the 40000000 byte budget\n"
+)
 
 
 def test_budget_refusal_mid_count_names_a_lower_bound(capsys):
-    # wheel:101's degree-1 system is 25,353 x 20,605; the budget trips in
-    # the third block of columns, when 11,391 rows have been counted
-    message = (
-        "error: predicted working set of at least 29343216 bytes for a system of at least 11391 x 20605 "
-        "exceeds the 21904992 byte budget\n"
-    )
-    assert run(capsys, "prove", "--gen", "wheel:101", "--memory-budget", "21904992") == (2, "", message)
+    cliques = ("--gen", "wheel:101", "--cutters", "cliques")
+    assert run(capsys, "prove", *cliques, "--memory-budget", "40000000") == (2, "", MID_COUNT_REFUSAL)
+    rc, out, _ = run(capsys, "stats", *cliques, "--degree", "1")
+    assert rc == 0 and " rows=25353 cols=30907 " in out
+    # stats counts the full system also where prove builds the local one
     rc, out, _ = run(capsys, "stats", "--gen", "wheel:101", "--degree", "1")
     assert rc == 0 and " rows=25353 cols=20605 " in out
 
 
 def test_stats_and_prove_refuse_alike(capsys):
-    # both count the full system in one place, so both refuse at the same
-    # block, naming the rows counted so far
-    message = (
-        "error: predicted working set of at least 29343216 bytes for a system of at least 11391 x 20605 "
-        "exceeds the 21904992 byte budget\n"
-    )
+    # on a system that prove builds in full, both count it in one place, so
+    # both refuse at the same block, naming the rows counted so far
     for command in (("prove",), ("stats", "--degree", "1")):
-        assert run(capsys, *command, "--gen", "wheel:101", "--memory-budget", "21904992") == (2, "", message)
+        argv = (*command, "--gen", "wheel:101", "--cutters", "cliques", "--memory-budget", "40000000")
+        assert run(capsys, *argv) == (2, "", MID_COUNT_REFUSAL)
+
+
+def test_degree_lines_are_printed_as_each_degree_ends():
+    # random:16,0.27,2 solves its core and G at degree 1, both inconsistent,
+    # and the budget then refuses the core at degree 4, the second degree
+    # of the schedule
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        rc = main(["prove", "--gen", "random:16,0.27,2", "--memory-budget", "200000"])
+    assert rc == 2
+    assert re.sub(r" millis=\d+", "", both.getvalue()).splitlines() == [
+        "degree=1 rows=74 cols=113 nnz=338 status=inconsistent",
+        "degree=1 rows=197 cols=529 nnz=1586 status=inconsistent",
+        "error: predicted working set of at least 205504 bytes for a system of at least 338 x 4853 "
+        "exceeds the 200000 byte budget",
+    ]
+
+
+def test_wheel601_certifies_on_its_local_columns(tmp_path, capsys):
+    # its full degree-1 system, 723,605 columns, is over the default budget;
+    # the 6,612 local columns are not
+    path = tmp_path / "w601.json"
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "prove", "--gen", "wheel:601", "--cert", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (0, "")
+    assert out.startswith("degree=1 rows=6012 cols=723605 nnz=2170814 status=consistent ")
+    assert peak < 50 << 20, peak
+    assert run(capsys, "verify", str(path))[0] == 0
 
 
 def test_many_targets_are_solved_from_their_entries(capsys):
@@ -528,7 +567,8 @@ def test_budget_refuses_a_degree_before_listing_its_shifts(tmp_path, capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (rc, out) == (2, "")
+    # degree 1 is solved, and its line printed, before degree 2 is refused
+    assert rc == 2 and re.sub(r" millis=\d+", "", out) == "degree=1 rows=6002 cols=2001 nnz=6003 status=inconsistent\n"
     assert err.startswith("error: predicted working set ") and err.count("\n") == 1
     assert peak < 64 << 20
 
@@ -949,12 +989,13 @@ def test_symmetry_invalid_generator_file(tmp_path, capsys):
 
 
 def test_prove_certifies_mycielski9_on_its_core(tmp_path, capsys):
-    # G's own degree-1 system is 2,477,931 x 2,784,794; its core's is tiny
+    # G's own degree-1 system is 2,477,931 x 2,784,794; its core's is tiny,
+    # 247 x 221, and its local columns reach 132 rows
     path = tmp_path / "m9.json"
     rc, out, err = run(capsys, "prove", "--gen", "mycielski:9", "--cert", str(path))
     assert (rc, err) == (0, "")
     lines = out.splitlines()
-    assert lines[0].startswith("degree=1 rows=247 cols=221 nnz=662 status=consistent ")
+    assert lines[0].startswith("degree=1 rows=132 cols=221 nnz=662 status=consistent ")
     assert STATS_LINE.fullmatch(lines[0])
     assert run(capsys, "verify", str(path))[0] == 0
     cert = read_cert(path.read_text())
@@ -995,41 +1036,89 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
     assert rc == 0 and without_millis(out) == digest
 
 
-# sha256 of prove's stdout, millis removed, for each kind of attempt, as
-# printed while core, orbit and full solves each had their own code; the
-# degree-3 GF(3) certificate is the one of shift-major columns,
-# rotation-refuted prints the coloring and common-root lines, and the quadric
-# is graded by 2: a 7 x 10 system with the certificate of the ungraded 13 x 16
+def split_output(out):
+    """prove's stdout as its lines before the certificate, millis removed,
+    and the sha256 of the certificate text, or None without one."""
+    head, brace, cert = out.partition("{")
+    lines = re.sub(r" millis=\d+", "", head).splitlines()
+    return lines, hashlib.sha256((brace + cert).encode()).hexdigest() if brace else None
+
+
+INFEASIBLE = "The system of equations F is infeasible."
+
+
+# prove's lines, millis removed, and the sha256 of its certificate text, for
+# each kind of attempt; the certificates are those printed while core, orbit
+# and full solves each had their own code, and while degree 1 was built on
+# every column.  The degree-3 GF(3) certificate is the one of shift-major
+# columns, rotation-refuted prints the coloring and common-root lines, and
+# the quadric is graded by 2: a 7 x 10 system with the certificate of the
+# ungraded 13 x 16.  A plain 3-coloring's degree-1 line counts the rows of
+# its local columns.
 @pytest.mark.parametrize(
-    "argv, code, digest",
+    "argv, code, lines, cert",
     [
-        (("--gen", "mycielski:7"), 0, "5e67cf935f34f815518c31aee2d057cff78d0a8ee2a950e7af58477a3ff9e05f"),
-        (("--gen", "random:16,0.27,2"), 0, "707ed3607c43ec559c48f2e5af324ea43638a877d39d0b0ebf50076e6008e306"),
+        (
+            ("--gen", "mycielski:7"),
+            0,
+            ["degree=1 rows=132 cols=221 nnz=662 status=consistent", INFEASIBLE],
+            "9a7a37f56478747551bccbeac59a6c5b34601a0a61c0ffefa447ead15dc5cd5b",
+        ),
+        (
+            ("--gen", "random:16,0.27,2"),
+            0,
+            [
+                "degree=1 rows=74 cols=113 nnz=338 status=inconsistent",
+                "degree=1 rows=197 cols=529 nnz=1586 status=inconsistent",
+                "degree=4 rows=1837 cols=4853 nnz=14438 status=consistent",
+                INFEASIBLE,
+            ],
+            "b999305e8620512cbada4b3de5d5e19dd50d3f594176b162639a17dbbfa9d5ad",
+        ),
         (
             ("--gen", "complete:4", "--no-preprocess", "--symmetry", "swap.txt"),
             0,
-            "6ea3142baac44bbf8e693912864c8d52fc4c7a6966adfdc932dfa6d48611762d",
+            [
+                "degree=1 rows=14 cols=17 nnz=37 status=inconsistent",
+                "degree=1 rows=21 cols=28 nnz=80 status=consistent",
+                INFEASIBLE,
+            ],
+            "9d73b58e307236734bc029113cc0278d8832e6af0dbe1017b6b6420daf75d2ac",
         ),
         (
             ("--gen", "wheel:6", "--symmetry", "rim6.txt"),
             10,
-            "2a063a245a648d350fcd9ef6af973964a8bdf4ed1ef8b51319c22a26640ae46c",
+            ["coloring=1,2,1,2,1,2,0", COMMON_ROOT_LINE],
+            None,
         ),
         (
             ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
             0,
-            "73afe63a4ffe0bbe2a9cee3eb68818049ec58768860415aa2e2c4e72e5093ebb",
+            ["degree=1 rows=18 cols=18 nnz=50 status=consistent", INFEASIBLE],
+            "1f896f1c9b01bd6f2594a75f0afb15d0a13c5c4627e22d569ec3f009cc235b05",
         ),
         (
             ("--gen", "wheel:31", "--symmetry", "rim31.txt"),
             0,
-            "966bd31a0307eaa28c16bb0443180509d2e08029d28d71a8d3154ef2fc1034ed",
+            ["degree=1 rows=78 cols=66 nnz=194 status=consistent", INFEASIBLE],
+            "fd241c0eb590d1a41e16047be1916fc2d2caedbf0a2f96898c9fa96680a2af94",
         ),
-        (("--system", "quadric.txt", "--p", "3"), 0, "0f9478e0041265f98481622971ebdf929853eb78d9970f7d5111f6cbbcb6af0f"),
+        (
+            ("--system", "quadric.txt", "--p", "3"),
+            0,
+            ["degree=1 rows=7 cols=10 nnz=20 status=consistent", INFEASIBLE],
+            "ce7fecb6615b21d967cbb43ec0d5a192f70266573278f525070453f212b84a5d",
+        ),
         (
             ("--system", "gf3.txt", "--p", "3", "--max-degree", "3"),
             0,
-            "f6026f690171261529a4d2a4e06e582d6b8756426cb7697b47aa44334472bdb3",
+            [
+                "degree=1 rows=131 cols=90 nnz=270 status=inconsistent",
+                "degree=2 rows=451 cols=450 nnz=1350 status=inconsistent",
+                "degree=3 rows=1233 cols=1650 nnz=4950 status=consistent",
+                INFEASIBLE,
+            ],
+            "30fa205ad55130daef38872cfc69ae19c3ead90eb148cfa96a6f663e3752310c",
         ),
     ],
     # core hit at degree 1; core, G, core hit at degree 4; (1,2) has even
@@ -1043,7 +1132,7 @@ def test_skipped_core_keeps_the_whole_graph_output(argv, digest, tmp_path, capsy
         "gf3-quadric", "gf3-degree3",
     ],
 )
-def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys, monkeypatch):
+def test_each_attempt_kind_keeps_its_output(argv, code, lines, cert, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "swap.txt").write_text("(1,2)\n")
     (tmp_path / "rim6.txt").write_text("(1,2,3,4,5,6)\n")
@@ -1052,17 +1141,23 @@ def test_each_attempt_kind_keeps_its_output(argv, code, digest, tmp_path, capsys
     (tmp_path / "quadric.txt").write_text("q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n")
     (tmp_path / "gf3.txt").write_text(GF3_DEGREE3)
     rc, out, _ = run(capsys, "prove", *argv)
-    assert rc == code and without_millis(out) == digest
+    assert rc == code and split_output(out) == (lines, cert)
 
 
 def test_cut_search_or_critical_graph_has_no_core(capsys, no_core, monkeypatch):
     rc, out, _ = run(capsys, "prove", "--gen", "wheel:9")
     assert rc == 0
-    assert without_millis(out) == "4b0f47223b6cf89f1a4cfc3f6366a7508e273a7839bcb5d43878b864ad5b5147"
+    assert split_output(out) == (
+        ["degree=1 rows=92 cols=181 nnz=542 status=consistent", INFEASIBLE],
+        "79427c4147c52f4f557385d1c06a02aca5a614afc8e74d77a04e2cf30db17b8b",
+    )
     monkeypatch.setattr(graphs, "COLORING_NODE_BUDGET", 1)
     rc, out, _ = run(capsys, "prove", "--gen", "complete:5")
     assert rc == 0
-    assert without_millis(out) == "363f1b3cd6315d09cfa75112e7bc54e569f23f284307a714ac5b1dcc41e04b70"
+    assert split_output(out) == (
+        ["degree=1 rows=36 cols=51 nnz=152 status=consistent", INFEASIBLE],
+        "cd32e0184930cc2b1b160117765641bcf4b38069fbef4501fe1a59f7c2f538cb",
+    )
 
 
 @pytest.mark.parametrize("budget", [graphs.COLORING_NODE_BUDGET, 1], ids=["refuted", "cut"])
