@@ -67,8 +67,15 @@ So the local columns, with every column that is not an edge column of
 shift degree 1, hold T(C), and peeling them files the full system's
 peeled system.  nulla_prove builds them from the local shift variables the
 encoding hands it (nullcert.encode.local_shifts): F and a core each have
-their own.  Other requests (other degrees or targets, cutters, k other
-than 3, --system, orbit systems) are built on every column.
+their own.  Orbit systems (below) are walked on them too.  A group that
+leaves F invariant is a graph automorphism, so it maps the local columns,
+defined from the graph alone, onto themselves.  An orbit solution lifts to
+a full one, which vanishes outside T(C), so each non-local orbit column is
+zero in every orbit solution: its unit vector lies in the orbit row space,
+and dropping it changes no pivot, no free-variables-zero solution and no
+certificate.  Conclusiveness is argued on the local system, as consistent
+as the full one.  Other requests (other degrees or targets, cutters, k
+other than 3, --system) are built on every column.
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -105,8 +112,8 @@ orbit R refutes the full system.  Orbit sizes divide |G|, so this holds
 wherever |G| is prime to p, and beyond.  _orbit_system reports whether the
 orbits it walks pass, and nulla_prove solves the full matrix of the same
 degree too only after an inconsistent orbit solve that does not.  On
-wheel:101 under its rim rotation that builds 253 x 206 where the full
-system is 25,353 x 20,706.
+wheel:101 under its rim rotation the orbits of its 1,213 local columns
+and 1,012 rows give 12 x 13, where the full system is 25,353 x 20,706.
 
 Column order: _Layout numbers the columns shift-major, (shift degree,
 shift, poly index), in every field and in orbit systems too, whose
@@ -375,12 +382,6 @@ class _Layout:
         pairs = zip(self.polys_at, self.shifts)
         return ((i, delta) for kept, deltas in pairs if kept for delta in deltas for i in kept)
 
-    def by_shift(self, value: int) -> Dict[int, Dict[int, int]]:
-        """{delta: {i: value}} over the columns (i, delta) of the full
-        system, in order."""
-        pairs = zip(self.polys_at, self.shifts)
-        return {delta: dict.fromkeys(kept, value) for kept, deltas in pairs for delta in deltas}
-
     def column(self, j: int) -> Tuple[int, int]:
         if self.local is not None:
             j = self.local[j]
@@ -546,11 +547,14 @@ def _orbit_system(
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
     memory_budget: Optional[int],
+    local: Optional[Dict[str, Sequence[int]]] = None,
 ) -> Tuple[AssembledSystem, bool]:
     """The degree-d orbit system of F under perms, built without the full
     matrix (see "Orbit systems" in the module docstring), and whether its
     inconsistency is conclusive: whether every row and column orbit walked
-    has size prime to p.
+    has size prime to p.  The orbits walked are those of lay's columns
+    (_layout), every column or, given local, the local ones; a local
+    column with an image outside them raises.
 
     maps[k] is generator k's permutation of F's polys (check_invariant);
     renaming keeps degrees, so it permutes the columns too.  Each column
@@ -558,11 +562,11 @@ def _orbit_system(
     row orbit R the first time a product of c lies in it; the entry at
     (R, C) is |C| * Y / |R| mod p, where Y sums the coefficients of c's
     products in R, and a division that is not exact raises.  The row walk
-    counts the full system's rows exactly, as the column orbits are found;
-    the memory budget is checked every _BUDGET_BLOCK rows walked, and on
-    the final counts.
+    counts the rows of lay's columns exactly, as the column orbits are
+    found; the memory budget is checked every _BUDGET_BLOCK rows walked,
+    and on the final counts.
     """
-    lay = _layout(F, d, targets, memory_budget)
+    lay = _layout(F, d, targets, memory_budget, local)
     packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
     # the group maps the listed variables onto themselves (see _layout)
     position = {v: j for j, v in enumerate(packing.variables)}
@@ -616,34 +620,35 @@ def _orbit_system(
             check_at = len(seen) + _BUDGET_BLOCK
         return w
 
-    # walked[delta][i]: whether the orbit of column (i, delta) is walked;
-    # each orbit's least column, first in column order, is its representative
-    walked = lay.by_shift(False)
+    # walked[col]: whether the orbit of lay's column col is walked; each
+    # orbit's least column, first in column order, is its representative
+    walked = dict.fromkeys(lay.columns(), False)
     col_reps: List[Tuple[int, int]] = []
     col_sizes = set()
-    for delta, kept in walked.items():
-        for i, done in kept.items():
-            if done:
-                continue
-            members = _orbit(col_images, (i, delta))
-            for poly, shift in members:
-                walked[shift][poly] = True
-            size = len(members)
-            col_sizes.add(size)
-            o = len(col_reps)
-            col_reps.append((i, delta))
-            y: Dict[int, int] = {}  # per row orbit: Y, an integer sum
-            for t, c in poly_terms[i]:
-                w = seen.get(delta + t)
-                if w is None:
-                    w = walk_row(delta, t)
-                y[w] = y.get(w, 0) + c
-            for w, total in y.items():
-                entry, rest = divmod(size * total, sizes[w])
-                if rest:
-                    raise AssembleError("internal error: an orbit entry |C| * Y / |R| is not an integer")
-                if entry % p:
-                    entries[w].append((o, entry % p))
+    for (i, delta), done in walked.items():
+        if done:
+            continue
+        members = _orbit(col_images, (i, delta))
+        for col in members:
+            if col not in walked:
+                raise AssembleError("internal error: the group maps a local column outside the local columns")
+            walked[col] = True
+        size = len(members)
+        col_sizes.add(size)
+        o = len(col_reps)
+        col_reps.append((i, delta))
+        y: Dict[int, int] = {}  # per row orbit: Y, an integer sum
+        for t, c in poly_terms[i]:
+            w = seen.get(delta + t)
+            if w is None:
+                w = walk_row(delta, t)
+            y[w] = y.get(w, 0) + c
+        for w, total in y.items():
+            entry, rest = divmod(size * total, sizes[w])
+            if rest:
+                raise AssembleError("internal error: an orbit entry |C| * Y / |R| is not an integer")
+            if entry % p:
+                entries[w].append((o, entry % p))
     for m in lay.target_rows:
         if m not in seen:
             walk_row(0, m)
@@ -785,9 +790,9 @@ def nulla_prove(
 
     local maps the tag of each edge polynomial of F, a 3-coloring encoding
     without cutters, to its local shift variables (see "Local columns" in
-    the module docstring).  With g_candidates None, the assembled system of
-    degree 1 is built on the local columns alone; otherwise local is not
-    used.
+    the module docstring).  With g_candidates None, the systems of degree
+    1, assembled or orbit, are built on the local columns alone; otherwise
+    local is not used.
 
     core = (F_core, note, local) is a smaller system over F's field and
     variables whose polynomials are polynomials of F's input (the encoding
@@ -824,13 +829,13 @@ def nulla_prove(
     for d in schedule:
         t0 = time.perf_counter()
         for F_s, note, local_s in tried:
+            # the local columns are those of g = 1 at degree 1
+            lay_local = local_s if d == 1 and g_candidates is None else None
             for kind in kinds:
                 if kind == "orbit":
-                    part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget)
+                    part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget, lay_local)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
-                    # the local columns are those of g = 1 at degree 1
-                    lay_local = local_s if d == 1 and g_candidates is None else None
                     part, sizes = _assemble(F_s, d, targets, memory_budget, lay_local)
                 results = solve_multi_rhs(part.system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)

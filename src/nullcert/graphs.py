@@ -371,13 +371,25 @@ def _rotate(adj: Dict[int, set], k: int, v: int, coloring: Dict[int, int], neede
 
     If some color on v clashes with exactly one neighbor u, recoloring v
     and dropping u properly colors the core without u, so u is needed too
-    (model rotation, Marques-Silva and Lynce, SAT 2011).
+    (model rotation, Marques-Silva and Lynce, SAT 2011).  The walk is depth
+    first on the one coloring, recolored in place: the step (u, (w, c))
+    gives w the color c and drops u, and pushes the record (None, (w, u,
+    u's color)) that undoes it once u's subtree is walked.
     """
-    stack = [(v, coloring)]
+    stack: List[tuple] = [(v, None)]
     while stack:
-        v, coloring = stack.pop()
+        v, step = stack.pop()
+        if v is None:
+            w, u, color = step
+            del coloring[w]
+            coloring[u] = color
+            continue
         if v in needed:
             continue
+        if step is not None:
+            w, c = step
+            stack.append((None, (w, v, coloring.pop(v))))
+            coloring[w] = c
         needed.add(v)
         clash: List[List[int]] = [[] for _ in range(k)]
         for u in sorted(adj[v]):
@@ -385,10 +397,7 @@ def _rotate(adj: Dict[int, set], k: int, v: int, coloring: Dict[int, int], neede
                 clash[coloring[u]].append(u)
         for c, us in enumerate(clash):
             if len(us) == 1 and us[0] not in needed:
-                moved = dict(coloring)
-                moved[v] = c
-                del moved[us[0]]
-                stack.append((us[0], moved))
+                stack.append((us[0], (v, c)))
 
 
 def find_core(g: Graph, k: int, touched: Optional[Set[int]] = None) -> Optional[List[int]]:

@@ -1,8 +1,8 @@
 """Shared test-only oracles: monomials as index tuples, random polynomials,
 polynomial product and evaluation, a reference certificate check, GF(4)
 evaluation, checked hand-built linear systems, right-hand sides and
-solutions, dense reference eliminators, a reference orbit fold, and a
-reference group order.
+solutions, dense reference eliminators, a reference orbit fold, a
+reference group order, and model rotation with one coloring copy per step.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  The exception is full_system,
@@ -361,6 +361,27 @@ def exhaustive_colorable(g, k) -> bool:
         if all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges):
             return True
     return False
+
+
+def rotate_by_copy(adj, k, v, coloring, needed) -> None:
+    """graphs._rotate's reference: the same depth-first model rotation,
+    with each stacked step holding its own copy of the coloring."""
+    stack = [(v, coloring)]
+    while stack:
+        v, coloring = stack.pop()
+        if v in needed:
+            continue
+        needed.add(v)
+        clash = [[] for _ in range(k)]
+        for u in sorted(adj[v]):
+            if u in coloring:
+                clash[coloring[u]].append(u)
+        for c, us in enumerate(clash):
+            if len(us) == 1 and us[0] not in needed:
+                moved = dict(coloring)
+                moved[v] = c
+                del moved[us[0]]
+                stack.append((us[0], moved))
 
 
 # gf3:0:1 of the benchmark's GF(3) systems: inconsistent at degrees 1 and 2,

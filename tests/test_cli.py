@@ -333,6 +333,23 @@ def test_wheel601_certifies_on_its_local_columns(tmp_path, capsys):
     assert run(capsys, "verify", str(path))[0] == 0
 
 
+def test_wheel601_rotation_certifies_on_its_local_orbits(tmp_path, capsys):
+    # the rim rotation's orbits of the 7,213 local columns, not of all
+    # 724,206, which the default budget refuses
+    rotation, path = tmp_path / "rim601.txt", tmp_path / "w601.json"
+    rotation.write_text("(" + ",".join(map(str, range(1, 602))) + ")\n")
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "prove", "--gen", "wheel:601", "--symmetry", str(rotation), "--cert", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (0, "")
+    assert out.startswith("degree=1 rows=12 cols=13 nnz=35 status=consistent ")
+    assert peak < 50 << 20, peak
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
 def test_many_targets_are_solved_from_their_entries(capsys):
     # wheel:31 with --alt-g auto:3 solves 5,985 targets on a 5,985-row
     # system; one dense vector per target took about 290 MB
@@ -831,43 +848,48 @@ def test_full_system_is_assembled_only_for_an_undecided_orbit_solve(
         ),
         (
             ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
-            1824,
-            {0: (128, "8 x 120"), 912: (1824, "114 x 120"), 1823: (1824, "114 x 120")},
+            1152,
+            {0: (96, "6 x 85"), 576: (1152, "72 x 85"), 1151: (1152, "72 x 85")},
         ),
     ],
     ids=["rotation", "swap-fallback", "wheel7-rotation"],
 )
 def test_symmetry_budget_refuses_where_the_full_system_would(argv, threshold, refusals, tmp_path, capsys, monkeypatch):
+    # K4's degree-1 columns are all local; wheel:7's orbit walk, like its
+    # plain build, is on its 85 local columns of 120
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rot.txt").write_text("(2,3,4)\n")
     (tmp_path / "swap.txt").write_text("(1,2)\n")
     (tmp_path / "rim7.txt").write_text("(1,2,3,4,5,6,7)\n")
+    plain = (*argv[:2], "--no-preprocess")
     for budget, (nbytes, shape) in refusals.items():
-        rc, out, err = run(capsys, "prove", *argv, "--memory-budget", str(budget))
         message = (
             f"error: predicted working set of at least {nbytes} bytes for a system of at least {shape} "
             f"exceeds the {budget} byte budget\n"
         )
-        assert (rc, out, err) == (2, "", message)
+        for command in (argv, plain):
+            rc, out, err = run(capsys, "prove", *command, "--memory-budget", str(budget))
+            assert (rc, out, err) == (2, "", message), command
     rc, _, err = run(capsys, "prove", *argv, "--memory-budget", str(threshold))
     assert (rc, err) == (0, "")
 
 
 def test_symmetry_budget_refuses_while_the_rows_are_walked(tmp_path, capsys):
-    # wheel:101's degree-1 system is 25,353 x 20,706, 2,592 bytes a row; the
-    # budget holds 8,451 rows, so the walk is refused at its first check
-    # past them, naming the rows walked so far rather than all 25,353
-    rotation = tmp_path / "rim101.txt"
-    rotation.write_text("(" + ",".join(map(str, range(1, 102))) + ")\n")
-    budget = 8451 * packed_bytes(1, 20706, 2)
-    rc, out, err = run(
-        capsys, "prove", "--gen", "wheel:101", "--symmetry", str(rotation), "--memory-budget", str(budget)
-    )
-    message = (
-        f"error: predicted working set of at least {packed_bytes(12425, 20706, 2)} bytes for a system of "
-        f"at least 12425 x 20706 exceeds the {budget} byte budget\n"
-    )
-    assert (rc, out, err) == (2, "", message)
+    # each walk is refused at its first check past the rows the budget
+    # holds, naming the rows walked so far rather than all of them:
+    # wheel:1001's local walk, 10,012 x 12,013, at 5,007 rows, and
+    # wheel:101's full walk with cutters, 25,353 x 31,008, at 12,425
+    cases = [(1001, (), 4500, 12013, 5007), (101, ("--cutters", "cliques"), 8451, 31008, 12425)]
+    for rim, extra, held, cols, walked in cases:
+        rotation = tmp_path / f"rim{rim}.txt"
+        rotation.write_text("(" + ",".join(map(str, range(1, rim + 1))) + ")\n")
+        budget = held * packed_bytes(1, cols, 2)
+        argv = ("prove", "--gen", f"wheel:{rim}", *extra, "--symmetry", str(rotation), "--memory-budget", str(budget))
+        message = (
+            f"error: predicted working set of at least {packed_bytes(walked, cols, 2)} bytes for a system of "
+            f"at least {walked} x {cols} exceeds the {budget} byte budget\n"
+        )
+        assert run(capsys, *argv) == (2, "", message)
 
 
 def test_orbit_sizes_prime_to_p_decide_alone(tmp_path, capsys):
@@ -1054,7 +1076,7 @@ INFEASIBLE = "The system of equations F is infeasible."
 # columns, rotation-refuted prints the coloring and common-root lines, and
 # the quadric is graded by 2: a 7 x 10 system with the certificate of the
 # ungraded 13 x 16.  A plain 3-coloring's degree-1 line counts the rows of
-# its local columns.
+# its local columns, and an orbit line is the system of their orbits.
 @pytest.mark.parametrize(
     "argv, code, lines, cert",
     [
@@ -1094,13 +1116,13 @@ INFEASIBLE = "The system of equations F is infeasible."
         (
             ("--gen", "wheel:7", "--symmetry", "rim7.txt"),
             0,
-            ["degree=1 rows=18 cols=18 nnz=50 status=consistent", INFEASIBLE],
+            ["degree=1 rows=12 cols=13 nnz=35 status=consistent", INFEASIBLE],
             "1f896f1c9b01bd6f2594a75f0afb15d0a13c5c4627e22d569ec3f009cc235b05",
         ),
         (
             ("--gen", "wheel:31", "--symmetry", "rim31.txt"),
             0,
-            ["degree=1 rows=78 cols=66 nnz=194 status=consistent", INFEASIBLE],
+            ["degree=1 rows=12 cols=13 nnz=35 status=consistent", INFEASIBLE],
             "fd241c0eb590d1a41e16047be1916fc2d2caedbf0a2f96898c9fa96680a2af94",
         ),
         (

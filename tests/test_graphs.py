@@ -5,9 +5,11 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from helpers import rotate_by_copy
 from nullcert.graphs import (
     COLORING_NODE_BUDGET,
     DimacsError,
@@ -25,7 +27,7 @@ from nullcert.graphs import (
     parse_dimacs,
     write_dimacs,
 )
-from nullcert.graphs import _dsatur
+from nullcert.graphs import _dsatur, _induced_coloring, _rotate
 
 
 class TestGraphModel:
@@ -350,3 +352,40 @@ class TestFindCore:
                 coloring = find_coloring(induced(g, [u for u in core if u != v]), k)
                 assert coloring is not None, (seed, v)
         assert cores >= 50
+
+    def test_rotation_in_place_finds_the_cores_of_copies(self, monkeypatch):
+        # _rotate recolors one coloring and undoes each step; copying the
+        # coloring per step visits in the same order, so the cores agree
+        rng = random.Random(7)
+        pairs = [(16, 0.27), (20, 0.3), (24, 0.25), (30, 0.2), (40, 0.15), (60, 0.1)]
+        graphs = [gen_random(n, prob, rng.randrange(10**6)) for n, prob in pairs for _ in range(12)]
+        graphs += [gen_wheel(rim) for rim in range(5, 60, 6)] + [gen_wheel(301)]
+        graphs += [gen_kneser(8, 3), gen_kneser(9, 3), gen_mycielski(7), gen_mycielski(8), gen_complete(5)]
+        graphs += [gen_random(n, 4.0 / n, seed) for n in (30, 60, 100) for seed in range(10)]
+        for g in graphs:
+            # from the first vertices, on a coloring of the rest: the same
+            # vertices, and the coloring is left as it was given
+            adj = g.adjacency()
+            for v in range(1, min(g.n_vertices, 6)):
+                coloring = _induced_coloring(g.edges, 3, [u for u in adj if u != v])[0]
+                if coloring is not None:
+                    needed, expected, given = set(), set(), dict(coloring)
+                    _rotate(adj, 3, v, coloring, needed)
+                    rotate_by_copy(adj, 3, v, given, expected)
+                    assert (needed, coloring) == (expected, given)
+        cores = [find_core(g, 3) for g in graphs]
+        monkeypatch.setattr("nullcert.graphs._rotate", rotate_by_copy)
+        assert [find_core(g, 3) for g in graphs] == cores
+        assert sum(core is not None for core in cores) >= 60
+
+    def test_rotation_holds_one_coloring(self):
+        # wheel:2001's rotation reaches every vertex; a coloring copy per
+        # step traced 142 MB
+        g = gen_wheel(2001)
+        tracemalloc.start()
+        try:
+            core = find_core(g, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert core is None and peak < 16 << 20, peak

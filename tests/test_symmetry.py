@@ -1,14 +1,15 @@
 """Tests for permutation parsing, invariance, orbit systems, and lifting."""
 
+import itertools
 import random
 
 import pytest
 
 from helpers import columns, dense, expanded, full_system, group_order, orbit_fold, orbit_members, row_monomials
 from nullcert.assemble import AssembleError, _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
-from nullcert.certificate import verify
-from nullcert.encode import EncodingOptions, encode_coloring
-from nullcert.graphs import Graph, gen_complete, gen_wheel
+from nullcert.certificate import verify, write_cert
+from nullcert.encode import EncodingOptions, encode_coloring, local_shifts
+from nullcert.graphs import Graph, gen_complete, gen_kneser, gen_wheel
 from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve, solve_multi_rhs
 from nullcert.poly import FieldSpec, PolySystem, Polynomial, parse_poly
 from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant, parse_generators
@@ -509,3 +510,71 @@ def test_orbit_sizes_decide_where_p_divides_the_group_order():
     # at degree 2, e1 times x1^2 reaches x1^2*x2, whose orbit has size 6
     one = [Polynomial.one(GF2, 3)]
     assert not conclusive(e13, 2, one, s3)
+
+
+# ---------------------------------------------------------------------------
+# Orbit systems on the local columns of degree 1
+
+
+def local_orbit_cases():
+    """(name, graph, generators as 0-based images) for 3-coloring encodings
+    under graph automorphisms: wheel rotations, K_n under S_n and its
+    rotation, circulants under their rotation, and Kneser graphs under the
+    rotation of their ground set."""
+    for rim in range(5, 41):
+        yield f"wheel:{rim}", gen_wheel(rim), [rim_rotation(rim, 1)]
+    for n in range(4, 8):
+        cycle = tuple((v + 1) % n for v in range(n))
+        swap = (1, 0, *range(2, n))
+        yield f"K{n} S{n}", gen_complete(n), [swap, cycle]
+        yield f"K{n} rotation", gen_complete(n), [cycle]
+    for n, steps in ((7, (1, 2)), (9, (1, 3)), (11, (1, 2)), (13, (1, 5)), (16, (1, 4))):
+        g = Graph.make(n, [(v, (v + s - 1) % n + 1) for v in range(1, n + 1) for s in steps])
+        yield f"circulant:{n},{steps}", g, [tuple((v + 1) % n for v in range(n))]
+    for t, r in ((5, 2), (6, 2), (7, 2), (7, 3)):
+        subsets = list(itertools.combinations(range(t), r))
+        index = {s: j for j, s in enumerate(subsets)}
+        image = tuple(index[tuple(sorted((x + 1) % t for x in s))] for s in subsets)
+        yield f"kneser:{t},{r}", gen_kneser(t, r), [image]
+
+
+def test_local_orbit_walk_matches_the_full_walk():
+    # with the local columns, every orbit solve keeps its verdict, its
+    # solution on the same column keys and its certificate; an orbit size
+    # divisible by p can only leave with the non-local columns, so a
+    # conclusive full walk stays conclusive
+    hits = 0
+    for name, g, images in local_orbit_cases():
+        for p in (2, 5):
+            opts = EncodingOptions(field=FieldSpec(p))
+            F, local = encode_coloring(g, opts), local_shifts(g, opts)
+            perms = PermutationSet.make(F.n_vars, images)
+            one = [Polynomial.one(F.field, F.n_vars)]
+            maps = check_invariant(F, one, perms)
+            full, full_flag = _orbit_system(F, 1, one, perms, maps, None)
+            loc, loc_flag = _orbit_system(F, 1, one, perms, maps, None, local)
+            case = name, p
+            assert loc_flag or not full_flag, case
+            assert set(loc.packed_cols) <= set(full.packed_cols), case
+            full_result, loc_result = solve(full.system, full.rhs_list[0]), solve(loc.system, loc.rhs_list[0])
+            assert full_result.consistent == loc_result.consistent, case
+            if not loc_result.consistent:
+                continue
+            hits += 1
+            assert [(full.packed_cols[c], v) for c, v in full_result.solution] == [
+                (loc.packed_cols[c], v) for c, v in loc_result.solution
+            ], case
+            certs = [extract_certificate(F, asys, r.solution, one[0]) for asys, r in ((full, full_result), (loc, loc_result))]
+            assert write_cert(certs[0]) == write_cert(certs[1]) and verify(certs[1]), case
+    assert hits >= 20, hits
+
+
+def test_local_columns_not_closed_under_the_group_are_refused():
+    # dropping one shift of one rim edge leaves the rest of its orbit local
+    g = gen_wheel(7)
+    F, local = encode_coloring(g, EncodingOptions()), local_shifts(g, EncodingOptions())
+    local["edge:1-2"] = local["edge:1-2"][1:]
+    perms = PermutationSet.make(F.n_vars, [rim_rotation(7, 1)])
+    one = [Polynomial.one(GF2, F.n_vars)]
+    with pytest.raises(AssembleError, match="internal error: the group maps a local column outside"):
+        _orbit_system(F, 1, one, perms, check_invariant(F, one, perms), None, local)
