@@ -29,7 +29,8 @@ solution, with the peeled columns at zero, and with it the certificate.
 Each row names its column through the sum of its live products' columns,
 so the cascade costs what the dropped columns' products do, and no stop
 rule is needed.  It runs on _count's count of the system built: the full
-system, or at degree 1 of a 3-coloring for g = 1 its local columns (below).
+system, or at degree 1 for g = 1 its local columns where F has their
+shapes (below).
 That count is what the budget is checked on and the degree line's rows;
 stats counts the full system.  On wheel:101 at degree 1 the full
 25,353 x 20,605 system and its 1,112 local columns both peel to
@@ -45,16 +46,17 @@ inside C' and C' inside C, then T(C') = T(C): the peel of any such C'
 keeps T(C), in the same column order, so the filed system, its solution
 and the certificate are those of C.
 
-Local columns: take a k = 3 coloring encoding without cutters, over any
-field it allows, with or without preprocessing, from any origin, at degree
-1 with the one target g = 1.  An edge polynomial uv has the terms x_u^2,
-x_u x_v and x_v^2, all with coefficient 1; a vertex polynomial x_v^3 - 1
-gives, at any shift of degree at most 1, only the products 1, x_v^3, x_w
-and x_w x_v^3.  So a row x_u x_v x_w or x_w x_v^2, with u, v and w
-distinct, is produced only by edge columns of shift degree 1, and it is no
-target's.  Column (uv, x_w) is local when w is u or v, is adjacent to both,
-or lies on a 4-cycle through the edge uv (u-w-z-v or u-z-w-v).  Every other
-column is outside T(C) of the full column set C, in two rounds:
+Local columns: at degree 1 with the one target g = 1, take a system whose
+polynomials have one variable and terms of degree 3 and 0 only (x_v^3 - 1),
+or two variables u and v and exactly the terms x_u^2, x_u x_v and x_v^2
+(the edge uv), no pair used twice: the shapes of a k = 3 coloring encoding
+without cutters.  One of one variable gives, at any shift of degree at
+most 1, only the products 1, x_v^3, x_w and x_w x_v^3.  So a row
+x_u x_v x_w or x_w x_v^2, with u, v and w distinct, is produced only by
+edge columns of shift degree 1, and it is no target's.  Column (uv, x_w)
+is local when w is u or v, is adjacent to both, or lies on a 4-cycle
+through the edge uv (u-w-z-v or u-z-w-v).  Every other column is outside
+T(C) of the full column set C, in two rounds:
   - w adjacent to neither u nor v: the row x_u x_v x_w has the one product
     of (uv, x_w), since (uw, x_v) and (vw, x_u) are not columns;
   - w adjacent to u but not to v, with no neighbour but u shared with v:
@@ -65,17 +67,16 @@ column is outside T(C) of the full column set C, in two rounds:
     same.
 So the local columns, with every column that is not an edge column of
 shift degree 1, hold T(C), and peeling them files the full system's
-peeled system.  nulla_prove builds them from the local shift variables the
-encoding hands it (nullcert.encode.local_shifts): F and a core each have
-their own.  Orbit systems (below) are walked on them too.  A group that
-leaves F invariant is a graph automorphism, so it maps the local columns,
-defined from the graph alone, onto themselves.  An orbit solution lifts to
-a full one, which vanishes outside T(C), so each non-local orbit column is
-zero in every orbit solution: its unit vector lies in the orbit row space,
-and dropping it changes no pivot, no free-variables-zero solution and no
-certificate.  Conclusiveness is argued on the local system, as consistent
-as the full one.  Other requests (other degrees or targets, cutters, k
-other than 3, --system) are built on every column.
+peeled system.  _local_shifts checks the shapes and reads the edges off
+the system itself, a --system input too.  Orbit systems (below) are
+walked on the local columns too.  A group that leaves F invariant permutes
+its edges, so it maps the local columns, defined from them, onto
+themselves.  An orbit solution lifts to a full one, which vanishes outside
+T(C), so each non-local orbit column is zero in every orbit solution: its
+unit vector lies in the orbit row space, and dropping it changes no pivot,
+no free-variables-zero solution and no certificate.  Conclusiveness is
+argued on the local system, as consistent as the full one.  Other
+requests and shapes are built on every column.
 
 Core first: given a core, a smaller system over F's variables whose
 polynomials are F's input polynomials (the encoding of an induced
@@ -395,7 +396,7 @@ def _layout(
     d: int,
     targets: Sequence[Polynomial],
     memory_budget: Optional[int],
-    local: Optional[Dict[str, Sequence[int]]] = None,
+    local: Optional[Dict[int, Sequence[int]]] = None,
 ) -> _Layout:
     """Check a degree-d request and lay it out (_Layout).
 
@@ -404,12 +405,13 @@ def _layout(
     it.  A group that leaves F invariant and fixes the targets maps this
     list onto itself.
 
-    local, given at degree 1 only, maps the tag of a poly to the variables
-    of its shifts of degree 1 to number; every other column is numbered.
+    local (_local_shifts), at degree 1 only, maps a poly's index to the
+    variables of its shifts of degree 1 to number; all else is numbered.
 
     The memory budget is checked before any shift is listed, on the exact
     count of the columns numbered and a lower bound on the rows, so that a
-    degree far over budget fails without enumerating its C(n+d, d) shifts."""
+    degree far over budget fails without enumerating its C(n+d, d) shifts,
+    and before that, without local, on lower bounds in closed form."""
     if d < 0:
         raise AssembleError("degree must be >= 0")
     _check_request(F, targets)
@@ -425,7 +427,15 @@ def _layout(
 
     # The grading keeps the shift degrees with deg + class(f_i) == 0 mod k.
     k = grading(F, targets)
-    polys_at = [[i for i, f in enumerate(F.polys) if (deg + f.degree) % k == 0] for deg in range(d + 1)]
+    n = len(variables)
+    if n and local is None:  # local columns are fewer, but only at degree 1
+        # f_i has its top kept degree D's shifts and one at least at each of its D // k lower ones
+        tops = {e: d - (d + e) % k for e in {f.degree for f in F.polys}}
+        least = {e: comb(n + D - 1, D) + D // k if D >= 0 else 0 for e, D in tops.items()}
+        rows = max((least[f.degree] for f in F.polys if f.terms), default=0)
+        check_budget(F.field, rows, sum(least[f.degree] for f in F.polys), memory_budget, len(targets))
+    # with no variable only the shift 1, of degree 0, exists
+    polys_at = [[i for i, f in enumerate(F.polys) if (deg + f.degree) % k == 0] for deg in range(d + 1 if n else 1)]
     lay = _Layout(packing, poly_terms, target_terms, polys_at)
     kept_shifts = [0] * len(poly_terms)
     for kept, s in zip(polys_at, lay.n_shifts):
@@ -436,8 +446,8 @@ def _layout(
         start, width, position = lay.starts[1], len(polys_at[1]), {v: s for s, v in enumerate(variables)}
         numbered = []
         for r, i in enumerate(polys_at[1]):
-            shifts = local.get(F.tags[i])
-            places = range(lay.n_shifts[1]) if shifts is None else [position[v] for v in shifts if v in position]
+            shifts = local.get(i)
+            places = range(lay.n_shifts[1]) if shifts is None else [position[v] for v in shifts]
             kept_shifts[i] -= lay.n_shifts[1] - len(places)
             numbered += (start + s * width + r for s in places)
         lay.local = [*range(start), *sorted(numbered)]
@@ -448,6 +458,41 @@ def _layout(
     # the shift 0 is always listed: the row walk starts each target monomial there
     lay.shifts = [packing.monomials(deg) if kept or deg == 0 else [] for deg, kept in enumerate(polys_at)]
     return lay
+
+
+def _local_shifts(F: PolySystem) -> Optional[Dict[int, List[int]]]:
+    """The local shift variables of each edge polynomial of F, by index;
+    None when not every polynomial has a shape of "Local columns" in the
+    module docstring, or none is an edge.  The 4-cycles a-w-z-b through an
+    edge are listed from its endpoint a of smaller degree, by intersecting
+    sets, so no hub's whole neighbourhood is scanned for each of its edges.
+    """
+    edges: Dict[Tuple[int, int], int] = {}  # (u, v), u < v: its poly's index
+    for i, f in enumerate(F.polys):
+        variables = sorted({v for m, _ in f.terms for v, _ in m.exponents})
+        if len(variables) == 1 and {m.degree for m, _ in f.terms} <= {0, 3}:
+            continue
+        if len(variables) != 2:
+            return None
+        u, v = variables
+        # the canonical term order is x_u^2, x_u x_v, x_v^2
+        if tuple(m.exponents for m, _ in f.terms) != (((u, 2),), ((u, 1), (v, 1)), ((v, 2),)) or (u, v) in edges:
+            return None
+        edges[u, v] = i
+    adj = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    local = {}
+    for (u, v), i in edges.items():
+        a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
+        near = {u, v} | (adj[a] & adj[b])  # the edge and its triangles
+        for w in adj[a] - {b}:
+            z = (adj[w] & adj[b]) - {a}
+            if z:
+                near |= z | {w}
+        local[i] = sorted(near)
+    return local or None
 
 
 def _count(field: FieldSpec, lay: _Layout, memory_budget: Optional[int]) -> Dict[int, int]:
@@ -525,11 +570,11 @@ def _assemble(
     d: int,
     targets: Sequence[Polynomial],
     memory_budget: Optional[int],
-    local: Optional[Dict[str, Sequence[int]]] = None,
+    local: Optional[Dict[int, Sequence[int]]] = None,
 ) -> Tuple[AssembledSystem, Tuple[int, int, int]]:
     """The degree-d system, peeled (see "Peeling" in the module docstring),
     with one right-hand side per target, and the counted rows of the system
-    built, on every column or on the local ones (_layout), with the full
+    built, on every column or on the local ones (_local_shifts), with the full
     system's cols and nnz.  The system built is counted (_count), and so
     the budget checked, before any column is filed."""
     lay = _layout(F, d, targets, memory_budget, local)
@@ -547,14 +592,14 @@ def _orbit_system(
     perms: PermutationSet,
     maps: Sequence[Sequence[int]],
     memory_budget: Optional[int],
-    local: Optional[Dict[str, Sequence[int]]] = None,
+    local: Optional[Dict[int, Sequence[int]]] = None,
 ) -> Tuple[AssembledSystem, bool]:
     """The degree-d orbit system of F under perms, built without the full
     matrix (see "Orbit systems" in the module docstring), and whether its
     inconsistency is conclusive: whether every row and column orbit walked
     has size prime to p.  The orbits walked are those of lay's columns
-    (_layout), every column or, given local, the local ones; a local
-    column with an image outside them raises.
+    (_layout), every column or, given local (_local_shifts), the local
+    ones; a local column with an image outside them raises.
 
     maps[k] is generator k's permutation of F's polys (check_invariant);
     renaming keeps degrees, so it permutes the columns too.  Each column
@@ -766,8 +811,7 @@ def nulla_prove(
     memory_budget: Optional[int] = None,
     provenance: Optional[dict] = None,
     perms: Optional[PermutationSet] = None,
-    core: Optional[Tuple[PolySystem, dict, Optional[Dict[str, Sequence[int]]]]] = None,
-    local: Optional[Dict[str, Sequence[int]]] = None,
+    core: Optional[Tuple[PolySystem, dict]] = None,
     on_degree: Optional[Callable[[DegreeStats], None]] = None,
 ) -> NullaOutcome:
     """Search the degree schedule for a certificate; first hit wins.
@@ -779,27 +823,22 @@ def nulla_prove(
     as its orbit system, and assembled and solved in full only when that is
     inconsistent and some orbit size is divisible by p: only orbit sizes
     prime to p make an inconsistent orbit solve conclusive.  An assembled
-    system is solved peeled (see the module docstring).  Each solve gets
-    its own DegreeStats: for an assembled system the rows counted of the
-    system built, on every column or on the local ones, and the full
-    system's cols and nnz; for an orbit solve the orbit system's own sizes.
+    system is solved peeled (see the module docstring).  For g = 1, a
+    system of degree 1 of the shapes for it is built on its local columns
+    (_local_shifts, worked out there alone).  Each solve gets its own
+    DegreeStats: for an assembled system the rows counted of the system
+    built, and the full system's cols and nnz; for an orbit solve the orbit
+    system's own sizes.
     on_degree, if given, is called with each DegreeStats as its solve ends.
     The first consistent solve is extracted and re-verified by expansion
     before it is returned as the outcome's certificate; failure there is a
     solver bug and raises.  g_candidates None means the one target g = 1.
 
-    local maps the tag of each edge polynomial of F, a 3-coloring encoding
-    without cutters, to its local shift variables (see "Local columns" in
-    the module docstring).  With g_candidates None, the systems of degree
-    1, assembled or orbit, are built on the local columns alone; otherwise
-    local is not used.
-
-    core = (F_core, note, local) is a smaller system over F's field and
-    variables whose polynomials are polynomials of F's input (the encoding
-    of an induced subgraph, say), so that a certificate for it is one for
-    F, with its own local shifts or None.  It is solved for F's targets,
-    and its certificate records note under provenance "core".  core
-    excludes perms.
+    core = (F_core, note) is a smaller system over F's field and variables
+    whose polynomials are polynomials of F's input (the encoding of an
+    induced subgraph, say), so that a certificate for it is one for F.  It
+    is solved for F's targets, and its certificate records note under
+    provenance "core".  core excludes perms.
     """
     if not schedule:
         raise AssembleError("degree schedule must be nonempty")
@@ -811,16 +850,15 @@ def nulla_prove(
         raise AssembleError("degree schedule must be ascending and nonnegative")
     targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
     _check_request(F, targets)
-    # The systems tried at each degree, in order, with the provenance each
-    # adds and its local shifts.
-    tried = [(F, {}, local)]
+    # The systems tried at each degree, in order, with the provenance each adds.
+    tried = [(F, {})]
     if core is not None:
         if perms is not None:
             raise AssembleError("a core excludes a symmetry group")
-        F_core, note, core_local = core
+        F_core, note = core
         if F_core.field != F.field or F_core.n_vars != F.n_vars:
             raise AssembleError("a core needs F's field and n_vars")
-        tried.insert(0, (F_core, {"core": note}, core_local))
+        tried.insert(0, (F_core, {"core": note}))
     if perms is not None:
         maps = check_invariant(F, targets, perms)
     kinds = ("full",) if perms is None else ("orbit", "full")
@@ -828,15 +866,15 @@ def nulla_prove(
     per_degree: List[DegreeStats] = []
     for d in schedule:
         t0 = time.perf_counter()
-        for F_s, note, local_s in tried:
+        for F_s, note in tried:
             # the local columns are those of g = 1 at degree 1
-            lay_local = local_s if d == 1 and g_candidates is None else None
+            local = _local_shifts(F_s) if d == 1 and g_candidates is None else None
             for kind in kinds:
                 if kind == "orbit":
-                    part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget, lay_local)
+                    part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget, local)
                     sizes = part.system.n_rows, part.system.n_cols, part.system.nnz
                 else:
-                    part, sizes = _assemble(F_s, d, targets, memory_budget, lay_local)
+                    part, sizes = _assemble(F_s, d, targets, memory_budget, local)
                 results = solve_multi_rhs(part.system, part.rhs_list)
                 hit = next((k for k, r in enumerate(results) if r.consistent), None)
                 status = "inconsistent" if hit is None else "consistent"

@@ -2,7 +2,7 @@
 
 Each subcommand reads its argparse namespace directly; prove checks a
 3-coloring as a common root itself (common_root) and hands the search,
-symmetry reduction included, to one nulla_prove call.
+symmetry reduction and local columns included, to one nulla_prove call.
 
 A process imports only what its subcommand runs: verify and --help need
 argparse and nullcert.certificate (with nullcert.poly) alone; the one
@@ -43,7 +43,7 @@ from nullcert.poly import (
 
 def _prover_names() -> dict:
     from nullcert.assemble import DegreeStats, grading, nulla_prove, stats
-    from nullcert.encode import EncodingOptions, alt_g_candidates, common_root, encode_coloring, local_shifts
+    from nullcert.encode import EncodingOptions, alt_g_candidates, common_root, encode_coloring
     from nullcert.graphs import (
         Graph,
         find_coloring,
@@ -216,11 +216,10 @@ def build_core(
     origin: int,
     targets: Optional[List[Polynomial]],
     touched: Optional[Set[int]] = None,
-) -> Optional[Tuple[PolySystem, dict, Optional[dict]]]:
+) -> Optional[Tuple[PolySystem, dict]]:
     """nulla_prove's core: the encoding, over the graph's variables, of a
     small induced subgraph that the coloring search proves not k-colorable,
-    with its note and, for the target g = 1, its local shifts
-    (local_shifts); or None when there is none or a target uses a vertex
+    with its note; or None when there is none or a target uses a vertex
     outside it (sound, but such core attempts add a solve per degree and
     were not seen to hit).  touched is passed to find_core.
 
@@ -237,8 +236,7 @@ def build_core(
         return None
     if origin not in inside:
         origin = vertices[0]
-    local = local_shifts(graph, opts, vertices) if targets is None else None
-    return encode_coloring(graph, opts, origin, vertices), {"vertices": vertices, "origin": origin}, local
+    return encode_coloring(graph, opts, origin, vertices), {"vertices": vertices, "origin": origin}
 
 
 def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
@@ -328,7 +326,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
         provenance={"input": meta},
         perms=perms,
         core=core,
-        local=local_shifts(graph, opts) if coloring and targets is None else None,
         on_degree=_print_degree,
     )
     if out.certificate is None:

@@ -12,7 +12,8 @@ spanning-tree paths), degree-cutter polynomials (sum of x_v^(k-1) over each
 k-clique, which vanishes because a proper coloring puts all k k-th roots of
 unity on it), and alternative certificate targets (any nontrivial monomial
 works for colorability, since a monomial root forces some x_i = 0 while
-roots of the vertex polynomials are nonzero).
+roots of the vertex polynomials are nonzero).  An encoding with k = 3 and
+no cutters has the shapes nullcert.assemble reads local columns off.
 
 And a common-root check: g = sum_i beta_i f_i vanishes at every common
 root of F, so one where no target vanishes rules out every degree.  Over
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
 from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, Record, set_field
@@ -143,43 +144,6 @@ def encode_coloring(
     return PolySystem.make(opts.field, n, polys, tags)
 
 
-def local_shifts(
-    g: Graph, opts: EncodingOptions, vertices: Optional[Sequence[int]] = None
-) -> Optional[Dict[str, Tuple[int, ...]]]:
-    """The local shift variables of each edge polynomial of the encoding
-    (encode_coloring with the same vertices), keyed by its tag, for
-    nulla_prove's local columns at degree 1; None unless opts.k is 3 and
-    there are no cutters, where the rule in nullcert.assemble holds.
-
-    Shift x_w is local to the edge uv when w lies on it, or on a triangle
-    or a 4-cycle through it.  The 4-cycles a-w-z-b through uv are listed
-    from its endpoint a of smaller degree: for each neighbour w of a but b,
-    the neighbours z of b that w shares, by a set intersection, which walks
-    the smaller of the two sets; so no hub's whole neighbourhood is scanned
-    for each of its edges.
-    """
-    if opts.k != 3 or opts.cutters != "none":
-        return None
-    adj = g.adjacency()
-    inside = set(adj if vertices is None else vertices)
-    adj = {v: adj[v] & inside for v in inside}
-    out = {}
-    for u, v in g.sorted_edges():
-        if u not in inside or v not in inside:
-            continue
-        a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-        near = {u, v} | (adj[a] & adj[b])
-        for w in adj[a]:
-            if w != b:
-                shared = adj[w] & adj[b]
-                shared.discard(a)
-                if shared:
-                    near.add(w)
-                    near |= shared
-        out[f"edge:{u}-{v}"] = tuple(sorted(w - 1 for w in near))
-    return out
-
-
 def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
     """All monomials of exactly the given total degree, in global order."""
     if degree < 1:
@@ -221,6 +185,5 @@ __all__ = [
     "EncodeError",
     "common_root",
     "encode_coloring",
-    "local_shifts",
     "alt_g_candidates",
 ]

@@ -2,7 +2,8 @@
 polynomial product and evaluation, a reference certificate check, GF(4)
 evaluation, checked hand-built linear systems, right-hand sides and
 solutions, dense reference eliminators, a reference orbit fold, a
-reference group order, and model rotation with one coloring copy per step.
+reference group order, model rotation with one coloring copy per step,
+and a spy on the local-column rule.
 
 These deliberately take different implementation routes from the package so
 they can serve as independent cross-checks.  The exception is full_system,
@@ -18,7 +19,7 @@ from collections import Counter
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from nullcert import linsolve
+from nullcert import assemble, linsolve
 from nullcert.assemble import _file, _layout, _Layout, lift_solution
 from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 
@@ -398,3 +399,15 @@ e8 2*x2*x5+2*x2*x8+2*x5*x6+2*x2+x8*x8
 e9 2*x3*x3+x5*x7
 e10 2*x1*x1+2*x2*x2
 """
+
+
+def spy_local_shifts(monkeypatch) -> List[Tuple[PolySystem, Optional[Dict[int, List[int]]]]]:
+    """Record each call of assemble._local_shifts as (F, what it returned)."""
+    calls, local_shifts = [], assemble._local_shifts
+
+    def spy(F):
+        calls.append((F, local_shifts(F)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(assemble, "_local_shifts", spy)
+    return calls

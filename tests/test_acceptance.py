@@ -27,6 +27,7 @@ from helpers import (
     rhs_entries,
     row_monomials,
 )
+import nullcert.assemble as asm
 from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, lift_solution, nulla_prove
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
@@ -284,7 +285,13 @@ def test_criterion_5(capsys):
         out = nulla_prove(F, [1])
         assert out.certificate is not None and out.degree == 1
         assert verify(out.certificate)
-        ds = out.per_degree[0]
+        # built on its local columns, it counts fewer rows of the same system
+        assert out.per_degree[0].rows == 3137 and out.per_degree[0].cols == 15681
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asm, "_local_shifts", lambda F: None)
+            full = nulla_prove(F, [1])
+        assert full.certificate == out.certificate
+        ds = full.per_degree[0]
         assert abs(ds.rows - 15737) <= 0.10 * 15737
         assert abs(ds.cols - 15681) <= 0.10 * 15681
         assert (ds.rows, ds.cols) == (15737, 15681)

@@ -17,6 +17,7 @@ from helpers import (
     monomials_up_to,
     poly_mul,
     row_monomials,
+    spy_local_shifts,
 )
 from nullcert.assemble import (
     AssembleError,
@@ -34,7 +35,6 @@ from nullcert.encode import (
     alt_g_candidates,
     common_root,
     encode_coloring,
-    local_shifts,
 )
 from nullcert.graphs import (
     Graph,
@@ -301,8 +301,10 @@ def test_prove_extracts_from_assembled_columns(p, n_vars, texts, d):
     [gen_complete(4), gen_wheel(5), gen_random(8, 0.5, 4), gen_complete(3)],
     ids=["K4", "wheel5", "random8", "K3"],
 )
-def test_gf2_prove_matches_assemble_and_solve(graph):
-    # each degree's stats line and verdict are those of the full system + solve
+def test_gf2_prove_matches_assemble_and_solve(graph, monkeypatch):
+    # each degree's stats line and verdict are those of the full system +
+    # solve, where nulla_prove builds it on every column
+    monkeypatch.setattr(asm, "_local_shifts", lambda F: None)
     F = encode_coloring(graph, EncodingOptions(preprocess=True))
     g = Polynomial.one(GF2, graph.n_vertices)
     for d in (1, 4):
@@ -942,7 +944,7 @@ LOCAL_FAMILIES = {
 
 
 def local_cases():
-    """(id, F, local), seeded: 300 G(n, p) with n from 12 to 60 and average
+    """(id, F), seeded: 300 G(n, p) with n from 12 to 60 and average
     degree 3 to 10, each with preprocessing on or off and origin 1 or n, in
     turn, over GF(2), GF(5) or GF(7); every graph family of the tests, with
     preprocessing on and off; and the cores of those that have one."""
@@ -952,23 +954,30 @@ def local_cases():
         g = gen_random(n, rng.uniform(3, 10) / (n - 1), s)
         opts = EncodingOptions(field=FieldSpec((2, 5, 7)[s % 3]), preprocess=s % 2 == 0)
         origin = (1, n)[s // 2 % 2]
-        yield f"gnp{n}-s{s}", encode_coloring(g, opts, origin), local_shifts(g, opts)
+        yield f"gnp{n}-s{s}", encode_coloring(g, opts, origin)
     for name, g in LOCAL_FAMILIES.items():
         for preprocess in (True, False):
-            opts = EncodingOptions(preprocess=preprocess)
-            yield f"{name}-{preprocess}", encode_coloring(g, opts), local_shifts(g, opts)
+            yield f"{name}-{preprocess}", encode_coloring(g, EncodingOptions(preprocess=preprocess))
         core = cli.build_core(g, EncodingOptions(preprocess=True), 1, None)
         if core is not None:
-            yield f"{name}-core", core[0], core[2]
+            yield f"{name}-core", core[0]
+
+
+def local_by_tag(F):
+    """_local_shifts of F keyed by tag, each a tuple, or None."""
+    local = asm._local_shifts(F)
+    return None if local is None else {F.tags[i]: tuple(shifts) for i, shifts in local.items()}
 
 
 def test_local_filing_equals_the_full_peel():
     # the peel of the local columns keeps what the peel of all of them does,
     # so the filed system, its rows, entries and right-hand side, is the same
     fewer = 0
-    for case, F, local in local_cases():
+    for case, F in local_cases():
         one = [Polynomial.one(F.field, F.n_vars)]
         full, full_sizes = asm._assemble(F, 1, one, None)
+        local = asm._local_shifts(F)
+        assert local is not None or not any(tag.startswith("edge:") for tag in F.tags), case
         part, sizes = asm._assemble(F, 1, one, None, local)
         assert sizes[1:] == full_sizes[1:], case
         assert (part.system, part.rhs_list, part.packed_cols, part.packed_rows) == (
@@ -983,59 +992,63 @@ def test_local_shifts_are_the_triangles_and_4_cycles():
     # wheel:6's rim edge 1-2 has the triangle 1-2-7 and the 4-cycles
     # 1-2-3-7 and 6-1-2-7; its spoke 1-7 the triangles 6-1-7 and 1-2-7 and
     # the 4-cycles through the hub 1-2-3-7, 1-6-5-7
-    local = local_shifts(gen_wheel(6), EncodingOptions())
+    local = local_by_tag(encode_coloring(gen_wheel(6), EncodingOptions()))
     assert local["edge:1-2"] == (0, 1, 2, 5, 6)
     assert local["edge:1-7"] == (0, 1, 2, 4, 5, 6)
     assert len(local) == 12
     # K4 minus an edge: 2-3 lies on both triangles, 1-2 on a triangle and
     # the 4-cycle 1-2-4-3
-    local = local_shifts(Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]), EncodingOptions())
+    diamond = Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    local = local_by_tag(encode_coloring(diamond, EncodingOptions()))
     assert local["edge:2-3"] == (0, 1, 2, 3) and local["edge:1-2"] == (0, 1, 2, 3)
     # a core gets the 4-cycles of its own subgraph
     g = Graph.make(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
-    assert local_shifts(g, EncodingOptions())["edge:1-2"] == (0, 1, 2, 3)
-    assert local_shifts(g, EncodingOptions(), [1, 2, 3])["edge:1-2"] == (0, 1)
-    # the rule is the k = 3 encoding's without cutters
-    assert local_shifts(g, EncodingOptions(k=4, field=FieldSpec(3))) is None
-    assert local_shifts(g, EncodingOptions(cutters="cliques")) is None
+    assert local_by_tag(encode_coloring(g, EncodingOptions()))["edge:1-2"] == (0, 1, 2, 3)
+    assert local_by_tag(encode_coloring(g, EncodingOptions(), vertices=[1, 2, 3]))["edge:1-2"] == (0, 1)
+    # the shapes are the k = 3 encoding's without cutters, over any field it
+    # allows, with or without preprocessing
+    for opts in (EncodingOptions(field=FieldSpec(5)), EncodingOptions(preprocess=True)):
+        assert local_by_tag(encode_coloring(g, opts))["edge:1-2"] == (0, 1, 2, 3)
+    assert local_by_tag(encode_coloring(diamond, EncodingOptions(k=4, field=FieldSpec(3)))) is None
+    assert local_by_tag(encode_coloring(diamond, EncodingOptions(cutters="cliques"))) is None
 
 
-def test_local_columns_are_for_the_target_one_at_degree_1():
-    # other targets and other degrees are built on every column
-    g = gen_wheel(9)
-    opts = EncodingOptions(preprocess=True)
-    F, local = encode_coloring(g, opts), local_shifts(g, opts)
-    plain = nulla_prove(F, [1, 4], [Polynomial.one(GF2, F.n_vars)], local=local)
-    assert [s.rows for s in plain.per_degree] == [191]
-    assert [s.rows for s in nulla_prove(F, [1], local=local).per_degree] == [92]
-    assert [s.rows for s in nulla_prove(F, [0, 1], local=local).per_degree] == [2, 92]
-    k4 = gen_complete(4)
-    F = encode_coloring(k4, EncodingOptions())
-    assert nulla_prove(F, [4], local=local_shifts(k4, EncodingOptions())).per_degree[0].rows == (
-        nulla_prove(F, [4]).per_degree[0].rows
-    )
+def test_local_columns_are_for_the_target_one_at_degree_1(monkeypatch):
+    # other targets and other degrees are built on every column, and the
+    # local shifts are worked out only where they are used
+    calls = spy_local_shifts(monkeypatch)
+    W = encode_coloring(gen_wheel(9), EncodingOptions(preprocess=True))
+    plain = nulla_prove(W, [1, 4], [Polynomial.one(GF2, W.n_vars)])
+    assert [s.rows for s in plain.per_degree] == [191] and calls == []
+    assert [s.rows for s in nulla_prove(W, [1]).per_degree] == [92]
+    assert [s.rows for s in nulla_prove(W, [0, 1]).per_degree] == [2, 92]
+    F = encode_coloring(gen_complete(4), EncodingOptions())
+    full = asm._assemble(F, 4, [Polynomial.one(GF2, F.n_vars)], None)[1][0]
+    assert nulla_prove(F, [4]).per_degree[0].rows == full
+    assert [system for system, _ in calls] == [W, W]
 
 
 @pytest.mark.parametrize("n", [31, 101])
-def test_budget_between_peeled_and_full_still_refuses(n):
+def test_budget_between_peeled_and_full_still_refuses(n, monkeypatch):
     # without local shifts the budget is checked on the full system, block
     # by block as counting checks it: wheel:101's 20,605 columns are five
     # blocks, and the refusal comes in a middle one
-    g, opts = gen_wheel(n), EncodingOptions(preprocess=True)
-    F = encode_coloring(g, opts)
+    F = encode_coloring(gen_wheel(n), EncodingOptions(preprocess=True))
     one = [Polynomial.one(GF2, F.n_vars)]
     peeled, (rows, cols, _) = asm._assemble(F, 1, one, None)
     full = packed_bytes(rows, cols, 2)
     budget = full - 1 if n == 31 else 21904992
     assert packed_bytes(peeled.system.n_rows, peeled.system.n_cols, 2) < budget < full
-    with pytest.raises(MemoryBudgetError) as refused:
-        nulla_prove(F, [1], memory_budget=budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(asm, "_local_shifts", lambda F: None)
+        with pytest.raises(MemoryBudgetError) as refused:
+            nulla_prove(F, [1], memory_budget=budget)
+        certified = nulla_prove(F, [1], memory_budget=full).certificate
     with pytest.raises(MemoryBudgetError) as counted:
         stats(F, 1, memory_budget=budget)
     assert str(refused.value) == str(counted.value)
     assert refused.value.n_cols == cols
-    certified = nulla_prove(F, [1], memory_budget=full).certificate
     assert certified is not None
     # with them it is checked on the local system, which the budget holds
-    local = nulla_prove(F, [1], memory_budget=budget, local=local_shifts(g, opts))
+    local = nulla_prove(F, [1], memory_budget=budget)
     assert local.certificate == certified

@@ -20,11 +20,12 @@ from pathlib import Path
 import pytest
 
 import nullcert.assemble as asm
-from helpers import GF3_DEGREE3, expanded
+from helpers import GF3_DEGREE3, expanded, spy_local_shifts
 import nullcert.cli as cli
 import nullcert.graphs as graphs
 from nullcert.certificate import CertificateError, read_cert, verify
 from nullcert.cli import main
+from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import parse_dimacs
 from nullcert.linsolve import packed_bytes
 from nullcert.poly import FieldSpec, PolyParseError, Polynomial, format_poly, parse_poly
@@ -348,6 +349,95 @@ def test_wheel601_rotation_certifies_on_its_local_orbits(tmp_path, capsys):
     assert out.startswith("degree=1 rows=12 cols=13 nnz=35 status=consistent ")
     assert peak < 50 << 20, peak
     assert run(capsys, "verify", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("spec", ["kneser:8,3", "mycielski:7", "mycielski:9"])
+def test_local_columns_are_read_off_the_core_alone(spec, tmp_path, capsys, monkeypatch):
+    # the core certifies at degree 1, so the whole graph's edges are never
+    # walked: mycielski:9 (383 vertices, 7,271 edges) traced 8.7 MB, where
+    # listing the whole graph's local shifts as well took 23 MB
+    calls = spy_local_shifts(monkeypatch)
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "prove", "--gen", spec, "--cert", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (0, "") and out.startswith("degree=1 ")
+    note = read_cert(path.read_text()).provenance["core"]
+    graph = cli.parse_gen_spec(spec, None)[0]
+    assert len(note["vertices"]) < graph.n_vertices
+    core = encode_coloring(graph, EncodingOptions(preprocess=True), note["origin"], note["vertices"])
+    assert [system for system, _ in calls] == [core]
+    assert peak < 16 << 20, peak
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
+def rows_of(out):
+    """The rows= figure of the first stats or degree line in out."""
+    return int(re.search(r" rows=(\d+) ", out).group(1))
+
+
+def stats_rows(capsys, *argv):
+    rc, out, _ = run(capsys, "stats", *argv)
+    assert rc == 0
+    return rows_of(out)
+
+
+@pytest.mark.parametrize("spec", ["wheel:9", "kneser:8,3"])
+def test_a_system_of_the_encoding_shapes_gets_local_columns(spec, tmp_path, capsys, monkeypatch):
+    # an encoding read back through --system is proved on the local columns
+    # that --gen reads off the same polynomials, to the same certificate;
+    # --gen is run without its core, which --system does not have
+    system = tmp_path / "f.txt"
+    system.write_text(run(capsys, "encode", "--gen", spec, "--preprocess")[1])
+    monkeypatch.setattr(cli, "build_core", lambda *args: None)
+    outs, entries = [], []
+    for source in (("--system", str(system)), ("--gen", spec)):
+        path = tmp_path / "cert.json"
+        rc, out, err = run(capsys, "prove", *source, "--cert", str(path))
+        assert (rc, err) == (0, "")
+        outs.append(out.splitlines()[0].split(" millis=")[0])
+        entries.append(read_cert(path.read_text()).entries)
+    assert outs[0] == outs[1] and entries[0] == entries[1]
+    assert rows_of(outs[0]) < stats_rows(capsys, "--system", str(system), "--degree", "1")
+
+
+def test_near_misses_of_the_shapes_keep_every_column(tmp_path, capsys, monkeypatch):
+    # one polynomial off the shapes, and the system is built on every
+    # column: prove counts the rows stats counts.  (x1^2+x1 at the shift x_w
+    # gives x_w x1^2, a row that the argument needs to come from edges only)
+    calls = spy_local_shifts(monkeypatch)
+    text = run(capsys, "encode", "--gen", "wheel:9", "--preprocess")[1]
+    edge = next(line for line in text.splitlines() if line.startswith("edge:"))
+    (tmp_path / "base").write_text(text)
+    misses = {
+        "cutter": run(capsys, "encode", "--gen", "wheel:9", "--preprocess", "--cutters", "cliques")[1],
+        "repeated-edge": text + "again " + edge.split()[1] + "\n",
+        "extra-term": text.replace(edge, edge + "+1"),
+        "square": text + "square x1^2+x1\n",
+    }
+    for name, body in misses.items():
+        (tmp_path / name).write_text(body)
+    cases = [(("--system", str(tmp_path / name)), "1", [None]) for name in misses]
+    cases += [
+        (("--gen", "wheel:9", "--k", "4", "--p", "3"), "1", [None]),
+        (("--system", str(tmp_path / "cutter"), "--alt-g", "x1"), "1", []),
+        (("--gen", "wheel:9", "--p", "5", "--no-preprocess", "--alt-g", "x1*x2*x3"), "1", []),
+        (("--system", str(tmp_path / "cutter")), "4", []),
+    ]
+    for source, degree, local in cases:
+        calls.clear()
+        rc, out, err = run(capsys, "prove", *source, "--schedule", degree)
+        assert rc in (0, 10) and err == "" and [shifts for _, shifts in calls] == local, source
+        if "--alt-g" not in source:
+            assert rows_of(out) == stats_rows(capsys, *source, "--degree", degree), source
+    # the system they miss is built on its local columns
+    calls.clear()
+    rc, out, _ = run(capsys, "prove", "--system", str(tmp_path / "base"), "--schedule", "1")
+    assert rc == 0 and len(calls) == 1 and calls[0][1] is not None
+    assert rows_of(out) < stats_rows(capsys, "--system", str(tmp_path / "base"))
 
 
 def test_many_targets_are_solved_from_their_entries(capsys):
@@ -969,6 +1059,50 @@ def test_a_huge_max_degree_is_checked_in_constant_time():
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("degree=1 rows=21 cols=25 nnz=74 status=consistent ")
+
+
+def run_limited(argv, limits):
+    """main(argv) in a child process under the given resource limits."""
+    code = (
+        "import resource, sys\n"
+        + "".join(f"resource.setrlimit(resource.{name}, ({v}, {v}))\n" for name, v in limits.items())
+        + "from nullcert.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "--gen", "complete:4", "--schedule", "1000000"),
+        ("prove", "--gen", "complete:4", "--schedule", "100000000"),
+        ("stats", "--gen", "complete:4", "--degree", "100000000"),
+        ("prove", "--system", "one-variable.txt", "--schedule", "100000000"),
+        ("stats", "--system", "one-variable.txt", "--degree", "100000000"),
+    ],
+)
+def test_a_huge_degree_is_refused_without_a_list_per_degree(argv, tmp_path, monkeypatch):
+    # closed-form lower bounds on the degree's rows and columns refuse it
+    # first: building the per-degree lists up to 10^6 took 18 s and 207 MB,
+    # and up to 10^8 did not end in 100 s.  With one variable every degree
+    # has one shift, so the bound counts the kept degrees.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one-variable.txt").write_text("a x1^3+1\nb x1^2+x1+1\n")
+    proc = run_limited(argv, {"RLIMIT_AS": 256 << 20, "RLIMIT_CPU": 10})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: predicted working set of at least ") and proc.stderr.count("\n") == 1
+
+
+def test_a_huge_degree_without_variables_is_laid_out_once(tmp_path):
+    # with no variable only the shift 1 exists, so degree 10^8 is degree 0's
+    # system, and no list is made per degree
+    system = tmp_path / "constant.txt"
+    system.write_text("a 1\n")
+    proc = run_limited(("prove", "--system", str(system), "--schedule", "100000000"), {"RLIMIT_AS": 256 << 20, "RLIMIT_CPU": 10})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("degree=100000000 rows=1 cols=1 nnz=1 status=consistent ")
 
 
 def test_symmetry_noncoprime_falls_back(swap_file, capsys):

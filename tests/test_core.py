@@ -12,7 +12,7 @@ import pytest
 from nullcert.assemble import AssembleError, nulla_prove
 from nullcert.certificate import verify
 from nullcert.cli import build_core
-from nullcert.encode import EncodingOptions, encode_coloring, local_shifts
+from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import (
     find_coloring,
     gen_complete,
@@ -67,7 +67,7 @@ def test_core_never_raises_the_certificate_degree(name):
 def test_core_lines_come_first_at_each_degree():
     g = gen_random(16, 0.27, 2)
     F = encode_coloring(g, OPTS)
-    out = nulla_prove(F, [1, 4], core=build_core(g, OPTS, 1, None), local=local_shifts(g, OPTS))
+    out = nulla_prove(F, [1, 4], core=build_core(g, OPTS, 1, None))
     sizes = [(s.degree, s.rows, s.cols, s.status) for s in out.per_degree]
     # the core at degree 1, then G at degree 1, then the core at degree 4;
     # at degree 1 each counts the rows of its own local columns (117 and 609
@@ -88,7 +88,7 @@ def test_core_targets_pass_through_unchanged():
     F = encode_coloring(g, OPTS)
     target = Polynomial.from_monomial(Monomial.make([(3, 3)], 5), F.field)  # x4^3
     core = build_core(g, OPTS, 1, [target])
-    F_core, note, _ = core
+    F_core, note = core
     assert note == {"vertices": [1, 2, 3, 4], "origin": 1}
     # the core is over G's five variables, and its polynomials are G's
     assert F_core.n_vars == F.n_vars == 5
@@ -110,13 +110,13 @@ def test_core_argument_is_checked():
     assert out.certificate is not None and verify(out.certificate)
     with pytest.raises(AssembleError, match="excludes"):
         nulla_prove(F, [1], core=core, perms=PermutationSet.make(5, [[1, 2, 3, 4, 0]]))
-    F_core, note, _ = core
+    F_core, note = core
     small = encode_coloring(gen_complete(4), OPTS)
     with pytest.raises(AssembleError, match="field and n_vars"):
-        nulla_prove(F, [1], core=(small, note, None))
+        nulla_prove(F, [1], core=(small, note))
     other = encode_coloring(g, EncodingOptions(field=FieldSpec(5), preprocess=True), vertices=[1, 2, 3, 4])
     with pytest.raises(AssembleError, match="field and n_vars"):
-        nulla_prove(F, [1], core=(other, note, None))
+        nulla_prove(F, [1], core=(other, note))
 
 
 def test_whole_graph_over_budget_fails_before_filing_every_product():

@@ -6,9 +6,17 @@ import random
 import pytest
 
 from helpers import columns, dense, expanded, full_system, group_order, orbit_fold, orbit_members, row_monomials
-from nullcert.assemble import AssembleError, _orbit_system, assemble_orbit, extract_certificate, grading, lift_solution
+from nullcert.assemble import (
+    AssembleError,
+    _local_shifts,
+    _orbit_system,
+    assemble_orbit,
+    extract_certificate,
+    grading,
+    lift_solution,
+)
 from nullcert.certificate import verify, write_cert
-from nullcert.encode import EncodingOptions, encode_coloring, local_shifts
+from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import Graph, gen_complete, gen_kneser, gen_wheel
 from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve, solve_multi_rhs
 from nullcert.poly import FieldSpec, PolySystem, Polynomial, parse_poly
@@ -547,7 +555,8 @@ def test_local_orbit_walk_matches_the_full_walk():
     for name, g, images in local_orbit_cases():
         for p in (2, 5):
             opts = EncodingOptions(field=FieldSpec(p))
-            F, local = encode_coloring(g, opts), local_shifts(g, opts)
+            F = encode_coloring(g, opts)
+            local = _local_shifts(F)
             perms = PermutationSet.make(F.n_vars, images)
             one = [Polynomial.one(F.field, F.n_vars)]
             maps = check_invariant(F, one, perms)
@@ -572,8 +581,9 @@ def test_local_orbit_walk_matches_the_full_walk():
 def test_local_columns_not_closed_under_the_group_are_refused():
     # dropping one shift of one rim edge leaves the rest of its orbit local
     g = gen_wheel(7)
-    F, local = encode_coloring(g, EncodingOptions()), local_shifts(g, EncodingOptions())
-    local["edge:1-2"] = local["edge:1-2"][1:]
+    F = encode_coloring(g, EncodingOptions())
+    local = _local_shifts(F)
+    local[F.tags.index("edge:1-2")].pop(0)
     perms = PermutationSet.make(F.n_vars, [rim_rotation(7, 1)])
     one = [Polynomial.one(GF2, F.n_vars)]
     with pytest.raises(AssembleError, match="internal error: the group maps a local column outside"):
