@@ -30,9 +30,8 @@ Each row names its column through the sum of its live products' columns,
 so the cascade costs what the dropped columns' products do, and no stop
 rule is needed.  It runs on _count's count of the system built: the full
 system, or at degree 1 for g = 1 its local columns where F has their
-shapes (below).
-That count is what the budget is checked on and the degree line's rows;
-stats counts the full system.  On wheel:101 at degree 1 the full
+shapes (below).  That count is what the budget is checked on and the
+degree line's rows; stats counts the full system.  On wheel:101 at degree 1 the full
 25,353 x 20,605 system and its 1,112 local columns both peel to
 1,012 x 1,112, the certificate's neighbourhood.
 
@@ -117,20 +116,23 @@ wheel:101 under its rim rotation the orbits of its 1,213 local columns
 and 1,012 rows give 12 x 13, where the full system is 25,353 x 20,706.
 
 Column order: _Layout numbers the columns shift-major, (shift degree,
-shift, poly index), in every field and in orbit systems too, whose
-representatives are the least full-system indices.  The products
-x^delta * f_i sharing a row monomial then have nearby shifts, so each row
-spans a narrow column window, and the GF(2) bitset and GF(3) bit-plane
-eliminators, whose row operations cost what a row spans, run several
-times faster than with the columns of each f_i together.  Rank and
+shift, poly index), with each degree's shifts in the order
+_Packing.monomials enumerates them, in every field and in orbit systems
+too, whose representatives are the least full-system indices.  The
+products x^delta * f_i sharing a row monomial then have nearby shifts, so
+each row spans a narrow column window, and the GF(2) bitset and GF(3)
+bit-plane eliminators, whose row operations cost what a row spans, run
+several times faster than with the columns of each f_i together.  Rank and
 consistency do not depend on the order; the certificate does, through the
 free-variables-zero solution, and is deterministic for the fixed order.
+Row order is free (nullcert.linsolve): rows are filed in the reverse of
+the order they are first met, which is lowest column descending, and no
+key is ever compared.
 
 Inside the assembly a monomial is one int (_Packing): the total degree above
 one exponent field per occurring variable, above a salt region, with fields
-wide enough that the product x^delta * t is the sum of the two ints, and
-packed ^ flip sorting exactly like Monomial.sort_key, so rows keep the
-graded order.  The salt region holds a per-variable 64-bit salt, summed like
+wide enough that the product x^delta * t is the sum of the two ints.  The
+salt region holds a per-variable 64-bit salt, summed like
 the exponents, so that keys of many variables hash apart in the assembly's
 dicts; it is 0 bits wide when every key is below 2^61 - 1, and so already
 its own hash.  On wheel:301 at degree 1 the 226,053 row keys have as many
@@ -153,7 +155,7 @@ with a target of degree 1, such as x1, k is 1 and every column is kept.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import accumulate, combinations_with_replacement, compress, islice
 from math import comb, gcd
@@ -187,11 +189,9 @@ class _Packing:
 
     The total degree sits above one field of b bits per listed variable,
     ascending from the most significant field, and a salt region of
-    salt_bits bits lies below the fields.  While every exponent fits in b
-    bits, a product is the sum of the packed factors.  Within one degree,
-    the order of sorted index tuples is reverse numeric order on the
-    exponent fields, so packed ^ flip sorts exactly like Monomial.sort_key;
-    the salt lies below every field, so it never orders two monomials.
+    salt_bits bits lies below the fields; flip masks the fields.  While
+    every exponent fits in b bits, a product is the sum of the packed
+    factors.
 
     The salt is for hashing.  A Python int hashes as its value mod
     2^61 - 1, so fields whose bit offsets agree mod 61 alias, and keys of
@@ -259,12 +259,13 @@ class AssembledSystem(Record):
     row a packed monomial.  Wrapping ~10^5 keys per degree in Monomial costs
     more than the degrees that find nothing, so packing.unpack is applied
     only where a Monomial is needed.  packed_cols[j] is the key of system
-    column j.  In nulla_prove's plain system, which is peeled, packed_cols
-    and packed_rows are the surviving subsets, in the full system's order.
-    In an orbit system, column j is the orbit of packed_cols[j], row k the
-    orbit of packed_rows[k], and col_images holds each generator's (poly
-    map, {shift: image shift}), which walk a column's orbit (lift_solution);
-    a plain system's col_images is ().
+    column j, packed_rows[k] of row k.  In nulla_prove's plain system,
+    which is peeled, packed_cols are the surviving columns, in the full
+    system's order, and packed_rows the rows they or a target reach, in
+    _file's order.  In an orbit system, column j is the orbit of
+    packed_cols[j], row k the orbit of packed_rows[k], and col_images holds
+    each generator's (poly map, {shift: image shift}), which walk a column's
+    orbit (lift_solution); a plain system's col_images is ().
     """
 
     __slots__ = ("system", "rhs_list", "packing", "packed_cols", "packed_rows", "col_images")
@@ -542,26 +543,23 @@ def _peel(lay: _Layout, count: Dict[int, int]) -> List[Tuple[int, int]]:
 def _file(field: FieldSpec, lay: _Layout, cols: List[Tuple[int, int]]) -> AssembledSystem:
     """The system on lay's columns cols, in their order: its rows are their
     products and every target's monomials, so each target's terms are
-    (row, coeff) entries on the same matrix."""
+    (row, coeff) entries on the same matrix.  Rows come in the reverse of
+    the order filing first meets them, the target monomials last: a row is
+    met at its lowest column, so lowest column descending."""
     # One pass files each product x^delta * t under its row monomial.
     # Columns are visited in order and the terms of one f_i have distinct
     # monomials, so each row's entries come out strictly increasing.  A row
     # is filed flat (j, c, j, c, ...) and paired up one row at a time below,
     # so that a row's pairs sit together in memory for the eliminator.
     rows = defaultdict(list, {m: [] for m in lay.target_rows})
+    met = {m: k for k, m in enumerate(rows)}
     for j, (i, delta) in enumerate(cols):
         for t, c in lay.poly_terms[i]:
             rows[delta + t].extend((j, c))
-    order = lay.packing.flip.__xor__
-    packed_rows = sorted(rows, key=order)
-
-    rhs_list = [[(bisect_left(packed_rows, order(m), key=order), c) for m, c in terms] for terms in lay.target_terms]
-
-    entries = []
-    for m in packed_rows:
-        flat = iter(rows[m])
-        entries.append(tuple(zip(flat, flat)))
-    system = SparseSystem(field, len(cols), tuple(entries))
+    packed_rows = list(reversed(rows))
+    rhs_list = [[(len(rows) - 1 - met[m], c) for m, c in terms] for terms in lay.target_terms]
+    flats = (iter(rows[m]) for m in packed_rows)
+    system = SparseSystem(field, len(cols), tuple(tuple(zip(flat, flat)) for flat in flats))
     return AssembledSystem(system, rhs_list, lay.packing, tuple(cols), tuple(packed_rows), ())
 
 
@@ -604,12 +602,12 @@ def _orbit_system(
     maps[k] is generator k's permutation of F's polys (check_invariant);
     renaming keeps degrees, so it permutes the columns too.  Each column
     orbit C is walked from its least column c, in column order, and each
-    row orbit R the first time a product of c lies in it; the entry at
-    (R, C) is |C| * Y / |R| mod p, where Y sums the coefficients of c's
-    products in R, and a division that is not exact raises.  The row walk
-    counts the rows of lay's columns exactly, as the column orbits are
-    found; the memory budget is checked every _BUDGET_BLOCK rows walked,
-    and on the final counts.
+    row orbit R from the member first met, rows filed as in _file; the
+    entry at (R, C) is |C| * Y / |R| mod p, where Y sums the coefficients
+    of c's products in R, and a division that is not exact raises.  The
+    row walk counts the rows of lay's columns exactly, as the column orbits
+    are found; the memory budget is checked every _BUDGET_BLOCK rows
+    walked, and on the final counts.
     """
     lay = _layout(F, d, targets, memory_budget, local)
     packing, poly_terms, shifts = lay.packing, lay.poly_terms, lay.shifts
@@ -624,16 +622,15 @@ def _orbit_system(
         col_images.append((pmap, shift_image))
         term_images.append((shift_image, {t: packing.permute(fields, t) for t in row_terms}))
 
-    # Every row orbit holds a product of a column representative with one of
-    # its terms; any other holds target monomials only, each the shift 0
-    # times itself, and a member that is none leaves the row universe.  A
-    # permutation keeps the degree, so the member first in the graded
-    # order is the greatest packed int.  The rows are walked as the column
-    # orbits are found.  Rows only grow, so the budget is checked each time
-    # _BUDGET_BLOCK more have been walked, and at the end.
+    # Every row orbit holds a target monomial, the shift 0 times itself, or a
+    # product of a column representative with one of its terms, and a member
+    # that is none leaves the row universe.  The target rows are walked
+    # first, then the rest as the column orbits are found, each from the
+    # member first met, its representative.  Rows only grow, so the budget
+    # is checked each time _BUDGET_BLOCK more have been walked, and at the end.
     field, p = F.field, F.field.p
     seen: Dict[int, int] = {}  # each full row walked: its orbit's walk index
-    reps: List[int] = []  # per row orbit walked: its greatest member,
+    reps: List[int] = []  # per row orbit walked: its representative,
     sizes: List[int] = []  # its size,
     entries: List[List[Tuple[int, int]]] = []  # and its (column, entry) pairs
     check_at = _BUDGET_BLOCK
@@ -653,8 +650,6 @@ def _orbit_system(
                         seen[m] = w
                         member_shifts.append(image_shift)
                         member_terms.append(image_term)
-                        if m > rep:
-                            rep = m
         except KeyError:
             raise SymmetryError("row universe is not closed under the group") from None
         reps.append(rep)
@@ -665,6 +660,9 @@ def _orbit_system(
             check_at = len(seen) + _BUDGET_BLOCK
         return w
 
+    for m in lay.target_rows:  # first, as _file files them
+        if m not in seen:
+            walk_row(0, m)
     # walked[col]: whether the orbit of lay's column col is walked; each
     # orbit's least column, first in column order, is its representative
     walked = dict.fromkeys(lay.columns(), False)
@@ -694,18 +692,13 @@ def _orbit_system(
                 raise AssembleError("internal error: an orbit entry |C| * Y / |R| is not an integer")
             if entry % p:
                 entries[w].append((o, entry % p))
-    for m in lay.target_rows:
-        if m not in seen:
-            walk_row(0, m)
     check_budget(field, len(seen), lay.n_cols, memory_budget, len(targets))
 
-    packed_rows = sorted(reps, key=packing.flip.__xor__)
-    orbit_rows = tuple(tuple(entries[seen[m]]) for m in packed_rows)
-    # a target is fixed by the group, so its coefficient is one per row orbit
-    row_of = {m: k for k, m in enumerate(packed_rows)}
-    rhs_list = [[(row_of[m], c) for m, c in terms if m in row_of] for terms in lay.target_terms]
-    system = SparseSystem(field, len(col_reps), orbit_rows)
-    orb = AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(packed_rows), tuple(col_images))
+    # rows in the reverse of the order walked, as in _file; a target is fixed
+    # by the group, so its terms in one row orbit share a coefficient, kept once
+    rhs_list = [list({len(reps) - 1 - seen[m]: c for m, c in terms}.items()) for terms in lay.target_terms]
+    system = SparseSystem(field, len(col_reps), tuple(map(tuple, reversed(entries))))
+    orb = AssembledSystem(system, rhs_list, packing, tuple(col_reps), tuple(reversed(reps)), tuple(col_images))
     return orb, all(s % p for s in (*col_sizes, *sizes))
 
 
@@ -823,12 +816,12 @@ def nulla_prove(
     as its orbit system, and assembled and solved in full only when that is
     inconsistent and some orbit size is divisible by p: only orbit sizes
     prime to p make an inconsistent orbit solve conclusive.  An assembled
-    system is solved peeled (see the module docstring).  For g = 1, a
-    system of degree 1 of the shapes for it is built on its local columns
-    (_local_shifts, worked out there alone).  Each solve gets its own
-    DegreeStats: for an assembled system the rows counted of the system
-    built, and the full system's cols and nnz; for an orbit solve the orbit
-    system's own sizes.
+    system is solved peeled (see the module docstring).  For the one
+    target g = 1, given or by default, a system of degree 1 of the shapes
+    for it is built on its local columns (_local_shifts, worked out there
+    alone).  Each solve gets its own DegreeStats: for an assembled system
+    the rows counted of the system built, and the full system's cols and
+    nnz; for an orbit solve the orbit system's own sizes.
     on_degree, if given, is called with each DegreeStats as its solve ends.
     The first consistent solve is extracted and re-verified by expansion
     before it is returned as the outcome's certificate; failure there is a
@@ -848,7 +841,8 @@ def nulla_prove(
         ascending = all(a < b for a, b in zip(schedule, schedule[1:]))
     if not ascending or schedule[0] < 0:
         raise AssembleError("degree schedule must be ascending and nonnegative")
-    targets = [Polynomial.one(F.field, F.n_vars)] if g_candidates is None else list(g_candidates)
+    one = [Polynomial.one(F.field, F.n_vars)]
+    targets = one if g_candidates is None else list(g_candidates)
     _check_request(F, targets)
     # The systems tried at each degree, in order, with the provenance each adds.
     tried = [(F, {})]
@@ -867,8 +861,8 @@ def nulla_prove(
     for d in schedule:
         t0 = time.perf_counter()
         for F_s, note in tried:
-            # the local columns are those of g = 1 at degree 1
-            local = _local_shifts(F_s) if d == 1 and g_candidates is None else None
+            # the local columns are those of the one target g = 1 at degree 1
+            local = _local_shifts(F_s) if d == 1 and targets == one else None
             for kind in kinds:
                 if kind == "orbit":
                     part, conclusive = _orbit_system(F_s, d, targets, perms, maps, memory_budget, local)

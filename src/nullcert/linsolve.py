@@ -20,10 +20,14 @@ reduces together.
 
 Elimination is online: each row reduces against the pivots found so far and
 either claims a new pivot at its lowest surviving column, vanishes, or
-certifies an inconsistency.  The pivot column set this produces is the
-canonical column-order rank-jump set, and solutions set every free variable
-to zero, so results are deterministic regardless of internal processing
-order or row representation.
+certifies an inconsistency.  The pivot rows stay an echelon basis of the
+rows seen, so the pivots are the lowest columns of the row space's nonzero
+vectors: the greedy column basis in column order, column c a pivot when it
+is no combination of the columns before it.  A consistent b is one
+combination of the pivot columns alone, the solution with every free
+variable zero.  Both depend only on the row space and the column order, so
+row order is free: any order of the rows gives the same pivots,
+consistency and solutions, as does any row representation.
 """
 
 from __future__ import annotations

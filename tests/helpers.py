@@ -1,5 +1,5 @@
-"""Shared test-only oracles: monomials as index tuples, random polynomials,
-polynomial product and evaluation, a reference certificate check, GF(4)
+"""Shared test-only oracles: monomials as index tuples, systems in graded
+row order, random polynomials, polynomial product and evaluation, a reference certificate check, GF(4)
 evaluation, checked hand-built linear systems, right-hand sides and
 solutions, dense reference eliminators, a reference orbit fold, a
 reference group order, model rotation with one coloring copy per step,
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from nullcert import assemble, linsolve
-from nullcert.assemble import _file, _layout, _Layout, lift_solution
+from nullcert.assemble import AssembledSystem, _file, _layout, _Layout, lift_solution
 from nullcert.poly import FieldSpec, Monomial, PolyError, PolySystem, Polynomial
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,36 @@ def row_monomials(asm, indices: Optional[Iterable[int]] = None) -> List[Monomial
     """An AssembledSystem's row keys unpacked, or only those at indices."""
     rows = asm.packed_rows
     return [asm.packing.unpack(rows[r]) for r in (range(len(rows)) if indices is None else indices)]
+
+
+def monomial_orbit(m: Monomial, perms) -> List[Monomial]:
+    """The orbit of m under the group perms generates, by renaming its
+    variables, m first."""
+    orbit, seen = [m], {m}
+    for x in orbit:  # grows while it is read
+        for gen in perms.generators:
+            image = Monomial.make([(gen[v], e) for v, e in x.exponents], x.n_vars)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
+def graded(asm, perms=None) -> AssembledSystem:
+    """asm with its rows, and the right-hand sides' row indices, in graded
+    order, by the unpacked Monomial.sort_key: the order the paper's tables
+    print.  Given perms, asm is an orbit system under them, and each row is
+    keyed by its orbit's graded-first member, as a table of orbits names it.
+    Right-hand-side entries come out ascending by row."""
+    keys = row_monomials(asm)
+    if perms is not None:
+        keys = [min(monomial_orbit(m, perms), key=Monomial.sort_key) for m in keys]
+    order = sorted(range(len(keys)), key=lambda r: keys[r].sort_key())
+    at = {r: k for k, r in enumerate(order)}
+    system = linsolve.SparseSystem(asm.system.field, asm.system.n_cols, tuple(asm.system.rows[r] for r in order))
+    rhs_list = [sorted((at[r], c) for r, c in rhs) for rhs in asm.rhs_list]
+    packed_rows = tuple(asm.packing.pack(keys[r]) for r in order)
+    return AssembledSystem(system, rhs_list, asm.packing, asm.packed_cols, packed_rows, asm.col_images)
 
 
 def columns(asm, indices: Optional[Iterable[int]] = None) -> List[Tuple[int, Monomial]]:

@@ -19,6 +19,7 @@ from helpers import (
     expanded,
     from_vars,
     full_system,
+    graded,
     is_entries,
     orbit_members,
     poly_mul,
@@ -147,7 +148,8 @@ def test_criterion_1(capsys):
     with criterion(capsys, 1, claim, budget_s=1.0):
         F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
         one = Polynomial.one(F.field, F.n_vars)
-        asm = full_system(F, 1, [one])
+        # the table lists rows in graded order; the build files them as met
+        asm = graded(full_system(F, 1, [one]))
         assert asm.system.n_rows == 21 and asm.system.n_cols == 25
 
         row_labels = [mono_text(m, F.field) for m in row_monomials(asm)]
@@ -183,7 +185,10 @@ def test_criterion_2(capsys):
         # rotation leaves invariant because the kept vertex is fixed
         F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
         one = Polynomial.one(F.field, F.n_vars)
-        orb = assemble_orbit(F, 1, one, rot)
+        # the table keys each row orbit by its graded-first member, in graded
+        # order; the build keys it by the member first met
+        built = assemble_orbit(F, 1, one, rot)
+        orb = graded(built, rot)
         assert orb.system.n_rows == 9 and orb.system.n_cols == 9
         # every orbit has size 1 or 3, prime to 2, so an inconsistent solve would decide
         assert _orbit_system(F, 1, [one], rot, check_invariant(F, [one], rot), None)[1]
@@ -214,13 +219,13 @@ def test_criterion_2(capsys):
         assert [[row[k] for k in to_orbit] for row in matrix] == [bits(row) for _, row in K4_ORBIT_ROWS_MOD2]
         assert orb.rhs_list == [[(0, 1)]]
 
-        res = solve(orb.system, orb.rhs_list[0])
-        assert res.consistent
+        res = solve(built.system, built.rhs_list[0])
+        assert res.consistent and res == solve(orb.system, orb.rhs_list[0])
         # the lift puts each orbit column's value on every member of its orbit
-        lifted = sorted((label(i, shift), v) for (i, shift), v in lift_solution(orb, res.solution))
+        lifted = sorted((label(i, shift), v) for (i, shift), v in lift_solution(built, res.solution))
         y = dense(res.solution, orb.system.n_cols)
         assert lifted == sorted((c, y[orbit_of[c]]) for c in full_cols if y[orbit_of[c]])
-        cert = extract_certificate(F, orb, res.solution, one)
+        cert = extract_certificate(F, built, res.solution, one)
         assert verify(cert)
 
         # the unpreprocessed encoding stays invariant too; its vertex columns

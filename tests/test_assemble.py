@@ -13,6 +13,7 @@ from helpers import (
     columns,
     expanded,
     full_system,
+    graded,
     layout,
     monomials_up_to,
     poly_mul,
@@ -45,7 +46,7 @@ from nullcert.graphs import (
     gen_random,
     gen_wheel,
 )
-from nullcert.linsolve import MemoryBudgetError, packed_bytes, solve, solve_multi_rhs
+from nullcert.linsolve import MemoryBudgetError, SparseSystem, packed_bytes, solve, solve_multi_rhs
 from nullcert.poly import (
     FieldSpec,
     Monomial,
@@ -99,7 +100,7 @@ def test_small_system_proof_and_runtime():
 def test_entry_values_match_shifted_coefficients():
     F = PolySystem.make(GF2, 2, [parse_poly("x1+x2", GF2, 2)])
     asys = full_system(F, 1, [Polynomial.one(GF2, 2)])
-    # columns: shifts 1, x1, x2; rows sorted by degree then index
+    # columns: shifts 1, x1, x2; rows looked up by their monomials
     assert [expanded(shift) for _, shift in columns(asys)] == [(), (0,), (1,)]
     by_row = {expanded(m): cols for m, cols in zip(row_monomials(asys), asys.system.rows)}
     assert by_row[(0,)] == ((0, 1),)          # x1 from shift 1
@@ -108,17 +109,28 @@ def test_entry_values_match_shifted_coefficients():
     assert by_row[(0, 1)] == ((1, 1), (2, 1)) # x1*x2 from both shifts
     assert by_row[(1, 1)] == ((2, 1),)        # x2^2 from shift x2
     # rhs carries the target coefficient on the constant row
-    assert asys.rhs_list == [[(0, 1)]]
+    rows = row_monomials(asys)
+    assert [[(expanded(rows[r]), c) for r, c in rhs] for rhs in asys.rhs_list] == [[((), 1)]]
 
 
-def test_row_and_column_order_is_graded():
+def test_columns_are_shift_major_and_rows_come_as_first_met_reversed():
     F = encode_coloring(gen_complete(4), EncodingOptions(preprocess=True))
-    asys = full_system(F, 1, [Polynomial.one(GF2, 4)])
-    rows = [expanded(m) for m in row_monomials(asys)]
-    assert rows == sorted(rows, key=lambda t: (len(t), t))
+    g = Polynomial.one(GF2, 4)
+    asys = full_system(F, 1, [g])
     # columns shift-major: shift degree, then shift in graded order, then poly
     cols = [(len(expanded(shift)), expanded(shift), i) for i, shift in columns(asys)]
     assert cols == sorted(cols)
+    # rows in the reverse of the order filing first meets them: the target's
+    # monomials, then each column's products in its poly's term order
+    met = dict.fromkeys(m for m, _ in g.terms)
+    for i, shift in columns(asys):
+        for m, _ in F.polys[i].terms:
+            met.setdefault(shift.mul(m))
+    assert row_monomials(asys) == list(met)[::-1]
+    assert asys.rhs_list == [[(len(met) - 1, 1)]]
+    # so the product rows come lowest column descending, the target's last
+    lows = [row[0][0] for row in asys.system.rows[:-1]]
+    assert lows == sorted(lows, reverse=True) and lows[0] > lows[-1]
 
 
 def test_k4_preprocessed_graded_shape():
@@ -321,6 +333,28 @@ def test_gf2_prove_matches_assemble_and_solve(graph, monkeypatch):
     assert (out.certificate is not None) == (find_coloring(graph, 3) is None)
 
 
+def test_shuffled_rows_extract_the_same_certificate():
+    # random:16,0.27,2 certifies at degree 4 on its core's 1,837 x 4,853
+    # system, peeled; its rows solved in any order give the same
+    # certificate bytes
+    core, _ = cli.build_core(gen_random(16, 0.27, 2), EncodingOptions(preprocess=True), 1, None)
+    g = Polynomial.one(GF2, core.n_vars)
+    asys, sizes = asm._assemble(core, 4, [g], None)
+    assert sizes == (1837, 4853, 14438)
+    rows, (rhs,) = asys.system.rows, asys.rhs_list
+    certs = []
+    for seed in (None, 0, 1):
+        order = list(range(len(rows)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        at = {r: k for k, r in enumerate(order)}
+        system = SparseSystem(GF2, asys.system.n_cols, tuple(rows[r] for r in order))
+        res = solve(system, [(at[r], c) for r, c in rhs])
+        assert res.consistent
+        certs.append(write_cert(extract_certificate(core, asys, res.solution, g)))
+    assert certs[0] == certs[1] == certs[2]
+
+
 def test_packed_monomials_match_monomial_arithmetic():
     rng = random.Random(20)
     for trial in range(300):
@@ -415,7 +449,7 @@ def test_large_exponent_assembles_in_small_memory():
         tracemalloc.stop()
     system = asys.system
     assert (system.n_rows, system.n_cols, system.nnz) == (9, 9, 15)
-    assert asys.packing.unpack(asys.packed_rows[-2]) == Monomial.make([(0, 2000001)], 2)
+    assert row_monomials(graded(asys))[-2] == Monomial.make([(0, 2000001)], 2)
     assert peak < 1 << 20
 
 
@@ -822,9 +856,10 @@ def assert_peel_matches_full(F, d, targets):
         (m, tuple((renumbered[j], c) for j, c in row if j in renumbered))
         for m, row in zip(asys.packed_rows, asys.system.rows)
     ]
-    restricted = [(m, row) for m, row in restricted if row or m in target_rows]
-    assert tuple(row for _, row in restricted) == peeled.system.rows
-    assert tuple(m for m, _ in restricted) == peeled.packed_rows
+    # rows are filed as met, so they are compared by key
+    restricted = {m: row for m, row in restricted if row or m in target_rows}
+    assert peeled.system.n_rows == len(restricted)
+    assert dict(zip(peeled.packed_rows, peeled.system.rows)) == restricted
 
     def named(a):
         return [[(a.packed_rows[r], c) for r, c in rhs] for rhs in a.rhs_list]
@@ -1014,18 +1049,25 @@ def test_local_shifts_are_the_triangles_and_4_cycles():
 
 
 def test_local_columns_are_for_the_target_one_at_degree_1(monkeypatch):
-    # other targets and other degrees are built on every column, and the
-    # local shifts are worked out only where they are used
+    # the one target g = 1 is, given or by default; other target lists and
+    # other degrees are built on every column, and the local shifts are
+    # worked out only where they are used
     calls = spy_local_shifts(monkeypatch)
     W = encode_coloring(gen_wheel(9), EncodingOptions(preprocess=True))
-    plain = nulla_prove(W, [1, 4], [Polynomial.one(GF2, W.n_vars)])
-    assert [s.rows for s in plain.per_degree] == [191] and calls == []
+    one = Polynomial.one(GF2, W.n_vars)
+    cube = Polynomial.from_monomial(Monomial.make([(0, 3)], W.n_vars), GF2)
+    for targets in ([one, cube], [cube, one], [one, one]):
+        plain = nulla_prove(W, [1, 4], targets)
+        assert [s.rows for s in plain.per_degree] == [191] and calls == []
+    given = nulla_prove(W, [1, 4], [one])
+    assert [s.rows for s in given.per_degree] == [92]
+    assert given.certificate == nulla_prove(W, [1, 4], [one, cube]).certificate
     assert [s.rows for s in nulla_prove(W, [1]).per_degree] == [92]
     assert [s.rows for s in nulla_prove(W, [0, 1]).per_degree] == [2, 92]
     F = encode_coloring(gen_complete(4), EncodingOptions())
     full = asm._assemble(F, 4, [Polynomial.one(GF2, F.n_vars)], None)[1][0]
     assert nulla_prove(F, [4]).per_degree[0].rows == full
-    assert [system for system, _ in calls] == [W, W]
+    assert [system for system, _ in calls] == [W, W, W]
 
 
 @pytest.mark.parametrize("n", [31, 101])

@@ -798,6 +798,20 @@ def test_alt_g_explicit_monomial_misses(capsys):
     assert rc == 10
 
 
+@pytest.mark.parametrize("spec", ["wheel:101", "kneser:8,3"])
+def test_alt_g_one_is_the_default_run(spec, tmp_path, capsys):
+    # --alt-g 1 spells out the default target, so it takes the same local
+    # columns at degree 1: the same degree lines and certificate bytes
+    runs = []
+    for extra in ((), ("--alt-g", "1")):
+        cert_path = tmp_path / f"{len(runs)}.json"
+        rc, out, err = run(capsys, "prove", "--gen", spec, *extra, "--cert", str(cert_path))
+        assert (rc, err) == (0, "")
+        lines = [re.sub(r"millis=\d+", "", line) for line in out.splitlines() if line.startswith("degree=")]
+        runs.append((lines, cert_path.read_bytes()))
+    assert runs[0] == runs[1] and runs[0][0]
+
+
 def test_alt_g_bad_spec(capsys):
     rc, _, err = run(capsys, "prove", "--gen", "complete:4", "--alt-g", "auto:0")
     assert rc == 2 and "auto:<positive degree>" in err

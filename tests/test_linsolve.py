@@ -136,6 +136,25 @@ class TestAgainstDenseReference:
     def test_gf5(self):
         self.run_family(F5, 100, 78, 16)
 
+    @pytest.mark.parametrize("field", [F2, F3, F5])
+    def test_row_order_is_free(self, field):
+        # the random family of acceptance 9, each system solved with its
+        # rows as given, reversed and shuffled: the pivots and the
+        # free-variables-zero solution depend on the column order alone
+        rng = random.Random(20260814 + field.p)
+        for _ in range(200):
+            matrix, rhs = random_dense_system(rng, field.p, max_rows=12, max_cols=12)
+            status, ref_sol, ref_pivots = ref_solve_dense(matrix, rhs, field.p)
+            shuffled = list(range(len(matrix)))
+            rng.shuffle(shuffled)
+            for order in (range(len(matrix)), range(len(matrix) - 1, -1, -1), shuffled):
+                sys_ = from_dense(field, [matrix[i] for i in order])
+                res = solve(sys_, rhs_entries([rhs[i] for i in order]))
+                assert res.consistent == (status == "consistent")
+                assert list(res.pivot_cols) == ref_pivots
+                if res.consistent:
+                    assert dense(res.solution, sys_.n_cols) == ref_sol
+
     def test_determinism(self):
         rng = random.Random(42)
         matrix, rhs = random_dense_system(rng, 2, 30, 30)

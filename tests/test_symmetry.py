@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from helpers import columns, dense, expanded, full_system, group_order, orbit_fold, orbit_members, row_monomials
+from helpers import (
+    columns,
+    dense,
+    expanded,
+    full_system,
+    graded,
+    group_order,
+    orbit_fold,
+    orbit_members,
+    row_monomials,
+)
 from nullcert.assemble import (
     AssembleError,
     _local_shifts,
@@ -109,7 +119,9 @@ def test_invariance_ground_set_mismatch():
 def test_k4_orbit_matrix_shape_and_keys():
     orb = assemble_orbit(k4_pre(), 1, Polynomial.one(GF2, 4), ROT234)
     assert (orb.system.n_rows, orb.system.n_cols) == (9, 9)
-    assert [expanded(m) for m in row_monomials(orb)] == [
+    # the row orbits, each by its graded-first member, in graded order
+    table = graded(orb, ROT234)
+    assert [expanded(m) for m in row_monomials(table)] == [
         (), (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2),
         (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 3),
     ]
@@ -123,13 +135,14 @@ def test_k4_orbit_matrix_shape_and_keys():
     # every orbit has size 1 or 3, prime to 2
     assert conclusive(k4_pre(), 1, [Polynomial.one(GF2, 4)], ROT234)
     # rhs is 1 exactly on the constant-monomial orbit
-    assert orb.rhs_list == [[(0, 1)]]
+    assert table.rhs_list == [[(0, 1)]]
 
 
 def test_k4_orbit_entries_are_full_matrix_sums():
     F = k4_pre()
     g = Polynomial.one(GF2, 4)
-    orb = assemble_orbit(F, 1, g, ROT234)
+    # rows in graded order, each orbit by its graded-first member
+    orb = graded(assemble_orbit(F, 1, g, ROT234), ROT234)
     full = full_system(F, 1, [g])
     full_dense = [[0] * full.system.n_cols for _ in range(full.system.n_rows)]
     for r, cols in enumerate(full.system.rows):
@@ -349,12 +362,15 @@ def test_orbit_build_matches_reference_fold(F, d, targets, perms, k):
     assert grading(F, targets) == k
     maps = check_invariant(F, targets, perms)
     orb, flag = _orbit_system(F, d, targets, perms, maps, None)
-    full = full_system(F, d, targets)
+    # in graded row order the reference keys each row orbit by its
+    # graded-first member, and so does graded
+    full = graded(full_system(F, d, targets))
     ref = orbit_fold(F, full, perms)
     assert flag == all(size % F.field.p for size in ref.orbit_sizes)
-    assert orb.system.rows == ref.rows
-    assert orb.rhs_list == ref.rhs_list
-    assert orb.packed_rows == ref.row_keys
+    table = graded(orb, perms)
+    assert table.system.rows == ref.rows
+    assert table.rhs_list == ref.rhs_list
+    assert table.packed_rows == ref.row_keys
     # the keys are the reference's representatives, and each unit orbit
     # vector lifts to exactly the full columns of the reference's orbit
     assert orb.packed_cols == tuple(full.packed_cols[j] for j in ref.col_reps)
