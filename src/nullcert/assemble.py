@@ -159,12 +159,14 @@ from bisect import bisect_right
 from collections import defaultdict
 from itertools import accumulate, combinations_with_replacement, compress, islice
 from math import comb, gcd
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from nullcert.certificate import Certificate, CertEntry, verify
 from nullcert.linsolve import SparseSystem, check_budget, solve_multi_rhs
 from nullcert.poly import FieldSpec, Monomial, PolySystem, Polynomial, Record, set_field
-from nullcert.symmetry import PermutationSet, SymmetryError, check_invariant
+
+if TYPE_CHECKING:  # the orbit path imports the group code as it runs
+    from nullcert.symmetry import PermutationSet
 
 
 class AssembleError(ValueError):
@@ -651,6 +653,7 @@ def _orbit_system(
                         member_shifts.append(image_shift)
                         member_terms.append(image_term)
         except KeyError:
+            from nullcert.symmetry import SymmetryError
             raise SymmetryError("row universe is not closed under the group") from None
         reps.append(rep)
         sizes.append(len(member_shifts))
@@ -728,6 +731,7 @@ def assemble_orbit(
     Requires F invariant under every generator and g fixed by every
     generator (SymmetryError otherwise).  The full matrix is never built.
     """
+    from nullcert.symmetry import check_invariant
     maps = check_invariant(F, [g], perms)
     return _orbit_system(F, d, [g], perms, maps, memory_budget)[0]
 
@@ -773,6 +777,14 @@ def stats(
         "cols": cols,
         "nnz": nnz,
     }
+
+
+def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
+    """All monomials of exactly the given total degree, in global order."""
+    if degree < 1:
+        raise AssembleError("alternative targets must have degree >= 1")
+    # Sorted index tuples in lexicographic order: the graded order of Monomial.sort_key.
+    return [Monomial.make([(v, 1) for v in c], n_vars) for c in combinations_with_replacement(range(n_vars), degree)]
 
 
 def extract_certificate(
@@ -854,6 +866,7 @@ def nulla_prove(
             raise AssembleError("a core needs F's field and n_vars")
         tried.insert(0, (F_core, {"core": note}))
     if perms is not None:
+        from nullcert.symmetry import check_invariant
         maps = check_invariant(F, targets, perms)
     kinds = ("full",) if perms is None else ("orbit", "full")
 
@@ -897,6 +910,7 @@ __all__ = [
     "AssembledSystem",
     "DegreeStats",
     "NullaOutcome",
+    "alt_g_candidates",
     "assemble_orbit",
     "extract_certificate",
     "grading",

@@ -12,7 +12,6 @@ poly module, never on the solver that produced the certificate.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Mapping, Optional, Tuple
 
 from nullcert.poly import (
@@ -92,6 +91,7 @@ def verify(cert: Certificate) -> bool:
 
 def write_cert(cert: Certificate) -> str:
     """Serialize to versioned JSON with deterministic key order."""
+    import json  # here and in read_cert: a prove without a certificate loads none
     doc = {
         "version": CERT_FORMAT_VERSION,
         "field_p": cert.field.p,
@@ -113,6 +113,7 @@ def _require(doc: dict, key: str, where: str):
 
 
 def read_cert(text: str) -> Certificate:
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

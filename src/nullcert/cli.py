@@ -4,17 +4,22 @@ Each subcommand reads its argparse namespace directly; prove checks a
 3-coloring as a common root itself (common_root) and hands the search,
 symmetry reduction and local columns included, to one nulla_prove call.
 
-A process imports only what its subcommand runs: verify and --help need
-argparse and nullcert.certificate (with nullcert.poly) alone; the one
-function that hashes imports the interpreter's builtin sha256, not hashlib,
-which loads OpenSSL.  The prove stack (assemble, linsolve, encode, graphs
-and symmetry) is bound into this module's globals by _load_prover, which
-each function that uses it calls first, or by the module __getattr__ when
-code outside reads one of its names, e.g. cli.nulla_prove.  Those names are
-module globals, not imports local to a function, because
-perfbench/tracing.py wraps them on this module and tests monkeypatch them;
-the commands look them up there, and _load_prover never replaces a name
-that is already bound, so the wrapper or the patch is what runs.
+A process imports only what its input reaches, and builds the parser of
+its subcommand alone.  verify and --help need argparse and
+nullcert.certificate (with nullcert.poly) alone, and json loads only where
+a certificate is read or written; the one function that hashes imports the
+interpreter's builtin sha256, not hashlib, which loads OpenSSL.  The rest comes in three load groups: algebra
+(assemble, linsolve), graph (encode, graphs) and symmetry.  A --system
+input loads no graph group; a graph input loads symmetry only with
+--symmetry; and a 3-coloring that is a common root ends prove before the
+algebra group loads.  A group is bound into this module's globals by
+_load, which each function that uses it calls first, and every group by
+the module __getattr__ when code outside reads one of their names, e.g.
+cli.nulla_prove.  Those names are module globals, not imports local to a
+function, because perfbench/tracing.py wraps them on this module and tests
+monkeypatch them; the commands look them up there, and _load never
+replaces a name that is already bound, so the wrapper or the patch is what
+runs.
 
 Exit codes: 0 success (prove: infeasibility certified; verify: certificate
 valid), 1 verification failure, 2 usage or input errors or memory
@@ -41,41 +46,39 @@ from nullcert.poly import (
 )
 
 
-def _prover_names() -> dict:
-    from nullcert.assemble import DegreeStats, grading, nulla_prove, stats
-    from nullcert.encode import EncodingOptions, alt_g_candidates, common_root, encode_coloring
-    from nullcert.graphs import (
-        Graph,
-        find_coloring,
-        find_core,
-        gen_complete,
-        gen_kneser,
-        gen_mycielski,
-        gen_random,
-        gen_wheel,
-        parse_dimacs,
-        write_dimacs,
-    )
-    from nullcert.symmetry import check_invariant, parse_generators
+def _algebra() -> dict:
+    from nullcert.assemble import DegreeStats, alt_g_candidates, grading, nulla_prove, stats
 
     # unused here, but perfbench/tracing.py wraps these names on this module
     from nullcert.assemble import assemble_orbit, extract_certificate, lift_solution
     from nullcert.linsolve import solve
-
     return locals()
 
 
-def _load_prover() -> None:
-    """Bind the prove stack's names into this module, keeping any name that
-    is already bound (a tracer's wrapper or a test's patch)."""
+def _graph() -> dict:
+    from nullcert.encode import EncodingOptions, common_root, encode_coloring
+    from nullcert.graphs import Graph, find_coloring, find_core, parse_dimacs, write_dimacs
+    from nullcert.graphs import gen_complete, gen_kneser, gen_mycielski, gen_random, gen_wheel
+    return locals()
+
+
+def _symmetry() -> dict:
+    from nullcert.symmetry import check_invariant, parse_generators
+    return locals()
+
+
+def _load(*groups) -> None:
+    """Bind the names of each load group into this module, keeping any name
+    that is already bound (a tracer's wrapper or a test's patch)."""
     names = globals()
-    for name, value in _prover_names().items():
-        names.setdefault(name, value)
+    for group in groups:
+        for name, value in group().items():
+            names.setdefault(name, value)
 
 
 def __getattr__(name: str):
     if not name.startswith("__"):
-        _load_prover()
+        _load(_algebra, _graph, _symmetry)
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -93,7 +96,7 @@ class CliError(ValueError):
 
 def parse_gen_spec(spec: str, seed: Optional[int]) -> Tuple[Graph, str]:
     """Build a graph from "name:params"; returns (graph, canonical spec)."""
-    _load_prover()
+    _load(_graph)
     name, _, rest = spec.strip().partition(":")
     parts = rest.split(",") if rest else []
     try:
@@ -140,7 +143,7 @@ def _fingerprint(text: str) -> str:
 
 
 def load_graph(args: argparse.Namespace) -> Tuple[Graph, dict]:
-    _load_prover()
+    _load(_graph)
     if args.gen:
         graph, canon = parse_gen_spec(args.gen, args.seed)
         meta = {"kind": "gen", "spec": canon, "sha256": _fingerprint(write_dimacs(graph))}
@@ -194,7 +197,6 @@ def build_system(
     Returns (system, graph or None, input fingerprint, the coloring
     encoding's options or None for a --system input).
     """
-    _load_prover()
     sources = [s for s in (args.gen, args.input, args.system) if s]
     if len(sources) != 1:
         raise CliError("exactly one of --gen, --input, --system is required")
@@ -227,7 +229,7 @@ def build_core(
     core's least vertex, so that every core polynomial is one of the
     encoding of the whole graph from that origin.
     """
-    _load_prover()
+    _load(_graph)
     vertices = find_core(graph, opts.k, touched)
     if vertices is None:
         return None
@@ -240,13 +242,13 @@ def build_core(
 
 
 def build_targets(args: argparse.Namespace, field: FieldSpec, n_vars: int) -> Optional[List[Polynomial]]:
-    _load_prover()
     if args.alt_g == "none":
         return None
     if args.alt_g.startswith("auto:"):
         digits = args.alt_g[len("auto:"):]
         if not digits.isdecimal() or int(digits) < 1:
             raise CliError(f"bad --alt-g {args.alt_g!r}: expected auto:<positive degree>")
+        _load(_algebra)
         candidates = alt_g_candidates(n_vars, int(digits))
         return [Polynomial.one(field, n_vars)] + [
             Polynomial.from_monomial(m, field) for m in candidates
@@ -269,8 +271,6 @@ def _parse_schedule(text: Optional[str]) -> Optional[List[int]]:
 
 
 def build_schedule(args: argparse.Namespace, coloring: bool, k: int) -> range:
-    if args.max_degree < 1:
-        raise CliError("--max-degree must be >= 1")
     # Under a coloring encoding's grading k, multiplier degrees == 1 mod k
     # add edge and cutter columns, those == 0 mod k add only vertex
     # columns, and the others add none.  A range, not a list, so that a
@@ -289,14 +289,16 @@ def _print_degree(ds: DegreeStats) -> None:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    _load_prover()
     explicit_schedule = _parse_schedule(args.schedule)
     F, graph, meta, opts = build_system(args, default_preprocess=not args.symmetry)
     coloring = opts is not None
     targets = build_targets(args, F.field, F.n_vars)
-    schedule = explicit_schedule or build_schedule(args, coloring, grading(F, targets or ()))
+    # checked, like the schedule, before a common root can end the request
+    if explicit_schedule is None and args.max_degree < 1:
+        raise CliError("--max-degree must be >= 1")
     perms = None
     if args.symmetry:
+        _load(_symmetry)
         perms = parse_generators(_read_text(args.symmetry), F.n_vars)
         # nulla_prove's check, made before a common root can end the request
         check_invariant(F, targets or (), perms)
@@ -312,6 +314,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
             print("coloring=" + ",".join(map(str, root)))
             print("F has a common root at this coloring, so no certificate exists at any degree")
             return EXIT_NO_CERT
+    _load(_algebra)
+    schedule = explicit_schedule or build_schedule(args, coloring, grading(F, targets or ()))
     # A certificate for an induced subgraph is one for the graph.  A
     # colorable graph has no core, and a core need not be invariant under
     # the symmetry group.
@@ -361,7 +365,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    _load_prover()
+    _load(_algebra)
     F, graph, meta, opts = build_system(args, default_preprocess=True)
     st = stats(F, args.degree, memory_budget=args.memory_budget)
     for line in (
@@ -380,7 +384,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _load_prover()
     graph, _ = parse_gen_spec(args.gen, args.seed)
     text = write_dimacs(graph)
     if args.out_path:
@@ -426,52 +429,63 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The command line's parser.  When argv starts with a subcommand's name,
+    only that subcommand is built: argparse hands the rest of argv to its
+    parser alone, so no other could be read."""
     parser = _Parser(
         prog="nullcert",
         description="Linear-algebra infeasibility certificates for polynomial systems over GF(p)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = ("prove", "verify", "stats", "encode", "gen")
+    wanted = argv[:1] if argv and argv[0] in names else names
 
-    pv = sub.add_parser("prove", help="search for an infeasibility certificate")
-    _add_input_opts(pv, with_system=True)
-    pv.add_argument("--max-degree", type=int, default=4, help="degree cap (default 4)")
-    pv.add_argument("--schedule", help="comma-separated degrees overriding the default schedule")
-    pv.add_argument(
-        "--alt-g", default="none",
-        help="certificate target: none (g=1) | auto:<degree> | a monomial like x1*x8*x9",
-    )
-    pv.add_argument("--symmetry", metavar="FILE", help="permutation generators, cycle notation, one per line")
-    pv.add_argument("--cert", dest="cert_out", metavar="FILE", help="write the certificate here (default: stdout)")
-    pv.add_argument("--memory-budget", type=int, help="matrix memory cap in bytes")
-    pv.set_defaults(run=cmd_prove)
+    if "prove" in wanted:
+        pv = sub.add_parser("prove", help="search for an infeasibility certificate")
+        _add_input_opts(pv, with_system=True)
+        pv.add_argument("--max-degree", type=int, default=4, help="degree cap (default 4)")
+        pv.add_argument("--schedule", help="comma-separated degrees overriding the default schedule")
+        pv.add_argument(
+            "--alt-g", default="none",
+            help="certificate target: none (g=1) | auto:<degree> | a monomial like x1*x8*x9",
+        )
+        pv.add_argument("--symmetry", metavar="FILE", help="permutation generators, cycle notation, one per line")
+        pv.add_argument("--cert", dest="cert_out", metavar="FILE", help="write the certificate here (default: stdout)")
+        pv.add_argument("--memory-budget", type=int, help="matrix memory cap in bytes")
+        pv.set_defaults(run=cmd_prove)
 
-    vf = sub.add_parser("verify", help="check a certificate file by re-expansion")
-    vf.add_argument("cert_path", metavar="CERT", help="certificate JSON file")
-    vf.set_defaults(run=cmd_verify)
+    if "verify" in wanted:
+        vf = sub.add_parser("verify", help="check a certificate file by re-expansion")
+        vf.add_argument("cert_path", metavar="CERT", help="certificate JSON file")
+        vf.set_defaults(run=cmd_verify)
 
-    st = sub.add_parser("stats", help="predicted and actual system sizes")
-    _add_input_opts(st, with_system=True)
-    st.add_argument("--degree", type=int, default=1)
-    st.add_argument("--memory-budget", type=int)
-    st.set_defaults(run=cmd_stats)
+    if "stats" in wanted:
+        st = sub.add_parser("stats", help="predicted and actual system sizes")
+        _add_input_opts(st, with_system=True)
+        st.add_argument("--degree", type=int, default=1)
+        st.add_argument("--memory-budget", type=int)
+        st.set_defaults(run=cmd_stats)
 
-    en = sub.add_parser("encode", help="print the polynomial encoding of a graph")
-    _add_input_opts(en, with_system=False)
-    en.set_defaults(run=cmd_encode)
+    if "encode" in wanted:
+        en = sub.add_parser("encode", help="print the polynomial encoding of a graph")
+        _add_input_opts(en, with_system=False)
+        en.set_defaults(run=cmd_encode)
 
-    gn = sub.add_parser("gen", help="emit a generated graph as DIMACS")
-    gn.add_argument("gen", metavar="SPEC", help="complete:N | wheel:RIM | kneser:T,R | mycielski:K | random:N,PROB[,SEED]")
-    gn.add_argument("--out", dest="out_path", metavar="FILE")
-    gn.add_argument("--seed", type=int)
-    gn.set_defaults(run=cmd_gen)
+    if "gen" in wanted:
+        gn = sub.add_parser("gen", help="emit a generated graph as DIMACS")
+        gn.add_argument("gen", metavar="SPEC", help="complete:N | wheel:RIM | kneser:T,R | mycielski:K | random:N,PROB[,SEED]")
+        gn.add_argument("--out", dest="out_path", metavar="FILE")
+        gn.add_argument("--seed", type=int)
+        gn.set_defaults(run=cmd_gen)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = build_arg_parser(argv).parse_args(argv)
         return args.run(args)
     except SystemExit as e:  # -h
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE

@@ -8,12 +8,13 @@ polynomials read x_i^3+1 and x_u^2+x_u*x_v+x_v^2.
 Also provides: preprocessing, which builds one vertex polynomial per
 connected component (the others lie in the ideal, by the telescoping
 identity (x_u^k - 1) = (x_v^k - 1) + (x_u - x_v) * edgepoly(u, v) along
-spanning-tree paths), degree-cutter polynomials (sum of x_v^(k-1) over each
-k-clique, which vanishes because a proper coloring puts all k k-th roots of
-unity on it), and alternative certificate targets (any nontrivial monomial
-works for colorability, since a monomial root forces some x_i = 0 while
-roots of the vertex polynomials are nonzero).  An encoding with k = 3 and
-no cutters has the shapes nullcert.assemble reads local columns off.
+spanning-tree paths), and degree-cutter polynomials (sum of x_v^(k-1) over
+each k-clique, which vanishes because a proper coloring puts all k k-th
+roots of unity on it).  Any nontrivial monomial is a target for
+colorability too, since a monomial root forces some x_i = 0 while roots of
+the vertex polynomials are nonzero (nullcert.assemble.alt_g_candidates
+lists them).  An encoding with k = 3 and no cutters has the shapes
+nullcert.assemble reads local columns off.
 
 And a common-root check: g = sum_i beta_i f_i vanishes at every common
 root of F, so one where no target vanishes rules out every degree.  Over
@@ -24,8 +25,7 @@ common_root evaluates F and the targets at: a wrong coloring decides nothing.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from nullcert.graphs import Graph, GraphError, components, enumerate_cliques
 from nullcert.poly import FieldSpec, Monomial, Polynomial, PolySystem, Record, set_field
@@ -144,14 +144,6 @@ def encode_coloring(
     return PolySystem.make(opts.field, n, polys, tags)
 
 
-def alt_g_candidates(n_vars: int, degree: int) -> List[Monomial]:
-    """All monomials of exactly the given total degree, in global order."""
-    if degree < 1:
-        raise EncodeError("alternative targets must have degree >= 1")
-    # Sorted index tuples in lexicographic order: the graded order of Monomial.sort_key.
-    return [Monomial.make([(v, 1) for v in c], n_vars) for c in combinations_with_replacement(range(n_vars), degree)]
-
-
 def _gf4_value(f: Polynomial, root: Sequence[int]) -> Tuple[int, int]:
     """GF(2) polynomial f at x_v = omega^root[v] in GF(4), as the coordinates
     (c0, c1) of c0 + c1*omega.
@@ -185,5 +177,4 @@ __all__ = [
     "EncodeError",
     "common_root",
     "encode_coloring",
-    "alt_g_candidates",
 ]

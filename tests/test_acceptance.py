@@ -29,10 +29,17 @@ from helpers import (
     row_monomials,
 )
 import nullcert.assemble as asm
-from nullcert.assemble import _orbit_system, assemble_orbit, extract_certificate, lift_solution, nulla_prove
+from nullcert.assemble import (
+    _orbit_system,
+    alt_g_candidates,
+    assemble_orbit,
+    extract_certificate,
+    lift_solution,
+    nulla_prove,
+)
 from nullcert.certificate import read_cert, verify
 from nullcert.cli import main
-from nullcert.encode import EncodingOptions, alt_g_candidates, encode_coloring
+from nullcert.encode import EncodingOptions, encode_coloring
 from nullcert.graphs import (
     find_coloring,
     gen_complete,

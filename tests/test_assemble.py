@@ -23,6 +23,7 @@ from helpers import (
 from nullcert.assemble import (
     AssembleError,
     _Packing,
+    alt_g_candidates,
     assemble_orbit,
     extract_certificate,
     nulla_prove,
@@ -33,7 +34,6 @@ import nullcert.cli as cli
 from nullcert.encode import (
     EncodeError,
     EncodingOptions,
-    alt_g_candidates,
     common_root,
     encode_coloring,
 )

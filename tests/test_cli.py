@@ -177,6 +177,26 @@ def test_request_is_checked_before_the_coloring(tmp_path, capsys):
         assert run(capsys, "prove", "--gen", "wheel:4", *argv) == (2, "", message)
 
 
+def test_each_check_still_ends_a_colorable_request_before_its_root(tmp_path, capsys):
+    # random:16,0.27,0 ends at its common root; the schedule is worked out
+    # only after that, but every check comes first, and in the same order
+    (tmp_path / "swap.txt").write_text("(1,2)\n")
+    (tmp_path / "open.txt").write_text("(1,2\n")
+    refusals = [
+        (("--max-degree", "0"), "--max-degree must be >= 1"),
+        (("--schedule", "2,1"), "degree schedule must be ascending and nonnegative"),
+        (("--schedule", "x"), "bad --schedule 'x': expected comma-separated integers"),
+        (("--alt-g", "auto:0"), "bad --alt-g 'auto:0': expected auto:<positive degree>"),
+        (("--alt-g", "x99"), "variable x99 outside 1..16 in term 'x99'"),
+        (("--symmetry", str(tmp_path / "swap.txt")), "system is not invariant: generator 0 maps edge:1-5 outside the system"),
+        (("--symmetry", str(tmp_path / "open.txt")), "line 1: unclosed cycle"),
+        (("--max-degree", "0", "--symmetry", str(tmp_path / "open.txt")), "--max-degree must be >= 1"),
+    ]
+    for argv, message in refusals:
+        assert run(capsys, "prove", "--gen", "random:16,0.27,0", *argv) == (2, "", f"error: {message}\n")
+    assert run(capsys, "prove", "--gen", "random:16,0.27,0")[0] == 10
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1413,6 +1433,38 @@ def test_readme_names_exactly_the_parsers_options():
                 parsers.extend(action.choices.values())
             defined.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
     assert named == defined
+
+
+def test_a_parser_built_for_its_argv_parses_it_as_the_full_parser(capsys):
+    # main builds only the subcommand argv starts with: every argv parses to
+    # the same namespace, or refuses or prints help the same, as with every
+    # subcommand built
+    argvs = [
+        ["prove", "--gen", "complete:4", "--max-degree", "2", "--cert", "c.json"],
+        ["prove", "--system", "s.txt", "--p", "3", "--alt-g", "auto:2", "--memory-budget", "9"],
+        ["stats", "--input", "g.col", "--degree", "3"],
+        ["encode", "--gen", "wheel:5", "--no-preprocess", "--cutters", "cliques"],
+        ["gen", "random:8,0.5", "--seed", "3"],
+        ["verify", "c.json"], ["verify", "prove"], ["prove", "verify"], ["prove", "--bogus"],
+        ["prove", "--max-degree", "x"], ["encode", "--system", "s.txt"], ["verify"], ["gen"],
+        [], ["bogus"], ["bogus", "prove"], ["--bogus", "prove"], ["--", "prove"],
+        ["-h"], ["-h", "prove"], ["prove", "-h"], ["stats", "--help"], ["gen", "-h"],
+    ]
+    for argv in argvs:
+        outcomes = []
+        for parser in (cli.build_arg_parser(), cli.build_arg_parser(argv)):
+            try:
+                outcome = vars(parser.parse_args(argv))
+            except SystemExit as e:
+                outcome = ("exit", e.code)
+            except cli.CliError as e:
+                outcome = ("refused", str(e))
+            outcomes.append((outcome, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+    for argv, built in ((["verify", "c.json"], ["verify"]), (["-h"], ["prove", "verify", "stats", "encode", "gen"])):
+        parser = cli.build_arg_parser(argv)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == built
 
 
 def test_missing_input_file(capsys):

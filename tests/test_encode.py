@@ -6,10 +6,10 @@ import random
 import pytest
 
 from helpers import GF4_ROOTS, GF4_ZERO, eval_poly_gf4, exhaustive_colorable, monomials_up_to, poly_eval
+from nullcert.assemble import AssembleError, alt_g_candidates
 from nullcert.encode import (
     EncodeError,
     EncodingOptions,
-    alt_g_candidates,
     encode_coloring,
 )
 import nullcert.encode as encode
@@ -265,7 +265,7 @@ class TestAltG:
         assert sorted(cands, key=Monomial.sort_key) == cands
 
     def test_degree_validation(self):
-        with pytest.raises(EncodeError):
+        with pytest.raises(AssembleError):
             alt_g_candidates(3, 0)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (2, 3), (4, 2), (5, 4), (9, 3)])

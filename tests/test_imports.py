@@ -1,5 +1,5 @@
 """The import graph of the nullcert modules, read from their source, and
-the modules each subcommand loads, seen in fresh interpreters.
+the modules each subcommand and input loads, seen in fresh interpreters.
 
 Every import statement counts, a function-level one included: importing on
 use hides a dependency without removing it.
@@ -17,7 +17,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nullcert"
-PROVE_STACK = {"nullcert.assemble", "nullcert.linsolve", "nullcert.encode", "nullcert.graphs", "nullcert.symmetry"}
+# cli's load groups
+ALGEBRA = {"nullcert.assemble", "nullcert.linsolve"}
+GRAPH = {"nullcert.encode", "nullcert.graphs"}
+SYMMETRY = {"nullcert.symmetry"}
+PROVE_STACK = ALGEBRA | GRAPH | SYMMETRY
+JSON = {"json"}  # loaded by nullcert.certificate to read or write a certificate
+QUADRIC = "q x1^2+2\nl1 x1+x2\nl2 x1+x3\nl3 x2+x3\n"  # no point over GF(3)
 
 
 def imports(path):
@@ -95,18 +101,34 @@ def loaded(*args, cwd=None):
 def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     _, bare = loaded("-c", "pass")
     cert = tmp_path / "k4.json"
-    rc, prove = loaded("-m", "nullcert.cli", "prove", "--gen", "complete:4", "--cert", str(cert), cwd=tmp_path)
-    assert rc == 0 and PROVE_STACK <= prove
-    rc, verify = loaded("-m", "nullcert.cli", "verify", str(cert))
-    assert rc == 0 and "nullcert.certificate" in verify
-    rc, usage = loaded("-m", "nullcert.cli", "--help")
-    assert rc == 0 and "nullcert.cli" not in bare
-    for modules in (verify, usage):
-        assert not modules & PROVE_STACK
-    for modules in (prove, verify, usage):
+    (tmp_path / "quadric.txt").write_text(QUADRIC)
+    (tmp_path / "line.txt").write_text("l x1+x2\n")  # a line has points: no certificate
+    # a 5-cycle is 3-colorable: prove ends at its common root
+    (tmp_path / "c5.col").write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    (tmp_path / "rim.txt").write_text("(1,2,3,4)\n")
+    system = ("--system", "quadric.txt", "--p", "3")
+    # one row per input: argv, exit code, the modules it loads, those it does
+    # not; json only where a certificate is read or written
+    table = [
+        (("prove", "--gen", "complete:4", "--cert", str(cert)), 0, ALGEBRA | GRAPH | JSON, SYMMETRY),
+        (("prove", *system), 0, ALGEBRA | JSON, GRAPH | SYMMETRY),
+        (("prove", *system, "--alt-g", "auto:2"), 0, ALGEBRA, GRAPH | SYMMETRY),
+        (("prove", "--system", "line.txt", "--p", "3"), 10, ALGEBRA, GRAPH | SYMMETRY | JSON),
+        (("stats", *system), 0, ALGEBRA, GRAPH | SYMMETRY | JSON),
+        (("encode", "--gen", "complete:4"), 0, GRAPH, ALGEBRA | SYMMETRY | JSON),
+        (("gen", "complete:4"), 0, GRAPH, ALGEBRA | SYMMETRY | JSON),
+        (("prove", "--input", "c5.col"), 10, GRAPH, ALGEBRA | SYMMETRY | JSON),
+        (("prove", "--gen", "complete:4", "--symmetry", "rim.txt"), 0, PROVE_STACK, set()),
+        (("verify", str(cert)), 0, {"nullcert.certificate"} | JSON, PROVE_STACK),
+        (("--help",), 0, set(), PROVE_STACK | JSON),
+    ]
+    assert "nullcert.cli" not in bare
+    for argv, code, loads, skips in table:
+        rc, modules = loaded("-m", "nullcert.cli", *argv, cwd=tmp_path)
+        assert rc == code and loads <= modules and not skips & (modules - bare), argv
         # prove's input fingerprint is the builtin sha256: OpenSSL stays out
-        assert not {"hashlib", "_hashlib"} & (modules - bare)
-        assert "dataclasses" not in modules - bare
+        assert not {"hashlib", "_hashlib"} & (modules - bare), argv
+        assert "dataclasses" not in modules - bare, argv
 
 
 def test_load_system_file_runs_before_the_prove_stack(tmp_path):
@@ -149,3 +171,35 @@ print(json.dumps([before, calls, rc, resolved, hasattr(cli, "no_such_name")]))
     assert before == ["nullcert.certificate", "nullcert.cli", "nullcert.poly"]
     assert calls == [3] and prove_rc == 0
     assert resolved == names and unknown is False
+
+
+def test_each_load_group_runs_a_patch_set_before_it_loads(tmp_path):
+    # a patch set on cli before its load group loads is what the command
+    # runs, and setting it loads nothing
+    (tmp_path / "quadric.txt").write_text(QUADRIC)
+    (tmp_path / "rim.txt").write_text("(1,2,3,4)\n")
+    child = """
+import json, sys
+import nullcert.cli as cli
+calls = []
+def nulla_prove(*args, **kwargs):
+    calls.append("nulla_prove")
+    from nullcert.assemble import nulla_prove
+    return nulla_prove(*args, **kwargs)
+def parse_generators(text, n_vars):
+    calls.append("parse_generators")
+    from nullcert.symmetry import parse_generators
+    return parse_generators(text, n_vars)
+cli.nulla_prove, cli.parse_generators = nulla_prove, parse_generators
+before = sorted(m for m in sys.modules if m.startswith("nullcert."))
+rc = cli.main(["prove", "--system", "quadric.txt", "--p", "3"])
+unreached = sorted(m for m in sys.modules if m in ("nullcert.encode", "nullcert.graphs", "nullcert.symmetry"))
+rc_symmetry = cli.main(["prove", "--gen", "complete:4", "--symmetry", "rim.txt"])
+print(json.dumps([before, rc, unreached, rc_symmetry, calls]))
+"""
+    rc, out, err = python("-c", child, cwd=tmp_path)
+    assert rc == 0, err
+    before, system_rc, unreached, symmetry_rc, calls = json.loads(out.splitlines()[-1])
+    assert before == ["nullcert.certificate", "nullcert.cli", "nullcert.poly"]
+    assert (system_rc, unreached, symmetry_rc) == (0, [], 0)
+    assert calls == ["nulla_prove", "parse_generators", "nulla_prove"]
